@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint bench sweep perfbench trace-demo clean
+.PHONY: verify test lint bench sweep perfbench ledger-smoke trace-demo clean
 
 # The tier-1 gate: what CI runs and what every change must keep green.
 verify: test lint
@@ -40,6 +40,11 @@ perfbench:
 # against results/bench/TARGETS.json (floors, geomean, ratchet).
 perfbench-history:
 	$(PYTHON) -m repro perfbench --history
+
+# The benchmark (ledger/) at 1/20 size — one traced rep per workload,
+# every digest and validity check — plus the ledger's own tests.
+ledger-smoke:
+	python3 ledger/run.py --smoke && $(PYTHON) -m pytest ledger/tests -q
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

@@ -304,7 +304,7 @@ class TieredBufferPool:
         # Block lane state. `_res_tier` is a dense page_id → tier_index
         # mirror of self._frames (int16, -1 = non-resident), grown on
         # demand and kept in sync by _install / _evict_to_storage /
-        # _migrate_locked / drop_all, so a whole run is partitioned
+        # _migrate_pages / drop_all, so a whole run is partitioned
         # into hits and faults with one gather. `_lat_cache` memoizes
         # per-(nbytes, write, is_scan) hit latencies for every tier at
         # once; both are derived state, never authoritative.
@@ -3040,8 +3040,8 @@ class TieredBufferPool:
         if target is not None and target != tier_index:
             # Demotion time is part of the fault being served: it is
             # charged as demand latency, not as migration time.
-            return self._migrate_locked(victim_id, target, demotion=True,
-                                        charge_migration_time=False)
+            return self._migrate_pages((victim_id,), (target,),
+                                       demotion=True)
         return self._evict_to_storage(victim_id)
 
     def _evict_to_storage(self, page_id: PageId) -> float:
@@ -3090,81 +3090,104 @@ class TieredBufferPool:
         quantum, that session's clock cursor — migrations triggered by
         a session's accesses are time the session experiences).
         """
+        return self.migrate_batch((page_id,), (to_tier,))
+
+    def migrate_batch(self, page_ids: Sequence[PageId],
+                      to_tiers: Sequence[int]) -> float:
+        """Move ``page_ids[i]`` to ``to_tiers[i]``, in order; returns
+        the summed elapsed ns.
+
+        Equivalent to calling :meth:`migrate` once per page — the same
+        device traffic, migration time, clock advances and trace spans
+        in the same order, and on a pinned / non-resident page or an
+        invalid tier the same error with every earlier page moved.
+        """
+        if len(page_ids) != len(to_tiers):
+            raise BufferPoolError("migrate_batch needs one tier per page")
         if self._lazy_runs:
             self._drain_lazy()
-        elapsed = self._migrate_locked(page_id, to_tier, demotion=False)
-        clock = self._session_clock
-        (clock if clock is not None else self.clock).advance(elapsed)
-        return elapsed
+        return self._migrate_pages(page_ids, to_tiers, demotion=False)
 
-    def _migrate_locked(self, page_id: PageId, to_tier: int,
-                        demotion: bool,
-                        charge_migration_time: bool = True) -> float:
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise BufferPoolError(f"cannot migrate non-resident {page_id}")
-        if frame.pinned:
-            raise BufferPoolError(f"cannot migrate pinned page {page_id}")
-        if not 0 <= to_tier < len(self.tiers):
-            raise BufferPoolError(f"invalid tier {to_tier}")
-        from_tier = frame.tier_index
-        if from_tier == to_tier:
-            return 0.0
-        src = self.tiers[from_tier]
-        dst = self.tiers[to_tier]
-        if self._resident_counts[to_tier] < dst.capacity_pages:
-            elapsed = 0.0
-        else:
-            elapsed = self._make_room(to_tier)
-        page_size = self.page_size
-        rw = self._mig_rw.get((from_tier, to_tier))
-        if rw is None:
-            rw = (src.path.read_time(page_size),
-                  dst.path.write_time(page_size))
-            self._mig_rw[(from_tier, to_tier)] = rw
-        else:
-            # read_time/write_time also count device traffic; replay
-            # those bumps when the times come from the cache.
-            src_stats = src.path.device.stats
-            src_stats.loads += 1
-            src_stats.load_bytes += page_size
-            dst_stats = dst.path.device.stats
-            dst_stats.stores += 1
-            dst_stats.store_bytes += page_size
-        elapsed += rw[0]
-        elapsed += rw[1]
-        src.policy.remove(page_id)
-        dst.policy.record_insert(page_id)
+    def _migrate_pages(self, page_ids: Sequence[PageId],
+                       to_tiers: Sequence[int], demotion: bool) -> float:
+        """The one migration body. A demotion serves a fault: its time
+        is the fault's demand latency, so it is returned but neither
+        charged as migration time nor put on the clock."""
+        frames_get = self._frames.get
+        tiers = self.tiers
         counts = self._resident_counts
-        counts[from_tier] -= 1
-        counts[to_tier] += 1
-        frame.tier_index = to_tier
-        self._res_set(page_id, to_tier)
-        slot = self._ord_slot.get(page_id)
-        if slot is not None:
-            self._ord_tier[slot] = to_tier
+        mig_rw = self._mig_rw
+        page_size = self.page_size
         stats = self.stats
-        stats.migrations += 1
-        if charge_migration_time:
-            stats.migration_time_ns += elapsed
         trace = self._trace
-        if trace.enabled:
-            session_clock = self._session_clock
-            now = (session_clock or self.clock).now
-            trace.emit_span(
-                "pool.demotion" if demotion else "pool.promotion",
-                "pool", now, now + elapsed,
-                {"page": page_id, "from": src.name, "to": dst.name},
-            )
-        tier_stats = stats.per_tier[to_tier]
-        if demotion:
-            tier_stats.demotions_in += 1
-        else:
-            tier_stats.promotions_in += 1
-        residents = counts[to_tier]
-        if residents > tier_stats.resident_peak:
-            tier_stats.resident_peak = residents
-        return elapsed
+        clock = self._session_clock or self.clock
+        res_tier = self._res_tier
+        res_size = res_tier.shape[0]
+        ord_slot_get = self._ord_slot.get
+        ord_tier = self._ord_tier
+        total = 0.0
+        for page_id, to_tier in zip(page_ids, to_tiers):
+            frame = frames_get(page_id)
+            if frame is None:
+                raise BufferPoolError(f"cannot migrate non-resident {page_id}")
+            if frame.pin_count:
+                raise BufferPoolError(f"cannot migrate pinned page {page_id}")
+            if not 0 <= to_tier < len(tiers):
+                raise BufferPoolError(f"invalid tier {to_tier}")
+            from_tier = frame.tier_index
+            if from_tier == to_tier:
+                continue
+            src = tiers[from_tier]
+            dst = tiers[to_tier]
+            if counts[to_tier] < dst.capacity_pages:
+                elapsed = 0.0
+            else:
+                elapsed = self._make_room(to_tier)
+            rw = mig_rw.get((from_tier, to_tier))
+            if rw is None:
+                rw = (src.path.read_time(page_size),
+                      dst.path.write_time(page_size))
+                mig_rw[(from_tier, to_tier)] = rw
+            else:
+                # read_time/write_time also count device traffic; replay
+                # those bumps when the times come from the cache.
+                src_stats = src.path.device.stats
+                src_stats.loads += 1
+                src_stats.load_bytes += page_size
+                dst_stats = dst.path.device.stats
+                dst_stats.stores += 1
+                dst_stats.store_bytes += page_size
+            elapsed += rw[0]
+            elapsed += rw[1]
+            src.policy.remove(page_id)
+            dst.policy.record_insert(page_id)
+            counts[from_tier] -= 1
+            counts[to_tier] += 1
+            frame.tier_index = to_tier
+            if 0 <= page_id < res_size:
+                res_tier[page_id] = to_tier
+            slot = ord_slot_get(page_id)
+            if slot is not None:
+                ord_tier[slot] = to_tier
+            stats.migrations += 1
+            if trace.enabled:
+                now = clock._now
+                trace.emit_span(
+                    "pool.demotion" if demotion else "pool.promotion",
+                    "pool", now, now + elapsed,
+                    {"page": page_id, "from": src.name, "to": dst.name},
+                )
+            tier_stats = stats.per_tier[to_tier]
+            if demotion:
+                tier_stats.demotions_in += 1
+            else:
+                tier_stats.promotions_in += 1
+                stats.migration_time_ns += elapsed
+                clock._now += elapsed
+            if counts[to_tier] > tier_stats.resident_peak:
+                tier_stats.resident_peak = counts[to_tier]
+            total += elapsed
+        return total
 
     # -- flushing -------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import BufferPoolError
+from ..errors import BufferPoolError, ConfigError
 from .temperature import ExactTracker, SampledTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -226,6 +226,9 @@ class OSPagingPolicy(_BasePolicy):
         super().__init__()
         if not 0.0 < low_watermark <= high_watermark <= 1.0:
             raise BufferPoolError("invalid watermarks")
+        if check_interval <= 0 or max_moves_per_check < 0:
+            raise ConfigError("check_interval must be positive and"
+                              " max_moves_per_check non-negative")
         self.tracker = SampledTracker(sample_rate=sample_rate)
         self.check_interval = check_interval
         self.promote_min_heat = promote_min_heat
@@ -331,15 +334,26 @@ class DbCostPolicy(_BasePolicy):
                  scan_admit_slow: bool = True,
                  tracker: ExactTracker | None = None) -> None:
         super().__init__()
+        if rebalance_interval <= 0 or max_moves_per_rebalance < 0:
+            raise ConfigError("rebalance_interval must be positive and"
+                              " max_moves_per_rebalance non-negative")
         self.rebalance_interval = rebalance_interval
         self.max_moves_per_rebalance = max_moves_per_rebalance
         self.scan_admit_slow = scan_admit_slow
         self._tracker = tracker
         self._accesses = 0
+        #: Rebalance counters, reported by :meth:`snapshot`; a skip is a
+        #: candidate passed over as pinned (or evicted mid-solve).
+        self.rebalances = 0
+        self.moves = 0
+        self.pairs_cut_unprofitable = 0
+        self.pinned_skips = 0
 
     def attach(self, pool: "TieredBufferPool") -> None:
-        """Bind and share the pool's exact tracker."""
+        """Bind, share the pool's exact tracker, and register the
+        rebalance counters as the ``placement`` metrics namespace."""
         super().attach(pool)
+        pool.ctx.register("placement", self)
         if self._tracker is None:
             tracker = pool.tracker
             if not isinstance(tracker, ExactTracker):
@@ -403,92 +417,128 @@ class DbCostPolicy(_BasePolicy):
         """Promote the hottest misplaced pages / demote the coldest.
 
         Returns the number of migrations performed. The solve is
-        greedy: compare the heat of slow-tier pages against the
-        coldest fast-tier residents and swap while profitable.
+        greedy: fill free fast-tier frames with the hottest slow
+        pages, then pair the hottest slow pages with the coldest fast
+        residents and swap while profitable. At most
+        ``max_moves_per_rebalance`` pages move, so only the head of
+        each heat order is ever read: :func:`heat_order_prefix`
+        selects it in O(residents), and each phase hands its moves to
+        the pool as one :meth:`TieredBufferPool.migrate_batch`.
         """
         pool = self.pool
         if len(pool.tiers) < 2:
             return 0
-        tracker = self.tracker
-        fast_capacity = pool.tiers[0].capacity_pages
+        self.rebalances += 1
+        max_moves = self.max_moves_per_rebalance
+        heat_array = self.tracker.heat_array
+        frame_of = pool.frame_of
+        # A candidate is passed over only when it is pinned, or in the
+        # swap phase evicted by the one make-room described there, so
+        # a prefix this much longer than the budget holds every move
+        # the full order would make.
+        spare = pool._pinned_frames + 1
 
-        def residents(tier_range):
-            chunks = [pool.resident_ids_in(i) for i in tier_range]
-            return chunks[0] if len(chunks) == 1 else \
-                np.concatenate(chunks)
+        def slow_residents() -> np.ndarray:
+            chunks = [pool.resident_ids_in(i)
+                      for i in range(1, len(pool.tiers))]
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
-        slow_tiers = range(1, len(pool.tiers))
-        fast_residents = residents(range(1))
-        slow_residents = residents(slow_tiers)
+        slow = slow_residents()
         moves = 0
-        # Fill unused fast capacity with the hottest slow pages.
-        headroom = fast_capacity - len(fast_residents)
+        headroom = pool.tiers[0].capacity_pages - pool.tier_residents(0)
         if headroom > 0:
-            candidates = self._sorted_by_heat(
-                slow_residents, reverse=True
-            )[:headroom]
-            for page_id in candidates:
-                if moves >= self.max_moves_per_rebalance:
-                    return moves
-                if self._movable(page_id):
-                    pool.migrate(page_id, 0)
-                    moves += 1
-            fast_residents = residents(range(1))
-            slow_residents = residents(slow_tiers)
+            # Fill unused fast capacity with the hottest slow pages.
+            hot_slow, _ = heat_order_prefix(
+                slow, heat_array(slow), min(headroom, max_moves + spare),
+                reverse=True)
+            fill = []
+            for page_id in hot_slow:
+                if len(fill) == max_moves:
+                    break
+                if frame_of(page_id).pin_count:
+                    self.pinned_skips += 1
+                else:
+                    fill.append(page_id)
+            if fill:
+                pool.migrate_batch(fill, [0] * len(fill))
+                moves = len(fill)
+                slow = slow_residents()
         # Swap: hottest slow page vs coldest fast page.
-        hot_slow, hs = self._sorted_with_heat(slow_residents,
-                                              reverse=True)
-        cold_fast, hf = self._sorted_with_heat(fast_residents)
-        pairs = min(len(hot_slow), len(cold_fast))
-        if hs is not None and hf is not None:
+        budget = (max_moves - moves) // 2
+        if budget > 0:
+            fast = pool.resident_ids_in(0)
+            depth = budget + spare
+            hot_slow, hs = heat_order_prefix(slow, heat_array(slow), depth,
+                                             reverse=True)
+            cold_fast, hf = heat_order_prefix(fast, heat_array(fast), depth)
+            pairs = min(len(hot_slow), len(cold_fast))
             # Heat is static during the solve, so the profitability
-            # break falls at the first unprofitable pair — found with
-            # one vectorized compare instead of two heat calls a pair.
+            # break falls at the first unprofitable pair.
             ok = hs[:pairs] > hf[:pairs] + 1e-9
-            pairs = pairs if ok.all() else int(ok.argmin())
-        for i in range(pairs):
-            slow_pid = hot_slow[i]
-            fast_pid = cold_fast[i]
-            if moves + 2 > self.max_moves_per_rebalance:
-                break
-            if (hs is None or hf is None) and \
-                    tracker.heat(slow_pid) <= \
-                    tracker.heat(fast_pid) + 1e-9:
-                break
-            if not (self._movable(slow_pid) and self._movable(fast_pid)):
-                continue
-            pool.migrate(fast_pid, 1)
-            pool.migrate(slow_pid, 0)
-            moves += 2
+            if not ok.all():
+                cut = int(ok.argmin())
+                self.pairs_cut_unprofitable += pairs - cut
+                pairs = cut
+            # With every slow tier full, the first demotion cascades
+            # to an eviction — perhaps of a later pair's slow page. A
+            # swap leaves the slow tiers one page short of full from
+            # then on, so it is the only one.
+            evicts = all(pool.tier_residents(i) >= pool.tiers[i].capacity_pages
+                         for i in range(1, len(pool.tiers)))
+            swaps: list[int] = []
+            for fast_pid, slow_pid in zip(cold_fast[:pairs],
+                                          hot_slow[:pairs]):
+                if budget == 0:
+                    break
+                slow_frame = frame_of(slow_pid)
+                if slow_frame is None or slow_frame.pin_count \
+                        or frame_of(fast_pid).pin_count:
+                    self.pinned_skips += 1
+                    continue
+                swaps += (fast_pid, slow_pid)
+                budget -= 1
+                if evicts:
+                    # Run that pair now; judge the rest on what is left.
+                    moves += self._swap(swaps)
+                    swaps = []
+                    evicts = False
+            moves += self._swap(swaps)
+        self.moves += moves
         return moves
 
-    def _sorted_by_heat(self, page_ids: "Sequence[int] | np.ndarray",
-                        reverse: bool = False) -> list[int]:
-        """Residents ordered by tracker heat, ties in input order."""
-        return self._sorted_with_heat(page_ids, reverse)[0]
+    def _swap(self, swaps: list[int]) -> int:
+        """Run interleaved ``[fast, slow, ...]`` pairs: each fast page
+        down one tier, then its slow partner into the freed frame."""
+        self.pool.migrate_batch(swaps, [1, 0] * (len(swaps) // 2))
+        return len(swaps)
 
-    def _sorted_with_heat(
-            self, page_ids: "Sequence[int] | np.ndarray",
-            reverse: bool = False,
-    ) -> tuple[list[int], np.ndarray | None]:
-        """Residents ordered by tracker heat, ties in input order,
-        plus the heats in that order when bulk gathering is available.
+    def snapshot(self) -> dict:
+        """Rebalance counters (metrics snapshot protocol)."""
+        return {
+            "rebalances": self.rebalances,
+            "moves": self.moves,
+            "pairs_cut_unprofitable": self.pairs_cut_unprofitable,
+            "pinned_skips": self.pinned_skips,
+        }
 
-        One bulk heat gather plus a stable argsort — the same
-        permutation ``sorted(page_ids, key=tracker.heat)`` produces,
-        without a python call per key."""
-        heat_array = getattr(self.tracker, "heat_array", None)
-        if heat_array is None or len(page_ids) < 64:
-            if isinstance(page_ids, np.ndarray):
-                # Downstream (migrate, trace spans) expects plain ints.
-                page_ids = page_ids.tolist()
-            return (sorted(page_ids, key=self.tracker.heat,
-                           reverse=reverse), None)
-        ids = np.asarray(page_ids, dtype=np.int64)
-        heats = heat_array(ids)
-        order = np.argsort(-heats if reverse else heats, kind="stable")
-        return ids[order].tolist(), heats[order]
 
-    def _movable(self, page_id: int) -> bool:
-        frame = self.pool.frame_of(page_id)
-        return frame is not None and not frame.pin_count
+def heat_order_prefix(page_ids: np.ndarray, heats: np.ndarray, k: int,
+                      reverse: bool = False) -> tuple[list[int], np.ndarray]:
+    """The first *k* of *page_ids* in heat order, with their heats:
+    ``sorted(page_ids, key=heat, reverse=reverse)[:k]``, ties in
+    input order, without sorting the rest.
+
+    One partition finds the k-th key; every strictly better id plus
+    the earliest ties make up the k, and only those are sorted."""
+    keys = -heats if reverse else heats
+    if k <= 0:
+        pick = np.empty(0, dtype=np.intp)
+    elif k < keys.shape[0]:
+        kth = np.partition(keys, k - 1)[k - 1]
+        better = np.flatnonzero(keys < kth)
+        ties = np.flatnonzero(keys == kth)[:k - better.shape[0]]
+        pick = np.concatenate([better, ties])
+        pick = pick[np.argsort(keys[pick], kind="stable")]
+    else:
+        pick = np.argsort(keys, kind="stable")
+    return page_ids[pick].tolist(), heats[pick]

@@ -5,7 +5,7 @@ import pytest
 from repro import config
 from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.placement import DbCostPolicy, OSPagingPolicy, StaticPolicy
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, ConfigError
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
 
@@ -100,6 +100,21 @@ class TestOSPagingPolicy:
         with pytest.raises(BufferPoolError):
             OSPagingPolicy(high_watermark=0.5, low_watermark=0.9)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"check_interval": 0}, {"check_interval": -5},
+        {"max_moves_per_check": -1},
+    ])
+    def test_invalid_cadence_rejected_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            OSPagingPolicy(**kwargs)
+
+    def test_zero_move_budget_is_valid(self):
+        pool = make_pool(OSPagingPolicy(check_interval=5,
+                                        max_moves_per_check=0), dram=2)
+        for page in range(12):
+            pool.access(page)
+        assert pool.stats.migrations == 0
+
 
 class TestDbCostPolicy:
     def test_scans_admitted_to_slow_tier(self):
@@ -137,6 +152,27 @@ class TestDbCostPolicy:
         policy.rebalance()
         assert pool.tier_of(1) == 0  # pinned page stayed
         pool.unpin(1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rebalance_interval": 0}, {"rebalance_interval": -1},
+        {"max_moves_per_rebalance": -1},
+    ])
+    def test_invalid_cadence_rejected_at_construction(self, kwargs):
+        """Used to surface as a ZeroDivisionError on the first
+        ``% interval`` deep inside ``access``."""
+        with pytest.raises(ConfigError):
+            DbCostPolicy(**kwargs)
+
+    def test_zero_move_budget_never_migrates(self):
+        policy = DbCostPolicy(rebalance_interval=3,
+                              max_moves_per_rebalance=0)
+        pool = make_pool(policy, dram=4, cxl=16)
+        pool.access(100, is_scan=True)
+        for _ in range(20):
+            pool.access(100)
+        assert policy.rebalance() == 0
+        assert pool.tier_of(100) == 1
+        assert policy.snapshot()["rebalances"] == 8
 
     def test_single_tier_rebalance_is_noop(self):
         tiers = [Tier(
