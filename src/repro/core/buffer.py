@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -231,6 +232,34 @@ class BufferPoolStats:
         return snap
 
 
+@dataclass(slots=True)
+class LaneStats:
+    """Route counters of the block lane (the ``pool.lane`` metrics
+    namespace): windows :meth:`TieredBufferPool._block_exact` resolved
+    in array ops, the accesses and first-touch installs they carried,
+    and why each one that stopped short of its block was cut. Bumped
+    once per window; not part of :class:`BufferPoolStats`, whose
+    snapshot is simulated state."""
+
+    exact_windows: int = 0
+    exact_window_accesses: int = 0
+    fill_installs: int = 0
+    cuts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
+         "pinned", "session", "backing", "placement"), 0))
+
+    def snapshot(self) -> dict:
+        """Counters as a dict (metrics snapshot protocol). Spelled
+        out: every engine run snapshots, and ``asdict`` recurses
+        through ~35 python calls."""
+        return {
+            "exact_windows": self.exact_windows,
+            "exact_window_accesses": self.exact_window_accesses,
+            "fill_installs": self.fill_installs,
+            "cuts": dict(self.cuts),
+        }
+
+
 class TieredBufferPool:
     """A buffer pool spanning DRAM and CXL memory tiers."""
 
@@ -262,6 +291,8 @@ class TieredBufferPool:
         self.clock = ctx.bind_clock(ctx.clock, owner="buffer-pool")
         self._trace = ctx.trace
         ctx.register("pool", self)
+        self.lane = LaneStats()
+        ctx.register("pool.lane", self.lane)
         self.page_size = page_size
         self.tracker: TemperatureTracker = tracker or ExactTracker()
         self.stats = BufferPoolStats(
@@ -734,8 +765,9 @@ class TieredBufferPool:
         self._ord_slot[page_id] = n
         self._ord_len = n + 1
 
-    def _ord_extend(self, page_ids: np.ndarray, tier_index: int) -> None:
-        """Bulk :meth:`_ord_add`: append a run of just-installed pages.
+    def _ord_extend(self, page_ids: np.ndarray, tier_index) -> None:
+        """Bulk :meth:`_ord_add`: append a run of just-installed pages
+        (*tier_index* one tier, or an array with a tier per page).
 
         Same caller contract — every id is already in ``self._frames``,
         so an overflow rebuild derives a complete index (including the
@@ -1954,11 +1986,15 @@ class TieredBufferPool:
         (:func:`~repro.sim.ladder.chain_values`) that reproduce every
         intermediate clock/demand value bit-for-bit — plus a single
         python pass to stamp frame metadata and replay per-tier
-        replacement recency in access order.  Faults, table-less
-        tiers, and placement triggers resolve scalar between windows
-        exactly as the lean walk does; anything the chain primitive
-        cannot model exactly (ties, negative or non-finite values)
-        delegates the remaining accesses to :meth:`_block_walk`.
+        replacement recency in access order.  First-touch misses that
+        land in free frames stay inside the window
+        (:meth:`_fill_plan`): they install up front and their
+        positions carry the miss latency as one more delta class of
+        the same chains.  Other faults, table-less tiers, and
+        placement triggers resolve scalar between windows exactly as
+        the lean walk does; anything the chain primitive cannot model
+        exactly (ties, negative or non-finite values) delegates the
+        remaining accesses to :meth:`_block_walk`.
         """
         n = ids_nd.shape[0]
         tiers = self.tiers
@@ -2002,6 +2038,7 @@ class TieredBufferPool:
         vcls = np.concatenate((tvals, lat_tab.ravel()))
 
         stats = self.stats
+        lane = self.lane
         frames = self._frames
         headroom_fn = self._placement_headroom
         note = self._placement_note
@@ -2031,10 +2068,12 @@ class TieredBufferPool:
             bad = sp < 0
             if has_nan:
                 bad |= np.isnan(lat)
+            k = sp.shape[0]
+            cut = "headroom"
+            fill = None
             if bad.any():
-                k = int(bad.argmax())
-            else:
-                k = sp.shape[0]
+                k, cut, fill = self._fill_plan(ids_nd[j:wend],
+                                               scans_nd[j:wend], sp, lat)
             if k == 0:
                 # Fault or table-less tier at the window head: try the
                 # bulk fault lane on a true miss — the run is cut at
@@ -2073,35 +2112,82 @@ class TieredBufferPool:
             # positions are the post-think timestamps the frames see.
             jk = j + k
             ids_k = ids_nd[j:jk]
-            sp_k = sp[:k]
-            lat_cls = nt_t + rowmap[j:jk] + sp_k
+            wr_k = writes_nd[j:jk]
+            nb_k = sizes_nd[j:jk]
+            if fill is None:
+                sp_k = sp[:k]
+                lat_cls = nt_t + rowmap[j:jk] + sp_k
+                vals = vcls
+                # Every position is a hit.
+                sp_h, wr_h, nb_h = sp_k, wr_k, nb_k
+            else:
+                # Fill window: the planned first touches install now,
+                # every occurrence of a planned id then reads as a hit
+                # in its admit tier, and the first-touch positions take
+                # the tier's miss latency as one more delta class.
+                fpos, fids, adm, pairs = fill
+                io, inst = self._fill_charge(pairs)
+                miss_lat = np.full(ntiers, np.nan)
+                for T, install_time in inst.items():
+                    miss_lat[T] = (io + 0.0) + install_time
+                self._fill_install(fids, adm, pairs)
+                sp_k = self._res_tier[ids_k]
+                lat_cls = nt_t + rowmap[j:jk] + sp_k
+                lat_cls[fpos] = vcls.shape[0] + adm
+                vals = np.concatenate((vcls, miss_lat))
+                hit = np.ones(k, dtype=bool)
+                hit[fpos] = False
+                sp_h, wr_h, nb_h = sp_k[hit], wr_k[hit], nb_k[hit]
             cls2 = np.empty(2 * k, dtype=np.int64)
             cls2[0::2] = tinv[j:jk]
             cls2[1::2] = lat_cls
             out2 = np.empty(2 * k)
-            clock._now = chain_values(now, vcls, cls2, out2)
+            clock._now = chain_values(now, vals, cls2, out2)
             outd = np.empty(k)
-            stats.demand_time_ns = chain_values(pool_demand, vcls,
+            stats.demand_time_ns = chain_values(pool_demand, vals,
                                                 lat_cls, outd)
-            accum = chain_values(accum, vcls, lat_cls, outd)
+            accum = chain_values(accum, vals, lat_cls, outd)
             last_ts = out2[0::2]
             stats.accesses += k
+            if fill is not None:
+                # The miss subsequence is its own chain on the fault
+                # accumulator; spans come from the same arrays.
+                nf = fpos.shape[0]
+                stats.misses += nf
+                stats.fault_time_ns = chain_values(
+                    stats.fault_time_ns, vals, lat_cls[fpos], outd[:nf])
+                lane.fill_installs += nf
+                trace = self._trace
+                if trace.enabled:
+                    for pid, ts, T in zip(fids.tolist(),
+                                          last_ts[fpos].tolist(),
+                                          adm.tolist()):
+                        trace.emit_span("pool.fault", "pool", ts,
+                                        ts + float(miss_lat[T]),
+                                        {"page": pid})
+            lane.exact_windows += 1
+            lane.exact_window_accesses += k
+            if jk < n:
+                lane.cuts[cut] += 1
             tracker_block(ids_nd, scans_nd, j, jk)
             note(ids_nd, j, jk, False)
-            wr_k = writes_nd[j:jk]
             has_w = bool(wr_k.any())
-            nb_k = sizes_nd[j:jk]
+            # Recency lists span every position of a tier (an LRU
+            # insert followed by a touch leaves the insert's order);
+            # hit counters and device traffic only the hits.
             cnt = np.bincount(sp_k, minlength=ntiers)
+            h_cnt = cnt if fill is None else np.bincount(
+                sp_h, minlength=ntiers)
             if has_w:
-                rd = ~wr_k
-                l_cnt = np.bincount(sp_k[rd], minlength=ntiers)
-                l_byt = np.bincount(sp_k[rd], weights=nb_k[rd],
+                rd = ~wr_h
+                l_cnt = np.bincount(sp_h[rd], minlength=ntiers)
+                l_byt = np.bincount(sp_h[rd], weights=nb_h[rd],
                                     minlength=ntiers)
-                s_byt = np.bincount(sp_k[wr_k], weights=nb_k[wr_k],
+                s_byt = np.bincount(sp_h[wr_h], weights=nb_h[wr_h],
                                     minlength=ntiers)
             else:
-                l_cnt = cnt
-                l_byt = np.bincount(sp_k, weights=nb_k,
+                l_cnt = h_cnt
+                l_byt = np.bincount(sp_h, weights=nb_h,
                                     minlength=ntiers)
             # Duplicate collapse: per-pid frame stats reduce to a count
             # and the final timestamp, and an LRU recency order after a
@@ -2131,15 +2217,16 @@ class TieredBufferPool:
             uq_ord = uq_tier = None
             for T in np.nonzero(cnt)[0].tolist():
                 c_t = int(cnt[T])
+                h_t = int(h_cnt[T])
                 tier = tiers[T]
-                stats.per_tier[T].hits += c_t
+                stats.per_tier[T].hits += h_t
                 device_stats = tier.path.device.stats
                 lc = int(l_cnt[T])
                 if lc:
                     device_stats.loads += lc
                     device_stats.load_bytes += int(l_byt[T])
-                if c_t - lc:
-                    device_stats.stores += c_t - lc
+                if h_t - lc:
+                    device_stats.stores += h_t - lc
                     device_stats.store_bytes += int(s_byt[T])
                 policy = tier.policy
                 batch = getattr(policy, "record_access_batch", None)
@@ -2192,6 +2279,104 @@ class TieredBufferPool:
                         frame.last_access_ns = ts
             j = jk
         return accum
+
+    def _fill_plan(self, ids_w: np.ndarray, scans_w: np.ndarray,
+                   sp: np.ndarray, lat: np.ndarray):
+        """Where a :meth:`_block_exact` window holding misses or
+        table-less hits ends, why, and which misses it folds in.
+
+        Returns ``(k, cut, fill)``: the window covers its first *k*
+        positions, *cut* names what stopped it there (a
+        :class:`LaneStats` reason), and *fill* is ``None`` or ``(fpos,
+        fids, adm, pairs)`` — window positions, page ids and admit
+        tiers of the first touches to install, in touch order, plus
+        ``(tier, count)`` per admit tier.
+
+        A first-touch miss into a free frame changes nothing a later
+        access of the window can observe but its own residency (no
+        victim, no move; ``choose_admit_tiers`` answers "with the
+        earlier pages installed"), so the window runs on until a miss
+        has no free frame in its admit tier, carries another scan flag
+        than the misses before it (the bulk call takes one), or lands
+        on a tier without timing tables or off :class:`LRUPolicy`
+        (where insert-then-touch leaves the insert's order, which
+        keeps miss positions in the recency replay). Pins, a session
+        clock, an unhealthy backing device or no bulk placement answer
+        decline the plan: the window ends at its first miss, as it
+        always did. Mutates nothing but the deferred-bookkeeping
+        drain an accepted plan's installs need.
+        """
+        miss = sp < 0
+        k = sp.shape[0]
+        cut = "headroom"
+        tableless = np.isnan(lat) & ~miss
+        if tableless.any():
+            k = int(tableless.argmax())
+            cut = "tableless"
+        mpos = np.flatnonzero(miss[:k])
+        if not mpos.shape[0]:
+            return k, cut, None
+        head = int(mpos[0])
+        backing = self.backing
+        choose = getattr(self.placement, "choose_admit_tiers", None)
+        declined = (
+            "pinned" if self._pinned_frames
+            else "session" if self._session_clock is not None
+            else "backing" if (backing is not None
+                               and not backing.device.healthy)
+            else "placement" if choose is None else None)
+        if declined:
+            return head, declined, None
+        if mpos.shape[0] > 1:
+            first = np.unique(ids_w[mpos], return_index=True)[1]
+            first.sort()
+            fpos = mpos[first]
+        else:
+            fpos = mpos
+        flags = scans_w[fpos]
+        nf = fpos.shape[0]
+        why = None
+        other = np.flatnonzero(flags != flags[0])
+        if other.shape[0]:
+            nf = int(other[0])
+            why = "scan_flag"
+        adm = choose(ids_w[fpos[:nf]], bool(flags[0]))
+        if adm is None:
+            return head, "placement", None
+        adm = np.asarray(adm, dtype=np.int64)
+        tiers = self.tiers
+        if (adm.shape != (nf,) or int(adm.min()) < 0
+                or int(adm.max()) >= len(tiers)):
+            return head, "placement", None
+        per_tier = np.bincount(adm)
+        for T in np.flatnonzero(per_tier).tolist():
+            tier = tiers[T]
+            if self._tier_timing[T] is None:
+                free, reason = 0, "tableless"
+            elif type(tier.policy) is not LRUPolicy:
+                free, reason = 0, "non_lru"
+            else:
+                free = tier.capacity_pages - self._resident_counts[T]
+                reason = "miss_full"
+            where = np.flatnonzero(adm == T)
+            if where.shape[0] > free:
+                unplaced = int(where[max(free, 0)])
+                if unplaced < nf:
+                    nf = unplaced
+                    why = reason
+        if nf == 0:
+            return head, why, None
+        if why is not None:
+            k = int(fpos[nf])
+            cut = why
+            fpos = fpos[:nf]
+            adm = adm[:nf]
+            per_tier = np.bincount(adm)
+        pairs = [(T, count) for T, count
+                 in enumerate(per_tier.tolist()) if count]
+        if self._lazy_runs:
+            self._drain_lazy()
+        return k, cut, (fpos, ids_w[fpos], adm, pairs)
 
     def _block_walk(self, block, bounds, ids_nd, sizes_nd, writes_nd,
                     scans_nd, thinks_nd, clock, start: int,
@@ -2501,6 +2686,83 @@ class TieredBufferPool:
             for key in keys:
                 insert(key)
 
+    def _fill_charge(self, pairs) -> tuple[float, dict[int, float]]:
+        """Device charges of faulting ``count`` pages into ``tier``
+        per ``(tier, count)`` of *pairs*: the scalar path's backing
+        read and install write under its memo protocol — one real
+        stat-bumping call seeds each constant, the rest replay the
+        bumps. Returns the read time (``0.0`` for an anonymous pool)
+        and the install time per tier; the caller has checked the
+        backing device is healthy."""
+        backing = self.backing
+        io = 0.0
+        if backing is not None:
+            device = backing.device
+            size = backing.page_size
+            rep = sum(count for _, count in pairs)
+            memo = self._back_rd
+            if memo is not None and memo[0] is device:
+                io = memo[1]
+            else:
+                io = device.read_time(size)
+                self._back_rd = (device, io, size)
+                rep -= 1
+            device.stats.reads += rep
+            device.stats.read_bytes += rep * size
+        page_size = self.page_size
+        inst: dict[int, float] = {}
+        for T, rep in pairs:
+            path = self.tiers[T].path
+            install_time = self._inst_wr.get(T)
+            if install_time is None:
+                install_time = path.write_time(page_size)
+                self._inst_wr[T] = install_time
+                rep -= 1
+            if rep:
+                device_stats = path.device.stats
+                device_stats.stores += rep
+                device_stats.store_bytes += rep * page_size
+            inst[T] = install_time
+        return io, inst
+
+    def _fill_install(self, ids: np.ndarray, adm, pairs,
+                      ts: np.ndarray | None = None,
+                      write: bool = False) -> None:
+        """The one bulk install body: make the distinct, non-resident
+        *ids* resident, in order — frames, residency and dirty
+        mirrors, insertion-order index, resident counts and peaks,
+        replacement inserts — as that many :meth:`_install` calls
+        would.
+
+        *adm* is one tier index or a tier per id, *pairs* its
+        ``(tier, count)`` summary. With *ts* the frames carry their
+        first touch eagerly (timestamp, one access, dirty if *write*);
+        without, they start blank and the caller accounts the touches
+        in the deferred frame-stat arrays. Frames land before the
+        order-index append so an overflow rebuild includes them.
+        """
+        backing = self.backing
+        page_of = self._anonymous if backing is None else backing.ensure
+        frames = self._frames
+        ids_l = ids.tolist()
+        stamps = repeat(0.0) if ts is None else ts.tolist()
+        touched = 0 if ts is None else 1
+        tier_of = repeat(adm) if type(adm) is int else adm.tolist()
+        for pid, T, stamp in zip(ids_l, tier_of, stamps):
+            frames[pid] = Frame(page_of(pid), T, 0, write, stamp, touched)
+        self._res_tier[ids] = adm
+        self._dirty_mirror[ids] = False
+        self._ord_extend(ids, adm)
+        counts = self._resident_counts
+        for T, count in pairs:
+            counts[T] += count
+            self._policy_insert_batch(
+                self.tiers[T].policy,
+                ids_l if count == len(ids_l) else ids[adm == T].tolist())
+            tier_stats = self.stats.per_tier[T]
+            if counts[T] > tier_stats.resident_peak:
+                tier_stats.resident_peak = counts[T]
+
     def _fault_list(self, seq, i: int, n: int, nbytes: int, write: bool,
                     is_scan: bool, think_ns: float, post_ns: float,
                     accum: float) -> tuple[int, float] | None:
@@ -2555,10 +2817,11 @@ class TieredBufferPool:
 
         Bail-outs, each checked *before* any state change so a partial
         run is always a clean prefix: session lane, tracing, pins,
-        no/unhealthy backing, placement without a bulk answer, a
-        non-LRU policy on a cascade tier, cyclic demotion chains, and
-        dirty victims missing from the backing file (the anonymous
-        writeback path).
+        an unhealthy backing device, placement without a bulk answer,
+        a non-LRU policy on a cascade tier, cyclic demotion chains,
+        and evictions the anonymous writeback path would serve (any
+        victim of a pool without a backing file, dirty victims missing
+        from the file) — an anonymous pool's fill phase runs here.
         """
         if (self._session_clock is not None
                 or self._session_queues is not None
@@ -2566,7 +2829,7 @@ class TieredBufferPool:
                 or self._pinned_frames):
             return None
         backing = self.backing
-        if backing is None or not backing.device.healthy:
+        if backing is not None and not backing.device.healthy:
             return None
         choose = getattr(self.placement, "choose_admit_tiers", None)
         headroom_fn = self._placement_headroom
@@ -2614,11 +2877,6 @@ class TieredBufferPool:
         per_tier = stats.per_tier
         page_size = self.page_size
         demote_target = self.placement.demote_target
-        device = backing.device
-        bsize = backing.page_size
-        bmemo = self._back_rd
-        io = bmemo[1] if (bmemo is not None and bmemo[0] is device) \
-            else None
         # Admit-tier segment boundaries, precomputed so the phase loop
         # never rescans the tail.
         achg = np.nonzero(adm[1:] != adm[:-1])[0]
@@ -2646,6 +2904,10 @@ class TieredBufferPool:
             term_dst = -1
             if free_a > 0:
                 m = sub if sub < free_a else free_a
+            elif backing is None:
+                # Victims of an anonymous pool park their pages in
+                # the anonymous set: the scalar path's job.
+                break
             else:
                 # Walk the demotion cascade from A; it is structurally
                 # constant for the chunk (every chain tier is full and
@@ -2705,29 +2967,9 @@ class TieredBufferPool:
                                in zip(planned, dirty_flags)):
                             break
             sub_run = run[pos:pos + m]
-            # Backing-read + install-write charges for the chunk: the
-            # memo protocol of the scalar path — one real stat-bumping
-            # call seeds the constant, replays bump device stats.
-            dstats = device.stats
-            if io is None:
-                io = device.read_time(bsize)
-                self._back_rd = (device, io, bsize)
-                dstats.reads += m - 1
-                dstats.read_bytes += (m - 1) * bsize
-            else:
-                dstats.reads += m
-                dstats.read_bytes += m * bsize
-            inst = self._inst_wr.get(A)
-            if inst is None:
-                inst = tier_a.path.write_time(page_size)
-                self._inst_wr[A] = inst
-                rep = m - 1
-            else:
-                rep = m
-            if rep:
-                istats = tier_a.path.device.stats
-                istats.stores += rep
-                istats.store_bytes += rep * page_size
+            placed = ((A, m),)
+            io, inst = self._fill_charge(placed)
+            inst = inst[A]
             df_arr = None
             if chain is None:
                 # Fill phase: L = (io + 0.0) + inst, one class.
@@ -2774,6 +3016,8 @@ class TieredBufferPool:
                 # Victim selection: first-m keys per tier, removed.
                 vlists = [tiers[t].policy.victim_batch(m)
                           for t in chain]
+                # A's victims are gone; the install below refills it.
+                counts[A] -= m
                 # Demote each non-terminal tier's victims one edge
                 # down (frames keep dirty flags; inserts land in exact
                 # scalar order at the MRU end).
@@ -2896,22 +3140,8 @@ class TieredBufferPool:
             # Bulk install into the admit tier, frames fully
             # materialised (touch stats included) so later chunks'
             # victim checks and direct frame readers see exactly the
-            # scalar-eager state. Frames land before the order-index
-            # append so an overflow rebuild already includes them.
-            ensure = backing.ensure
-            for pid, tsv in zip(sub_run.tolist(), ts.tolist()):
-                frames[pid] = Frame(page=ensure(pid), tier_index=A,
-                                    dirty=write, last_access_ns=tsv,
-                                    accesses=1)
-            res[sub_run] = A
-            self._dirty_mirror[sub_run] = False
-            self._ord_extend(sub_run, A)
-            if chain is None:
-                counts[A] += m
-            self._policy_insert_batch(tier_a.policy, sub_run.tolist())
-            pt = per_tier[A]
-            if counts[A] > pt.resident_peak:
-                pt.resident_peak = counts[A]
+            # scalar-eager state.
+            self._fill_install(sub_run, A, placed, ts, write)
             pos += m
         if pos == 0:
             return None
@@ -2976,6 +3206,10 @@ class TieredBufferPool:
 
     def _anonymous(self, page_id: PageId) -> Page:
         """The anonymous (backing-less) page, created on first touch."""
+        if page_id < 0:
+            # As PageFile.ensure refuses it for a backed pool; a
+            # negative id would index the mirrors from their end.
+            raise BufferPoolError(f"invalid page id {page_id}")
         page = self._anonymous_pages.get(page_id)
         if page is None:
             page = Page(page_id=page_id, size_bytes=self.page_size)

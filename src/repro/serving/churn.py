@@ -114,7 +114,15 @@ class ChurnSimulator:
         self.scaler = scaler
         self.reclaim_ns = reclaim_ns
         self.sim = sim or Simulator()
-        self._order = np.argsort(table.arrival_ns, kind="stable")
+        # Every event reads these per tenant. A memoryview hands out
+        # plain ints and floats without boxing a numpy scalar per read
+        # and without a python object per tenant.
+        self._order = memoryview(
+            np.argsort(table.arrival_ns, kind="stable"))
+        self._pages = memoryview(table.working_set_pages)
+        self._arrival_ns = memoryview(table.arrival_ns)
+        self._lifetime_ns = memoryview(table.departure_ns
+                                       - table.arrival_ns)
         self._waiting: deque[int] = deque()
         self._queued_pages = 0
         self.report = ChurnReport(tenants=len(table))
@@ -138,20 +146,19 @@ class ChurnSimulator:
     # -- events -------------------------------------------------------
 
     def _admit(self, i: int) -> None:
-        self.pool.lease(i, int(self.table.working_set_pages[i]))
-        wait_ns = self.sim.now - float(self.table.arrival_ns[i])
+        self.pool.lease(i, self._pages[i])
+        wait_ns = self.sim.now - self._arrival_ns[i]
         self.report.admitted += 1
         if wait_ns > 0:
             self.report.waited += 1
         self.report.wait_hist.add(wait_ns)
-        lifetime_ns = float(self.table.departure_ns[i]
-                            - self.table.arrival_ns[i])
-        self.sim.after(lifetime_ns + self.reclaim_ns, self._release, i)
+        self.sim.after(self._lifetime_ns[i] + self.reclaim_ns,
+                       self._release, i)
 
     def _drain_queue(self) -> None:
         while self._waiting:
             head = self._waiting[0]
-            pages = int(self.table.working_set_pages[head])
+            pages = self._pages[head]
             if pages > self.pool.free_pages:
                 break
             self._waiting.popleft()
@@ -159,11 +166,11 @@ class ChurnSimulator:
             self._admit(head)
 
     def _arrive(self, pos: int) -> None:
-        i = int(self._order[pos])
+        i = self._order[pos]
         if pos + 1 < len(self._order):
-            self.sim.at(float(self.table.arrival_ns[self._order[pos + 1]]),
+            self.sim.at(self._arrival_ns[self._order[pos + 1]],
                         self._arrive, pos + 1)
-        pages = int(self.table.working_set_pages[i])
+        pages = self._pages[i]
         if pages > self._max_capacity():
             self.report.rejected += 1
             return
@@ -188,8 +195,7 @@ class ChurnSimulator:
         """Play the whole table; returns the churn accounting."""
         if len(self.table) == 0:
             raise ConfigError("cannot churn an empty tenant table")
-        self.sim.at(float(self.table.arrival_ns[self._order[0]]),
-                    self._arrive, 0)
+        self.sim.at(self._arrival_ns[self._order[0]], self._arrive, 0)
         self.sim.run(max_events=max_events or max(
             10_000_000, 4 * len(self.table)))
         report = self.report

@@ -12,6 +12,8 @@ of shard count, merge order, or worker fan-out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -28,7 +30,7 @@ class MergeableHistogram:
     an interpolation.
     """
 
-    __slots__ = ("edges", "counts")
+    __slots__ = ("edges", "counts", "_edge_list")
 
     def __init__(self, edges: np.ndarray,
                  counts: np.ndarray | None = None) -> None:
@@ -38,6 +40,7 @@ class MergeableHistogram:
         if not (np.diff(edges) > 0).all():
             raise ConfigError("histogram edges must be strictly increasing")
         self.edges = edges
+        self._edge_list = edges.tolist()
         if counts is None:
             counts = np.zeros(len(edges) + 1, dtype=np.int64)
         else:
@@ -58,7 +61,12 @@ class MergeableHistogram:
         self.counts += np.bincount(idx, minlength=len(self.counts))
 
     def add(self, value: float) -> None:
-        self.add_many(np.array([value]))
+        """Fold one observation into the bucket :meth:`add_many` would
+        pick (NaN sorts past every edge there, so it overflows)."""
+        if value != value:
+            self.counts[-1] += 1
+        else:
+            self.counts[bisect_left(self._edge_list, value)] += 1
 
     def merge(self, other: "MergeableHistogram") -> "MergeableHistogram":
         """Exact in-place merge; requires an identical edge grid."""

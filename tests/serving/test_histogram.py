@@ -21,12 +21,27 @@ class TestBuckets:
         assert h.total == 7
 
     def test_add_matches_add_many(self):
+        # Interior values, every edge itself, underflow, overflow,
+        # both infinities and NaN: one value at a time lands where the
+        # vectorised fold puts it.
+        values = [0.1, 1.7, 2.2, 9.0, 1.0, 2.0, 3.0, -5.0, 3.0000001,
+                  np.float64(2.5), float("inf"), float("-inf"),
+                  float("nan")]
+        for v in values:
+            a, b = small_hist(), small_hist()
+            a.add(v)
+            b.add_many(np.array([v]))
+            assert a.counts.tolist() == b.counts.tolist(), v
         a, b = small_hist(), small_hist()
-        values = [0.1, 1.7, 2.2, 9.0]
         for v in values:
             a.add(v)
         b.add_many(np.array(values))
         assert np.array_equal(a.counts, b.counts)
+        assert a.total == len(values)
+        # The cached edge list follows copies and round trips.
+        c = MergeableHistogram.from_dict(a.copy().to_dict())
+        c.add(2.0)
+        assert c.counts[1] == a.counts[1] + 1
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ConfigError):
