@@ -42,13 +42,16 @@ perfbench-history:
 	$(PYTHON) -m repro perfbench --history
 
 # The benchmark (ledger/) at 1/20 size — one traced rep per workload,
-# every digest and validity check — plus the ledger's own tests.
+# every digest and validity check — plus the ledger's own tests. The
+# exact route metrics of the run stay behind in ledger-smoke.json (CI
+# uploads it per commit).
 ledger-smoke:
-	python3 ledger/run.py --smoke && $(PYTHON) -m pytest ledger/tests -q
+	python3 ledger/run.py --smoke --out ledger-smoke.json \
+		&& $(PYTHON) -m pytest ledger/tests -q
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json
 
 clean:
-	rm -rf .pytest_cache .ruff_cache quickstart.trace.json
+	rm -rf .pytest_cache .ruff_cache quickstart.trace.json ledger-smoke.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -60,7 +60,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from bisect import bisect_left
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -236,17 +237,23 @@ class BufferPoolStats:
 class LaneStats:
     """Route counters of the block lane (the ``pool.lane`` metrics
     namespace): windows :meth:`TieredBufferPool._block_exact` resolved
-    in array ops, the accesses and first-touch installs they carried,
-    and why each one that stopped short of its block was cut. Bumped
-    once per window; not part of :class:`BufferPoolStats`, whose
-    snapshot is simulated state."""
+    in array ops, the accesses and first-touch installs they carried
+    (``fill_installs`` into free frames, ``evict_installs`` into a
+    full tier behind a victim; ``victim_rescues`` counts the
+    LRU-prefix pages a window re-touched before their turn and so
+    kept), and why each one that stopped short of its block was cut.
+    Bumped once per window; not part of :class:`BufferPoolStats`,
+    whose snapshot is simulated state."""
 
     exact_windows: int = 0
     exact_window_accesses: int = 0
     fill_installs: int = 0
+    evict_installs: int = 0
+    victim_rescues: int = 0
     cuts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
         ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
-         "pinned", "session", "backing", "placement"), 0))
+         "pinned", "session", "backing", "placement", "evicted_reref",
+         "victim_bound", "cascade"), 0))
 
     def snapshot(self) -> dict:
         """Counters as a dict (metrics snapshot protocol). Spelled
@@ -256,6 +263,8 @@ class LaneStats:
             "exact_windows": self.exact_windows,
             "exact_window_accesses": self.exact_window_accesses,
             "fill_installs": self.fill_installs,
+            "evict_installs": self.evict_installs,
+            "victim_rescues": self.victim_rescues,
             "cuts": dict(self.cuts),
         }
 
@@ -728,60 +737,55 @@ class TieredBufferPool:
                     frame.last_access_ns = ts
         pend[ids] = 0
 
-    def _ord_rebuild(self) -> None:
-        """Re-derive the insertion-order index from the frame map
-        (compacts tombstones; doubles capacity when mostly live)."""
-        live = len(self._frames)
-        cap = max(1024, 2 * live)
-        ids = np.empty(cap, dtype=np.int64)
+    def _ord_compact(self, extra: int) -> None:
+        """Squeeze the tombstones out of the insertion-order index and
+        size it for twice its live entries plus the *extra* about to
+        be appended (array ops: an overflow costs no per-frame walk)."""
+        n = self._ord_len
+        valid = self._ord_valid[:n]
+        ids = self._ord_ids[:n][valid]
+        live = ids.shape[0]
+        cap = max(1024, 2 * (live + extra))
+        self._ord_ids = np.empty(cap, dtype=np.int64)
+        self._ord_ids[:live] = ids
         tiers_arr = np.empty(cap, dtype=np.int16)
-        slot_map = {}
-        i = 0
-        for pid, frame in self._frames.items():
-            ids[i] = pid
-            tiers_arr[i] = frame.tier_index
-            slot_map[pid] = i
-            i += 1
-        valid = np.zeros(cap, dtype=bool)
-        valid[:i] = True
-        self._ord_ids = ids
+        tiers_arr[:live] = self._ord_tier[:n][valid]
         self._ord_tier = tiers_arr
-        self._ord_valid = valid
-        self._ord_len = i
-        self._ord_slot = slot_map
+        self._ord_valid = np.zeros(cap, dtype=bool)
+        self._ord_valid[:live] = True
+        self._ord_len = live
+        # Slots are handed out in order and only ever dropped, so the
+        # old map's keys *are* the live ids in slot order (and the
+        # very int objects the frame map holds).
+        self._ord_slot = dict(zip(self._ord_slot, range(live)))
 
     def _ord_add(self, page_id: PageId, tier_index: int) -> None:
-        """Append one just-installed page to the insertion-order index.
-
-        Called after ``self._frames[page_id]`` is set, so a rebuild
-        (full array: compact or grow) already includes the new page."""
+        """Append one just-installed page to the insertion-order
+        index."""
+        if self._ord_len == self._ord_ids.shape[0]:
+            self._ord_compact(1)
         n = self._ord_len
-        if n == self._ord_ids.shape[0]:
-            self._ord_rebuild()
-            return
         self._ord_ids[n] = page_id
         self._ord_tier[n] = tier_index
         self._ord_valid[n] = True
         self._ord_slot[page_id] = n
         self._ord_len = n + 1
 
-    def _ord_extend(self, page_ids: np.ndarray, tier_index) -> None:
+    def _ord_extend(self, page_ids: np.ndarray, tier_index,
+                    keys: list) -> None:
         """Bulk :meth:`_ord_add`: append a run of just-installed pages
-        (*tier_index* one tier, or an array with a tier per page).
-
-        Same caller contract — every id is already in ``self._frames``,
-        so an overflow rebuild derives a complete index (including the
-        new pages). Below capacity the run lands as three slice
-        assignments and one dict update instead of k scalar appends."""
+        (*tier_index* one tier, or an array with a tier per page) as
+        three slice assignments and one dict update instead of k
+        scalar appends. *keys* is *page_ids* as the list of ints the
+        frame map is keyed by, so the slot map shares them."""
         k = page_ids.shape[0]
+        if self._ord_len + k > self._ord_ids.shape[0]:
+            self._ord_compact(k)
         n = self._ord_len
-        if n + k > self._ord_ids.shape[0]:
-            self._ord_rebuild()
-            return
         self._ord_ids[n:n + k] = page_ids
         self._ord_tier[n:n + k] = tier_index
         self._ord_valid[n:n + k] = True
-        self._ord_slot.update(zip(page_ids.tolist(), range(n, n + k)))
+        self._ord_slot.update(zip(keys, range(n, n + k)))
         self._ord_len = n + k
 
     @property
@@ -1965,8 +1969,7 @@ class TieredBufferPool:
         if hi >= self._res_tier.shape[0]:
             self._res_grow(hi + 1)
         if (getattr(self.tracker, "record_block", None) is not None
-                and getattr(self._placement_note, "content_blind",
-                            False)):
+                and getattr(self._placement_note, "scan_blind", False)):
             result = self._block_exact(block, ids_nd, sizes_nd,
                                        writes_nd, scans_nd, thinks_nd,
                                        clock, accum)
@@ -1986,15 +1989,16 @@ class TieredBufferPool:
         (:func:`~repro.sim.ladder.chain_values`) that reproduce every
         intermediate clock/demand value bit-for-bit — plus a single
         python pass to stamp frame metadata and replay per-tier
-        replacement recency in access order.  First-touch misses that
-        land in free frames stay inside the window
-        (:meth:`_fill_plan`): they install up front and their
-        positions carry the miss latency as one more delta class of
-        the same chains.  Other faults, table-less tiers, and
-        placement triggers resolve scalar between windows exactly as
-        the lean walk does; anything the chain primitive cannot model
-        exactly (ties, negative or non-finite values) delegates the
-        remaining accesses to :meth:`_block_walk`.
+        replacement recency in access order.  First-touch misses stay
+        inside the window (:meth:`_fill_plan`) when they land in free
+        frames or behind victims that drain straight to storage: they
+        install up front and their positions carry the miss latency
+        as extra delta classes of the same chains.  Other faults,
+        table-less tiers, and placement triggers resolve scalar
+        between windows exactly as the lean walk does; anything the
+        chain primitive cannot model exactly (ties, negative or
+        non-finite values) delegates the remaining accesses to
+        :meth:`_block_walk`.
         """
         n = ids_nd.shape[0]
         tiers = self.tiers
@@ -2125,15 +2129,32 @@ class TieredBufferPool:
                 # every occurrence of a planned id then reads as a hit
                 # in its admit tier, and the first-touch positions take
                 # the tier's miss latency as one more delta class.
-                fpos, fids, adm, pairs = fill
+                # Misses into a full tier first drain its victims —
+                # the pages this window re-touches before their turn
+                # touched out of the way — and take the latency behind
+                # a clean or a dirty one, two more classes per tier.
+                fpos, fids, adm, pairs, evict = fill
                 io, inst = self._fill_charge(pairs)
-                miss_lat = np.full(ntiers, np.nan)
+                miss_lat = np.full(3 * ntiers, np.nan)
                 for T, install_time in inst.items():
                     miss_lat[T] = (io + 0.0) + install_time
+                mcls = adm.copy()
+                lane.fill_installs += fpos.shape[0]
+                for plan, over, rescued in evict:
+                    T = plan[1][0]
+                    if rescued:
+                        self._policy_touch(tiers[T].policy, rescued, 0,
+                                           len(rescued))
+                    miss_lat[ntiers + T], miss_lat[2 * ntiers + T], _ = \
+                        self._evict_apply(plan, io, inst[T])
+                    mcls[over] += ntiers * (1 + np.asarray(plan[3]))
+                    lane.fill_installs -= plan[0]
+                    lane.evict_installs += plan[0]
+                    lane.victim_rescues += len(rescued)
                 self._fill_install(fids, adm, pairs)
                 sp_k = self._res_tier[ids_k]
                 lat_cls = nt_t + rowmap[j:jk] + sp_k
-                lat_cls[fpos] = vcls.shape[0] + adm
+                lat_cls[fpos] = vcls.shape[0] + mcls
                 vals = np.concatenate((vcls, miss_lat))
                 hit = np.ones(k, dtype=bool)
                 hit[fpos] = False
@@ -2156,15 +2177,10 @@ class TieredBufferPool:
                 stats.misses += nf
                 stats.fault_time_ns = chain_values(
                     stats.fault_time_ns, vals, lat_cls[fpos], outd[:nf])
-                lane.fill_installs += nf
-                trace = self._trace
-                if trace.enabled:
-                    for pid, ts, T in zip(fids.tolist(),
-                                          last_ts[fpos].tolist(),
-                                          adm.tolist()):
-                        trace.emit_span("pool.fault", "pool", ts,
-                                        ts + float(miss_lat[T]),
-                                        {"page": pid})
+                if self._trace.enabled:
+                    self._emit_faults(fids.tolist(),
+                                      last_ts[fpos].tolist(),
+                                      vals[lat_cls[fpos]].tolist())
             lane.exact_windows += 1
             lane.exact_window_accesses += k
             if jk < n:
@@ -2288,23 +2304,31 @@ class TieredBufferPool:
         Returns ``(k, cut, fill)``: the window covers its first *k*
         positions, *cut* names what stopped it there (a
         :class:`LaneStats` reason), and *fill* is ``None`` or ``(fpos,
-        fids, adm, pairs)`` — window positions, page ids and admit
-        tiers of the first touches to install, in touch order, plus
-        ``(tier, count)`` per admit tier.
+        fids, adm, pairs, evict)`` — window positions, page ids and
+        admit tiers of the first touches to install, in touch order,
+        ``(tier, count)`` per admit tier, and per tier whose misses
+        outnumber its free frames ``(plan, over, rescued)``: a
+        :meth:`_evict_charge` plan, which entries of *fpos* install
+        behind its victims, and the pages to touch before draining
+        them.
 
         A first-touch miss into a free frame changes nothing a later
         access of the window can observe but its own residency (no
         victim, no move; ``choose_admit_tiers`` answers "with the
         earlier pages installed"), so the window runs on until a miss
-        has no free frame in its admit tier, carries another scan flag
-        than the misses before it (the bulk call takes one), or lands
-        on a tier without timing tables or off :class:`LRUPolicy`
-        (where insert-then-touch leaves the insert's order, which
-        keeps miss positions in the recency replay). Pins, a session
-        clock, an unhealthy backing device or no bulk placement answer
-        decline the plan: the window ends at its first miss, as it
-        always did. Mutates nothing but the deferred-bookkeeping
-        drain an accepted plan's installs need.
+        carries another scan flag than the misses before it (the bulk
+        call takes one) or lands on a tier without timing tables or
+        off :class:`LRUPolicy` (where insert-then-touch leaves the
+        insert's order, which keeps miss positions in the recency
+        replay). A miss into a *full* tier stays inside too when that
+        tier drains straight to storage (:meth:`_victim_turns` says
+        which residents leave and where the window must stop); a
+        cascade through another tier is left to :meth:`_fault_span`.
+        Pins, a session clock, an unhealthy backing device or no bulk
+        placement answer decline the plan: the window ends at its
+        first miss, as it always did. Mutates nothing but the
+        deferred-bookkeeping drain that reading recency order and
+        dirty flags needs.
         """
         miss = sp < 0
         k = sp.shape[0]
@@ -2327,56 +2351,144 @@ class TieredBufferPool:
             else "placement" if choose is None else None)
         if declined:
             return head, declined, None
-        if mpos.shape[0] > 1:
-            first = np.unique(ids_w[mpos], return_index=True)[1]
+        mids = ids_w[mpos]
+        if bool((mids[1:] > mids[:-1]).all()):
+            fpos = mpos                  # ascending: no page twice
+        else:
+            first = np.unique(mids, return_index=True)[1]
             first.sort()
             fpos = mpos[first]
-        else:
-            fpos = mpos
         flags = scans_w[fpos]
-        nf = fpos.shape[0]
-        why = None
         other = np.flatnonzero(flags != flags[0])
         if other.shape[0]:
-            nf = int(other[0])
-            why = "scan_flag"
-        adm = choose(ids_w[fpos[:nf]], bool(flags[0]))
+            k = int(fpos[other[0]])
+            cut = "scan_flag"
+            fpos = fpos[:other[0]]
+        adm = choose(ids_w[fpos], bool(flags[0]))
         if adm is None:
             return head, "placement", None
         adm = np.asarray(adm, dtype=np.int64)
         tiers = self.tiers
-        if (adm.shape != (nf,) or int(adm.min()) < 0
+        if (adm.shape != fpos.shape or int(adm.min()) < 0
                 or int(adm.max()) >= len(tiers)):
             return head, "placement", None
-        per_tier = np.bincount(adm)
-        for T in np.flatnonzero(per_tier).tolist():
-            tier = tiers[T]
-            if self._tier_timing[T] is None:
-                free, reason = 0, "tableless"
-            elif type(tier.policy) is not LRUPolicy:
-                free, reason = 0, "non_lru"
-            else:
-                free = tier.capacity_pages - self._resident_counts[T]
-                reason = "miss_full"
-            where = np.flatnonzero(adm == T)
-            if where.shape[0] > free:
-                unplaced = int(where[max(free, 0)])
-                if unplaced < nf:
-                    nf = unplaced
-                    why = reason
-        if nf == 0:
-            return head, why, None
-        if why is not None:
-            k = int(fpos[nf])
-            cut = why
-            fpos = fpos[:nf]
-            adm = adm[:nf]
-            per_tier = np.bincount(adm)
-        pairs = [(T, count) for T, count
-                 in enumerate(per_tier.tolist()) if count]
         if self._lazy_runs:
             self._drain_lazy()
-        return k, cut, (fpos, ids_w[fpos], adm, pairs)
+        drafts = []
+        for T in np.flatnonzero(np.bincount(adm)).tolist():
+            tier = tiers[T]
+            why = None
+            free = 0
+            if self._tier_timing[T] is None:
+                why = "tableless"
+            elif type(tier.policy) is not LRUPolicy:
+                why = "non_lru"
+            else:
+                free = max(tier.capacity_pages - self._resident_counts[T],
+                           0)
+            turns = fpos[np.flatnonzero(adm == T)[free:]]
+            turns = turns[turns < k]
+            if not turns.shape[0]:
+                continue
+            # Misses of T beyond its free frames: each needs a victim.
+            stop = int(turns[0])
+            if why is None:
+                if backing is None:
+                    why = "miss_full"
+                elif self.placement.demote_target(T) not in (None, T):
+                    why = "cascade"
+                else:
+                    stop, why, draft = self._victim_turns(
+                        T, ids_w, sp, turns, k)
+                    if draft is not None:
+                        drafts.append(draft)
+            if stop < k:
+                k, cut = stop, why
+        nf = int(np.searchsorted(fpos, k))
+        if nf == 0:
+            return head, cut, None
+        fpos = fpos[:nf]
+        adm = adm[:nf]
+        evict = []
+        for (m, chain, term_dst, dirty), turns, cand, ft, resc in drafts:
+            # Another tier may have cut the window after this one was
+            # drafted: its turns before the cut, their victims and the
+            # rescues the window still makes stand as drafted.
+            ne = int(np.searchsorted(turns, k))
+            if ne:
+                over = np.searchsorted(fpos, turns[:ne])
+                rescued = [cand[t] for t in resc if ft[t] < k]
+                evict.append(((ne, chain, term_dst, dirty[:ne]), over,
+                              rescued))
+        pairs = [(T, count) for T, count
+                 in enumerate(np.bincount(adm).tolist()) if count]
+        return k, cut, (fpos, ids_w[fpos], adm, pairs, evict)
+
+    def _victim_turns(self, T: int, ids_w: np.ndarray, sp: np.ndarray,
+                      turns: np.ndarray, k: int):
+        """Which residents of the full, storage-draining tier *T* a
+        window's misses at positions *turns* evict, and where that
+        stops the window: ``(stop, why, draft)``.
+
+        The scalar victim at each turn is the head of T's recency
+        order *then*: the oldest page of the starting order that the
+        window has neither evicted nor touched yet — everything the
+        window touches or installs sits behind every page it has not.
+        So the victims are T's LRU prefix minus the pages re-touched
+        before their turn (*rescued*: their touch moved them behind),
+        found in one pass over the prefix pages the window touches at
+        all; untouched ones just take the turns in order. A victim
+        the window touches *after* its turn is a fault there, so the
+        window stops at that position (``evicted_reref``), and it
+        stops at the first turn the untouched starting population
+        cannot serve (``victim_bound``) — the victim would be a page
+        this window touched or installed. The draft is ``None`` when
+        no turn is served or :meth:`_evict_charge` refuses the victims
+        (``miss_full``).
+        """
+        hits = int(np.count_nonzero(sp[:k] == T))
+        cand = self.tiers[T].policy.peek_batch(turns.shape[0] + hits)
+        ne = turns.shape[0]
+        resc: list[int] = []
+        stop, why = k, None
+        ft = None
+        if hits:
+            seen = ids_w[:k]
+            lo = int(seen.min())
+            first = np.full(int(seen.max()) - lo + 1, k)
+            # np.put keeps the last write per index: reversed, the
+            # first position each page is touched at (k: nowhere).
+            np.put(first, seen[::-1] - lo, np.arange(k - 1, -1, -1))
+            ca = np.asarray(cand, dtype=np.int64)
+            inside = (ca >= lo) & (ca < lo + first.shape[0])
+            ft = np.full(ca.shape[0], k)
+            ft[inside] = first[ca[inside] - lo]
+            tl = turns.tolist()
+            touched = np.flatnonzero(ft < k)
+            for t, f in zip(touched.tolist(), ft[touched].tolist()):
+                i = t - len(resc)          # the turn this page is up at
+                if i >= ne:
+                    break
+                if f < tl[i]:
+                    resc.append(t)
+                elif f < stop:
+                    stop, why = f, "evicted_reref"
+                    ne = bisect_left(tl, f)
+        if ne + len(resc) > len(cand):
+            ne = len(cand) - len(resc)
+            stop, why = int(turns[ne]), "victim_bound"
+        if ne == 0:
+            return stop, why, None
+        if resc:
+            keep = np.ones(len(cand), dtype=bool)
+            keep[resc] = False
+            victims = ca[keep][:ne].tolist()
+        else:
+            victims = cand[:ne]
+        plan = self._evict_charge(T, ne, victims)
+        if plan is None:
+            return int(turns[0]), "miss_full", None
+        return stop, why, (plan, turns, cand, ft, resc)
 
     def _block_walk(self, block, bounds, ids_nd, sizes_nd, writes_nd,
                     scans_nd, thinks_nd, clock, start: int,
@@ -2396,7 +2508,7 @@ class TieredBufferPool:
         frames_get = self._frames.get
         headroom_fn = self._placement_headroom
         note = self._placement_note
-        note_blind = getattr(note, "content_blind", False)
+        note_blind = getattr(note, "scan_blind", False)
         tracker_batch = self._tracker_batch
         tracker_record = self.tracker.record
         tracker_block = getattr(self.tracker, "record_block", None)
@@ -2738,21 +2850,21 @@ class TieredBufferPool:
         ``(tier, count)`` summary. With *ts* the frames carry their
         first touch eagerly (timestamp, one access, dirty if *write*);
         without, they start blank and the caller accounts the touches
-        in the deferred frame-stat arrays. Frames land before the
-        order-index append so an overflow rebuild includes them.
+        in the deferred frame-stat arrays.
         """
         backing = self.backing
-        page_of = self._anonymous if backing is None else backing.ensure
-        frames = self._frames
         ids_l = ids.tolist()
+        pages = (list(map(self._anonymous, ids_l)) if backing is None
+                 else backing.ensure_many(ids_l))
         stamps = repeat(0.0) if ts is None else ts.tolist()
         touched = 0 if ts is None else 1
         tier_of = repeat(adm) if type(adm) is int else adm.tolist()
-        for pid, T, stamp in zip(ids_l, tier_of, stamps):
-            frames[pid] = Frame(page_of(pid), T, 0, write, stamp, touched)
+        self._frames.update(zip(ids_l, map(
+            Frame, pages, tier_of, repeat(0), repeat(write), stamps,
+            repeat(touched))))
         self._res_tier[ids] = adm
         self._dirty_mirror[ids] = False
-        self._ord_extend(ids, adm)
+        self._ord_extend(ids, adm, ids_l)
         counts = self._resident_counts
         for T, count in pairs:
             counts[T] += count
@@ -2762,6 +2874,200 @@ class TieredBufferPool:
             tier_stats = self.stats.per_tier[T]
             if counts[T] > tier_stats.resident_peak:
                 tier_stats.resident_peak = counts[T]
+
+    def _evict_charge(self, A: int, want: int,
+                      victims: list | None = None):
+        """What evicting up to *want* pages out of the full tier *A*
+        takes, validated and with nothing changed: ``None`` when the
+        bulk body cannot serve it, else ``(m, chain, term_dst,
+        dirty_flags)`` for :meth:`_evict_apply`.
+
+        The demotion cascade from *A* is structurally constant for the
+        chunk (every chain tier is full and stays full — each loses
+        *m* victims, gains *m* pages) and ends either in storage
+        (``term_dst == -1``; *dirty_flags* then holds one flag per
+        storage victim) or in the first tier with free frames. *m* is
+        bounded by that tier's free frames and by every source tier's
+        population: LRU victims are the first keys of the initial
+        recency order only while a chunk cannot outrun it. *victims*
+        names the storage victims when the caller has already chosen
+        them (a window that rescued part of the LRU prefix); otherwise
+        they are the terminal tier's first *m* keys.
+
+        Refused: a pool without a backing file (its victims park in
+        the anonymous set), an invalid or cyclic ``demote_target``, a
+        non-LRU policy on a chain tier, and a dirty storage victim
+        missing from the file (the anonymous-writeback path).
+        """
+        backing = self.backing
+        if backing is None:
+            return None
+        tiers = self.tiers
+        counts = self._resident_counts
+        demote_target = self.placement.demote_target
+        chain = [A]
+        term_dst = -1
+        src = A
+        while True:
+            d = demote_target(src)
+            if d is None or d == src:
+                break                            # storage-terminal
+            if not 0 <= d < len(tiers) or d in chain:
+                return None                      # invalid or cyclic
+            if counts[d] < tiers[d].capacity_pages:
+                term_dst = d                     # tier-terminal
+                break
+            chain.append(d)
+            src = d
+        m = want
+        for t in chain:
+            if type(tiers[t].policy) is not LRUPolicy:
+                return None
+            if counts[t] < m:
+                m = counts[t]
+        if term_dst >= 0:
+            m = min(m, tiers[term_dst].capacity_pages - counts[term_dst])
+        if m <= 0:
+            return None
+        dirty_flags = None
+        if term_dst < 0:
+            if victims is None:
+                victims = tiers[chain[-1]].policy.peek_batch(m)
+                if len(victims) < m:
+                    return None
+            frames = self._frames
+            dirty_flags = [frames[v].dirty for v in victims]
+            if any(dirty_flags):
+                contains = backing.contains
+                if any(df and not contains(v)
+                       for v, df in zip(victims, dirty_flags)):
+                    return None
+        return m, chain, term_dst, dirty_flags
+
+    def _evict_apply(self, plan, io: float, inst: float):
+        """Run a :meth:`_evict_charge` plan — the one cascade body.
+
+        Drains *m* victims per chain tier through ``victim_batch``,
+        demotes each non-terminal tier's victims one edge down (frames
+        keep their dirty flags; inserts land at the MRU end in scalar
+        order) and drops the storage victims with a real
+        ``write_page`` per dirty one, replaying the per-edge migration
+        and terminal eviction-read charges (memo-seeded, as the scalar
+        path's first call does). Tier *A* ends *m* residents
+        short — the caller's install refills it — every other chain
+        tier nets to zero and a tier-terminal destination grows.
+
+        Returns ``(l_clean, l_dirty, demoted)``: the fault latency
+        behind a clean and behind a dirty storage victim, composed as
+        the scalar recursion associates — ``E`` unwound from the chain
+        terminal, ``M = 0.0 + E`` per ``_make_room``, ``L = (io + M)
+        + inst`` — and, with a trace sink attached, what the
+        ``pool.demotion`` spans need per edge, deepest first.
+        """
+        m, chain, term_dst, dirty_flags = plan
+        tiers = self.tiers
+        counts = self._resident_counts
+        frames = self._frames
+        stats = self.stats
+        per_tier = stats.per_tier
+        page_size = self.page_size
+        res = self._res_tier
+        term = chain[-1]
+        edges = list(zip(chain, chain[1:]))
+        if term_dst >= 0:
+            edges.append((term, term_dst))
+        # Victim selection: first-m keys per tier, removed.
+        vlists = [tiers[t].policy.victim_batch(m) for t in chain]
+        counts[chain[0]] -= m
+        slot_map = self._ord_slot
+        ord_tier = self._ord_tier
+        legs = []
+        for (s_t, d_t), vs in zip(edges, vlists):
+            rw = self._mig_rw.get((s_t, d_t))
+            erep = m
+            if rw is None:
+                rw = (tiers[s_t].path.read_time(page_size),
+                      tiers[d_t].path.write_time(page_size))
+                self._mig_rw[(s_t, d_t)] = rw
+                erep -= 1
+            if erep:
+                s_stats = tiers[s_t].path.device.stats
+                s_stats.loads += erep
+                s_stats.load_bytes += erep * page_size
+                d_stats = tiers[d_t].path.device.stats
+                d_stats.stores += erep
+                d_stats.store_bytes += erep * page_size
+            self._policy_insert_batch(tiers[d_t].policy, vs)
+            for v in vs:
+                frames[v].tier_index = d_t
+            ord_tier[list(map(slot_map.__getitem__, vs))] = d_t
+            va = np.asarray(vs, dtype=np.int64)
+            res[va[(va >= 0) & (va < res.shape[0])]] = d_t
+            stats.migrations += m
+            pt = per_tier[d_t]
+            pt.demotions_in += m
+            if d_t == term_dst:
+                counts[d_t] += m
+            if counts[d_t] > pt.resident_peak:
+                pt.resident_peak = counts[d_t]
+            legs.append((vs, tiers[s_t].name, tiers[d_t].name, rw))
+        evt = 0.0
+        wb = None
+        if term_dst < 0:
+            evt = self._evt_rd.get(term)
+            erep = m
+            if evt is None:
+                evt = tiers[term].path.read_time(page_size)
+                self._evt_rd[term] = evt
+                erep -= 1
+            if erep:
+                t_stats = tiers[term].path.device.stats
+                t_stats.loads += erep
+                t_stats.load_bytes += erep * page_size
+            vterm = vlists[-1]
+            per_tier[term].evictions += m
+            gone = list(map(frames.pop, vterm))
+            self._ord_valid[list(map(slot_map.pop, vterm))] = False
+            va = np.asarray(vterm, dtype=np.int64)
+            va = va[(va >= 0) & (va < res.shape[0])]
+            res[va] = -1
+            # A frame's stats die with the frame.
+            self._pend_acc[va] = 0
+            write_page = self.backing.write_page
+            for frame in compress(gone, dirty_flags):
+                wb = write_page(frame.page)
+                stats.writebacks += 1
+        legs.reverse()                           # deepest edge first
+
+        def unwind(e: float) -> tuple[float, list[float]]:
+            steps = []
+            for _vs, _src, _dst, (rd_l, wr_l) in legs:
+                e = ((0.0 + e) + rd_l) + wr_l
+                steps.append(e)
+            return (io + (0.0 + e)) + inst, steps
+
+        l_clean, e_clean = unwind(evt)
+        l_dirty, e_dirty = (l_clean, e_clean) if wb is None \
+            else unwind(evt + wb)
+        demoted = None
+        if self._trace.enabled:
+            demoted = [(vs, src, dst, ec, ed) for (vs, src, dst, _rw), ec, ed
+                       in zip(legs, e_clean, e_dirty)]
+        return l_clean, l_dirty, demoted
+
+    def _emit_faults(self, page_ids: list, starts: list, lats: list,
+                     demoted=None, dirty=None) -> None:
+        """The spans a run of bulk-resolved faults owes the trace, as
+        the scalar path emits them: per fault, its cascade's
+        ``pool.demotion`` spans (deepest edge first), then
+        ``pool.fault`` over the charged interval."""
+        emit = self._trace.emit_span
+        for i, (pid, t0, lat) in enumerate(zip(page_ids, starts, lats)):
+            for vs, src, dst, e_clean, e_dirty in demoted or ():
+                e = e_dirty if dirty and dirty[i] else e_clean
+                emit("pool.demotion", "pool", t0, t0 + e,
+                     {"page": vs[i], "from": src, "to": dst})
+            emit("pool.fault", "pool", t0, t0 + lat, {"page": pid})
 
     def _fault_list(self, seq, i: int, n: int, nbytes: int, write: bool,
                     is_scan: bool, think_ns: float, post_ns: float,
@@ -2816,16 +3122,17 @@ class TieredBufferPool:
         end where a chunk that size can never reach them.
 
         Bail-outs, each checked *before* any state change so a partial
-        run is always a clean prefix: session lane, tracing, pins,
-        an unhealthy backing device, placement without a bulk answer,
-        a non-LRU policy on a cascade tier, cyclic demotion chains,
-        and evictions the anonymous writeback path would serve (any
-        victim of a pool without a backing file, dirty victims missing
-        from the file) — an anonymous pool's fill phase runs here.
+        run is always a clean prefix: session lane, pins, an unhealthy
+        backing device, placement without a bulk answer, and whatever
+        :meth:`_evict_charge` refuses (a non-LRU policy on a cascade
+        tier, cyclic demotion chains, evictions the anonymous
+        writeback path would serve) — an anonymous pool's fill phase
+        runs here. With a trace sink attached the per-fault
+        ``pool.demotion`` / ``pool.fault`` spans are emitted from the
+        chunk arrays; the route does not change.
         """
         if (self._session_clock is not None
                 or self._session_queues is not None
-                or self._trace.enabled
                 or self._pinned_frames):
             return None
         backing = self.backing
@@ -2872,11 +3179,8 @@ class TieredBufferPool:
             return None
         tiers = self.tiers
         counts = self._resident_counts
-        frames = self._frames
         stats = self.stats
-        per_tier = stats.per_tier
-        page_size = self.page_size
-        demote_target = self.placement.demote_target
+        trace = self._trace
         # Admit-tier segment boundaries, precomputed so the phase loop
         # never rescans the tail.
         achg = np.nonzero(adm[1:] != adm[:-1])[0]
@@ -2897,215 +3201,34 @@ class TieredBufferPool:
                 ai += 1
             sub = int(aseg[ai + 1]) - pos
             A = int(adm[pos])
-            tier_a = tiers[A]
-            cap_a = tier_a.capacity_pages
-            free_a = cap_a - counts[A]
-            chain: list[int] | None = None
-            term_dst = -1
+            free_a = tiers[A].capacity_pages - counts[A]
+            plan = None
             if free_a > 0:
                 m = sub if sub < free_a else free_a
-            elif backing is None:
-                # Victims of an anonymous pool park their pages in
-                # the anonymous set: the scalar path's job.
-                break
             else:
-                # Walk the demotion cascade from A; it is structurally
-                # constant for the chunk (every chain tier is full and
-                # stays full — each loses m victims, gains m pages).
-                chain = [A]
-                src = A
-                ok = True
-                while True:
-                    d = demote_target(src)
-                    if d is None or d == src:
-                        break                    # storage-terminal
-                    if not 0 <= d < ntier:
-                        ok = False
-                        break
-                    if counts[d] < tiers[d].capacity_pages:
-                        term_dst = d             # tier-terminal
-                        break
-                    if d in chain:
-                        ok = False               # cyclic: scalar's job
-                        break
-                    chain.append(d)
-                    src = d
-                if ok:
-                    for t in chain:
-                        if type(tiers[t].policy) is not LRUPolicy:
-                            ok = False
-                            break
-                if not ok:
+                plan = self._evict_charge(A, sub)
+                if plan is None:
                     break
-                m = sub
-                if term_dst >= 0:
-                    free_d = (tiers[term_dst].capacity_pages
-                              - counts[term_dst])
-                    if m > free_d:
-                        m = free_d
-                # Order-equivalence bound: a chunk may not outrun any
-                # source tier's current population (victims must all
-                # come from the initial recency order).
-                chunk = min(counts[t] for t in chain)
-                if m > chunk:
-                    m = chunk
-                if m <= 0:
-                    break
-                term = chain[-1]
-                if term_dst < 0:
-                    # Validate the storage-terminal victims before any
-                    # mutation: a dirty victim outside the backing file
-                    # takes the anonymous-writeback path, which the
-                    # bulk lane does not model.
-                    planned = tiers[term].policy.peek_batch(m)
-                    if len(planned) < m:
-                        break
-                    dirty_flags = [frames[v].dirty for v in planned]
-                    if any(dirty_flags):
-                        contains = backing.contains
-                        if any(df and not contains(v) for v, df
-                               in zip(planned, dirty_flags)):
-                            break
+                m = plan[0]
             sub_run = run[pos:pos + m]
             placed = ((A, m),)
             io, inst = self._fill_charge(placed)
             inst = inst[A]
-            df_arr = None
-            if chain is None:
-                # Fill phase: L = (io + 0.0) + inst, one class.
-                l_clean = (io + 0.0) + inst
-                l_dirty = l_clean
-            else:
-                # Eviction cascade: replay the per-edge migration
-                # charges (memo-seeded), drain victims per source
-                # tier, then compose the make-room constant by
-                # unwinding the chain from its terminal.
-                edges = list(zip(chain, chain[1:]))
-                if term_dst >= 0:
-                    edges.append((chain[-1], term_dst))
-                rw_vals = []
-                for s_t, d_t in edges:
-                    rw = self._mig_rw.get((s_t, d_t))
-                    if rw is None:
-                        rw = (tiers[s_t].path.read_time(page_size),
-                              tiers[d_t].path.write_time(page_size))
-                        self._mig_rw[(s_t, d_t)] = rw
-                        erep = m - 1
-                    else:
-                        erep = m
-                    if erep:
-                        s_stats = tiers[s_t].path.device.stats
-                        s_stats.loads += erep
-                        s_stats.load_bytes += erep * page_size
-                        d_stats = tiers[d_t].path.device.stats
-                        d_stats.stores += erep
-                        d_stats.store_bytes += erep * page_size
-                    rw_vals.append(rw)
-                if term_dst < 0:
-                    evt = self._evt_rd.get(term)
-                    if evt is None:
-                        evt = tiers[term].path.read_time(page_size)
-                        self._evt_rd[term] = evt
-                        erep = m - 1
-                    else:
-                        erep = m
-                    if erep:
-                        t_stats = tiers[term].path.device.stats
-                        t_stats.loads += erep
-                        t_stats.load_bytes += erep * page_size
-                # Victim selection: first-m keys per tier, removed.
-                vlists = [tiers[t].policy.victim_batch(m)
-                          for t in chain]
-                # A's victims are gone; the install below refills it.
-                counts[A] -= m
-                # Demote each non-terminal tier's victims one edge
-                # down (frames keep dirty flags; inserts land in exact
-                # scalar order at the MRU end).
-                slot_map = self._ord_slot
-                ord_tier = self._ord_tier
-                ndemote = len(edges)
-                for ei in range(ndemote):
-                    d_t = edges[ei][1]
-                    vs = vlists[ei] if ei < len(vlists) else vlists[-1]
-                    self._policy_insert_batch(tiers[d_t].policy, vs)
-                    for v in vs:
-                        frames[v].tier_index = d_t
-                        slot = slot_map.get(v)
-                        if slot is not None:
-                            ord_tier[slot] = d_t
-                    va = np.asarray(vs, dtype=np.int64)
-                    inb = va[(va >= 0) & (va < res.shape[0])]
-                    res[inb] = d_t
-                    stats.migrations += m
-                    per_tier[d_t].demotions_in += m
-                wb = None
-                if term_dst < 0:
-                    # Storage-terminal: the deepest tier's victims
-                    # leave the pool (real write_page per dirty one).
-                    vterm = vlists[-1]
-                    per_tier[term].evictions += m
-                    pend = self._pend_acc
-                    psize = pend.shape[0]
-                    ord_valid = self._ord_valid
-                    slot_pop = slot_map.pop
-                    write_page = backing.write_page
-                    ndirty = 0
-                    for v, df in zip(vterm, dirty_flags):
-                        fr = frames.pop(v)
-                        slot = slot_pop(v, None)
-                        if slot is not None:
-                            ord_valid[slot] = False
-                        if v < psize:
-                            pend[v] = 0
-                        if df:
-                            ndirty += 1
-                            wb = write_page(fr.page)
-                    if ndirty:
-                        stats.writebacks += ndirty
-                    va = np.asarray(vterm, dtype=np.int64)
-                    inb = va[(va >= 0) & (va < res.shape[0])]
-                    res[inb] = -1
-                else:
-                    counts[term_dst] += m
-                # Every chain tier nets to zero residents (m victims
-                # out, m demotions/installs in); only the terminal
-                # destination grows. Peak high-water marks follow the
-                # post-install counts exactly as the scalar updates do.
-                for _s_t, d_t in edges:
-                    pt = per_tier[d_t]
-                    if counts[d_t] > pt.resident_peak:
-                        pt.resident_peak = counts[d_t]
-                # Compose E by unwinding from the chain terminal, then
-                # M = 0.0 + E (the _make_room accumulator), exactly as
-                # the scalar recursion associates.
-                if term_dst < 0:
-                    e_clean = evt
-                    inner = rw_vals
-                else:
-                    rd_l, wr_l = rw_vals[-1]
-                    e_clean = (0.0 + rd_l) + wr_l
-                    inner = rw_vals[:-1]
-                for rd_l, wr_l in reversed(inner):
-                    e_clean = ((0.0 + e_clean) + rd_l) + wr_l
-                l_clean = (io + (0.0 + e_clean)) + inst
-                if term_dst < 0 and wb is not None:
-                    e_dirty = evt + wb
-                    for rd_l, wr_l in reversed(inner):
-                        e_dirty = ((0.0 + e_dirty) + rd_l) + wr_l
-                    l_dirty = (io + (0.0 + e_dirty)) + inst
-                    df_arr = np.asarray(dirty_flags)
-                    if df_arr.all():
-                        l_clean = l_dirty
-                        df_arr = None
-                else:
-                    l_dirty = l_clean
+            # Fill phase: L = (io + 0.0) + inst, one class; an eviction
+            # chunk adds the make-room constant, dirty victims their
+            # writeback.
+            l_clean = l_dirty = (io + 0.0) + inst
+            dirty = demoted = None
+            if plan is not None:
+                l_clean, l_dirty, demoted = self._evict_apply(plan, io, inst)
+                dirty = plan[3]
             # Charge the chunk: the clock's interleaved chain plus the
             # three L-only accumulator chains, all exact replays.
             vals_c = np.array([think_ns, post_ns, l_clean, l_dirty])
-            if df_arr is None:
-                lcls = np.full(m, 2, dtype=np.int64)
+            if dirty and any(dirty):
+                lcls = 2 + np.asarray(dirty, dtype=np.int64)
             else:
-                lcls = np.where(df_arr, 3, 2)
+                lcls = np.full(m, 2, dtype=np.int64)
             now0 = clock._now
             if pieces == 1:
                 cls_c = lcls
@@ -3137,6 +3260,9 @@ class TieredBufferPool:
             accum = chain_values(accum, vals_c, lcls, scratch)
             stats.accesses += m
             stats.misses += m
+            if trace.enabled:
+                self._emit_faults(sub_run.tolist(), ts.tolist(),
+                                  vals_c[lcls].tolist(), demoted, dirty)
             # Bulk install into the admit tier, frames fully
             # materialised (touch stats included) so later chunks'
             # victim checks and direct frame readers see exactly the

@@ -193,9 +193,9 @@ class StaticPolicy(_BasePolicy):
                       end: int, is_scan: bool = False) -> None:
         """Static placement observes nothing."""
 
-    # Ignores which pages were touched: the block lane may merge notes
-    # across mixed-shape segments instead of calling per segment.
-    note_accesses.content_blind = True
+    # Ignores the scan flag (here: everything): the block lane may
+    # merge notes across mixed-shape segments into one in-order call.
+    note_accesses.scan_blind = True
 
     def demote_target(self, tier_index: int) -> int | None:
         """Straight to storage — tiers are isolated."""
@@ -278,45 +278,62 @@ class OSPagingPolicy(_BasePolicy):
         self.tracker.record_batch(page_ids, start, end, is_scan=is_scan)
         self._accesses += end - start
 
+    # The sampler needs the ids in order but cannot tell a scan (the
+    # OS view), so mixed-shape segments merge into one in-order call.
+    note_accesses.scan_blind = True
+
     def _demote_pass(self) -> None:
         """kswapd-style: keep the fast tier below its high watermark by
-        demoting the coldest (least-sampled) pages to the next tier."""
+        demoting the coldest (least-sampled) pages to the next tier.
+
+        Each move takes the fast tier down by exactly one page, so the
+        moves are the first ``min(budget, residents - low)`` unpinned
+        pages of the heat order (ties in residency order): a prefix
+        that much longer than the pins is all that is ever read, and
+        it goes to the pool as one batch."""
         pool = self.pool
         if len(pool.tiers) < 2:
             return
         fast = pool.tiers[0]
         high = int(fast.capacity_pages * self.high_watermark)
         low = int(fast.capacity_pages * self.low_watermark)
-        if pool.tier_residents(0) < high:
+        residents = pool.tier_residents(0)
+        if residents < high:
             return
-        budget = self.max_moves_per_check
-        residents = sorted(pool.resident_in(0), key=self.tracker.heat)
-        for page_id in residents:
-            if budget == 0 or pool.tier_residents(0) <= low:
-                break
-            frame = pool.frame_of(page_id)
-            if frame is None or frame.pinned:
-                continue
-            pool.migrate(page_id, 1)
-            budget -= 1
+        moves = min(self.max_moves_per_check, residents - low)
+        if moves <= 0:
+            return
+        ids = pool.resident_ids_in(0)
+        heats = np.fromiter(map(self.tracker.heat, ids.tolist()),
+                            dtype=np.float64, count=ids.shape[0])
+        coldest, _ = heat_order_prefix(ids, heats,
+                                       moves + pool._pinned_frames)
+        if pool._pinned_frames:
+            coldest = [page_id for page_id in coldest
+                       if not pool.frame_of(page_id).pin_count]
+        coldest = coldest[:moves]
+        pool.migrate_batch(coldest, [1] * len(coldest))
 
     def _promote_pass(self) -> None:
+        """Promote the hottest sampled pages living in slow tiers
+        while the fast tier is below its high watermark. The exits
+        that need no ranking are tested first, and only pages at or
+        above ``promote_min_heat`` are ranked (the ranking is stable,
+        so that is the same prefix the full ranking would yield)."""
         pool = self.pool
-        fast = pool.tiers[0]
         budget = self.max_moves_per_check
-        limit = int(fast.capacity_pages * self.high_watermark)
-        for page_id in self.tracker.hottest(4 * budget):
-            if budget == 0:
-                break
-            if pool.tier_residents(0) >= limit:
-                break
-            if self.tracker.heat(page_id) < self.promote_min_heat:
-                break
+        limit = int(pool.tiers[0].capacity_pages * self.high_watermark)
+        if budget == 0 or pool.tier_residents(0) >= limit:
+            return
+        for page_id in self.tracker.hottest(4 * budget,
+                                            self.promote_min_heat):
             frame = pool.frame_of(page_id)
             if frame is None or frame.tier_index == 0 or frame.pinned:
                 continue
             pool.migrate(page_id, 0)
             budget -= 1
+            if budget == 0 or pool.tier_residents(0) >= limit:
+                break
 
 
 class DbCostPolicy(_BasePolicy):
@@ -411,7 +428,7 @@ class DbCostPolicy(_BasePolicy):
 
     # Only the count matters (the pool feeds the shared tracker), so
     # the block lane may merge notes across mixed-shape segments.
-    note_accesses.content_blind = True
+    note_accesses.scan_blind = True
 
     def rebalance(self) -> int:
         """Promote the hottest misplaced pages / demote the coldest.
@@ -495,13 +512,23 @@ class DbCostPolicy(_BasePolicy):
                         or frame_of(fast_pid).pin_count:
                     self.pinned_skips += 1
                     continue
-                swaps += (fast_pid, slow_pid)
                 budget -= 1
                 if evicts:
-                    # Run that pair now; judge the rest on what is left.
-                    moves += self._swap(swaps)
-                    swaps = []
-                    evicts = False
+                    # Run that pair now; judge the rest on what is
+                    # left — its own slow page first: when that was
+                    # the slow tier's victim, nothing is promoted, the
+                    # freed fast frame stays free and the slow tiers
+                    # stay full for the next pair.
+                    pool.migrate(fast_pid, 1)
+                    moves += 1
+                    if frame_of(slow_pid) is None:
+                        self.pinned_skips += 1
+                    else:
+                        pool.migrate(slow_pid, 0)
+                        moves += 1
+                        evicts = False
+                else:
+                    swaps += (fast_pid, slow_pid)
             moves += self._swap(swaps)
         self.moves += moves
         return moves

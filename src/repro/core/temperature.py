@@ -440,9 +440,15 @@ class SampledTracker:
         """Sampled hotness estimate."""
         return self._heat.get(page_id, 0.0)
 
-    def hottest(self, n: int) -> list[int]:
-        """The *n* pages with highest sampled heat."""
-        return heapq.nlargest(n, self._heat, key=self._heat.__getitem__)
+    def hottest(self, n: int, min_heat: float = 0.0) -> list[int]:
+        """The *n* pages with highest sampled heat, hottest first —
+        of those at *min_heat* or above when given, which ranks only
+        them (the same list the full ranking cut at the first colder
+        page gives: ties keep observation order either way)."""
+        heat = self._heat
+        pages = heat if min_heat <= 0.0 else [
+            page_id for page_id, h in heat.items() if h >= min_heat]
+        return heapq.nlargest(n, pages, key=heat.__getitem__)
 
     def coldest(self, n: int) -> list[int]:
         """The *n* pages with lowest sampled heat (among observed)."""

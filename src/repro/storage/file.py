@@ -67,6 +67,16 @@ class PageFile:
             self._next_id = max(self._next_id, page_id + 1)
         return page
 
+    def ensure_many(self, page_ids: list[PageId]) -> list[Page]:
+        """:meth:`ensure` for a run of ids, in order — one call per
+        fault chunk instead of one per page. A run whose pages are all
+        in the file already (every re-fault) is one C-level pass; a
+        run with an absent id takes the per-page path."""
+        try:
+            return list(map(self._pages.__getitem__, page_ids))
+        except KeyError:
+            return [self.ensure(page_id) for page_id in page_ids]
+
     def contains(self, page_id: PageId) -> bool:
         """Whether the page id exists in this file."""
         return page_id in self._pages

@@ -2,7 +2,7 @@
 
 This is the implementation the repository shipped before rebalance
 learned to select instead of sort, kept verbatim (modulo ``self`` →
-explicit arguments) as the specification the fast code is tested
+explicit arguments, and one fix marked below) as the specification the fast code is tested
 against: a full stable heat sort of both tiers, movability judged pair
 by pair at the moment the pair is reached, and one scalar
 ``migrate`` per page with its own bookkeeping body.
@@ -144,10 +144,11 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
     if hs is not None and hf is not None:
         ok = hs[:pairs] > hf[:pairs] + 1e-9
         pairs = pairs if ok.all() else int(ok.argmin())
+    skipped = 0
     for i in range(pairs):
         slow_pid = hot_slow[i]
         fast_pid = cold_fast[i]
-        if moves + 2 > policy.max_moves_per_rebalance:
+        if moves + skipped + 2 > policy.max_moves_per_rebalance:
             break
         if (hs is None or hf is None) and \
                 tracker.heat(slow_pid) <= tracker.heat(fast_pid) + 1e-9:
@@ -155,8 +156,17 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
         if not (movable(slow_pid) and movable(fast_pid)):
             continue
         reference_migrate(pool, fast_pid, 1)
-        reference_migrate(pool, slow_pid, 0)
-        moves += 2
+        # The one departure from the shipped code, fixed here and in
+        # the fast solve together: that demotion's own make-room may
+        # have evicted the slow partner (it used to raise "cannot
+        # migrate non-resident"). The pair then promotes nothing and
+        # still spends its share of the budget.
+        if pool.frame_of(slow_pid) is not None:
+            reference_migrate(pool, slow_pid, 0)
+            moves += 2
+        else:
+            moves += 1
+            skipped += 1
     return moves
 
 

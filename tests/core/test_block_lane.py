@@ -147,23 +147,29 @@ class TestRandomizedMixedIdentity:
             assert got == ref
 
     def test_block_walk_route(self):
-        # OSPagingPolicy's placement note is not content-blind, so
-        # the fast lane must take the per-access _block_walk route
-        # rather than the integer-exact _block_exact lane — and still
-        # match the scalar replay bit for bit.
+        # A placement note that may read the scan flag (no
+        # ``scan_blind`` mark — here an override of OSPagingPolicy's,
+        # which carries one) keeps the fast lane on the per-access
+        # _block_walk route rather than the integer-exact
+        # _block_exact lane — and still matches the scalar replay bit
+        # for bit, as the marked policy on the exact lane does.
+        class FlagReadingPolicy(OSPagingPolicy):
+            def note_accesses(self, page_ids, start, end, is_scan=False):
+                super().note_accesses(page_ids, start, end, is_scan)
+
         trace = list(mixed_htap_trace(
             oltp_pages=200, olap_pages=400, oltp_ops=1_500, seed=7))
         blocks = [AccessBlock.from_accesses(trace)]
-        engine = ScaleUpEngine.build(
-            dram_pages=256, cxl_pages=900,
-            placement=OSPagingPolicy(), name="walk-route",
-            ctx=SimContext(),
-        )
-        note = engine.pool._placement_note
-        assert not getattr(note, "content_blind", False)
         ref, _ = fingerprint(trace, False, placement=OSPagingPolicy())
-        got, _ = fingerprint(blocks, True, placement=OSPagingPolicy())
-        assert got == ref
+        for policy, exact in ((FlagReadingPolicy, False),
+                              (OSPagingPolicy, True)):
+            engine = ScaleUpEngine.build(
+                dram_pages=256, cxl_pages=900, placement=policy(),
+                name="block-lane-test", ctx=SimContext(),
+            )
+            report = engine.run(blocks)
+            assert (engine.pool.lane.exact_windows > 0) is exact
+            assert _digest_report(engine, report) == ref
 
 
 class TestSessionContention:

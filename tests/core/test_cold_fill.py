@@ -1,5 +1,6 @@
-"""Cold blocks in one window: ``_block_exact`` folds first-touch misses
-into free frames instead of ending its window at every miss.
+"""Misses in one window: ``_block_exact`` folds first-touch misses into
+free frames — and, on a full pool, behind victims that drain straight
+to storage — instead of ending its window at every miss.
 
 Held **bit-identical** to the frozen scalar reference — a twin pool
 with the fast lane off replays each block through ``_access_compat`` —
@@ -181,6 +182,7 @@ def expand(run_list):
     traced=st.booleans(),
     opaque=st.sampled_from([False, False, False, False, True]),
     warm=st.lists(st.integers(0, 47), max_size=4),
+    full=st.booleans(),
     pin=st.sampled_from([False, False, False, True]),
     session=st.sampled_from([False, False, False, True]),
     blocks=st.lists(st.lists(runs, min_size=1, max_size=12),
@@ -188,7 +190,8 @@ def expand(run_list):
 )
 def test_fill_window_equals_scalar_reference(placement, caps, backed,
                                              policies, traced, opaque,
-                                             warm, pin, session, blocks):
+                                             warm, full, pin, session,
+                                             blocks):
     fast, ref = twin_pools(placement=placement, caps=caps, backed=backed,
                            policies=policies, traced=traced, opaque=opaque)
     for pool in (fast, ref):
@@ -196,10 +199,16 @@ def test_fill_window_equals_scalar_reference(placement, caps, backed,
         # its first window instead) and give the pin something to hold.
         for page in warm:
             pool.access(page)
-        if pin and warm:
+        if pin and warm and pool.frame_of(warm[0]):
             pool.pin(warm[0])
+    blocks = [block_of(expand(b)) for b in blocks]
+    if full:
+        # Every frame taken, a third of them dirty, before the first
+        # fuzzed block: its misses evict from their first window on.
+        blocks.insert(0, block_of([(p, p % 3 == 0, False, 64, 0.0)
+                                   for p in range(48)]))
     clocks = session_cursors(fast, ref) if session else (None, None)
-    drive_both(fast, ref, [block_of(expand(b)) for b in blocks], clocks)
+    drive_both(fast, ref, blocks, clocks)
     assert ref.lane.exact_windows == 0
 
 
@@ -214,7 +223,8 @@ def test_cold_block_is_one_window_striped_over_two_tiers():
     assert fast.stats.misses == len(set(ids))
     assert fast.lane.snapshot() == {
         "exact_windows": 1, "exact_window_accesses": len(ids),
-        "fill_installs": len(set(ids)),
+        "fill_installs": len(set(ids)), "evict_installs": 0,
+        "victim_rescues": 0,
         "cuts": dict.fromkeys(fast.lane.cuts, 0),
     }
     # First-touch order, whichever tier each page went to.
@@ -239,7 +249,10 @@ def test_capacity_running_out_hands_over_to_eviction():
     fast, ref = twin_pools(placement="dbcost5000", caps=(4, 6), backed=True)
     drive_both(fast, ref, [point_block(list(range(30)) + [0, 29, 5])])
     assert fast.lane.fill_installs == 10
-    assert fast.lane.cuts["miss_full"] >= 1
+    # DbCost's steady admit tier cascades 0 -> 1 -> storage: the bulk
+    # fault lane's job, not the window's.
+    assert fast.lane.cuts["cascade"] >= 1
+    assert fast.lane.evict_installs == 0
     assert fast.stats.misses > 10
     assert fast.stats.per_tier[1].evictions > 0
 
@@ -327,6 +340,198 @@ def test_lane_counters_are_a_namespace_of_their_own():
     assert snap["pool"]["lane"]["cuts"]["headroom"] == 0
     assert "exact_windows" not in pool.stats.snapshot()
     assert "lane" not in pool.snapshot()
+
+
+# -- full pools: misses that evict stay in the window -------------------------
+
+def full_static(caps=(3, 3), dirty=(), **kwargs):
+    """Twin static pools (even pages -> tier 0) whose tier 0 holds
+    pages 0, 2, 4, ... in that recency order, *dirty* ones written."""
+    fast, ref = twin_pools(placement="static", caps=caps, backed=True,
+                           **kwargs)
+    for pool in (fast, ref):
+        for page in range(0, 2 * caps[0], 2):
+            pool.access(page, write=page in dirty)
+    return fast, ref
+
+
+def test_victim_touched_before_its_turn_is_rescued():
+    """Page 0 heads the recency order, but the window touches it before
+    its first miss: 2 and 4 are the victims, in one window."""
+    fast, ref = full_static()
+    drive_both(fast, ref, [point_block([0, 6, 0, 8])])
+    assert sorted(fast._frames) == [0, 6, 8]
+    assert fast.lane.snapshot() == {
+        "exact_windows": 1, "exact_window_accesses": 4,
+        "fill_installs": 0, "evict_installs": 2, "victim_rescues": 1,
+        "cuts": dict.fromkeys(fast.lane.cuts, 0),
+    }
+
+
+def test_rereference_of_an_evicted_page_cuts_the_window():
+    """6 evicts 0; the 0 that follows is a fault, so it opens the next
+    window (where it evicts 2, and 8 evicts 4)."""
+    fast, ref = full_static()
+    drive_both(fast, ref, [point_block([6, 0, 8])])
+    assert sorted(fast._frames) == [0, 6, 8]
+    assert fast.lane.cuts["evicted_reref"] == 1
+    assert (fast.lane.exact_windows, fast.lane.evict_installs) == (2, 3)
+    assert fast.stats.misses == 3 + 3          # warm-up included
+
+
+@pytest.mark.parametrize("dirty", [(0, 2, 4, 6), (2, 6), ()])
+def test_dirty_victims_write_back_inside_the_window(dirty):
+    fast, ref = full_static(caps=(4, 4), dirty=dirty)
+    writes_before = fast.backing.device.stats.writes
+    drive_both(fast, ref, [block_of([(p, p == 10, False, 64, 7.0)
+                                     for p in (8, 10, 12, 14)])])
+    assert fast.stats.writebacks == len(dirty)
+    assert fast.backing.device.stats.writes - writes_before == len(dirty)
+    assert (fast.lane.exact_windows, fast.lane.evict_installs) == (1, 4)
+    assert fast.frame_of(10).dirty and not fast.frame_of(8).dirty
+
+
+def test_more_misses_than_residents_cut_at_the_population_bound():
+    """The fourth miss would evict a page this window installed."""
+    fast, ref = full_static()
+    drive_both(fast, ref, [point_block([6, 8, 10, 12])])
+    assert sorted(fast._frames) == [8, 10, 12]
+    assert fast.lane.cuts["victim_bound"] == 1
+    assert (fast.lane.exact_windows, fast.lane.evict_installs) == (2, 4)
+
+
+def test_rescues_count_against_the_population_bound():
+    """Two residents rescued, one left to evict: the second miss has
+    no victim the window has not touched."""
+    fast, ref = full_static()
+    drive_both(fast, ref, [point_block([0, 2, 6, 8, 0])])
+    assert fast.lane.cuts["victim_bound"] == 1
+    assert fast.lane.victim_rescues >= 2
+
+
+def test_both_tiers_evict_inside_one_window():
+    fast, ref = twin_pools(placement="static", caps=(3, 3), backed=True)
+    for pool in (fast, ref):
+        for page in range(6):
+            pool.access(page, write=page in (1, 2))
+    drive_both(fast, ref, [point_block([6, 7, 0, 9, 8, 3])])
+    # 0 went to make room for 6, 3 for 9, before they came back.
+    assert fast.lane.cuts["evicted_reref"] == 2
+    assert fast.lane.evict_installs == fast.stats.misses - 6
+
+
+def test_deferred_writes_dirty_the_victims():
+    """Writes the run lane has only recorded (``_lazy_runs``) must be
+    latched before the plan reads its victims' dirty flags."""
+    fast, ref = twin_pools(placement="static", caps=(4, 4), backed=True)
+    ids = np.arange(0, 8, 2, dtype=np.int64)
+    fast.access_run(ids)
+    fast.access_run(ids, write=True)
+    assert fast._lazy_runs
+    for page in ids.tolist() * 2:
+        ref._access_compat(page, write=ref.stats.accesses >= 4)
+    drive_both(fast, ref, [point_block([8, 10, 12, 14])])
+    assert fast.stats.writebacks == 4
+    assert fast.lane.evict_installs == 4
+
+
+def test_anonymous_full_pool_leaves_eviction_to_the_scalar_path():
+    fast, ref = twin_pools(placement="static", caps=(3, 3))
+    for pool in (fast, ref):
+        for page in (0, 2, 4):
+            pool.access(page, write=True)
+    drive_both(fast, ref, [point_block([0, 6, 8])])
+    assert fast.lane.cuts["miss_full"] >= 1
+    assert fast.lane.evict_installs == 0
+    assert sorted(fast._anonymous_pages) == sorted(ref._anonymous_pages)
+
+
+@pytest.mark.parametrize("reason", ["pinned", "backing"])
+def test_full_pool_plans_decline_on_pins_and_a_failed_device(reason):
+    fast, ref = full_static()
+    for pool in (fast, ref):
+        if reason == "pinned":
+            pool.pin(0)
+            pool.access_block(point_block([2, 6, 8]))
+        else:
+            pool.backing.device.fail()
+            with pytest.raises(DeviceFailure):
+                pool.access_block(point_block([2, 6, 8]))
+    assert full_state(fast) == full_state(ref)
+    assert fast.lane.cuts[reason] == 1
+    assert fast.lane.evict_installs == 0
+
+
+def test_ospaging_blocks_take_the_window_route():
+    """A fault_storm in miniature — cold over-capacity scans, then a
+    write-heavy tail — never leaves ``_block_exact``, traced or not,
+    and a sink changes neither state nor route counters."""
+    rng = np.random.default_rng(5)
+    blocks = [block_of([(p, False, True, 4096, 0.0) for p in range(40)])
+              for _ in range(3)]
+    blocks.append(block_of([(int(p), bool(w), False, 64, 15.0)
+                            for p, w in zip(rng.zipf(1.3, 400) % 40,
+                                            rng.random(400) < 0.5)]))
+    traced, ref = twin_pools(placement="ospaging", caps=(4, 12),
+                             backed=True, traced=True)
+    plain = make_pool(placement="ospaging", caps=(4, 12), backed=True)
+    walked = []
+    for pool in (traced, plain):
+        pool._block_walk = lambda *a, **k: walked.append(a)
+    drive_both(traced, ref, blocks)
+    for block in blocks:
+        plain.access_block(block)
+    assert not walked
+    spans = traced.ctx.trace.spans
+    plain_state, traced_state = full_state(plain), full_state(traced)
+    assert traced_state.pop("spans") and plain_state == traced_state
+    assert traced.lane.snapshot() == plain.lane.snapshot()
+    lane = traced.lane
+    assert lane.evict_installs > 200 and lane.victim_rescues > 0
+    assert lane.cuts["evicted_reref"] > 0 and lane.cuts["headroom"] > 0
+    assert sum(s.name == "pool.fault" for s in spans) == \
+        traced.stats.misses
+
+
+def test_bulk_fault_lane_traces_its_cascades():
+    """``_fault_span`` used to decline under a sink; now it emits the
+    ``pool.demotion`` / ``pool.fault`` spans of each chunk itself."""
+    traced, ref = twin_pools(placement="dbcost5000", caps=(4, 6),
+                             backed=True, traced=True)
+    plain = make_pool(placement="dbcost5000", caps=(4, 6), backed=True)
+    scalar_faults = []
+    for pool in (traced, plain):
+        original = pool._fault
+        pool._fault = lambda *a, _o=original, **k: (
+            scalar_faults.append(a), _o(*a, **k))[1]
+    blocks = [block_of([(p, True, False, 64, 5.0) for p in range(20)]),
+              point_block(range(20, 40)),
+              point_block(list(range(40, 48)) + list(range(12)))]
+    drive_both(traced, ref, blocks)
+    for block in blocks:
+        plain.access_block(block)
+    assert not scalar_faults
+    names = [s.name for s in traced.ctx.trace.spans]
+    assert names.count("pool.demotion") == traced.stats.migrations > 0
+    assert names.count("pool.fault") == traced.stats.misses == 60
+    assert 0 < traced.stats.writebacks < 50
+    traced_state = full_state(traced)
+    del traced_state["spans"]
+    assert full_state(plain) == traced_state
+    assert traced.lane.snapshot() == plain.lane.snapshot()
+
+
+def test_rebalance_skips_a_promotion_whose_page_was_evicted():
+    """Recorded by PR 15: on a (3, 5) pool the swap's own demotion
+    cascaded to an eviction of its slow partner and the promotion half
+    raised ``cannot migrate non-resident 15`` at access 147."""
+    import random
+    pool = make_pool(placement="dbcost37", caps=(3, 5), backed=True)
+    rng = random.Random(0)
+    for _ in range(300):
+        pool.access(rng.randrange(48))
+    assert pool.placement.pinned_skips >= 1
+    assert pool.resident_pages == len(pool._ord_slot) <= 8
 
 
 # -- the anonymous fill phase of the bulk fault lane -------------------------

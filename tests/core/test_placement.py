@@ -1,5 +1,7 @@
 """Placement policies: OS paging vs DB cost-based vs static HTAP."""
 
+import random
+
 import pytest
 
 from repro import config
@@ -8,6 +10,7 @@ from repro.core.placement import DbCostPolicy, OSPagingPolicy, StaticPolicy
 from repro.errors import BufferPoolError, ConfigError
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
+from tests.core.test_access_batch import _pool_state
 
 
 def make_pool(placement, dram=8, cxl=32):
@@ -114,6 +117,81 @@ class TestOSPagingPolicy:
         for page in range(12):
             pool.access(page)
         assert pool.stats.migrations == 0
+
+
+class FullRankOSPaging(OSPagingPolicy):
+    """The demote / promote passes as they were before they stopped
+    ranking what they never read — the reference for the test below."""
+
+    def _demote_pass(self) -> None:
+        pool = self.pool
+        if len(pool.tiers) < 2:
+            return
+        fast = pool.tiers[0]
+        high = int(fast.capacity_pages * self.high_watermark)
+        low = int(fast.capacity_pages * self.low_watermark)
+        if pool.tier_residents(0) < high:
+            return
+        budget = self.max_moves_per_check
+        residents = sorted(pool.resident_in(0), key=self.tracker.heat)
+        for page_id in residents:
+            if budget == 0 or pool.tier_residents(0) <= low:
+                break
+            frame = pool.frame_of(page_id)
+            if frame is None or frame.pinned:
+                continue
+            pool.migrate(page_id, 1)
+            budget -= 1
+
+    def _promote_pass(self) -> None:
+        pool = self.pool
+        fast = pool.tiers[0]
+        budget = self.max_moves_per_check
+        limit = int(fast.capacity_pages * self.high_watermark)
+        for page_id in self.tracker.hottest(4 * budget):
+            if budget == 0:
+                break
+            if pool.tier_residents(0) >= limit:
+                break
+            if self.tracker.heat(page_id) < self.promote_min_heat:
+                break
+            frame = pool.frame_of(page_id)
+            if frame is None or frame.tier_index == 0 or frame.pinned:
+                continue
+            pool.migrate(page_id, 0)
+            budget -= 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(max_moves_per_check=3),
+    dict(max_moves_per_check=0),
+    dict(high_watermark=1.0, low_watermark=1.0),
+    dict(high_watermark=0.5, low_watermark=0.25, promote_min_heat=1.0),
+    dict(sample_rate=0.02, promote_min_heat=3.0),
+])
+@pytest.mark.parametrize("pins", [(), (3, 17, 40)])
+def test_ospaging_passes_match_the_full_ranking(kwargs, pins):
+    """Same migrations, in the same order, as ranking every resident
+    and every sampled page: pool state equal after every access."""
+    kwargs = {"sample_rate": 0.5, "check_interval": 40, **kwargs}
+    new = make_pool(OSPagingPolicy(**kwargs), dram=16, cxl=24)
+    old = make_pool(FullRankOSPaging(**kwargs), dram=16, cxl=24)
+    rng = random.Random(7)
+    trace = [min(int(rng.paretovariate(0.9)), 59) for _ in range(1500)]
+    for step, page in enumerate(trace):
+        for pool in (new, old):
+            pool.access(page, write=step % 5 == 0)
+            if step == 100:
+                for pinned in pins:
+                    if pool.frame_of(pinned):
+                        pool.pin(pinned)
+        if step % 40 == 39:
+            assert _pool_state(new) == _pool_state(old), step
+    assert new.stats.migrations == old.stats.migrations
+    if (kwargs.get("max_moves_per_check") != 0
+            and kwargs.get("high_watermark") != 1.0):
+        assert new.stats.migrations > 0
 
 
 class TestDbCostPolicy:

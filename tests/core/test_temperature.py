@@ -1,5 +1,7 @@
 """Temperature trackers: engine-exact vs OS-sampled."""
 
+import random
+
 import pytest
 
 from repro.core.temperature import ExactTracker, SampledTracker
@@ -109,3 +111,14 @@ class TestSampledTracker:
         tracker.record(1)
         tracker.forget(1)
         assert tracker.heat(1) == 0.0
+
+    def test_hottest_above_a_heat_floor_is_the_same_prefix(self):
+        tracker = SampledTracker(sample_rate=1.0, decay=1.0)
+        rng = random.Random(3)
+        for _ in range(400):
+            tracker.record(int(rng.paretovariate(1.1)) % 50)
+        full = tracker.hottest(50)
+        for floor in (0.0, 1.0, 2.0, 7.5, 1e9):
+            want = [p for p in full if tracker.heat(p) >= floor]
+            assert tracker.hottest(50, floor) == want
+            assert tracker.hottest(5, floor) == want[:5]

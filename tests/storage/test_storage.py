@@ -117,3 +117,17 @@ class TestPageFile:
         pf = PageFile(StorageDevice())
         pf.allocate_pages(5)
         assert pf.page_ids() == [0, 1, 2, 3, 4]
+
+    def test_ensure_many_is_an_ensure_loop(self):
+        one, many = PageFile(StorageDevice()), PageFile(StorageDevice())
+        for ids in ([5, 2, 9], [2, 9], [9, 11, 0], []):
+            pages = many.ensure_many(ids)
+            assert pages == [one.ensure(pid) for pid in ids]
+            assert all(page is many.peek(pid)
+                       for pid, page in zip(ids, pages))
+        assert many.page_ids() == one.page_ids() == [0, 2, 5, 9, 11]
+        assert many.allocate_page().page_id == \
+            one.allocate_page().page_id == 12
+        with pytest.raises(StorageError, match="invalid page id -1"):
+            many.ensure_many([3, -1])
+        assert many.device.stats.reads == 0
