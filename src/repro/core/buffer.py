@@ -13,36 +13,42 @@ clock using the tier's :class:`~repro.sim.interconnect.AccessPath`.
 for — while migration/maintenance costs are accounted separately in
 the stats (and also advance the clock).
 
-Execution lanes: the pool exposes three ways to charge accesses that
-produce **bit-identical** simulated state and differ only in
-wall-clock cost.
+Execution lanes: the pool charges accesses through one reference and
+three general lanes that produce **bit-identical** simulated state
+and differ only in wall-clock cost.
 
-* :meth:`TieredBufferPool.access` — the scalar path, one page at a
-  time, using the precomputed per-path timing tables.
-* :meth:`TieredBufferPool.access_batch` — the fast lane: a run of
+* :meth:`TieredBufferPool._access_compat` — the frozen reference
+  (per-access spec arithmetic, no tables). ``set_fast_lane(False)``
+  replays every entry point through it; the equivalence suites and
+  the perfbench compat lane compare against it in-process.
+* :meth:`TieredBufferPool.access` — the scalar lane, one page at a
+  time, using the precomputed per-path timing tables. Every other
+  lane routes the accesses it cannot prove exact (a fault it cannot
+  batch, a tier without timing tables, a placement trigger point)
+  through it, so eviction, migration and rebalance decisions always
+  see scalar-order state.
+* :meth:`TieredBufferPool.access_batch` — the list lane: a run of
   accesses sharing one shape (size, read/write, scan flag, think
-  time) is resolved with loop-hoisted bookkeeping and local-variable
-  accumulators, falling back to the scalar path at any boundary (a
-  fault, a tier without timing tables, or a placement-policy trigger
-  point). The per-access float additions to the clock and the demand
-  counters happen in exactly the scalar order, which is what makes
-  the lane byte-identical rather than merely equivalent.
-* :meth:`TieredBufferPool._access_compat` — the frozen pre-table
-  reference (per-access spec arithmetic); the perfbench compat lane
-  measures against it so speedups are computed in-process.
-* :meth:`TieredBufferPool.access_block` /
-  :meth:`TieredBufferPool.access_run` — the block lane: a whole
-  columnar :class:`~repro.workloads.traces.AccessBlock` (or one
-  ndarray run of uniform shape) is resolved against a dense numpy
-  residency table (``page_id → tier_index``) kept in sync by
-  install/evict/migrate/drop/resize. Hits are partitioned from faults
-  with one gather, per-(tier, shape) latencies come from the
-  precomputed tables, and the clock/demand accumulators advance
-  through exact repeated-addition ladders
-  (:mod:`repro.sim.ladder`) so the written-back floats stay
-  bit-identical to the scalar lane. Faults, table-less tiers,
-  placement triggers, and contended first-of-segment waits drop to
-  the scalar/segment paths exactly as the fast lane does.
+  time), given as a python sequence, resolved with loop-hoisted
+  bookkeeping and local accumulators. The per-access float additions
+  to the clock and the demand counters happen in exactly the scalar
+  order, which is what makes the lane byte-identical rather than
+  merely equivalent.
+* :meth:`TieredBufferPool.access_run` /
+  :meth:`TieredBufferPool.access_quantum` /
+  :meth:`TieredBufferPool.access_block` — the array lane: id ndarrays
+  resolved against a dense numpy residency table (``page_id →
+  tier_index``) kept in sync by install/evict/migrate/drop/resize.
+  Hits are partitioned from faults with one gather, per-(tier, shape)
+  latencies come from the precomputed tables, and the clock/demand
+  accumulators advance through exact repeated-addition ladders
+  (:mod:`repro.sim.ladder`). ``access_run`` charges one uniform-shape
+  run and ``access_quantum`` a scheduler quantum of several; both end
+  in one hit-run body (:meth:`TieredBufferPool._quantum_hits`).
+  ``access_block`` charges a whole columnar
+  :class:`~repro.workloads.traces.AccessBlock`: through the
+  :meth:`TieredBufferPool._block_exact` window when it can, otherwise
+  as one ``access_run`` per uniform-shape segment.
 
 Session lane: between :meth:`TieredBufferPool.session_begin` and
 :meth:`TieredBufferPool.session_end` every lane times accesses
@@ -75,8 +81,7 @@ from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath, PathTiming
-from ..sim.ladder import (chain_repeat, chain_repeat_arr, chain_values,
-                          repeat_add)
+from ..sim.ladder import chain_repeat_arr, chain_values, repeat_add
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
@@ -121,31 +126,13 @@ MIN_BATCH_RUN = 3
 
 #: Dense residency-table ceiling. Page ids at or above this (or
 #: negative) stay out of the table and always resolve through the
-#: scalar/segment lanes; ids below it are mirrored exactly, so a
+#: scalar/list lanes; ids below it are mirrored exactly, so a
 #: non-negative table entry is never stale.
 _RES_MAX_PIDS = 1 << 22
-
-#: Minimum uniform-shape segment length worth the vectorised span
-#: machinery (residency gather + addition ladders); shorter segments
-#: take the lean per-access walk inside :meth:`access_block`.  Every
-#: lean→vector transition flushes the deferred lean window (a tracker
-#: and policy round-trip), so the threshold is set high enough that
-#: point-workload read runs stay lean and only genuine scans vector.
-VEC_SEG = 96
 
 #: Minimum remaining segment length worth a repeated-addition ladder;
 #: below it a plain scalar mini-loop is cheaper than the ladder setup.
 _LADDER_MIN = 32
-
-#: Minimum run length :meth:`access_run` sends through the vectorised
-#: span — every non-empty run. A run arriving as an ndarray already
-#: paid columnarisation, and routing it through the batched lane would
-#: both walk it scalar *and* force a deferred-bookkeeping drain inside
-#: the session's hot path (the batched lane may evict, so it must
-#: observe fully materialised state). Even single-access runs (the
-#: write boundaries that pepper OLTP traffic) stay on the
-#: deferral-friendly span this way.
-_RUN_MIN = 1
 
 #: 2**53 — every integer below this is exactly representable in a
 #: float64, so addition chains of whole-nanosecond quantities that stay
@@ -242,8 +229,10 @@ class LaneStats:
     full tier behind a victim; ``victim_rescues`` counts the
     LRU-prefix pages a window re-touched before their turn and so
     kept), and why each one that stopped short of its block was cut.
-    Bumped once per window; not part of :class:`BufferPoolStats`,
-    whose snapshot is simulated state."""
+    ``segment_blocks`` counts the blocks :meth:`access_block` charged
+    segment by segment instead, ``declines`` what kept each off the
+    window route. Bumped once per window or block; not part of
+    :class:`BufferPoolStats`, whose snapshot is simulated state."""
 
     exact_windows: int = 0
     exact_window_accesses: int = 0
@@ -254,6 +243,10 @@ class LaneStats:
         ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
          "pinned", "session", "backing", "placement", "evicted_reref",
          "victim_bound", "cascade"), 0))
+    segment_blocks: int = 0
+    declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("session", "no_headroom", "id_range", "tracker", "note",
+         "latency"), 0))
 
     def snapshot(self) -> dict:
         """Counters as a dict (metrics snapshot protocol). Spelled
@@ -266,6 +259,8 @@ class LaneStats:
             "evict_installs": self.evict_installs,
             "victim_rescues": self.victim_rescues,
             "cuts": dict(self.cuts),
+            "segment_blocks": self.segment_blocks,
+            "declines": dict(self.declines),
         }
 
 
@@ -350,7 +345,7 @@ class TieredBufferPool:
         # once; both are derived state, never authoritative.
         self._res_tier = np.full(0, -1, dtype=np.int16)
         # Backing id array whose whole range already passed the run
-        # guard (see access_run) — slices of it skip min/max/grow.
+        # guard (see _span_check) — slices of it skip min/max/grow.
         self._span_base: np.ndarray | None = None
         self._lat_cache: dict[tuple[int, bool, bool],
                               list[float | None]] = {}
@@ -563,9 +558,9 @@ class TieredBufferPool:
     def _drain_lazy(self) -> None:
         """Replay deferred run-lane bookkeeping records in order.
 
-        Three record kinds, appended by :meth:`_run_span`:
+        Three record kinds, appended by :meth:`_quantum_hits`:
 
-        * ``("run", ids, s, e, tier, now0, lat, think, post, write)``
+        * ``("run", ids, s, e, tier, now0, lat, think, write)``
           — a deferred segment (pure, or short and think-bearing):
           recompute the per-access mid timestamps with
           :func:`chain_repeat_arr` (the identical float sequence the
@@ -599,9 +594,9 @@ class TieredBufferPool:
         pending = self._lazy_runs
         if not pending:
             return
-        # Copy-and-clear in place: _run_span holds the list as a local
-        # across scalar boundary accesses (which drain), so the object
-        # identity must survive the drain.
+        # Copy-and-clear in place: the hit body holds the list as a
+        # local while it calls out (placement notes, which may drain),
+        # so the object identity must survive the drain.
         lazy = pending[:]
         pending.clear()
         frames_get = self._frames.get
@@ -622,18 +617,13 @@ class TieredBufferPool:
         for rec in lazy:
             tag = rec[0]
             if tag == "run":
-                (_, ids, s, e, tier_index, now0, lat, think, post,
-                 write) = rec
+                _, ids, s, e, tier_index, now0, lat, think, write = rec
                 seg = ids[s + 1:e]
                 rem = e - s - 1
                 if think:
-                    deltas = ((think, lat, post) if post
-                              else (think, lat))
-                    mid_index = 1
+                    _, mids = chain_repeat_arr(now0, (think, lat), rem, 1)
                 else:
-                    deltas = (lat, post) if post else (lat,)
-                    mid_index = 0
-                _, mids = chain_repeat_arr(now0, deltas, rem, mid_index)
+                    _, mids = chain_repeat_arr(now0, (lat,), rem, 0)
                 if rem == 1 or bool((seg[1:] > seg[:-1]).all()):
                     pend_acc[seg] += 1
                     pend_ts[seg] = mids
@@ -978,7 +968,8 @@ class TieredBufferPool:
         """
         if self._lazy_runs:
             self._drain_lazy()
-        if think_ns < 0 or post_ns < 0:
+        # `not x >= 0` rather than `x < 0`: NaN must be refused too.
+        if not think_ns >= 0 or not post_ns >= 0:
             raise BufferPoolError("think_ns and post_ns must be >= 0")
         seq = page_ids if hasattr(page_ids, "__getitem__") \
             else list(page_ids)
@@ -988,49 +979,27 @@ class TieredBufferPool:
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        if not self.fast_lane:
+        headroom_fn = self._placement_headroom
+        if not self.fast_lane or n < MIN_BATCH_RUN or headroom_fn is None:
+            # The reference replay, a run too short for loop hoisting
+            # to pay, or a placement policy without batch support
+            # (headroom would be 0 for every window): one scalar loop.
+            one = self.access if self.fast_lane else self._access_compat
             advance = clock.advance
-            compat = self._access_compat
             for pid in seq:
                 if think_ns:
                     advance(think_ns)
-                accum += compat(pid, nbytes, write, is_scan)
-                if post_ns:
-                    advance(post_ns)
-            return accum
-        if n < MIN_BATCH_RUN:
-            advance = clock.advance
-            access = self.access
-            for pid in seq:
-                if think_ns:
-                    advance(think_ns)
-                accum += access(pid, nbytes=nbytes, write=write,
-                                is_scan=is_scan)
+                accum += one(pid, nbytes, write, is_scan)
                 if post_ns:
                     advance(post_ns)
             return accum
         stats = self.stats
         frames_get = self._frames.get
         tier_timing = self._tier_timing
-        headroom_fn = self._placement_headroom
         note = self._placement_note
         tracker_batch = self._tracker_batch
         tracker_record = self.tracker.record
         queues = self._session_queues
-        if headroom_fn is None:
-            # No batch support on the placement policy: headroom would
-            # be 0 for every window, so every access routes scalar
-            # anyway. Detect it once and skip the window machinery.
-            advance = clock.advance
-            access = self.access
-            for pid in seq:
-                if think_ns:
-                    advance(think_ns)
-                accum += access(pid, nbytes=nbytes, write=write,
-                                is_scan=is_scan)
-                if post_ns:
-                    advance(post_ns)
-            return accum
         i = 0
         while i < n:
             headroom = headroom_fn()
@@ -1183,7 +1152,7 @@ class TieredBufferPool:
         last access) and *lat* (its unloaded latency) place the run's
         occupancy on the tier's wait queues — the batched equivalent of
         the per-access ``occupy_run`` in :meth:`_contend`. A caller
-        that batches reservations itself (:meth:`_run_span` reserves
+        that batches reservations itself (:meth:`_quantum_hits` reserves
         once per queue per window via
         :meth:`~repro.sim.bandwidth.WaitQueue.reserve_run`) passes
         ``occupy=False``.
@@ -1272,18 +1241,16 @@ class TieredBufferPool:
 
     def _run_span(self, ids: np.ndarray, start: int, stop: int,
                   nbytes: int, write: bool, is_scan: bool,
-                  think_ns: float, post_ns: float, accum: float) -> float:
+                  think_ns: float, accum: float) -> float:
         """Vectorised core for one uniform-shape run of page ids.
 
         The caller guarantees: fast lane on, a batch-capable placement
         policy, and every id inside the (already grown) dense residency
         table. Per headroom window the run is partitioned into hits and
-        boundaries with one gather; hit segments advance the clock and
-        demand accumulators through exact addition ladders
-        (:func:`~repro.sim.ladder.chain_repeat` /
-        :func:`~repro.sim.ladder.repeat_add`), so every written-back
-        float is bit-identical to the scalar loop. Faults, table-less
-        tiers, and placement triggers route scalar exactly as
+        boundaries with one gather; the hit prefix is one
+        :meth:`_quantum_hits` segment, so every written-back float is
+        bit-identical to the scalar loop. Faults, table-less tiers,
+        and placement triggers route scalar exactly as
         :meth:`access_batch` does; the residency table is re-gathered
         afterwards, so their side effects (evictions, migrations,
         rebalances) are observed precisely.
@@ -1291,17 +1258,11 @@ class TieredBufferPool:
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        stats = self.stats
-        frames_get = self._frames.get
         headroom_fn = self._placement_headroom
-        note = self._placement_note
         queues = self._session_queues
         res = self._res_tier
-        lats = self._shape_latencies(nbytes, write, is_scan)
         any_tierless = self._any_tierless
         tierless = self._tierless_mask
-        lazy = self._lazy_runs
-        pure = think_ns == 0.0 and post_ns == 0.0
         i = start
         n = stop
         while i < n:
@@ -1313,8 +1274,6 @@ class TieredBufferPool:
                     clock.advance(think_ns)
                 accum += self.access(int(ids[i]), nbytes=nbytes,
                                      write=write, is_scan=is_scan)
-                if post_ns:
-                    clock.advance(post_ns)
                 i += 1
                 continue
             wend = i + headroom
@@ -1333,8 +1292,7 @@ class TieredBufferPool:
                     # A miss run heads the window: try the bulk fault
                     # lane before falling back to scalar resolution.
                     done = self._fault_span(ids, i, n, nbytes, write,
-                                            is_scan, think_ns, post_ns,
-                                            accum)
+                                            is_scan, think_ns, 0.0, accum)
                     if done is not None:
                         i += done[0]
                         accum = done[1]
@@ -1343,196 +1301,19 @@ class TieredBufferPool:
                 if 2 * int(bad.sum()) > wlen:
                     # Boundary-dense window (cold pool, thrash): the
                     # per-window gather cannot win, so delegate the
-                    # whole window to the segment lane.
+                    # whole window to the list lane.
                     accum = self.access_batch(
                         ids[i:wend].tolist(), nbytes=nbytes, write=write,
-                        is_scan=is_scan, think_ns=think_ns,
-                        post_ns=post_ns, accum=accum,
+                        is_scan=is_scan, think_ns=think_ns, accum=accum,
                     )
                     i = wend
                     continue
             else:
                 hits = wlen
             if hits:
-                win_start = i
-                # Local accumulators mirror clock/stats state, written
-                # back once per window — the fast lane's contract.
-                now = clock._now
-                pool_demand = stats.demand_time_ns
-                sp = span[:hits]
-                cuts = np.nonzero(sp[1:] != sp[:-1])[0]
-                if cuts.size:
-                    bounds_rel = [0] + (cuts + 1).tolist() + [hits]
-                else:
-                    bounds_rel = [0, hits]
-                # Queue occupancy is deferred to one reserve_run per
-                # queue at the window boundary: a session's own
-                # reservations can never push free_at past its own
-                # cursor (analytic latency covers the service time),
-                # so later segment heads fold exactly the same wait
-                # whether earlier segments occupied eagerly or not.
-                seg_tiers: list[int] = []
-                seg_lasts: list[float] = []
-                seg_counts: list[int] = []
-                for bi in range(len(bounds_rel) - 1):
-                    s = i + bounds_rel[bi]
-                    e = i + bounds_rel[bi + 1]
-                    tier_index = int(sp[bounds_rel[bi]])
-                    lat = lats[tier_index]
-                    # First access of the segment runs manually: it is
-                    # the only one that can fold a contention wait, as
-                    # in the batched lane.
-                    if think_ns:
-                        now += think_ns
-                    lat_i = lat
-                    if queues is not None:
-                        wait = 0.0
-                        bottleneck = None
-                        for queue in queues[tier_index]:
-                            delay = queue._free_at - now
-                            if delay > wait:
-                                wait = delay
-                                bottleneck = queue
-                        if wait > 0.0:
-                            self._session_wait_ns += wait
-                            bottleneck.note_wait(wait)
-                            lat_i = wait + lat
-                    frame = frames_get(ids[s])
-                    frame.accesses += 1
-                    frame.last_access_ns = now
-                    if write:
-                        frame.dirty = True
-                    now += lat_i
-                    pool_demand += lat_i
-                    accum += lat_i
-                    if post_ns:
-                        now += post_ns
-                    rem = e - s - 1
-                    if rem:
-                        if lat > 0.0:
-                            # Deferred segment: the clock and demand
-                            # ladders are the only values the run
-                            # itself observes, so the mid timestamps
-                            # (frame touches), recency touches, and
-                            # tracker feed are recorded and replayed
-                            # by _drain_lazy() before any reader —
-                            # chain_repeat_arr over the same
-                            # (now, lat, think, post, rem) reproduces
-                            # the identical float sequence then. Pure
-                            # segments advance the clock by one exact
-                            # ladder; think-bearing segments run the
-                            # delta cycle (vectorised at _LADDER_MIN,
-                            # the scalar chain below it — the ladder's
-                            # own fallback regime, and exactly the
-                            # chain the compat loop runs). The demand
-                            # accumulators only ever add lat, so they
-                            # fold with repeat_add regardless of the
-                            # interleaving.
-                            lazy.append(("run", ids, s, e,
-                                         tier_index, now, lat,
-                                         think_ns, post_ns, write))
-                            if pure:
-                                now = repeat_add(now, lat, rem)
-                            elif rem >= _LADDER_MIN:
-                                if think_ns:
-                                    deltas = ((think_ns, lat, post_ns)
-                                              if post_ns
-                                              else (think_ns, lat))
-                                    mid_index = 1
-                                else:
-                                    deltas = ((lat, post_ns) if post_ns
-                                              else (lat,))
-                                    mid_index = 0
-                                now, _ = chain_repeat_arr(
-                                    now, deltas, rem, mid_index)
-                            elif think_ns:
-                                if post_ns:
-                                    for _ in range(rem):
-                                        now += think_ns
-                                        now += lat
-                                        now += post_ns
-                                else:
-                                    for _ in range(rem):
-                                        now += think_ns
-                                        now += lat
-                            else:
-                                for _ in range(rem):
-                                    now += lat
-                                    now += post_ns
-                            pool_demand = repeat_add(pool_demand,
-                                                     lat, rem)
-                            accum = repeat_add(accum, lat, rem)
-                            self.stats.per_tier[
-                                tier_index].hits += e - s
-                            dstats = self.tiers[
-                                tier_index].path.device.stats
-                            if write:
-                                dstats.stores += e - s
-                                dstats.store_bytes += (e - s) * nbytes
-                            else:
-                                dstats.loads += e - s
-                                dstats.load_bytes += (e - s) * nbytes
-                            if queues is not None:
-                                seg_tiers.append(tier_index)
-                                seg_lasts.append(
-                                    (now - post_ns if post_ns
-                                     else now) - lat)
-                                seg_counts.append(e - s)
-                            continue
-                        # lat == 0 (untimed tier): nothing to defer —
-                        # the chain degenerates to think/post alone.
-                        for pid in ids[s + 1:e].tolist():
-                            if think_ns:
-                                now += think_ns
-                            f = frames_get(pid)
-                            f.accesses += 1
-                            f.last_access_ns = now
-                            if write:
-                                f.dirty = True
-                            now += lat
-                            pool_demand += lat
-                            accum += lat
-                            if post_ns:
-                                now += post_ns
-                    self._flush_segment(
-                        ids, s, e, tier_index, nbytes, write,
-                        end_ns=(now - post_ns) if post_ns else now,
-                        lat=lat, occupy=False, lazy=lazy,
-                    )
-                    if queues is not None:
-                        seg_tiers.append(tier_index)
-                        seg_lasts.append(
-                            (now - post_ns if post_ns else now) - lat)
-                        seg_counts.append(e - s)
-                if seg_tiers:
-                    # Consecutive same-tier segments reserve in one
-                    # call; tier changes cut the batch so queues
-                    # shared across tiers see the exact per-segment
-                    # accounting order (busy time is a float chain).
-                    nsg = len(seg_tiers)
-                    a = 0
-                    while a < nsg:
-                        b = a + 1
-                        T = seg_tiers[a]
-                        while b < nsg and seg_tiers[b] == T:
-                            b += 1
-                        if b - a == 1:
-                            for queue in queues[T]:
-                                queue.occupy_run(seg_lasts[a], nbytes,
-                                                 seg_counts[a], write)
-                        else:
-                            for queue in queues[T]:
-                                queue.reserve_run(seg_lasts[a:b],
-                                                  nbytes,
-                                                  seg_counts[a:b],
-                                                  write)
-                        a = b
-                stats.accesses += hits
-                stats.demand_time_ns = pool_demand
-                clock._now = now
-                lazy.append(("trk", ids, win_start, win_start + hits,
-                             is_scan))
-                note(ids, win_start, win_start + hits, is_scan)
+                accum = self._quantum_hits(
+                    ids, ((i, i + hits, nbytes, write, is_scan, think_ns),),
+                    span[:hits], i, clock, accum, [])
                 i += hits
             if hits < wlen:
                 # The boundary access (fault or table-less tier)
@@ -1543,8 +1324,6 @@ class TieredBufferPool:
                     clock.advance(think_ns)
                 accum += self.access(int(ids[i]), nbytes=nbytes,
                                      write=write, is_scan=is_scan)
-                if post_ns:
-                    clock.advance(post_ns)
                 i += 1
                 res = self._res_tier
         return accum
@@ -1566,59 +1345,61 @@ class TieredBufferPool:
         return self.access_run(ids, nbytes=nbytes, write=write,
                                is_scan=is_scan, think_ns=think_ns)
 
-    def access_run(self, page_ids: np.ndarray, nbytes: int = CACHE_LINE,
-                   write: bool = False, is_scan: bool = False,
-                   think_ns: float = 0.0, post_ns: float = 0.0,
-                   accum: float = 0.0) -> float:
-        """Charge one uniform-shape run given as an id ndarray.
-
-        The block lane's single-shape entry point (sessions use it for
-        columnar runs); bit-identical to :meth:`access_batch` on the
-        same ids. Runs too short for the vector setup, ids outside the
-        dense table, or configurations without batch support fall back
-        to the batched lane.
+    def _span_check(self, ids: np.ndarray, base: np.ndarray) -> bool:
+        """Whether the whole backing column *base* of the run *ids*
+        indexes the dense residency table, grown here to cover it.
 
         Runs usually arrive as consecutive slices of one block's id
-        column. The id-range guard (min/max/table-grow) is therefore
-        memoised per *backing array*: once the whole base passes, its
-        slices dispatch straight to the span. Blocks are immutable by
-        engine contract, so the validated range cannot go stale, and
-        the residency table only ever grows (``drop_all`` refills in
-        place), so the grown size cannot shrink out from under it.
+        column, so a column that passes is memoised in ``_span_base``
+        and callers skip this check for its later slices. Blocks are
+        immutable by engine contract, so the validated range cannot go
+        stale, and the residency table only ever grows (``drop_all``
+        refills in place), so the grown size cannot shrink out from
+        under it.
+        """
+        if base.ndim != 1 or base.dtype != ids.dtype:
+            return False
+        hi = int(base.max())
+        if hi >= _RES_MAX_PIDS or int(base.min()) < 0:
+            return False
+        if hi >= self._res_tier.shape[0]:
+            self._res_grow(hi + 1)
+        self._span_base = base
+        return True
+
+    def access_run(self, page_ids: np.ndarray, nbytes: int = CACHE_LINE,
+                   write: bool = False, is_scan: bool = False,
+                   think_ns: float = 0.0, accum: float = 0.0) -> float:
+        """Charge one uniform-shape run given as an id ndarray.
+
+        The array lane's single-shape entry point (sessions use it for
+        columnar runs, :meth:`access_block` for the segments of a
+        block off the window route); bit-identical to
+        :meth:`access_batch` on the same ids, which serves ids outside
+        the dense table and configurations without batch support.
         """
         n = len(page_ids)
         if n == 0:
             return accum
-        if (not self.fast_lane or n < _RUN_MIN
-                or self._placement_headroom is None):
-            return self.access_batch(page_ids.tolist(), nbytes=nbytes,
-                                     write=write, is_scan=is_scan,
-                                     think_ns=think_ns, post_ns=post_ns,
-                                     accum=accum)
-        if think_ns < 0 or post_ns < 0:
-            raise BufferPoolError("think_ns and post_ns must be >= 0")
-        base = page_ids.base
-        if base is None:
-            base = page_ids
-        if base is self._span_base:
-            return self._run_span(page_ids, 0, n, nbytes, write,
-                                  is_scan, think_ns, post_ns, accum)
-        hi = int(page_ids.max())
-        if hi >= _RES_MAX_PIDS or int(page_ids.min()) < 0:
-            return self.access_batch(page_ids.tolist(), nbytes=nbytes,
-                                     write=write, is_scan=is_scan,
-                                     think_ns=think_ns, post_ns=post_ns,
-                                     accum=accum)
-        if hi >= self._res_tier.shape[0]:
-            self._res_grow(hi + 1)
-        if base.ndim == 1 and base.dtype == page_ids.dtype:
-            bhi = int(base.max())
-            if bhi < _RES_MAX_PIDS and int(base.min()) >= 0:
-                if bhi >= self._res_tier.shape[0]:
-                    self._res_grow(bhi + 1)
-                self._span_base = base
-        return self._run_span(page_ids, 0, n, nbytes, write, is_scan,
-                              think_ns, post_ns, accum)
+        if not think_ns >= 0:
+            raise BufferPoolError("think_ns must be >= 0")
+        if self.fast_lane and self._placement_headroom is not None:
+            base = page_ids.base
+            if base is None:
+                base = page_ids
+            ok = base is self._span_base or self._span_check(page_ids, base)
+            if not ok:
+                # The column as a whole does not qualify; the run may.
+                hi = int(page_ids.max())
+                ok = hi < _RES_MAX_PIDS and int(page_ids.min()) >= 0
+                if ok and hi >= self._res_tier.shape[0]:
+                    self._res_grow(hi + 1)
+            if ok:
+                return self._run_span(page_ids, 0, n, nbytes, write,
+                                      is_scan, think_ns, accum)
+        return self.access_batch(page_ids.tolist(), nbytes=nbytes,
+                                 write=write, is_scan=is_scan,
+                                 think_ns=think_ns, accum=accum)
 
     def quantum_lane_ready(self) -> bool:
         """Whether :meth:`access_quantum` may be used right now.
@@ -1644,40 +1425,33 @@ class TieredBufferPool:
         after segment ``i`` — the boundaries the session scheduler's
         per-run samples are built from. Bit-identical to calling
         :meth:`access_run` on each segment's slice in order; the
-        amortisation is the point: one id-range validation (memoised
-        per column, exactly as in :meth:`access_run`) and no per-run
-        slice objects or entry guards.
+        amortisation is the point: one id-range validation (the one
+        :meth:`access_run` makes) and no per-run slice objects or
+        entry guards.
 
         Callers must check :meth:`quantum_lane_ready` first.
         """
         seg_demands: list[float] = []
+        for seg in segs:
+            if not seg[5] >= 0:
+                raise BufferPoolError("think_ns must be >= 0")
         base = ids.base
         if base is None:
             base = ids
-        if base is not self._span_base:
-            ok = False
-            if base.ndim == 1:
-                bhi = int(base.max())
-                if bhi < _RES_MAX_PIDS and int(base.min()) >= 0:
-                    if bhi >= self._res_tier.shape[0]:
-                        self._res_grow(bhi + 1)
-                    self._span_base = base
-                    ok = True
-            if not ok:
-                # Ids outside the dense table: the batched lane per
-                # segment, exactly what access_run falls back to.
-                for a, b, nb, wr, sc, th in segs:
-                    accum = self.access_batch(
-                        ids[a:b].tolist(), nbytes=nb, write=wr,
-                        is_scan=sc, think_ns=th, accum=accum)
-                    seg_demands.append(accum)
-                return accum, seg_demands
+        if base is not self._span_base and not self._span_check(ids, base):
+            # The column does not index the dense table: the list lane
+            # per segment, exactly what access_run falls back to.
+            for a, b, nb, wr, sc, th in segs:
+                accum = self.access_batch(
+                    ids[a:b].tolist(), nbytes=nb, write=wr,
+                    is_scan=sc, think_ns=th, accum=accum)
+                seg_demands.append(accum)
+            return accum, seg_demands
         if segs:
             # All-hit quantum: when every access of the quantum is
             # resident on a timed tier and the whole quantum fits one
             # placement headroom window, per-segment span setup
-            # (gather, boundary mask, tier cuts) collapses to a single
-            # pass here and the hot core runs scalar per subsegment.
+            # (gather, boundary mask) collapses to a single pass here.
             clock = self._session_clock
             if clock is None:
                 clock = self.clock
@@ -1689,40 +1463,42 @@ class TieredBufferPool:
                 if self._any_tierless:
                     bad |= self._tierless_mask[qspan]
                 if not bad.any():
-                    return self._quantum_hits(ids, segs, qspan, q0,
-                                              clock, accum, seg_demands)
+                    return self._quantum_hits(
+                        ids, segs, qspan, q0, clock, accum,
+                        seg_demands), seg_demands
         run_span = self._run_span
         for a, b, nb, wr, sc, th in segs:
-            if th < 0:
-                raise BufferPoolError("think_ns must be >= 0")
-            accum = run_span(ids, a, b, nb, wr, sc, th, 0.0, accum)
+            accum = run_span(ids, a, b, nb, wr, sc, th, accum)
             seg_demands.append(accum)
         return accum, seg_demands
 
-    def _quantum_hits(self, ids: np.ndarray, segs: list,
-                      qspan: np.ndarray, q0: int, clock,
-                      accum: float, seg_demands: list[float]
-                      ) -> tuple[float, list[float]]:
-        """All-hit quantum core.
+    def _quantum_hits(self, ids: np.ndarray, segs, qspan: np.ndarray,
+                      q0: int, clock, accum: float,
+                      seg_demands: list[float]) -> float:
+        """The hit-run body: charge consecutive uniform-shape segments
+        that the caller proved all-hit.
 
-        The caller proved, with one residency gather and one headroom
-        probe, that every access in the quantum hits a timed tier and
-        that no placement trigger can fire mid-quantum (headroom
-        covers the whole span, and all-hit processing never evicts, so
-        the gathered tiers cannot go stale). Under those guarantees
-        this loop is access_run on each shape segment with the window
-        machinery hoisted: tier-change cuts are located once across
-        the quantum, and each uniform (shape x tier) subsegment folds
-        the same first-access wait + deferred chain advance that
-        :meth:`_run_span` performs — the identical float sequence.
-        Clock and demand writebacks land at each shape-segment
-        boundary, exactly where the per-run path writes them.
+        The caller showed, with one residency gather *qspan* (tiers of
+        ``ids[q0:segs[-1][1]]``) and one headroom probe, that every
+        access hits a timed tier and that no placement trigger can
+        fire before the last one (all-hit processing never evicts, so
+        the gathered tiers cannot go stale). Tier-change cuts are
+        located once across the span; the first access of each uniform
+        (shape x tier) subsegment runs by hand — it is the only one
+        that can fold a contention wait, as in the list lane — and the
+        rest advance the clock and demand accumulators through exact
+        addition ladders (:func:`~repro.sim.ladder.repeat_add` /
+        :func:`~repro.sim.ladder.chain_repeat_arr`), the identical
+        float sequence the scalar loop produces. Clock and demand
+        writebacks land at each shape-segment boundary, where the
+        accumulator is appended to *seg_demands*.
         """
         stats = self.stats
         frames_get = self._frames.get
         note = self._placement_note
         queues = self._session_queues
         lazy = self._lazy_runs
+        lat_cache = self._lat_cache
         per_tier = stats.per_tier
         tiers = self.tiers
         now = clock._now
@@ -1732,10 +1508,16 @@ class TieredBufferPool:
         cut_list.append(segs[-1][1])
         ci = 0
         for a, b, nbytes, write, is_scan, think_ns in segs:
-            if think_ns < 0:
-                raise BufferPoolError("think_ns must be >= 0")
-            lats = self._shape_latencies(nbytes, write, is_scan)
+            lats = lat_cache.get((nbytes, write, is_scan))
+            if lats is None:
+                lats = self._shape_latencies(nbytes, write, is_scan)
             pure = think_ns == 0.0
+            # Queue occupancy is deferred to one reservation per queue
+            # at the segment boundary: a session's own reservations
+            # can never push free_at past its own cursor (analytic
+            # latency covers the service time), so later subsegment
+            # heads fold exactly the same wait whether earlier ones
+            # occupied eagerly or not.
             seg_tiers: list[int] = []
             seg_lasts: list[float] = []
             seg_counts: list[int] = []
@@ -1772,55 +1554,70 @@ class TieredBufferPool:
                 pool_demand += lat_i
                 accum += lat_i
                 rem = e - s - 1
-                if rem:
-                    if lat > 0.0:
-                        lazy.append(("run", ids, s, e, tier_index,
-                                     now, lat, think_ns, 0.0, write))
-                        if pure:
-                            now = repeat_add(now, lat, rem)
-                        elif rem >= _LADDER_MIN:
-                            now, _ = chain_repeat_arr(
-                                now, (think_ns, lat), rem, 1)
-                        else:
-                            for _ in range(rem):
-                                now += think_ns
-                                now += lat
-                        pool_demand = repeat_add(pool_demand, lat, rem)
-                        accum = repeat_add(accum, lat, rem)
-                        per_tier[tier_index].hits += e - s
-                        dstats = tiers[tier_index].path.device.stats
-                        if write:
-                            dstats.stores += e - s
-                            dstats.store_bytes += (e - s) * nbytes
-                        else:
-                            dstats.loads += e - s
-                            dstats.load_bytes += (e - s) * nbytes
-                        if queues is not None:
-                            seg_tiers.append(tier_index)
-                            seg_lasts.append(now - lat)
-                            seg_counts.append(e - s)
-                        s = e
-                        continue
-                    for pid in ids[s + 1:e].tolist():
-                        if think_ns:
+                if rem and lat > 0.0:
+                    # Deferred subsegment: the clock and demand
+                    # ladders are the only values the run itself
+                    # observes, so the mid timestamps (frame touches),
+                    # recency touches, and tracker feed are recorded
+                    # and replayed by _drain_lazy() before any reader
+                    # — chain_repeat_arr over the same (now, lat,
+                    # think, rem) reproduces the identical float
+                    # sequence then. Pure subsegments advance the
+                    # clock by one exact ladder; think-bearing ones
+                    # run the delta cycle (vectorised at _LADDER_MIN,
+                    # the scalar chain below it — the ladder's own
+                    # fallback regime). The demand accumulators only
+                    # ever add lat, so they fold with repeat_add
+                    # regardless of the interleaving.
+                    lazy.append(("run", ids, s, e, tier_index, now, lat,
+                                 think_ns, write))
+                    if pure:
+                        now = repeat_add(now, lat, rem)
+                    elif rem >= _LADDER_MIN:
+                        now, _ = chain_repeat_arr(
+                            now, (think_ns, lat), rem, 1)
+                    else:
+                        for _ in range(rem):
                             now += think_ns
-                        f = frames_get(pid)
-                        f.accesses += 1
-                        f.last_access_ns = now
-                        if write:
-                            f.dirty = True
-                        now += lat
-                        pool_demand += lat
-                        accum += lat
-                self._flush_segment(ids, s, e, tier_index, nbytes,
-                                    write, end_ns=now, lat=lat,
-                                    occupy=False, lazy=lazy)
+                            now += lat
+                    pool_demand = repeat_add(pool_demand, lat, rem)
+                    accum = repeat_add(accum, lat, rem)
+                    per_tier[tier_index].hits += e - s
+                    dstats = tiers[tier_index].path.device.stats
+                    if write:
+                        dstats.stores += e - s
+                        dstats.store_bytes += (e - s) * nbytes
+                    else:
+                        dstats.loads += e - s
+                        dstats.load_bytes += (e - s) * nbytes
+                else:
+                    # A single access, or lat == 0 (untimed tier):
+                    # nothing to defer — the chain degenerates to
+                    # think alone.
+                    if rem:
+                        for pid in ids[s + 1:e].tolist():
+                            if think_ns:
+                                now += think_ns
+                            f = frames_get(pid)
+                            f.accesses += 1
+                            f.last_access_ns = now
+                            if write:
+                                f.dirty = True
+                            now += lat
+                            pool_demand += lat
+                            accum += lat
+                    self._flush_segment(ids, s, e, tier_index, nbytes,
+                                        write, occupy=False, lazy=lazy)
                 if queues is not None:
                     seg_tiers.append(tier_index)
                     seg_lasts.append(now - lat)
                     seg_counts.append(e - s)
                 s = e
-            if queues is not None and seg_tiers:
+            if seg_tiers:
+                # Consecutive same-tier subsegments reserve in one
+                # call; tier changes cut the batch so queues shared
+                # across tiers see the exact per-subsegment accounting
+                # order (busy time is a float chain).
                 nsg = len(seg_tiers)
                 x = 0
                 while x < nsg:
@@ -1843,7 +1640,7 @@ class TieredBufferPool:
             lazy.append(("trk", ids, a, b, is_scan))
             note(ids, a, b, is_scan)
             seg_demands.append(accum)
-        return accum, seg_demands
+        return accum
 
     def run_probe(self, page_ids: np.ndarray, nbytes: int,
                   write: bool = False,
@@ -1897,17 +1694,20 @@ class TieredBufferPool:
         return lat
 
     def access_block(self, block, accum: float = 0.0) -> float:
-        """Charge a whole columnar AccessBlock; the block lane.
+        """Charge a whole columnar AccessBlock.
 
         Bit-identical to replaying the block's accesses through the
         scalar loop (think advance, :meth:`access`, demand into
-        *accum*). Long uniform-shape segments go through
-        :meth:`_run_span`; short segments take a lean per-access walk
-        whose per-tier bookkeeping (replacement recency, hit counters,
-        device traffic, temperature, placement notes) is deferred to
-        window boundaries — and always flushed before any access
-        routes scalar, so eviction and rebalance decisions see exactly
-        the scalar-order state.
+        *accum*), by one of three routes: that replay itself on the
+        frozen reference when the fast lane is off; the
+        :meth:`_block_exact` window, which resolves whole
+        placement-headroom windows of the block in array ops; or one
+        :meth:`access_run` per uniform-shape segment for a block the
+        window declines — a contended session, a placement policy
+        without headroom, ids outside the dense table, a tracker
+        without ``record_block``, a placement note that reads the scan
+        flag, or latencies the chain primitive cannot model exactly.
+        ``pool.lane`` counts those blocks and the reason.
         """
         ids_nd = block.page_id
         n = len(ids_nd)
@@ -1917,7 +1717,12 @@ class TieredBufferPool:
         writes_nd = block.write
         scans_nd = block.is_scan
         thinks_nd = block.think_ns
-        bounds = block.segment_bounds()
+        # A negative think would run the clock backwards and NaN
+        # poisons it (min propagates NaN, and NaN >= 0 is false):
+        # refuse the block before anything is charged.
+        think_lo = float(thinks_nd.min())
+        if not think_lo >= 0:
+            raise BufferPoolError("think_ns must be >= 0")
         clock = self._session_clock
         if clock is None:
             clock = self.clock
@@ -1936,50 +1741,40 @@ class TieredBufferPool:
                 accum += compat(ids_l[j], sizes_l[j], writes_l[j],
                                 scans_l[j])
             return accum
-        hi = int(ids_nd.max())
         if self._session_queues is not None:
-            # Contended session lane: one access_run per uniform-shape
-            # segment. The vectorised span lane folds queue waits per
-            # tier segment and reserves occupancy per window, so
-            # contended blocks no longer drop to the per-access walk
-            # (short segments still fall back to the batched lane
-            # inside access_run, bit-identically).
-            a = 0
-            for b in bounds[1:]:
-                accum = self.access_run(
-                    ids_nd[a:b], nbytes=int(sizes_nd[a]),
-                    write=bool(writes_nd[a]), is_scan=bool(scans_nd[a]),
-                    think_ns=float(thinks_nd[a]), accum=accum,
-                )
-                a = b
-            return accum
-        if (self._placement_headroom is None
-                or hi >= _RES_MAX_PIDS or int(ids_nd.min()) < 0):
-            # Segment lane: one access_batch per uniform-shape segment,
-            # exactly the pre-block-lane decomposition.
-            a = 0
-            for b in bounds[1:]:
-                accum = self.access_batch(
-                    ids_nd[a:b].tolist(), nbytes=int(sizes_nd[a]),
-                    write=bool(writes_nd[a]), is_scan=bool(scans_nd[a]),
-                    think_ns=float(thinks_nd[a]), accum=accum,
-                )
-                a = b
-            return accum
-        if hi >= self._res_tier.shape[0]:
-            self._res_grow(hi + 1)
-        if (getattr(self.tracker, "record_block", None) is not None
-                and getattr(self._placement_note, "scan_blind", False)):
-            result = self._block_exact(block, ids_nd, sizes_nd,
-                                       writes_nd, scans_nd, thinks_nd,
-                                       clock, accum)
-            if result is not None:
-                return result
-        return self._block_walk(block, bounds, ids_nd, sizes_nd,
-                                writes_nd, scans_nd, thinks_nd, clock,
-                                0, accum)
+            decline = "session"
+        elif self._placement_headroom is None:
+            decline = "no_headroom"
+        else:
+            hi = int(ids_nd.max())
+            if hi >= _RES_MAX_PIDS or int(ids_nd.min()) < 0:
+                decline = "id_range"
+            elif getattr(self.tracker, "record_block", None) is None:
+                decline = "tracker"
+            elif not getattr(self._placement_note, "scan_blind", False):
+                decline = "note"
+            else:
+                if hi >= self._res_tier.shape[0]:
+                    self._res_grow(hi + 1)
+                result = self._block_exact(think_lo, ids_nd, sizes_nd,
+                                           writes_nd, scans_nd, thinks_nd,
+                                           clock, accum)
+                if result is not None:
+                    return result
+                decline = "latency"
+        self.lane.segment_blocks += 1
+        self.lane.declines[decline] += 1
+        a = 0
+        for b in block.segment_bounds()[1:]:
+            accum = self.access_run(
+                ids_nd[a:b], nbytes=int(sizes_nd[a]),
+                write=bool(writes_nd[a]), is_scan=bool(scans_nd[a]),
+                think_ns=float(thinks_nd[a]), accum=accum,
+            )
+            a = b
+        return accum
 
-    def _block_exact(self, block, ids_nd, sizes_nd, writes_nd,
+    def _block_exact(self, think_lo: float, ids_nd, sizes_nd, writes_nd,
                      scans_nd, thinks_nd, clock, accum):
         """Array-resolved block lane; returns None when ineligible.
 
@@ -1995,10 +1790,11 @@ class TieredBufferPool:
         install up front and their positions carry the miss latency
         as extra delta classes of the same chains.  Other faults,
         table-less tiers, and placement triggers resolve scalar
-        between windows exactly as the lean walk does; anything the
-        chain primitive cannot model exactly (ties, negative or
-        non-finite values) delegates the remaining accesses to
-        :meth:`_block_walk`.
+        between windows.  A block the chain primitive cannot model
+        exactly (negative latencies, byte counts past 2**53, an
+        infinite think time) is declined before anything is charged;
+        *think_lo* is the block's smallest think time, which the
+        caller already showed to be a number >= 0.
         """
         n = ids_nd.shape[0]
         tiers = self.tiers
@@ -2031,13 +1827,14 @@ class TieredBufferPool:
         rowmap = np.repeat(inv.astype(np.int64), seg_lens) * ntiers
         # Delta classes for the addition chains: think values first,
         # then the flattened (shape, tier) latency table.
-        if bool((thinks_nd == thinks_nd[0]).all()):
+        think_hi = float(thinks_nd.max())
+        if think_hi == math.inf:
+            return None
+        if think_hi == think_lo:
             tvals = np.array([float(thinks_nd[0])])
             tinv = np.zeros(n, dtype=np.int64)
         else:
             tvals, tinv = np.unique(thinks_nd, return_inverse=True)
-        if float(tvals.min()) < 0.0 or not np.isfinite(tvals).all():
-            return None
         nt_t = tvals.shape[0]
         vcls = np.concatenate((tvals, lat_tab.ravel()))
 
@@ -2489,218 +2286,6 @@ class TieredBufferPool:
         if plan is None:
             return int(turns[0]), "miss_full", None
         return stop, why, (plan, turns, cand, ft, resc)
-
-    def _block_walk(self, block, bounds, ids_nd, sizes_nd, writes_nd,
-                    scans_nd, thinks_nd, clock, start: int,
-                    accum: float) -> float:
-        """Ladder-based block walk: the general fast lane.
-
-        Handles arbitrary (fractional) latencies via chain ladders and
-        content-sensitive placement notes via per-portion spans; the
-        integer-exact lane (:meth:`_block_exact`) delegates here from
-        *start* when its preconditions fail mid-block.  Long
-        uniform-shape segments go through :meth:`_run_span`; short
-        segments take a lean per-access walk with deferred per-tier
-        bookkeeping, always flushed before any access routes scalar.
-        """
-        n = len(ids_nd)
-        stats = self.stats
-        frames_get = self._frames.get
-        headroom_fn = self._placement_headroom
-        note = self._placement_note
-        note_blind = getattr(note, "scan_blind", False)
-        tracker_batch = self._tracker_batch
-        tracker_record = self.tracker.record
-        tracker_block = getattr(self.tracker, "record_block", None)
-        ntiers = len(self.tiers)
-        nsegs = len(bounds) - 1
-        # Shape columns: bulk-convert when segments are short (the
-        # per-element cost amortises), index per segment when long.
-        use_lists = 4 * nsegs > n
-        if use_lists:
-            sizes_l = sizes_nd.tolist()
-            writes_l = writes_nd.tolist()
-            scans_l = scans_nd.tolist()
-            thinks_l = thinks_nd.tolist()
-        ids_l: list | None = None
-
-        # Lean-window state (see docstring): local clock/demand
-        # mirrors plus deferred per-tier bookkeeping.
-        win_room = 0
-        win_count = 0
-        win_tracker_start = 0
-        now = 0.0
-        pool_demand = 0.0
-        note_spans: list[tuple[int, int, bool]] = []
-        by_tier: list[list] = [[] for _ in range(ntiers)]
-        tier_loads = [0] * ntiers
-        tier_stores = [0] * ntiers
-        tier_load_bytes = [0] * ntiers
-        tier_store_bytes = [0] * ntiers
-
-        def flush_lean() -> None:
-            """Write the open lean window back: stats/clock first, then
-            the deferred per-tier and temperature/placement records, in
-            scalar-equivalent order."""
-            nonlocal win_room, win_count
-            win_room = 0
-            if not win_count:
-                return
-            stats.accesses += win_count
-            stats.demand_time_ns = pool_demand
-            clock._now = now
-            win_end = win_tracker_start + win_count
-            if tracker_block is not None:
-                tracker_block(ids_nd, scans_nd, win_tracker_start,
-                              win_end)
-            else:
-                for k in range(win_tracker_start, win_end):
-                    tracker_record(int(ids_nd[k]),
-                                   is_scan=bool(scans_nd[k]))
-            if note_blind:
-                note(ids_nd, win_tracker_start, win_end, False)
-            else:
-                for s0, s1, sflag in note_spans:
-                    note(ids_nd, s0, s1, sflag)
-            note_spans.clear()
-            for T in range(ntiers):
-                lst = by_tier[T]
-                if not lst:
-                    continue
-                tier = self.tiers[T]
-                policy = tier.policy
-                batch = getattr(policy, "record_access_batch", None)
-                if batch is not None:
-                    batch(lst, 0, len(lst))
-                else:
-                    record = policy.record_access
-                    for pid in lst:
-                        record(pid)
-                stats.per_tier[T].hits += len(lst)
-                device_stats = tier.path.device.stats
-                if tier_loads[T]:
-                    device_stats.loads += tier_loads[T]
-                    device_stats.load_bytes += tier_load_bytes[T]
-                    tier_loads[T] = 0
-                    tier_load_bytes[T] = 0
-                if tier_stores[T]:
-                    device_stats.stores += tier_stores[T]
-                    device_stats.store_bytes += tier_store_bytes[T]
-                    tier_stores[T] = 0
-                    tier_store_bytes[T] = 0
-                lst.clear()
-            win_count = 0
-
-        a = 0
-        for b in bounds[1:]:
-            if b <= start:
-                a = b
-                continue
-            a0 = a if a >= start else start
-            if use_lists:
-                nb = sizes_l[a]
-                w = writes_l[a]
-                sc = scans_l[a]
-                t = thinks_l[a]
-            else:
-                nb = int(sizes_nd[a])
-                w = bool(writes_nd[a])
-                sc = bool(scans_nd[a])
-                t = float(thinks_nd[a])
-            if b - a0 >= VEC_SEG:
-                flush_lean()
-                accum = self._run_span(ids_nd, a0, b, nb, w, sc, t, 0.0,
-                                       accum)
-                a = b
-                continue
-            lats = self._shape_latencies(nb, w, sc)
-            if ids_l is None:
-                ids_l = ids_nd.tolist()
-            j = a0
-            p_start = a0
-            while j < b:
-                if win_room <= 0:
-                    if win_count:
-                        if p_start < j:
-                            note_spans.append((p_start, j, sc))
-                        flush_lean()
-                    room = headroom_fn()
-                    if room <= 0:
-                        # Placement trigger: scalar route.
-                        pid = ids_l[j]
-                        if t:
-                            clock.advance(t)
-                        accum += self.access(pid, nbytes=nb, write=w,
-                                             is_scan=sc)
-                        j += 1
-                        p_start = j
-                        continue
-                    win_room = room
-                    win_tracker_start = j
-                    now = clock._now
-                    pool_demand = stats.demand_time_ns
-                    p_start = j
-                pid = ids_l[j]
-                frame = frames_get(pid)
-                if frame is not None:
-                    T = frame.tier_index
-                    lat = lats[T]
-                else:
-                    lat = None
-                if lat is None:
-                    # Fault or table-less tier: flush every deferred
-                    # effect, then resolve scalar so evictions and
-                    # migrations see exactly the scalar-order state.
-                    # The window must close even when it is still empty
-                    # — its clock/demand mirrors predate the scalar
-                    # access and would go stale otherwise.
-                    if win_count:
-                        if p_start < j:
-                            note_spans.append((p_start, j, sc))
-                        flush_lean()
-                    else:
-                        win_room = 0
-                    if frame is None:
-                        # A true miss: hand the rest of the segment to
-                        # the bulk fault lane (it consumes the leading
-                        # miss run or declines).
-                        done = self._fault_span(ids_nd, j, b, nb, w,
-                                                sc, t, 0.0, accum)
-                        if done is not None:
-                            j += done[0]
-                            accum = done[1]
-                            p_start = j
-                            continue
-                    if t:
-                        clock.advance(t)
-                    accum += self.access(pid, nbytes=nb, write=w,
-                                         is_scan=sc)
-                    j += 1
-                    p_start = j
-                    continue
-                if t:
-                    now += t
-                frame.accesses += 1
-                frame.last_access_ns = now
-                if w:
-                    frame.dirty = True
-                    tier_stores[T] += 1
-                    tier_store_bytes[T] += nb
-                else:
-                    tier_loads[T] += 1
-                    tier_load_bytes[T] += nb
-                by_tier[T].append(pid)
-                now += lat
-                pool_demand += lat
-                accum += lat
-                win_room -= 1
-                win_count += 1
-                j += 1
-            if win_count and p_start < j:
-                note_spans.append((p_start, j, sc))
-            a = b
-        flush_lean()
-        return accum
 
     def _register_hit(self, page_id: PageId, tier_index: int) -> None:
         """Shared hit bookkeeping for the scalar access paths."""

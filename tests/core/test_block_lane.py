@@ -17,6 +17,7 @@ tests pin the two contracts that lane must keep:
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,13 @@ import pytest
 from repro import config
 from repro.core.buffer import (
     MIN_BATCH_RUN,
-    VEC_SEG,
     Tier,
     TieredBufferPool,
 )
 from repro.core.engine import ScaleUpEngine
 from repro.core.placement import DbCostPolicy, OSPagingPolicy
+from repro.core.temperature import SampledTracker
+from repro.errors import BufferPoolError
 from repro.perf.bench import _digest_report
 from repro.sim.context import SimContext
 from repro.sim.interconnect import AccessPath
@@ -55,8 +57,8 @@ def fingerprint(trace, fast, *, dram=256, cxl=900, placement=None,
 def random_trace(seed, ops=4_000, pages=700):
     """A run-structured random trace: shapes repeat for random run
     lengths so the coalescer sees runs on both sides of
-    MIN_BATCH_RUN, then change so segments stay short enough to
-    exercise the per-access walk as well as the vector lane."""
+    MIN_BATCH_RUN, then change so segments stay short as well as
+    long."""
     rng = random.Random(seed)
     out = []
     while len(out) < ops:
@@ -149,27 +151,47 @@ class TestRandomizedMixedIdentity:
     def test_block_walk_route(self):
         # A placement note that may read the scan flag (no
         # ``scan_blind`` mark — here an override of OSPagingPolicy's,
-        # which carries one) keeps the fast lane on the per-access
-        # _block_walk route rather than the integer-exact
-        # _block_exact lane — and still matches the scalar replay bit
-        # for bit, as the marked policy on the exact lane does.
+        # which carries one) keeps the block off the integer-exact
+        # _block_exact window: it is charged one access_run per
+        # uniform-shape segment — and still matches the scalar replay
+        # bit for bit, as the marked policy on the exact lane does. So
+        # do a pool tracker without ``record_block`` and page ids past
+        # the dense residency table, the other ways off the window.
         class FlagReadingPolicy(OSPagingPolicy):
             def note_accesses(self, page_ids, start, end, is_scan=False):
                 super().note_accesses(page_ids, start, end, is_scan)
 
-        trace = list(mixed_htap_trace(
-            oltp_pages=200, olap_pages=400, oltp_ops=1_500, seed=7))
-        blocks = [AccessBlock.from_accesses(trace)]
-        ref, _ = fingerprint(trace, False, placement=OSPagingPolicy())
-        for policy, exact in ((FlagReadingPolicy, False),
-                              (OSPagingPolicy, True)):
-            engine = ScaleUpEngine.build(
+        def engine_for(policy, tracker):
+            built = ScaleUpEngine.build(
                 dram_pages=256, cxl_pages=900, placement=policy(),
                 name="block-lane-test", ctx=SimContext(),
             )
-            report = engine.run(blocks)
-            assert (engine.pool.lane.exact_windows > 0) is exact
-            assert _digest_report(engine, report) == ref
+            if tracker is None:
+                return built
+            return ScaleUpEngine(TieredBufferPool(
+                tiers=built.pool.tiers, backing=built.pool.backing,
+                placement=policy(), tracker=tracker(),
+            ))
+
+        trace = list(mixed_htap_trace(
+            oltp_pages=200, olap_pages=400, oltp_ops=1_500, seed=7))
+        far = [replace(a, page_id=a.page_id + (1 << 22)) for a in trace]
+        for policy, tracker, accesses, decline in (
+                (FlagReadingPolicy, None, trace, "note"),
+                (OSPagingPolicy, None, trace, None),
+                (OSPagingPolicy, SampledTracker, trace, "tracker"),
+                (OSPagingPolicy, None, far, "id_range")):
+            ref = engine_for(policy, tracker)
+            ref.pool.set_fast_lane(False)
+            want = _digest_report(ref, ref.run(accesses))
+            engine = engine_for(policy, tracker)
+            report = engine.run([AccessBlock.from_accesses(accesses)])
+            lane = engine.pool.lane
+            assert (lane.exact_windows > 0) is (decline is None)
+            assert lane.segment_blocks == (decline is not None)
+            assert {k for k, v in lane.declines.items() if v} == \
+                ({decline} - {None})
+            assert _digest_report(engine, report) == want
 
 
 class TestSessionContention:
@@ -216,7 +238,7 @@ class TestSessionContention:
         # long enough for the vector setup it must charge exactly what
         # access_batch charges for the same ids.
         rng = random.Random(3)
-        ids = [rng.randrange(500) for _ in range(VEC_SEG * 4)]
+        ids = [rng.randrange(500) for _ in range(384)]
         engines = [self._engine(True) for _ in range(2)]
         for engine in engines:
             for page in range(500):
@@ -329,6 +351,37 @@ class TestResidencyTableConsistency:
         engine.run([AccessBlock.from_accesses(trace)])
         engine.pool.sync_frame_stats()
         assert_residency_consistent(engine.pool)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("think", [-1e6, math.nan])
+@pytest.mark.parametrize("entry", ["block", "batch", "run", "quantum"])
+def test_negative_or_nan_think_is_refused(entry, think, fast):
+    # A negative think ran the block lane's clock backwards (106,789 ->
+    # -9,892,451 ns over ten resident pages) and NaN poisoned it, on
+    # either lane. Every entry point refuses both, and the ones that
+    # take a column or several segments do so before charging anything.
+    pool = make_pool()
+    pool.set_fast_lane(fast)
+    ids = np.arange(10, dtype=np.int64)
+    for page in ids.tolist():
+        pool.access(page)
+    before = (repr(pool.clock.now), pool.stats.accesses)
+    thinks = np.zeros(10)
+    thinks[7] = think
+    with pytest.raises(BufferPoolError, match="think_ns"):
+        if entry == "block":
+            pool.access_block(AccessBlock(
+                ids, np.zeros(10, bool), np.zeros(10, bool),
+                np.full(10, 64), thinks))
+        elif entry == "batch":
+            pool.access_batch(ids.tolist(), think_ns=think)
+        elif entry == "run":
+            pool.access_run(ids, think_ns=think)
+        else:
+            pool.access_quantum(ids, [(0, 7, 64, False, False, 0.0),
+                                      (7, 10, 64, False, False, think)])
+    assert (repr(pool.clock.now), pool.stats.accesses) == before
 
 
 def scalar_chain(x, vals, cls):

@@ -226,6 +226,8 @@ def test_cold_block_is_one_window_striped_over_two_tiers():
         "fill_installs": len(set(ids)), "evict_installs": 0,
         "victim_rescues": 0,
         "cuts": dict.fromkeys(fast.lane.cuts, 0),
+        "segment_blocks": 0,
+        "declines": dict.fromkeys(fast.lane.declines, 0),
     }
     # First-touch order, whichever tier each page went to.
     assert fast._ord_ids[:fast._ord_len].tolist() == \
@@ -365,6 +367,8 @@ def test_victim_touched_before_its_turn_is_rescued():
         "exact_windows": 1, "exact_window_accesses": 4,
         "fill_installs": 0, "evict_installs": 2, "victim_rescues": 1,
         "cuts": dict.fromkeys(fast.lane.cuts, 0),
+        "segment_blocks": 0,
+        "declines": dict.fromkeys(fast.lane.declines, 0),
     }
 
 
@@ -475,13 +479,10 @@ def test_ospaging_blocks_take_the_window_route():
     traced, ref = twin_pools(placement="ospaging", caps=(4, 12),
                              backed=True, traced=True)
     plain = make_pool(placement="ospaging", caps=(4, 12), backed=True)
-    walked = []
-    for pool in (traced, plain):
-        pool._block_walk = lambda *a, **k: walked.append(a)
     drive_both(traced, ref, blocks)
     for block in blocks:
         plain.access_block(block)
-    assert not walked
+    assert traced.lane.segment_blocks == plain.lane.segment_blocks == 0
     spans = traced.ctx.trace.spans
     plain_state, traced_state = full_state(plain), full_state(traced)
     assert traced_state.pop("spans") and plain_state == traced_state
