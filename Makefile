@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint bench sweep perfbench ledger-smoke trace-demo clean
+.PHONY: verify test lint bench sweep perfbench ledger-smoke route-check trace-demo clean
 
 # The tier-1 gate: what CI runs and what every change must keep green.
 verify: test lint
@@ -48,6 +48,33 @@ perfbench-history:
 ledger-smoke:
 	python3 ledger/run.py --smoke --out ledger-smoke.json \
 		&& $(PYTHON) -m pytest ledger/tests -q
+
+# Reads the route counts `make ledger-smoke` left behind: sessions must
+# reach the pool's hit kernel, never the list lane (`access_batch`), and
+# no pool workload may resolve more than 5 % of its accesses through
+# scalar `access`. A count of 0 is absent from the file.
+define ROUTE_CHECK
+import json, sys
+runs = json.load(open("ledger-smoke.json"))["workloads"]
+def value(workload, metric):
+    return runs[workload]["per_layer"].get(metric, {}).get("value", 0)
+bad = []
+calls = value("sessions_mixed", "core.buffer.access_batch.calls")
+if calls != 0:
+    bad.append("sessions_mixed: core.buffer.access_batch.calls = %s, want 0"
+               % calls)
+for name in runs:
+    share = value(name, "core.buffer.scalar_fallback_share")
+    if share > 0.05:
+        bad.append("%s: core.buffer.scalar_fallback_share = %s > 0.05"
+                   % (name, share))
+print("route-check:", "; ".join(bad) if bad else "ok")
+sys.exit(1 if bad else 0)
+endef
+export ROUTE_CHECK
+
+route-check:
+	@python3 -c "$$ROUTE_CHECK"
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -138,6 +138,15 @@ _LADDER_MIN = 32
 #: float64, so addition chains of whole-nanosecond quantities that stay
 #: under it never round and commute freely (the integer-exact lane).
 _EXACT_LIMIT = 9007199254740992.0
+
+#: Accesses the deferred hit log holds before it settles itself (see
+#: :meth:`TieredBufferPool._drain_lazy`): memory stays flat in run
+#: length and each settle is one columnar pass over at most this many.
+_LOG_SETTLE = 1 << 16
+
+#: Validated id columns remembered at once (see ``_span_check``); the
+#: memo is cleared when full, so it pins at most this many arrays.
+_SPAN_COLS = 16
 
 #: Minimum consecutive-miss run length worth the vectorised fault
 #: lane's setup (bulk placement probe, duplicate scan, phase/chain
@@ -231,7 +240,14 @@ class LaneStats:
     kept), and why each one that stopped short of its block was cut.
     ``segment_blocks`` counts the blocks :meth:`access_block` charged
     segment by segment instead, ``declines`` what kept each off the
-    window route. Bumped once per window or block; not part of
+    window route. ``quantum_spans`` counts the all-hit spans the hit
+    kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
+    deferred-log entry each — and ``quantum_list_fallbacks`` the
+    ``access_quantum``/``access_run`` calls whose ids do not index the
+    dense table and went to the list lane; ``log_settles`` /
+    ``log_settled_accesses`` count the log's columnar settle passes
+    and the accesses they carried, ``log_high_water`` the most it ever
+    held. Bumped once per window, block, span or settle; not part of
     :class:`BufferPoolStats`, whose snapshot is simulated state."""
 
     exact_windows: int = 0
@@ -247,6 +263,11 @@ class LaneStats:
     declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
         ("session", "no_headroom", "id_range", "tracker", "note",
          "latency"), 0))
+    quantum_spans: int = 0
+    quantum_list_fallbacks: int = 0
+    log_settles: int = 0
+    log_settled_accesses: int = 0
+    log_high_water: int = 0
 
     def snapshot(self) -> dict:
         """Counters as a dict (metrics snapshot protocol). Spelled
@@ -261,6 +282,11 @@ class LaneStats:
             "cuts": dict(self.cuts),
             "segment_blocks": self.segment_blocks,
             "declines": dict(self.declines),
+            "quantum_spans": self.quantum_spans,
+            "quantum_list_fallbacks": self.quantum_list_fallbacks,
+            "log_settles": self.log_settles,
+            "log_settled_accesses": self.log_settled_accesses,
+            "log_high_water": self.log_high_water,
         }
 
 
@@ -344,9 +370,10 @@ class TieredBufferPool:
         # per-(nbytes, write, is_scan) hit latencies for every tier at
         # once; both are derived state, never authoritative.
         self._res_tier = np.full(0, -1, dtype=np.int16)
-        # Backing id array whose whole range already passed the run
-        # guard (see _span_check) — slices of it skip min/max/grow.
-        self._span_base: np.ndarray | None = None
+        # Id columns whose whole range already passed the run guard
+        # (see _span_check), keyed by id() and holding the array so the
+        # key cannot be recycled — their slices skip min/max/grow.
+        self._span_cols: dict[int, np.ndarray] = {}
         self._lat_cache: dict[tuple[int, bool, bool],
                               list[float | None]] = {}
         self._tierless_mask = np.array(
@@ -375,15 +402,18 @@ class TieredBufferPool:
         # semantics discard a frame's stats with the frame.
         self._pend_acc = np.zeros(0, dtype=np.int64)
         self._pend_ts = np.zeros(0, dtype=np.float64)
-        # Deferred bookkeeping records from the vectorised run lane:
-        # replacement-recency touches, tracker feeds, and (for pure
-        # single-delta segments) the per-access mid timestamps. Each
-        # record replays exactly the work the eager code would have
-        # done, in the order it would have done it; _drain_lazy() runs
-        # before anything that could read or mutate the structures the
-        # records touch (scalar accesses, eviction/migration entry
-        # points, snapshots), so no reader can observe the deferral.
+        # The deferred hit log: one entry per all-hit span the hit
+        # kernel charged — its id slice, tiers, post-think timestamps,
+        # write and scan ranges (see _quantum_hits). The span itself only
+        # needs the clock and demand floats; frame stats, dirty
+        # latches, recency touches and the tracker feed are settled
+        # from the log by _drain_lazy(), which runs before anything
+        # that could read or mutate those structures (scalar accesses,
+        # eviction/migration entry points, sync_frame_stats) and once
+        # `_log_held` accesses would pass _LOG_SETTLE, so no reader can
+        # observe the deferral and the log's memory is bounded.
         self._lazy_runs: list[tuple] = []
+        self._log_held = 0
         # Conservative pid-indexed mirror of Frame.dirty: True only if
         # the frame is known dirty, so the block lane latches (and
         # walks python frames for) each page at most once. False for a
@@ -556,136 +586,111 @@ class TieredBufferPool:
             mirror[ids] = True
 
     def _drain_lazy(self) -> None:
-        """Replay deferred run-lane bookkeeping records in order.
+        """Settle the deferred hit log in one columnar pass.
 
-        Three record kinds, appended by :meth:`_quantum_hits`:
+        Every entry is one all-hit span as :meth:`_quantum_hits` left
+        it, so the batch is five columns over its accesses in charge
+        order: ids, tiers, post-think timestamps (ladder runs written
+        over their placeholders — a pure run's closed form is its one
+        ``chain_repeat_arr``), write mask and scan flags. The pass
+        then does what the scalar loop did access by access, once per
+        page or per tier:
 
-        * ``("run", ids, s, e, tier, now0, lat, think, write)``
-          — a deferred segment (pure, or short and think-bearing):
-          recompute the per-access mid timestamps with
-          :func:`chain_repeat_arr` (the identical float sequence the
-          scalar chain produced), scatter them into the pending
-          frame-stat arrays, latch dirty bits, and touch replacement
-          recency for the whole segment;
-        * ``("lru", seq, s, e, tier)`` — recency touches for a segment
-          whose timestamps were materialised eagerly;
-        * ``("trk", ids, s, e, is_scan)`` — a window's temperature
-          feed.
+        * frame stats — each page's count and the timestamp of its
+          *last* occurrence go to ``_pend_acc`` / ``_pend_ts`` (what
+          ``count`` touches leave behind; :meth:`sync_frame_stats`
+          folds them into the frames), written pages latch dirty;
+        * recency — one ``record_access_batch`` per tier: for
+          :class:`LRUPolicy` the pages in last-occurrence order, which
+          is the order the full touch sequence leaves; the full
+          sequence for any other policy;
+        * temperature — one ``record_block`` over ids and scan flags
+          (``record_batch`` per scan-flag run, or scalar ``record``,
+          for trackers without it).
 
-        Replaying in append order reproduces the eager structure
-        mutations exactly: recency order, tracker decay epochs, and
-        pending-array contents are bit-identical because every record
-        re-runs the same operations on the same operands.
-
-        Two exact coalescing rules keep the replay vectorised even
-        when the run lane produced many short records (OLTP traffic
-        cuts runs every few accesses at write boundaries):
-
-        * adjacent records whose *policy touches* continue one span
-          (same policy, same id array, ``prev_e == next_s``) fold into
-          one ``record_access_batch`` — the touch sequence is
-          literally the same key order;
-        * ``"trk"`` records are dispatched after the loop, merged the
-          same way. The tracker is touched by no other record kind and
-          read by none of them, so only trk-vs-trk order matters, and
-          that subsequence order (with exact per-index aging inside
-          ``record_block``) is preserved.
+        The four structures are disjoint and every reader drains
+        first, so settling a batch at once is unobservable.
         """
-        pending = self._lazy_runs
-        if not pending:
+        log = self._lazy_runs
+        if not log:
             return
-        # Copy-and-clear in place: the hit body holds the list as a
-        # local while it calls out (placement notes, which may drain),
-        # so the object identity must survive the drain.
-        lazy = pending[:]
-        pending.clear()
-        frames_get = self._frames.get
-        tiers = self.tiers
+        entries = log[:]
+        log.clear()
+        k = self._log_held
+        self._log_held = 0
+        lane = self.lane
+        lane.log_settles += 1
+        lane.log_settled_accesses += k
+        if k > lane.log_high_water:
+            lane.log_high_water = k
+        if len(entries) == 1:
+            ids, tier_col = entries[0][0], entries[0][1]
+        else:
+            ids = np.concatenate([entry[0] for entry in entries])
+            tier_col = np.concatenate([entry[1] for entry in entries])
+        # Per-page count and last position without a sort (np.put
+        # keeps the final value on duplicate indices); ids spread far
+        # wider than the batch are ranked first.
+        lo = int(ids.min())
+        span = int(ids.max()) - lo + 1
+        if span <= 4 * k:
+            uq = None
+            rel = ids - lo
+        else:
+            uq, rel = np.unique(ids, return_inverse=True)
+            span = uq.shape[0]
+        cnt = np.bincount(rel, minlength=span)
+        pos = np.empty(span, dtype=np.int64)
+        np.put(pos, rel, np.arange(k))
+        if uq is None:
+            nz = np.nonzero(cnt)[0]
+            uq, cnt, pos = nz + lo, cnt[nz], pos[nz]
+        last = np.zeros(k, dtype=bool)
+        last[pos] = True
+        ts = np.fromiter(chain.from_iterable([entry[2] for entry in entries]),
+                         np.float64, k)
+        wmask = np.zeros(k, dtype=bool)
+        scans = np.zeros(k, dtype=bool)
+        off = 0
+        for span_ids, _, _, ladders, wr_ranges, scan_ranges in entries:
+            for ladder in ladders:
+                # Only a page's last touch keeps its timestamp: a
+                # pure run that holds none is never materialised.
+                at = off + ladder[0]
+                if len(ladder) == 2:
+                    ts[at:at + ladder[1].shape[0]] = ladder[1]
+                elif last[at:at + ladder[3]].any():
+                    ts[at:at + ladder[3]] = chain_repeat_arr(
+                        ladder[1], (ladder[2],), ladder[3], 0)[1]
+            for a, b in wr_ranges:
+                wmask[off + a:off + b] = True
+            for a, b in scan_ranges:
+                scans[off + a:off + b] = True
+            off += span_ids.shape[0]
+        self._pend_acc[uq] += cnt
+        self._pend_ts[uq] = ts[pos]
+        if wmask.any():
+            self._latch_dirty(ids[wmask])
+        per_tier = np.bincount(tier_col)
+        for T in np.flatnonzero(per_tier).tolist():
+            policy = self.tiers[T].policy
+            keep = last if type(policy) is LRUPolicy else None
+            if per_tier[T] != k:
+                on_tier = tier_col == T
+                keep = on_tier if keep is None else keep & on_tier
+            seq = (ids if keep is None else ids[keep]).tolist()
+            self._policy_touch(policy, seq, 0, len(seq))
         tracker_block = getattr(self.tracker, "record_block", None)
-        tracker_batch = self._tracker_batch
-        pend_acc = self._pend_acc
-        pend_ts = self._pend_ts
-        scan_true = scan_false = None
-        # Buffered policy touch: (policy, seq, start, end) of the span
-        # being extended, flushed when the next touch doesn't continue
-        # it. Frame/pend writes land inline — they share no structure
-        # with the recency order, so holding the touch back is unseen.
-        pol = None
-        pol_seq = None
-        pol_s = pol_e = 0
-        trk: list[list] = []
-        for rec in lazy:
-            tag = rec[0]
-            if tag == "run":
-                _, ids, s, e, tier_index, now0, lat, think, write = rec
-                seg = ids[s + 1:e]
-                rem = e - s - 1
-                if think:
-                    _, mids = chain_repeat_arr(now0, (think, lat), rem, 1)
-                else:
-                    _, mids = chain_repeat_arr(now0, (lat,), rem, 0)
-                if rem == 1 or bool((seg[1:] > seg[:-1]).all()):
-                    pend_acc[seg] += 1
-                    pend_ts[seg] = mids
-                    if write:
-                        self._latch_dirty(seg)
-                else:
-                    lo = int(seg.min())
-                    width = int(seg.max()) - lo + 1
-                    if width <= 4 * rem:
-                        rel = seg - lo
-                        bc = np.bincount(rel, minlength=width)
-                        nz = np.nonzero(bc)[0]
-                        pos = np.empty(width, dtype=np.int64)
-                        np.put(pos, rel, np.arange(rem))
-                        uq = nz + lo
-                        pend_acc[uq] += bc[nz]
-                        pend_ts[uq] = mids[pos[nz]]
-                        if write:
-                            self._latch_dirty(seg)
-                    else:
-                        for pid, mid in zip(seg.tolist(), mids.tolist()):
-                            f = frames_get(pid)
-                            f.accesses += 1
-                            f.last_access_ns = mid
-                            if write:
-                                f.dirty = True
-            elif tag == "lru":
-                _, ids, s, e, tier_index = rec
+        if tracker_block is not None:
+            tracker_block(ids, scans, 0, k)
+            return
+        edges = [0, *(np.flatnonzero(scans[1:] != scans[:-1]) + 1).tolist(), k]
+        for s, e in zip(edges, edges[1:]):
+            if self._tracker_batch is not None:
+                self._tracker_batch(ids, s, e, bool(scans[s]))
             else:
-                _, ids, s, e, is_scan = rec
-                last = trk[-1] if trk else None
-                if (last is not None and last[0] is ids
-                        and last[2] == s and last[3] == is_scan):
-                    last[2] = e
-                else:
-                    trk.append([ids, s, e, is_scan])
-                continue
-            policy = tiers[tier_index].policy
-            if pol is policy and pol_seq is ids and pol_e == s:
-                pol_e = e
-            else:
-                if pol is not None:
-                    self._policy_touch(pol, pol_seq, pol_s, pol_e)
-                pol, pol_seq, pol_s, pol_e = policy, ids, s, e
-        if pol is not None:
-            self._policy_touch(pol, pol_seq, pol_s, pol_e)
-        for ids, s, e, is_scan in trk:
-            if tracker_block is not None:
-                if is_scan:
-                    if scan_true is None or scan_true.shape[0] < e:
-                        scan_true = np.ones(e, dtype=bool)
-                    tracker_block(ids, scan_true, s, e)
-                else:
-                    if scan_false is None or scan_false.shape[0] < e:
-                        scan_false = np.zeros(e, dtype=bool)
-                    tracker_block(ids, scan_false, s, e)
-            elif tracker_batch is not None:
-                tracker_batch(ids, s, e, is_scan)
-            else:
-                record = self.tracker.record
-                for j in range(s, e):
-                    record(ids[j], is_scan=is_scan)
+                for pid in ids[s:e].tolist():
+                    self.tracker.record(pid, is_scan=bool(scans[s]))
 
     @staticmethod
     def _policy_touch(policy, seq, start: int, end: int) -> None:
@@ -1140,9 +1145,7 @@ class TieredBufferPool:
 
     def _flush_segment(self, seq: Sequence[PageId], start: int, end: int,
                        tier_index: int, nbytes: int, write: bool,
-                       end_ns: float = 0.0, lat: float = 0.0,
-                       occupy: bool = True,
-                       lazy: list | None = None) -> None:
+                       end_ns: float = 0.0, lat: float = 0.0) -> None:
         """Apply the deferred per-tier bookkeeping of a same-tier run:
         replacement recency, hit counters, device traffic. Counter
         order within a window does not affect simulated results (they
@@ -1151,18 +1154,11 @@ class TieredBufferPool:
         In the session lane, *end_ns* (demand completion of the run's
         last access) and *lat* (its unloaded latency) place the run's
         occupancy on the tier's wait queues — the batched equivalent of
-        the per-access ``occupy_run`` in :meth:`_contend`. A caller
-        that batches reservations itself (:meth:`_quantum_hits` reserves
-        once per queue per window via
-        :meth:`~repro.sim.bandwidth.WaitQueue.reserve_run`) passes
-        ``occupy=False``.
+        the per-access ``occupy_run`` in :meth:`_contend`.
         """
         count = end - start
         tier = self.tiers[tier_index]
-        if lazy is None:
-            self._policy_touch(tier.policy, seq, start, end)
-        else:
-            lazy.append(("lru", seq, start, end, tier_index))
+        self._policy_touch(tier.policy, seq, start, end)
         self.stats.per_tier[tier_index].hits += count
         device_stats = tier.path.device.stats
         if write:
@@ -1171,12 +1167,11 @@ class TieredBufferPool:
         else:
             device_stats.loads += count
             device_stats.load_bytes += count * nbytes
-        if occupy:
-            queues = self._session_queues
-            if queues is not None:
-                start_last = end_ns - lat
-                for queue in queues[tier_index]:
-                    queue.occupy_run(start_last, nbytes, count, write)
+        queues = self._session_queues
+        if queues is not None:
+            start_last = end_ns - lat
+            for queue in queues[tier_index]:
+                queue.occupy_run(start_last, nbytes, count, write)
 
     # -- the block lane -------------------------------------------------------
 
@@ -1276,9 +1271,8 @@ class TieredBufferPool:
                                      write=write, is_scan=is_scan)
                 i += 1
                 continue
-            wend = i + headroom
-            if wend > n:
-                wend = n
+            # A window is one log entry: cap it at what the log holds.
+            wend = min(i + headroom, i + _LOG_SETTLE, n)
             wlen = wend - i
             span = res[ids[i:wend]]
             bad = span < 0
@@ -1345,26 +1339,29 @@ class TieredBufferPool:
         return self.access_run(ids, nbytes=nbytes, write=write,
                                is_scan=is_scan, think_ns=think_ns)
 
-    def _span_check(self, ids: np.ndarray, base: np.ndarray) -> bool:
-        """Whether the whole backing column *base* of the run *ids*
-        indexes the dense residency table, grown here to cover it.
+    def _span_check(self, col: np.ndarray) -> bool:
+        """Whether every id of the column *col* indexes the dense
+        residency table, grown here to cover it.
 
-        Runs usually arrive as consecutive slices of one block's id
-        column, so a column that passes is memoised in ``_span_base``
-        and callers skip this check for its later slices. Blocks are
-        immutable by engine contract, so the validated range cannot go
-        stale, and the residency table only ever grows (``drop_all``
-        refills in place), so the grown size cannot shrink out from
-        under it.
+        Runs arrive as consecutive slices (or segment bounds) of one
+        block's id column, so a column that passes is memoised in
+        ``_span_cols`` — one entry per live column, sessions alternate
+        — and its later runs skip this check. Blocks are immutable by
+        engine contract, so the validated range cannot go stale, and
+        the residency table only ever grows (``drop_all`` refills in
+        place), so the grown size cannot shrink out from under it.
         """
-        if base.ndim != 1 or base.dtype != ids.dtype:
-            return False
-        hi = int(base.max())
-        if hi >= _RES_MAX_PIDS or int(base.min()) < 0:
+        cols = self._span_cols
+        if cols.get(id(col)) is col:
+            return True
+        hi = int(col.max())
+        if hi >= _RES_MAX_PIDS or int(col.min()) < 0:
             return False
         if hi >= self._res_tier.shape[0]:
             self._res_grow(hi + 1)
-        self._span_base = base
+        if len(cols) >= _SPAN_COLS:
+            cols.clear()
+        cols[id(col)] = col
         return True
 
     def access_run(self, page_ids: np.ndarray, nbytes: int = CACHE_LINE,
@@ -1384,12 +1381,14 @@ class TieredBufferPool:
         if not think_ns >= 0:
             raise BufferPoolError("think_ns must be >= 0")
         if self.fast_lane and self._placement_headroom is not None:
+            # A slice of a 1-D column validates (once) through the
+            # column; any other array is checked as the run it is.
             base = page_ids.base
-            if base is None:
-                base = page_ids
-            ok = base is self._span_base or self._span_check(page_ids, base)
-            if not ok:
-                # The column as a whole does not qualify; the run may.
+            if (base is not None and base.ndim == 1
+                    and base.dtype == page_ids.dtype
+                    and self._span_check(base)):
+                ok = True
+            else:
                 hi = int(page_ids.max())
                 ok = hi < _RES_MAX_PIDS and int(page_ids.min()) >= 0
                 if ok and hi >= self._res_tier.shape[0]:
@@ -1397,6 +1396,7 @@ class TieredBufferPool:
             if ok:
                 return self._run_span(page_ids, 0, n, nbytes, write,
                                       is_scan, think_ns, accum)
+            self.lane.quantum_list_fallbacks += 1
         return self.access_batch(page_ids.tolist(), nbytes=nbytes,
                                  write=write, is_scan=is_scan,
                                  think_ns=think_ns, accum=accum)
@@ -1418,16 +1418,21 @@ class TieredBufferPool:
         segments of a single block's id column — in one call.
 
         *ids* is the whole column (indexed by segment bounds, never
-        sliced) and *segs* holds ``(start, stop, nbytes, write,
-        is_scan, think_ns)`` per segment in trace order, as produced
-        by ``ShapeSegments.next_span``. Returns ``(accum,
-        seg_demands)`` where ``seg_demands[i]`` is the accumulator
-        after segment ``i`` — the boundaries the session scheduler's
-        per-run samples are built from. Bit-identical to calling
-        :meth:`access_run` on each segment's slice in order; the
-        amortisation is the point: one id-range validation (the one
-        :meth:`access_run` makes) and no per-run slice objects or
-        entry guards.
+        sliced; any integer ndarray, however built — the pool keeps a
+        view until the quantum's bookkeeping is settled, and blocks
+        are immutable by engine contract) and *segs* holds ``(start,
+        stop, nbytes, write, is_scan, think_ns)`` per segment in trace
+        order, as produced by ``ShapeSegments.next_span``. Returns
+        ``(accum, seg_demands)`` where ``seg_demands[i]`` is the
+        accumulator after segment ``i`` — the boundaries the session
+        scheduler's per-run samples are built from. Bit-identical to
+        calling :meth:`access_run` on each segment's slice in order;
+        the amortisation is the point: the column's id range is
+        validated once for all its quanta, and an all-hit quantum
+        inside one placement headroom window is one residency gather
+        and one :meth:`_quantum_hits` span. A column that does not
+        index the dense table (ids >= 2**22) goes to the list lane
+        segment by segment (``pool.lane.quantum_list_fallbacks``).
 
         Callers must check :meth:`quantum_lane_ready` first.
         """
@@ -1435,12 +1440,8 @@ class TieredBufferPool:
         for seg in segs:
             if not seg[5] >= 0:
                 raise BufferPoolError("think_ns must be >= 0")
-        base = ids.base
-        if base is None:
-            base = ids
-        if base is not self._span_base and not self._span_check(ids, base):
-            # The column does not index the dense table: the list lane
-            # per segment, exactly what access_run falls back to.
+        if not self._span_check(ids):
+            self.lane.quantum_list_fallbacks += 1
             for a, b, nb, wr, sc, th in segs:
                 accum = self.access_batch(
                     ids[a:b].tolist(), nbytes=nb, write=wr,
@@ -1448,16 +1449,12 @@ class TieredBufferPool:
                 seg_demands.append(accum)
             return accum, seg_demands
         if segs:
-            # All-hit quantum: when every access of the quantum is
-            # resident on a timed tier and the whole quantum fits one
-            # placement headroom window, per-segment span setup
-            # (gather, boundary mask) collapses to a single pass here.
             clock = self._session_clock
             if clock is None:
                 clock = self.clock
             q0 = segs[0][0]
             q1 = segs[-1][1]
-            if self._placement_headroom() >= q1 - q0:
+            if min(self._placement_headroom(), _LOG_SETTLE) >= q1 - q0:
                 qspan = self._res_tier[ids[q0:q1]]
                 bad = qspan < 0
                 if self._any_tierless:
@@ -1476,42 +1473,64 @@ class TieredBufferPool:
                       q0: int, clock, accum: float,
                       seg_demands: list[float]) -> float:
         """The hit-run body: charge consecutive uniform-shape segments
-        that the caller proved all-hit.
+        that the caller proved all-hit, and log their bookkeeping.
 
         The caller showed, with one residency gather *qspan* (tiers of
-        ``ids[q0:segs[-1][1]]``) and one headroom probe, that every
-        access hits a timed tier and that no placement trigger can
-        fire before the last one (all-hit processing never evicts, so
-        the gathered tiers cannot go stale). Tier-change cuts are
-        located once across the span; the first access of each uniform
-        (shape x tier) subsegment runs by hand — it is the only one
-        that can fold a contention wait, as in the list lane — and the
-        rest advance the clock and demand accumulators through exact
-        addition ladders (:func:`~repro.sim.ladder.repeat_add` /
-        :func:`~repro.sim.ladder.chain_repeat_arr`), the identical
-        float sequence the scalar loop produces. Clock and demand
-        writebacks land at each shape-segment boundary, where the
-        accumulator is appended to *seg_demands*.
+        ``ids[q0:segs[-1][1]]``, at most ``_LOG_SETTLE`` accesses) and
+        one headroom probe, that every access hits a timed tier and
+        that no placement trigger can fire before the last one
+        (all-hit processing never evicts, so the gathered tiers cannot
+        go stale). Tier-change cuts are located once across the span;
+        the first access of each uniform (shape x tier) subsegment
+        runs by hand — it is the only one that can fold a contention
+        wait, as in the list lane — and the rest advance the clock and
+        demand accumulators through the identical float sequence the
+        scalar loop produces: that loop itself below ``_LADDER_MIN``,
+        exact addition ladders (:func:`~repro.sim.ladder.repeat_add` /
+        :func:`~repro.sim.ladder.chain_repeat_arr`) from there on.
+
+        Those floats, the hit and device counters and the queue
+        reservations are all the span itself observes. What the scalar
+        loop also did per access — frame stats, dirty latches, recency
+        touches, the tracker feed — is left to :meth:`_drain_lazy` as
+        one log entry ``(ids[q0:q1], qspan, ts, ladders, writes,
+        scans)``: *ts* holds the post-think timestamp of every access,
+        with 0.0 placeholders under each ladder run, and *ladders*
+        what fills them — ``(offset, mids)`` as the think-bearing
+        ladder computed them, or the closed form ``(offset, now0, lat,
+        count)`` of a pure run, materialised only at settle and only
+        if it is needed there; *writes* and *scans* are the
+        span-relative ranges of the write and scan segments. No
+        ``Frame`` is touched here. The entry is in the log before the
+        placement notes run (a note may call back into the pool and
+        drain).
         """
         stats = self.stats
-        frames_get = self._frames.get
-        note = self._placement_note
         queues = self._session_queues
-        lazy = self._lazy_runs
         lat_cache = self._lat_cache
         per_tier = stats.per_tier
         tiers = self.tiers
+        q1 = segs[-1][1]
+        if self._log_held + (q1 - q0) > _LOG_SETTLE:
+            self._drain_lazy()
         now = clock._now
         pool_demand = stats.demand_time_ns
         rel_cuts = np.nonzero(qspan[1:] != qspan[:-1])[0]
         cut_list = (rel_cuts + (q0 + 1)).tolist()
-        cut_list.append(segs[-1][1])
+        cut_list.append(q1)
         ci = 0
+        ts: list[float] = []
+        ladders: list[tuple] = []
+        writes: list[tuple[int, int]] = []
+        scans: list[tuple[int, int]] = []
         for a, b, nbytes, write, is_scan, think_ns in segs:
             lats = lat_cache.get((nbytes, write, is_scan))
             if lats is None:
                 lats = self._shape_latencies(nbytes, write, is_scan)
-            pure = think_ns == 0.0
+            if write:
+                writes.append((a - q0, b - q0))
+            if is_scan:
+                scans.append((a - q0, b - q0))
             # Queue occupancy is deferred to one reservation per queue
             # at the segment boundary: a session's own reservations
             # can never push free_at past its own cursor (analytic
@@ -1545,69 +1564,41 @@ class TieredBufferPool:
                         self._session_wait_ns += wait
                         bottleneck.note_wait(wait)
                         lat_i = wait + lat
-                frame = frames_get(ids[s])
-                frame.accesses += 1
-                frame.last_access_ns = now
-                if write:
-                    frame.dirty = True
+                ts.append(now)
                 now += lat_i
                 pool_demand += lat_i
                 accum += lat_i
                 rem = e - s - 1
-                if rem and lat > 0.0:
-                    # Deferred subsegment: the clock and demand
-                    # ladders are the only values the run itself
-                    # observes, so the mid timestamps (frame touches),
-                    # recency touches, and tracker feed are recorded
-                    # and replayed by _drain_lazy() before any reader
-                    # — chain_repeat_arr over the same (now, lat,
-                    # think, rem) reproduces the identical float
-                    # sequence then. Pure subsegments advance the
-                    # clock by one exact ladder; think-bearing ones
-                    # run the delta cycle (vectorised at _LADDER_MIN,
-                    # the scalar chain below it — the ladder's own
-                    # fallback regime). The demand accumulators only
-                    # ever add lat, so they fold with repeat_add
-                    # regardless of the interleaving.
-                    lazy.append(("run", ids, s, e, tier_index, now, lat,
-                                 think_ns, write))
-                    if pure:
-                        now = repeat_add(now, lat, rem)
-                    elif rem >= _LADDER_MIN:
-                        now, _ = chain_repeat_arr(
+                if rem >= _LADDER_MIN and lat > 0.0:
+                    if think_ns:
+                        now, mids = chain_repeat_arr(
                             now, (think_ns, lat), rem, 1)
+                        ladders.append((len(ts), mids))
                     else:
-                        for _ in range(rem):
-                            now += think_ns
-                            now += lat
+                        ladders.append((len(ts), now, lat, rem))
+                        now = repeat_add(now, lat, rem)
+                    ts.extend(repeat(0.0, rem))
+                    # The demand accumulators only ever add lat, so
+                    # they fold with repeat_add whatever the clock
+                    # interleaves.
                     pool_demand = repeat_add(pool_demand, lat, rem)
                     accum = repeat_add(accum, lat, rem)
-                    per_tier[tier_index].hits += e - s
-                    dstats = tiers[tier_index].path.device.stats
-                    if write:
-                        dstats.stores += e - s
-                        dstats.store_bytes += (e - s) * nbytes
-                    else:
-                        dstats.loads += e - s
-                        dstats.load_bytes += (e - s) * nbytes
                 else:
-                    # A single access, or lat == 0 (untimed tier):
-                    # nothing to defer — the chain degenerates to
-                    # think alone.
-                    if rem:
-                        for pid in ids[s + 1:e].tolist():
-                            if think_ns:
-                                now += think_ns
-                            f = frames_get(pid)
-                            f.accesses += 1
-                            f.last_access_ns = now
-                            if write:
-                                f.dirty = True
-                            now += lat
-                            pool_demand += lat
-                            accum += lat
-                    self._flush_segment(ids, s, e, tier_index, nbytes,
-                                        write, occupy=False, lazy=lazy)
+                    for _ in range(rem):
+                        if think_ns:
+                            now += think_ns
+                        ts.append(now)
+                        now += lat
+                        pool_demand += lat
+                        accum += lat
+                per_tier[tier_index].hits += e - s
+                dstats = tiers[tier_index].path.device.stats
+                if write:
+                    dstats.stores += e - s
+                    dstats.store_bytes += (e - s) * nbytes
+                else:
+                    dstats.loads += e - s
+                    dstats.load_bytes += (e - s) * nbytes
                 if queues is not None:
                     seg_tiers.append(tier_index)
                     seg_lasts.append(now - lat)
@@ -1634,12 +1625,17 @@ class TieredBufferPool:
                             queue.reserve_run(seg_lasts[x:y], nbytes,
                                               seg_counts[x:y], write)
                     x = y
-            stats.accesses += b - a
-            stats.demand_time_ns = pool_demand
-            clock._now = now
-            lazy.append(("trk", ids, a, b, is_scan))
-            note(ids, a, b, is_scan)
             seg_demands.append(accum)
+        stats.accesses += q1 - q0
+        stats.demand_time_ns = pool_demand
+        clock._now = now
+        self._lazy_runs.append((ids[q0:q1], qspan, ts, ladders, writes,
+                                scans))
+        self._log_held += q1 - q0
+        self.lane.quantum_spans += 1
+        note = self._placement_note
+        for a, b, _, _, is_scan, _ in segs:
+            note(ids, a, b, is_scan)
         return accum
 
     def run_probe(self, page_ids: np.ndarray, nbytes: int,
@@ -1796,6 +1792,9 @@ class TieredBufferPool:
         *think_lo* is the block's smallest think time, which the
         caller already showed to be a number >= 0.
         """
+        if self._lazy_runs:
+            # The window touches recency and the tracker itself.
+            self._drain_lazy()
         n = ids_nd.shape[0]
         tiers = self.tiers
         ntiers = len(tiers)

@@ -495,6 +495,11 @@ class ConcurrentEngine:
                     makespan = session.report.end_ns
             if clock.now < makespan:
                 clock.advance_to(makespan)
+            # The run owns its deferred bookkeeping: nothing is left
+            # owed (or pinned) in the pool's hit log.
+            settle = getattr(pool, "_drain_lazy", None)
+            if settle is not None:
+                settle()
         report = SessionRunReport(
             name=label or f"{self.name}-x{len(order)}",
             policy=policy.name,

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,14 +14,19 @@ from repro.core import (
     StaticPolicy,
     WeightedPolicy,
 )
+from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS
 from repro.errors import ConfigError
 from repro.sim.bandwidth import WaitQueue
 from repro.sim.context import SimContext
+from repro.sim.trace import MemoryTraceSink
 from repro.workloads import (
     Access,
+    AccessBlock,
+    YCSBConfig,
     mixed_htap_blocks,
     mixed_htap_trace,
     scan_trace,
+    ycsb_blocks,
 )
 
 
@@ -365,3 +371,141 @@ class TestSessionApi:
         engine.run_concurrent([point_trace(0, ops=50)])
         assert engine.pool.ctx.metrics.get(
             "engine.concurrent_compat_runs") == 1
+
+
+# -- the deferred hit log --------------------------------------------------
+
+def column_engine(columns, fast=True, traced=False):
+    """One expander holding every page of *columns*, warmed scalar."""
+    pages = sorted({int(p) for col in columns for p in np.unique(col)})
+    ctx = SimContext(trace=MemoryTraceSink()) if traced else SimContext()
+    engine = ScaleUpEngine.build(
+        dram_pages=1, cxl_pages=len(pages) + 16,
+        placement=StaticPolicy(lambda _p: 1), with_storage=False, ctx=ctx)
+    for page in pages:
+        engine.pool.access(page)
+    engine.pool.set_fast_lane(fast)
+    return engine
+
+
+def scan_session(name, ids):
+    """A readahead scan over the id column *ids*, used as it is (no
+    ``from_columns``: that would normalise the column under test)."""
+    n = len(ids)
+    return ClientSession(name, [AccessBlock(
+        ids, np.zeros(n, bool), np.ones(n, bool),
+        np.full(n, 16 * 4096), np.zeros(n))])
+
+
+def settled_state(pool):
+    """What the hit log settles: frame stats, recency, heat."""
+    pool.sync_frame_stats()
+    return {
+        "frames": {pid: (f.accesses, f.last_access_ns, f.dirty)
+                   for pid, f in pool._frames.items()},
+        "recency": [list(tier.policy._order) for tier in pool.tiers],
+        "heat": pool.tracker._harr.tolist(),
+    }
+
+
+class TestHitLog:
+    def test_settled_frames_match_the_scalar_lane(self):
+        """Two tiled scans and two YCSB-B sessions on disjoint page
+        ranges: after the run the hit log has settled per-frame
+        ``(accesses, last_access_ns, dirty)``, each tier's recency
+        order and the tracker's heat to exactly what the scalar lane
+        leaves, with or without a trace sink. (A page shared between
+        sessions whose cursor starts behind the pool clock still keeps
+        ``max(ts)`` — ROADMAP records that case; it is not this one.)
+        """
+        per = 400
+
+        def sessions():
+            out = [scan_session(f"scan-{i}", np.tile(
+                np.arange(i * per, (i + 1) * per, 16, dtype=np.int64), 40))
+                for i in range(2)]
+            for i in range(2, 4):
+                out.append(ClientSession(f"ycsb-{i}", [
+                    AccessBlock(b.page_id + i * per, b.write, b.is_scan,
+                                b.nbytes, b.think_ns)
+                    for b in ycsb_blocks(YCSBConfig(
+                        mix="B", num_pages=per, num_ops=3_000,
+                        theta=0.9, seed=20 + i))]))
+            return out
+
+        def run(fast, traced=False):
+            columns = [np.arange(4 * per)]
+            engine = column_engine(columns, fast=fast, traced=traced)
+            report = engine.run_sessions(sessions(), morsel_ops=64)
+            assert report.wait_ns > 0
+            assert not engine.pool._lazy_runs
+            return engine.pool, report_digest(report) + pool_digest(engine)
+
+        fast, fast_digest = run(True)
+        ref, ref_digest = run(False)
+        traced, traced_digest = run(True, traced=True)
+        assert fast_digest == ref_digest == traced_digest
+        assert any(f.dirty for f in ref._frames.values())
+        state = settled_state(ref)
+        assert settled_state(fast) == state
+        assert settled_state(traced) == state
+        lane = fast.lane.snapshot()
+        assert lane == traced.lane.snapshot()
+        assert lane["quantum_list_fallbacks"] == 0
+        assert lane["log_settled_accesses"] == 2 * 40 * 25 + 2 * 3_000
+        assert ref.lane.quantum_spans == ref.lane.log_settles == 0
+
+    @pytest.mark.parametrize("escalate", [True, False])
+    def test_log_is_bounded_and_empty_on_return(self, escalate):
+        """A 400 k-access run never holds more than the bound and
+        leaves nothing owed (or pinned) in the pool."""
+        ids = np.tile(np.arange(0, 1_600, dtype=np.int64), 250)
+        engine = column_engine([ids])
+        engine.run_sessions([scan_session("scan", ids)], morsel_ops=64,
+                            escalate=escalate)
+        pool = engine.pool
+        assert not pool._lazy_runs and pool._log_held == 0
+        lane = pool.lane
+        assert lane.log_settled_accesses == len(ids) == 400_000
+        assert len(ids) // _LOG_SETTLE <= lane.log_settles <= 8
+        assert 0 < lane.log_high_water <= _LOG_SETTLE
+
+    @pytest.mark.parametrize("kind", ["tile", "repeat-reshape", "strided",
+                                      "int32", "beyond-table"])
+    def test_any_id_column_is_charged_exactly(self, kind):
+        """However a session's id column was built, the run equals the
+        scalar lane's; views of a 2-D owner and strided views take the
+        hit kernel, ids outside the dense table the list lane —
+        counted."""
+        def column(first):
+            a = np.arange(first, first + 800, 16, dtype=np.int64)
+            if kind == "tile":
+                return np.tile(a, 6)
+            if kind == "repeat-reshape":
+                return np.repeat(a[None, :], 6, 0).reshape(-1)
+            if kind == "strided":
+                return np.ascontiguousarray(np.tile(a, 12))[::2]
+            if kind == "int32":
+                return np.tile(a, 6).astype(np.int32)
+            return np.tile(a + _RES_MAX_PIDS, 6)
+
+        def run(fast):
+            columns = [column(0), column(800)]
+            engine = column_engine(columns, fast=fast)
+            report = engine.run_sessions(
+                [scan_session(f"s{i}", col)
+                 for i, col in enumerate(columns)], morsel_ops=64)
+            assert report.wait_ns > 0
+            return engine.pool, (report_digest(report), pool_digest(engine),
+                                 settled_state(engine.pool))
+
+        fast, fast_out = run(True)
+        _, ref_out = run(False)
+        assert fast_out == ref_out
+        lane = fast.lane
+        if kind == "beyond-table":
+            assert lane.quantum_list_fallbacks == 10 and \
+                lane.quantum_spans == 0
+        elif kind != "int32":
+            assert lane.quantum_list_fallbacks == 0 and \
+                lane.quantum_spans == 10
