@@ -49,9 +49,10 @@ ledger-smoke:
 	python3 ledger/run.py --smoke --out ledger-smoke.json \
 		&& $(PYTHON) -m pytest ledger/tests -q
 
-# Reads the route counts `make ledger-smoke` left behind: sessions must
-# reach the pool's hit kernel, never the list lane (`access_batch`), and
-# no pool workload may resolve more than 5 % of its accesses through
+# Reads the route counts `make ledger-smoke` left behind: every pool
+# workload must reach the pool through its array kernels — no call to
+# `access_batch`, which is the scalar loop the array entry points fall
+# back on — and none may resolve more than 5 % of its accesses through
 # scalar `access`. A count of 0 is absent from the file.
 define ROUTE_CHECK
 import json, sys
@@ -59,10 +60,12 @@ runs = json.load(open("ledger-smoke.json"))["workloads"]
 def value(workload, metric):
     return runs[workload]["per_layer"].get(metric, {}).get("value", 0)
 bad = []
-calls = value("sessions_mixed", "core.buffer.access_batch.calls")
-if calls != 0:
-    bad.append("sessions_mixed: core.buffer.access_batch.calls = %s, want 0"
-               % calls)
+for name in ("scan_warm", "oltp_point", "fault_storm", "sessions_mixed",
+             "serving_pond"):
+    calls = value(name, "core.buffer.access_batch.calls")
+    if calls != 0:
+        bad.append("%s: core.buffer.access_batch.calls = %s, want 0"
+                   % (name, calls))
 for name in runs:
     share = value(name, "core.buffer.scalar_fallback_share")
     if share > 0.05:

@@ -69,7 +69,6 @@ EXPERIMENTS: dict[str, str] = {
     "a7": "bench_a4_oltp_mechanisms.py",
     "a8": "bench_a5_morsel_scheduling.py",
     "a9": "bench_a6_memory_diversity.py",
-    "a10": "bench_a7_bandwidth_interference.py",
     "a11": "bench_a8_columnar_cxl.py",
 }
 

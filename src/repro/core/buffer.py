@@ -13,27 +13,23 @@ clock using the tier's :class:`~repro.sim.interconnect.AccessPath`.
 for — while migration/maintenance costs are accounted separately in
 the stats (and also advance the clock).
 
-Execution lanes: the pool charges accesses through one reference and
-three general lanes that produce **bit-identical** simulated state
-and differ only in wall-clock cost.
+Execution lanes: one reference, the scalar lane, the array lane —
+they produce **bit-identical** simulated state and differ only in
+wall-clock cost.
 
 * :meth:`TieredBufferPool._access_compat` — the frozen reference
   (per-access spec arithmetic, no tables). ``set_fast_lane(False)``
   replays every entry point through it; the equivalence suites and
   the perfbench compat lane compare against it in-process.
 * :meth:`TieredBufferPool.access` — the scalar lane, one page at a
-  time, using the precomputed per-path timing tables. Every other
-  lane routes the accesses it cannot prove exact (a fault it cannot
+  time, using the precomputed per-path timing tables. The array lane
+  routes the accesses it cannot prove exact (a fault it cannot
   batch, a tier without timing tables, a placement trigger point)
   through it, so eviction, migration and rebalance decisions always
-  see scalar-order state.
-* :meth:`TieredBufferPool.access_batch` — the list lane: a run of
-  accesses sharing one shape (size, read/write, scan flag, think
-  time), given as a python sequence, resolved with loop-hoisted
-  bookkeeping and local accumulators. The per-access float additions
-  to the clock and the demand counters happen in exactly the scalar
-  order, which is what makes the lane byte-identical rather than
-  merely equivalent.
+  see scalar-order state. :meth:`TieredBufferPool.access_batch` is
+  its list-form spelling: ``think → access → post`` per id of a
+  python sequence sharing one shape, for callers that hold no array
+  (a page-at-a-time operator, an array-lane fallback).
 * :meth:`TieredBufferPool.access_run` /
   :meth:`TieredBufferPool.access_quantum` /
   :meth:`TieredBufferPool.access_block` — the array lane: id ndarrays
@@ -120,13 +116,9 @@ class Tier:
                    policy=make_policy(policy_name))
 
 
-#: Below this run length the batched lane falls back to plain scalar
-#: calls: the loop-hoisting setup costs more than it saves.
-MIN_BATCH_RUN = 3
-
 #: Dense residency-table ceiling. Page ids at or above this (or
 #: negative) stay out of the table and always resolve through the
-#: scalar/list lanes; ids below it are mirrored exactly, so a
+#: scalar lane; ids below it are mirrored exactly, so a
 #: non-negative table entry is never stale.
 _RES_MAX_PIDS = 1 << 22
 
@@ -153,6 +145,15 @@ _SPAN_COLS = 16
 #: assembly); shorter miss bursts resolve through the scalar fault
 #: path, which is cheaper below this.
 _FAULT_MIN = 8
+
+
+def _check_id_array(ids: np.ndarray) -> None:
+    """Refuse an id array the array lane cannot index the residency
+    table with, before numpy does so less clearly mid-charge."""
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise BufferPoolError(
+            "page ids must be a 1-D integer array, got"
+            f" {ids.ndim}-D {ids.dtype}")
 
 
 @dataclass(slots=True)
@@ -244,7 +245,7 @@ class LaneStats:
     kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
     deferred-log entry each — and ``quantum_list_fallbacks`` the
     ``access_quantum``/``access_run`` calls whose ids do not index the
-    dense table and went to the list lane; ``log_settles`` /
+    dense table and went to the scalar loop; ``log_settles`` /
     ``log_settled_accesses`` count the log's columnar settle passes
     and the accesses they carried, ``log_high_water`` the most it ever
     held. Bumped once per window, block, span or settle; not part of
@@ -455,8 +456,7 @@ class TieredBufferPool:
         and per terminal device, *shared* between tiers whose paths
         share the resource — two tiers behind the same CXL port
         contend with each other; separate expanders do not. Built on
-        first use and persistent across session runs, the way link
-        channels persist across :meth:`access_at` calls.
+        first use and persistent across session runs.
         """
         queues = self._wait_queues
         if queues is None:
@@ -941,237 +941,38 @@ class TieredBufferPool:
         self.placement.on_access(page_id, frame.tier_index, is_scan=is_scan)
         return latency
 
-    def access_batch(self, page_ids: Sequence[PageId],
+    def access_batch(self, page_ids: Iterable[PageId],
                      nbytes: int = CACHE_LINE, write: bool = False,
                      is_scan: bool = False, think_ns: float = 0.0,
                      post_ns: float = 0.0, accum: float = 0.0) -> float:
-        """Charge a run of accesses sharing one shape; the fast lane.
-
-        Semantically (and bit-for-bit) identical to::
-
-            for pid in page_ids:
-                if think_ns:
-                    clock.advance(think_ns)
-                accum += pool.access(pid, nbytes=nbytes, write=write,
-                                     is_scan=is_scan)
-                if post_ns:
-                    clock.advance(post_ns)
-            return accum
-
-        *think_ns* is CPU time charged before each access (workload
-        think time), *post_ns* after it (operator per-page CPU), and
-        *accum* is the caller's running demand accumulator — threading
-        it through keeps the caller's float addition sequence exactly
-        as in the scalar loop.
-
-        Hits on tiers with timing tables are resolved in a tight loop
-        with local accumulators that are written back at run
-        boundaries; a miss, a table-less tier, or a placement trigger
-        point flushes the window and routes that one access through
-        the scalar path, so eviction, migration, and rebalance
-        decisions see exactly the state they would have scalar-wise.
+        """The scalar loop over a python sequence of ids sharing one
+        shape — the list-form spelling of the reference, not a lane:
+        per id, *think_ns* of CPU on the clock (workload think time),
+        :meth:`access` (the frozen reference when the fast lane is
+        off) added to the caller's running demand accumulator *accum*,
+        then *post_ns* of CPU (operator per-page work). The array
+        lane's fallbacks and the page-at-a-time query operators use
+        it; id ndarrays belong on :meth:`access_run`.
         """
         if self._lazy_runs:
             self._drain_lazy()
         # `not x >= 0` rather than `x < 0`: NaN must be refused too.
         if not think_ns >= 0 or not post_ns >= 0:
             raise BufferPoolError("think_ns and post_ns must be >= 0")
-        seq = page_ids if hasattr(page_ids, "__getitem__") \
-            else list(page_ids)
-        n = len(seq)
-        if n == 0:
-            return accum
+        if isinstance(page_ids, np.ndarray):
+            page_ids = page_ids.tolist()
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        headroom_fn = self._placement_headroom
-        if not self.fast_lane or n < MIN_BATCH_RUN or headroom_fn is None:
-            # The reference replay, a run too short for loop hoisting
-            # to pay, or a placement policy without batch support
-            # (headroom would be 0 for every window): one scalar loop.
-            one = self.access if self.fast_lane else self._access_compat
-            advance = clock.advance
-            for pid in seq:
-                if think_ns:
-                    advance(think_ns)
-                accum += one(pid, nbytes, write, is_scan)
-                if post_ns:
-                    advance(post_ns)
-            return accum
-        stats = self.stats
-        frames_get = self._frames.get
-        tier_timing = self._tier_timing
-        note = self._placement_note
-        tracker_batch = self._tracker_batch
-        tracker_record = self.tracker.record
-        queues = self._session_queues
-        i = 0
-        while i < n:
-            headroom = headroom_fn()
-            if headroom <= 0:
-                # A placement trigger: route one access through the
-                # scalar path so it sees fully up-to-date state.
-                if think_ns:
-                    clock.advance(think_ns)
-                accum += self.access(seq[i], nbytes=nbytes, write=write,
-                                     is_scan=is_scan)
-                if post_ns:
-                    clock.advance(post_ns)
-                i += 1
-                continue
-            end = i + headroom
-            if end > n:
-                end = n
-            win_start = i
-            # Local accumulators mirror clock/stats state; per-access
-            # additions below happen in exactly the scalar order, so
-            # the written-back floats are bit-identical.
-            now = clock._now
-            pool_demand = stats.demand_time_ns
-            cur_tier = -1
-            seg_start = i
-            lat = 0.0
-            lat_i = 0.0
-            tier_queues: tuple[WaitQueue, ...] = ()
-            seg_fresh = False
-            boundary = False
-            while i < end:
-                frame = frames_get(seq[i])
-                if frame is None:
-                    boundary = True
-                    break
-                tier_index = frame.tier_index
-                if tier_index != cur_tier:
-                    if seg_start < i:
-                        self._flush_segment(
-                            seq, seg_start, i, cur_tier, nbytes, write,
-                            end_ns=(now - post_ns) if post_ns else now,
-                            lat=lat,
-                        )
-                    timing = tier_timing[tier_index]
-                    if timing is None:
-                        boundary = True
-                        break
-                    cur_tier = tier_index
-                    seg_start = i
-                    if write:
-                        lat = (timing.seq_write_latency_ns if is_scan
-                               else timing.write_latency_ns
-                               ) + timing.write_transfer.time_ns(nbytes)
-                    else:
-                        lat = (timing.seq_read_latency_ns if is_scan
-                               else timing.read_latency_ns
-                               ) + timing.read_transfer.time_ns(nbytes)
-                    if queues is not None:
-                        tier_queues = queues[tier_index]
-                        seg_fresh = True
-                if think_ns:
-                    now += think_ns
-                if seg_fresh:
-                    # First access of a contended segment: fold the
-                    # arrival-order queue wait into its latency as one
-                    # addition, exactly as the scalar _contend does.
-                    # Later accesses of the run cannot wait (the run
-                    # itself keeps the resource busy behind them).
-                    seg_fresh = False
-                    wait = 0.0
-                    bottleneck = None
-                    for queue in tier_queues:
-                        delay = queue._free_at - now
-                        if delay > wait:
-                            wait = delay
-                            bottleneck = queue
-                    if wait > 0.0:
-                        self._session_wait_ns += wait
-                        bottleneck.note_wait(wait)
-                        lat_i = wait + lat
-                    else:
-                        lat_i = lat
-                else:
-                    lat_i = lat
-                # Inlined frame.touch at the pre-advance clock value,
-                # as in the scalar path.
-                frame.accesses += 1
-                frame.last_access_ns = now
-                if write:
-                    frame.dirty = True
-                now += lat_i
-                pool_demand += lat_i
-                accum += lat_i
-                if post_ns:
-                    now += post_ns
-                i += 1
-            if seg_start < i:
-                self._flush_segment(
-                    seq, seg_start, i, cur_tier, nbytes, write,
-                    end_ns=(now - post_ns) if post_ns else now,
-                    lat=lat,
-                )
-            count = i - win_start
-            if count:
-                stats.accesses += count
-                stats.demand_time_ns = pool_demand
-                clock._now = now
-                if tracker_batch is not None:
-                    tracker_batch(seq, win_start, i, is_scan)
-                else:
-                    for j in range(win_start, i):
-                        tracker_record(seq[j], is_scan=is_scan)
-                note(seq, win_start, i, is_scan)
-            if boundary:
-                # The access that broke the window (fault or table-less
-                # tier) resolves scalar, after the flush above so it
-                # observes fully up-to-date state — unless it heads a
-                # run of misses long enough for the bulk fault lane
-                # (three consecutive dict probes gate the columnarise).
-                if (frame is None and i + 2 < n
-                        and frames_get(seq[i + 1]) is None
-                        and frames_get(seq[i + 2]) is None):
-                    done = self._fault_list(seq, i, n, nbytes, write,
-                                            is_scan, think_ns, post_ns,
-                                            accum)
-                    if done is not None:
-                        i += done[0]
-                        accum = done[1]
-                        continue
-                if think_ns:
-                    clock.advance(think_ns)
-                accum += self.access(seq[i], nbytes=nbytes, write=write,
-                                     is_scan=is_scan)
-                if post_ns:
-                    clock.advance(post_ns)
-                i += 1
+        one = self.access if self.fast_lane else self._access_compat
+        advance = clock.advance
+        for pid in page_ids:
+            if think_ns:
+                advance(think_ns)
+            accum += one(pid, nbytes, write, is_scan)
+            if post_ns:
+                advance(post_ns)
         return accum
-
-    def _flush_segment(self, seq: Sequence[PageId], start: int, end: int,
-                       tier_index: int, nbytes: int, write: bool,
-                       end_ns: float = 0.0, lat: float = 0.0) -> None:
-        """Apply the deferred per-tier bookkeeping of a same-tier run:
-        replacement recency, hit counters, device traffic. Counter
-        order within a window does not affect simulated results (they
-        are integers read only at scalar boundaries).
-
-        In the session lane, *end_ns* (demand completion of the run's
-        last access) and *lat* (its unloaded latency) place the run's
-        occupancy on the tier's wait queues — the batched equivalent of
-        the per-access ``occupy_run`` in :meth:`_contend`.
-        """
-        count = end - start
-        tier = self.tiers[tier_index]
-        self._policy_touch(tier.policy, seq, start, end)
-        self.stats.per_tier[tier_index].hits += count
-        device_stats = tier.path.device.stats
-        if write:
-            device_stats.stores += count
-            device_stats.store_bytes += count * nbytes
-        else:
-            device_stats.loads += count
-            device_stats.load_bytes += count * nbytes
-        queues = self._session_queues
-        if queues is not None:
-            start_last = end_ns - lat
-            for queue in queues[tier_index]:
-                queue.occupy_run(start_last, nbytes, count, write)
 
     # -- the block lane -------------------------------------------------------
 
@@ -1245,10 +1046,10 @@ class TieredBufferPool:
         boundaries with one gather; the hit prefix is one
         :meth:`_quantum_hits` segment, so every written-back float is
         bit-identical to the scalar loop. Faults, table-less tiers,
-        and placement triggers route scalar exactly as
-        :meth:`access_batch` does; the residency table is re-gathered
-        afterwards, so their side effects (evictions, migrations,
-        rebalances) are observed precisely.
+        and placement triggers route through scalar :meth:`access`;
+        the residency table is re-gathered afterwards, so their side
+        effects (evictions, migrations, rebalances) are observed
+        precisely.
         """
         clock = self._session_clock
         if clock is None:
@@ -1264,7 +1065,7 @@ class TieredBufferPool:
             headroom = headroom_fn()
             if headroom <= 0:
                 # A placement trigger: one access through the scalar
-                # path, exactly as the batched lane routes it.
+                # path, so it sees fully up-to-date state.
                 if think_ns:
                     clock.advance(think_ns)
                 accum += self.access(int(ids[i]), nbytes=nbytes,
@@ -1286,7 +1087,7 @@ class TieredBufferPool:
                     # A miss run heads the window: try the bulk fault
                     # lane before falling back to scalar resolution.
                     done = self._fault_span(ids, i, n, nbytes, write,
-                                            is_scan, think_ns, 0.0, accum)
+                                            is_scan, think_ns, accum)
                     if done is not None:
                         i += done[0]
                         accum = done[1]
@@ -1294,8 +1095,9 @@ class TieredBufferPool:
                         continue
                 if 2 * int(bad.sum()) > wlen:
                     # Boundary-dense window (cold pool, thrash): the
-                    # per-window gather cannot win, so delegate the
-                    # whole window to the list lane.
+                    # per-window gather cannot win (one re-gather
+                    # per boundary), so the whole window takes the
+                    # scalar loop.
                     accum = self.access_batch(
                         ids[i:wend].tolist(), nbytes=nbytes, write=write,
                         is_scan=is_scan, think_ns=think_ns, accum=accum,
@@ -1335,13 +1137,17 @@ class TieredBufferPool:
         stats, device counters, clock, recency order) is byte-identical
         to the scalar access loop over the same ids.
         """
-        ids = np.ascontiguousarray(np.asarray(page_ids, dtype=np.int64))
+        ids = np.asarray(page_ids)
+        if ids.dtype.kind in "iu" or not ids.size:
+            # (An empty python list columnarises as float64.)
+            ids = np.ascontiguousarray(ids, dtype=np.int64)
         return self.access_run(ids, nbytes=nbytes, write=write,
                                is_scan=is_scan, think_ns=think_ns)
 
     def _span_check(self, col: np.ndarray) -> bool:
         """Whether every id of the column *col* indexes the dense
-        residency table, grown here to cover it.
+        residency table, grown here to cover it (``BufferPoolError``
+        for a column that is not a 1-D integer array).
 
         Runs arrive as consecutive slices (or segment bounds) of one
         block's id column, so a column that passes is memoised in
@@ -1353,6 +1159,9 @@ class TieredBufferPool:
         """
         cols = self._span_cols
         if cols.get(id(col)) is col:
+            return True
+        _check_id_array(col)
+        if not col.size:
             return True
         hi = int(col.max())
         if hi >= _RES_MAX_PIDS or int(col.min()) < 0:
@@ -1371,11 +1180,13 @@ class TieredBufferPool:
 
         The array lane's single-shape entry point (sessions use it for
         columnar runs, :meth:`access_block` for the segments of a
-        block off the window route); bit-identical to
-        :meth:`access_batch` on the same ids, which serves ids outside
-        the dense table and configurations without batch support.
+        block off the window route); bit-identical to the scalar loop
+        (:meth:`access_batch`) on the same ids, which serves ids
+        outside the dense table and configurations without batch
+        support.
         """
-        n = len(page_ids)
+        _check_id_array(page_ids)
+        n = page_ids.shape[0]
         if n == 0:
             return accum
         if not think_ns >= 0:
@@ -1431,7 +1242,7 @@ class TieredBufferPool:
         validated once for all its quanta, and an all-hit quantum
         inside one placement headroom window is one residency gather
         and one :meth:`_quantum_hits` span. A column that does not
-        index the dense table (ids >= 2**22) goes to the list lane
+        index the dense table (ids >= 2**22) goes to the scalar loop
         segment by segment (``pool.lane.quantum_list_fallbacks``).
 
         Callers must check :meth:`quantum_lane_ready` first.
@@ -1454,7 +1265,10 @@ class TieredBufferPool:
                 clock = self.clock
             q0 = segs[0][0]
             q1 = segs[-1][1]
-            if min(self._placement_headroom(), _LOG_SETTLE) >= q1 - q0:
+            # (An all-empty quantum charges and logs nothing: the loop
+            # below hands back its seg_demands.)
+            if q0 < q1 <= q0 + min(self._placement_headroom(),
+                                   _LOG_SETTLE):
                 qspan = self._res_tier[ids[q0:q1]]
                 bad = qspan < 0
                 if self._any_tierless:
@@ -1483,7 +1297,7 @@ class TieredBufferPool:
         go stale). Tier-change cuts are located once across the span;
         the first access of each uniform (shape x tier) subsegment
         runs by hand — it is the only one that can fold a contention
-        wait, as in the list lane — and the rest advance the clock and
+        wait — and the rest advance the clock and
         demand accumulators through the identical float sequence the
         scalar loop produces: that loop itself below ``_LADDER_MIN``,
         exact addition ladders (:func:`~repro.sim.ladder.repeat_add` /
@@ -1892,7 +1706,7 @@ class TieredBufferPool:
                     done = self._fault_span(
                         ids_nd, j, fend, int(sizes_nd[j]),
                         bool(writes_nd[j]), bool(scans_nd[j]),
-                        float(tvals[int(tinv[j])]), 0.0, accum)
+                        float(tvals[int(tinv[j])]), accum)
                     if done is not None:
                         j += done[0]
                         accum = done[1]
@@ -2291,71 +2105,6 @@ class TieredBufferPool:
         self.tiers[tier_index].policy.record_access(page_id)
         self.stats.per_tier[tier_index].hits += 1
 
-    def access_at(self, page_id: PageId, now_ns: float,
-                  nbytes: int = CACHE_LINE, write: bool = False,
-                  is_scan: bool = False) -> float:
-        """Contended access for multi-threaded execution.
-
-        Unlike :meth:`access`, the caller owns time: *now_ns* is the
-        issuing thread's clock and the return value is the absolute
-        completion time. Transfers are charged to the shared device
-        and link channels, so concurrent threads contend for
-        bandwidth — this is how scan threads can starve point-lookup
-        threads on the same expander. Placement runs admission only
-        (no migration side effects), keeping multi-thread runs
-        deterministic.
-        """
-        self.stats.accesses += 1
-        self.tracker.record(page_id, is_scan=is_scan)
-        frame = self._frames.get(page_id)
-        if frame is None:
-            self.stats.misses += 1
-            page, completion = self._fault_at(page_id, now_ns,
-                                              is_scan=is_scan)
-            frame = self._frames[page_id]
-            trace = self._trace
-            if trace.enabled:
-                trace.emit_span("pool.fault", "pool", now_ns, completion,
-                                {"page": page_id})
-        else:
-            tier = self.tiers[frame.tier_index]
-            if write:
-                completion = tier.path.write_completion(nbytes, now_ns)
-            else:
-                completion = tier.path.read_completion(nbytes, now_ns)
-            self._register_hit(page_id, frame.tier_index)
-        frame.touch(now_ns, write=write)
-        self.stats.demand_time_ns += completion - now_ns
-        return completion
-
-    def _fault_at(self, page_id: PageId, now_ns: float,
-                  is_scan: bool) -> tuple[Page, float]:
-        """Contended fault path; returns (page, completion time)."""
-        if self.backing is not None:
-            self.backing.ensure(page_id)
-            page = self.backing.peek(page_id)
-            t = self.backing.device.read_completion(self.page_size,
-                                                    now_ns)
-        else:
-            page = self._anonymous(page_id)
-            t = now_ns
-        tier_index = self.placement.choose_admit_tier(page_id,
-                                                      is_scan=is_scan)
-        if not 0 <= tier_index < len(self.tiers):
-            raise BufferPoolError(
-                f"placement chose invalid tier {tier_index}"
-            )
-        # Evictions on the contended path reuse the analytic costs.
-        make_room = self._make_room(tier_index)
-        tier = self.tiers[tier_index]
-        completion = tier.path.write_completion(self.page_size,
-                                                t + make_room)
-        # The contended path never tracked resident_peak (it belongs
-        # to the analytic lane's reports); keep that behaviour.
-        self._install(page, tier_index, update_peak=False)
-        self.stats.fault_time_ns += completion - now_ns
-        return page, completion
-
     def get_page(self, page_id: PageId) -> Page:
         """The resident Page object (faults it in at zero charge if
         needed — use :meth:`access` for timed paths)."""
@@ -2653,35 +2402,15 @@ class TieredBufferPool:
                      {"page": vs[i], "from": src, "to": dst})
             emit("pool.fault", "pool", t0, t0 + lat, {"page": pid})
 
-    def _fault_list(self, seq, i: int, n: int, nbytes: int, write: bool,
-                    is_scan: bool, think_ns: float, post_ns: float,
-                    accum: float) -> tuple[int, float] | None:
-        """Bulk-resolve a miss run arriving as a python sequence (the
-        batched lane's boundary path): columnarise a bounded window,
-        validate the id range, and hand it to :meth:`_fault_span`."""
-        end = i + 4096
-        if end > n:
-            end = n
-        if end - i < _FAULT_MIN:
-            return None
-        arr = np.asarray(seq[i:end], dtype=np.int64)
-        if int(arr.min()) < 0 or int(arr.max()) >= _RES_MAX_PIDS:
-            return None
-        hi = int(arr.max())
-        if hi >= self._res_tier.shape[0]:
-            self._res_grow(hi + 1)
-        return self._fault_span(arr, 0, arr.shape[0], nbytes, write,
-                                is_scan, think_ns, post_ns, accum)
-
     def _fault_span(self, ids: np.ndarray, start: int, stop: int,
                     nbytes: int, write: bool, is_scan: bool,
-                    think_ns: float, post_ns: float,
-                    accum: float) -> tuple[int, float] | None:
+                    think_ns: float, accum: float
+                    ) -> tuple[int, float] | None:
         """Resolve a run of consecutive misses in array ops.
 
         Returns ``(consumed, accum)`` after charging ``consumed``
         faults bit-identically to the scalar loop (think advance,
-        :meth:`access` on a miss, post advance), or ``None`` when the
+        :meth:`access` on a miss), or ``None`` when the
         run is ineligible and the caller must fall back to the scalar
         fault path. The caller guarantees every id in
         ``ids[start:stop]`` indexes inside the dense residency table.
@@ -2775,11 +2504,10 @@ class TieredBufferPool:
         ai = 0
         pos = 0
         clock = self.clock
-        # The clock interleaves [think,] L [, post] per fault; the
-        # other three accumulators only ever add L. Chunk chains feed
-        # each other sequentially, so per-chunk chain_values calls
-        # reproduce the one long scalar addition sequence exactly.
-        pieces = 1 + (1 if think_ns else 0) + (1 if post_ns else 0)
+        # The clock interleaves [think,] L per fault; the other three
+        # accumulators only ever add L. Chunk chains feed each other
+        # sequentially, so per-chunk chain_values calls reproduce the
+        # one long scalar addition sequence exactly.
         while pos < mlen:
             while aseg[ai + 1] <= pos:
                 ai += 1
@@ -2808,34 +2536,27 @@ class TieredBufferPool:
                 dirty = plan[3]
             # Charge the chunk: the clock's interleaved chain plus the
             # three L-only accumulator chains, all exact replays.
-            vals_c = np.array([think_ns, post_ns, l_clean, l_dirty])
+            vals_c = np.array([think_ns, l_clean, l_dirty])
             if dirty and any(dirty):
-                lcls = 2 + np.asarray(dirty, dtype=np.int64)
+                lcls = 1 + np.asarray(dirty, dtype=np.int64)
             else:
-                lcls = np.full(m, 2, dtype=np.int64)
+                lcls = np.ones(m, dtype=np.int64)
             now0 = clock._now
-            if pieces == 1:
-                cls_c = lcls
+            if think_ns:
+                cls_c = np.zeros(2 * m, dtype=np.int64)
+                cls_c[1::2] = lcls
             else:
-                cls_c = np.empty(pieces * m, dtype=np.int64)
-                off = 0
-                if think_ns:
-                    cls_c[0::pieces] = 0
-                    off = 1
-                cls_c[off::pieces] = lcls
-                if post_ns:
-                    cls_c[off + 1::pieces] = 1
+                cls_c = lcls
             out_c = np.empty(cls_c.shape[0], dtype=np.float64)
             clock._now = chain_values(now0, vals_c, cls_c, out_c)
             # Frame.touch timestamps: the clock value after the think
             # advance (post-think, pre-latency), as the scalar takes.
             if think_ns:
-                ts = out_c[0::pieces]
+                ts = out_c[0::2]
             else:
                 ts = np.empty(m, dtype=np.float64)
                 ts[0] = now0
-                if m > 1:
-                    ts[1:] = out_c[pieces - 1::pieces][:m - 1]
+                ts[1:] = out_c[:m - 1]
             scratch = np.empty(m, dtype=np.float64)
             stats.fault_time_ns = chain_values(stats.fault_time_ns,
                                                vals_c, lcls, scratch)

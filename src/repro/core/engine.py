@@ -8,7 +8,6 @@ examples and experiments construct first.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,15 +22,11 @@ from ..storage.disk import StorageDevice
 from ..storage.file import PageFile
 from ..units import PAGE_SIZE, SECOND, fmt_ns
 from ..sim.ladder import repeat_add
-from ..workloads.traces import Access, AccessBlock, blocks_to_accesses
+from ..workloads.traces import (Access, AccessBlock, accesses_to_blocks,
+                                blocks_to_accesses)
 from .buffer import Tier, TieredBufferPool
 from .placement import DbCostPolicy, PlacementPolicy
 from .temperature import ExactTracker
-
-#: Upper bound on one coalesced run handed to the pool's batched lane;
-#: keeps the pending-page buffer small on very long uniform traces.
-RUN_CHUNK = 4096
-
 
 @dataclass
 class EngineReport:
@@ -79,88 +74,6 @@ class EngineReport:
             f" hit={self.hit_rate:.1%} [{tiers}],"
             f" migrations={self.migrations})"
         )
-
-
-@dataclass
-class ConcurrentReport:
-    """Outcome of a multi-threaded run (the heap-interleave compat
-    lane; see :class:`~repro.core.sessions.SessionRunReport` for the
-    session scheduler's report).
-
-    Per-thread latency lists are the only stored copy; the flat view,
-    the latency sum, and per-thread op counts are derived, so each op
-    is stored once instead of three times. Percentile semantics are
-    unchanged — :func:`~repro.metrics.stats.percentile` sorts its
-    samples, so deriving the flat view in thread order instead of
-    completion order cannot change p95.
-    """
-
-    name: str
-    threads: int = 1
-    ops: int = 0
-    makespan_ns: float = 0.0
-    latencies_by_thread: dict[int, list[float]] = field(
-        default_factory=dict)
-
-    @property
-    def latencies(self) -> list[float]:
-        """Flat latency view, derived per call in thread order."""
-        return [
-            latency for thread in sorted(self.latencies_by_thread)
-            for latency in self.latencies_by_thread[thread]
-        ]
-
-    @property
-    def latency_sum_ns(self) -> float:
-        """Total access latency across all threads."""
-        total = 0.0
-        for thread in sorted(self.latencies_by_thread):
-            for latency in self.latencies_by_thread[thread]:
-                total += latency
-        return total
-
-    @property
-    def per_thread_ops(self) -> dict[int, int]:
-        """Op counts per thread, derived from the latency lists."""
-        return {
-            thread: len(latencies)
-            for thread, latencies in self.latencies_by_thread.items()
-        }
-
-    @property
-    def mean_latency_ns(self) -> float:
-        """Mean access latency across all threads."""
-        if self.ops == 0:
-            return 0.0
-        return self.latency_sum_ns / self.ops
-
-    @property
-    def p95_latency_ns(self) -> float:
-        """95th-percentile access latency."""
-        latencies = self.latencies
-        if not latencies:
-            return 0.0
-        from ..metrics.stats import percentile
-        return percentile(latencies, 0.95)
-
-    @property
-    def throughput_ops_per_s(self) -> float:
-        """Aggregate accesses per second of virtual time."""
-        if self.makespan_ns <= 0:
-            return 0.0
-        return self.ops / self.makespan_ns * SECOND
-
-    def p95_for(self, threads: Iterable[int]) -> float:
-        """95th-percentile latency restricted to *threads* (e.g. the
-        point-lookup threads in an interference experiment)."""
-        from ..metrics.stats import percentile
-        samples = [
-            latency for thread in threads
-            for latency in self.latencies_by_thread.get(thread, [])
-        ]
-        if not samples:
-            return 0.0
-        return percentile(samples, 0.95)
 
 
 class ScaleUpEngine:
@@ -273,20 +186,22 @@ class ScaleUpEngine:
         engines can pass ``False`` and skip the fold; any later reader
         of per-frame state still forces it on demand.
 
-        With the pool's fast lane enabled, consecutive accesses that
-        share one shape (size, read/write, scan flag, think time) are
-        coalesced into :meth:`TieredBufferPool.access_batch` calls:
-        scalar accesses through a per-access peek loop, blocks through
-        one vectorised boundary scan per chunk
-        (:meth:`AccessBlock.segment_bounds`) that feeds the batch lane
-        maximal same-shape runs. The batch lane threads ``demand_ns``
-        through as its accumulator and charges think time per access
-        inside the run, so every float addition happens in the scalar
+        With the pool's fast lane enabled the trace is packed into
+        blocks (:func:`~repro.workloads.traces.accesses_to_blocks`;
+        blocks already in it pass through) and each is charged by
+        :meth:`TieredBufferPool.access_block`, which threads
+        ``demand_ns`` through as its accumulator and charges think
+        time per access, so every float addition happens in the scalar
         loop's order — the report is bit-identical in every lane and
         delivery form. With the fast lane off the loop uses the
         pool's compat access (the frozen pre-fast-lane arithmetic,
-        blocks expanded to scalar accesses), which is what perfbench
-        measures speedups against.
+        blocks expanded to scalar accesses), which is the reference
+        the equivalence suites and perfbench compare against.
+
+        Delivery is open-loop: packing pulls a scalar generator up to
+        ``BLOCK_OPS`` accesses ahead of the clock, so a trace must not
+        read the pool or the clock to decide what it yields next (no
+        generator in :mod:`repro.workloads` does).
         """
         pool = self.pool
         clock = pool.clock
@@ -301,89 +216,37 @@ class ScaleUpEngine:
         fast = getattr(pool, "fast_lane", False)
         with ctx.span(f"run:{label or self.name}", cat="engine"):
             if fast:
-                batch = pool.access_batch
                 access_block = pool.access_block
-                pending: list[int] = []
-                run_nbytes = -1
-                run_write = False
-                run_scan = False
-                run_think = 0.0
-                for item in trace:
-                    if type(item) is AccessBlock:
-                        if pending:
-                            demand_ns = batch(
-                                pending, nbytes=run_nbytes,
-                                write=run_write, is_scan=run_scan,
-                                think_ns=run_think, accum=demand_ns,
-                            )
-                            pending.clear()
-                            run_nbytes = -1
-                        n = len(item)
-                        if not n:
-                            continue
-                        ops += n
-                        # The block lane resolves the whole block —
-                        # hits in array ops, boundaries scalar —
-                        # bit-identically to the segment decomposition
-                        # this loop used to do inline.
-                        demand_ns = access_block(item, accum=demand_ns)
-                        thinks = item.think_ns
-                        if thinks.any():
-                            # Replay the think accumulator's scalar
-                            # addition sequence.  Whole-nanosecond
-                            # thinks on a whole-number accumulator
-                            # below 2**53 add without rounding, so the
-                            # plain sum is bit-identical; otherwise one
-                            # exact ladder per shape segment (short
-                            # segments loop; the ladder setup only
-                            # pays off beyond that).
-                            total = float(thinks.sum())
-                            if (think_ns.is_integer()
-                                    and think_ns + total < 2.0 ** 53
-                                    and bool((np.floor(thinks)
-                                              == thinks).all())):
-                                think_ns += total
-                                continue
-                            seg_start = 0
-                            for seg_end in item.segment_bounds()[1:]:
-                                t = float(thinks[seg_start])
-                                if t:
-                                    count = seg_end - seg_start
-                                    if count >= 64:
-                                        think_ns = repeat_add(
-                                            think_ns, t, count)
-                                    else:
-                                        for _ in range(count):
-                                            think_ns += t
-                                seg_start = seg_end
+                for block in accesses_to_blocks(trace):
+                    ops += len(block)
+                    demand_ns = access_block(block, accum=demand_ns)
+                    thinks = block.think_ns
+                    if not thinks.any():
                         continue
-                    access = item
-                    if (access.nbytes != run_nbytes
-                            or access.write != run_write
-                            or access.is_scan != run_scan
-                            or access.think_ns != run_think
-                            or len(pending) >= RUN_CHUNK):
-                        if pending:
-                            demand_ns = batch(
-                                pending, nbytes=run_nbytes,
-                                write=run_write, is_scan=run_scan,
-                                think_ns=run_think, accum=demand_ns,
-                            )
-                            pending.clear()
-                        run_nbytes = access.nbytes
-                        run_write = access.write
-                        run_scan = access.is_scan
-                        run_think = access.think_ns
-                    pending.append(access.page_id)
-                    if access.think_ns:
-                        think_ns += access.think_ns
-                    ops += 1
-                if pending:
-                    demand_ns = batch(
-                        pending, nbytes=run_nbytes, write=run_write,
-                        is_scan=run_scan, think_ns=run_think,
-                        accum=demand_ns,
-                    )
+                    # Replay the think accumulator's scalar addition
+                    # sequence.  Whole-nanosecond thinks on a
+                    # whole-number accumulator below 2**53 add without
+                    # rounding, so the plain sum is bit-identical;
+                    # otherwise one exact ladder per shape segment
+                    # (short segments loop; the ladder setup only pays
+                    # off beyond that).
+                    total = float(thinks.sum())
+                    if (think_ns.is_integer()
+                            and think_ns + total < 2.0 ** 53
+                            and bool((np.floor(thinks) == thinks).all())):
+                        think_ns += total
+                        continue
+                    seg_start = 0
+                    for seg_end in block.segment_bounds()[1:]:
+                        t = float(thinks[seg_start])
+                        if t:
+                            count = seg_end - seg_start
+                            if count >= 64:
+                                think_ns = repeat_add(think_ns, t, count)
+                            else:
+                                for _ in range(count):
+                                    think_ns += t
+                        seg_start = seg_end
             else:
                 access_fn = getattr(pool, "_access_compat", pool.access)
                 for access in blocks_to_accesses(trace):
@@ -425,71 +288,6 @@ class ScaleUpEngine:
         if report.total_ns > 0:
             metrics.observe("engine.run_ns", report.total_ns)
         report.metrics = metrics.snapshot()
-        return report
-
-    def run_concurrent(self, traces: list[Iterable[Access]],
-                       label: str | None = None
-                       ) -> "ConcurrentReport":
-        """Execute several traces as concurrent threads (compat lane).
-
-        .. deprecated::
-            This is the ad-hoc heap interleave kept for compatibility;
-            new code should use :meth:`run_sessions` (the
-            discrete-event session scheduler in
-            :mod:`repro.core.sessions`), which is block-native,
-            deterministic under session permutation, and byte-identical
-            to :meth:`run` at N=1. Usage here is observable via the
-            ``engine.concurrent_compat_runs`` metric.
-
-        Threads advance in global time order (the thread with the
-        smallest clock issues next), so bandwidth contention on
-        shared devices and links is resolved in arrival order. Think
-        time overlaps across threads; memory transfers contend. Block
-        traces are accepted but expanded to scalar accesses.
-        """
-        if not traces:
-            raise ConfigError("need at least one trace")
-        pool = self.pool
-        iterators = [iter(blocks_to_accesses(trace)) for trace in traces]
-        report = ConcurrentReport(
-            name=label or f"{self.name}-x{len(traces)}",
-            threads=len(traces),
-        )
-        heap: list[tuple[float, int]] = []
-        for thread, iterator in enumerate(iterators):
-            heap.append((0.0, thread))
-        heapq.heapify(heap)
-        thread_end = [0.0] * len(traces)
-        run_start_ns = pool.clock.now
-        while heap:
-            now, thread = heapq.heappop(heap)
-            try:
-                access = next(iterators[thread])
-            except StopIteration:
-                thread_end[thread] = now
-                continue
-            issue = now + access.think_ns
-            done = pool.access_at(
-                access.page_id, issue, nbytes=access.nbytes,
-                write=access.write, is_scan=access.is_scan,
-            )
-            report.ops += 1
-            report.latencies_by_thread.setdefault(thread, []).append(
-                done - issue)
-            heapq.heappush(heap, (done, thread))
-        report.makespan_ns = max(thread_end)
-        if pool.clock.now < report.makespan_ns:
-            pool.clock.advance_to(report.makespan_ns)
-        ctx = self.ctx
-        if ctx.trace.enabled:
-            ctx.trace.emit_span(
-                f"run-concurrent:{report.name}", "engine",
-                run_start_ns, pool.clock.now,
-                {"threads": report.threads, "ops": report.ops},
-            )
-        ctx.metrics.incr("engine.concurrent_runs")
-        ctx.metrics.incr("engine.concurrent_compat_runs")
-        ctx.metrics.incr("engine.ops", report.ops)
         return report
 
     def run_sessions(self, sessions, label: str | None = None,

@@ -20,7 +20,7 @@ pool's — advanced only by the event loop and the final catch-up to
 the makespan. A session wakeup runs one **morsel quantum**: up to
 ``morsel_ops`` accesses pulled from the session's trace as same-shape
 runs (:class:`~repro.workloads.traces.ShapeSegments`) and charged
-through the pool's batched lane against the session cursor, with
+through the pool's array lane against the session cursor, with
 arrival-order waits on the tier's shared resources folded into demand
 latency. The session then re-arms a wakeup at its cursor time.
 
@@ -33,7 +33,7 @@ Two guarantees, both pinned by tests:
   of :meth:`~repro.core.engine.ScaleUpEngine.run` on the same trace: a
   lone session never waits (its own completion is always at or past
   each resource's free time), a zero wait leaves every float
-  untouched, and the batched lane's additions are windowing-invariant.
+  untouched, and the array lane's additions are windowing-invariant.
 * **N>1 permutation invariance** — wakeups sharing an instant are
   collected into a ready set (``Simulator.peek_time_ns``) and drained
   in fairness-policy order with session *names* as the tie-breaker;
@@ -85,9 +85,9 @@ _BULK_MAX_OPS = 1 << 24
 
 #: ``block_ops`` used when a session trace is packed for execution:
 #: effectively unbounded, so scalar traces become *one* block and
-#: same-shape runs split exactly where the scalar coalescer would
-#: have split them (shape changes and pre-existing block boundaries)
-#: — the run-length ``samples`` stream is preserved bit for bit.
+#: same-shape runs split only at shape changes and pre-existing block
+#: boundaries — the run-length ``samples`` stream does not depend on
+#: a packing granularity.
 _WHOLE_TRACE = 1 << 62
 
 
@@ -187,11 +187,9 @@ class ClientSession:
         The trace is packed into columnar blocks on the way in
         (whole-trace ``block_ops``, so no artificial run splits): the
         cursor then serves every same-shape run as an int64 ndarray
-        view, which keeps scalar traces off the per-access coalescing
-        loop and on the pool's block lane. Lossless — the packed
-        sequence is elementwise identical, and run boundaries match
-        the scalar coalescer's (shape changes and pre-existing block
-        boundaries only).
+        view for the pool's array lane. Lossless — the packed
+        sequence is elementwise identical, and runs split only at
+        shape changes and pre-existing block boundaries.
         """
         self.clock = SimClock(start_ns)
         self.report = SessionReport(name=self.name, start_ns=start_ns,
@@ -712,7 +710,6 @@ run_probe` certifies the run is uniform — every page resident on one
         budget = self.morsel_ops
         ops = 0
         segments = session._segments
-        batch = pool.access_batch
         run_nd = pool.access_run
         quantum = self._quantum
         while budget > 0:
@@ -754,21 +751,11 @@ run_probe` certifies the run is uniform — every page resident on one
                 break
             page_ids, nbytes, write, is_scan, think, count = run
             demand_before = report.demand_ns
-            if type(page_ids) is list:
-                report.demand_ns = batch(
-                    page_ids, nbytes=nbytes, write=write,
-                    is_scan=is_scan, think_ns=think,
-                    accum=report.demand_ns,
-                )
-            else:
-                # Columnar run straight off a block: the pool's
-                # block lane resolves it without materialising a
-                # Python list (bit-identical to access_batch).
-                report.demand_ns = run_nd(
-                    page_ids, nbytes=nbytes, write=write,
-                    is_scan=is_scan, think_ns=think,
-                    accum=report.demand_ns,
-                )
+            report.demand_ns = run_nd(
+                page_ids, nbytes=nbytes, write=write,
+                is_scan=is_scan, think_ns=think,
+                accum=demand_before,
+            )
             if think:
                 # Replay the scalar think addition chain, as in
                 # ScaleUpEngine.run: an exact ladder once the run

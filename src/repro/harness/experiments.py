@@ -274,7 +274,7 @@ def e7_sharing_vs_scaleout(scenario: Scenario, ctx: SimContext) -> dict:
 def a7_interference(scenario: Scenario, ctx: SimContext) -> dict:
     """OLTP point-lookup tail under concurrent scan sessions.
 
-    The sweep-native port of ``bench_a7_bandwidth_interference``: each
+    The A10 experiment (EXPERIMENTS.md) as a sweep kernel: each
     cell runs ``workload.point_sessions`` point-lookup clients and
     ``workload.scan_sessions`` 64 KiB-readahead scan clients as genuine
     concurrency through the session scheduler

@@ -5,9 +5,9 @@ and requires both to produce **byte-identical results**:
 
 * Engine benches (``scan``, ``oltp``, ``htap``, ``htap-blocks``) build
   a fresh engine, warm the pool, and drive one workload through
-  ``engine.run``. ``fast`` is the batched fast lane
-  (``BufferPool.access_batch`` + precomputed latency tables, plus the
-  columnar block consumer for ``htap-blocks``); ``compat`` is the
+  ``engine.run``. ``fast`` is the fast lane (scalar traces packed
+  into blocks, ``TieredBufferPool.access_block`` + precomputed
+  latency tables); ``compat`` is the
   scalar reference lane that recomputes per-access arithmetic the way
   the pre-fast-lane simulator did. The digest covers every simulated
   quantity of the run.

@@ -145,7 +145,7 @@ class ColumnScan:
         # front instead of re-checking every column on every row. The
         # columns crossing at one row are charged back to back with no
         # clock activity in between, which is what lets them go through
-        # the pool's batched lane while staying bit-identical to the
+        # one access_batch call while staying bit-identical to the
         # old cursor-compare loop. touched_order pins one set-iteration
         # order for the whole sweep, as repeated iteration did before.
         touched_order = list(touched)

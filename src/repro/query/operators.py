@@ -95,10 +95,10 @@ class TableScan:
         """Scan pages through the buffer pool, charging per-row CPU."""
         pool = engine.pool
         per_row_cpu = CPU_FILTER_NS if self.predicate else CPU_EMIT_NS
-        # One batched call per page: rows are yielded between pages, so
-        # parent operators may charge CPU mid-stream and longer runs
-        # would reorder clock additions. access_batch keeps the exact
-        # scalar sequence (access, then the per-page CPU charge).
+        # One call per page: rows are yielded between pages, so parent
+        # operators may charge CPU mid-stream and longer runs would
+        # reorder clock additions. access_batch is the scalar sequence
+        # (access, then the per-page CPU charge).
         access_batch = pool.access_batch
         for page_id, records in self.table.pages():
             access_batch((page_id,), nbytes=PAGE_SIZE, is_scan=True,

@@ -21,8 +21,8 @@ import numpy as np
 
 from ..units import CACHE_LINE
 
-#: Accesses per emitted block. Matches the engine coalescer's run cap
-#: (``engine.RUN_CHUNK``) so one block feeds one maximal batched run.
+#: Accesses per emitted block, and how far ``accesses_to_blocks`` (so
+#: ``ScaleUpEngine.run``) pulls a scalar generator ahead of the clock.
 BLOCK_OPS = 4096
 
 
@@ -245,35 +245,29 @@ class _BlockCursor:
 
 
 class ShapeSegments:
-    """Pull-based cursor over one trace, emitting same-shape runs.
+    """Pull-based cursor over a trace of blocks, emitting same-shape
+    runs.
 
     The consumption unit of a concurrent :class:`ClientSession`:
     :meth:`next_run` returns up to *max_ops* consecutive accesses
     sharing one shape (size, read/write, scan flag, think time) as
-    ``(page_ids, nbytes, write, is_scan, think_ns, count)`` — exactly
-    the signature of the pool's batched lane — or ``None`` once the
-    trace is exhausted. ``page_ids`` is a plain list for coalesced
-    scalar deliveries and an int64 ndarray slice for block-native
-    runs (the shape values are Python scalars either way); the pool's
-    ``access_run`` consumes the ndarray form directly.
+    ``(page_ids, nbytes, write, is_scan, think_ns, count)`` — the
+    signature of the pool's ``access_run`` — or ``None`` once the
+    trace is exhausted. ``page_ids`` is an int64 ndarray slice of the
+    block's id column; the shape values are Python scalars.
 
-    Blocks are consumed natively: one vectorised
-    :meth:`AccessBlock.segment_bounds` scan per block, shape columns
-    materialised to plain lists once, the id column handed out as
-    zero-copy views. Scalar accesses are coalesced with the same peek
-    logic as the engine's inline coalescer, and a block arriving
-    mid-run flushes the scalar run first (the block is served from
-    the next call). Either delivery form yields runs that concatenate
-    to the elementwise-identical access sequence.
+    One vectorised :meth:`AccessBlock.segment_bounds` scan per block,
+    shape columns materialised to plain lists once, the id column
+    handed out as zero-copy views. The trace must hold
+    :class:`AccessBlock` chunks only; scalar accesses are packed with
+    :func:`accesses_to_blocks` first.
     """
 
-    __slots__ = ("_iterator", "_pending", "_ids", "_sizes", "_writes",
-                 "_scans", "_thinks", "_bounds", "_seg", "_pos",
-                 "_done")
+    __slots__ = ("_iterator", "_ids", "_sizes", "_writes", "_scans",
+                 "_thinks", "_bounds", "_seg", "_pos")
 
     def __init__(self, trace) -> None:
         self._iterator = iter(trace)
-        self._pending: Access | None = None
         self._ids: np.ndarray | None = None
         self._sizes: list[int] | None = None
         self._writes: list[bool] | None = None
@@ -282,53 +276,37 @@ class ShapeSegments:
         self._bounds: list[int] | None = None
         self._seg = 0
         self._pos = 0
-        self._done = False
-
-    def _load_block(self, block: AccessBlock) -> None:
-        # The id column stays an ndarray: block runs are served as
-        # zero-copy slices, which the pool's block lane consumes
-        # without ever materialising a Python list. Shape columns are
-        # indexed once per segment, so plain lists are cheapest.
-        self._ids = block.page_id
-        self._sizes = block.nbytes.tolist()
-        self._writes = block.write.tolist()
-        self._scans = block.is_scan.tolist()
-        self._thinks = block.think_ns.tolist()
-        self._bounds = block.segment_bounds()
-        self._seg = 1
-        self._pos = 0
 
     def _advance(self) -> bool:
-        """Pull until a scalar is pending or a block is loaded."""
-        if self._pending is not None:
-            return True
-        while not self._done:
-            item = next(self._iterator, None)
-            if item is None:
-                self._done = True
-                return False
-            if type(item) is AccessBlock:
-                if len(item):
-                    self._load_block(item)
-                    return True
-                continue
-            self._pending = item
-            return True
+        """Load the next non-empty block; False once exhausted."""
+        for block in self._iterator:
+            if type(block) is not AccessBlock:
+                raise TypeError(
+                    "ShapeSegments consumes AccessBlock chunks; pack"
+                    " scalar accesses with accesses_to_blocks first")
+            if len(block):
+                # The id column stays an ndarray: runs are served as
+                # zero-copy slices. Shape columns are indexed once per
+                # segment, so plain lists are cheapest.
+                self._ids = block.page_id
+                self._sizes = block.nbytes.tolist()
+                self._writes = block.write.tolist()
+                self._scans = block.is_scan.tolist()
+                self._thinks = block.think_ns.tolist()
+                self._bounds = block.segment_bounds()
+                self._seg = 1
+                self._pos = 0
+                return True
         return False
 
     def remaining_in_segment(self) -> int:
-        """Ops left in the current block-backed same-shape segment.
-
-        Returns 0 for scalar (coalesced) deliveries — their run length
-        is unknowable without consuming — and once the trace is
-        exhausted. The concurrent scheduler's quantum escalation uses
-        this to size a bulk quantum without disturbing the cursor.
+        """Ops left in the current same-shape segment; 0 once the
+        trace is exhausted. The concurrent scheduler's quantum
+        escalation uses this to size a bulk quantum without
+        disturbing the cursor.
         """
-        if self._ids is None:
-            if self._pending is not None or not self._advance():
-                return 0
-            if self._ids is None:
-                return 0
+        if self._ids is None and not self._advance():
+            return 0
         return self._bounds[self._seg] - self._pos
 
     def peek_run(self, count: int):
@@ -352,19 +330,16 @@ class ShapeSegments:
         pool's quantum lane indexes it by segment bounds), ``segs`` a
         list of ``(start, stop, nbytes, write, is_scan, think_ns)``
         entries in trace order, and ``count`` the ops covered. Returns
-        ``None`` when the cursor sits on a scalar (coalesced) delivery
-        or the trace is exhausted; block boundaries cap the span, so a
-        caller with budget left simply calls again. Consuming
-        ``next_span`` then ``next_run`` in any interleaving walks the
-        identical access sequence.
+        ``None`` when the trace is exhausted; block boundaries cap the
+        span, so a caller with budget left simply calls again.
+        Consuming ``next_span`` then ``next_run`` in any interleaving
+        walks the identical access sequence.
         """
         if max_ops <= 0:
             return None
         if self._ids is None and not self._advance():
             return None
         ids = self._ids
-        if ids is None:
-            return None
         bounds = self._bounds
         nseg = len(bounds)
         seg = self._seg
@@ -397,48 +372,22 @@ class ShapeSegments:
             return None
         if self._ids is None and not self._advance():
             return None
-        ids = self._ids
-        if ids is not None:
-            bounds = self._bounds
-            seg_end = bounds[self._seg]
-            start = self._pos
-            take = seg_end - start
-            if take > max_ops:
-                take = max_ops
-            stop = start + take
-            run = (ids[start:stop], self._sizes[start],
-                   self._writes[start], self._scans[start],
-                   self._thinks[start], take)
-            if stop == seg_end:
-                self._seg += 1
-                if self._seg >= len(bounds):
-                    self._ids = None
-            self._pos = stop
-            return run
-        first = self._pending
-        self._pending = None
-        page_ids = [first.page_id]
-        while len(page_ids) < max_ops:
-            item = next(self._iterator, None)
-            if item is None:
-                self._done = True
-                break
-            if type(item) is AccessBlock:
-                # Flush the scalar run at the delivery boundary; the
-                # block is served from the next call.
-                if len(item):
-                    self._load_block(item)
-                    break
-                continue
-            if (item.nbytes != first.nbytes
-                    or item.write != first.write
-                    or item.is_scan != first.is_scan
-                    or item.think_ns != first.think_ns):
-                self._pending = item
-                break
-            page_ids.append(item.page_id)
-        return (page_ids, first.nbytes, first.write, first.is_scan,
-                first.think_ns, len(page_ids))
+        bounds = self._bounds
+        seg_end = bounds[self._seg]
+        start = self._pos
+        take = seg_end - start
+        if take > max_ops:
+            take = max_ops
+        stop = start + take
+        run = (self._ids[start:stop], self._sizes[start],
+               self._writes[start], self._scans[start],
+               self._thinks[start], take)
+        if stop == seg_end:
+            self._seg += 1
+            if self._seg >= len(bounds):
+                self._ids = None
+        self._pos = stop
+        return run
 
 
 class _BlockBuilder:

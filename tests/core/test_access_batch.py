@@ -1,21 +1,26 @@
-"""Equivalence tests for the buffer pool's batched fast lane.
+"""Equivalence tests for the buffer pool's array lane on uniform runs.
 
-The contract under test: ``access_batch`` (and the engine's run-length
-coalescer on top of it) produces **bit-identical** simulated state to
-the scalar ``access`` loop — same clock floats, same demand times, same
-frame metadata, same tracker heat, same replacement order — across
-eviction, migration, and placement-trigger boundaries. Not "close":
-``==`` on every float.
+The contract under test: ``access_run`` on an id ndarray (and
+``engine.run`` on top of the block lane) produces **bit-identical**
+simulated state to the scalar ``access`` loop — same clock floats,
+same demand times, same frame metadata, same tracker heat, same
+replacement order — across eviction, migration, and placement-trigger
+boundaries. Not "close": ``==`` on every float. ``access_batch`` is
+that scalar loop spelled for a python sequence; one contract test
+pins its order, clock and input forms.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import ScaleUpEngine
 from repro.core.placement import DbCostPolicy, OSPagingPolicy, StaticPolicy
 from repro.core.replacement import LRUPolicy, make_policy
 from repro.core.temperature import ExactTracker, SampledTracker
+from repro.errors import BufferPoolError
+from repro.sim.clock import SimClock
 from repro.sim.interconnect import PREFETCH_DEPTH
 from repro.units import CACHE_LINE, PAGE_SIZE
 from repro.workloads.scans import mixed_htap_trace, scan_trace
@@ -80,9 +85,10 @@ def _pool_state(pool):
 
 def _scalar_drive(pool, page_ids, nbytes=CACHE_LINE, write=False,
                   is_scan=False, think_ns=0.0, post_ns=0.0,
-                  accum=0.0):
-    """The reference loop from the access_batch docstring."""
-    clock = pool.clock
+                  accum=0.0, clock=None):
+    """The reference loop (on the pool clock, or a session *clock*)."""
+    if clock is None:
+        clock = pool.clock
     for pid in page_ids:
         if think_ns:
             clock.advance(think_ns)
@@ -94,19 +100,22 @@ def _scalar_drive(pool, page_ids, nbytes=CACHE_LINE, write=False,
 
 
 def _compare_drives(make_placement, runs, dram_pages=32, cxl_pages=64):
-    """Drive two identical pools — one scalar, one batched — through
-    the same access runs and require bit-identical end state."""
+    """Drive two identical pools — one through the scalar loop, one
+    through ``access_run`` on the columnarised ids — through the same
+    access runs and require bit-identical end state."""
     scalar = _build(make_placement(), dram_pages, cxl_pages).pool
-    batched = _build(make_placement(), dram_pages, cxl_pages).pool
+    array = _build(make_placement(), dram_pages, cxl_pages).pool
     total_scalar = 0.0
-    total_batched = 0.0
+    total_array = 0.0
     for page_ids, kwargs in runs:
         total_scalar = _scalar_drive(scalar, page_ids,
                                      accum=total_scalar, **kwargs)
-        total_batched = batched.access_batch(page_ids,
-                                             accum=total_batched, **kwargs)
-    assert total_scalar == total_batched
-    assert _pool_state(scalar) == _pool_state(batched)
+        total_array = array.access_run(
+            np.asarray(page_ids, dtype=np.int64), accum=total_array,
+            **kwargs)
+    array.sync_frame_stats()
+    assert total_scalar == total_array
+    assert _pool_state(scalar) == _pool_state(array)
 
 
 def test_hit_path_equivalence():
@@ -168,38 +177,72 @@ def test_static_placement_unbounded_headroom():
 
 
 def test_think_and_post_time_equivalence():
-    """Per-access think/post CPU charges land at the scalar clock
-    positions (frame.last_access_ns depends on them)."""
+    """Per-access think charges land at the scalar clock positions
+    (frame.last_access_ns depends on them); the array lane carries no
+    post charge — that order is ``test_access_batch_contract``'s."""
     pages = [pid % 30 for pid in range(300)]
     _compare_drives(
         DbCostPolicy,
-        [(pages, {"think_ns": 50.0, "post_ns": 12.5,
-                  "nbytes": PAGE_SIZE, "is_scan": True})],
+        [(pages, {"think_ns": 50.0, "nbytes": PAGE_SIZE,
+                  "is_scan": True}),
+         (pages, {"think_ns": 12.5, "write": True})],
     )
 
 
 def test_short_run_fallback():
-    """Runs below MIN_BATCH_RUN fall back to plain scalar calls."""
+    """One- and two-access runs: no ladder, no bulk fault."""
     _compare_drives(DbCostPolicy, [([1, 2], {}), ([3], {"write": True})])
+
+
+def test_contended_session_clock_equivalence():
+    """In the session lane both loops time against the session cursor
+    and fold the same arrival-order waits: every tier's queues start
+    busy past the cursor, so the first access on each tier waits."""
+    pools = [_build(StaticPolicy(classifier=lambda pid: pid % 2)).pool
+             for _ in range(2)]
+    cursors = []
+    for pool in pools:
+        _scalar_drive(pool, list(range(24)))
+        start = pool.clock.now
+        for tier_queues in pool.wait_queues():
+            for queue in tier_queues:
+                queue.occupy_run(start + 5_000.0, PAGE_SIZE, 3)
+        cursors.append(SimClock(start))
+        pool.session_begin(cursors[-1])
+    pages = [pid % 24 for pid in range(200)]
+    shape = {"nbytes": PAGE_SIZE, "is_scan": True, "think_ns": 40.0}
+    want = _scalar_drive(pools[0], pages, clock=cursors[0], **shape)
+    got = pools[1].access_run(np.asarray(pages), **shape)
+    for pool in pools:
+        pool.session_end()
+        pool.sync_frame_stats()
+    assert got == want
+    assert pools[0].session_wait_ns == pools[1].session_wait_ns > 0.0
+    assert cursors[0].now == cursors[1].now
+    assert [[q.snapshot() for q in tq] for tq in pools[0].wait_queues()] \
+        == [[q.snapshot() for q in tq] for tq in pools[1].wait_queues()]
+    assert _pool_state(pools[0]) == _pool_state(pools[1])
 
 
 def test_epoch_aging_inside_window():
     """Tracker aging epochs fire at the same access index either way."""
     scalar = _build(StaticPolicy(classifier=lambda _pid: 0)).pool
-    batched = _build(StaticPolicy(classifier=lambda _pid: 0)).pool
+    array = _build(StaticPolicy(classifier=lambda _pid: 0)).pool
     scalar.tracker = ExactTracker(epoch_accesses=37)
-    batched.tracker = ExactTracker(epoch_accesses=37)
-    batched._tracker_batch = batched.tracker.record_batch
+    array.tracker = ExactTracker(epoch_accesses=37)
+    array._tracker_batch = array.tracker.record_batch
     pages = [pid % 20 for pid in range(400)]
     _scalar_drive(scalar, pages)
-    batched.access_batch(pages)
-    assert _tracker_state(scalar.tracker) == _tracker_state(batched.tracker)
-    assert scalar.clock.now == batched.clock.now
+    array.access_run(np.asarray(pages))
+    array.sync_frame_stats()
+    assert _tracker_state(scalar.tracker) == _tracker_state(array.tracker)
+    assert scalar.clock.now == array.clock.now
 
 
 def test_engine_run_coalescer_equivalence():
-    """engine.run's coalesced fast lane reports bit-identical numbers
-    to the scalar compat lane on a mixed-shape trace."""
+    """engine.run's fast lane (scalars packed into blocks) reports
+    bit-identical numbers to the scalar compat lane on a mixed-shape
+    trace."""
     trace = list(mixed_htap_trace(
         oltp_pages=60, olap_pages=120, oltp_ops=400,
         olap_repeats=2, oltp_per_olap=3, seed=5,
@@ -219,7 +262,7 @@ def test_engine_run_coalescer_equivalence():
 
 
 def test_scan_trace_equivalence_through_engine():
-    """Long uniform scan: the best case for coalescing, still exact."""
+    """Long uniform scan: one shape segment per block, still exact."""
     trace = list(scan_trace(0, 100, repeats=4))
     fast = _build(DbCostPolicy(), dram_pages=32, cxl_pages=160)
     slow = _build(DbCostPolicy(), dram_pages=32, cxl_pages=160)
@@ -281,7 +324,7 @@ def test_lru_victim_fast_path_matches_scan():
 
 
 def test_pinned_pages_still_respected():
-    """Pinning forces the predicate path and survives batched runs."""
+    """Pinning forces the predicate path and survives array runs."""
     pool = _build(DbCostPolicy(), dram_pages=4, cxl_pages=4).pool
     for pid in range(4):
         pool.access(pid)
@@ -290,7 +333,7 @@ def test_pinned_pages_still_respected():
     for pid in resident:
         pool.pin(pid)
     assert pool._pinned_frames == len(resident)
-    pool.access_batch(list(range(4, 10)))
+    pool.access_run(np.arange(4, 10))
     for pid in resident:
         assert pool.frame_of(pid) is not None
         assert pool.tier_of(pid) == 0
@@ -301,7 +344,47 @@ def test_pinned_pages_still_respected():
     assert pool._pinned_frames == 0
 
 
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "compat"])
+def test_access_batch_contract(fast):
+    """``access_batch`` is the scalar loop spelled for a python
+    sequence: think → access → post per id against a hand-written
+    loop, on the session clock when one is open, ``_access_compat``
+    under ``fast_lane=False``, for a list, a generator or an ndarray
+    of ids (cold, evicting and hitting)."""
+    ids = [pid % 40 for pid in range(90)]
+    shape = {"nbytes": PAGE_SIZE, "write": True, "is_scan": True}
+    forms = (list, iter, lambda seq: np.asarray(seq, dtype=np.int64))
+    for form in forms:
+        hand = _build(DbCostPolicy(), dram_pages=8, cxl_pages=16).pool
+        batch = _build(DbCostPolicy(), dram_pages=8, cxl_pages=16).pool
+        cursors = [SimClock(500.0), SimClock(500.0)]
+        for pool, cursor in zip((hand, batch), cursors):
+            pool.set_fast_lane(fast)
+            pool.session_begin(cursor)
+        one = hand.access if fast else hand._access_compat
+        want = 7.0
+        for pid in ids:
+            cursors[0].advance(50.0)
+            want += one(pid, **shape)
+            cursors[0].advance(12.5)
+        got = batch.access_batch(form(ids), think_ns=50.0, post_ns=12.5,
+                                 accum=7.0, **shape)
+        for pool in (hand, batch):
+            pool.session_end()
+        assert got == want
+        assert cursors[0].now == cursors[1].now > 500.0
+        assert batch.clock.now == 0.0
+        assert {type(pid) for pid in batch._frames} == {int}
+        assert _pool_state(hand) == _pool_state(batch)
+    for empty in ([], iter(()), np.empty(0, dtype=np.int64)):
+        assert batch.access_batch(empty, accum=3.5) == 3.5
+    assert cursors[1].now == cursors[0].now
+
+
 def test_access_batch_rejects_negative_cpu():
     pool = _build(DbCostPolicy()).pool
-    with pytest.raises(Exception):
-        pool.access_batch([1, 2, 3], think_ns=-1.0)
+    for cpu in ({"think_ns": -1.0}, {"post_ns": -1.0},
+                {"think_ns": float("nan")}, {"post_ns": float("nan")}):
+        with pytest.raises(BufferPoolError):
+            pool.access_batch([1, 2, 3], **cpu)
+    assert (pool.clock.now, pool.stats.accesses) == (0.0, 0)

@@ -6,8 +6,8 @@ tests pin the two contracts that lane must keep:
 
 * **bit-identity** — any mix of scalar ``Access`` objects and
   ``AccessBlock`` chunks, on either lane, produces byte-identical
-  simulated results (same perfbench digest) across MIN_BATCH_RUN
-  boundaries, mid-run migrations, faults raised inside blocks, and
+  simulated results (same perfbench digest) across very short
+  same-shape runs, mid-run migrations, faults raised inside blocks, and
   concurrent-session contention;
 * **residency-table consistency** — the dense table and the
   insertion-order index (``resident_ids_in`` / ``resident_in``) always
@@ -23,11 +23,7 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.core.buffer import (
-    MIN_BATCH_RUN,
-    Tier,
-    TieredBufferPool,
-)
+from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.engine import ScaleUpEngine
 from repro.core.placement import DbCostPolicy, OSPagingPolicy
 from repro.core.temperature import SampledTracker
@@ -39,6 +35,10 @@ from repro.sim.ladder import chain_values
 from repro.sim.memory import MemoryDevice
 from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
 from repro.workloads.traces import Access, AccessBlock
+
+#: Run lengths around this are the shortest segments a block can hold:
+#: one access by hand, then a scalar mini-loop far below any ladder.
+SHORT_RUN = 3
 
 
 def fingerprint(trace, fast, *, dram=256, cxl=900, placement=None,
@@ -56,13 +56,12 @@ def fingerprint(trace, fast, *, dram=256, cxl=900, placement=None,
 
 def random_trace(seed, ops=4_000, pages=700):
     """A run-structured random trace: shapes repeat for random run
-    lengths so the coalescer sees runs on both sides of
-    MIN_BATCH_RUN, then change so segments stay short as well as
-    long."""
+    lengths so segments fall on both sides of SHORT_RUN, then change
+    so segments stay short as well as long."""
     rng = random.Random(seed)
     out = []
     while len(out) < ops:
-        run = rng.choice([1, 2, MIN_BATCH_RUN, MIN_BATCH_RUN + 1, 8, 40])
+        run = rng.choice([1, 2, SHORT_RUN, SHORT_RUN + 1, 8, 40])
         write = rng.random() < 0.25
         is_scan = rng.random() < 0.3
         nbytes = 4096 if is_scan else 64
@@ -106,11 +105,11 @@ class TestRandomizedMixedIdentity:
             assert got == ref, f"lane fast={fast} diverged (seed {seed})"
 
     def test_min_batch_run_boundaries(self):
-        # Runs of exactly MIN_BATCH_RUN-1 / MIN_BATCH_RUN /
-        # MIN_BATCH_RUN+1 repeated accesses: the batch threshold must
-        # not change the physics, only the code path.
+        # Runs of exactly SHORT_RUN-1 / SHORT_RUN / SHORT_RUN+1
+        # repeated accesses: run length must not change the physics,
+        # only the code path.
         trace = []
-        for rep in (MIN_BATCH_RUN - 1, MIN_BATCH_RUN, MIN_BATCH_RUN + 1):
+        for rep in (SHORT_RUN - 1, SHORT_RUN, SHORT_RUN + 1):
             for page in range(0, 300, 7):
                 trace.extend(
                     Access(page_id=page, nbytes=64)
@@ -236,7 +235,7 @@ class TestSessionContention:
     def test_access_run_matches_access_batch(self):
         # access_run is the sessions' columnar entry point; on runs
         # long enough for the vector setup it must charge exactly what
-        # access_batch charges for the same ids.
+        # the scalar loop (access_batch) charges for the same ids.
         rng = random.Random(3)
         ids = [rng.randrange(500) for _ in range(384)]
         engines = [self._engine(True) for _ in range(2)]
@@ -382,6 +381,41 @@ def test_negative_or_nan_think_is_refused(entry, think, fast):
             pool.access_quantum(ids, [(0, 7, 64, False, False, 0.0),
                                       (7, 10, 64, False, False, think)])
     assert (repr(pool.clock.now), pool.stats.accesses) == before
+
+
+@pytest.mark.parametrize("entry", ["run", "quantum", "preload"])
+@pytest.mark.parametrize("kind", ["2-D", "float"])
+def test_malformed_id_array_is_refused(kind, entry):
+    # numpy used to refuse these itself, mid-route: TypeError for a 2-D
+    # array, IndexError for a float one (which preload truncated to
+    # ints without a word).
+    pool = make_pool()
+    for page in range(4):
+        pool.access(page)
+    before = (repr(pool.clock.now), pool.stats.accesses)
+    ids = (np.arange(4).reshape(2, 2) if kind == "2-D"
+           else np.array([0.0, 1.5]))
+    with pytest.raises(BufferPoolError, match="1-D integer array"):
+        if entry == "run":
+            pool.access_run(ids)
+        elif entry == "quantum":
+            pool.access_quantum(ids, [(0, 2, 64, False, False, 0.0)])
+        else:
+            pool.preload(ids.tolist())
+    assert (repr(pool.clock.now), pool.stats.accesses) == before
+
+
+def test_empty_id_column_is_valid():
+    # access_quantum used to die in numpy's max() of an empty column.
+    pool = make_pool()
+    empty = np.empty(0, dtype=np.int64)
+    assert pool.access_quantum(empty, []) == (0.0, [])
+    assert pool.access_quantum(
+        empty, [(0, 0, 64, False, False, 0.0)], accum=2.5) == (2.5, [2.5])
+    assert pool.access_run(empty, accum=2.5) == 2.5
+    assert pool.preload([]) == 0.0
+    assert (pool.clock.now, pool.stats.accesses) == (0.0, 0)
+    assert not pool._lazy_runs
 
 
 def scalar_chain(x, vals, cls):

@@ -12,8 +12,11 @@ import pytest
 from repro.core.engine import ScaleUpEngine
 from repro.perf.bench import _digest_report
 from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
-from repro.workloads.traces import accesses_to_blocks
+from repro.workloads.traces import (BLOCK_OPS, AccessBlock,
+                                    accesses_to_blocks)
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
+
+from tests.core.test_access_batch import _pool_state
 
 HTAP = dict(oltp_pages=200, olap_pages=500, oltp_ops=1500,
             olap_repeats=2, oltp_per_olap=1, seed=11)
@@ -47,7 +50,7 @@ class TestBlockDeliveryIdentity:
 
     def test_mixed_delivery_matches(self, fast):
         # A trace that switches between scalar and block items
-        # mid-stream must flush pending coalesced runs correctly.
+        # mid-stream must flush the packer's pending scalars in order.
         scalar = list(ycsb_trace(YCSB))
         mixed = (scalar[:500]
                  + list(accesses_to_blocks(iter(scalar[500:2500]),
@@ -56,8 +59,7 @@ class TestBlockDeliveryIdentity:
         assert fingerprint(mixed, fast) == fingerprint(scalar, fast)
 
     def test_tiny_blocks_match(self, fast):
-        # block_ops=1 exercises the flush-per-item edge: every block
-        # is a single access and coalescing happens across blocks.
+        # block_ops=1 exercises the one-access-per-block edge.
         scalar = list(mixed_htap_trace(**HTAP))
         tiny = list(accesses_to_blocks(iter(scalar), block_ops=1))
         assert fingerprint(tiny, fast) == fingerprint(scalar, fast)
@@ -66,3 +68,51 @@ class TestBlockDeliveryIdentity:
 def test_lanes_agree_on_blocks():
     blocks = list(mixed_htap_blocks(**HTAP))
     assert fingerprint(blocks, True) == fingerprint(blocks, False)
+
+
+#: Longer than one packed block, with a think time that is not a whole
+#: number of ns (the think accumulator's ladder path, not its sum).
+LONG = YCSBConfig(mix="A", num_pages=600, num_ops=BLOCK_OPS + 900,
+                  seed=4, think_ns=12.7)
+
+
+def _delivered(form, scalar):
+    if form == "scalar-generator":     # crosses the packer's flush
+        return (access for access in scalar)
+    if form == "blocks":
+        return accesses_to_blocks(iter(scalar), block_ops=1000)
+    return [AccessBlock.from_accesses(scalar[:700]), *scalar[700:2900],
+            AccessBlock.from_accesses([]),
+            AccessBlock.from_accesses(scalar[2900:])]
+
+
+@pytest.mark.parametrize("entry", ["run", "sessions"])
+@pytest.mark.parametrize("form", ["scalar-generator", "blocks", "mixed"])
+def test_every_delivery_takes_the_one_engine_loop(form, entry):
+    """Scalars, blocks or a mix (with an empty block), through
+    ``engine.run`` or ``run_sessions`` at N = 1: the report, the pool
+    and the op metric equal the ``fast_lane=False`` replay's."""
+    scalar = list(ycsb_trace(LONG))
+    assert len(scalar) > BLOCK_OPS
+
+    def build(fast):
+        engine = ScaleUpEngine.build(dram_pages=64, cxl_pages=200,
+                                     name="delivery-test")
+        engine.pool.set_fast_lane(fast)
+        return engine
+
+    ref_engine, engine = build(False), build(True)
+    ref = ref_engine.run(iter(scalar))
+    if entry == "run":
+        got = engine.run(_delivered(form, scalar))
+    else:
+        got = engine.run_sessions(
+            [_delivered(form, scalar)]).session("s00")
+    for name in ("total_ns", "demand_ns", "think_ns", "ops", "misses",
+                 "migrations"):
+        assert repr(getattr(got, name)) == repr(getattr(ref, name)), name
+    assert ref.misses > 0 and ref.migrations > 0
+    assert engine.ctx.metrics.get("engine.ops") == len(scalar) \
+        == ref_engine.ctx.metrics.get("engine.ops")
+    engine.pool.sync_frame_stats()
+    assert _pool_state(engine.pool) == _pool_state(ref_engine.pool)

@@ -86,7 +86,7 @@ def _random_runs(rng, pages, n_runs):
 @pytest.mark.parametrize("seed", [1, 7, 23, 91])
 @pytest.mark.parametrize("dram,cxl", [(8, 16), (16, 48)])
 def test_object_delivery_storm_equivalence(seed, dram, cxl):
-    """access_batch vs the scalar loop on cold randomized runs with
+    """access_run vs the scalar loop on cold randomized runs with
     tiny tiers: every fault cascades, state must match bit for bit."""
     rng = random.Random(seed)
     runs = _random_runs(rng, pages=4_000, n_runs=12)
@@ -96,7 +96,8 @@ def test_object_delivery_storm_equivalence(seed, dram, cxl):
     total_f = 0.0
     for ids, kwargs in runs:
         total_s = _scalar_drive(scalar, ids, accum=total_s, **kwargs)
-        total_f = fast.access_batch(ids, accum=total_f, **kwargs)
+        total_f = fast.access_run(np.asarray(ids, dtype=np.int64),
+                                  accum=total_f, **kwargs)
     fast.sync_frame_stats()
     assert repr(total_s) == repr(total_f)
     assert _pool_state(scalar) == _pool_state(fast)

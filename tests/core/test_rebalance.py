@@ -258,15 +258,15 @@ class Driver:
         if kind == "warm":
             # Point faults fill the fast tier first; scan faults are
             # admitted slow, leaving it empty for the fill phase.
-            pool.access_batch(list(range(self.universe)),
+            pool.preload(list(range(self.universe)),
                               is_scan=op[1] == "scan")
         elif kind == "scan":
             _, start, length, repeats = op
             ids = [(start + i) % self.universe for i in range(length)]
             for _ in range(repeats):
-                pool.access_batch(ids, is_scan=True)
+                pool.preload(ids, is_scan=True)
         elif kind == "points":
-            pool.access_batch(op[1], write=op[2])
+            pool.preload(op[1], write=op[2])
         elif kind == "hammer":
             pages = self.residents(op[1])
             if pages:
@@ -275,7 +275,7 @@ class Driver:
         elif kind == "touch":
             pages = self.residents(op[1])
             if pages:
-                pool.access_batch([pages[r % len(pages)] for r in op[2]])
+                pool.preload([pages[r % len(pages)] for r in op[2]])
         elif kind == "pin":
             # By rank among the pages rebalance would pick first:
             # hottest of the slow tiers or coldest of the fast one.
@@ -399,8 +399,8 @@ def test_counters_identical_with_and_without_a_trace_sink():
             pool.access(page)
         pool.pin(3)
         for round_ in range(40):
-            pool.access_batch([(7 * round_ + i) % 30 for i in range(20)])
-            pool.access_batch(list(range(30)), is_scan=True)
+            pool.preload([(7 * round_ + i) % 30 for i in range(20)])
+            pool.preload(list(range(30)), is_scan=True)
         return policy, pool
 
     (traced, traced_pool), (plain, plain_pool) = drive(True), drive(False)

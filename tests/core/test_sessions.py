@@ -366,12 +366,6 @@ class TestSessionApi:
         assert metrics.get("engine.session_runs") == 1
         assert metrics.get("engine.sessions") == 1
 
-    def test_compat_lane_counts_runs(self):
-        engine = cxl_engine()
-        engine.run_concurrent([point_trace(0, ops=50)])
-        assert engine.pool.ctx.metrics.get(
-            "engine.concurrent_compat_runs") == 1
-
 
 # -- the deferred hit log --------------------------------------------------
 
@@ -470,12 +464,38 @@ class TestHitLog:
         assert len(ids) // _LOG_SETTLE <= lane.log_settles <= 8
         assert 0 < lane.log_high_water <= _LOG_SETTLE
 
+    @pytest.mark.parametrize("segs", [
+        [(2, 2, 64, False, False, 0.0)],
+        [(0, 2, 64, False, False, 0.0), (2, 2, 64, True, False, 9.0),
+         (2, 4, 4096, False, True, 0.0)],
+    ], ids=["all-empty", "empty-between"])
+    def test_zero_length_quantum_then_scalar_access(self, segs):
+        """A quantum without accesses charges and logs nothing — it
+        used to leave a 0-access log entry that the next scalar
+        access's drain died on (numpy: minimum of a zero-size array) —
+        and an empty segment still reports its boundary demand."""
+        ids = np.arange(4, dtype=np.int64)
+        quantum = column_engine([ids]).pool
+        runs = column_engine([ids]).pool
+        got = quantum.access_quantum(ids, segs, 1.5)
+        want, bounds = 1.5, []
+        for a, b, nbytes, write, is_scan, think in segs:
+            want = runs.access_run(ids[a:b], nbytes, write, is_scan,
+                                   think, want)
+            bounds.append(want)
+        assert got == (want, bounds)
+        assert quantum._log_held == sum(b - a for a, b, *_ in segs)
+        assert bool(quantum._lazy_runs) == bool(quantum._log_held)
+        assert quantum.access(1) == runs.access(1)
+        assert quantum.clock.now == runs.clock.now
+        assert settled_state(quantum) == settled_state(runs)
+
     @pytest.mark.parametrize("kind", ["tile", "repeat-reshape", "strided",
                                       "int32", "beyond-table"])
     def test_any_id_column_is_charged_exactly(self, kind):
         """However a session's id column was built, the run equals the
         scalar lane's; views of a 2-D owner and strided views take the
-        hit kernel, ids outside the dense table the list lane —
+        hit kernel, ids outside the dense table the scalar loop —
         counted."""
         def column(first):
             a = np.arange(first, first + 800, 16, dtype=np.int64)

@@ -4,7 +4,7 @@ workloads, planner edges, reports."""
 import pytest
 
 from repro import errors
-from repro.core.engine import ConcurrentReport, ScaleUpEngine
+from repro.core.engine import ScaleUpEngine
 from repro.core.hetero import DEVICE_RATES, DeviceClass, mixed_workload
 from repro.core.ndp import NDPController
 from repro.query.planner import OffloadChoice, choose_scan_site
@@ -83,18 +83,6 @@ class TestPlannerEdges:
         choice = OffloadChoice(offload=True, host_cost_ns=100.0,
                                ndp_cost_ns=25.0)
         assert choice.speedup == pytest.approx(4.0)
-
-
-class TestConcurrentReportEdges:
-    def test_p95_for_unknown_threads(self):
-        report = ConcurrentReport(name="x")
-        assert report.p95_for((7, 8)) == 0.0
-
-    def test_empty_report_metrics(self):
-        report = ConcurrentReport(name="x")
-        assert report.mean_latency_ns == 0.0
-        assert report.p95_latency_ns == 0.0
-        assert report.throughput_ops_per_s == 0.0
 
 
 class TestEngineGetPage:
