@@ -82,7 +82,12 @@ from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
 from .frame import Frame
-from .replacement import LRUPolicy, ReplacementPolicy, make_policy
+from .replacement import (
+    DENSE_KEYS,
+    LRUPolicy,
+    ReplacementPolicy,
+    make_policy,
+)
 from .temperature import ExactTracker, TemperatureTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,8 +124,9 @@ class Tier:
 #: Dense residency-table ceiling. Page ids at or above this (or
 #: negative) stay out of the table and always resolve through the
 #: scalar lane; ids below it are mirrored exactly, so a
-#: non-negative table entry is never stale.
-_RES_MAX_PIDS = 1 << 22
+#: non-negative table entry is never stale. The bound is the one
+#: :class:`LRUPolicy` keeps its stamp column dense under.
+_RES_MAX_PIDS = DENSE_KEYS
 
 #: Minimum remaining segment length worth a repeated-addition ladder;
 #: below it a plain scalar mini-loop is cheaper than the ladder setup.
@@ -323,7 +329,14 @@ class TieredBufferPool:
         self._trace = ctx.trace
         ctx.register("pool", self)
         self.lane = LaneStats()
-        ctx.register("pool.lane", self.lane)
+        lane_ns = ctx.register("pool.lane", self.lane)
+        # The tiers' lazily rebuilt recency order is a routing decision
+        # too; the policies own the counts, the namespace reports them.
+        for name, attr in (("recency_rebuilds", "rebuilds"),
+                           ("recency_stale_skips", "stale_skipped")):
+            ctx.metrics.set_gauge(
+                f"{lane_ns}.{name}", lambda attr=attr: sum(
+                    getattr(tier.policy, attr, 0) for tier in self.tiers))
         self.page_size = page_size
         self.tracker: TemperatureTracker = tracker or ExactTracker()
         self.stats = BufferPoolStats(
@@ -600,10 +613,8 @@ class TieredBufferPool:
           *last* occurrence go to ``_pend_acc`` / ``_pend_ts`` (what
           ``count`` touches leave behind; :meth:`sync_frame_stats`
           folds them into the frames), written pages latch dirty;
-        * recency — one ``record_access_batch`` per tier: for
-          :class:`LRUPolicy` the pages in last-occurrence order, which
-          is the order the full touch sequence leaves; the full
-          sequence for any other policy;
+        * recency — one ``record_access_batch`` per tier over the
+          tier's touch sequence (:meth:`_policy_touch`);
         * temperature — one ``record_block`` over ids and scan flags
           (``record_batch`` per scan-flag run, or scalar ``record``,
           for trackers without it).
@@ -673,13 +684,9 @@ class TieredBufferPool:
             self._latch_dirty(ids[wmask])
         per_tier = np.bincount(tier_col)
         for T in np.flatnonzero(per_tier).tolist():
-            policy = self.tiers[T].policy
-            keep = last if type(policy) is LRUPolicy else None
-            if per_tier[T] != k:
-                on_tier = tier_col == T
-                keep = on_tier if keep is None else keep & on_tier
-            seq = (ids if keep is None else ids[keep]).tolist()
-            self._policy_touch(policy, seq, 0, len(seq))
+            self._policy_touch(
+                self.tiers[T].policy,
+                ids if per_tier[T] == k else ids[tier_col == T])
         tracker_block = getattr(self.tracker, "record_block", None)
         if tracker_block is not None:
             tracker_block(ids, scans, 0, k)
@@ -693,16 +700,23 @@ class TieredBufferPool:
                     self.tracker.record(pid, is_scan=bool(scans[s]))
 
     @staticmethod
-    def _policy_touch(policy, seq, start: int, end: int) -> None:
-        """Touch ``seq[start:end]`` on a replacement policy (batch API
-        when available, scalar loop otherwise)."""
+    def _policy_touch(policy, seq) -> None:
+        """Touch the pages of *seq* (an id column or a list), in
+        order, on a replacement policy. :class:`LRUPolicy` takes the
+        column as it is — its touch is one array write; any other
+        policy gets a list of ints (batch API when available, scalar
+        loop otherwise)."""
+        if type(policy) is LRUPolicy:
+            policy.record_access_batch(seq, 0, len(seq))
+            return
+        if type(seq) is not list:
+            seq = seq.tolist()
         batch = getattr(policy, "record_access_batch", None)
         if batch is not None:
-            batch(seq, start, end)
+            batch(seq, 0, len(seq))
         else:
-            record = policy.record_access
-            for i in range(start, end):
-                record(seq[i])
+            for pid in seq:
+                policy.record_access(pid)
 
     def sync_frame_stats(self) -> None:
         """Fold deferred block-lane frame stats into the Frame objects.
@@ -1753,8 +1767,7 @@ class TieredBufferPool:
                 for plan, over, rescued in evict:
                     T = plan[1][0]
                     if rescued:
-                        self._policy_touch(tiers[T].policy, rescued, 0,
-                                           len(rescued))
+                        self._policy_touch(tiers[T].policy, rescued)
                     miss_lat[ntiers + T], miss_lat[2 * ntiers + T], _ = \
                         self._evict_apply(plan, io, inst[T])
                     mcls[over] += ntiers * (1 + np.asarray(plan[3]))
@@ -1816,13 +1829,9 @@ class TieredBufferPool:
                 l_byt = np.bincount(sp_h, weights=nb_h,
                                     minlength=ntiers)
             # Duplicate collapse: per-pid frame stats reduce to a count
-            # and the final timestamp, and an LRU recency order after a
-            # batch equals the order of each pid's *last* occurrence —
-            # so dup-heavy (zipfian) windows fold per unique pid
-            # instead of per access. The pigeonhole precheck keeps
-            # dup-free scans off the sort.
+            # and the final timestamp, so dup-heavy (zipfian) windows
+            # fold per unique pid instead of per access.
             dedup = None
-            pl = None
             if k >= 512:
                 lo = int(ids_k.min())
                 span = int(ids_k.max()) - lo + 1
@@ -1838,11 +1847,7 @@ class TieredBufferPool:
                         pos = np.empty(span, dtype=np.int64)
                         np.put(pos, rel, np.arange(k))
                         dedup = (nz + lo, pos[nz], bc[nz])
-            if dedup is None:
-                pl = ids_k.tolist()
-            uq_ord = uq_tier = None
             for T in np.nonzero(cnt)[0].tolist():
-                c_t = int(cnt[T])
                 h_t = int(h_cnt[T])
                 tier = tiers[T]
                 stats.per_tier[T].hits += h_t
@@ -1854,26 +1859,9 @@ class TieredBufferPool:
                 if h_t - lc:
                     device_stats.stores += h_t - lc
                     device_stats.store_bytes += int(s_byt[T])
-                policy = tier.policy
-                batch = getattr(policy, "record_access_batch", None)
-                if dedup is not None and type(policy) is LRUPolicy:
-                    if uq_ord is None:
-                        order = np.argsort(dedup[1])
-                        uq_ord = dedup[0][order]
-                        uq_tier = self._res_tier[uq_ord]
-                    lst = (uq_ord if c_t == k
-                           else uq_ord[uq_tier == T]).tolist()
-                    batch(lst, 0, len(lst))
-                    continue
-                if pl is None:
-                    pl = ids_k.tolist()
-                lst = pl if c_t == k else ids_k[sp_k == T].tolist()
-                if batch is not None:
-                    batch(lst, 0, len(lst))
-                else:
-                    record = policy.record_access
-                    for pid in lst:
-                        record(pid)
+                self._policy_touch(
+                    tier.policy,
+                    ids_k if cnt[T] == k else ids_k[sp_k == T])
             if dedup is not None:
                 uq, lpos, ucnt = dedup
                 self._pend_acc[uq] += ucnt
@@ -1889,10 +1877,10 @@ class TieredBufferPool:
                     self._latch_dirty(ids_k[wr_k])
             else:
                 tl = last_ts.tolist()
-                pl2 = ids_k.tolist() if pl is None else pl
+                pl = ids_k.tolist()
                 if has_w:
                     for frame, ts, w in zip(
-                            map(frames.__getitem__, pl2), tl,
+                            map(frames.__getitem__, pl), tl,
                             wr_k.tolist()):
                         frame.accesses += 1
                         frame.last_access_ns = ts
@@ -1900,7 +1888,7 @@ class TieredBufferPool:
                             frame.dirty = True
                 else:
                     for frame, ts in zip(
-                            map(frames.__getitem__, pl2), tl):
+                            map(frames.__getitem__, pl), tl):
                         frame.accesses += 1
                         frame.last_access_ns = ts
             j = jk

@@ -44,7 +44,7 @@ def _tracker_state(tracker):
 
 def _policy_state(policy):
     if isinstance(policy, LRUPolicy):
-        return list(policy._order)
+        return policy.order()
     return repr(policy)
 
 

@@ -107,8 +107,8 @@ def full_state(pool, session_clock=None):
                for pid, slot in pool._ord_slot.items())
     assert len(pool._ord_slot) == int(valid.sum())
     state["policies"] = [
-        list(getattr(t.policy, "_ref", getattr(t.policy, "_order", {}))
-             .items()) for t in pool.tiers]
+        list(t.policy._ref.items()) if hasattr(t.policy, "_ref")
+        else t.policy.order() for t in pool.tiers]
     state["anonymous"] = sorted(pool._anonymous_pages)
     if pool.backing is not None:
         io = pool.backing.device.stats

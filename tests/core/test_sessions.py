@@ -397,7 +397,7 @@ def settled_state(pool):
     return {
         "frames": {pid: (f.accesses, f.last_access_ns, f.dirty)
                    for pid, f in pool._frames.items()},
-        "recency": [list(tier.policy._order) for tier in pool.tiers],
+        "recency": [tier.policy.order() for tier in pool.tiers],
         "heat": pool.tracker._harr.tolist(),
     }
 
