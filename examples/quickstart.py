@@ -21,7 +21,7 @@ import argparse
 
 from repro.core import DbCostPolicy, OSPagingPolicy, ScaleUpEngine
 from repro.sim import set_ambient, sink_for_path
-from repro.workloads import YCSBConfig, ycsb_trace
+from repro.workloads import YCSBConfig, ycsb_blocks
 
 # A 4 GB working set against 1 GB of local DRAM (in 4 KiB pages).
 TOTAL_PAGES = 10_000
@@ -31,8 +31,8 @@ DRAM_PAGES = 2_500
 def run(name: str, engine: ScaleUpEngine) -> None:
     config = YCSBConfig(mix="B", num_pages=TOTAL_PAGES, num_ops=40_000,
                         theta=0.99, think_ns=100.0, seed=7)
-    engine.warm_with(ycsb_trace(config))      # steady state
-    report = engine.run(ycsb_trace(config), label=name)
+    engine.warm_with(ycsb_blocks(config))     # steady state
+    report = engine.run(ycsb_blocks(config), label=name)
     print(f"  {name:<22} {report.total_ns / 1e6:8.2f} ms   "
           f"mean access {report.mean_latency_ns:6.0f} ns   "
           f"DRAM hits {report.tier_hit_rates[0]:.0%}")

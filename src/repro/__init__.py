@@ -19,11 +19,11 @@ Database Engines* (PVLDB 17(10), 2024). The package layers:
 Quickstart::
 
     from repro.core import ScaleUpEngine, DbCostPolicy
-    from repro.workloads import ycsb_trace, YCSBConfig
+    from repro.workloads import ycsb_blocks, YCSBConfig
 
     engine = ScaleUpEngine.build(dram_pages=2_000, cxl_pages=20_000,
                                  placement=DbCostPolicy())
-    report = engine.run(ycsb_trace(YCSBConfig(mix="B")))
+    report = engine.run(ycsb_blocks(YCSBConfig(mix="B")))
     print(report)
 """
 

@@ -144,7 +144,7 @@ def e2_tiering(scenario: Scenario, ctx: SimContext) -> dict:
     the identical workload and their runtimes are directly comparable.
     """
     from ..core import OSPagingPolicy, ScaleUpEngine, StaticPolicy
-    from ..workloads import YCSBConfig, ycsb_trace
+    from ..workloads import YCSBConfig, ycsb_blocks
 
     topo, wl, pol = scenario.topology, scenario.workload, scenario.policy
     pages = int(_param(wl, "num_pages", 4_000))
@@ -176,7 +176,7 @@ def e2_tiering(scenario: Scenario, ctx: SimContext) -> dict:
         )
 
     def trace(seed: int):
-        return ycsb_trace(YCSBConfig(
+        return ycsb_blocks(YCSBConfig(
             mix=wl.get("mix", "B"),
             num_pages=pages,
             num_ops=int(wl.get("num_ops", 25_000)),

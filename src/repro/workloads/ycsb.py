@@ -12,8 +12,6 @@ chunks with vectorised scan expansion and insert-cursor arithmetic.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -22,6 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..units import CACHE_LINE
+from .mtrand import py_random_sample
 from .traces import BLOCK_OPS, Access, AccessBlock
 from .zipf import ZipfGenerator
 
@@ -69,37 +68,57 @@ class YCSBConfig:
                 f"unknown YCSB mix {self.mix!r}; choose from"
                 f" {sorted(YCSB_MIXES)}"
             )
-        if self.num_pages <= 0 or self.num_ops < 0:
-            raise ConfigError("num_pages/num_ops must be positive")
+        for name, least in (("num_pages", 1), ("num_ops", 0),
+                            ("records_per_page", 1),
+                            ("scan_length_pages",
+                             1 if "scan" in YCSB_MIXES[self.mix] else 0)):
+            _require_count(name, getattr(self, name), least)
+        if not self.think_ns >= 0:  # also refuses NaN
+            raise ConfigError(
+                f"think_ns must be non-negative, got {self.think_ns!r}")
 
 
-def _op_plan(config: YCSBConfig) -> tuple[list[str], list[bool]]:
-    """Pre-draw the op-choice sequence and insert page-growth flags.
+def _require_count(name: str, value: object, least: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
-    Replicates ``random.choices``'s arithmetic (cumulative weights +
-    one ``random()`` draw per op) with the insert growth draw taken
-    immediately after each insert choice — the exact uniform-stream
-    consumption order of the historical per-op loop, so the resulting
-    trace is elementwise identical while the per-op cost drops to one
-    bisect.
+
+def _op_plan(config: YCSBConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-draw the op codes (int8) and the inserts' page-growth flags.
+
+    Replicates ``random.choices``'s arithmetic on the pinned
+    ``random.Random(seed ^ 0x9e3779b9)`` uniform stream — one draw per
+    op mapped by ``bisect(cum_weights, u * total, 0, hi)``, and the
+    growth draw taken immediately after each insert choice — as array
+    code, so the trace stays elementwise identical to the historical
+    per-op loop.
     """
     mix = YCSB_MIXES[config.mix]
-    op_names = list(mix)
-    cum_weights = list(accumulate(mix.values()))
+    codes = np.array([_OP_CODES[name] for name in mix], np.int8)
+    cum_weights = np.array(list(accumulate(mix.values())))
     total = cum_weights[-1] + 0.0
-    hi = len(op_names) - 1
-    rng = random.Random(config.seed ^ 0x9e3779b9)
-    draw = rng.random
+    num_ops = config.num_ops
+    inserting = "insert" in mix
+    # Twice num_ops uniforms cover num_ops ops even if every one inserts.
+    uniform = py_random_sample(config.seed ^ 0x9e3779b9,
+                               num_ops * (1 + inserting))
+    drawn = codes[np.searchsorted(cum_weights[:-1], uniform * total, "right")]
+    if not inserting:
+        return drawn, np.empty(0, np.bool_)
+    # A uniform is a growth draw iff it directly follows an insert
+    # *choice*, so which is which only chains through runs of adjacent
+    # insert-valued uniforms: walk those (~5 % of the stream) in order.
+    is_choice = np.ones(len(uniform) + 1, np.bool_)
+    growth = -1
+    for at in np.flatnonzero(drawn == _OP_INSERT).tolist():
+        if at != growth:
+            growth = at + 1
+            is_choice[growth] = False
+    chosen = np.flatnonzero(is_choice)[:num_ops]
+    ops = drawn[chosen]
     grow = 1.0 / config.records_per_page
-    ops: list[str] = []
-    append = ops.append
-    advances: list[bool] = []
-    for _ in range(config.num_ops):
-        op = op_names[bisect(cum_weights, draw() * total, 0, hi)]
-        append(op)
-        if op == "insert":
-            advances.append(draw() < grow)
-    return ops, advances
+    return ops, uniform[chosen[ops == _OP_INSERT] + 1] < grow
 
 
 def ycsb_trace(config: YCSBConfig) -> Iterator[Access]:
@@ -112,27 +131,28 @@ def ycsb_trace(config: YCSBConfig) -> Iterator[Access]:
     zipf = ZipfGenerator(config.num_pages, theta=config.theta,
                          scramble=True, seed=config.seed)
     page_ids = zipf.sample(config.num_ops)
-    ops, advances = _op_plan(config)
+    codes, advances = _op_plan(config)
+    ops = codes.tolist()
     insert_cursor = config.num_pages
     inserts_seen = 0
 
     for i in range(config.num_ops):
         op = ops[i]
         page_id = int(page_ids[i])
-        if op == "read":
+        if op == _OP_READ:
             yield Access(page_id, think_ns=config.think_ns)
-        elif op == "update":
+        elif op == _OP_UPDATE:
             yield Access(page_id, write=True, think_ns=config.think_ns)
-        elif op == "rmw":
+        elif op == _OP_RMW:
             yield Access(page_id, think_ns=config.think_ns)
             yield Access(page_id, write=True, think_ns=0.0)
-        elif op == "insert":
+        elif op == _OP_INSERT:
             yield Access(insert_cursor, write=True,
                          think_ns=config.think_ns)
             if advances[inserts_seen]:
                 insert_cursor += 1
             inserts_seen += 1
-        elif op == "scan":
+        elif op == _OP_SCAN:
             start = page_id
             for offset in range(config.scan_length_pages):
                 yield Access(start + offset, is_scan=True,
@@ -151,23 +171,20 @@ def ycsb_blocks(config: YCSBConfig,
     cursor positions are assembled with numpy scatters instead of
     per-access object construction.
     """
+    _require_count("block_ops", block_ops, 1)
     num_ops = config.num_ops
     if num_ops == 0:
         return
+    # The plan first: its temporaries are gone before the ids exist.
+    codes, advances = _op_plan(config)
     zipf = ZipfGenerator(config.num_pages, theta=config.theta,
                          scramble=True, seed=config.seed)
     page_ids = zipf.sample(num_ops)
-    ops, advances = _op_plan(config)
-    codes = np.fromiter((_OP_CODES[op] for op in ops), np.int8,
-                        count=num_ops)
     scan_len = config.scan_length_pages
     lengths = np.array([1, 1, 2, 1, scan_len], dtype=np.int64)
     # Insert cursor value for the j-th insert: the tail page plus the
     # number of growth advances among earlier inserts.
-    advance_flags = np.array(advances, dtype=np.int64)
-    cursors = config.num_pages + np.concatenate(
-        ([0], np.cumsum(advance_flags[:-1]))) if advances else \
-        np.empty(0, np.int64)
+    cursors = config.num_pages + np.cumsum(advances) - advances
     think = config.think_ns
     scan_think = config.think_ns / 4
     scan_steps = np.arange(scan_len, dtype=np.int64)

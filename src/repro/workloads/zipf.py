@@ -2,8 +2,9 @@
 
 Database access skew is classically modelled as a Zipf distribution
 (YCSB uses theta ~= 0.99). :class:`ZipfGenerator` precomputes the CDF
-once with numpy and then samples in O(log n) per draw (batched), which
-keeps multi-million access traces fast.
+once with numpy and then samples by inverse-CDF lookup: a guide table
+answers most draws of a large batch directly and a binary search
+(O(log n)) the rest, which keeps multi-million access traces fast.
 """
 
 from __future__ import annotations
@@ -42,13 +43,43 @@ class ZipfGenerator:
         """Draw *count* ranks as an int64 array."""
         if count < 0:
             raise ConfigError(f"cannot draw {count} samples")
-        uniform = self._rng.random(count)
-        ranks = np.searchsorted(self._cdf, uniform, side="left")
+        ranks = self._ranks(self._rng.random(count))
         if self._permutation is not None:
             ranks = self._permutation[ranks]
         # searchsorted/permutation indexing already yield int64 on
         # 64-bit platforms; copy=False makes the cast a no-op there.
         return ranks.astype(np.int64, copy=False)
+
+    def _ranks(self, uniform: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, uniform, "left")``, most of it unsearched.
+
+        A guide table ``g[b] = searchsorted(cdf, b / K)`` brackets the
+        rank of every ``u`` in bucket ``b = floor(u * K)``: ``g[b] <=
+        rank(u) <= g[b + 1]``. Where the two differ by at most one the
+        rank is ``g[b]``, or one more when ``u > cdf[g[b]]``; only
+        draws in wider buckets are searched. ``K`` is a power of two
+        (``u * K`` and ``b / K`` are then exact), sized from the draw
+        so that the table costs less than it saves and stops growing
+        once a bucket rarely spans two ranks. A draw too small for a
+        table, or a cdf too flat for this one, is searched plainly.
+        """
+        cdf = self._cdf
+        bits = min(len(uniform) // 2, 16 * self.n).bit_length() - 1
+        if bits >= 8:
+            buckets = 1 << bits
+            guide = np.searchsorted(
+                cdf, np.arange(buckets + 1) / buckets, side="left")
+            wide = np.diff(guide) > 1
+            if 2 * np.count_nonzero(wide) <= buckets:
+                bucket = (uniform * buckets).astype(np.intp)
+                ranks = guide[bucket]
+                rest = np.flatnonzero(wide[bucket])
+                del bucket  # one count-sized array fewer at the peak
+                ranks += uniform > cdf[ranks]
+                ranks[rest] = np.searchsorted(cdf, uniform[rest],
+                                              side="left")
+                return ranks
+        return np.searchsorted(cdf, uniform, side="left")
 
     def one(self) -> int:
         """Draw a single rank."""
