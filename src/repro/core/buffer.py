@@ -81,7 +81,7 @@ from ..sim.ladder import chain_repeat_arr, chain_values, repeat_add
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
-from .frame import Frame
+from .frame import ACC, DIRTY, LAST_NS, PINS, SLOT, TIER, Frame
 from .replacement import (
     DENSE_KEYS,
     LRUPolicy,
@@ -121,12 +121,17 @@ class Tier:
                    policy=make_policy(policy_name))
 
 
-#: Dense residency-table ceiling. Page ids at or above this (or
-#: negative) stay out of the table and always resolve through the
-#: scalar lane; ids below it are mirrored exactly, so a
-#: non-negative table entry is never stale. The bound is the one
-#: :class:`LRUPolicy` keeps its stamp column dense under.
+#: Dense residency-table ceiling. Page ids at or above this keep their
+#: row in the pool's side dict and always resolve through the scalar
+#: lane. The bound is the one :class:`LRUPolicy` keeps its stamp
+#: column dense under.
 _RES_MAX_PIDS = DENSE_KEYS
+
+#: The residency table's columns, in :mod:`~repro.core.frame` index
+#: order: attribute, dtype and the value an absent page's row holds.
+_COLUMNS = (("_res_tier", np.int16, -1), ("_pins", np.int16, 0),
+            ("_dirty", np.bool_, False), ("_last_ns", np.float64, 0.0),
+            ("_acc", np.int64, 0), ("_slot", np.int32, 0))
 
 #: Minimum remaining segment length worth a repeated-addition ladder;
 #: below it a plain scalar mini-loop is cheaper than the ladder setup.
@@ -342,10 +347,25 @@ class TieredBufferPool:
         self.stats = BufferPoolStats(
             per_tier=[TierStats() for _ in self.tiers]
         )
-        self._frames: dict[PageId, Frame] = {}
+        # The residency table, the one record of which page sits where:
+        # dense per-page-id columns (_COLUMNS) grown on demand — tier
+        # (-1 = absent), pin count, dirty flag, last-access time,
+        # access count, and the page's slot in the insertion-order
+        # index below. An absent row holds (-1, 0, False) there and
+        # anything in the rest, which install overwrites. `_mv` is a
+        # memoryview per column for the scalar paths (plain ints and
+        # floats, no numpy scalar boxed per read). A resident page the
+        # table refuses (id >= _RES_MAX_PIDS) keeps the same row as a
+        # list in `_far`. No Page is stored: its home is the page file
+        # (every fault materialises it there) or the anonymous set, or
+        # `_adopted` for an object adopt_resident brought from neither.
+        self._cap = 0
+        self._res_grow(0)
+        self._far: dict[PageId, list] = {}
+        self._adopted: dict[PageId, Page] = {}
         self._anonymous_pages: dict[PageId, Page] = {}
         self._resident_counts = [0] * len(self.tiers)
-        self._pinned_frames = 0
+        self._pinned = 0
         if placement is None:
             from .placement import DbCostPolicy
             placement = DbCostPolicy()
@@ -376,18 +396,12 @@ class TieredBufferPool:
         self._session_queues: list[tuple[WaitQueue, ...]] | None = None
         self._wait_queues: list[tuple[WaitQueue, ...]] | None = None
         self._session_wait_ns = 0.0
-        # Block lane state. `_res_tier` is a dense page_id → tier_index
-        # mirror of self._frames (int16, -1 = non-resident), grown on
-        # demand and kept in sync by _install / _evict_to_storage /
-        # _migrate_pages / drop_all, so a whole run is partitioned
-        # into hits and faults with one gather. `_lat_cache` memoizes
-        # per-(nbytes, write, is_scan) hit latencies for every tier at
-        # once; both are derived state, never authoritative.
-        self._res_tier = np.full(0, -1, dtype=np.int16)
         # Id columns whose whole range already passed the run guard
         # (see _span_check), keyed by id() and holding the array so the
         # key cannot be recycled — their slices skip min/max/grow.
         self._span_cols: dict[int, np.ndarray] = {}
+        # Per-(nbytes, write, is_scan) hit latencies for every tier at
+        # once, memoized.
         self._lat_cache: dict[tuple[int, bool, bool],
                               list[float | None]] = {}
         self._tierless_mask = np.array(
@@ -395,44 +409,32 @@ class TieredBufferPool:
         )
         self._any_tierless = bool(self._tierless_mask.any())
         # Insertion-order residency index: `_ord_ids[:_ord_len]` holds
-        # page ids in self._frames insertion order (the order
-        # resident_in must report), `_ord_tier` their tiers and
-        # `_ord_valid` a tombstone mask for evicted slots; `_ord_slot`
-        # maps pid → slot. Kept in sync by the same three writers as
-        # `_res_tier`, so resident_in is one vectorized mask instead of
-        # a scan over every frame.
+        # page ids in install order (the order resident_in, flush_all
+        # and drop_all walk), `_ord_tier` their tiers and `_ord_valid`
+        # a tombstone mask for evicted slots; the table's slot column
+        # points each resident page at its entry. `_ord_born` stamps
+        # each entry with the install call that made it (`_installs`
+        # counts them), which is how a frame view tells the residency
+        # it was taken of from a later one of the same page.
         self._ord_ids = np.empty(1024, dtype=np.int64)
         self._ord_tier = np.empty(1024, dtype=np.int16)
         self._ord_valid = np.zeros(1024, dtype=bool)
+        self._ord_born = np.empty(1024, dtype=np.int32)
         self._ord_len = 0
-        self._ord_slot: dict[PageId, int] = {}
-        # Deferred frame statistics (integer-exact lane): access counts
-        # and final-touch timestamps accumulate in these pid-indexed
-        # arrays and fold into the Frame objects at sync_frame_stats()
-        # — counts sum commutatively and the last-access time is the
-        # max of a monotone clock, so deferral is observation-free.
-        # Dirty latches stay eager (writebacks read them mid-run), and
-        # eviction clears a pid's pending entry because compat
-        # semantics discard a frame's stats with the frame.
-        self._pend_acc = np.zeros(0, dtype=np.int64)
-        self._pend_ts = np.zeros(0, dtype=np.float64)
+        self._installs = 0
         # The deferred hit log: one entry per all-hit span the hit
         # kernel charged — its id slice, tiers, post-think timestamps,
         # write and scan ranges (see _quantum_hits). The span itself only
-        # needs the clock and demand floats; frame stats, dirty
-        # latches, recency touches and the tracker feed are settled
-        # from the log by _drain_lazy(), which runs before anything
-        # that could read or mutate those structures (scalar accesses,
-        # eviction/migration entry points, sync_frame_stats) and once
-        # `_log_held` accesses would pass _LOG_SETTLE, so no reader can
-        # observe the deferral and the log's memory is bounded.
+        # needs the clock and demand floats; the rows' counts, times
+        # and dirty flags, recency touches and the tracker feed are
+        # settled from the log by _drain_lazy(), which runs before
+        # anything that could read or mutate those structures (scalar
+        # accesses, eviction/migration entry points, frame views) and
+        # once `_log_held` accesses would pass _LOG_SETTLE, so no
+        # reader can observe the deferral and the log's memory is
+        # bounded.
         self._lazy_runs: list[tuple] = []
         self._log_held = 0
-        # Conservative pid-indexed mirror of Frame.dirty: True only if
-        # the frame is known dirty, so the block lane latches (and
-        # walks python frames for) each page at most once. False for a
-        # dirty frame is harmless — re-latching is idempotent.
-        self._dirty_mirror = np.zeros(0, dtype=bool)
         # Per-tier page-sized device read/write times for migrations
         # (static per path; the stats bumps are replayed inline).
         self._mig_rw: dict[tuple[int, int], tuple[float, float]] = {}
@@ -556,23 +558,54 @@ class TieredBufferPool:
     @property
     def resident_pages(self) -> int:
         """Number of pages currently held in any tier."""
-        return len(self._frames)
+        return sum(self._resident_counts)
+
+    @property
+    def pinned_pages(self) -> int:
+        """Number of resident pages holding at least one pin."""
+        return self._pinned
 
     def tier_residents(self, tier_index: int) -> int:
         """Number of pages resident in one tier."""
         return self._resident_counts[tier_index]
 
+    def _get(self, page_id: PageId, col: int):
+        """One field of a page's row (what an absent row holds when
+        the page is not resident)."""
+        if 0 <= page_id < self._cap:
+            return self._mv[col][page_id]
+        row = self._far.get(page_id)
+        return _COLUMNS[col][2] if row is None else row[col]
+
+    def _set(self, page_id: PageId, col: int, value) -> None:
+        """Write one field of a resident page's row."""
+        if 0 <= page_id < self._cap:
+            self._mv[col][page_id] = value
+        else:
+            self._far[page_id][col] = value
+
+    def _page_of(self, page_id: PageId) -> Page:
+        """A resident page's object, read from where it lives."""
+        page = self._adopted.get(page_id)
+        if page is None:
+            page = (self._anonymous_pages[page_id] if self.backing is None
+                    else self.backing.peek(page_id))
+        return page
+
     def frame_of(self, page_id: PageId) -> Frame | None:
-        """The frame holding a page, if resident."""
-        return self._frames.get(page_id)
+        """A view of the page's row (see :class:`Frame`), if resident."""
+        if self._get(page_id, TIER) < 0:
+            return None
+        return Frame(self, page_id,
+                     int(self._ord_born[self._get(page_id, SLOT)]))
 
     def tier_of(self, page_id: PageId) -> int | None:
         """Index of the tier holding a page, if resident."""
-        frame = self._frames.get(page_id)
-        return frame.tier_index if frame else None
+        tier_index = self._get(page_id, TIER)
+        return tier_index if tier_index >= 0 else None
 
     def resident_in(self, tier_index: int) -> Iterable[PageId]:
-        """Page ids resident in one tier, in frame-map insertion order."""
+        """Page ids resident in one tier, in install order."""
         return self.resident_ids_in(tier_index).tolist()
 
     def resident_ids_in(self, tier_index: int) -> np.ndarray:
@@ -585,18 +618,51 @@ class TieredBufferPool:
         mask = self._ord_valid[:n] & (self._ord_tier[:n] == tier_index)
         return self._ord_ids[:n][mask]
 
-    def _latch_dirty(self, write_ids: np.ndarray) -> None:
-        """Set the dirty flag on just-written frames, walking python
-        objects only for pages not already known dirty (the mirror is
-        conservative: False may mean dirty, True always means dirty)."""
-        mirror = self._dirty_mirror
-        fresh = write_ids[~mirror[write_ids]]
-        if fresh.size:
-            frames = self._frames
-            ids = np.unique(fresh) if fresh.size > 1 else fresh
-            for pid in ids.tolist():
-                frames[pid].dirty = True
-            mirror[ids] = True
+    def check_invariants(self) -> None:
+        """Raise :class:`BufferPoolError` unless the residency table
+        agrees with everything kept beside it: the insertion-order
+        index (one valid entry per resident page, the row's slot
+        pointing at it, the same tier), each tier policy's membership,
+        the resident and pinned counts, pins and dirty flags on
+        resident rows only, and side rows only for ids the dense
+        table refuses."""
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise BufferPoolError(f"residency invariant broken: {what}")
+
+        rows = list(self._resident_rows())
+        slots = np.flatnonzero(self._ord_valid[:self._ord_len]).tolist()
+        dense = np.flatnonzero(self._res_tier >= 0)
+        require(sorted(pid for pid, _ in rows)
+                == dense.tolist() + sorted(self._far),
+                "tier column and insertion-order index name different pages")
+        require(all(self._get(pid, TIER) == tier
+                    and self._get(pid, SLOT) == slot
+                    for (pid, tier), slot in zip(rows, slots)),
+                "a row's tier or slot is not its index entry's")
+        require(all(pid >= _RES_MAX_PIDS for pid in self._far),
+                "a side row for an id the dense table holds")
+        for index, tier in enumerate(self.tiers):
+            members = [pid for pid, T in rows if T == index]
+            require(len(members) == self._resident_counts[index],
+                    f"tier {tier.name}: resident count")
+            require(len(tier.policy) == len(members)
+                    and all(pid in tier.policy for pid in members),
+                    f"tier {tier.name}: replacement policy membership")
+        absent = self._res_tier < 0
+        require(not (self._pins[absent].any() or self._dirty[absent].any()),
+                "a pin or a dirty flag on an absent row")
+        require(self._pinned == int(np.count_nonzero(self._pins[dense]))
+                + sum(1 for row in self._far.values() if row[PINS]),
+                "pinned-page count")
+
+    def _resident_rows(self) -> Iterable[tuple[PageId, int]]:
+        """``(page id, tier)`` of every resident page, in install
+        order (a snapshot: the caller may evict as it walks)."""
+        n = self._ord_len
+        valid = self._ord_valid[:n]
+        return zip(self._ord_ids[:n][valid].tolist(),
+                   self._ord_tier[:n][valid].tolist())
 
     def _drain_lazy(self) -> None:
         """Settle the deferred hit log in one columnar pass.
@@ -605,22 +671,15 @@ class TieredBufferPool:
         it, so the batch is five columns over its accesses in charge
         order: ids, tiers, post-think timestamps (ladder runs written
         over their placeholders — a pure run's closed form is its one
-        ``chain_repeat_arr``), write mask and scan flags. The pass
-        then does what the scalar loop did access by access, once per
-        page or per tier:
-
-        * frame stats — each page's count and the timestamp of its
-          *last* occurrence go to ``_pend_acc`` / ``_pend_ts`` (what
-          ``count`` touches leave behind; :meth:`sync_frame_stats`
-          folds them into the frames), written pages latch dirty;
-        * recency — one ``record_access_batch`` per tier over the
-          tier's touch sequence (:meth:`_policy_touch`);
-        * temperature — one ``record_block`` over ids and scan flags
-          (``record_batch`` per scan-flag run, or scalar ``record``,
-          for trackers without it).
-
-        The four structures are disjoint and every reader drains
-        first, so settling a batch at once is unobservable.
+        ``chain_repeat_arr``), write and scan flags. The pass does
+        what the scalar loop did access by access, once per page or
+        tier: each page's ``acc`` takes its count and its ``last_ns``
+        the timestamp of its *last* occurrence, written pages turn
+        dirty; each tier's policy takes its touch sequence
+        (:meth:`_policy_touch`); the tracker one ``record_block``
+        (``record_batch`` per scan-flag run, or scalar ``record``,
+        without it). The structures are disjoint and every reader
+        drains first, so settling a batch at once is unobservable.
         """
         log = self._lazy_runs
         if not log:
@@ -639,28 +698,15 @@ class TieredBufferPool:
         else:
             ids = np.concatenate([entry[0] for entry in entries])
             tier_col = np.concatenate([entry[1] for entry in entries])
-        # Per-page count and last position without a sort (np.put
-        # keeps the final value on duplicate indices); ids spread far
-        # wider than the batch are ranked first.
-        lo = int(ids.min())
-        span = int(ids.max()) - lo + 1
-        if span <= 4 * k:
-            uq = None
-            rel = ids - lo
-        else:
-            uq, rel = np.unique(ids, return_inverse=True)
-            span = uq.shape[0]
-        cnt = np.bincount(rel, minlength=span)
-        pos = np.empty(span, dtype=np.int64)
-        np.put(pos, rel, np.arange(k))
-        if uq is None:
-            nz = np.nonzero(cnt)[0]
-            uq, cnt, pos = nz + lo, cnt[nz], pos[nz]
-        last = np.zeros(k, dtype=bool)
-        last[pos] = True
+        # Which access is its page's last, without a sort: positions
+        # put into the last_ns column itself (np.put keeps the final
+        # value on duplicate indices) and read back per access; the
+        # column takes those accesses' timestamps below.
+        order = np.arange(k, dtype=np.float64)
+        np.put(self._last_ns, ids, order)
+        last = self._last_ns[ids] == order
         ts = np.fromiter(chain.from_iterable([entry[2] for entry in entries]),
                          np.float64, k)
-        wmask = np.zeros(k, dtype=bool)
         scans = np.zeros(k, dtype=bool)
         off = 0
         for span_ids, _, _, ladders, wr_ranges, scan_ranges in entries:
@@ -674,14 +720,12 @@ class TieredBufferPool:
                     ts[at:at + ladder[3]] = chain_repeat_arr(
                         ladder[1], (ladder[2],), ladder[3], 0)[1]
             for a, b in wr_ranges:
-                wmask[off + a:off + b] = True
+                self._dirty[span_ids[a:b]] = True
             for a, b in scan_ranges:
                 scans[off + a:off + b] = True
             off += span_ids.shape[0]
-        self._pend_acc[uq] += cnt
-        self._pend_ts[uq] = ts[pos]
-        if wmask.any():
-            self._latch_dirty(ids[wmask])
+        np.add.at(self._acc, ids, 1)
+        self._last_ns[ids[last]] = ts[last]
         per_tier = np.bincount(tier_col)
         for T in np.flatnonzero(per_tier).tolist():
             self._policy_touch(
@@ -718,84 +762,44 @@ class TieredBufferPool:
             for pid in seq:
                 policy.record_access(pid)
 
-    def sync_frame_stats(self) -> None:
-        """Fold deferred block-lane frame stats into the Frame objects.
-
-        The integer-exact block lane batches ``Frame.accesses`` counts
-        and last-access timestamps in pid-indexed arrays instead of
-        touching each frame per access.  Engine runs and snapshots call
-        this before anything reads per-frame statistics; direct pool
-        drivers that inspect frames (tests) should call it too.
-        """
-        if self._lazy_runs:
-            self._drain_lazy()
-        pend = self._pend_acc
-        if not pend.size:
-            return
-        ids = np.nonzero(pend)[0]
-        if not ids.size:
-            return
-        frames = self._frames
-        get = frames.get
-        for pid, extra, ts in zip(ids.tolist(), pend[ids].tolist(),
-                                  self._pend_ts[ids].tolist()):
-            frame = get(pid)
-            if frame is not None:
-                frame.accesses += extra
-                if ts > frame.last_access_ns:
-                    frame.last_access_ns = ts
-        pend[ids] = 0
-
     def _ord_compact(self, extra: int) -> None:
         """Squeeze the tombstones out of the insertion-order index and
         size it for twice its live entries plus the *extra* about to
-        be appended (array ops: an overflow costs no per-frame walk)."""
+        be appended (array ops: an overflow costs no per-page walk)."""
         n = self._ord_len
         valid = self._ord_valid[:n]
-        ids = self._ord_ids[:n][valid]
-        live = ids.shape[0]
+        live = int(np.count_nonzero(valid))
         cap = max(1024, 2 * (live + extra))
-        self._ord_ids = np.empty(cap, dtype=np.int64)
-        self._ord_ids[:live] = ids
-        tiers_arr = np.empty(cap, dtype=np.int16)
-        tiers_arr[:live] = self._ord_tier[:n][valid]
-        self._ord_tier = tiers_arr
+        for name in ("_ord_ids", "_ord_tier", "_ord_born"):
+            old = getattr(self, name)
+            column = np.empty(cap, dtype=old.dtype)
+            column[:live] = old[:n][valid]
+            setattr(self, name, column)
         self._ord_valid = np.zeros(cap, dtype=bool)
         self._ord_valid[:live] = True
         self._ord_len = live
-        # Slots are handed out in order and only ever dropped, so the
-        # old map's keys *are* the live ids in slot order (and the
-        # very int objects the frame map holds).
-        self._ord_slot = dict(zip(self._ord_slot, range(live)))
+        ids = self._ord_ids[:live]
+        if self._far:
+            for slot, page_id in enumerate(ids.tolist()):
+                self._set(page_id, SLOT, slot)
+        else:
+            self._slot[ids] = np.arange(live)
 
-    def _ord_add(self, page_id: PageId, tier_index: int) -> None:
-        """Append one just-installed page to the insertion-order
-        index."""
-        if self._ord_len == self._ord_ids.shape[0]:
-            self._ord_compact(1)
-        n = self._ord_len
-        self._ord_ids[n] = page_id
-        self._ord_tier[n] = tier_index
-        self._ord_valid[n] = True
-        self._ord_slot[page_id] = n
-        self._ord_len = n + 1
-
-    def _ord_extend(self, page_ids: np.ndarray, tier_index,
-                    keys: list) -> None:
-        """Bulk :meth:`_ord_add`: append a run of just-installed pages
-        (*tier_index* one tier, or an array with a tier per page) as
-        three slice assignments and one dict update instead of k
-        scalar appends. *keys* is *page_ids* as the list of ints the
-        frame map is keyed by, so the slot map shares them."""
-        k = page_ids.shape[0]
+    def _ord_append(self, page_ids, tier_index, k: int) -> int:
+        """Append just-installed pages to the insertion-order index —
+        one id, or a column of *k* with one tier or a tier per page —
+        under one install stamp; returns the first new slot (the
+        caller points the rows' slot column at them)."""
         if self._ord_len + k > self._ord_ids.shape[0]:
             self._ord_compact(k)
         n = self._ord_len
         self._ord_ids[n:n + k] = page_ids
         self._ord_tier[n:n + k] = tier_index
         self._ord_valid[n:n + k] = True
-        self._ord_slot.update(zip(keys, range(n, n + k)))
+        self._ord_born[n:n + k] = self._installs
+        self._installs = (self._installs + 1) & 0x7FFFFFFF
         self._ord_len = n + k
+        return n
 
     @property
     def total_capacity_pages(self) -> int:
@@ -806,13 +810,10 @@ class TieredBufferPool:
         """Pool state for a metrics snapshot: the stats counters with
         per-tier entries re-keyed by tier name plus residency.
 
-        Deliberately does *not* force deferred frame statistics to
-        materialise: every value in the payload (stats counters,
-        residency, capacities) is maintained eagerly, so snapshots stay
-        cheap on the session hot path. Callers that read per-frame
-        state (``Frame.accesses``, recency order, tracker heat) go
-        through :meth:`sync_frame_stats` or one of the scalar entry
-        points, all of which drain first.
+        Deliberately does *not* settle the deferred hit log: every
+        value in the payload (stats counters, residency, capacities)
+        is maintained eagerly, so snapshots stay cheap on the session
+        hot path.
         """
         snap = self.stats.snapshot()
         for index, tier in enumerate(self.tiers):
@@ -827,27 +828,26 @@ class TieredBufferPool:
     # -- pinning --------------------------------------------------------------
 
     def pin(self, page_id: PageId) -> None:
-        """Pin a resident page.
-
-        Pin through the pool (not ``frame.pin()`` directly): the pool
-        counts pinned frames so victim selection can skip the pinned
-        predicate entirely in the no-pins common case.
-        """
-        frame = self._frames.get(page_id)
-        if frame is None:
+        """Pin a resident page (prevents eviction and migration). The
+        pool counts pinned pages so victim selection can skip the
+        pinned predicate entirely in the no-pins common case."""
+        if self._get(page_id, TIER) < 0:
             raise BufferPoolError(f"cannot pin non-resident page {page_id}")
-        if not frame.pinned:
-            self._pinned_frames += 1
-        frame.pin()
+        pins = self._get(page_id, PINS)
+        if not pins:
+            self._pinned += 1
+        self._set(page_id, PINS, pins + 1)
 
     def unpin(self, page_id: PageId) -> None:
-        """Unpin a resident page."""
-        frame = self._frames.get(page_id)
-        if frame is None:
+        """Release one pin of a resident page."""
+        if self._get(page_id, TIER) < 0:
             raise BufferPoolError(f"cannot unpin non-resident page {page_id}")
-        frame.unpin()
-        if not frame.pinned:
-            self._pinned_frames -= 1
+        pins = self._get(page_id, PINS)
+        if pins <= 0:
+            raise BufferPoolError(f"unpin of unpinned frame for page {page_id}")
+        self._set(page_id, PINS, pins - 1)
+        if pins == 1:
+            self._pinned -= 1
 
     # -- the access fast path ---------------------------------------------------
 
@@ -872,16 +872,16 @@ class TieredBufferPool:
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        frame = self._frames.get(page_id)
-        if frame is None:
+        tier_index = self._get(page_id, TIER)
+        if tier_index < 0:
             latency = self._fault(page_id, is_scan=is_scan)
-            frame = self._frames[page_id]
+            tier_index = self._get(page_id, TIER)
             self.stats.misses += 1
             self.stats.fault_time_ns += latency
             if self._session_queues is not None:
                 # The fault installs a full page into the admit tier;
                 # that write is what occupies the tier's resources.
-                latency = self._contend(frame.tier_index, clock._now,
+                latency = self._contend(tier_index, clock._now,
                                         latency, self.page_size, True)
             trace = self._trace
             if trace.enabled:
@@ -891,7 +891,7 @@ class TieredBufferPool:
                 trace.emit_span("pool.fault", "pool", now, now + latency,
                                 {"page": page_id})
         else:
-            tier = self.tiers[frame.tier_index]
+            tier = self.tiers[tier_index]
             if write:
                 latency = (tier.path.write_time_sequential(nbytes)
                            if is_scan else tier.path.write_time(nbytes))
@@ -899,14 +899,29 @@ class TieredBufferPool:
                 latency = (tier.path.read_time_sequential(nbytes)
                            if is_scan else tier.path.read_time(nbytes))
             if self._session_queues is not None:
-                latency = self._contend(frame.tier_index, clock._now,
+                latency = self._contend(tier_index, clock._now,
                                         latency, nbytes, write)
-            self._register_hit(page_id, frame.tier_index)
-        frame.touch(clock.now, write=write)
+            self._register_hit(page_id, tier_index)
+        self._touch(page_id, clock.now, write)
         clock.advance(latency)
         self.stats.demand_time_ns += latency
-        self.placement.on_access(page_id, frame.tier_index, is_scan=is_scan)
+        self.placement.on_access(page_id, tier_index, is_scan=is_scan)
         return latency
+
+    def _touch(self, page_id: PageId, now_ns: float, write: bool) -> None:
+        """Record one access on a resident page's row."""
+        if 0 <= page_id < self._cap:
+            mv = self._mv
+            mv[ACC][page_id] += 1
+            mv[LAST_NS][page_id] = now_ns
+            if write:
+                mv[DIRTY][page_id] = True
+        else:
+            row = self._far[page_id]
+            row[ACC] += 1
+            row[LAST_NS] = now_ns
+            if write:
+                row[DIRTY] = True
 
     def _access_compat(self, page_id: PageId, nbytes: int = CACHE_LINE,
                        write: bool = False, is_scan: bool = False) -> float:
@@ -923,14 +938,14 @@ class TieredBufferPool:
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        frame = self._frames.get(page_id)
-        if frame is None:
+        tier_index = self._get(page_id, TIER)
+        if tier_index < 0:
             latency = self._fault(page_id, is_scan=is_scan)
-            frame = self._frames[page_id]
+            tier_index = self._get(page_id, TIER)
             self.stats.misses += 1
             self.stats.fault_time_ns += latency
             if self._session_queues is not None:
-                latency = self._contend(frame.tier_index, clock._now,
+                latency = self._contend(tier_index, clock._now,
                                         latency, self.page_size, True)
             trace = self._trace
             if trace.enabled:
@@ -938,7 +953,7 @@ class TieredBufferPool:
                 trace.emit_span("pool.fault", "pool", now, now + latency,
                                 {"page": page_id})
         else:
-            path = self.tiers[frame.tier_index].path
+            path = self.tiers[tier_index].path
             if write:
                 latency = (path.write_time_sequential_uncached(nbytes)
                            if is_scan else path.write_time_uncached(nbytes))
@@ -946,13 +961,13 @@ class TieredBufferPool:
                 latency = (path.read_time_sequential_uncached(nbytes)
                            if is_scan else path.read_time_uncached(nbytes))
             if self._session_queues is not None:
-                latency = self._contend(frame.tier_index, clock._now,
+                latency = self._contend(tier_index, clock._now,
                                         latency, nbytes, write)
-            self._register_hit(page_id, frame.tier_index)
-        frame.touch(clock.now, write=write)
+            self._register_hit(page_id, tier_index)
+        self._touch(page_id, clock.now, write)
         clock.advance(latency)
         self.stats.demand_time_ns += latency
-        self.placement.on_access(page_id, frame.tier_index, is_scan=is_scan)
+        self.placement.on_access(page_id, tier_index, is_scan=is_scan)
         return latency
 
     def access_batch(self, page_ids: Iterable[PageId],
@@ -990,38 +1005,22 @@ class TieredBufferPool:
 
     # -- the block lane -------------------------------------------------------
 
-    def _res_grow(self, min_size: int) -> np.ndarray:
-        """Grow the dense residency table to cover ids below *min_size*
+    def _res_grow(self, min_size: int) -> None:
+        """Grow the residency table to cover ids below *min_size*
         (power-of-two sizing; the caller keeps ids < _RES_MAX_PIDS)."""
-        arr = self._res_tier
-        size = max(1024, arr.shape[0])
+        old = self._cap
+        size = max(1024, old)
         while size < min_size:
             size *= 2
-        new = np.full(size, -1, dtype=np.int16)
-        if arr.shape[0]:
-            new[:arr.shape[0]] = arr
-        self._res_tier = new
-        acc = np.zeros(size, dtype=np.int64)
-        ts = np.zeros(size, dtype=np.float64)
-        old = self._pend_acc.shape[0]
-        if old:
-            acc[:old] = self._pend_acc
-            ts[:old] = self._pend_ts
-        self._pend_acc = acc
-        self._pend_ts = ts
-        dirty = np.zeros(size, dtype=bool)
-        if self._dirty_mirror.shape[0]:
-            dirty[:self._dirty_mirror.shape[0]] = self._dirty_mirror
-        self._dirty_mirror = dirty
-        return new
-
-    def _res_set(self, page_id: PageId, tier_index: int) -> None:
-        """Mirror one residency change into the dense table."""
-        if 0 <= page_id < _RES_MAX_PIDS:
-            arr = self._res_tier
-            if page_id >= arr.shape[0]:
-                arr = self._res_grow(page_id + 1)
-            arr[page_id] = tier_index
+        views = []
+        for name, dtype, absent in _COLUMNS:
+            column = np.full(size, absent, dtype=dtype)
+            if old:
+                column[:old] = getattr(self, name)
+            setattr(self, name, column)
+            views.append(memoryview(column))
+        self._mv = tuple(views)
+        self._cap = size
 
     def _shape_latencies(self, nbytes: int, write: bool,
                          is_scan: bool) -> list[float | None]:
@@ -1319,7 +1318,7 @@ class TieredBufferPool:
 
         Those floats, the hit and device counters and the queue
         reservations are all the span itself observes. What the scalar
-        loop also did per access — frame stats, dirty latches, recency
+        loop also did per access — row stats, dirty flags, recency
         touches, the tracker feed — is left to :meth:`_drain_lazy` as
         one log entry ``(ids[q0:q1], qspan, ts, ladders, writes,
         scans)``: *ts* holds the post-think timestamp of every access,
@@ -1607,8 +1606,8 @@ class TieredBufferPool:
         gather, and exact addition-chain cumsums
         (:func:`~repro.sim.ladder.chain_values`) that reproduce every
         intermediate clock/demand value bit-for-bit — plus a single
-        python pass to stamp frame metadata and replay per-tier
-        replacement recency in access order.  First-touch misses stay
+        write per row column (count, last time, dirty) and per-tier
+        replacement recency replayed in access order.  First-touch misses stay
         inside the window (:meth:`_fill_plan`) when they land in free
         frames or behind victims that drain straight to storage: they
         install up front and their positions carry the miss latency
@@ -1667,7 +1666,6 @@ class TieredBufferPool:
 
         stats = self.stats
         lane = self.lane
-        frames = self._frames
         headroom_fn = self._placement_headroom
         note = self._placement_note
         tracker_block = self.tracker.record_block
@@ -1828,25 +1826,6 @@ class TieredBufferPool:
                 l_cnt = h_cnt
                 l_byt = np.bincount(sp_h, weights=nb_h,
                                     minlength=ntiers)
-            # Duplicate collapse: per-pid frame stats reduce to a count
-            # and the final timestamp, so dup-heavy (zipfian) windows
-            # fold per unique pid instead of per access.
-            dedup = None
-            if k >= 512:
-                lo = int(ids_k.min())
-                span = int(ids_k.max()) - lo + 1
-                if span <= k:
-                    rel = ids_k - lo
-                    bc = np.bincount(rel, minlength=span)
-                    nz = np.nonzero(bc)[0]
-                    if nz.shape[0] * 5 <= 4 * k:
-                        # Last-occurrence positions without a sort:
-                        # np.put keeps the final value on duplicate
-                        # indices, and the span gate above makes a
-                        # span-sized scatter cheaper than np.unique.
-                        pos = np.empty(span, dtype=np.int64)
-                        np.put(pos, rel, np.arange(k))
-                        dedup = (nz + lo, pos[nz], bc[nz])
             for T in np.nonzero(cnt)[0].tolist():
                 h_t = int(h_cnt[T])
                 tier = tiers[T]
@@ -1862,35 +1841,14 @@ class TieredBufferPool:
                 self._policy_touch(
                     tier.policy,
                     ids_k if cnt[T] == k else ids_k[sp_k == T])
-            if dedup is not None:
-                uq, lpos, ucnt = dedup
-                self._pend_acc[uq] += ucnt
-                self._pend_ts[uq] = last_ts[lpos]
-                if has_w:
-                    self._latch_dirty(ids_k[wr_k])
-            elif k == 1 or bool((ids_k[1:] > ids_k[:-1]).all()):
-                # Strictly increasing ⇒ duplicate-free, so the pending
-                # arrays take plain fancy updates (the scan shape).
-                self._pend_acc[ids_k] += 1
-                self._pend_ts[ids_k] = last_ts
-                if has_w:
-                    self._latch_dirty(ids_k[wr_k])
-            else:
-                tl = last_ts.tolist()
-                pl = ids_k.tolist()
-                if has_w:
-                    for frame, ts, w in zip(
-                            map(frames.__getitem__, pl), tl,
-                            wr_k.tolist()):
-                        frame.accesses += 1
-                        frame.last_access_ns = ts
-                        if w:
-                            frame.dirty = True
-                else:
-                    for frame, ts in zip(
-                            map(frames.__getitem__, pl), tl):
-                        frame.accesses += 1
-                        frame.last_access_ns = ts
+            # Row stats in place: each page's count added, the time of
+            # its last occurrence put (np.put keeps the final value on
+            # duplicate indices, as the last of the scalar loop's plain
+            # assignments stands), written pages turned dirty.
+            np.add.at(self._acc, ids_k, 1)
+            np.put(self._last_ns, ids_k, last_ts)
+            if has_w:
+                self._dirty[ids_k[wr_k]] = True
             j = jk
         return accum
 
@@ -1942,7 +1900,7 @@ class TieredBufferPool:
         backing = self.backing
         choose = getattr(self.placement, "choose_admit_tiers", None)
         declined = (
-            "pinned" if self._pinned_frames
+            "pinned" if self._pinned
             else "session" if self._session_clock is not None
             else "backing" if (backing is not None
                                and not backing.device.healthy)
@@ -2098,26 +2056,22 @@ class TieredBufferPool:
         needed — use :meth:`access` for timed paths)."""
         if self._lazy_runs:
             self._drain_lazy()
-        frame = self._frames.get(page_id)
-        if frame is None:
+        if self._get(page_id, TIER) < 0:
             self._fault(page_id)
-            frame = self._frames[page_id]
-        return frame.page
+        return self._page_of(page_id)
 
     # -- fault path ----------------------------------------------------------------
 
     @staticmethod
-    def _policy_insert_batch(policy, keys: list) -> None:
-        """Insert a run of new keys into a replacement policy (batch
-        API when available, scalar loop otherwise) — equivalent to a
-        :meth:`record_insert` loop in key order."""
-        batch = getattr(policy, "record_insert_batch", None)
-        if batch is not None:
-            batch(keys)
+    def _policy_insert_batch(policy, keys) -> None:
+        """Insert a run of new keys (an id column or a list) into a
+        replacement policy, in key order: one array write on
+        :class:`LRUPolicy`, a :meth:`record_insert` loop otherwise."""
+        if type(policy) is LRUPolicy:
+            policy.record_insert_batch(keys)
         else:
-            insert = policy.record_insert
-            for key in keys:
-                insert(key)
+            for key in keys if type(keys) is list else keys.tolist():
+                policy.record_insert(key)
 
     def _fill_charge(self, pairs) -> tuple[float, dict[int, float]]:
         """Device charges of faulting ``count`` pages into ``tier``
@@ -2162,36 +2116,36 @@ class TieredBufferPool:
                       ts: np.ndarray | None = None,
                       write: bool = False) -> None:
         """The one bulk install body: make the distinct, non-resident
-        *ids* resident, in order — frames, residency and dirty
-        mirrors, insertion-order index, resident counts and peaks,
-        replacement inserts — as that many :meth:`_install` calls
-        would.
+        *ids* of the dense table resident, in order — their rows, the
+        pages in their home, insertion-order index, resident counts
+        and peaks, replacement inserts — as that many :meth:`_install`
+        calls would.
 
         *adm* is one tier index or a tier per id, *pairs* its
-        ``(tier, count)`` summary. With *ts* the frames carry their
-        first touch eagerly (timestamp, one access, dirty if *write*);
-        without, they start blank and the caller accounts the touches
-        in the deferred frame-stat arrays.
+        ``(tier, count)`` summary. With *ts* the rows carry their
+        first touch (timestamp, one access, dirty if *write*);
+        without, they start blank and the caller adds the touches.
         """
-        backing = self.backing
         ids_l = ids.tolist()
-        pages = (list(map(self._anonymous, ids_l)) if backing is None
-                 else backing.ensure_many(ids_l))
-        stamps = repeat(0.0) if ts is None else ts.tolist()
-        touched = 0 if ts is None else 1
-        tier_of = repeat(adm) if type(adm) is int else adm.tolist()
-        self._frames.update(zip(ids_l, map(
-            Frame, pages, tier_of, repeat(0), repeat(write), stamps,
-            repeat(touched))))
+        if self.backing is None:
+            for page_id in ids_l:
+                self._anonymous(page_id)
+        else:
+            self.backing.ensure_many(ids_l)
         self._res_tier[ids] = adm
-        self._dirty_mirror[ids] = False
-        self._ord_extend(ids, adm, ids_l)
+        self._acc[ids] = 0 if ts is None else 1
+        self._last_ns[ids] = 0.0 if ts is None else ts
+        if write:
+            self._dirty[ids] = True
+        k = len(ids_l)
+        slot = self._ord_append(ids, adm, k)
+        self._slot[ids] = np.arange(slot, slot + k)
         counts = self._resident_counts
         for T, count in pairs:
             counts[T] += count
             self._policy_insert_batch(
                 self.tiers[T].policy,
-                ids_l if count == len(ids_l) else ids[adm == T].tolist())
+                ids if count == k else ids[adm == T])
             tier_stats = self.stats.per_tier[T]
             if counts[T] > tier_stats.resident_peak:
                 tier_stats.resident_peak = counts[T]
@@ -2216,12 +2170,14 @@ class TieredBufferPool:
         they are the terminal tier's first *m* keys.
 
         Refused: a pool without a backing file (its victims park in
-        the anonymous set), an invalid or cyclic ``demote_target``, a
-        non-LRU policy on a chain tier, and a dirty storage victim
-        missing from the file (the anonymous-writeback path).
+        the anonymous set), a resident page outside the dense table
+        (the bulk body writes columns only), an invalid or cyclic
+        ``demote_target``, a non-LRU policy on a chain tier, and a
+        dirty storage victim missing from the file (the
+        anonymous-writeback path).
         """
         backing = self.backing
-        if backing is None:
+        if backing is None or self._far:
             return None
         tiers = self.tiers
         counts = self._resident_counts
@@ -2256,8 +2212,7 @@ class TieredBufferPool:
                 victims = tiers[chain[-1]].policy.peek_batch(m)
                 if len(victims) < m:
                     return None
-            frames = self._frames
-            dirty_flags = [frames[v].dirty for v in victims]
+            dirty_flags = self._dirty[victims].tolist()
             if any(dirty_flags):
                 contains = backing.contains
                 if any(df and not contains(v)
@@ -2269,7 +2224,7 @@ class TieredBufferPool:
         """Run a :meth:`_evict_charge` plan — the one cascade body.
 
         Drains *m* victims per chain tier through ``victim_batch``,
-        demotes each non-terminal tier's victims one edge down (frames
+        demotes each non-terminal tier's victims one edge down (rows
         keep their dirty flags; inserts land at the MRU end in scalar
         order) and drops the storage victims with a real
         ``write_page`` per dirty one, replaying the per-edge migration
@@ -2288,11 +2243,11 @@ class TieredBufferPool:
         m, chain, term_dst, dirty_flags = plan
         tiers = self.tiers
         counts = self._resident_counts
-        frames = self._frames
         stats = self.stats
         per_tier = stats.per_tier
         page_size = self.page_size
         res = self._res_tier
+        slot = self._slot
         term = chain[-1]
         edges = list(zip(chain, chain[1:]))
         if term_dst >= 0:
@@ -2300,8 +2255,6 @@ class TieredBufferPool:
         # Victim selection: first-m keys per tier, removed.
         vlists = [tiers[t].policy.victim_batch(m) for t in chain]
         counts[chain[0]] -= m
-        slot_map = self._ord_slot
-        ord_tier = self._ord_tier
         legs = []
         for (s_t, d_t), vs in zip(edges, vlists):
             rw = self._mig_rw.get((s_t, d_t))
@@ -2319,11 +2272,8 @@ class TieredBufferPool:
                 d_stats.stores += erep
                 d_stats.store_bytes += erep * page_size
             self._policy_insert_batch(tiers[d_t].policy, vs)
-            for v in vs:
-                frames[v].tier_index = d_t
-            ord_tier[list(map(slot_map.__getitem__, vs))] = d_t
-            va = np.asarray(vs, dtype=np.int64)
-            res[va[(va >= 0) & (va < res.shape[0])]] = d_t
+            res[vs] = d_t
+            self._ord_tier[slot[vs]] = d_t
             stats.migrations += m
             pt = per_tier[d_t]
             pt.demotions_in += m
@@ -2345,19 +2295,21 @@ class TieredBufferPool:
                 t_stats = tiers[term].path.device.stats
                 t_stats.loads += erep
                 t_stats.load_bytes += erep * page_size
-            vterm = vlists[-1]
+            vterm = np.asarray(vlists[-1], dtype=np.int64)
             per_tier[term].evictions += m
-            gone = list(map(frames.pop, vterm))
-            self._ord_valid[list(map(slot_map.pop, vterm))] = False
-            va = np.asarray(vterm, dtype=np.int64)
-            va = va[(va >= 0) & (va < res.shape[0])]
-            res[va] = -1
-            # A frame's stats die with the frame.
-            self._pend_acc[va] = 0
-            write_page = self.backing.write_page
-            for frame in compress(gone, dirty_flags):
-                wb = write_page(frame.page)
-                stats.writebacks += 1
+            self._ord_valid[slot[vterm]] = False
+            res[vterm] = -1
+            self._dirty[vterm] = False
+            dirty_ids = list(compress(vlists[-1], dirty_flags))
+            if dirty_ids:
+                write_page = self.backing.write_page
+                for page in (map(self._page_of, dirty_ids) if self._adopted
+                             else self.backing.ensure_many(dirty_ids)):
+                    wb = write_page(page)
+                    stats.writebacks += 1
+            if self._adopted:
+                for v in vlists[-1]:
+                    self._adopted.pop(v, None)
         legs.reverse()                           # deepest edge first
 
         def unwind(e: float) -> tuple[float, list[float]]:
@@ -2434,7 +2386,7 @@ class TieredBufferPool:
         """
         if (self._session_clock is not None
                 or self._session_queues is not None
-                or self._pinned_frames):
+                or self._pinned):
             return None
         backing = self.backing
         if backing is not None and not backing.device.healthy:
@@ -2537,7 +2489,7 @@ class TieredBufferPool:
                 cls_c = lcls
             out_c = np.empty(cls_c.shape[0], dtype=np.float64)
             clock._now = chain_values(now0, vals_c, cls_c, out_c)
-            # Frame.touch timestamps: the clock value after the think
+            # Touch timestamps: the clock value after the think
             # advance (post-think, pre-latency), as the scalar takes.
             if think_ns:
                 ts = out_c[0::2]
@@ -2556,10 +2508,9 @@ class TieredBufferPool:
             if trace.enabled:
                 self._emit_faults(sub_run.tolist(), ts.tolist(),
                                   vals_c[lcls].tolist(), demoted, dirty)
-            # Bulk install into the admit tier, frames fully
-            # materialised (touch stats included) so later chunks'
-            # victim checks and direct frame readers see exactly the
-            # scalar-eager state.
+            # Bulk install into the admit tier, rows carrying their
+            # first touch, so later chunks' victim checks see exactly
+            # the scalar state.
             self._fill_install(sub_run, A, placed, ts, write)
             pos += m
         if pos == 0:
@@ -2581,7 +2532,7 @@ class TieredBufferPool:
 
     def _fault(self, page_id: PageId, is_scan: bool = False) -> float:
         """Bring a page in from backing storage; returns elapsed ns."""
-        page, io_time = self._read_backing(page_id)
+        io_time = self._read_backing(page_id)
         tier_index = self.placement.choose_admit_tier(page_id, is_scan=is_scan)
         if not 0 <= tier_index < len(self.tiers):
             raise BufferPoolError(
@@ -2600,34 +2551,37 @@ class TieredBufferPool:
             device_stats = tier.path.device.stats
             device_stats.stores += 1
             device_stats.store_bytes += self.page_size
-        self._install(page, tier_index)
+        self._install(page_id, tier_index)
         return io_time + make_room_time + install_time
 
-    def _read_backing(self, page_id: PageId) -> tuple[Page, float]:
+    def _read_backing(self, page_id: PageId) -> float:
+        """Materialise a faulting page in its home; returns the
+        storage read time."""
         backing = self.backing
         if backing is None:
             # No backing: anonymous page, materialized on first touch.
-            return self._anonymous(page_id), 0.0
+            self._anonymous(page_id)
+            return 0.0
         # The page file is the home of the whole page-id space: every
         # fault pays a storage read, constant per (device, page size).
-        page = backing.ensure(page_id)
+        backing.ensure(page_id)
         device = backing.device
         memo = self._back_rd
         if memo is not None and memo[0] is device and device.healthy:
             stats = device.stats
             stats.reads += 1
             stats.read_bytes += memo[2]
-            return page, memo[1]
+            return memo[1]
         size = backing.page_size
         io_time = device.read_time(size)
         self._back_rd = (device, io_time, size)
-        return page, io_time
+        return io_time
 
     def _anonymous(self, page_id: PageId) -> Page:
         """The anonymous (backing-less) page, created on first touch."""
         if page_id < 0:
             # As PageFile.ensure refuses it for a backed pool; a
-            # negative id would index the mirrors from their end.
+            # negative id would index the table from its end.
             raise BufferPoolError(f"invalid page id {page_id}")
         page = self._anonymous_pages.get(page_id)
         if page is None:
@@ -2635,25 +2589,28 @@ class TieredBufferPool:
             self._anonymous_pages[page_id] = page
         return page
 
-    def _install(self, page: Page, tier_index: int,
-                 update_peak: bool = True) -> Frame:
-        """Make a materialized page resident in a tier: frame, residency
-        count, replacement tracking, and (for the analytic lane) the
-        tier's resident_peak high-water mark."""
-        frame = Frame(page=page, tier_index=tier_index)
-        self._frames[page.page_id] = frame
-        self._res_set(page.page_id, tier_index)
-        if page.page_id < self._dirty_mirror.shape[0]:
-            self._dirty_mirror[page.page_id] = False
-        self._ord_add(page.page_id, tier_index)
+    def _install(self, page_id: PageId, tier_index: int,
+                 update_peak: bool = True) -> None:
+        """Make a page resident in a tier: its row, residency count,
+        replacement tracking, and (for the analytic lane) the tier's
+        resident_peak high-water mark."""
+        if 0 <= page_id < _RES_MAX_PIDS:
+            if page_id >= self._cap:
+                self._res_grow(page_id + 1)
+            mv = self._mv
+            mv[TIER][page_id] = tier_index
+            mv[LAST_NS][page_id] = 0.0
+            mv[ACC][page_id] = 0
+        else:
+            self._far[page_id] = [tier_index, 0, False, 0.0, 0, 0]
+        self._set(page_id, SLOT, self._ord_append(page_id, tier_index, 1))
         self._resident_counts[tier_index] += 1
-        self.tiers[tier_index].policy.record_insert(page.page_id)
+        self.tiers[tier_index].policy.record_insert(page_id)
         if update_peak:
             tier_stats = self.stats.per_tier[tier_index]
             tier_stats.resident_peak = max(
                 tier_stats.resident_peak, self.tier_residents(tier_index)
             )
-        return frame
 
     def _make_room(self, tier_index: int) -> float:
         """Ensure one free frame in a tier; returns elapsed ns.
@@ -2681,7 +2638,7 @@ class TieredBufferPool:
         # Only pay for the pinned predicate when something is actually
         # pinned; with the default predicate LRU victim selection is
         # O(1) instead of a scan through the recency order.
-        if self._pinned_frames:
+        if self._pinned:
             victim_id = tier.policy.victim(self._is_pinned)
         else:
             victim_id = tier.policy.victim()
@@ -2698,40 +2655,43 @@ class TieredBufferPool:
         return self._evict_to_storage(victim_id)
 
     def _evict_to_storage(self, page_id: PageId) -> float:
-        frame = self._frames.pop(page_id)
-        self._res_set(page_id, -1)
-        slot = self._ord_slot.pop(page_id, None)
-        if slot is not None:
-            self._ord_valid[slot] = False
-        if page_id < self._pend_acc.shape[0]:
-            # A frame's stats die with the frame; a re-faulted page
-            # starts from zero, so pending deltas must not leak into
-            # the next frame for this pid.
-            self._pend_acc[page_id] = 0
-        self._resident_counts[frame.tier_index] -= 1
-        tier = self.tiers[frame.tier_index]
+        # The row goes absent; a re-faulted page starts a new one.
+        if 0 <= page_id < self._cap:
+            mv = self._mv
+            tier_index = mv[TIER][page_id]
+            dirty = mv[DIRTY][page_id]
+            slot = mv[SLOT][page_id]
+            mv[TIER][page_id] = -1
+            mv[DIRTY][page_id] = False
+        else:
+            tier_index, _, dirty, _, _, slot = self._far.pop(page_id)
+        self._ord_valid[slot] = False
+        page = self._page_of(page_id) if dirty else None
+        if self._adopted:
+            self._adopted.pop(page_id, None)
+        self._resident_counts[tier_index] -= 1
+        tier = self.tiers[tier_index]
         tier.policy.remove(page_id)
-        self.stats.per_tier[frame.tier_index].evictions += 1
-        elapsed = self._evt_rd.get(frame.tier_index)
+        self.stats.per_tier[tier_index].evictions += 1
+        elapsed = self._evt_rd.get(tier_index)
         if elapsed is None:
             elapsed = tier.path.read_time(self.page_size)
-            self._evt_rd[frame.tier_index] = elapsed
+            self._evt_rd[tier_index] = elapsed
         else:
             device_stats = tier.path.device.stats
             device_stats.loads += 1
             device_stats.load_bytes += self.page_size
-        if frame.dirty:
+        if dirty:
             self.stats.writebacks += 1
             if self.backing is not None and \
                     self.backing.contains(page_id):
-                elapsed += self.backing.write_page(frame.page)
+                elapsed += self.backing.write_page(page)
             else:
-                self._anonymous_pages[page_id] = frame.page
+                self._anonymous_pages[page_id] = page
         return elapsed
 
     def _is_pinned(self, page_id: PageId) -> bool:
-        frame = self._frames.get(page_id)
-        return frame is not None and frame.pinned
+        return self._get(page_id, PINS) > 0
 
     # -- migration ---------------------------------------------------------------
 
@@ -2766,7 +2726,6 @@ class TieredBufferPool:
         """The one migration body. A demotion serves a fault: its time
         is the fault's demand latency, so it is returned but neither
         charged as migration time nor put on the clock."""
-        frames_get = self._frames.get
         tiers = self.tiers
         counts = self._resident_counts
         mig_rw = self._mig_rw
@@ -2774,20 +2733,28 @@ class TieredBufferPool:
         stats = self.stats
         trace = self._trace
         clock = self._session_clock or self.clock
-        res_tier = self._res_tier
-        res_size = res_tier.shape[0]
-        ord_slot_get = self._ord_slot.get
+        # Nothing below installs a page, so the table cannot be
+        # regrown (nor the index compacted) under these.
+        cap = self._cap
+        far_get = self._far.get
+        tier_mv, pins_mv, slot_mv = (self._mv[col]
+                                     for col in (TIER, PINS, SLOT))
         ord_tier = self._ord_tier
         total = 0.0
         for page_id, to_tier in zip(page_ids, to_tiers):
-            frame = frames_get(page_id)
-            if frame is None:
+            row = None
+            if 0 <= page_id < cap:
+                from_tier = tier_mv[page_id]
+                pins = pins_mv[page_id]
+            else:
+                row = far_get(page_id)
+                from_tier, pins = (-1, 0) if row is None else row[:2]
+            if from_tier < 0:
                 raise BufferPoolError(f"cannot migrate non-resident {page_id}")
-            if frame.pin_count:
+            if pins:
                 raise BufferPoolError(f"cannot migrate pinned page {page_id}")
             if not 0 <= to_tier < len(tiers):
                 raise BufferPoolError(f"invalid tier {to_tier}")
-            from_tier = frame.tier_index
             if from_tier == to_tier:
                 continue
             src = tiers[from_tier]
@@ -2796,6 +2763,10 @@ class TieredBufferPool:
                 elapsed = 0.0
             else:
                 elapsed = self._make_room(to_tier)
+                if self._get(page_id, TIER) != from_tier:
+                    raise BufferPoolError(
+                        f"page {page_id} was evicted making room for its"
+                        " own migration")
             rw = mig_rw.get((from_tier, to_tier))
             if rw is None:
                 rw = (src.path.read_time(page_size),
@@ -2816,12 +2787,12 @@ class TieredBufferPool:
             dst.policy.record_insert(page_id)
             counts[from_tier] -= 1
             counts[to_tier] += 1
-            frame.tier_index = to_tier
-            if 0 <= page_id < res_size:
-                res_tier[page_id] = to_tier
-            slot = ord_slot_get(page_id)
-            if slot is not None:
-                ord_tier[slot] = to_tier
+            if row is None:
+                tier_mv[page_id] = to_tier
+                ord_tier[slot_mv[page_id]] = to_tier
+            else:
+                row[TIER] = to_tier
+                ord_tier[row[SLOT]] = to_tier
             stats.migrations += 1
             if trace.enabled:
                 now = clock._now
@@ -2845,20 +2816,17 @@ class TieredBufferPool:
     # -- flushing -------------------------------------------------------------------
 
     def flush_all(self) -> float:
-        """Write every dirty frame back to storage; returns elapsed ns."""
-        if self._lazy_runs:
-            self._drain_lazy()
-        self._dirty_mirror[:] = False
+        """Write every dirty page back to storage; returns elapsed ns."""
+        self._drain_lazy()
         elapsed = 0.0
-        for frame in self._frames.values():
-            if not frame.dirty:
+        for page_id, tier_index in self._resident_rows():
+            if not self._get(page_id, DIRTY):
                 continue
-            tier = self.tiers[frame.tier_index]
-            elapsed += tier.path.read_time(self.page_size)
+            elapsed += self.tiers[tier_index].path.read_time(self.page_size)
             if self.backing is not None and \
-                    self.backing.contains(frame.page_id):
-                elapsed += self.backing.write_page(frame.page)
-            frame.dirty = False
+                    self.backing.contains(page_id):
+                elapsed += self.backing.write_page(self._page_of(page_id))
+            self._set(page_id, DIRTY, False)
             self.stats.writebacks += 1
         trace = self._trace
         if trace.enabled:
@@ -2874,8 +2842,7 @@ class TieredBufferPool:
         joins the anonymous page set. No tier residency and no timing
         — the page simply becomes reachable via :meth:`access`.
         """
-        if self._lazy_runs:
-            self._drain_lazy()
+        self._drain_lazy()
         if self.backing is not None:
             self.backing.install(page)
         else:
@@ -2888,18 +2855,26 @@ class TieredBufferPool:
         CXL memory by a previous engine are adopted by its successor
         without any I/O or fabric transfer.
         """
-        if self._lazy_runs:
-            self._drain_lazy()
+        self._drain_lazy()
         if not 0 <= tier_index < len(self.tiers):
             raise BufferPoolError(f"invalid tier {tier_index}")
-        if page.page_id in self._frames:
-            raise BufferPoolError(f"page {page.page_id} already resident")
+        page_id = page.page_id
+        if self._get(page_id, TIER) >= 0:
+            raise BufferPoolError(f"page {page_id} already resident")
         if self.tier_residents(tier_index) >= \
                 self.tiers[tier_index].capacity_pages:
             raise BufferPoolError(
                 f"tier {self.tiers[tier_index].name} full; cannot adopt"
             )
-        self._install(page, tier_index, update_peak=False)
+        backing = self.backing
+        if backing is None:
+            home = self._anonymous_pages.get(page_id)
+        else:
+            home = backing.peek(page_id) if backing.contains(page_id) \
+                else None
+        if home is not page:
+            self._adopted[page_id] = page
+        self._install(page_id, tier_index, update_peak=False)
 
     def resize_tier(self, tier_index: int, capacity_pages: int) -> float:
         """Change a tier's capacity in place; returns elapsed ns.
@@ -2911,8 +2886,7 @@ class TieredBufferPool:
         eviction time is returned without advancing any clock; the
         caller decides whom to charge.
         """
-        if self._lazy_runs:
-            self._drain_lazy()
+        self._drain_lazy()
         if not 0 <= tier_index < len(self.tiers):
             raise BufferPoolError(f"invalid tier {tier_index}")
         if capacity_pages <= 0:
@@ -2928,21 +2902,18 @@ class TieredBufferPool:
 
     def drop_all(self) -> None:
         """Empty the pool without timing (test/reset helper)."""
-        if self._lazy_runs:
-            self._drain_lazy()
-        # policy.remove does not touch self._frames, so no snapshot
-        # copy of the frame map is needed.
-        for page_id, frame in self._frames.items():
-            self.tiers[frame.tier_index].policy.remove(page_id)
-        self._frames.clear()
+        self._drain_lazy()
+        for page_id, tier_index in self._resident_rows():
+            self.tiers[tier_index].policy.remove(page_id)
         self._res_tier.fill(-1)
+        self._pins.fill(0)
+        self._dirty.fill(False)
+        self._far.clear()
+        self._adopted.clear()
         self._ord_valid[:self._ord_len] = False
         self._ord_len = 0
-        self._ord_slot = {}
-        self._pend_acc[:] = 0
-        self._dirty_mirror[:] = False
         self._resident_counts = [0] * len(self.tiers)
-        self._pinned_frames = 0
+        self._pinned = 0
 
     def __repr__(self) -> str:
         tiers = ", ".join(

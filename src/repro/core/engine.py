@@ -170,21 +170,13 @@ class ScaleUpEngine:
     # -- execution ----------------------------------------------------------
 
     def run(self, trace: Iterable[Access] | Iterable[AccessBlock],
-            label: str | None = None,
-            sync_frames: bool = True) -> EngineReport:
+            label: str | None = None) -> EngineReport:
         """Execute a trace; returns the run report.
 
         Each access charges its CPU think time plus the buffer pool's
         demand latency to the engine clock. The trace may carry scalar
         :class:`Access` records, :class:`AccessBlock` chunks, or a mix
         of both — the simulated result is identical either way.
-
-        *sync_frames* controls whether deferred per-frame statistics
-        (access counts, recency, temperature) are materialised when
-        the run finishes. The report itself is built from eagerly
-        maintained counters, so demand-only measurements on throwaway
-        engines can pass ``False`` and skip the fold; any later reader
-        of per-frame state still forces it on demand.
 
         With the pool's fast lane enabled the trace is packed into
         blocks (:func:`~repro.workloads.traces.accesses_to_blocks`;
@@ -260,10 +252,10 @@ class ScaleUpEngine:
                         access.is_scan,
                     )
                     ops += 1
-        if sync_frames:
-            sync_fn = getattr(pool, "sync_frame_stats", None)
-            if sync_fn is not None:
-                sync_fn()
+        # The run owns its deferred bookkeeping, as a session run does.
+        settle = getattr(pool, "_drain_lazy", None)
+        if settle is not None:
+            settle()
         stats = pool.stats
         window = stats.accesses - start_accesses
         report = EngineReport(

@@ -304,11 +304,9 @@ class OSPagingPolicy(_BasePolicy):
         if moves <= 0:
             return
         ids = pool.resident_ids_in(0)
-        heats = np.fromiter(map(self.tracker.heat, ids.tolist()),
-                            dtype=np.float64, count=ids.shape[0])
-        coldest, _ = heat_order_prefix(ids, heats,
-                                       moves + pool._pinned_frames)
-        if pool._pinned_frames:
+        coldest, _ = heat_order_prefix(ids, self.tracker.heat_array(ids),
+                                       moves + pool.pinned_pages)
+        if pool.pinned_pages:
             coldest = [page_id for page_id in coldest
                        if not pool.frame_of(page_id).pin_count]
         coldest = coldest[:moves]
@@ -327,8 +325,9 @@ class OSPagingPolicy(_BasePolicy):
             return
         for page_id in self.tracker.hottest(4 * budget,
                                             self.promote_min_heat):
-            frame = pool.frame_of(page_id)
-            if frame is None or frame.tier_index == 0 or frame.pinned:
+            tier_index = pool.tier_of(page_id)
+            if tier_index is None or tier_index == 0 or (
+                    pool.pinned_pages and pool.frame_of(page_id).pinned):
                 continue
             pool.migrate(page_id, 0)
             budget -= 1
@@ -449,11 +448,13 @@ class DbCostPolicy(_BasePolicy):
         max_moves = self.max_moves_per_rebalance
         heat_array = self.tracker.heat_array
         frame_of = pool.frame_of
+        tier_of = pool.tier_of
         # A candidate is passed over only when it is pinned, or in the
         # swap phase evicted by the one make-room described there, so
         # a prefix this much longer than the budget holds every move
-        # the full order would make.
-        spare = pool._pinned_frames + 1
+        # the full order would make. (No pins, no frame views built.)
+        pins = pool.pinned_pages
+        spare = pins + 1
 
         def slow_residents() -> np.ndarray:
             chunks = [pool.resident_ids_in(i)
@@ -472,7 +473,7 @@ class DbCostPolicy(_BasePolicy):
             for page_id in hot_slow:
                 if len(fill) == max_moves:
                     break
-                if frame_of(page_id).pin_count:
+                if pins and frame_of(page_id).pin_count:
                     self.pinned_skips += 1
                 else:
                     fill.append(page_id)
@@ -507,9 +508,9 @@ class DbCostPolicy(_BasePolicy):
                                           hot_slow[:pairs]):
                 if budget == 0:
                     break
-                slow_frame = frame_of(slow_pid)
-                if slow_frame is None or slow_frame.pin_count \
-                        or frame_of(fast_pid).pin_count:
+                if tier_of(slow_pid) is None or (pins and (
+                        frame_of(slow_pid).pin_count
+                        or frame_of(fast_pid).pin_count)):
                     self.pinned_skips += 1
                     continue
                 budget -= 1
@@ -521,7 +522,7 @@ class DbCostPolicy(_BasePolicy):
                     # stay full for the next pair.
                     pool.migrate(fast_pid, 1)
                     moves += 1
-                    if frame_of(slow_pid) is None:
+                    if tier_of(slow_pid) is None:
                         self.pinned_skips += 1
                     else:
                         pool.migrate(slow_pid, 0)

@@ -78,6 +78,9 @@ class ReplacementPolicy(Protocol):
     def __len__(self) -> int:
         """Number of tracked pages."""
 
+    def __contains__(self, key: int) -> bool:
+        """Whether the page is tracked."""
+
 
 def _check_batch(k: int) -> None:
     if k < 0:
@@ -435,6 +438,9 @@ class LRUPolicy:
     def __len__(self) -> int:
         return self._len
 
+    def __contains__(self, key: int) -> bool:
+        return self._stamp_of(key) >= 0
+
 
 class ClockPolicy:
     """CLOCK (second chance): one reference bit, a sweeping hand."""
@@ -503,6 +509,9 @@ class ClockPolicy:
 
     def __len__(self) -> int:
         return len(self._ref)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._ref
 
 
 class TwoQPolicy:
@@ -574,6 +583,9 @@ class TwoQPolicy:
     def __len__(self) -> int:
         return len(self._a1in) + len(self._am)
 
+    def __contains__(self, key: int) -> bool:
+        return key in self._a1in or key in self._am
+
 
 class LRUKPolicy:
     """LRU-K (K=2 by default): evict by K-th most recent reference.
@@ -639,6 +651,9 @@ class LRUKPolicy:
 
     def __len__(self) -> int:
         return len(self._history)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._history
 
 
 POLICIES: dict[str, Callable[[], ReplacementPolicy]] = {

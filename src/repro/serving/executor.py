@@ -164,9 +164,7 @@ def measure_buckets(cfg: ServingConfig) -> list[BucketKernel]:
             _cxl_engine(pages, cfg.through_switch),
             _scaleout_engine(pages, cfg.remote_fraction),
         ):
-            # Demand-only measurement on a throwaway engine: skip the
-            # final frame-stat materialisation (nothing reads it).
-            report = engine.run(rep.trace_blocks(), sync_frames=False)
+            report = engine.run(rep.trace_blocks())
             demands.append(report.demand_ns / report.ops)
         kernels.append(BucketKernel(
             working_set_pages=ws, theta=theta,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.frame import SLOT, TIER
 from repro.core.placement import DbCostPolicy
 from repro.errors import BufferPoolError
 
@@ -23,7 +24,7 @@ def reference_migrate(pool, page_id, to_tier: int) -> float:
     form: migration time charged, clock advanced)."""
     if pool._lazy_runs:
         pool._drain_lazy()
-    frame = pool._frames.get(page_id)
+    frame = pool.frame_of(page_id)
     if frame is None:
         raise BufferPoolError(f"cannot migrate non-resident {page_id}")
     if frame.pinned:
@@ -61,11 +62,8 @@ def reference_migrate(pool, page_id, to_tier: int) -> float:
     counts = pool._resident_counts
     counts[from_tier] -= 1
     counts[to_tier] += 1
-    frame.tier_index = to_tier
-    pool._res_set(page_id, to_tier)
-    slot = pool._ord_slot.get(page_id)
-    if slot is not None:
-        pool._ord_tier[slot] = to_tier
+    pool._set(page_id, TIER, to_tier)
+    pool._ord_tier[pool._get(page_id, SLOT)] = to_tier
     stats = pool.stats
     stats.migrations += 1
     stats.migration_time_ns += elapsed

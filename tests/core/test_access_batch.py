@@ -25,6 +25,7 @@ from repro.sim.interconnect import PREFETCH_DEPTH
 from repro.units import CACHE_LINE, PAGE_SIZE
 from repro.workloads.scans import mixed_htap_trace, scan_trace
 from repro.workloads.ycsb import YCSBConfig, ycsb_trace
+from tests.core.residency import frame_rows
 
 
 def _build(placement=None, dram_pages=32, cxl_pages=64):
@@ -61,11 +62,7 @@ def _pool_state(pool):
         "fault_time_ns": stats.fault_time_ns,
         "migration_time_ns": stats.migration_time_ns,
         "per_tier": [t.snapshot() for t in stats.per_tier],
-        "frames": {
-            pid: (f.tier_index, f.accesses, f.last_access_ns,
-                  f.dirty, f.pin_count)
-            for pid, f in pool._frames.items()
-        },
+        "frames": frame_rows(pool),
         "resident": list(pool._resident_counts),
         "tracker": _tracker_state(pool.tracker),
         "policies": [_policy_state(t.policy) for t in pool.tiers],
@@ -113,7 +110,6 @@ def _compare_drives(make_placement, runs, dram_pages=32, cxl_pages=64):
         total_array = array.access_run(
             np.asarray(page_ids, dtype=np.int64), accum=total_array,
             **kwargs)
-    array.sync_frame_stats()
     assert total_scalar == total_array
     assert _pool_state(scalar) == _pool_state(array)
 
@@ -215,7 +211,6 @@ def test_contended_session_clock_equivalence():
     got = pools[1].access_run(np.asarray(pages), **shape)
     for pool in pools:
         pool.session_end()
-        pool.sync_frame_stats()
     assert got == want
     assert pools[0].session_wait_ns == pools[1].session_wait_ns > 0.0
     assert cursors[0].now == cursors[1].now
@@ -234,7 +229,7 @@ def test_epoch_aging_inside_window():
     pages = [pid % 20 for pid in range(400)]
     _scalar_drive(scalar, pages)
     array.access_run(np.asarray(pages))
-    array.sync_frame_stats()
+    array._drain_lazy()
     assert _tracker_state(scalar.tracker) == _tracker_state(array.tracker)
     assert scalar.clock.now == array.clock.now
 
@@ -332,16 +327,16 @@ def test_pinned_pages_still_respected():
     resident = [pid for pid in range(4) if pool.tier_of(pid) == 0][:2]
     for pid in resident:
         pool.pin(pid)
-    assert pool._pinned_frames == len(resident)
+    assert pool.pinned_pages == len(resident)
     pool.access_run(np.arange(4, 10))
     for pid in resident:
         assert pool.frame_of(pid) is not None
         assert pool.tier_of(pid) == 0
         pool.unpin(pid)
-    assert pool._pinned_frames == 0
+    assert pool.pinned_pages == 0
     pool.drop_all()
     assert pool.resident_pages == 0
-    assert pool._pinned_frames == 0
+    assert pool.pinned_pages == 0
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "compat"])
@@ -374,7 +369,6 @@ def test_access_batch_contract(fast):
         assert got == want
         assert cursors[0].now == cursors[1].now > 500.0
         assert batch.clock.now == 0.0
-        assert {type(pid) for pid in batch._frames} == {int}
         assert _pool_state(hand) == _pool_state(batch)
     for empty in ([], iter(()), np.empty(0, dtype=np.int64)):
         assert batch.access_batch(empty, accum=3.5) == 3.5

@@ -274,8 +274,9 @@ def make_pool(dram=4, cxl=8):
 
 
 def assert_residency_consistent(pool):
-    """The dense residency table, the insertion-order index and the
-    frame map must tell the same story."""
+    """The residency table, the insertion-order index and the frame
+    views must tell the same story."""
+    pool.check_invariants()
     seen = {}
     for tier_index in range(len(pool.tiers)):
         ids = pool.resident_ids_in(tier_index)
@@ -288,9 +289,8 @@ def assert_residency_consistent(pool):
             assert pid not in seen, "page resident in two tiers"
             seen[pid] = tier_index
     assert pool.resident_pages == len(seen)
-    assert set(seen) == set(pool._frames)
-    for pid, frame in pool._frames.items():
-        assert seen[pid] == frame.tier_index
+    for pid, tier_index in seen.items():
+        assert pool.frame_of(pid).tier_index == tier_index
 
 
 class TestResidencyTableConsistency:
@@ -348,7 +348,6 @@ class TestResidencyTableConsistency:
         trace = list(mixed_htap_trace(
             oltp_pages=100, olap_pages=200, oltp_ops=800, seed=2))
         engine.run([AccessBlock.from_accesses(trace)])
-        engine.pool.sync_frame_stats()
         assert_residency_consistent(engine.pool)
 
 

@@ -4,8 +4,8 @@ to storage — instead of ending its window at every miss.
 
 Held **bit-identical** to the frozen scalar reference — a twin pool
 with the fast lane off replays each block through ``_access_compat`` —
-on frames (after ``sync_frame_stats``), the residency and
-insertion-order mirrors, replacement order per tier, every pool,
+on frame rows, the residency table and the insertion-order
+index, replacement order per tier, every pool,
 device and backing stat, the clock and the emitted trace records,
 after every block. The deterministic cases below pin which route was
 taken (``pool.lane`` counters), so a fill plan that quietly stopped
@@ -32,6 +32,7 @@ from repro.sim.trace import MemoryTraceSink
 from repro.storage.disk import StorageDevice
 from repro.storage.file import PageFile
 from repro.workloads.traces import AccessBlock
+from tests.core.residency import frame_rows, resident_ids
 from tests.core.test_access_batch import _pool_state
 
 
@@ -93,7 +94,7 @@ def full_state(pool, session_clock=None):
     """Everything a run can leave behind. The mirrors are compared by
     content: a table grown per page and one grown per block differ in
     length, never in what they hold."""
-    pool.sync_frame_stats()
+    pool.check_invariants()
     state = _pool_state(pool)
     state["session_clock"] = session_clock and repr(session_clock.now)
     res = pool._res_tier
@@ -103,9 +104,6 @@ def full_state(pool, session_clock=None):
     valid = pool._ord_valid[:n]
     state["ord"] = (pool._ord_ids[:n][valid].tolist(),
                     pool._ord_tier[:n][valid].tolist())
-    assert all(pool._ord_ids[slot] == pid and pool._ord_valid[slot]
-               for pid, slot in pool._ord_slot.items())
-    assert len(pool._ord_slot) == int(valid.sum())
     state["policies"] = [
         list(t.policy._ref.items()) if hasattr(t.policy, "_ref")
         else t.policy.order() for t in pool.tiers]
@@ -358,7 +356,7 @@ def test_victim_touched_before_its_turn_is_rescued():
     its first miss: 2 and 4 are the victims, in one window."""
     fast, ref = full_static()
     drive_both(fast, ref, [point_block([0, 6, 0, 8])])
-    assert sorted(fast._frames) == [0, 6, 8]
+    assert sorted(resident_ids(fast)) == [0, 6, 8]
     assert fast.lane.snapshot() == dict(
         LaneStats().snapshot(), exact_windows=1, exact_window_accesses=4,
         evict_installs=2, victim_rescues=1)
@@ -369,7 +367,7 @@ def test_rereference_of_an_evicted_page_cuts_the_window():
     window (where it evicts 2, and 8 evicts 4)."""
     fast, ref = full_static()
     drive_both(fast, ref, [point_block([6, 0, 8])])
-    assert sorted(fast._frames) == [0, 6, 8]
+    assert sorted(resident_ids(fast)) == [0, 6, 8]
     assert fast.lane.cuts["evicted_reref"] == 1
     assert (fast.lane.exact_windows, fast.lane.evict_installs) == (2, 3)
     assert fast.stats.misses == 3 + 3          # warm-up included
@@ -391,7 +389,7 @@ def test_more_misses_than_residents_cut_at_the_population_bound():
     """The fourth miss would evict a page this window installed."""
     fast, ref = full_static()
     drive_both(fast, ref, [point_block([6, 8, 10, 12])])
-    assert sorted(fast._frames) == [8, 10, 12]
+    assert sorted(resident_ids(fast)) == [8, 10, 12]
     assert fast.lane.cuts["victim_bound"] == 1
     assert (fast.lane.exact_windows, fast.lane.evict_installs) == (2, 4)
 
@@ -453,8 +451,7 @@ def test_a_note_that_drains_finds_its_span_in_the_log():
     class SyncingNote(StaticPolicy):
         def note_accesses(self, page_ids, start, end, is_scan=False):
             pool = self.pool
-            pool.sync_frame_stats()
-            settled.append(sum(f.accesses for f in pool._frames.values())
+            settled.append(sum(row[1] for row in frame_rows(pool).values())
                            == pool.stats.accesses)
 
     pool = TieredBufferPool(
@@ -561,7 +558,8 @@ def test_rebalance_skips_a_promotion_whose_page_was_evicted():
     for _ in range(300):
         pool.access(rng.randrange(48))
     assert pool.placement.pinned_skips >= 1
-    assert pool.resident_pages == len(pool._ord_slot) <= 8
+    pool.check_invariants()
+    assert pool.resident_pages <= 8
 
 
 # -- the anonymous fill phase of the bulk fault lane -------------------------
@@ -592,7 +590,7 @@ def test_fault_span_fills_an_anonymous_pool():
 def test_negative_page_id_is_refused_before_any_install(ids, warm):
     def fresh():
         pool = make_pool()
-        if warm:                     # a non-empty dirty mirror
+        if warm:                     # a non-empty table
             pool.access_block(point_block([3, 8]))
         return pool
 
@@ -605,9 +603,8 @@ def test_negative_page_id_is_refused_before_any_install(ids, warm):
         pool = fresh()
         with pytest.raises(BufferPoolError, match="invalid page id -1"):
             entry(pool)
-        assert -1 not in pool._frames, name
+        assert pool.frame_of(-1) is None, name
         assert -1 not in pool._anonymous_pages
-        assert pool.resident_pages == len(pool._ord_slot)
-        assert not pool._dirty_mirror[-1:].any()
+        pool.check_invariants()
         # Everything before the bad id was served.
         assert pool.tier_of(3) is not None or ids[0] == -1

@@ -114,5 +114,4 @@ def test_every_delivery_takes_the_one_engine_loop(form, entry):
     assert ref.misses > 0 and ref.migrations > 0
     assert engine.ctx.metrics.get("engine.ops") == len(scalar) \
         == ref_engine.ctx.metrics.get("engine.ops")
-    engine.pool.sync_frame_stats()
     assert _pool_state(engine.pool) == _pool_state(ref_engine.pool)

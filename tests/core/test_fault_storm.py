@@ -98,7 +98,6 @@ def test_object_delivery_storm_equivalence(seed, dram, cxl):
         total_s = _scalar_drive(scalar, ids, accum=total_s, **kwargs)
         total_f = fast.access_run(np.asarray(ids, dtype=np.int64),
                                   accum=total_f, **kwargs)
-    fast.sync_frame_stats()
     assert repr(total_s) == repr(total_f)
     assert _pool_state(scalar) == _pool_state(fast)
     _assert_counts_agree(scalar)
@@ -119,8 +118,6 @@ def test_block_delivery_storm_equivalence(seed):
     fast = _cold_engine(16, 64, placement=OSPagingPolicy(), fast=True)
     r_c = compat.run(trace, label="storm")
     r_f = fast.run(trace, label="storm")
-    fast.pool.sync_frame_stats()
-    compat.pool.sync_frame_stats()
     assert repr(r_c.total_ns) == repr(r_f.total_ns)
     assert repr(r_c.demand_ns) == repr(r_f.demand_ns)
     assert r_c.misses == r_f.misses
@@ -152,8 +149,6 @@ def test_quantum_delivery_storm_equivalence():
     assert pool_f.quantum_lane_ready()
     acc_f, demands = pool_f.access_quantum(ids, segs, 0.0)
     dem_f = [repr(d) for d in demands]
-    pool_c.sync_frame_stats()
-    pool_f.sync_frame_stats()
     assert repr(acc_c) == repr(acc_f)
     assert dem_c == dem_f
     assert _pool_state(pool_c) == _pool_state(pool_f)
@@ -210,7 +205,6 @@ def test_preload_matches_analytic_warm_up():
     analytic.warm_with(scan_trace(0, pages, repeats=1, think_ns=0.0))
     bulk.preload(np.arange(pages, dtype=np.int64), nbytes=PAGE_SIZE,
                  is_scan=True)
-    bulk.pool.sync_frame_stats()
     assert _pool_state(analytic.pool) == _pool_state(bulk.pool)
     _assert_counts_agree(bulk.pool)
 
@@ -222,8 +216,6 @@ def test_preload_default_nbytes_matches_page_scan():
     ids = np.arange(600, dtype=np.int64)
     a.pool.preload(ids, nbytes=PAGE_SIZE, is_scan=True)
     b.pool.access_run(ids, nbytes=PAGE_SIZE, is_scan=True)
-    a.pool.sync_frame_stats()
-    b.pool.sync_frame_stats()
     assert _pool_state(a.pool) == _pool_state(b.pool)
 
 
@@ -240,8 +232,6 @@ def test_long_single_span_preload_no_overflow():
     a.warm_with(scan_trace(0, total, repeats=1, think_ns=0.0))
     b.preload(np.arange(total, dtype=np.int64), nbytes=PAGE_SIZE,
               is_scan=True)
-    a.pool.sync_frame_stats()
-    b.pool.sync_frame_stats()
     assert b.pool.clock.now > 0
     assert _pool_state(a.pool) == _pool_state(b.pool)
 
@@ -263,6 +253,5 @@ def test_storm_block_object_agree():
     total_s = _scalar_drive(scalar, ids.tolist(), nbytes=PAGE_SIZE,
                             is_scan=True)
     total_b = blocked.access_block(block)
-    blocked.sync_frame_stats()
     assert repr(total_s) == repr(total_b)
     assert _pool_state(scalar) == _pool_state(blocked)

@@ -40,15 +40,15 @@ def make_pool(placement, capacities=(8, 32), traced=True):
 
 
 def full_state(pool, session_clock=None):
-    """`_pool_state` plus the derived mirrors and the trace."""
-    pool.sync_frame_stats()
+    """`_pool_state` plus the insertion-order index and the trace."""
+    pool.check_invariants()
     n = pool._ord_len
     state = _pool_state(pool)
     state["clock"] = repr(pool.clock.now)
     state["session_clock"] = session_clock and repr(session_clock.now)
     state["res_tier"] = pool._res_tier.tolist()
     state["ord"] = (pool._ord_ids[:n].tolist(), pool._ord_tier[:n].tolist(),
-                    pool._ord_valid[:n].tolist(), dict(pool._ord_slot))
+                    pool._ord_valid[:n].tolist())
     sink = pool.ctx.trace
     if sink.enabled:
         state["spans"] = [(s.name, s.cat, repr(s.start_ns), repr(s.end_ns),

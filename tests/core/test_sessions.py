@@ -17,6 +17,7 @@ from repro.core import (
 from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS
 from repro.errors import ConfigError
 from repro.sim.bandwidth import WaitQueue
+from repro.sim.clock import SimClock
 from repro.sim.context import SimContext
 from repro.sim.trace import MemoryTraceSink
 from repro.workloads import (
@@ -28,6 +29,7 @@ from repro.workloads import (
     scan_trace,
     ycsb_blocks,
 )
+from tests.core.residency import frame_rows
 
 
 def cxl_engine(pages=2_000, fast=True, warm=None, placement=None):
@@ -392,11 +394,9 @@ def scan_session(name, ids):
 
 
 def settled_state(pool):
-    """What the hit log settles: frame stats, recency, heat."""
-    pool.sync_frame_stats()
+    """What the hit log settles: row stats, recency, heat."""
     return {
-        "frames": {pid: (f.accesses, f.last_access_ns, f.dirty)
-                   for pid, f in pool._frames.items()},
+        "frames": frame_rows(pool),
         "recency": [tier.policy.order() for tier in pool.tiers],
         "heat": pool.tracker._harr.tolist(),
     }
@@ -408,10 +408,7 @@ class TestHitLog:
         ranges: after the run the hit log has settled per-frame
         ``(accesses, last_access_ns, dirty)``, each tier's recency
         order and the tracker's heat to exactly what the scalar lane
-        leaves, with or without a trace sink. (A page shared between
-        sessions whose cursor starts behind the pool clock still keeps
-        ``max(ts)`` — ROADMAP records that case; it is not this one.)
-        """
+        leaves, with or without a trace sink."""
         per = 400
 
         def sessions():
@@ -439,7 +436,7 @@ class TestHitLog:
         ref, ref_digest = run(False)
         traced, traced_digest = run(True, traced=True)
         assert fast_digest == ref_digest == traced_digest
-        assert any(f.dirty for f in ref._frames.values())
+        assert any(row[3] for row in frame_rows(ref).values())
         state = settled_state(ref)
         assert settled_state(fast) == state
         assert settled_state(traced) == state
@@ -448,6 +445,30 @@ class TestHitLog:
         assert lane["quantum_list_fallbacks"] == 0
         assert lane["log_settled_accesses"] == 2 * 40 * 25 + 2 * 3_000
         assert ref.lane.quantum_spans == ref.lane.log_settles == 0
+
+    def test_shared_page_behind_the_pool_clock(self):
+        """Two sessions touch the same pages, the second from a cursor
+        behind the first's and behind the pool clock: the scalar lane's
+        plain assignment leaves each page the *later touch's earlier*
+        time, and so does the log, which writes ``last_ns`` in log
+        order (the deferred fold used to keep ``max(ts)``)."""
+        ids = np.arange(8, dtype=np.int64)
+
+        def drive(fast):
+            pool = column_engine([ids], fast=fast).pool
+            warm = pool.clock.now
+            for cursor in (SimClock(warm + 5_000.0), SimClock(10.0)):
+                pool.session_begin(cursor, contended=False)
+                pool.access_run(ids, write=cursor.now < warm)
+                pool.session_end()
+            return pool, warm
+
+        (fast, warm), (ref, _) = drive(True), drive(False)
+        assert (fast.lane.quantum_spans, ref.lane.quantum_spans) == (2, 0)
+        rows = frame_rows(ref)
+        assert frame_rows(fast) == rows
+        assert all(10.0 <= last < warm and dirty
+                   for _, _, last, dirty, _ in rows.values())
 
     @pytest.mark.parametrize("escalate", [True, False])
     def test_log_is_bounded_and_empty_on_return(self, escalate):

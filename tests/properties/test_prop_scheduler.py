@@ -287,10 +287,8 @@ class TestQuantumConsumption:
         assert [repr(d) for d in demands_q] == [repr(d) for d in demands_r]
         assert pool_digest(quantum_engine) == pool_digest(per_run_engine)
 
-        pool_q.sync_frame_stats()
-        pool_r.sync_frame_stats()
         for pid in sorted(set(ids.tolist())):
-            fq = pool_q._frames.get(pid)
-            fr = pool_r._frames.get(pid)
+            fq = pool_q.frame_of(pid)
+            fr = pool_r.frame_of(pid)
             assert (fq.accesses, repr(fq.last_access_ns), fq.dirty) == (
                 fr.accesses, repr(fr.last_access_ns), fr.dirty), pid
