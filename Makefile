@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint bench sweep perfbench ledger-smoke route-check structure-check trace-demo clean
+.PHONY: verify test lint bench sweep ledger-smoke route-check structure-check trace-demo clean
 
 # The tier-1 gate: what CI runs and what every change must keep green.
 verify: test lint structure-check
@@ -28,18 +28,6 @@ sweep:
 		specs/e4_transfer_ladder.json specs/e7_distribution.json \
 		specs/a7_interference.json specs/a8_pondscale.json \
 		--jobs 4 --gate
-
-# Wall-clock microbenchmarks of the simulator fast lane, gated against
-# results/bench/BENCH_PR10.json (lane equivalence, digest identity,
-# speedup floors). See docs/performance.md.
-perfbench:
-	$(PYTHON) -m repro perfbench --check
-
-# Perf trajectory across committed baselines (results/bench/BENCH_PR*):
-# per-bench speedup table with regressions listed before wins, gated
-# against results/bench/TARGETS.json (floors, geomean, ratchet).
-perfbench-history:
-	$(PYTHON) -m repro perfbench --history
 
 # The benchmark (ledger/) at 1/20 size — one traced rep per workload,
 # every digest and validity check — plus the ledger's own tests. The
@@ -81,8 +69,11 @@ route-check:
 
 # One residency table, nothing beside it: the names of the deleted
 # Frame-object layer and its reconciliation may not come back anywhere
-# under src/, and the pool builds a Frame view in frame_of() only. The
-# line count of the two files is printed for the CI log.
+# under src/, and the pool builds a Frame view in frame_of() only. One
+# benchmark, too: the retired wall-clock microbenchmark harness (its
+# package and its name) may not come back under src/, tests/, the
+# Makefile or .github/ — ledger/ is the one performance instrument. The
+# line count of the two pool files is printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
@@ -91,6 +82,19 @@ bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if gone.search(line):
+            bad.append("%s:%d: %s" % (path, number, line.strip()))
+if pathlib.Path("src/repro/perf").exists():
+    bad.append("src/repro/perf/ exists")
+# (Spelled in two halves so this line does not match itself.)
+retired = "perf" "bench"
+paths = [pathlib.Path("Makefile")]
+for root in ("src", "tests", ".github"):
+    paths += [p for p in pathlib.Path(root).rglob("*")
+              if p.is_file() and "__pycache__" not in p.parts]
+for path in sorted(paths):
+    text = path.read_text(errors="replace")
+    for number, line in enumerate(text.splitlines(), 1):
+        if retired in line:
             bad.append("%s:%d: %s" % (path, number, line.strip()))
 pool = pathlib.Path("src/repro/core/buffer.py").read_text()
 for method in re.split(r"^    def ", pool, flags=re.M)[1:]:

@@ -392,9 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv and argv[0] == "sweep":
             return sweep_main(argv[1:])
-        if argv and argv[0] == "perfbench":
-            from .perf.cli import perfbench_main
-            return perfbench_main(argv[1:])
         return run_main(argv)
     except BrokenPipeError:
         # stdout went away (e.g. `repro --list | head`); exit quietly

@@ -20,7 +20,7 @@ wall-clock cost.
 * :meth:`TieredBufferPool._access_compat` — the frozen reference
   (per-access spec arithmetic, no tables). ``set_fast_lane(False)``
   replays every entry point through it; the equivalence suites and
-  the perfbench compat lane compare against it in-process.
+  the pinned-digest test compare the fast lane against it in-process.
 * :meth:`TieredBufferPool.access` — the scalar lane, one page at a
   time, using the precomputed per-path timing tables. The array lane
   routes the accesses it cannot prove exact (a fault it cannot
@@ -165,6 +165,12 @@ def _check_id_array(ids: np.ndarray) -> None:
         raise BufferPoolError(
             "page ids must be a 1-D integer array, got"
             f" {ids.ndim}-D {ids.dtype}")
+
+
+def _check_nbytes(nbytes) -> None:
+    """Refuse a negative, NaN or infinite access size; 0 is valid."""
+    if not 0 <= nbytes < math.inf:
+        raise BufferPoolError(f"nbytes must be finite and >= 0: {nbytes!r}")
 
 
 @dataclass(slots=True)
@@ -865,6 +871,7 @@ class TieredBufferPool:
         clock cursor and any arrival-order wait on the tier's shared
         resources is folded into the returned latency.
         """
+        _check_nbytes(nbytes)
         if self._lazy_runs:
             self._drain_lazy()
         self.stats.accesses += 1
@@ -926,11 +933,12 @@ class TieredBufferPool:
     def _access_compat(self, page_id: PageId, nbytes: int = CACHE_LINE,
                        write: bool = False, is_scan: bool = False) -> float:
         """The frozen pre-fast-lane :meth:`access`: hit latency derived
-        from specs per call, no tables. Kept verbatim as the perfbench
-        compat lane and the reference the equivalence tests compare the
-        fast lane against. Results are bit-identical to :meth:`access`;
+        from specs per call, no tables. Kept verbatim as the reference
+        the equivalence tests and the pinned digests compare the fast
+        lane against. Results are bit-identical to :meth:`access`;
         only the wall-clock cost differs.
         """
+        _check_nbytes(nbytes)
         if self._lazy_runs:
             self._drain_lazy()
         self.stats.accesses += 1
@@ -988,6 +996,7 @@ class TieredBufferPool:
         # `not x >= 0` rather than `x < 0`: NaN must be refused too.
         if not think_ns >= 0 or not post_ns >= 0:
             raise BufferPoolError("think_ns and post_ns must be >= 0")
+        _check_nbytes(nbytes)
         if isinstance(page_ids, np.ndarray):
             page_ids = page_ids.tolist()
         clock = self._session_clock
@@ -1204,6 +1213,7 @@ class TieredBufferPool:
             return accum
         if not think_ns >= 0:
             raise BufferPoolError("think_ns must be >= 0")
+        _check_nbytes(nbytes)
         if self.fast_lane and self._placement_headroom is not None:
             # A slice of a 1-D column validates (once) through the
             # column; any other array is checked as the run it is.
@@ -1264,6 +1274,7 @@ class TieredBufferPool:
         for seg in segs:
             if not seg[5] >= 0:
                 raise BufferPoolError("think_ns must be >= 0")
+            _check_nbytes(seg[2])
         if not self._span_check(ids):
             self.lane.quantum_list_fallbacks += 1
             for a, b, nb, wr, sc, th in segs:
@@ -1546,6 +1557,10 @@ class TieredBufferPool:
         think_lo = float(thinks_nd.min())
         if not think_lo >= 0:
             raise BufferPoolError("think_ns must be >= 0")
+        # Sizes likewise; only a float column can hold +inf.
+        _check_nbytes(sizes_nd.min().item())
+        if sizes_nd.dtype.kind == "f":
+            _check_nbytes(sizes_nd.max().item())
         clock = self._session_clock
         if clock is None:
             clock = self.clock

@@ -188,7 +188,7 @@ class ScaleUpEngine:
         delivery form. With the fast lane off the loop uses the
         pool's compat access (the frozen pre-fast-lane arithmetic,
         blocks expanded to scalar accesses), which is the reference
-        the equivalence suites and perfbench compare against.
+        the equivalence suites and the pinned digests compare against.
 
         Delivery is open-loop: packing pulls a scalar generator up to
         ``BLOCK_OPS`` accesses ahead of the clock, so a trace must not

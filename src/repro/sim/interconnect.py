@@ -217,7 +217,7 @@ class AccessPath:
     # -- uncached reference timing ------------------------------------------
     #
     # The pre-table arithmetic, re-derived from specs on every call.
-    # The perfbench compat lane and the equivalence tests use these to
+    # The pool's reference lane and the equivalence tests use these to
     # prove the tables change wall-clock cost only, never a result.
 
     def read_time_uncached(self, size_bytes: int = CACHE_LINE) -> float:

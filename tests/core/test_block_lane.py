@@ -6,7 +6,7 @@ tests pin the two contracts that lane must keep:
 
 * **bit-identity** — any mix of scalar ``Access`` objects and
   ``AccessBlock`` chunks, on either lane, produces byte-identical
-  simulated results (same perfbench digest) across very short
+  simulated results (same ``tests.core.digests`` digest) across very short
   same-shape runs, mid-run migrations, faults raised inside blocks, and
   concurrent-session contention;
 * **residency-table consistency** — the dense table and the
@@ -28,13 +28,14 @@ from repro.core.engine import ScaleUpEngine
 from repro.core.placement import DbCostPolicy, OSPagingPolicy
 from repro.core.temperature import SampledTracker
 from repro.errors import BufferPoolError
-from repro.perf.bench import _digest_report
 from repro.sim.context import SimContext
 from repro.sim.interconnect import AccessPath
 from repro.sim.ladder import chain_values
 from repro.sim.memory import MemoryDevice
 from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
 from repro.workloads.traces import Access, AccessBlock
+
+from tests.core.digests import digest_report, pool_payload
 
 #: Run lengths around this are the shortest segments a block can hold:
 #: one access by hand, then a scalar mini-loop far below any ladder.
@@ -51,7 +52,7 @@ def fingerprint(trace, fast, *, dram=256, cxl=900, placement=None,
     )
     engine.pool.set_fast_lane(fast)
     report = engine.run(trace)
-    return _digest_report(engine, report), report
+    return digest_report(engine, report), report
 
 
 def random_trace(seed, ops=4_000, pages=700):
@@ -182,7 +183,7 @@ class TestRandomizedMixedIdentity:
                 (OSPagingPolicy, None, far, "id_range")):
             ref = engine_for(policy, tracker)
             ref.pool.set_fast_lane(False)
-            want = _digest_report(ref, ref.run(accesses))
+            want = digest_report(ref, ref.run(accesses))
             engine = engine_for(policy, tracker)
             report = engine.run([AccessBlock.from_accesses(accesses)])
             lane = engine.pool.lane
@@ -190,7 +191,7 @@ class TestRandomizedMixedIdentity:
             assert lane.segment_blocks == (decline is not None)
             assert {k for k, v in lane.declines.items() if v} == \
                 ({decline} - {None})
-            assert _digest_report(engine, report) == want
+            assert digest_report(engine, report) == want
 
 
 class TestSessionContention:
@@ -380,6 +381,65 @@ def test_negative_or_nan_think_is_refused(entry, think, fast):
             pool.access_quantum(ids, [(0, 7, 64, False, False, 0.0),
                                       (7, 10, 64, False, False, think)])
     assert (repr(pool.clock.now), pool.stats.accesses) == before
+
+
+def charge_size(pool, entry, ids, size):
+    """Charge the two accesses *ids*, the second of size *size*,
+    through one public entry point (``access`` charges only that one)."""
+    if entry == "access":
+        access = pool.access if pool.fast_lane else pool._access_compat
+        return access(int(ids[1]), nbytes=size)
+    if entry == "batch":
+        return pool.access_batch(ids.tolist(), nbytes=size)
+    if entry == "run":
+        return pool.access_run(ids, nbytes=size)
+    if entry == "quantum":
+        return pool.access_quantum(ids, [(0, 1, 64, False, False, 0.0),
+                                         (1, 2, size, False, False, 0.0)])
+    return pool.access_block(AccessBlock(
+        ids, np.zeros(2, bool), np.zeros(2, bool), np.array([64, size]),
+        np.zeros(2)))
+
+
+def sized_pool(fast):
+    pool = ScaleUpEngine.build(dram_pages=8, cxl_pages=16,
+                               ctx=SimContext()).pool
+    pool.set_fast_lane(fast)
+    pool.preload(np.arange(4, dtype=np.int64))
+    return pool
+
+
+ENTRIES = ["access", "batch", "run", "quantum", "block"]
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["compat", "fast"])
+@pytest.mark.parametrize("resident", [True, False], ids=["hit", "miss"])
+@pytest.mark.parametrize("size", [-64, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bad_access_size_is_refused(entry, size, resident, fast):
+    # What a bad size did used to depend on residency and lane: a NaN
+    # hit returned NaN and left it on the clock, a miss charged a full
+    # fault (10,678.9 ns) for a size of -64 or NaN, and a negative hit
+    # raised a bare ValueError from the transfer model. Every entry
+    # point now refuses it before anything is charged.
+    pool = sized_pool(fast)
+    before = (repr(pool.clock.now), pool_payload(pool))
+    ids = np.array([3, 2] if resident else [9, 10], dtype=np.int64)
+    with pytest.raises(BufferPoolError, match="nbytes"):
+        charge_size(pool, entry, ids, size)
+    assert (repr(pool.clock.now), pool_payload(pool)) == before
+    pool.check_invariants()
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["compat", "fast"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_zero_access_size_is_valid(entry, fast):
+    pool = sized_pool(fast)
+    accesses = pool.stats.accesses
+    charge_size(pool, entry, np.array([3, 9], dtype=np.int64), 0)
+    assert pool.stats.accesses == accesses + (1 if entry == "access" else 2)
+    assert math.isfinite(pool.clock.now)
+    pool.check_invariants()
 
 
 @pytest.mark.parametrize("entry", ["run", "quantum", "preload"])

@@ -10,12 +10,12 @@ fast lane and the frozen compat lane.
 import pytest
 
 from repro.core.engine import ScaleUpEngine
-from repro.perf.bench import _digest_report
 from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
 from repro.workloads.traces import (BLOCK_OPS, AccessBlock,
                                     accesses_to_blocks)
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
 
+from tests.core.digests import digest_report
 from tests.core.test_access_batch import _pool_state
 
 HTAP = dict(oltp_pages=200, olap_pages=500, oltp_ops=1500,
@@ -26,14 +26,14 @@ YCSB = YCSBConfig(mix="A", num_pages=600, num_ops=3000, seed=9)
 def fingerprint(trace, fast):
     """Run *trace* on a fresh engine; digest every simulated quantity.
 
-    Uses the perfbench digest so the identity asserted here is the
-    same ulp-exact contract the committed baseline gates.
+    Uses the digest ``test_pinned_digests.py`` pins, so the identity
+    asserted here is the same ulp-exact contract.
     """
     engine = ScaleUpEngine.build(dram_pages=256, cxl_pages=900,
                                  name="blocks-test")
     engine.pool.set_fast_lane(fast)
     report = engine.run(trace)
-    return _digest_report(engine, report)
+    return digest_report(engine, report)
 
 
 @pytest.mark.parametrize("fast", [False, True], ids=["compat", "fast"])
