@@ -69,15 +69,19 @@ route-check:
 
 # One residency table, nothing beside it: the names of the deleted
 # Frame-object layer and its reconciliation may not come back anywhere
-# under src/, and the pool builds a Frame view in frame_of() only. One
-# benchmark, too: the retired wall-clock microbenchmark harness (its
-# package and its name) may not come back under src/, tests/, the
-# Makefile or .github/ — ledger/ is the one performance instrument. The
-# line count of the two pool files is printed for the CI log.
+# under src/, and the pool builds a Frame view in frame_of() only. The
+# rebalance reads one residency snapshot: the per-tier re-gathers it
+# replaced may not come back, and placement.py reads pins off the pins
+# column, never through a frame view. One benchmark, too: the retired
+# wall-clock microbenchmark harness (its package and its name) may not
+# come back under src/, tests/, the Makefile or .github/ — ledger/ is
+# the one performance instrument. The line counts of the pool and
+# placement files are printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
-                  r"|sync_frame_stats|sync_frames")
+                  r"|sync_frame_stats|sync_frames|resident_ids_in"
+                  r"|slow_residents")
 bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
@@ -101,6 +105,10 @@ for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
     name = method.split("(", 1)[0]
     if "Frame(" in method and name != "frame_of":
         bad.append("buffer.py: %s() constructs a Frame" % name)
+placement = pathlib.Path("src/repro/core/placement.py")
+for number, line in enumerate(placement.read_text().splitlines(), 1):
+    if "frame_of(" in line:
+        bad.append("%s:%d: %s" % (placement, number, line.strip()))
 print("structure-check:", "\n  ".join(bad) if bad else "ok")
 sys.exit(1 if bad else 0)
 endef
@@ -108,7 +116,8 @@ export STRUCTURE_CHECK
 
 structure-check:
 	@python3 -c "$$STRUCTURE_CHECK"
-	@wc -l src/repro/core/buffer.py src/repro/core/frame.py
+	@wc -l src/repro/core/buffer.py src/repro/core/frame.py \
+		src/repro/core/placement.py src/repro/core/temperature.py
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

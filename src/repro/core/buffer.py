@@ -63,7 +63,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from itertools import chain, compress, repeat
+from functools import reduce
+from itertools import accumulate, chain, compress, repeat
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -150,6 +152,12 @@ _LOG_SETTLE = 1 << 16
 #: Validated id columns remembered at once (see ``_span_check``); the
 #: memo is cleared when full, so it pins at most this many arrays.
 _SPAN_COLS = 16
+
+#: Shortest migration run offered to the column commit
+#: (:meth:`TieredBufferPool._migrate_columns`). The per-page step
+#: costs ~1.1 us a page, the commit ~62 us a run plus ~0.15 us a page:
+#: they break even at about this length.
+_COLUMN_MOVES = 64
 
 #: Minimum consecutive-miss run length worth the vectorised fault
 #: lane's setup (bulk placement probe, duplicate scan, phase/chain
@@ -265,7 +273,10 @@ class LaneStats:
     dense table and went to the scalar loop; ``log_settles`` /
     ``log_settled_accesses`` count the log's columnar settle passes
     and the accesses they carried, ``log_high_water`` the most it ever
-    held. Bumped once per window, block, span or settle; not part of
+    held. ``column_migrations`` / ``step_migrations`` count the pages
+    :meth:`TieredBufferPool._migrate_pages` moved by one column commit
+    per run and by its per-page step. Bumped once per window, block,
+    span, settle or migration run; not part of
     :class:`BufferPoolStats`, whose snapshot is simulated state."""
 
     exact_windows: int = 0
@@ -286,6 +297,8 @@ class LaneStats:
     log_settles: int = 0
     log_settled_accesses: int = 0
     log_high_water: int = 0
+    column_migrations: int = 0
+    step_migrations: int = 0
 
     def snapshot(self) -> dict:
         """Counters as a dict (metrics snapshot protocol). Spelled
@@ -305,6 +318,8 @@ class LaneStats:
             "log_settles": self.log_settles,
             "log_settled_accesses": self.log_settled_accesses,
             "log_high_water": self.log_high_water,
+            "column_migrations": self.column_migrations,
+            "step_migrations": self.step_migrations,
         }
 
 
@@ -612,17 +627,37 @@ class TieredBufferPool:
 
     def resident_in(self, tier_index: int) -> Iterable[PageId]:
         """Page ids resident in one tier, in install order."""
-        return self.resident_ids_in(tier_index).tolist()
+        ids, tiers = self.resident_order()
+        return ids[tiers == tier_index].tolist()
 
-    def resident_ids_in(self, tier_index: int) -> np.ndarray:
-        """Like :meth:`resident_in` but as an int64 array, for callers
-        (placement rebalance) that feed the ids straight back into
-        vectorized heat gathers without a list round-trip."""
+    def resident_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, tiers)`` of every resident page in install order: the
+        one residency snapshot a placement solve reads. Read-only views
+        of the insertion-order index while it holds no tombstones — a
+        migration rewrites the tier column in place, so the views show
+        it until the next install or eviction — one compressed copy
+        otherwise. Settles the deferred hit log first, so the tracker
+        heats a solve reads next are current."""
+        if self._lazy_runs:
+            self._drain_lazy()
         n = self._ord_len
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        mask = self._ord_valid[:n] & (self._ord_tier[:n] == tier_index)
-        return self._ord_ids[:n][mask]
+        ids, tiers = self._ord_ids[:n], self._ord_tier[:n]
+        if n != self.resident_pages:
+            valid = self._ord_valid[:n]
+            return ids[valid], tiers[valid]
+        ids.flags.writeable = tiers.flags.writeable = False
+        return ids, tiers
+
+    def pin_counts(self, page_ids: np.ndarray) -> np.ndarray:
+        """Pin counts of an id column, read off the pins column (an
+        absent page holds none)."""
+        ids = np.asarray(page_ids, dtype=np.int64)
+        if not self._pinned:
+            return np.zeros(ids.shape[0], dtype=self._pins.dtype)
+        if not ids.shape[0] or (0 <= ids.min() and ids.max() < self._cap):
+            return self._pins[ids]
+        return np.array([self._get(pid, PINS) for pid in ids.tolist()],
+                        dtype=self._pins.dtype)
 
     def check_invariants(self) -> None:
         """Raise :class:`BufferPoolError` unless the residency table
@@ -636,7 +671,8 @@ class TieredBufferPool:
             if not ok:
                 raise BufferPoolError(f"residency invariant broken: {what}")
 
-        rows = list(self._resident_rows())
+        ids, tiers = self.resident_order()
+        rows = list(zip(ids.tolist(), tiers.tolist()))
         slots = np.flatnonzero(self._ord_valid[:self._ord_len]).tolist()
         dense = np.flatnonzero(self._res_tier >= 0)
         require(sorted(pid for pid, _ in rows)
@@ -661,14 +697,6 @@ class TieredBufferPool:
         require(self._pinned == int(np.count_nonzero(self._pins[dense]))
                 + sum(1 for row in self._far.values() if row[PINS]),
                 "pinned-page count")
-
-    def _resident_rows(self) -> Iterable[tuple[PageId, int]]:
-        """``(page id, tier)`` of every resident page, in install
-        order (a snapshot: the caller may evict as it walks)."""
-        n = self._ord_len
-        valid = self._ord_valid[:n]
-        return zip(self._ord_ids[:n][valid].tolist(),
-                   self._ord_tier[:n][valid].tolist())
 
     def _drain_lazy(self) -> None:
         """Settle the deferred hit log in one columnar pass.
@@ -2654,7 +2682,7 @@ class TieredBufferPool:
         # pinned; with the default predicate LRU victim selection is
         # O(1) instead of a scan through the recency order.
         if self._pinned:
-            victim_id = tier.policy.victim(self._is_pinned)
+            victim_id = tier.policy.victim(self.is_pinned)
         else:
             victim_id = tier.policy.victim()
         if victim_id is None:
@@ -2705,7 +2733,8 @@ class TieredBufferPool:
                 self._anonymous_pages[page_id] = page
         return elapsed
 
-    def _is_pinned(self, page_id: PageId) -> bool:
+    def is_pinned(self, page_id: PageId) -> bool:
+        """Whether a page holds a pin (an absent page holds none)."""
         return self._get(page_id, PINS) > 0
 
     # -- migration ---------------------------------------------------------------
@@ -2740,7 +2769,19 @@ class TieredBufferPool:
                        to_tiers: Sequence[int], demotion: bool) -> float:
         """The one migration body. A demotion serves a fault: its time
         is the fault's demand latency, so it is returned but neither
-        charged as migration time nor put on the clock."""
+        charged as migration time nor put on the clock.
+
+        A run of at least ``_COLUMN_MOVES`` pages is offered to
+        :meth:`_migrate_columns` first; a shorter run, or one it
+        declines (a move that needs room made, an error to raise
+        mid-run), takes the per-page step below."""
+        if len(page_ids) >= _COLUMN_MOVES:
+            total = self._migrate_columns(page_ids, to_tiers, demotion)
+            if total is not None:
+                return total
+        if type(page_ids) is np.ndarray:
+            page_ids = page_ids.tolist()
+            to_tiers = np.asarray(to_tiers).tolist()
         tiers = self.tiers
         counts = self._resident_counts
         mig_rw = self._mig_rw
@@ -2809,6 +2850,7 @@ class TieredBufferPool:
                 row[TIER] = to_tier
                 ord_tier[row[SLOT]] = to_tier
             stats.migrations += 1
+            self.lane.step_migrations += 1
             if trace.enabled:
                 now = clock._now
                 trace.emit_span(
@@ -2828,13 +2870,113 @@ class TieredBufferPool:
             total += elapsed
         return total
 
+    def _migrate_columns(self, page_ids, to_tiers,
+                         demotion: bool) -> float | None:
+        """Commit a run of moves as column writes — or ``None``, leaving
+        it to the per-page step.
+
+        Taken when every page is a distinct, unpinned resident of the
+        dense table bound for a valid tier, every tier the run touches
+        keeps LRU order, each (from, to) edge's device times are
+        memoised, and — counting the run in order — no move finds its
+        destination full. The per-page step's effects are then
+        order-free: the tier and index-tier columns, each tier's
+        ``remove_batch`` / ``record_insert_batch`` (an LRU's stamps are
+        per policy, so a batch per tier stamps as the interleaved calls
+        do), the integer device and tier counters, and each tier's peak
+        read off its running count. What is ordered is replayed in page
+        order: the three float chains (return total, migration time,
+        clock) one add per page, and the trace spans."""
+        ids = np.asarray(page_ids)
+        tos = np.asarray(to_tiers)
+        tiers = self.tiers
+        T = len(tiers)
+        counts = self._resident_counts
+        if (ids.dtype.kind not in "iu" or tos.dtype.kind not in "iu"
+                or int(tos.min()) < 0 or int(tos.max()) >= T
+                # The one test a full destination fails at once (an
+                # OS-paging demote pass into a full CXL tier).
+                or counts[tos[0]] >= tiers[tos[0]].capacity_pages
+                or int(ids.min()) < 0 or int(ids.max()) >= self._cap):
+            return None
+        frm = self._res_tier[ids]
+        srt = np.sort(ids)
+        if (int(frm.min()) < 0 or (srt[1:] == srt[:-1]).any()
+                or (self._pinned and self._pins[ids].any())):
+            return None
+        moving = frm != tos
+        if not moving.all():
+            ids, frm, tos = ids[moving], frm[moving], tos[moving]
+        n = ids.shape[0]
+        # Each tier's resident count after every move: where it peaks,
+        # and whether some move would find its destination full.
+        step = np.zeros((T, n), dtype=np.int64)
+        at = np.arange(n)
+        step[tos, at] = 1
+        step[frm, at] = -1
+        run = step.cumsum(axis=1) + np.array(counts)[:, None]
+        peaks = np.where(step > 0, run, -1).max(axis=1, initial=-1).tolist()
+        edge = frm * T + tos
+        per_edge = np.bincount(edge, minlength=T * T).tolist()
+        elapsed = [0.0] * (T * T)
+        for e in [e for e, moved in enumerate(per_edge) if moved]:
+            rw = self._mig_rw.get(divmod(e, T))
+            if rw is None:
+                return None
+            elapsed[e] = (0.0 + rw[0]) + rw[1]
+        arrived = [sum(per_edge[t::T]) for t in range(T)]
+        departed = [sum(per_edge[t * T:(t + 1) * T]) for t in range(T)]
+        touched = [t for t in range(T) if arrived[t] or departed[t]]
+        if any(type(tiers[t].policy) is not LRUPolicy
+               or peaks[t] > tiers[t].capacity_pages for t in touched):
+            return None
+        # Committed from here on: nothing below can refuse.
+        self._res_tier[ids] = tos
+        self._ord_tier[self._slot[ids]] = tos
+        stats = self.stats
+        page_size = self.page_size
+        for t in touched:
+            tiers[t].policy.remove_batch(ids[frm == t])
+            tiers[t].policy.record_insert_batch(ids[tos == t])
+            counts[t] += arrived[t] - departed[t]
+            device_stats = tiers[t].path.device.stats
+            device_stats.loads += departed[t]
+            device_stats.load_bytes += departed[t] * page_size
+            device_stats.stores += arrived[t]
+            device_stats.store_bytes += arrived[t] * page_size
+            tier_stats = stats.per_tier[t]
+            if demotion:
+                tier_stats.demotions_in += arrived[t]
+            else:
+                tier_stats.promotions_in += arrived[t]
+            tier_stats.resident_peak = max(tier_stats.resident_peak, peaks[t])
+        stats.migrations += n
+        self.lane.column_migrations += n
+        es = np.array(elapsed)[edge].tolist()
+        clock = self._session_clock or self.clock
+        if demotion:
+            starts = [clock._now] * n
+        else:
+            starts = list(accumulate(es, initial=clock._now))
+            clock._now = starts.pop()
+            stats.migration_time_ns = reduce(add, es, stats.migration_time_ns)
+        trace = self._trace
+        if trace.enabled:
+            names = [tier.name for tier in tiers]
+            kind = "pool.demotion" if demotion else "pool.promotion"
+            for page_id, f, t, t0, e in zip(ids.tolist(), frm.tolist(),
+                                            tos.tolist(), starts, es):
+                trace.emit_span(kind, "pool", t0, t0 + e, {
+                    "page": page_id, "from": names[f], "to": names[t]})
+        return reduce(add, es, 0.0)
+
     # -- flushing -------------------------------------------------------------------
 
     def flush_all(self) -> float:
         """Write every dirty page back to storage; returns elapsed ns."""
-        self._drain_lazy()
+        ids, tiers = self.resident_order()
         elapsed = 0.0
-        for page_id, tier_index in self._resident_rows():
+        for page_id, tier_index in zip(ids.tolist(), tiers.tolist()):
             if not self._get(page_id, DIRTY):
                 continue
             elapsed += self.tiers[tier_index].path.read_time(self.page_size)
@@ -2917,8 +3059,8 @@ class TieredBufferPool:
 
     def drop_all(self) -> None:
         """Empty the pool without timing (test/reset helper)."""
-        self._drain_lazy()
-        for page_id, tier_index in self._resident_rows():
+        ids, tiers = self.resident_order()
+        for page_id, tier_index in zip(ids.tolist(), tiers.tolist()):
             self.tiers[tier_index].policy.remove(page_id)
         self._res_tier.fill(-1)
         self._pins.fill(0)

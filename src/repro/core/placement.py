@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import BufferPoolError, ConfigError
+from ..errors import BufferPoolError, require_count
 from .temperature import ExactTracker, SampledTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -226,9 +226,8 @@ class OSPagingPolicy(_BasePolicy):
         super().__init__()
         if not 0.0 < low_watermark <= high_watermark <= 1.0:
             raise BufferPoolError("invalid watermarks")
-        if check_interval <= 0 or max_moves_per_check < 0:
-            raise ConfigError("check_interval must be positive and"
-                              " max_moves_per_check non-negative")
+        require_count("check_interval", check_interval, 1)
+        require_count("max_moves_per_check", max_moves_per_check, 0)
         self.tracker = SampledTracker(sample_rate=sample_rate)
         self.check_interval = check_interval
         self.promote_min_heat = promote_min_heat
@@ -303,14 +302,12 @@ class OSPagingPolicy(_BasePolicy):
         moves = min(self.max_moves_per_check, residents - low)
         if moves <= 0:
             return
-        ids = pool.resident_ids_in(0)
+        ids, tiers = pool.resident_order()
+        ids = ids[tiers == 0]
         coldest, _ = heat_order_prefix(ids, self.tracker.heat_array(ids),
                                        moves + pool.pinned_pages)
-        if pool.pinned_pages:
-            coldest = [page_id for page_id in coldest
-                       if not pool.frame_of(page_id).pin_count]
-        coldest = coldest[:moves]
-        pool.migrate_batch(coldest, [1] * len(coldest))
+        coldest = coldest[pool.pin_counts(coldest) == 0][:moves]
+        pool.migrate_batch(coldest, np.ones_like(coldest))
 
     def _promote_pass(self) -> None:
         """Promote the hottest sampled pages living in slow tiers
@@ -327,7 +324,7 @@ class OSPagingPolicy(_BasePolicy):
                                             self.promote_min_heat):
             tier_index = pool.tier_of(page_id)
             if tier_index is None or tier_index == 0 or (
-                    pool.pinned_pages and pool.frame_of(page_id).pinned):
+                    pool.pinned_pages and pool.is_pinned(page_id)):
                 continue
             pool.migrate(page_id, 0)
             budget -= 1
@@ -350,9 +347,8 @@ class DbCostPolicy(_BasePolicy):
                  scan_admit_slow: bool = True,
                  tracker: ExactTracker | None = None) -> None:
         super().__init__()
-        if rebalance_interval <= 0 or max_moves_per_rebalance < 0:
-            raise ConfigError("rebalance_interval must be positive and"
-                              " max_moves_per_rebalance non-negative")
+        require_count("rebalance_interval", rebalance_interval, 1)
+        require_count("max_moves_per_rebalance", max_moves_per_rebalance, 0)
         self.rebalance_interval = rebalance_interval
         self.max_moves_per_rebalance = max_moves_per_rebalance
         self.scan_admit_slow = scan_admit_slow
@@ -438,58 +434,52 @@ class DbCostPolicy(_BasePolicy):
         residents and swap while profitable. At most
         ``max_moves_per_rebalance`` pages move, so only the head of
         each heat order is ever read: :func:`heat_order_prefix`
-        selects it in O(residents), and each phase hands its moves to
-        the pool as one :meth:`TieredBufferPool.migrate_batch`.
+        selects it in O(residents) from one residency snapshot
+        (:meth:`TieredBufferPool.resident_order`) and one heat gather,
+        and each phase hands its moves to the pool as one
+        :meth:`TieredBufferPool.migrate_batch`.
         """
         pool = self.pool
         if len(pool.tiers) < 2:
             return 0
         self.rebalances += 1
         max_moves = self.max_moves_per_rebalance
-        heat_array = self.tracker.heat_array
-        frame_of = pool.frame_of
-        tier_of = pool.tier_of
+        ids, tiers = pool.resident_order()
+        heats = self.tracker.heat_array(ids)
+        fast, slow = range(1), range(1, len(pool.tiers))
         # A candidate is passed over only when it is pinned, or in the
         # swap phase evicted by the one make-room described there, so
         # a prefix this much longer than the budget holds every move
-        # the full order would make. (No pins, no frame views built.)
-        pins = pool.pinned_pages
-        spare = pins + 1
-
-        def slow_residents() -> np.ndarray:
-            chunks = [pool.resident_ids_in(i)
-                      for i in range(1, len(pool.tiers))]
-            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-        slow = slow_residents()
+        # the full order would make.
+        spare = pool.pinned_pages + 1
         moves = 0
         headroom = pool.tiers[0].capacity_pages - pool.tier_residents(0)
         if headroom > 0:
             # Fill unused fast capacity with the hottest slow pages.
-            hot_slow, _ = heat_order_prefix(
-                slow, heat_array(slow), min(headroom, max_moves + spare),
+            hot, _ = _snapshot_prefix(
+                heats, tiers, slow, min(headroom, max_moves + spare),
                 reverse=True)
             fill = []
-            for page_id in hot_slow:
+            for page_id, pins in zip(ids[hot].tolist(),
+                                     pool.pin_counts(ids[hot]).tolist()):
                 if len(fill) == max_moves:
                     break
-                if pins and frame_of(page_id).pin_count:
+                if pins:
                     self.pinned_skips += 1
                 else:
                     fill.append(page_id)
             if fill:
-                pool.migrate_batch(fill, [0] * len(fill))
+                pool.migrate_batch(np.array(fill), np.zeros(len(fill), int))
                 moves = len(fill)
-                slow = slow_residents()
+                tiers = pool.resident_order()[1]
         # Swap: hottest slow page vs coldest fast page.
         budget = (max_moves - moves) // 2
         if budget > 0:
-            fast = pool.resident_ids_in(0)
             depth = budget + spare
-            hot_slow, hs = heat_order_prefix(slow, heat_array(slow), depth,
-                                             reverse=True)
-            cold_fast, hf = heat_order_prefix(fast, heat_array(fast), depth)
-            pairs = min(len(hot_slow), len(cold_fast))
+            hot, hs = _snapshot_prefix(heats, tiers, slow, depth,
+                                       reverse=True)
+            cold, hf = _snapshot_prefix(heats, tiers, fast, depth)
+            pairs = min(hot.shape[0], cold.shape[0])
             # Heat is static during the solve, so the profitability
             # break falls at the first unprofitable pair.
             ok = hs[:pairs] > hf[:pairs] + 1e-9
@@ -497,32 +487,34 @@ class DbCostPolicy(_BasePolicy):
                 cut = int(ok.argmin())
                 self.pairs_cut_unprofitable += pairs - cut
                 pairs = cut
+            hot_slow, cold_fast = ids[hot[:pairs]], ids[cold[:pairs]]
+            pinned = pool.pin_counts(hot_slow) | pool.pin_counts(cold_fast)
             # With every slow tier full, the first demotion cascades
             # to an eviction — perhaps of a later pair's slow page. A
             # swap leaves the slow tiers one page short of full from
             # then on, so it is the only one.
             evicts = all(pool.tier_residents(i) >= pool.tiers[i].capacity_pages
                          for i in range(1, len(pool.tiers)))
+            evicted = False
             swaps: list[int] = []
-            for fast_pid, slow_pid in zip(cold_fast[:pairs],
-                                          hot_slow[:pairs]):
+            for fast_pid, slow_pid, pins in zip(
+                    cold_fast.tolist(), hot_slow.tolist(), pinned.tolist()):
                 if budget == 0:
                     break
-                if tier_of(slow_pid) is None or (pins and (
-                        frame_of(slow_pid).pin_count
-                        or frame_of(fast_pid).pin_count)):
+                if pins or (evicted and pool.tier_of(slow_pid) is None):
                     self.pinned_skips += 1
                     continue
                 budget -= 1
                 if evicts:
                     # Run that pair now; judge the rest on what is
-                    # left — its own slow page first: when that was
-                    # the slow tier's victim, nothing is promoted, the
-                    # freed fast frame stays free and the slow tiers
-                    # stay full for the next pair.
+                    # left — its own slow page first: when that was the
+                    # slow tier's victim, nothing is promoted, the freed
+                    # fast frame stays free and the slow tiers stay full
+                    # for the next pair.
                     pool.migrate(fast_pid, 1)
                     moves += 1
-                    if tier_of(slow_pid) is None:
+                    evicted = True
+                    if pool.tier_of(slow_pid) is None:
                         self.pinned_skips += 1
                     else:
                         pool.migrate(slow_pid, 0)
@@ -530,15 +522,14 @@ class DbCostPolicy(_BasePolicy):
                         evicts = False
                 else:
                     swaps += (fast_pid, slow_pid)
-            moves += self._swap(swaps)
+            if swaps:
+                # Each fast page down one tier, then its slow partner
+                # into the freed frame.
+                pool.migrate_batch(np.array(swaps),
+                                   1 - np.arange(len(swaps)) % 2)
+            moves += len(swaps)
         self.moves += moves
         return moves
-
-    def _swap(self, swaps: list[int]) -> int:
-        """Run interleaved ``[fast, slow, ...]`` pairs: each fast page
-        down one tier, then its slow partner into the freed frame."""
-        self.pool.migrate_batch(swaps, [1, 0] * (len(swaps) // 2))
-        return len(swaps)
 
     def snapshot(self) -> dict:
         """Rebalance counters (metrics snapshot protocol)."""
@@ -550,18 +541,55 @@ class DbCostPolicy(_BasePolicy):
         }
 
 
+def _snapshot_prefix(heats: np.ndarray, tiers: np.ndarray, wanted: range,
+                     k: int, reverse: bool = False):
+    """:func:`heat_order_prefix` over the snapshot entries held in the
+    *wanted* tiers, tier-major (each in snapshot order): positions and
+    heats. When the snapshot's extreme heat is held *k* times inside,
+    those ties are the prefix and nothing is listed or gathered."""
+    if k > 0 and heats.shape[0]:
+        ties = heats == (heats.max() if reverse else heats.min())
+        per_tier = [ties & (tiers == t) for t in wanted]
+        if sum(np.count_nonzero(mask) for mask in per_tier) >= k:
+            pick = np.concatenate([_first_set(mask, k)
+                                   for mask in per_tier])[:k]
+            return pick, heats[pick]
+    members = np.concatenate([np.flatnonzero(tiers == t) for t in wanted])
+    return heat_order_prefix(members, heats[members], k, reverse)
+
+
+def _first_set(mask: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the first *k* set entries of *mask* (all, if
+    fewer), read a widening chunk at a time."""
+    found, start, width = [np.empty(0, dtype=np.intp)], 0, 1024
+    while k > 0 and start < mask.shape[0]:
+        hit = np.flatnonzero(mask[start:start + width])[:k] + start
+        found.append(hit)
+        k -= hit.shape[0]
+        start += width
+        width *= 4
+    return np.concatenate(found)
+
+
 def heat_order_prefix(page_ids: np.ndarray, heats: np.ndarray, k: int,
-                      reverse: bool = False) -> tuple[list[int], np.ndarray]:
+                      reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The first *k* of *page_ids* in heat order, with their heats:
     ``sorted(page_ids, key=heat, reverse=reverse)[:k]``, ties in
     input order, without sorting the rest.
 
-    One partition finds the k-th key; every strictly better id plus
-    the earliest ties make up the k, and only those are sorted."""
+    When the extreme heat's ties alone fill the *k* (a warm scan leaves
+    a few heats over thousands of pages), they are its first *k*.
+    Otherwise one partition finds the k-th key; every strictly better
+    id plus the earliest ties make up the k, and only those are
+    sorted."""
+    n = heats.shape[0]
+    if k <= 0 or n == 0:
+        return page_ids[:0], heats[:0]
     keys = -heats if reverse else heats
-    if k <= 0:
-        pick = np.empty(0, dtype=np.intp)
-    elif k < keys.shape[0]:
+    ties = keys == keys.min()
+    if np.count_nonzero(ties) >= min(k, n):
+        pick = _first_set(ties, k)
+    elif k < n:
         kth = np.partition(keys, k - 1)[k - 1]
         better = np.flatnonzero(keys < kth)
         ties = np.flatnonzero(keys == kth)[:k - better.shape[0]]
@@ -569,4 +597,4 @@ def heat_order_prefix(page_ids: np.ndarray, heats: np.ndarray, k: int,
         pick = pick[np.argsort(keys[pick], kind="stable")]
     else:
         pick = np.argsort(keys, kind="stable")
-    return page_ids[pick].tolist(), heats[pick]
+    return page_ids[pick], heats[pick]

@@ -300,8 +300,13 @@ class LRUPolicy:
             return
         stamp = self._stamp
         tracked = col[stamp[col] >= 0]
+        # Each tracked key counted once, without a sort: a put keeps
+        # the last write to a repeated index, so exactly one of its
+        # entries reads its own marker back.
+        marks = np.arange(-2, -2 - tracked.shape[0], -1)
+        stamp[tracked] = marks
+        self._len -= int(np.count_nonzero(stamp[tracked] == marks))
         stamp[tracked] = -1
-        self._len -= np.unique(tracked).shape[0]
 
     def _sorted(self):
         """Every tracked key with its stamp, ascending stamp."""

@@ -19,11 +19,11 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import repeat
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..sim.ladder import repeat_add_vec
 
 #: Dense heat arrays never grow past this many page ids; larger (or
@@ -82,8 +82,7 @@ class ExactTracker:
                  scan_weight: float = 0.1) -> None:
         if not 0.0 < decay <= 1.0:
             raise ConfigError(f"decay must be in (0,1]: {decay}")
-        if epoch_accesses <= 0:
-            raise ConfigError("epoch_accesses must be positive")
+        require_count("epoch_accesses", epoch_accesses, 1)
         if scan_weight < 0:
             raise ConfigError("scan_weight must be non-negative")
         self.decay = decay
@@ -141,33 +140,8 @@ class ExactTracker:
         loop. ndarray runs are applied in bulk (one fancy-indexed add
         for distinct ids, an exact ladder for duplicates); aging fires
         at exactly the same access index as in the scalar loop."""
-        weight = self.scan_weight if is_scan else 1.0
-        if (isinstance(page_ids, np.ndarray)
-                and end - start >= _VEC_MIN):
-            ids = page_ids[start:end]
-            since = self._since_epoch
-            epoch = self.epoch_accesses
-            pos = 0
-            n = ids.shape[0]
-            while pos < n:
-                take = min(n - pos, epoch - since)
-                self._apply_uniform(ids[pos:pos + take], weight)
-                since += take
-                pos += take
-                if since >= epoch:
-                    self._age()
-                    since = 0
-            self._since_epoch = since
-            return
-        since = self._since_epoch
-        epoch = self.epoch_accesses
-        for i in range(start, end):
-            self._add_one(page_ids[i], weight)
-            since += 1
-            if since >= epoch:
-                self._age()
-                since = 0
-        self._since_epoch = since
+        self._record_run(page_ids, None, start, end,
+                         self.scan_weight if is_scan else 1.0)
 
     def record_block(self, page_ids: np.ndarray, scans: np.ndarray,
                      start: int, end: int) -> None:
@@ -175,36 +149,39 @@ class ExactTracker:
         equivalent to a :meth:`record` loop over mixed scan/point
         accesses.  Used by the buffer pool's block lane to flush one
         window of deferred tracker updates."""
-        if end - start < _VEC_MIN:
-            since = self._since_epoch
-            epoch = self.epoch_accesses
-            scan_w = self.scan_weight
+        self._record_run(page_ids, scans, start, end, 1.0)
+
+    def _record_run(self, page_ids, scans, start: int, end: int,
+                    weight: float) -> None:
+        """The body of both batch recorders: every access weighs
+        *weight* when *scans* is None, else its own flag's weight;
+        applied one aging epoch at a time."""
+        since = self._since_epoch
+        epoch = self.epoch_accesses
+        scan_w = self.scan_weight
+        if end - start < _VEC_MIN or not isinstance(page_ids, np.ndarray):
             for i in range(start, end):
-                self._add_one(page_ids[i], scan_w if scans[i] else 1.0)
+                self._add_one(page_ids[i], weight if scans is None
+                              else scan_w if scans[i] else 1.0)
                 since += 1
                 if since >= epoch:
                     self._age()
                     since = 0
             self._since_epoch = since
             return
-        ids = page_ids[start:end]
-        flags = scans[start:end]
-        since = self._since_epoch
-        epoch = self.epoch_accesses
-        pos = 0
-        n = ids.shape[0]
-        scan_w = self.scan_weight
-        while pos < n:
-            take = min(n - pos, epoch - since)
-            fl = flags[pos:pos + take]
-            if not fl.any():
-                self._apply_uniform(ids[pos:pos + take], 1.0)
-            elif fl.all():
-                self._apply_uniform(ids[pos:pos + take], scan_w)
+        pos = start
+        while pos < end:
+            stop = min(end, pos + epoch - since)
+            ids = page_ids[pos:stop]
+            flags = None if scans is None else scans[pos:stop]
+            if flags is None or not flags.any():
+                self._apply_uniform(ids, weight)
+            elif flags.all():
+                self._apply_uniform(ids, scan_w)
             else:
-                self._apply_mixed(ids[pos:pos + take], fl)
-            since += take
-            pos += take
+                self._apply_mixed(ids, flags)
+            since += stop - pos
+            pos = stop
             if since >= epoch:
                 self._age()
                 since = 0
@@ -329,21 +306,18 @@ class ExactTracker:
 
     def heat_array(self, page_ids: Sequence[int]) -> np.ndarray:
         """Heats for a batch of pages; elementwise equal to
-        :meth:`heat`.  Lets placement policies sort thousands of
-        residents without a python call per key."""
+        :meth:`heat`.  An absent dense row holds 0.0 (aging and
+        :meth:`forget` zero it), so ids inside the dense range are one
+        gather; the rest read the side table."""
         ids = np.asarray(page_ids, dtype=np.int64)
+        harr = self._harr
+        if ids.shape[0] and 0 <= ids.min() and ids.max() < harr.shape[0]:
+            return harr[ids]
+        dense = (ids >= 0) & (ids < harr.shape[0])
         out = np.zeros(ids.shape[0])
-        size = self._harr.shape[0]
-        dense = (ids >= 0) & (ids < size)
-        if dense.all():
-            np.copyto(out, np.where(self._present[ids],
-                                    self._harr[ids], 0.0))
-        else:
-            sel = ids[dense]
-            out[dense] = np.where(self._present[sel],
-                                  self._harr[sel], 0.0)
-            for i in np.nonzero(~dense)[0]:
-                out[i] = self.heat(int(ids[i]))
+        out[dense] = harr[ids[dense]]
+        for i in np.flatnonzero(~dense).tolist():
+            out[i] = self._over.get(int(ids[i]), 0.0)
         return out
 
     def hottest(self, n: int) -> list[int]:
@@ -364,10 +338,6 @@ class ExactTracker:
         else:
             self._over.pop(int(page_id), None)
 
-    def tracked(self) -> Iterable[int]:
-        """Page ids with non-zero heat."""
-        return self._heat.keys()
-
 
 class SampledTracker:
     """OS-side tracker: sampled accesses, no workload knowledge.
@@ -385,6 +355,7 @@ class SampledTracker:
             raise ConfigError(f"sample_rate must be in (0,1]: {sample_rate}")
         if not 0.0 < decay <= 1.0:
             raise ConfigError(f"decay must be in (0,1]: {decay}")
+        require_count("epoch_accesses", epoch_accesses, 1)
         self.sample_rate = sample_rate
         self.decay = decay
         self.epoch_accesses = epoch_accesses

@@ -7,6 +7,8 @@ swallowing programming errors such as ``TypeError``.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all library errors."""
@@ -62,3 +64,13 @@ class PoolingError(ReproError):
 
 class DeviceFailure(ReproError):
     """An injected hardware failure surfaced to the caller."""
+
+
+def require_count(name: str, value: object, least: int) -> None:
+    """Refuse a count that is not an integer >= *least* — a bool, a
+    float (even a whole one) or NaN included — as a :class:`ConfigError`
+    at construction, before it can reach a slice or a partition."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ConfigError(
+            f"{name} must be an integer >= {least}, got {value!r}")

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..units import CACHE_LINE
 from .mtrand import py_random_sample
 from .traces import BLOCK_OPS, Access, AccessBlock
@@ -72,16 +72,10 @@ class YCSBConfig:
                             ("records_per_page", 1),
                             ("scan_length_pages",
                              1 if "scan" in YCSB_MIXES[self.mix] else 0)):
-            _require_count(name, getattr(self, name), least)
+            require_count(name, getattr(self, name), least)
         if not self.think_ns >= 0:  # also refuses NaN
             raise ConfigError(
                 f"think_ns must be non-negative, got {self.think_ns!r}")
-
-
-def _require_count(name: str, value: object, least: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigError(
-            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _op_plan(config: YCSBConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +165,7 @@ def ycsb_blocks(config: YCSBConfig,
     cursor positions are assembled with numpy scatters instead of
     per-access object construction.
     """
-    _require_count("block_ops", block_ops, 1)
+    require_count("block_ops", block_ops, 1)
     num_ops = config.num_ops
     if num_ops == 0:
         return

@@ -2,10 +2,10 @@
 
 This is the implementation the repository shipped before rebalance
 learned to select instead of sort, kept verbatim (modulo ``self`` →
-explicit arguments, and one fix marked below) as the specification the fast code is tested
-against: a full stable heat sort of both tiers, movability judged pair
-by pair at the moment the pair is reached, and one scalar
-``migrate`` per page with its own bookkeeping body.
+explicit arguments, and the fixes marked below) as the specification
+the fast code is tested against: a full stable heat sort of both tiers,
+movability judged pair by pair at the moment the pair is reached, and
+one scalar ``migrate`` per page with its own bookkeeping body.
 
 Nothing in ``src/`` imports it.
 """
@@ -42,6 +42,11 @@ def reference_migrate(pool, page_id, to_tier: int) -> float:
         elapsed = 0.0
     else:
         elapsed = pool._make_room(to_tier)
+        # The pool refuses a move whose own make-room evicted the page
+        # (it used to mark the evicted page resident); so does this.
+        if pool.tier_of(page_id) != from_tier:
+            raise BufferPoolError(f"page {page_id} was evicted making room"
+                                  " for its own migration")
     page_size = pool.page_size
     rw = pool._mig_rw.get((from_tier, to_tier))
     if rw is None:
@@ -113,7 +118,11 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
     fast_capacity = pool.tiers[0].capacity_pages
 
     def residents(tier_range):
-        chunks = [pool.resident_ids_in(i) for i in tier_range]
+        # Fixed with the fast solve: ``resident_order`` settles the
+        # pool's deferred hit log, so a solve called straight after an
+        # array-lane run ranks by current heats in both phases.
+        ids, tiers = pool.resident_order()
+        chunks = [ids[tiers == i] for i in tier_range]
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def movable(page_id) -> bool:

@@ -10,7 +10,7 @@ tests pin the two contracts that lane must keep:
   same-shape runs, mid-run migrations, faults raised inside blocks, and
   concurrent-session contention;
 * **residency-table consistency** — the dense table and the
-  insertion-order index (``resident_ids_in`` / ``resident_in``) always
+  insertion-order index (``resident_order`` / ``resident_in``) always
   agree with the frame map after evictions, migrations, ``drop_all``
   and ``resize_tier``.
 """
@@ -279,8 +279,9 @@ def assert_residency_consistent(pool):
     views must tell the same story."""
     pool.check_invariants()
     seen = {}
+    order, tiers = pool.resident_order()
     for tier_index in range(len(pool.tiers)):
-        ids = pool.resident_ids_in(tier_index)
+        ids = order[tiers == tier_index]
         assert ids.dtype == np.int64
         listed = list(pool.resident_in(tier_index))
         assert listed == ids.tolist()

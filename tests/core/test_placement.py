@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import config
 from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.placement import DbCostPolicy, OSPagingPolicy, StaticPolicy
+from repro.core.temperature import ExactTracker, SampledTracker
 from repro.errors import BufferPoolError, ConfigError
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
@@ -278,3 +280,35 @@ class TestDbCostPolicy:
         db = run(DbCostPolicy(rebalance_interval=500))
         os_ = run(OSPagingPolicy(check_interval=500))
         assert db.tier_hit_rates[0] >= os_.tier_hit_rates[0]
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (ExactTracker, "epoch_accesses", 50.0),
+    (ExactTracker, "epoch_accesses", True),
+    (SampledTracker, "epoch_accesses", 0),
+    (SampledTracker, "epoch_accesses", -5),
+    (SampledTracker, "epoch_accesses", 2.0),
+    (DbCostPolicy, "rebalance_interval", 2500.5),
+    (DbCostPolicy, "rebalance_interval", float("nan")),
+    (DbCostPolicy, "max_moves_per_rebalance", 2.5),
+    (DbCostPolicy, "max_moves_per_rebalance", False),
+    (OSPagingPolicy, "check_interval", 100.5),
+    (OSPagingPolicy, "max_moves_per_check", 1.5),
+], ids=lambda arg: getattr(arg, "__name__", str(arg)))
+def test_counts_must_be_integers(cls, name, value):
+    """A non-integer count (a whole float or a bool too) or an
+    out-of-range one is refused where it is given, not as a TypeError
+    from a slice or a partition deep in the buffer pool — or, for the
+    sampler's epoch, not at all."""
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
+def test_numpy_integer_counts_are_counts():
+    policy = DbCostPolicy(rebalance_interval=np.int64(16),
+                          max_moves_per_rebalance=np.int32(4),
+                          tracker=ExactTracker(epoch_accesses=np.int64(9)))
+    pool = make_pool(policy, dram=4, cxl=16)
+    for page in range(40):
+        pool.access(page % 20)
+    assert policy.rebalances == 40 // 16

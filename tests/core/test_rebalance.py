@@ -7,22 +7,27 @@ order, every stat and clock float, and the emitted trace records.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import config
-from repro.core.buffer import Tier, TieredBufferPool
-from repro.core.placement import DbCostPolicy, heat_order_prefix
+from repro.core.buffer import _RES_MAX_PIDS, Tier, TieredBufferPool
+from repro.core.placement import DbCostPolicy, _first_set, heat_order_prefix
 from repro.errors import BufferPoolError, ReproError
 from repro.sim.clock import SimClock
 from repro.sim.context import SimContext
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
 from repro.sim.trace import MemoryTraceSink
+from repro.workloads import scan_blocks
 from tests.core.rebalance_oracle import OracleDbCostPolicy, migrate_loop
 from tests.core.test_access_batch import _pool_state
+
+FAR = _RES_MAX_PIDS + 11
 
 
 def make_pool(placement, capacities=(8, 32), traced=True):
@@ -79,9 +84,9 @@ def test_heat_order_prefix_matches_stable_sort(heats, k, reverse, seed):
     got_ids, got_heats = heat_order_prefix(ids, np.array(heats, dtype=float),
                                            k, reverse=reverse)
     want_ids, want_heats = sorted_prefix(ids.tolist(), heats, k, reverse)
-    assert got_ids == want_ids
+    assert got_ids.tolist() == want_ids
     assert got_heats.tolist() == want_heats
-    assert all(type(p) is int for p in got_ids)
+    assert got_ids.dtype == ids.dtype
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -91,13 +96,26 @@ def test_heat_order_prefix_edges(k, reverse):
     come back in input order whichever way the sort runs."""
     ids = np.array([9, 3, 7, 1, 8, 2], dtype=np.int64)
     equal = np.full(6, 0.1)
-    assert heat_order_prefix(ids, equal, k, reverse)[0] == \
+    assert heat_order_prefix(ids, equal, k, reverse)[0].tolist() == \
         ids.tolist()[:k]
     ramp = np.array([3.0, 1.0, 2.0, 1.0, 3.0, 0.0])
-    assert heat_order_prefix(ids, ramp, k, reverse)[0] == \
+    assert heat_order_prefix(ids, ramp, k, reverse)[0].tolist() == \
         sorted_prefix(ids.tolist(), ramp.tolist(), k, reverse)[0]
     empty = np.empty(0, dtype=np.int64)
-    assert heat_order_prefix(empty, np.empty(0), k, reverse)[0] == []
+    assert heat_order_prefix(empty, np.empty(0), k, reverse)[0].tolist() == []
+
+
+@settings(max_examples=100)
+@given(n=st.integers(0, 30_000), hits=st.lists(st.integers(0, 29_999),
+                                               max_size=200),
+       k=st.integers(0, 150))
+def test_first_set_is_the_head_of_flatnonzero(n, hits, k):
+    """The widening chunks (1,024 entries, then four times as many
+    each time) find what one full ``flatnonzero`` finds, wherever the
+    set entries sit."""
+    mask = np.zeros(n, dtype=bool)
+    mask[[h for h in hits if h < n]] = True
+    assert _first_set(mask, k).tolist() == np.flatnonzero(mask)[:k].tolist()
 
 
 # -- migrate_batch ------------------------------------------------------------
@@ -111,6 +129,19 @@ def twin_pools(capacities=(8, 12), pages=18, traced=True):
         for page in range(pages):
             pool.access(page)
     return pools
+
+
+def seed_edges(pool):
+    """Move one page along every tier edge and back, as a pool that has
+    migrated before has: each edge's device times are then memoised,
+    which the column commit requires."""
+    for a in range(len(pool.tiers)):
+        for b in range(len(pool.tiers)):
+            if a != b and pool.tier_residents(a):
+                page = pool.resident_in(a)[0]
+                pool.migrate(page, b)
+                if pool.tier_of(page) == b:
+                    pool.migrate(page, a)
 
 
 def run_both(batched, looped, page_ids, to_tiers):
@@ -178,6 +209,78 @@ class TestMigrateBatch:
         assert batched.tier_of(0) == 1 and batched.tier_of(9) == 0
         assert batched.tier_of(1) == 0  # never reached
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_any_batch_equals_scalar_loop(self, seed):
+        """Batches long enough for the column commit and shorter, on 2-
+        and 3-tier pools: swap-shaped pairs, demotions, mixed
+        directions, a repeated page, a pinned / non-resident /
+        invalid-tier entry mid-batch, a destination that fills
+        mid-batch, side-table (far) pages, device times memoised or
+        not, traced or not, on a session clock or the pool's. The
+        return value or error text and the whole state — spans
+        included — must be the scalar loop's. (The choices come from a
+        seeded stream so that each case turns up in a fair share of
+        the examples.)"""
+        rng = random.Random(seed)
+        capacities = rng.choice([(80, 150), (50, 100, 60)])
+        pages = rng.choice([120, 170, sum(capacities) + 10])
+        pools = twin_pools(capacities, pages, traced=rng.random() < 0.5)
+        far = rng.choice([0, 0, 0, 2])
+        seeded = rng.random() < 0.75
+        for pool in pools:
+            for i in range(far):
+                pool.access(FAR + i)
+            if seeded:
+                seed_edges(pool)
+        residents = [sorted(pools[0].resident_in(t))
+                     for t in range(len(capacities))]
+        fast, slow = residents[0], sum(residents[1:], [])
+        n = rng.choice([3, 64, 90, 120])
+        shape = rng.choice(["swaps", "swaps", "down", "mixed"])
+        if shape == "swaps" and fast and slow:
+            # Rebalance-shaped: a fast page down, its slow partner up.
+            pairs = max(1, min(n // 2, len(fast), len(slow)))
+            partners = rng.sample(slow, pairs)
+            ids = [p for pair in zip(fast[:pairs], partners) for p in pair]
+            to_tiers = [1, 0] * pairs
+        else:
+            pool_ids = fast if shape == "down" and fast else sum(residents, [])
+            ids = rng.sample(pool_ids, min(n, len(pool_ids)))
+            low = 1 if shape == "down" else 0
+            to_tiers = [rng.randint(low, len(capacities) - 1) for _ in ids]
+        where = rng.randrange(len(ids))
+        bad = rng.choice(["none"] * 8 + ["repeat", "pinned", "missing", "tier"])
+        if bad == "repeat":
+            ids.insert(where, ids[0])
+            to_tiers.insert(where, rng.randrange(len(capacities)))
+        elif bad == "pinned":
+            for pool in pools:
+                pool.pin(ids[where])
+        elif bad == "missing":
+            ids[where] = 999_999
+        elif bad == "tier":
+            to_tiers[where] = len(capacities) + 2
+        if rng.random() < 0.5:
+            for pool in pools:
+                pool.session_begin(SimClock(5.0), contended=False)
+        batched, looped = pools
+        if rng.random() < 0.5:
+            ids, to_tiers = np.array(ids, dtype=np.int64), np.array(to_tiers)
+        run_both(batched, looped, ids, to_tiers)
+
+    def test_column_route_commits_a_swap_batch(self):
+        batched, looped = twin_pools((48, 90), 120)
+        seed_edges(batched)
+        seed_edges(looped)
+        stepped = batched.lane.step_migrations
+        fast = sorted(batched.resident_in(0))[:40]
+        slow = sorted(batched.resident_in(1))[:40]
+        ids = [p for pair in zip(fast, slow) for p in pair]
+        run_both(batched, looped, np.array(ids), np.array([1, 0] * 40))
+        assert batched.lane.column_migrations == 80
+        assert batched.lane.step_migrations == stepped
+
     def test_length_mismatch_rejected(self):
         pool, _ = twin_pools()
         with pytest.raises(BufferPoolError):
@@ -222,6 +325,8 @@ def scenarios(draw):
                   st.lists(st.integers(0, 5), max_size=4)),
         st.tuples(st.just("unpin")),
         st.tuples(st.just("session"), st.booleans()),
+        # A page the dense table refuses: its row is a side row.
+        st.tuples(st.just("far"), st.integers(0, 3), st.integers(1, 30)),
         st.tuples(st.just("rebalance")),
     ), min_size=4, max_size=50))
     return {
@@ -289,6 +394,9 @@ class Driver:
             for page_id in self.pinned:
                 pool.unpin(page_id)
             self.pinned = []
+        elif kind == "far":
+            for _ in range(op[2]):
+                pool.access(FAR + op[1])
         elif kind == "session":
             if op[1]:
                 pool.session_begin(self.session_clock, contended=False)
@@ -388,6 +496,25 @@ def test_hand_made_scenario_reaches_the_hard_cases():
     assert fast.session_clock.now > 0.0
 
 
+def test_column_committed_rebalances_match_the_oracle():
+    """Rebalances big enough for the column commit — a 70-frame fast
+    tier filled from a warm scan, then swaps after the slow tier's
+    pages heat up, with a side-table page resident and a session clock
+    on — still move exactly what the full sort and one scalar
+    ``migrate`` per page move."""
+    touch = ("touch", True, list(range(40)))
+    fast = replay({
+        "capacities": (70, 160), "universe": 126, "interval": 5000,
+        "max_moves": 128, "traced": True, "warm": "scan",
+        "ops": [("hammer", True, 3, 5), ("rebalance",), touch, touch,
+                ("rebalance",), touch, touch, touch, ("rebalance",),
+                ("far", 1, 40), touch, touch, touch, touch, ("rebalance",),
+                ("session", True), *[touch] * 5, ("rebalance",)],
+    })
+    assert fast.pool.lane.column_migrations > 0
+    assert fast.policy.snapshot()["pairs_cut_unprofitable"] > 0
+
+
 # -- observability ------------------------------------------------------------
 
 def test_counters_identical_with_and_without_a_trace_sink():
@@ -405,12 +532,42 @@ def test_counters_identical_with_and_without_a_trace_sink():
 
     (traced, traced_pool), (plain, plain_pool) = drive(True), drive(False)
     assert traced.snapshot() == plain.snapshot()
+    assert traced_pool.lane.snapshot() == plain_pool.lane.snapshot()
     assert traced.snapshot()["moves"] == traced_pool.stats.migrations > 0
     assert traced.snapshot()["rebalances"] == (30 + 40 * 50) // 64
     plain_state = full_state(plain_pool)
     traced_state = full_state(traced_pool)
     del traced_state["spans"], traced_state["instants"]
     assert traced_state == plain_state
+
+
+@pytest.mark.parametrize("capacities", [(500, 4_500), (500, 1_500, 3_000)])
+def test_scan_warm_shaped_rebalance_takes_the_column_route(capacities):
+    """A warm scan over a pool whose fast tier holds a sixth of the
+    table — the ``scan_warm`` shape at a tenth of its size, on two
+    tiers or three — moves every page by the column commit once the
+    fast tier is full (before, the first run along each edge memoises
+    its device times through the per-page step, and the fill's tail
+    runs short), and a trace sink changes no counter."""
+    def drive(traced):
+        pool = make_pool(DbCostPolicy(), capacities, traced)
+        pool.preload(np.arange(3_000, dtype=np.int64), nbytes=4096,
+                     is_scan=True)
+        counters = []
+        for repeats in (10, 20):
+            for block in scan_blocks(0, 3_000, repeats=repeats):
+                pool.access_block(block)
+            counters.append((pool.placement.snapshot(), pool.lane.snapshot(),
+                             pool.stats.snapshot()))
+        return counters
+
+    traced, plain = drive(True), drive(False)
+    assert traced == plain
+    (warm, warm_lane, _), (placement, lane, _) = plain
+    assert placement["rebalances"] == 3_000 * 31 // 5_000
+    assert lane["column_migrations"] - warm_lane["column_migrations"] == \
+        placement["moves"] - warm["moves"] > 0
+    assert lane["step_migrations"] == warm_lane["step_migrations"]
 
 
 def test_placement_namespace_in_metrics_snapshot():

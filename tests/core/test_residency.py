@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,7 +27,7 @@ from hypothesis.stateful import (
 from repro.core import ScaleUpEngine
 from repro.core.buffer import _RES_MAX_PIDS
 from repro.core.replacement import make_policy
-from repro.core.temperature import SampledTracker
+from repro.core.temperature import _MAX_DENSE_PIDS, ExactTracker, SampledTracker
 from repro.errors import BufferPoolError, ReproError
 from repro.storage.page import Page
 from tests.core.residency import resident_ids
@@ -267,9 +267,64 @@ def test_sampled_heat_array_is_heat():
     assert tracker.heat_array(ids[:0]).shape == (0,)
 
 
+#: Tracker ids: mostly dense ones the bulk paths take, plus the side
+#: table's (negative, at or past the dense ceiling).
+tracked_ids = st.one_of(st.integers(0, 3_000), st.integers(0, 3_000),
+                        st.integers(-3, -1),
+                        st.integers(_MAX_DENSE_PIDS - 1, _MAX_DENSE_PIDS + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decay=st.sampled_from([0.5, 1e-3, 1.0]),
+    ops=st.lists(st.one_of(
+        st.tuples(st.just("record"), tracked_ids, st.booleans()),
+        st.tuples(st.just("batch"), st.lists(tracked_ids, max_size=150),
+                  st.booleans(), st.booleans()),
+        st.tuples(st.just("block"), st.lists(
+            st.tuples(tracked_ids, st.booleans()), max_size=150)),
+        st.tuples(st.just("forget"), tracked_ids),
+    ), max_size=25),
+    probes=st.lists(st.one_of(tracked_ids, st.integers(3_000, 1 << 21)),
+                    max_size=30),
+)
+def test_exact_heat_array_is_heat(decay, ops, probes):
+    """The one-gather premise: every absent dense row holds 0.0, so a
+    gather is elementwise :meth:`heat` — through scalar, batch (list
+    and array) and mixed-flag block records, forgets, and aging past
+    the 1e-6 cut-off (epochs of 7 accesses), for ids the side table
+    keeps and ids past the current dense size."""
+    tracker = ExactTracker(decay=decay, epoch_accesses=7)
+    seen = []
+    for op in ops:
+        if op[0] == "record":
+            tracker.record(op[1], is_scan=op[2])
+            seen.append(op[1])
+        elif op[0] == "batch":
+            ids = np.array(op[1], dtype=np.int64) if op[3] else op[1]
+            tracker.record_batch(ids, 0, len(op[1]), is_scan=op[2])
+            seen += op[1]
+        elif op[0] == "block":
+            ids = [pid for pid, _ in op[1]]
+            scans = np.array([flag for _, flag in op[1]], dtype=bool)
+            tracker.record_block(np.array(ids, dtype=np.int64), scans,
+                                 0, len(ids))
+            seen += ids
+        else:
+            tracker.forget(op[1])
+            seen.append(op[1])
+    absent = ~tracker._present
+    assert not tracker._harr[absent].any()
+    for ids in (seen + probes, [pid for pid in seen + probes
+                                if 0 <= pid < tracker._harr.shape[0]]):
+        ids = np.array(ids, dtype=np.int64)
+        assert tracker.heat_array(ids).tolist() == \
+            [tracker.heat(pid) for pid in ids.tolist()]
+
+
 def test_rebalance_builds_no_view_without_pins():
-    """The placement paths check residency by ``tier_of`` and build a
-    frame view only when something is pinned."""
+    """The placement paths check residency by ``tier_of`` and read pins
+    off the pins column: no frame view is built, pinned page or not."""
     pool = make_pool(placement="dbcost37", caps=(4, 8), backed=True)
     built = []
     original = pool.frame_of
@@ -283,6 +338,7 @@ def test_rebalance_builds_no_view_without_pins():
         pool.access(page)
     heat_the_slow_tier()
     assert pool.placement.moves > 0 and not built
-    pool.pin(pool.resident_in(0)[0])
+    pinned = pool.resident_in(0)[0]
+    pool.pin(pinned)
     heat_the_slow_tier()
-    assert built
+    assert not built and pool.tier_of(pinned) == 0
