@@ -72,7 +72,10 @@ route-check:
 # under src/, and the pool builds a Frame view in frame_of() only. The
 # rebalance reads one residency snapshot: the per-tier re-gathers it
 # replaced may not come back, and placement.py reads pins off the pins
-# column, never through a frame view. One benchmark, too: the retired
+# column, never through a frame view. Churn is one merge loop and the
+# timed lock table two per-key expiry columns: the churn event
+# callbacks, the hold records and the prune pass may not come back
+# either. One benchmark, too: the retired
 # wall-clock microbenchmark harness (its package and its name) may not
 # come back under src/, tests/, the Makefile or .github/ — ledger/ is
 # the one performance instrument. The line counts of the pool and
@@ -81,7 +84,9 @@ define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
                   r"|sync_frame_stats|sync_frames|resident_ids_in"
-                  r"|slow_residents")
+                  r"|slow_residents|_TimedHold|def prune\b"
+                  r"|def (_arrive|_release|_admit|_drain_queue"
+                  r"|_consult_scaler)\b")
 bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):

@@ -14,6 +14,8 @@ direct, measurable contest.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,65 +23,62 @@ from ..errors import ConfigError, TransactionError
 from ..sim.context import SimContext
 from ..units import SECOND
 from ..workloads.tpcc import RecordOp, Transaction
-from .locks import LockMode
 
 
-@dataclass
-class _TimedHold:
-    mode: LockMode
-    expiry_ns: float
+#: Expiry of a key nobody has held: earlier than any start.
+_NEVER = -math.inf
 
 
 class TimedLockTable:
     """Lock holds with expiry times instead of explicit release.
 
-    A transaction scheduled to run in [start, finish) registers its
-    holds with expiry ``finish``. A later transaction needing an
-    incompatible lock must start at or after that expiry. Lazy pruning
-    keeps entries bounded.
+    A transaction scheduled to run in [start, finish) holds its locks
+    until ``finish``. A later transaction needing an incompatible lock
+    must start at or after that expiry, so its earliest start is the
+    latest of its ready time and every conflicting expiry. Only the
+    latest expiry per key can bind, so the table is two per-key floats:
+    ``xmax``, the latest exclusive expiry (what a shared request waits
+    on), and ``amax``, the latest expiry of any hold (what an exclusive
+    request waits on). Nothing is pruned: an expired hold never binds.
     """
 
     def __init__(self) -> None:
-        self._holds: dict[object, list[_TimedHold]] = {}
+        self.xmax: dict[object, float] = {}
+        self.amax: dict[object, float] = {}
         self.waits = 0
         self.wait_time_ns = 0.0
 
-    def earliest_start(self, keys: list[tuple[object, LockMode]],
+    def earliest_start(self, exclusive: list[object], shared: list[object],
                        not_before_ns: float) -> float:
-        """Earliest instant >= *not_before_ns* at which every lock in
-        *keys* is available."""
+        """Earliest instant >= *not_before_ns* at which every lock is
+        available: an *exclusive* key waits on every hold, a *shared*
+        key on exclusive holds only."""
         start = not_before_ns
-        for key, mode in keys:
-            holds = self._holds.get(key)
-            if not holds:
-                continue
-            for hold in holds:
-                if hold.expiry_ns <= start:
-                    continue
-                if mode is LockMode.EXCLUSIVE or \
-                        hold.mode is LockMode.EXCLUSIVE:
-                    start = hold.expiry_ns
+        amax = self.amax.get
+        for key in exclusive:
+            expiry = amax(key, _NEVER)
+            if expiry > start:
+                start = expiry
+        xmax = self.xmax.get
+        for key in shared:
+            expiry = xmax(key, _NEVER)
+            if expiry > start:
+                start = expiry
         if start > not_before_ns:
             self.waits += 1
             self.wait_time_ns += start - not_before_ns
         return start
 
-    def register(self, keys: list[tuple[object, LockMode]],
-                 expiry_ns: float) -> None:
-        """Record the holds of a scheduled transaction."""
-        for key, mode in keys:
-            self._holds.setdefault(key, []).append(
-                _TimedHold(mode=mode, expiry_ns=expiry_ns)
-            )
-
-    def prune(self, now_ns: float) -> None:
-        """Drop holds that expired before *now_ns*."""
-        for key in list(self._holds):
-            live = [h for h in self._holds[key] if h.expiry_ns > now_ns]
-            if live:
-                self._holds[key] = live
-            else:
-                del self._holds[key]
+    def register(self, exclusive: list[object],
+                 shared: list[object], expiry_ns: float) -> None:
+        """Record the holds of a transaction that finishes at *expiry_ns*."""
+        xmax, amax = self.xmax, self.amax
+        for key in exclusive:
+            if xmax.get(key, _NEVER) < expiry_ns:
+                xmax[key] = expiry_ns
+        for key in exclusive + shared:
+            if amax.get(key, _NEVER) < expiry_ns:
+                amax[key] = expiry_ns
 
 
 @dataclass
@@ -160,19 +159,18 @@ class TwoPhaseLockingExecutor:
         """Schedule all transactions; returns the run report."""
         if not transactions:
             raise TransactionError("no transactions to execute")
-        thread_clock = [0.0] * self.threads
+        # (clock, index): the least-loaded thread, first index on ties.
+        clocks = [(0.0, thread) for thread in range(self.threads)]
         report = OLTPReport(name=self.name, threads=self.threads)
         table = self.lock_table
-        prune_counter = 0
         for txn in transactions:
-            thread = min(range(self.threads), key=thread_clock.__getitem__)
-            ready = thread_clock[thread]
-            keys = self._lock_set(txn)
-            start = table.earliest_start(keys, ready)
+            ready, thread = clocks[0]
+            exclusive, shared = self._lock_set(txn)
+            start = table.earliest_start(exclusive, shared, ready)
             cost, remote_ops = self.cost_model(txn)
             finish = start + cost
-            table.register(keys, finish)
-            thread_clock[thread] = finish
+            table.register(exclusive, shared, finish)
+            heapq.heapreplace(clocks, (finish, thread))
             report.transactions += 1
             report.busy_ns += cost
             report.lock_wait_ns += start - ready
@@ -180,10 +178,7 @@ class TwoPhaseLockingExecutor:
             report.remote_ops += remote_ops
             if txn.remote:
                 report.distributed_txns += 1
-            prune_counter += 1
-            if prune_counter % 512 == 0:
-                table.prune(min(thread_clock))
-        report.makespan_ns = max(thread_clock)
+        report.makespan_ns = max(clock for clock, _ in clocks)
         self._last_report = report
         ctx = self.ctx
         if ctx is not None:
@@ -212,11 +207,13 @@ class TwoPhaseLockingExecutor:
             snap["distributed_txns"] = report.distributed_txns
         return snap
 
-    def _lock_set(self, txn: Transaction) -> list[tuple[object, LockMode]]:
-        keys: dict[object, LockMode] = {}
+    def _lock_set(self, txn: Transaction
+                  ) -> tuple[list[object], list[object]]:
+        """(exclusive, shared) lock keys; a key also written may sit in
+        both, its shared entry then changes no wait and no hold."""
+        lock_key = self.lock_key
+        exclusive: list[object] = []
+        shared: list[object] = []
         for op in txn.ops:
-            key = self.lock_key(op)
-            mode = LockMode.EXCLUSIVE if op.write else LockMode.SHARED
-            if key not in keys or mode is LockMode.EXCLUSIVE:
-                keys[key] = mode
-        return list(keys.items())
+            (exclusive if op.write else shared).append(lock_key(op))
+        return exclusive, shared

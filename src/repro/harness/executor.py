@@ -13,6 +13,12 @@ flight. Per-process execution is what makes the guarantees cheap:
 * **per-cell timeout** — a cell exceeding ``timeout_s`` of wall time
   is terminated and marked ``timeout``.
 
+Workers are forked together, up to ``_FORK_BATCH`` at a time, and each
+waits for its scenario until a slot frees. A fork makes the parent's
+pages copy-on-write, so the parent's next touch of them faults; forked
+one cell at a time, every cell cost the parent such a burst, spread over
+the sweep. Forked together, the burst comes once per batch.
+
 Determinism: cell seeds are derived before scheduling
 (:func:`~repro.harness.scenario.derive_seed`), workers share no state,
 and results are assembled in cell order — so ``--jobs 4`` produces
@@ -43,10 +49,25 @@ STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 
 _POLL_INTERVAL_S = 0.005
+_FORK_BATCH = 16
 
 
-def _cell_worker(conn, scenario_dict: dict) -> None:
-    """Worker entry point: run one cell, send (status, payload)."""
+def _cell_worker(conn, parent_ends: list) -> None:
+    """Worker entry point: wait for a scenario, run it, send
+    (status, payload).
+
+    ``parent_ends`` are the parent's ends of every open cell pipe, this
+    one's included, which a forked worker inherits. Closing them leaves
+    the parent the only holder, so a worker still waiting sees EOF and
+    exits if the parent dies.
+    """
+    for end in parent_ends:
+        end.close()
+    try:
+        scenario_dict = conn.recv()
+    except (EOFError, OSError):  # the sweep ended before this cell ran
+        conn.close()
+        return
     from .experiments import run_scenario  # late: keeps spawn cheap
     try:
         result = run_scenario(Scenario.from_dict(scenario_dict))
@@ -192,6 +213,7 @@ def run_sweep(
             pending.append(cell)
 
     ctx = _mp_context()
+    forked: deque[tuple[Cell, Any, Any]] = deque()  # waiting for a slot
     running: dict[int, _Running] = {}
 
     def finish(run: _Running, status: str, result: dict | None,
@@ -211,17 +233,27 @@ def run_sweep(
         say(f"[{sweep.name}] {label}: {note} ({elapsed:.2f}s)")
 
     try:
-        while pending or running:
-            while pending and len(running) < jobs:
-                cell = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_cell_worker,
-                    args=(child_conn, cell.scenario.to_dict()),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
+        while pending or forked or running:
+            if pending and not forked and len(running) < jobs:
+                for _ in range(min(len(pending), max(jobs, _FORK_BATCH))):
+                    cell = pending.popleft()
+                    parent_conn, child_conn = ctx.Pipe()
+                    ends = [run.conn for run in running.values()]
+                    ends += [conn for _cell, _process, conn in forked]
+                    process = ctx.Process(
+                        target=_cell_worker,
+                        args=(child_conn, ends + [parent_conn]),
+                        daemon=True,
+                    )
+                    process.start()
+                    child_conn.close()
+                    forked.append((cell, process, parent_conn))
+            while forked and len(running) < jobs:
+                cell, process, parent_conn = forked.popleft()
+                try:
+                    parent_conn.send(cell.scenario.to_dict())
+                except OSError:  # died while waiting: reported below
+                    pass
                 now = time.monotonic()
                 running[cell.index] = _Running(
                     cell=cell, process=process, conn=parent_conn,
@@ -271,10 +303,12 @@ def run_sweep(
             if not made_progress and running:
                 time.sleep(_POLL_INTERVAL_S)
     finally:
-        for run in running.values():  # interrupted: leave no orphans
-            run.process.terminate()
-            run.process.join()
-            run.conn.close()
+        idle = [(process, conn) for _cell, process, conn in forked]
+        for process, conn in idle + [
+                (run.process, run.conn) for run in running.values()]:
+            process.terminate()  # interrupted: leave no orphans
+            process.join()
+            conn.close()
 
     report.cells = [slot for slot in slots if slot is not None]
     report.elapsed_s = time.monotonic() - started

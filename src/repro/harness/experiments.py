@@ -375,7 +375,7 @@ def a8_pondscale(scenario: Scenario, ctx: SimContext) -> dict:
     Generates a columnar tenant population
     (:class:`~repro.serving.TenantTable`), plays Poisson arrival /
     exponential-lifetime churn against an elastically scaled CXL page
-    pool through the discrete-event simulator, then folds every
+    pool in virtual time, then folds every
     tenant's slowdown versus an all-DRAM run into exact mergeable
     histograms for two alternatives: pooled CXL and a scale-out
     partition where ``workload.remote_fraction`` of accesses cross an

@@ -7,8 +7,8 @@ sweep cell:
 
 * :class:`TenantTable` — columnar structure-of-arrays population; a
   million tenants never become a million ``CloudWorkload`` objects.
-* :mod:`.churn` — deterministic Poisson arrivals and lifetimes driven
-  through the discrete-event simulator against pooled CXL capacity.
+* :mod:`.churn` — deterministic Poisson arrivals and lifetimes played
+  in virtual time against pooled CXL capacity.
 * :class:`MergeableHistogram` — exact integer-count histograms whose
   merges are order-invariant, making sharded percentile CDFs
   byte-identical across shard counts and worker fan-out.

@@ -4,25 +4,26 @@ Pond's population is not static: tenants arrive, hold pooled memory
 for a lifetime, and leave. This module draws a deterministic seeded
 Poisson arrival process and exponential lifetimes into the columnar
 :class:`~repro.serving.tenants.TenantTable` (one bulk inverse-CDF draw
-per column, CPython-faithful stream), then plays the population
-through the discrete-event :class:`~repro.sim.events.Simulator`
-against a :class:`~repro.core.elastic.PagePool`: admission waits when
-the pool is full, departures return pages after a reclamation delay,
-and an optional :class:`~repro.core.autoscale.ExpanderScaler` grows or
-shrinks the pool as backlog builds and drains — pool occupancy,
-admission waits, and reclamation are *simulated*, not assumed.
+per column, CPython-faithful stream), then plays the population in
+virtual time against a :class:`~repro.core.elastic.PagePool`:
+admission waits when the pool is full, departures return pages after a
+reclamation delay, and an optional
+:class:`~repro.core.autoscale.ExpanderScaler` grows or shrinks the pool
+as backlog builds and drains — pool occupancy, admission waits, and
+reclamation are *simulated*, not assumed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
 from ..core.autoscale import ExpanderScaler
 from ..core.elastic import PagePool
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..sim.events import Simulator
 from ..units import SECOND, us
 from ..workloads.mtrand import PyRandomStream
@@ -93,7 +94,7 @@ class ChurnReport:
 
 
 class ChurnSimulator:
-    """Admit/evict a tenant table against a page pool, event-driven.
+    """Admit/evict a tenant table against a page pool in virtual time.
 
     Tenants are admitted in arrival order; a tenant that does not fit
     joins a FIFO queue (strict head-of-line: admission order never
@@ -105,104 +106,103 @@ class ChurnSimulator:
 
     def __init__(self, table: TenantTable, pool: PagePool,
                  scaler: ExpanderScaler | None = None,
-                 reclaim_ns: float = us(200.0),
-                 sim: Simulator | None = None) -> None:
-        if reclaim_ns < 0:
-            raise ConfigError("reclaim_ns must be non-negative")
+                 reclaim_ns: float = us(200.0)) -> None:
+        if not 0.0 <= reclaim_ns < np.inf:
+            raise ConfigError("reclaim_ns must be finite and non-negative")
+        arrival, departure = table.arrival_ns, table.departure_ns
+        if not ((arrival >= 0).all() and (departure >= arrival).all()
+                and np.isfinite(departure).all()):
+            raise ConfigError("need 0 <= arrival_ns <= departure_ns < inf")
         self.table = table
         self.pool = pool
         self.scaler = scaler
         self.reclaim_ns = reclaim_ns
-        self.sim = sim or Simulator()
-        # Every event reads these per tenant. A memoryview hands out
-        # plain ints and floats without boxing a numpy scalar per read
-        # and without a python object per tenant.
-        self._order = memoryview(
-            np.argsort(table.arrival_ns, kind="stable"))
-        self._pages = memoryview(table.working_set_pages)
-        self._arrival_ns = memoryview(table.arrival_ns)
-        self._lifetime_ns = memoryview(table.departure_ns
-                                       - table.arrival_ns)
-        self._waiting: deque[int] = deque()
-        self._queued_pages = 0
+        self.sim = Simulator()
         self.report = ChurnReport(tenants=len(table))
 
-    # -- capacity -----------------------------------------------------
-
-    def _max_capacity(self) -> int:
-        if self.scaler is None:
-            return self.pool.capacity_pages
-        return self.scaler.max_expanders * self.scaler.pages_per_expander
-
-    def _consult_scaler(self) -> None:
-        scaler = self.scaler
-        if scaler is None:
-            return
-        scaler.decide(self.sim.now, self._queued_pages,
-                      self.pool.leased_pages)
-        if scaler.capacity_pages != self.pool.capacity_pages:
-            self.pool.resize(scaler.capacity_pages)
-
-    # -- events -------------------------------------------------------
-
-    def _admit(self, i: int) -> None:
-        self.pool.lease(i, self._pages[i])
-        wait_ns = self.sim.now - self._arrival_ns[i]
-        self.report.admitted += 1
-        if wait_ns > 0:
-            self.report.waited += 1
-        self.report.wait_hist.add(wait_ns)
-        self.sim.after(self._lifetime_ns[i] + self.reclaim_ns,
-                       self._release, i)
-
-    def _drain_queue(self) -> None:
-        while self._waiting:
-            head = self._waiting[0]
-            pages = self._pages[head]
-            if pages > self.pool.free_pages:
-                break
-            self._waiting.popleft()
-            self._queued_pages -= pages
-            self._admit(head)
-
-    def _arrive(self, pos: int) -> None:
-        i = self._order[pos]
-        if pos + 1 < len(self._order):
-            self.sim.at(self._arrival_ns[self._order[pos + 1]],
-                        self._arrive, pos + 1)
-        pages = self._pages[i]
-        if pages > self._max_capacity():
-            self.report.rejected += 1
-            return
-        self._waiting.append(i)
-        self._queued_pages += pages
-        self._drain_queue()
-        if self._waiting:
-            self._consult_scaler()
-            self._drain_queue()
-            self.report.peak_queue = max(self.report.peak_queue,
-                                         len(self._waiting))
-
-    def _release(self, i: int) -> None:
-        self.pool.release(i)
-        self.report.departed += 1
-        self._consult_scaler()
-        self._drain_queue()
-
-    # -- the run ------------------------------------------------------
-
     def run(self, max_events: int | None = None) -> ChurnReport:
-        """Play the whole table; returns the churn accounting."""
-        if len(self.table) == 0:
+        """Play the whole table; returns the churn accounting.
+
+        One loop merges two time-ordered streams: arrivals down a stable
+        argsort of ``arrival_ns``, releases off one heap of ``(time_ns,
+        seq, tenant)``. ``seq`` is issued as an event queue issues it —
+        the next arrival's when an arrival is handled, before its
+        admissions, then one per admission — so entries at one float
+        instant resolve as ``sim`` would order them, and ``sim`` ends
+        with the clock and event count that queue would have.
+        """
+        table, pool, scaler = self.table, self.pool, self.scaler
+        n = len(table)
+        if n == 0:
             raise ConfigError("cannot churn an empty tenant table")
-        self.sim.at(self._arrival_ns[self._order[0]], self._arrive, 0)
-        self.sim.run(max_events=max_events or max(
-            10_000_000, 4 * len(self.table)))
+        limit = max_events or max(10_000_000, 4 * n)
+        order = np.argsort(table.arrival_ns, kind="stable")
+        arrivals, tenants = table.arrival_ns[order].tolist(), order.tolist()
+        arrival_ns = table.arrival_ns.tolist()
+        pages = table.working_set_pages.tolist()
+        hold_ns = (table.departure_ns - table.arrival_ns
+                   + self.reclaim_ns).tolist()
+        max_pages = pool.capacity_pages if scaler is None else (
+            scaler.max_expanders * scaler.pages_per_expander)
+        releases: list[tuple[float, int, int]] = []
+        waiting: deque[int] = deque()
+        waits: list[float] = []
+        queued = rejected = peak_queue = events = pos = 0
+        nxt = (arrivals[0], 0)   # the next arrival's (time_ns, seq)
+        seq, now = 1, 0.0
+        while True:
+            if nxt is None and not releases:
+                break
+            departing = bool(releases) and (nxt is None or releases[0] < nxt)
+            events += 1
+            if events > limit:
+                raise SimulationError(
+                    f"exceeded {limit} events; runaway simulation?")
+            if departing:
+                now, _, i = heappop(releases)
+                pool.release(i)
+                consult = True
+            else:
+                now, i = nxt[0], tenants[pos]
+                pos += 1
+                nxt = (arrivals[pos], seq) if pos < n else None
+                seq += 1
+                want = pages[i]
+                if want > max_pages:
+                    rejected += 1
+                    continue
+                # The queue head never fits between events: only an
+                # arrival at an empty queue may get in unaided.
+                consult = bool(waiting) or want > pool.free_pages
+                waiting.append(i)
+                queued += want
+            if consult and scaler is not None:
+                scaler.decide(now, queued, pool.leased_pages)
+                if scaler.capacity_pages != pool.capacity_pages:
+                    pool.resize(scaler.capacity_pages)
+            while waiting:
+                i = waiting[0]
+                want = pages[i]
+                if want > pool.free_pages:
+                    break
+                waiting.popleft()
+                queued -= want
+                pool.lease(i, want)
+                waits.append(now - arrival_ns[i])
+                heappush(releases, (now + hold_ns[i], seq, i))
+                seq += 1
+            if len(waiting) > peak_queue:
+                peak_queue = len(waiting)
+        self.sim.advance_to(now, events)
         report = self.report
-        report.peak_leased_pages = self.pool.peak_leased_pages
-        report.final_capacity_pages = self.pool.capacity_pages
-        report.horizon_ns = self.sim.now
-        if self.scaler is not None:
-            report.grows = self.scaler.grows
-            report.shrinks = self.scaler.shrinks
+        # Every arrival was one event, every other event a release.
+        report.admitted, report.departed = len(waits), events - n
+        report.waited = sum(1 for wait in waits if wait > 0)
+        report.rejected, report.peak_queue = rejected, peak_queue
+        report.wait_hist.add_many(waits)
+        report.peak_leased_pages = pool.peak_leased_pages
+        report.final_capacity_pages = pool.capacity_pages
+        report.horizon_ns = now
+        if scaler is not None:
+            report.grows, report.shrinks = scaler.grows, scaler.shrinks
         return report

@@ -21,6 +21,9 @@ element is never compared):
   session scheduler passes the session object itself), pushed by
   :meth:`Simulator.schedule` with no Event allocation and drained in
   same-instant batches by :meth:`Simulator.pop_due`.
+
+A caller whose entries already arrive in time order can skip the queue
+altogether and account for them with :meth:`Simulator.advance_to`.
 """
 
 from __future__ import annotations
@@ -198,6 +201,27 @@ class Simulator:
         if until_ns is not None and self.clock.now < until_ns:
             self.clock.advance_to(until_ns)
         return dispatched
+
+    def advance_to(self, time_ns: float, dispatched: int) -> None:
+        """Account for *dispatched* entries a caller ordered and ran
+        itself, the last of them at *time_ns*.
+
+        For a loop that merges streams it already holds in time order
+        instead of queueing one event per entry (the churn simulator):
+        afterwards :attr:`now` and :attr:`dispatched` read as if the
+        entries had gone through the queue. Refuses to move past a
+        live queued entry, which would then never fire in order.
+        """
+        if dispatched < 0:
+            raise SimulationError(f"negative event count: {dispatched}")
+        head = self._peek()
+        if head is not None and head[0] < time_ns:
+            raise SimulationError(
+                f"cannot advance to {time_ns} past an entry queued at"
+                f" {head[0]}"
+            )
+        self.clock.advance_to(time_ns)
+        self._dispatched += dispatched
 
     def peek_time_ns(self) -> float | None:
         """Timestamp of the next live entry, or None when drained.

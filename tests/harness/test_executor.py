@@ -1,8 +1,21 @@
 """Parallel sweep execution: determinism, isolation, caching."""
 
-from repro.harness.executor import run_sweep
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.harness.executor import _FORK_BATCH, run_sweep
 from repro.harness.scenario import Scenario, Sweep
 from repro.harness.store import ResultStore
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def echo_sweep(values=(1, 2, 3, 4), name="echo"):
@@ -61,6 +74,30 @@ class TestRunSweep:
         assert by_exp["debug.crash"].status == "failed"
         assert by_exp["debug.echo"].status == "ok"
 
+    def test_more_cells_than_one_fork_batch(self):
+        values = tuple(range(_FORK_BATCH + 3))
+        report = run_sweep(echo_sweep(values), jobs=2, timeout_s=60)
+        assert report.counts == {"ok": len(values)}
+        assert [c.result["workload"]["x"] for c in report.cells] == \
+            list(values)
+
+    def test_worker_killed_while_waiting_fails_only_its_cell(self):
+        killed = []
+
+        def kill_a_waiting_worker(_message):
+            if not killed:
+                victim = multiprocessing.active_children()[0]
+                victim.kill()
+                victim.join()
+                killed.append(victim.pid)
+
+        report = run_sweep(echo_sweep(), jobs=1, timeout_s=60,
+                           progress=kill_a_waiting_worker)
+        assert killed
+        assert sorted(report.counts.items()) == [("failed", 1), ("ok", 3)]
+        failed = next(c for c in report.cells if c.status == "failed")
+        assert "worker" in failed.error
+
     def test_timeout_terminates_cell(self):
         sweep = Sweep(
             name="slow",
@@ -115,3 +152,48 @@ class TestRunSweep:
         assert data["name"] == "echo"
         assert data["counts"] == {"ok": 1}
         assert data["cells"][0]["cell_id"] == "workload.x=1"
+
+
+def _running(pid: int) -> bool:
+    """The process exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_waiting_workers_exit_when_the_parent_dies():
+    """Workers forked ahead of their slot hold no end of a sibling's
+    pipe, so a parent killed mid-sweep leaves none of them waiting."""
+    script = textwrap.dedent("""
+        import multiprocessing, time
+        from repro.harness.executor import run_sweep
+        from repro.harness.scenario import Scenario, Sweep
+
+        def report_and_hang(_message):
+            print(*(p.pid for p in multiprocessing.active_children()),
+                  flush=True)
+            time.sleep(60)
+
+        run_sweep(Sweep(name="orphans",
+                        base=Scenario(experiment="debug.echo"),
+                        axes={"workload.x": (1, 2, 3, 4)}),
+                  jobs=1, progress=report_and_hang)
+    """)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    try:
+        waiting = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        parent.stdout.close()
+    assert len(waiting) == 3
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, waiting)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, waiting))

@@ -1,4 +1,4 @@
-"""Churn-driven admission against the pooled capacity, event-driven."""
+"""Churn-driven admission against the pooled capacity."""
 
 import numpy as np
 import pytest
@@ -116,6 +116,55 @@ class TestAdmission:
         with pytest.raises(ConfigError):
             ChurnSimulator(make_table([1]), PagePool(10),
                            reclaim_ns=-1.0)
+
+    @pytest.mark.parametrize("reclaim_ns", [np.nan, np.inf])
+    def test_unbounded_reclaim_rejected(self, reclaim_ns):
+        with pytest.raises(ConfigError):
+            ChurnSimulator(make_table([1]), PagePool(10),
+                           reclaim_ns=reclaim_ns)
+
+    def test_no_caller_simulator(self):
+        # The loop merges its own streams: a caller's queued events
+        # would never fire, so there is no way to pass a simulator in.
+        with pytest.raises(TypeError):
+            ChurnSimulator(make_table([1]), PagePool(10), sim=None)
+
+
+class TestBadColumns:
+    """The merge loop trusts the churn columns, so the constructor
+    checks them: unchecked, each case below would play silently to a
+    meaningless report or die part-way through ``run``."""
+
+    @staticmethod
+    def churn(arrivals, departures):
+        table = make_table([10, 10], arrivals=arrivals)
+        table.departure_ns[:] = departures
+        return ChurnSimulator(table, PagePool(100))
+
+    def test_nan_arrival_refused(self):
+        with pytest.raises(ConfigError, match="arrival_ns"):
+            self.churn([0.0, np.nan], [ms(1), ms(2)])
+
+    def test_infinite_departure_refused(self):
+        with pytest.raises(ConfigError, match="departure_ns < inf"):
+            self.churn([0.0, ms(1)], [ms(1), np.inf])
+
+    def test_negative_lifetime_refused(self):
+        with pytest.raises(ConfigError, match="arrival_ns <= departure_ns"):
+            self.churn([0.0, ms(2)], [ms(1), ms(1)])
+
+    @pytest.mark.parametrize("arrivals, departures", [
+        ([-1.0, 0.0], [ms(1), ms(1)]),            # before the clock starts
+        ([0.0, ms(1)], [ms(1), np.nan]),
+        ([0.0, -np.inf], [ms(1), ms(1)]),
+    ])
+    def test_other_bad_columns_refused(self, arrivals, departures):
+        with pytest.raises(ConfigError):
+            self.churn(arrivals, departures)
+
+    def test_zero_lifetime_is_valid(self):
+        report = self.churn([0.0, ms(1)], [0.0, ms(1)]).run()
+        assert report.departed == 2 and report.waited == 0
 
 
 class TestElasticity:

@@ -2,8 +2,8 @@
 
 The ISSUE acceptance bar is a 10^6-tenant sweep cell in under 1 GiB of
 peak RSS. Running that in the test suite would be slow, so this test
-measures peak RSS of a full pondscale cell (generation, churn through
-the event simulator, sharded streaming fold) in fresh subprocesses at
+measures peak RSS of a full pondscale cell (generation, churn in
+virtual time, sharded streaming fold) in fresh subprocesses at
 three sub-scales, fits rss = slope * tenants + intercept, and asserts
 the linear extrapolation to 10^6 tenants stays under the bar. The fit
 is honest because every per-tenant structure in the subsystem is a

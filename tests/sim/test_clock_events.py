@@ -145,3 +145,25 @@ class TestSimulator:
         sim.run()
         assert counter == [1, 2, 3, 4, 5]
         assert sim.now == 40.0
+
+    def test_advance_to_accounts_for_merged_entries(self):
+        # A caller that ran three entries itself, the last at 7 ns,
+        # leaves the simulator as if the queue had dispatched them.
+        sim = Simulator()
+        sim.advance_to(7.0, 3)
+        assert (sim.now, sim.dispatched) == (7.0, 3)
+        sim.at(9.0, lambda: None)
+        sim.advance_to(9.0, 0)          # up to a queued entry is fine
+        assert sim.run() == 1 and sim.dispatched == 4
+
+    def test_advance_to_refuses_to_skip_or_rewind(self):
+        sim = Simulator()
+        sim.at(5.0, lambda: None)
+        with pytest.raises(SimulationError, match="past an entry"):
+            sim.advance_to(6.0, 1)
+        with pytest.raises(SimulationError, match="negative"):
+            sim.advance_to(1.0, -1)
+        sim.run()
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.advance_to(1.0, 1)
+        assert (sim.now, sim.dispatched) == (5.0, 1)
