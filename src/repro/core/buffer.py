@@ -159,12 +159,6 @@ _SPAN_COLS = 16
 #: they break even at about this length.
 _COLUMN_MOVES = 64
 
-#: Minimum consecutive-miss run length worth the vectorised fault
-#: lane's setup (bulk placement probe, duplicate scan, phase/chain
-#: assembly); shorter miss bursts resolve through the scalar fault
-#: path, which is cheaper below this.
-_FAULT_MIN = 8
-
 
 def _check_id_array(ids: np.ndarray) -> None:
     """Refuse an id array the array lane cannot index the residency
@@ -255,6 +249,13 @@ class BufferPoolStats:
         return snap
 
 
+#: Why a block window stopped short (``LaneStats.cuts``) or was refused
+#: at its head (``LaneStats.head_cuts``).
+_CUTS = ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
+         "pinned", "session", "backing", "placement", "evicted_reref",
+         "victim_bound", "cascade")
+
+
 @dataclass(slots=True)
 class LaneStats:
     """Route counters of the block lane (the ``pool.lane`` metrics
@@ -263,7 +264,10 @@ class LaneStats:
     (``fill_installs`` into free frames, ``evict_installs`` into a
     full tier behind a victim; ``victim_rescues`` counts the
     LRU-prefix pages a window re-touched before their turn and so
-    kept), and why each one that stopped short of its block was cut.
+    kept), and why each one that stopped short of its block was cut;
+    ``head_cuts`` why a window was refused at its head instead, and
+    ``head_stretch_accesses`` the accesses of the leading stretches
+    that then took the scalar chain, one stretch per refusal.
     ``segment_blocks`` counts the blocks :meth:`access_block` charged
     segment by segment instead, ``declines`` what kept each off the
     window route. ``quantum_spans`` counts the all-hit spans the hit
@@ -285,9 +289,10 @@ class LaneStats:
     evict_installs: int = 0
     victim_rescues: int = 0
     cuts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
-        ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
-         "pinned", "session", "backing", "placement", "evicted_reref",
-         "victim_bound", "cascade"), 0))
+        _CUTS, 0))
+    head_cuts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        _CUTS, 0))
+    head_stretch_accesses: int = 0
     segment_blocks: int = 0
     declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
         ("session", "no_headroom", "id_range", "tracker", "note",
@@ -311,6 +316,8 @@ class LaneStats:
             "evict_installs": self.evict_installs,
             "victim_rescues": self.victim_rescues,
             "cuts": dict(self.cuts),
+            "head_cuts": dict(self.head_cuts),
+            "head_stretch_accesses": self.head_stretch_accesses,
             "segment_blocks": self.segment_blocks,
             "declines": dict(self.declines),
             "quantum_spans": self.quantum_spans,
@@ -1095,20 +1102,27 @@ class TieredBufferPool:
         table. Per headroom window the run is partitioned into hits and
         boundaries with one gather; the hit prefix is one
         :meth:`_quantum_hits` segment, so every written-back float is
-        bit-identical to the scalar loop. Faults, table-less tiers,
-        and placement triggers route through scalar :meth:`access`;
-        the residency table is re-gathered afterwards, so their side
-        effects (evictions, migrations, rebalances) are observed
-        precisely.
+        bit-identical to the scalar loop. A window that a miss heads
+        goes to the block window — the same :meth:`_block_exact` body
+        over the window's positions, the run's shape as constant
+        columns — unless nothing could fold a miss there
+        (:meth:`_fill_decline`: a session clock, pins, ...). Other
+        boundaries route through scalar :meth:`access` (the whole
+        window when most of it is misses); the residency table is
+        re-gathered afterwards, so their side effects (evictions,
+        migrations, rebalances) are observed precisely.
         """
         clock = self._session_clock
         if clock is None:
             clock = self.clock
         headroom_fn = self._placement_headroom
-        queues = self._session_queues
         res = self._res_tier
         any_tierless = self._any_tierless
         tierless = self._tierless_mask
+        # Whether a miss-headed window may go to the block window (it
+        # takes an integer access size; a decline holds for the run).
+        window = (isinstance(nbytes, (int, np.integer))
+                  and self._window_decline() is None)
         i = start
         n = stop
         while i < n:
@@ -1133,16 +1147,19 @@ class TieredBufferPool:
                 bad |= tierless[span]
             if bad.any():
                 hits = int(bad.argmax())
-                if hits == 0 and queues is None:
-                    # A miss run heads the window: try the bulk fault
-                    # lane before falling back to scalar resolution.
-                    done = self._fault_span(ids, i, n, nbytes, write,
-                                            is_scan, think_ns, accum)
+                if hits == 0 and window and self._fill_decline() is None:
+                    const = np.broadcast_to
+                    done = self._block_exact(
+                        float(think_ns), ids[i:wend],
+                        const(nbytes, (wlen,)), const(write, (wlen,)),
+                        const(is_scan, (wlen,)),
+                        const(float(think_ns), (wlen,)), clock, accum)
                     if done is not None:
-                        i += done[0]
-                        accum = done[1]
+                        accum = done
+                        i = wend
                         res = self._res_tier
                         continue
+                    window = False
                 if 2 * int(bad.sum()) > wlen:
                     # Boundary-dense window (cold pool, thrash): the
                     # per-window gather cannot win (one re-gather
@@ -1180,12 +1197,12 @@ class TieredBufferPool:
         """Array-native warm-up: charge one uniform run of *page_ids*.
 
         Exactly :meth:`access_run` on the columnarised ids — cold-pool
-        faults resolve through the bulk fault lane instead of the
-        per-page scalar chain — provided for benchmark builders, churn
-        drivers, and :meth:`ScaleUpEngine.warm_with` callers holding
-        plain python id lists. Pool state afterwards (residency,
-        stats, device counters, clock, recency order) is byte-identical
-        to the scalar access loop over the same ids.
+        faults resolve in the block window (:meth:`_block_exact`)
+        instead of the per-page scalar chain — provided for benchmark
+        builders, churn drivers, and :meth:`ScaleUpEngine.warm_with`
+        callers holding plain python id lists. Pool state afterwards
+        (residency, stats, device counters, clock, recency order) is
+        byte-identical to the scalar access loop over the same ids.
         """
         ids = np.asarray(page_ids)
         if ids.dtype.kind in "iu" or not ids.size:
@@ -1244,9 +1261,10 @@ class TieredBufferPool:
         _check_nbytes(nbytes)
         if self.fast_lane and self._placement_headroom is not None:
             # A slice of a 1-D column validates (once) through the
-            # column; any other array is checked as the run it is.
+            # column; any other array — one over a buffer or a memory
+            # map included — is checked as the run it is.
             base = page_ids.base
-            if (base is not None and base.ndim == 1
+            if (isinstance(base, np.ndarray) and base.ndim == 1
                     and base.dtype == page_ids.dtype
                     and self._span_check(base)):
                 ok = True
@@ -1615,11 +1633,9 @@ class TieredBufferPool:
             hi = int(ids_nd.max())
             if hi >= _RES_MAX_PIDS or int(ids_nd.min()) < 0:
                 decline = "id_range"
-            elif getattr(self.tracker, "record_block", None) is None:
-                decline = "tracker"
-            elif not getattr(self._placement_note, "scan_blind", False):
-                decline = "note"
             else:
+                decline = self._window_decline()
+            if decline is None:
                 if hi >= self._res_tier.shape[0]:
                     self._res_grow(hi + 1)
                 result = self._block_exact(think_lo, ids_nd, sizes_nd,
@@ -1640,6 +1656,17 @@ class TieredBufferPool:
             a = b
         return accum
 
+    def _window_decline(self) -> str | None:
+        """What in the pool's tracker or placement rules out the
+        :meth:`_block_exact` window (a ``declines`` reason), or None:
+        it feeds the tracker one ``record_block`` and the placement
+        one scan-blind note per window."""
+        if getattr(self.tracker, "record_block", None) is None:
+            return "tracker"
+        if not getattr(self._placement_note, "scan_blind", False):
+            return "note"
+        return None
+
     def _block_exact(self, think_lo: float, ids_nd, sizes_nd, writes_nd,
                      scans_nd, thinks_nd, clock, accum):
         """Array-resolved block lane; returns None when ineligible.
@@ -1654,9 +1681,10 @@ class TieredBufferPool:
         inside the window (:meth:`_fill_plan`) when they land in free
         frames or behind victims that drain straight to storage: they
         install up front and their positions carry the miss latency
-        as extra delta classes of the same chains.  Other faults,
-        table-less tiers, and placement triggers resolve scalar
-        between windows.  A block the chain primitive cannot model
+        as extra delta classes of the same chains.  Other faults and
+        table-less tiers resolve scalar between windows, a refused
+        window head's whole stretch of them at once, and so do
+        placement triggers.  A block the chain primitive cannot model
         exactly (negative latencies, byte counts past 2**53, an
         infinite think time) is declined before anything is charged;
         *think_lo* is the block's smallest think time, which the
@@ -1744,36 +1772,26 @@ class TieredBufferPool:
                 k, cut, fill = self._fill_plan(ids_nd[j:wend],
                                                scans_nd[j:wend], sp, lat)
             if k == 0:
-                # Fault or table-less tier at the window head: try the
-                # bulk fault lane on a true miss — the run is cut at
-                # the current uniform-shape segment's end and the first
-                # think-class change, the two axes _fault_span holds
-                # constant — then fall back to scalar.
-                if int(sp[0]) < 0:
-                    si = int(np.searchsorted(seg_starts, j, side="right"))
-                    fend = (int(seg_starts[si])
-                            if si < seg_starts.shape[0] else n)
-                    if nt_t > 1:
-                        tv = tinv[j:fend]
-                        dfi = np.nonzero(tv != tv[0])[0]
-                        if dfi.size:
-                            fend = j + int(dfi[0])
-                    done = self._fault_span(
-                        ids_nd, j, fend, int(sizes_nd[j]),
-                        bool(writes_nd[j]), bool(scans_nd[j]),
-                        float(tvals[int(tinv[j])]), accum)
-                    if done is not None:
-                        j += done[0]
-                        accum = done[1]
-                        continue
-                t = float(thinks_nd[j])
-                if t:
-                    clock.advance(t)
-                accum += self.access(int(ids_nd[j]),
-                                     nbytes=int(sizes_nd[j]),
-                                     write=bool(writes_nd[j]),
-                                     is_scan=bool(scans_nd[j]))
-                j += 1
+                # The plan refused the window's head (a table-less
+                # tier, pins, a session clock, a full tier of an
+                # anonymous pool, a cascade, ...): the leading stretch
+                # of such positions takes the scalar access chain, the
+                # reference, and the window is planned again after it
+                # — once per stretch, not once per miss.
+                stop = j + (bad.shape[0] if bad.all()
+                            else int(bad.argmin()))
+                lane.head_cuts[cut] += 1
+                lane.head_stretch_accesses += stop - j
+                advance = clock.advance
+                for pid, nb, wr, sc, t in zip(
+                        ids_nd[j:stop].tolist(), sizes_nd[j:stop].tolist(),
+                        writes_nd[j:stop].tolist(),
+                        scans_nd[j:stop].tolist(),
+                        thinks_nd[j:stop].tolist()):
+                    if t:
+                        advance(t)
+                    accum += self.access(pid, nb, wr, sc)
+                j = stop
                 continue
             # The hit prefix [j, j+k): replay the clock's and the two
             # demand accumulators' addition chains exactly.  The clock
@@ -1805,15 +1823,14 @@ class TieredBufferPool:
                     miss_lat[T] = (io + 0.0) + install_time
                 mcls = adm.copy()
                 lane.fill_installs += fpos.shape[0]
-                for plan, over, rescued in evict:
-                    T = plan[1][0]
+                for T, dirty, over, rescued in evict:
                     if rescued:
                         self._policy_touch(tiers[T].policy, rescued)
-                    miss_lat[ntiers + T], miss_lat[2 * ntiers + T], _ = \
-                        self._evict_apply(plan, io, inst[T])
-                    mcls[over] += ntiers * (1 + np.asarray(plan[3]))
-                    lane.fill_installs -= plan[0]
-                    lane.evict_installs += plan[0]
+                    miss_lat[ntiers + T], miss_lat[2 * ntiers + T] = \
+                        self._evict_apply(T, dirty, io, inst[T])
+                    mcls[over] += ntiers * (1 + np.asarray(dirty))
+                    lane.fill_installs -= len(dirty)
+                    lane.evict_installs += len(dirty)
                     lane.victim_rescues += len(rescued)
                 self._fill_install(fids, adm, pairs)
                 sp_k = self._res_tier[ids_k]
@@ -1836,15 +1853,19 @@ class TieredBufferPool:
             stats.accesses += k
             if fill is not None:
                 # The miss subsequence is its own chain on the fault
-                # accumulator; spans come from the same arrays.
+                # accumulator; the spans the scalar path emits per
+                # fault come from the same arrays.
                 nf = fpos.shape[0]
                 stats.misses += nf
                 stats.fault_time_ns = chain_values(
                     stats.fault_time_ns, vals, lat_cls[fpos], outd[:nf])
                 if self._trace.enabled:
-                    self._emit_faults(fids.tolist(),
-                                      last_ts[fpos].tolist(),
-                                      vals[lat_cls[fpos]].tolist())
+                    emit = self._trace.emit_span
+                    for pid, t0, lat_f in zip(fids.tolist(),
+                                              last_ts[fpos].tolist(),
+                                              vals[lat_cls[fpos]].tolist()):
+                        emit("pool.fault", "pool", t0, t0 + lat_f,
+                             {"page": pid})
             lane.exact_windows += 1
             lane.exact_window_accesses += k
             if jk < n:
@@ -1895,6 +1916,30 @@ class TieredBufferPool:
             j = jk
         return accum
 
+    def _fill_decline(self) -> str | None:
+        """Why no miss can be folded into a window right now, whatever
+        its admit tier (a ``cuts`` reason), or None: ``pinned``,
+        ``session`` (a session clock), ``backing`` (an unhealthy
+        device), ``placement`` (no bulk admit answer), ``miss_full``
+        (an anonymous pool whose tiers are all full: every eviction is
+        the scalar path's)."""
+        backing = self.backing
+        if self._pinned:
+            return "pinned"
+        if self._session_clock is not None:
+            return "session"
+        if backing is not None and not backing.device.healthy:
+            return "backing"
+        if getattr(self.placement, "choose_admit_tiers", None) is None:
+            return "placement"
+        if backing is None:
+            counts = self._resident_counts
+            for index, tier in enumerate(self.tiers):
+                if counts[index] < tier.capacity_pages:
+                    return None
+            return "miss_full"
+        return None
+
     def _fill_plan(self, ids_w: np.ndarray, scans_w: np.ndarray,
                    sp: np.ndarray, lat: np.ndarray):
         """Where a :meth:`_block_exact` window holding misses or
@@ -1906,10 +1951,10 @@ class TieredBufferPool:
         fids, adm, pairs, evict)`` — window positions, page ids and
         admit tiers of the first touches to install, in touch order,
         ``(tier, count)`` per admit tier, and per tier whose misses
-        outnumber its free frames ``(plan, over, rescued)``: a
-        :meth:`_evict_charge` plan, which entries of *fpos* install
-        behind its victims, and the pages to touch before draining
-        them.
+        outnumber its free frames ``(T, dirty, over, rescued)``: the
+        tier, its victims' dirty flags (:meth:`_evict_charge`), which
+        entries of *fpos* install behind them, and the pages to touch
+        before draining them.
 
         A first-touch miss into a free frame changes nothing a later
         access of the window can observe but its own residency (no
@@ -1922,9 +1967,9 @@ class TieredBufferPool:
         replay). A miss into a *full* tier stays inside too when that
         tier drains straight to storage (:meth:`_victim_turns` says
         which residents leave and where the window must stop); a
-        cascade through another tier is left to :meth:`_fault_span`.
-        Pins, a session clock, an unhealthy backing device or no bulk
-        placement answer decline the plan: the window ends at its
+        cascade through another tier is cut and left to the scalar
+        ``_fault`` chain, the reference. What :meth:`_fill_decline`
+        names declines the plan outright: the window ends at its
         first miss, as it always did. Mutates nothing but the
         deferred-bookkeeping drain that reading recency order and
         dirty flags needs.
@@ -1940,16 +1985,10 @@ class TieredBufferPool:
         if not mpos.shape[0]:
             return k, cut, None
         head = int(mpos[0])
-        backing = self.backing
-        choose = getattr(self.placement, "choose_admit_tiers", None)
-        declined = (
-            "pinned" if self._pinned
-            else "session" if self._session_clock is not None
-            else "backing" if (backing is not None
-                               and not backing.device.healthy)
-            else "placement" if choose is None else None)
+        declined = self._fill_decline()
         if declined:
             return head, declined, None
+        backing = self.backing
         mids = ids_w[mpos]
         if bool((mids[1:] > mids[:-1]).all()):
             fpos = mpos                  # ascending: no page twice
@@ -1963,7 +2002,8 @@ class TieredBufferPool:
             k = int(fpos[other[0]])
             cut = "scan_flag"
             fpos = fpos[:other[0]]
-        adm = choose(ids_w[fpos], bool(flags[0]))
+        adm = self.placement.choose_admit_tiers(ids_w[fpos],
+                                                bool(flags[0]))
         if adm is None:
             return head, "placement", None
         adm = np.asarray(adm, dtype=np.int64)
@@ -2009,7 +2049,7 @@ class TieredBufferPool:
         fpos = fpos[:nf]
         adm = adm[:nf]
         evict = []
-        for (m, chain, term_dst, dirty), turns, cand, ft, resc in drafts:
+        for T, dirty, turns, cand, ft, resc in drafts:
             # Another tier may have cut the window after this one was
             # drafted: its turns before the cut, their victims and the
             # rescues the window still makes stand as drafted.
@@ -2017,8 +2057,7 @@ class TieredBufferPool:
             if ne:
                 over = np.searchsorted(fpos, turns[:ne])
                 rescued = [cand[t] for t in resc if ft[t] < k]
-                evict.append(((ne, chain, term_dst, dirty[:ne]), over,
-                              rescued))
+                evict.append((T, dirty[:ne], over, rescued))
         pairs = [(T, count) for T, count
                  in enumerate(np.bincount(adm).tolist()) if count]
         return k, cut, (fpos, ids_w[fpos], adm, pairs, evict)
@@ -2084,10 +2123,10 @@ class TieredBufferPool:
             victims = ca[keep][:ne].tolist()
         else:
             victims = cand[:ne]
-        plan = self._evict_charge(T, ne, victims)
-        if plan is None:
+        dirty = self._evict_charge(victims)
+        if dirty is None:
             return int(turns[0]), "miss_full", None
-        return stop, why, (plan, turns, cand, ft, resc)
+        return stop, why, (T, dirty, turns, cand, ft, resc)
 
     def _register_hit(self, page_id: PageId, tier_index: int) -> None:
         """Shared hit bookkeeping for the scalar access paths."""
@@ -2104,17 +2143,6 @@ class TieredBufferPool:
         return self._page_of(page_id)
 
     # -- fault path ----------------------------------------------------------------
-
-    @staticmethod
-    def _policy_insert_batch(policy, keys) -> None:
-        """Insert a run of new keys (an id column or a list) into a
-        replacement policy, in key order: one array write on
-        :class:`LRUPolicy`, a :meth:`record_insert` loop otherwise."""
-        if type(policy) is LRUPolicy:
-            policy.record_insert_batch(keys)
-        else:
-            for key in keys if type(keys) is list else keys.tolist():
-                policy.record_insert(key)
 
     def _fill_charge(self, pairs) -> tuple[float, dict[int, float]]:
         """Device charges of faulting ``count`` pages into ``tier``
@@ -2155,19 +2183,15 @@ class TieredBufferPool:
             inst[T] = install_time
         return io, inst
 
-    def _fill_install(self, ids: np.ndarray, adm, pairs,
-                      ts: np.ndarray | None = None,
-                      write: bool = False) -> None:
+    def _fill_install(self, ids: np.ndarray, adm, pairs) -> None:
         """The one bulk install body: make the distinct, non-resident
         *ids* of the dense table resident, in order — their rows, the
         pages in their home, insertion-order index, resident counts
         and peaks, replacement inserts — as that many :meth:`_install`
-        calls would.
-
-        *adm* is one tier index or a tier per id, *pairs* its
-        ``(tier, count)`` summary. With *ts* the rows carry their
-        first touch (timestamp, one access, dirty if *write*);
-        without, they start blank and the caller adds the touches.
+        calls would. *adm* is one tier index or a tier per id, *pairs*
+        its ``(tier, count)`` summary; every admit tier is an
+        :class:`LRUPolicy` (the window cuts at any other). The rows
+        start blank and the caller adds the touches.
         """
         ids_l = ids.tolist()
         if self.backing is None:
@@ -2176,402 +2200,89 @@ class TieredBufferPool:
         else:
             self.backing.ensure_many(ids_l)
         self._res_tier[ids] = adm
-        self._acc[ids] = 0 if ts is None else 1
-        self._last_ns[ids] = 0.0 if ts is None else ts
-        if write:
-            self._dirty[ids] = True
+        self._acc[ids] = 0
+        self._last_ns[ids] = 0.0
         k = len(ids_l)
         slot = self._ord_append(ids, adm, k)
         self._slot[ids] = np.arange(slot, slot + k)
         counts = self._resident_counts
         for T, count in pairs:
             counts[T] += count
-            self._policy_insert_batch(
-                self.tiers[T].policy,
+            self.tiers[T].policy.record_insert_batch(
                 ids if count == k else ids[adm == T])
             tier_stats = self.stats.per_tier[T]
             if counts[T] > tier_stats.resident_peak:
                 tier_stats.resident_peak = counts[T]
 
-    def _evict_charge(self, A: int, want: int,
-                      victims: list | None = None):
-        """What evicting up to *want* pages out of the full tier *A*
-        takes, validated and with nothing changed: ``None`` when the
-        bulk body cannot serve it, else ``(m, chain, term_dst,
-        dirty_flags)`` for :meth:`_evict_apply`.
-
-        The demotion cascade from *A* is structurally constant for the
-        chunk (every chain tier is full and stays full — each loses
-        *m* victims, gains *m* pages) and ends either in storage
-        (``term_dst == -1``; *dirty_flags* then holds one flag per
-        storage victim) or in the first tier with free frames. *m* is
-        bounded by that tier's free frames and by every source tier's
-        population: LRU victims are the first keys of the initial
-        recency order only while a chunk cannot outrun it. *victims*
-        names the storage victims when the caller has already chosen
-        them (a window that rescued part of the LRU prefix); otherwise
-        they are the terminal tier's first *m* keys.
-
-        Refused: a pool without a backing file (its victims park in
-        the anonymous set), a resident page outside the dense table
-        (the bulk body writes columns only), an invalid or cyclic
-        ``demote_target``, a non-LRU policy on a chain tier, and a
-        dirty storage victim missing from the file (the
-        anonymous-writeback path).
-        """
-        backing = self.backing
-        if backing is None or self._far:
+    def _evict_charge(self, victims: list) -> list | None:
+        """The dirty flags of *victims* — the storage victims a window
+        chose in a full, LRU tier that drains straight to a backing
+        file — or ``None`` when the bulk body cannot drop them: a
+        resident page outside the dense table (the body writes columns
+        only) or a dirty victim missing from the file (the
+        anonymous-writeback path). Changes nothing."""
+        if self._far:
             return None
-        tiers = self.tiers
-        counts = self._resident_counts
-        demote_target = self.placement.demote_target
-        chain = [A]
-        term_dst = -1
-        src = A
-        while True:
-            d = demote_target(src)
-            if d is None or d == src:
-                break                            # storage-terminal
-            if not 0 <= d < len(tiers) or d in chain:
-                return None                      # invalid or cyclic
-            if counts[d] < tiers[d].capacity_pages:
-                term_dst = d                     # tier-terminal
-                break
-            chain.append(d)
-            src = d
-        m = want
-        for t in chain:
-            if type(tiers[t].policy) is not LRUPolicy:
+        dirty = self._dirty[victims].tolist()
+        if any(dirty):
+            contains = self.backing.contains
+            if any(df and not contains(v) for v, df in zip(victims, dirty)):
                 return None
-            if counts[t] < m:
-                m = counts[t]
-        if term_dst >= 0:
-            m = min(m, tiers[term_dst].capacity_pages - counts[term_dst])
-        if m <= 0:
-            return None
-        dirty_flags = None
-        if term_dst < 0:
-            if victims is None:
-                victims = tiers[chain[-1]].policy.peek_batch(m)
-                if len(victims) < m:
-                    return None
-            dirty_flags = self._dirty[victims].tolist()
-            if any(dirty_flags):
-                contains = backing.contains
-                if any(df and not contains(v)
-                       for v, df in zip(victims, dirty_flags)):
-                    return None
-        return m, chain, term_dst, dirty_flags
+        return dirty
 
-    def _evict_apply(self, plan, io: float, inst: float):
-        """Run a :meth:`_evict_charge` plan — the one cascade body.
+    def _evict_apply(self, T: int, dirty: list, io: float,
+                     inst: float) -> tuple[float, float]:
+        """Drop the ``len(dirty)`` victims :meth:`_evict_charge`
+        validated out of tier *T* into storage — the bulk eviction
+        body: ``victim_batch`` pops them (LRU: the front of the order),
+        their rows go absent as array writes (tombstone, tier, dirty
+        flag), each dirty one takes a real ``write_page``, and the
+        eviction reads are replayed under the memo protocol (one real
+        stat-bumping call seeds the constant, as the scalar path's
+        first eviction does). *T* ends that many residents short; the
+        caller's install refills it.
 
-        Drains *m* victims per chain tier through ``victim_batch``,
-        demotes each non-terminal tier's victims one edge down (rows
-        keep their dirty flags; inserts land at the MRU end in scalar
-        order) and drops the storage victims with a real
-        ``write_page`` per dirty one, replaying the per-edge migration
-        and terminal eviction-read charges (memo-seeded, as the scalar
-        path's first call does). Tier *A* ends *m* residents
-        short — the caller's install refills it — every other chain
-        tier nets to zero and a tier-terminal destination grows.
-
-        Returns ``(l_clean, l_dirty, demoted)``: the fault latency
-        behind a clean and behind a dirty storage victim, composed as
-        the scalar recursion associates — ``E`` unwound from the chain
-        terminal, ``M = 0.0 + E`` per ``_make_room``, ``L = (io + M)
-        + inst`` — and, with a trace sink attached, what the
-        ``pool.demotion`` spans need per edge, deepest first.
+        Returns the fault latency behind a clean and behind a dirty
+        victim, composed as the scalar recursion associates:
+        ``(io + (0.0 + E)) + inst`` with ``E`` the eviction read, plus
+        the write-back behind a dirty victim.
         """
-        m, chain, term_dst, dirty_flags = plan
-        tiers = self.tiers
-        counts = self._resident_counts
-        stats = self.stats
-        per_tier = stats.per_tier
+        m = len(dirty)
+        tier = self.tiers[T]
         page_size = self.page_size
-        res = self._res_tier
-        slot = self._slot
-        term = chain[-1]
-        edges = list(zip(chain, chain[1:]))
-        if term_dst >= 0:
-            edges.append((term, term_dst))
-        # Victim selection: first-m keys per tier, removed.
-        vlists = [tiers[t].policy.victim_batch(m) for t in chain]
-        counts[chain[0]] -= m
-        legs = []
-        for (s_t, d_t), vs in zip(edges, vlists):
-            rw = self._mig_rw.get((s_t, d_t))
-            erep = m
-            if rw is None:
-                rw = (tiers[s_t].path.read_time(page_size),
-                      tiers[d_t].path.write_time(page_size))
-                self._mig_rw[(s_t, d_t)] = rw
-                erep -= 1
-            if erep:
-                s_stats = tiers[s_t].path.device.stats
-                s_stats.loads += erep
-                s_stats.load_bytes += erep * page_size
-                d_stats = tiers[d_t].path.device.stats
-                d_stats.stores += erep
-                d_stats.store_bytes += erep * page_size
-            self._policy_insert_batch(tiers[d_t].policy, vs)
-            res[vs] = d_t
-            self._ord_tier[slot[vs]] = d_t
-            stats.migrations += m
-            pt = per_tier[d_t]
-            pt.demotions_in += m
-            if d_t == term_dst:
-                counts[d_t] += m
-            if counts[d_t] > pt.resident_peak:
-                pt.resident_peak = counts[d_t]
-            legs.append((vs, tiers[s_t].name, tiers[d_t].name, rw))
-        evt = 0.0
-        wb = None
-        if term_dst < 0:
-            evt = self._evt_rd.get(term)
-            erep = m
-            if evt is None:
-                evt = tiers[term].path.read_time(page_size)
-                self._evt_rd[term] = evt
-                erep -= 1
-            if erep:
-                t_stats = tiers[term].path.device.stats
-                t_stats.loads += erep
-                t_stats.load_bytes += erep * page_size
-            vterm = np.asarray(vlists[-1], dtype=np.int64)
-            per_tier[term].evictions += m
-            self._ord_valid[slot[vterm]] = False
-            res[vterm] = -1
-            self._dirty[vterm] = False
-            dirty_ids = list(compress(vlists[-1], dirty_flags))
-            if dirty_ids:
-                write_page = self.backing.write_page
-                for page in (map(self._page_of, dirty_ids) if self._adopted
-                             else self.backing.ensure_many(dirty_ids)):
-                    wb = write_page(page)
-                    stats.writebacks += 1
-            if self._adopted:
-                for v in vlists[-1]:
-                    self._adopted.pop(v, None)
-        legs.reverse()                           # deepest edge first
-
-        def unwind(e: float) -> tuple[float, list[float]]:
-            steps = []
-            for _vs, _src, _dst, (rd_l, wr_l) in legs:
-                e = ((0.0 + e) + rd_l) + wr_l
-                steps.append(e)
-            return (io + (0.0 + e)) + inst, steps
-
-        l_clean, e_clean = unwind(evt)
-        l_dirty, e_dirty = (l_clean, e_clean) if wb is None \
-            else unwind(evt + wb)
-        demoted = None
-        if self._trace.enabled:
-            demoted = [(vs, src, dst, ec, ed) for (vs, src, dst, _rw), ec, ed
-                       in zip(legs, e_clean, e_dirty)]
-        return l_clean, l_dirty, demoted
-
-    def _emit_faults(self, page_ids: list, starts: list, lats: list,
-                     demoted=None, dirty=None) -> None:
-        """The spans a run of bulk-resolved faults owes the trace, as
-        the scalar path emits them: per fault, its cascade's
-        ``pool.demotion`` spans (deepest edge first), then
-        ``pool.fault`` over the charged interval."""
-        emit = self._trace.emit_span
-        for i, (pid, t0, lat) in enumerate(zip(page_ids, starts, lats)):
-            for vs, src, dst, e_clean, e_dirty in demoted or ():
-                e = e_dirty if dirty and dirty[i] else e_clean
-                emit("pool.demotion", "pool", t0, t0 + e,
-                     {"page": vs[i], "from": src, "to": dst})
-            emit("pool.fault", "pool", t0, t0 + lat, {"page": pid})
-
-    def _fault_span(self, ids: np.ndarray, start: int, stop: int,
-                    nbytes: int, write: bool, is_scan: bool,
-                    think_ns: float, accum: float
-                    ) -> tuple[int, float] | None:
-        """Resolve a run of consecutive misses in array ops.
-
-        Returns ``(consumed, accum)`` after charging ``consumed``
-        faults bit-identically to the scalar loop (think advance,
-        :meth:`access` on a miss), or ``None`` when the
-        run is ineligible and the caller must fall back to the scalar
-        fault path. The caller guarantees every id in
-        ``ids[start:stop]`` indexes inside the dense residency table.
-
-        The run is cut to the placement headroom window, the leading
-        all-miss prefix, and the first repeated id (its second
-        occurrence is a hit once installed). Admit tiers for the whole
-        run come back from one
-        :meth:`PlacementPolicy.choose_admit_tiers` call, and the run
-        decomposes into *phases*: a fill phase while the admit tier has
-        free frames, then eviction phases whose demotion cascade is
-        structurally constant until the terminal destination fills.
-        Within a phase every per-fault latency is one of at most two
-        constants (clean/dirty terminal victim), so the four scalar
-        float accumulators (clock, fault time, demand, the caller's
-        accumulator) replay exactly through
-        :func:`~repro.sim.ladder.chain_values`, and victim selection
-        drains through :meth:`ReplacementPolicy.victim_batch` — exact
-        because LRU victims are the first *k* keys of the initial
-        recency order whenever a chunk is no longer than each source
-        tier's population, and demoted/installed pages land at the MRU
-        end where a chunk that size can never reach them.
-
-        Bail-outs, each checked *before* any state change so a partial
-        run is always a clean prefix: session lane, pins, an unhealthy
-        backing device, placement without a bulk answer, and whatever
-        :meth:`_evict_charge` refuses (a non-LRU policy on a cascade
-        tier, cyclic demotion chains, evictions the anonymous
-        writeback path would serve) — an anonymous pool's fill phase
-        runs here. With a trace sink attached the per-fault
-        ``pool.demotion`` / ``pool.fault`` spans are emitted from the
-        chunk arrays; the route does not change.
-        """
-        if (self._session_clock is not None
-                or self._session_queues is not None
-                or self._pinned):
-            return None
-        backing = self.backing
-        if backing is not None and not backing.device.healthy:
-            return None
-        choose = getattr(self.placement, "choose_admit_tiers", None)
-        headroom_fn = self._placement_headroom
-        if choose is None or headroom_fn is None:
-            return None
-        room = headroom_fn()
-        if room <= 0:
-            return None
-        end = start + room
-        if end > stop:
-            end = stop
-        if end - start < _FAULT_MIN:
-            return None
-        res = self._res_tier
-        seg = ids[start:end]
-        miss = res[seg] < 0
-        mlen = seg.shape[0] if miss.all() else int(miss.argmin())
-        if mlen < _FAULT_MIN:
-            return None
-        run = seg[:mlen]
-        # Cut at the first page id that repeats inside the run: its
-        # second occurrence is a hit once the first installs.
-        order = np.argsort(run, kind="stable")
-        sv = run[order]
-        dup = sv[1:] == sv[:-1]
-        if dup.any():
-            mlen = int(order[1:][dup].min())
-            if mlen < _FAULT_MIN:
-                return None
-            run = run[:mlen]
-        if self._lazy_runs:
-            self._drain_lazy()
-        adm = choose(run, is_scan)
-        if adm is None:
-            return None
-        adm = np.asarray(adm, dtype=np.int64)
-        ntier = len(self.tiers)
-        if (adm.shape[0] != mlen or int(adm.min()) < 0
-                or int(adm.max()) >= ntier):
-            return None
-        tiers = self.tiers
-        counts = self._resident_counts
         stats = self.stats
-        trace = self._trace
-        # Admit-tier segment boundaries, precomputed so the phase loop
-        # never rescans the tail.
-        achg = np.nonzero(adm[1:] != adm[:-1])[0]
-        aseg = np.empty(achg.shape[0] + 2, dtype=np.int64)
-        aseg[0] = 0
-        aseg[1:-1] = achg + 1
-        aseg[-1] = mlen
-        ai = 0
-        pos = 0
-        clock = self.clock
-        # The clock interleaves [think,] L per fault; the other three
-        # accumulators only ever add L. Chunk chains feed each other
-        # sequentially, so per-chunk chain_values calls reproduce the
-        # one long scalar addition sequence exactly.
-        while pos < mlen:
-            while aseg[ai + 1] <= pos:
-                ai += 1
-            sub = int(aseg[ai + 1]) - pos
-            A = int(adm[pos])
-            free_a = tiers[A].capacity_pages - counts[A]
-            plan = None
-            if free_a > 0:
-                m = sub if sub < free_a else free_a
-            else:
-                plan = self._evict_charge(A, sub)
-                if plan is None:
-                    break
-                m = plan[0]
-            sub_run = run[pos:pos + m]
-            placed = ((A, m),)
-            io, inst = self._fill_charge(placed)
-            inst = inst[A]
-            # Fill phase: L = (io + 0.0) + inst, one class; an eviction
-            # chunk adds the make-room constant, dirty victims their
-            # writeback.
-            l_clean = l_dirty = (io + 0.0) + inst
-            dirty = demoted = None
-            if plan is not None:
-                l_clean, l_dirty, demoted = self._evict_apply(plan, io, inst)
-                dirty = plan[3]
-            # Charge the chunk: the clock's interleaved chain plus the
-            # three L-only accumulator chains, all exact replays.
-            vals_c = np.array([think_ns, l_clean, l_dirty])
-            if dirty and any(dirty):
-                lcls = 1 + np.asarray(dirty, dtype=np.int64)
-            else:
-                lcls = np.ones(m, dtype=np.int64)
-            now0 = clock._now
-            if think_ns:
-                cls_c = np.zeros(2 * m, dtype=np.int64)
-                cls_c[1::2] = lcls
-            else:
-                cls_c = lcls
-            out_c = np.empty(cls_c.shape[0], dtype=np.float64)
-            clock._now = chain_values(now0, vals_c, cls_c, out_c)
-            # Touch timestamps: the clock value after the think
-            # advance (post-think, pre-latency), as the scalar takes.
-            if think_ns:
-                ts = out_c[0::2]
-            else:
-                ts = np.empty(m, dtype=np.float64)
-                ts[0] = now0
-                ts[1:] = out_c[:m - 1]
-            scratch = np.empty(m, dtype=np.float64)
-            stats.fault_time_ns = chain_values(stats.fault_time_ns,
-                                               vals_c, lcls, scratch)
-            stats.demand_time_ns = chain_values(stats.demand_time_ns,
-                                                vals_c, lcls, scratch)
-            accum = chain_values(accum, vals_c, lcls, scratch)
-            stats.accesses += m
-            stats.misses += m
-            if trace.enabled:
-                self._emit_faults(sub_run.tolist(), ts.tolist(),
-                                  vals_c[lcls].tolist(), demoted, dirty)
-            # Bulk install into the admit tier, rows carrying their
-            # first touch, so later chunks' victim checks see exactly
-            # the scalar state.
-            self._fill_install(sub_run, A, placed, ts, write)
-            pos += m
-        if pos == 0:
-            return None
-        k = pos
-        # Temperature + placement feeds for the consumed window, in
-        # run order (nothing reads either mid-window; the tracker's
-        # and placement's own updates depend only on their input
-        # sequences, so front/back-loading around the run is exact).
-        tracker_batch = self._tracker_batch
-        if tracker_batch is not None:
-            tracker_batch(ids, start, start + k, is_scan)
-        else:
-            record = self.tracker.record
-            for pid in run[:k].tolist():
-                record(pid, is_scan=is_scan)
-        self._placement_note(ids, start, start + k, is_scan)
-        return k, accum
+        victims = tier.policy.victim_batch(m)
+        self._resident_counts[T] -= m
+        evt = self._evt_rd.get(T)
+        rep = m
+        if evt is None:
+            evt = tier.path.read_time(page_size)
+            self._evt_rd[T] = evt
+            rep -= 1
+        if rep:
+            device_stats = tier.path.device.stats
+            device_stats.loads += rep
+            device_stats.load_bytes += rep * page_size
+        cols = np.asarray(victims, dtype=np.int64)
+        stats.per_tier[T].evictions += m
+        self._ord_valid[self._slot[cols]] = False
+        self._res_tier[cols] = -1
+        self._dirty[cols] = False
+        wb = None
+        dirty_ids = list(compress(victims, dirty))
+        if dirty_ids:
+            write_page = self.backing.write_page
+            for page in (map(self._page_of, dirty_ids) if self._adopted
+                         else self.backing.ensure_many(dirty_ids)):
+                wb = write_page(page)
+                stats.writebacks += 1
+        if self._adopted:
+            for v in victims:
+                self._adopted.pop(v, None)
+        l_clean = (io + (0.0 + evt)) + inst
+        if wb is None:
+            return l_clean, l_clean
+        return l_clean, (io + (0.0 + (evt + wb))) + inst
 
     def _fault(self, page_id: PageId, is_scan: bool = False) -> float:
         """Bring a page in from backing storage; returns elapsed ns."""

@@ -314,9 +314,9 @@ class ScaleUpEngine:
                 think_ns: float = 0.0) -> None:
         """Array-native warm-up: charge one uniform run of page ids.
 
-        The id array routes straight into the pool's bulk lanes —
-        cold-pool faults resolve through the vectorised fault lane
-        instead of one scalar chain per page — leaving pool state
+        The id array routes straight into the pool's array lane —
+        cold-pool faults resolve in its block window instead of one
+        scalar chain per page — leaving pool state
         byte-identical to :meth:`warm_with` on the equivalent scalar
         trace (same ids, same shape). *nbytes* defaults to the pool's
         cache-line access size, matching ``Access()`` defaults.

@@ -64,17 +64,6 @@ class ReplacementPolicy(Protocol):
     def victim(self, pinned: Pinned = _never_pinned) -> int | None:
         """Choose an evictable page, or None if all are pinned."""
 
-    def victim_batch(self, k: int,
-                     pinned: Pinned = _never_pinned) -> list[int]:
-        """Choose and *remove* up to *k* evictable pages.
-
-        Must return exactly the sequence that *k* rounds of
-        ``victim(pinned)`` followed by ``remove(victim)`` would have
-        produced (stopping early once every remaining page is pinned).
-        The bulk fault lane drains whole eviction deficits through this
-        in one call; policies with cheap ordered state should override
-        the generic loop with an O(k) pop."""
-
     def __len__(self) -> int:
         """Number of tracked pages."""
 
@@ -85,24 +74,6 @@ class ReplacementPolicy(Protocol):
 def _check_batch(k: int) -> None:
     if k < 0:
         raise BufferPoolError(f"victim batch size must be >= 0: {k}")
-
-
-def _victim_batch_generic(policy: "ReplacementPolicy", k: int,
-                          pinned: Pinned) -> list[int]:
-    """Reference victim_batch: k rounds of victim-then-remove.
-
-    Used by policies whose victim choice mutates state (e.g. CLOCK's
-    sweeping hand) — there is no shortcut that preserves the exact
-    victim sequence, so the batch is just the loop, hoisted."""
-    _check_batch(k)
-    victims: list[int] = []
-    for _ in range(k):
-        key = policy.victim(pinned)
-        if key is None:
-            break
-        policy.remove(key)
-        victims.append(key)
-    return victims
 
 
 class LRUPolicy:
@@ -429,15 +400,17 @@ class LRUPolicy:
         rounds: each round takes the first unpinned key of the order,
         and removing it leaves the relative order of every other key
         unchanged — so the k-round sequence is exactly the first k
-        unpinned keys of the initial order, front to back."""
+        unpinned keys of the initial order, front to back. Only the
+        LRU policy has it: the pool's bulk eviction body
+        (``TieredBufferPool._evict_apply``) drains LRU tiers only."""
         return self._front(k, pinned, True)
 
     def peek_batch(self, k: int) -> list[int]:
         """The first *k* keys of the recency order — exactly what
         :meth:`victim_batch` with no pins would pop — *without*
-        removing them. Lets the bulk fault lane validate a planned
-        eviction chunk (dirty flags, backing containment) before
-        committing any state change."""
+        removing them. Lets the pool's block window plan its victims
+        (rescues, dirty flags, backing containment) before committing
+        any state change."""
         return self._front(k, _never_pinned, False)
 
     def __len__(self) -> int:
@@ -506,12 +479,6 @@ class ClockPolicy:
                 return key
         return None
 
-    def victim_batch(self, k: int,
-                     pinned: Pinned = _never_pinned) -> list[int]:
-        """Generic batch: the sweep clears reference bits as it moves,
-        so victims must be chosen one sweep at a time."""
-        return _victim_batch_generic(self, k, pinned)
-
     def __len__(self) -> int:
         return len(self._ref)
 
@@ -579,12 +546,6 @@ class TwoQPolicy:
                     return key
         return None
 
-    def victim_batch(self, k: int,
-                     pinned: Pinned = _never_pinned) -> list[int]:
-        """Generic batch: the A1in/Am share shifts per removal, so the
-        queue preference must be re-evaluated every round."""
-        return _victim_batch_generic(self, k, pinned)
-
     def __len__(self) -> int:
         return len(self._a1in) + len(self._am)
 
@@ -647,12 +608,6 @@ class LRUKPolicy:
                 best_rank = rank
                 best_key = key
         return best_key
-
-    def victim_batch(self, k: int,
-                     pinned: Pinned = _never_pinned) -> list[int]:
-        """Generic batch: each removal can change which page holds the
-        oldest K-th reference, so ranks are re-scanned per round."""
-        return _victim_batch_generic(self, k, pinned)
 
     def __len__(self) -> int:
         return len(self._history)

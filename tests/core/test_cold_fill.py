@@ -1,6 +1,8 @@
 """Misses in one window: ``_block_exact`` folds first-touch misses into
 free frames — and, on a full pool, behind victims that drain straight
-to storage — instead of ending its window at every miss.
+to storage — instead of ending its window at every miss, for blocks
+and for the ``access_run`` / ``preload`` windows a miss heads. What it
+refuses (a cascade, pins, ...) takes the scalar chain.
 
 Held **bit-identical** to the frozen scalar reference — a twin pool
 with the fast lane off replays each block through ``_access_compat`` —
@@ -440,7 +442,9 @@ def test_window_route_settles_the_hit_log_first():
         pool.access_run(np.array([6, 2, 4, 10, 8], dtype=np.int64))
     assert fast._lazy_runs
     drive_both(fast, ref, [point_block([2, 0])])
-    assert fast.lane.exact_windows == 1
+    # The cold run's window (access_run hands a miss-headed window to
+    # the block window) and the block's.
+    assert fast.lane.exact_windows == 2
 
 
 def test_a_note_that_drains_finds_its_span_in_the_log():
@@ -520,24 +524,32 @@ def test_ospaging_blocks_take_the_window_route():
         traced.stats.misses
 
 
-def test_bulk_fault_lane_traces_its_cascades():
-    """``_fault_span`` used to decline under a sink; now it emits the
-    ``pool.demotion`` / ``pool.fault`` spans of each chunk itself."""
+def test_cascades_resolve_on_the_scalar_chain():
+    """A miss into a full tier that demotes into another tier cuts the
+    window (``cascade``): the refused stretch resolves through the
+    scalar ``_fault`` chain, the reference, which emits its own
+    ``pool.demotion`` / ``pool.fault`` spans. State and spans match
+    the reference, and a sink changes neither state nor route."""
     traced, ref = twin_pools(placement="dbcost5000", caps=(4, 6),
                              backed=True, traced=True)
     plain = make_pool(placement="dbcost5000", caps=(4, 6), backed=True)
     scalar_faults = []
-    for pool in (traced, plain):
-        original = pool._fault
-        pool._fault = lambda *a, _o=original, **k: (
-            scalar_faults.append(a), _o(*a, **k))[1]
+    original = traced._fault
+    traced._fault = lambda *a, **k: (scalar_faults.append(a),
+                                     original(*a, **k))[1]
     blocks = [block_of([(p, True, False, 64, 5.0) for p in range(20)]),
               point_block(range(20, 40)),
               point_block(list(range(40, 48)) + list(range(12)))]
     drive_both(traced, ref, blocks)
     for block in blocks:
         plain.access_block(block)
-    assert not scalar_faults
+    # Ten free frames fill in the first window; DbCost's steady admit
+    # tier then cascades 0 -> 1 -> storage on every later miss.
+    lane = traced.lane
+    assert lane.fill_installs == 10 and lane.evict_installs == 0
+    assert lane.cuts["cascade"] == 1
+    assert lane.head_cuts["cascade"] == 3 == len(blocks)
+    assert len(scalar_faults) == lane.head_stretch_accesses == 50
     names = [s.name for s in traced.ctx.trace.spans]
     assert names.count("pool.demotion") == traced.stats.migrations > 0
     assert names.count("pool.fault") == traced.stats.misses == 60
@@ -562,11 +574,11 @@ def test_rebalance_skips_a_promotion_whose_page_was_evicted():
     assert pool.resident_pages <= 8
 
 
-# -- the anonymous fill phase of the bulk fault lane -------------------------
+# -- access_run and preload misses take the window ----------------------------
 
-def test_fault_span_fills_an_anonymous_pool():
-    """``_fault_span`` shares the install body, so a storage-less cold
-    run no longer drops to one scalar fault per page."""
+def test_access_run_fills_an_anonymous_pool_in_the_window():
+    """A storage-less cold run goes to the block window, as a block
+    does: one window installs its misses, no scalar fault per page."""
     fast, ref = make_pool(caps=(64, 64)), make_pool(caps=(64, 64))
     scalar_faults = []
     original = fast._fault
@@ -581,6 +593,138 @@ def test_fault_span_fills_an_anonymous_pool():
     assert repr(got) == repr(want)
     assert full_state(fast) == full_state(ref)
     assert not scalar_faults
+    assert (fast.lane.exact_windows, fast.lane.fill_installs) == (1, 40)
+
+
+run_shapes = st.tuples(
+    st.integers(0, 47),                                 # first id
+    st.integers(1, 40),                                 # length
+    st.integers(0, 3),                                  # stride: 0 repeats
+    st.booleans(),                                      # write
+    st.booleans(),                                      # is_scan
+    st.sampled_from([64, 4096, 100.5]),                 # a float size too
+    st.sampled_from([0.0, 0.0, 35.5]),                  # think
+    st.booleans(),                                      # preload
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    placement=st.sampled_from(["static", "dbcost37", "dbcost5000",
+                               "ospaging"]),
+    caps=st.sampled_from([(3, 5), (6, 10), (64, 64)]),
+    backed=st.booleans(),
+    traced=st.booleans(),
+    full=st.booleans(),
+    warm=st.lists(st.tuples(st.integers(0, 47), st.booleans()),
+                  max_size=8),
+    pin=st.sampled_from([False, False, True]),
+    session=st.sampled_from([False, False, False, True]),
+    run_list=st.lists(run_shapes, min_size=1, max_size=5),
+)
+def test_miss_runs_equal_scalar_reference(placement, caps, backed, traced,
+                                          full, warm, pin, session,
+                                          run_list):
+    """``access_run`` / ``preload`` miss runs against the frozen
+    reference: anonymous and backed pools, free and full tiers (static
+    placement drains to storage, DbCost and OS paging cascade), dirty
+    victims, pins, an uncontended session clock, repeated ids, with and
+    without a trace sink."""
+    fast, ref = twin_pools(placement=placement, caps=caps, backed=backed,
+                           traced=traced)
+    # Full: every page touched once, a third of them written, so the
+    # small pools' misses evict dirty and clean victims from the start.
+    warm = [(page, page % 3 == 0) for page in range(48)] * full + warm
+    for pool in (fast, ref):
+        for page, write in warm:
+            pool.access(page, write=write)
+        if pin and warm:
+            pool.pin(warm[-1][0])
+    clocks = session_cursors(fast, ref) if session else (None, None)
+    accum = [0.0, 0.0]
+    for first, length, stride, write, scan, nbytes, think, pre in run_list:
+        ids = np.array([(first + i * stride) % 48 for i in range(length)],
+                       dtype=np.int64)
+        shape = dict(nbytes=nbytes, write=write, is_scan=scan,
+                     think_ns=think)
+        outcomes = []
+        for side, pool in enumerate((fast, ref)):
+            try:
+                if pre:
+                    accum[side] += pool.preload(ids.tolist(), **shape)
+                else:
+                    accum[side] = pool.access_run(ids, accum=accum[side],
+                                                  **shape)
+                outcomes.append(repr(accum[side]))
+            except ReproError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        assert outcomes[0] == outcomes[1]
+        assert full_state(fast, clocks[0]) == full_state(ref, clocks[1])
+        if "Error" in outcomes[0]:
+            break
+    assert ref.lane.exact_windows == 0
+
+
+@pytest.mark.parametrize("entry, reason", [("access_block", "pinned"),
+                                           ("access_run", "cascade")])
+def test_a_refused_head_is_planned_once_per_miss_stretch(entry, reason):
+    """Every window a miss heads is refused (pins; a full tier that
+    demotes into another). The stretch of misses at the head resolves
+    through the scalar chain and the window is planned again after it
+    — not once per miss, which costs a plan per fault."""
+    if reason == "pinned":
+        fast, ref = twin_pools(placement="static")
+        hot, warm = 0, [0]
+    else:
+        fast, ref = twin_pools(placement="dbcost5000", caps=(4, 60),
+                               backed=True)
+        hot, warm = 50, range(64)
+    for pool in (fast, ref):
+        for page in warm:
+            pool.access(page)
+        if reason == "pinned":
+            pool.pin(hot)
+    plans = []
+    original = fast._fill_plan
+    fast._fill_plan = lambda *a: (plans.append(int(a[2][0]) < 0),
+                                  original(*a))[1]
+    # Three stretches of ten misses, two runs of hits between them.
+    ids = [*range(100, 110), hot, hot, *range(110, 120), hot,
+           *range(120, 130)]
+    if entry == "access_run":
+        fast.access_run(np.array(ids, dtype=np.int64))
+        for page in ids:
+            ref._access_compat(page)
+    else:
+        drive_both(fast, ref, [point_block(ids)])
+    assert full_state(fast) == full_state(ref)
+    # One plan per refused head, one per hit run the refusal then cuts.
+    assert plans == [True, False, True, False, True]
+    assert fast.lane.head_cuts == dict(LaneStats().head_cuts, **{reason: 3})
+    assert fast.lane.head_stretch_accesses == 30
+    assert fast.lane.cuts[reason] == 2
+
+
+@pytest.mark.parametrize("entry", ["access_run", "preload"])
+@pytest.mark.parametrize("holder", ["bytes", "memmap"])
+def test_an_id_column_over_a_buffer_is_checked_as_its_run(entry, holder,
+                                                          tmp_path):
+    """An id array whose ``.base`` is no ndarray — bytes under
+    ``np.frombuffer``, an ``mmap`` under ``np.memmap`` — is checked as
+    the run it is (it raised ``AttributeError`` on ``base.ndim``)."""
+    ids = np.array([5, 1, 5, 9, 2, 40], dtype=np.int64)
+    if holder == "bytes":
+        col = np.frombuffer(ids.tobytes(), dtype=np.int64)
+    else:
+        col = np.memmap(tmp_path / "ids", dtype=np.int64, mode="w+",
+                        shape=ids.shape)
+        col[:] = ids
+    assert col.base is not None and not isinstance(col.base, np.ndarray)
+    fast, ref = make_pool(), make_pool()
+    got = getattr(fast, entry)(col, think_ns=3.0)
+    want = getattr(ref, entry)(ids, think_ns=3.0)
+    assert repr(got) == repr(want)
+    assert full_state(fast) == full_state(ref)
 
 
 # -- negative page ids on a storage-less pool --------------------------------

@@ -1,15 +1,15 @@
-"""Fault-storm equivalence tests for the vectorised miss path.
+"""Fault-storm equivalence tests for the miss path.
 
-The contract under test: the fault lane (``_fault_span``) resolves
-whole miss runs — bulk backing reads, ``choose_admit_tiers`` placement,
-``victim_batch`` eviction/demotion cascades, array installs — and the
-resulting pool state is **bit-identical** to the scalar
-``access → _fault → _install`` chain, across object, block, and quantum
-delivery, under tiny tier capacities that force cascades on nearly
-every run.
+The contract under test: miss runs — the block window's bulk backing
+reads, ``choose_admit_tiers`` placement, ``victim_batch`` evictions
+and array installs, and the scalar ``access → _fault → _install``
+chain for the cascades the window cuts — leave pool state
+**bit-identical** to the scalar reference, across object, block, and
+quantum delivery, under tiny tier capacities that force cascades on
+nearly every run.
 
 Also here: the ``victim_batch``/``victim`` order-equivalence property
-for LRU and Clock under random pin sets, the
+for LRU under random pin sets, the
 ``_resident_counts``/``tier_residents`` agreement assertion backing the
 ``_make_room`` satellite fix, and the ``preload``/``warm_with``
 byte-identity contract.
@@ -24,13 +24,14 @@ import pytest
 
 from repro.core.engine import ScaleUpEngine
 from repro.core.placement import OSPagingPolicy, StaticPolicy
-from repro.core.replacement import ClockPolicy, LRUPolicy
+from repro.core.replacement import LRUPolicy
 from repro.units import CACHE_LINE, PAGE_SIZE
 from repro.workloads.scans import scan_blocks, scan_trace
 from repro.workloads.traces import AccessBlock
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
 from tests.core.test_access_batch import _pool_state, _scalar_drive
+from tests.core.test_replacement import victim_batch_loop
 
 
 def _cold_engine(dram_pages, cxl_pages, placement=None, fast=True):
@@ -54,7 +55,7 @@ def _assert_counts_agree(pool):
 def _random_runs(rng, pages, n_runs):
     """Cold-heavy randomized runs: long fresh ranges (pure fault
     storms), revisits (hits and demoted-page re-faults), and short
-    scattered tails (scalar-fallback coverage below _FAULT_MIN)."""
+    scattered tails (short scalar stretches)."""
     runs = []
     cursor = 0
     for _ in range(n_runs):
@@ -155,11 +156,12 @@ def test_quantum_delivery_storm_equivalence():
     _assert_counts_agree(pool_f)
 
 
-@pytest.mark.parametrize("policy_cls", [LRUPolicy, ClockPolicy])
+@pytest.mark.parametrize("policy_cls", [LRUPolicy])
 @pytest.mark.parametrize("seed", list(range(8)))
 def test_victim_batch_order_property(policy_cls, seed):
     """victim_batch(k, pinned) == k repeated victim(pinned)+remove()
-    for random insert/touch histories and random pin sets."""
+    for random insert/touch histories and random pin sets (only LRU
+    has a batch: the pool's bulk eviction drains LRU tiers only)."""
     rng = random.Random(seed)
     keys = list(range(rng.randint(5, 60)))
     a, b = policy_cls(), policy_cls()
@@ -174,14 +176,7 @@ def test_victim_batch_order_property(policy_cls, seed):
     pinned = pin_set.__contains__
     k = rng.randint(0, len(keys) + 2)
     batch = a.victim_batch(k, pinned)
-    loop = []
-    for _ in range(k):
-        victim = b.victim(pinned)
-        if victim is None:
-            break
-        b.remove(victim)
-        loop.append(victim)
-    assert batch == loop
+    assert batch == victim_batch_loop(b, k, pinned)
     assert not (set(batch) & pin_set)
 
 

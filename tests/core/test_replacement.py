@@ -28,14 +28,30 @@ from repro.core.replacement import (
     LRUKPolicy,
     LRUPolicy,
     TwoQPolicy,
+    _check_batch,
     _never_pinned,
-    _victim_batch_generic,
     make_policy,
 )
 from repro.errors import BufferPoolError
 from tests.core.test_cold_fill import make_pool, point_block
 
 ALL_POLICIES = sorted(POLICIES)
+
+
+def victim_batch_loop(policy, k, pinned=_never_pinned):
+    """The reference ``victim_batch``: *k* rounds of ``victim(pinned)``
+    then ``remove``, stopping once every page left is pinned.
+    ``LRUPolicy.victim_batch`` must return exactly this sequence; the
+    other policies have no batch (the pool drains LRU tiers only)."""
+    _check_batch(k)
+    victims = []
+    for _ in range(k):
+        key = policy.victim(pinned)
+        if key is None:
+            break
+        policy.remove(key)
+        victims.append(key)
+    return victims
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
@@ -100,21 +116,21 @@ class TestCommonBehaviour:
 
     def test_batch_size_edges(self, name):
         """``k < 0`` is refused by name (LRU used to leak ``islice``'s
-        ``ValueError``, the others returned ``[]``); ``k == 0`` is an
-        empty batch that touches nothing."""
+        ``ValueError``); ``k == 0`` is an empty batch that touches
+        nothing. LRU's batches and the reference loop alike."""
         policy = make_policy(name)
         for key in (1, 2, 3):
             policy.record_insert(key)
-        batches = [policy.victim_batch,
-                   lambda k: _victim_batch_generic(policy, k, _never_pinned)]
+        batches = [lambda k: victim_batch_loop(policy, k)]
         if name == "lru":
-            batches.append(policy.peek_batch)
+            batches += [policy.victim_batch, policy.peek_batch]
         for batch in batches:
             with pytest.raises(BufferPoolError, match="batch size"):
                 batch(-1)
             assert batch(0) == []
         assert len(policy) == 3
-        assert policy.victim_batch(5) == [1, 2, 3]
+        drain = policy.victim_batch if name == "lru" else batches[0]
+        assert drain(5) == [1, 2, 3]
 
 
 class TestLRUSpecifics:
