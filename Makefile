@@ -77,11 +77,15 @@ route-check:
 # callbacks, the hold records and the prune pass may not come back
 # either. The pool has one bulk miss body, the block window: the
 # deleted miss-run lane, its run-length floor and the generic victim
-# batch it needed may not come back under src/. One benchmark, too: the retired
-# wall-clock microbenchmark harness (its package and its name) may not
-# come back under src/, tests/, the Makefile or .github/ — ledger/ is
-# the one performance instrument. The line counts of the pool and
-# placement files are printed for the CI log.
+# batch it needed may not come back under src/. Addition chains are
+# left folds (np.add.accumulate): the binade-reasoning cycle ladder
+# (chain_repeat, chain_repeat_arr, its _cycle_profile and _chain_scalar)
+# and chain_values' TWO52 stretch bound may not come back under src/
+# either. One benchmark, too: the retired wall-clock microbenchmark
+# harness (its package and its name) may not come back under src/,
+# tests/, the Makefile or .github/ — ledger/ is the one performance
+# instrument. The line counts of the pool,
+# placement, tracker and chain files are printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
@@ -89,7 +93,8 @@ gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
                   r"|slow_residents|_TimedHold|def prune\b"
                   r"|def (_arrive|_release|_admit|_drain_queue"
                   r"|_consult_scaler)\b"
-                  r"|_fault_span|_FAULT_MIN|_victim_batch_generic")
+                  r"|_fault_span|_FAULT_MIN|_victim_batch_generic"
+                  r"|chain_repeat|_cycle_profile|_chain_scalar|TWO52")
 bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
@@ -125,7 +130,8 @@ export STRUCTURE_CHECK
 structure-check:
 	@python3 -c "$$STRUCTURE_CHECK"
 	@wc -l src/repro/core/buffer.py src/repro/core/frame.py \
-		src/repro/core/placement.py src/repro/core/temperature.py
+		src/repro/core/placement.py src/repro/core/temperature.py \
+		src/repro/sim/ladder.py
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

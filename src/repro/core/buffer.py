@@ -37,8 +37,9 @@ wall-clock cost.
   tier_index``) kept in sync by install/evict/migrate/drop/resize.
   Hits are partitioned from faults with one gather, per-(tier, shape)
   latencies come from the precomputed tables, and the clock/demand
-  accumulators advance through exact repeated-addition ladders
-  (:mod:`repro.sim.ladder`). ``access_run`` charges one uniform-shape
+  accumulators advance through left folds of their deltas and
+  closed-form constant runs (:mod:`repro.sim.ladder`), bit for bit the
+  scalar loop's floats. ``access_run`` charges one uniform-shape
   run and ``access_quantum`` a scheduler quantum of several; both end
   in one hit-run body (:meth:`TieredBufferPool._quantum_hits`).
   ``access_block`` charges a whole columnar
@@ -64,7 +65,7 @@ import math
 from dataclasses import dataclass, field
 from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -79,7 +80,7 @@ from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath, PathTiming
-from ..sim.ladder import chain_repeat_arr, chain_values, repeat_add
+from ..sim.ladder import chain_values, repeat_add
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
@@ -135,8 +136,9 @@ _COLUMNS = (("_res_tier", np.int16, -1), ("_pins", np.int16, 0),
             ("_dirty", np.bool_, False), ("_last_ns", np.float64, 0.0),
             ("_acc", np.int64, 0), ("_slot", np.int32, 0))
 
-#: Minimum remaining segment length worth a repeated-addition ladder;
-#: below it a plain scalar mini-loop is cheaper than the ladder setup.
+#: Minimum remaining subsegment length folded as one delta column;
+#: shorter ones take a plain scalar mini-loop, which is cheaper than
+#: the column setup there (the two cross near 100 accesses).
 _LADDER_MIN = 32
 
 #: 2**53 — every integer below this is exactly representable in a
@@ -710,17 +712,16 @@ class TieredBufferPool:
 
         Every entry is one all-hit span as :meth:`_quantum_hits` left
         it, so the batch is five columns over its accesses in charge
-        order: ids, tiers, post-think timestamps (ladder runs written
-        over their placeholders — a pure run's closed form is its one
-        ``chain_repeat_arr``), write and scan flags. The pass does
-        what the scalar loop did access by access, once per page or
-        tier: each page's ``acc`` takes its count and its ``last_ns``
-        the timestamp of its *last* occurrence, written pages turn
-        dirty; each tier's policy takes its touch sequence
-        (:meth:`_policy_touch`); the tracker one ``record_block``
-        (``record_batch`` per scan-flag run, or scalar ``record``,
-        without it). The structures are disjoint and every reader
-        drains first, so settling a batch at once is unobservable.
+        order: ids, tiers, post-think timestamps, write and scan
+        flags. The pass does what the scalar loop did access by
+        access, once per page or tier: each page's ``acc`` takes its
+        count and its ``last_ns`` the timestamp of its *last*
+        occurrence, written pages turn dirty; each tier's policy takes
+        its touch sequence (:meth:`_policy_touch`); the tracker one
+        ``record_block`` (``record_batch`` per scan-flag run, or
+        scalar ``record``, without it). The structures are disjoint
+        and every reader drains first, so settling a batch at once is
+        unobservable.
         """
         log = self._lazy_runs
         if not log:
@@ -750,16 +751,7 @@ class TieredBufferPool:
                          np.float64, k)
         scans = np.zeros(k, dtype=bool)
         off = 0
-        for span_ids, _, _, ladders, wr_ranges, scan_ranges in entries:
-            for ladder in ladders:
-                # Only a page's last touch keeps its timestamp: a
-                # pure run that holds none is never materialised.
-                at = off + ladder[0]
-                if len(ladder) == 2:
-                    ts[at:at + ladder[1].shape[0]] = ladder[1]
-                elif last[at:at + ladder[3]].any():
-                    ts[at:at + ladder[3]] = chain_repeat_arr(
-                        ladder[1], (ladder[2],), ladder[3], 0)[1]
+        for span_ids, _, _, wr_ranges, scan_ranges in entries:
             for a, b in wr_ranges:
                 self._dirty[span_ids[a:b]] = True
             for a, b in scan_ranges:
@@ -1370,20 +1362,19 @@ class TieredBufferPool:
         wait — and the rest advance the clock and
         demand accumulators through the identical float sequence the
         scalar loop produces: that loop itself below ``_LADDER_MIN``,
-        exact addition ladders (:func:`~repro.sim.ladder.repeat_add` /
-        :func:`~repro.sim.ladder.chain_repeat_arr`) from there on.
+        from there on one delta column (the clock, then think and
+        latency interleaved, or latency alone) folded by
+        ``np.add.accumulate``, which is the loop's left fold, and
+        :func:`~repro.sim.ladder.repeat_add` for the demand
+        accumulators, which add one constant.
 
         Those floats, the hit and device counters and the queue
         reservations are all the span itself observes. What the scalar
         loop also did per access — row stats, dirty flags, recency
         touches, the tracker feed — is left to :meth:`_drain_lazy` as
-        one log entry ``(ids[q0:q1], qspan, ts, ladders, writes,
-        scans)``: *ts* holds the post-think timestamp of every access,
-        with 0.0 placeholders under each ladder run, and *ladders*
-        what fills them — ``(offset, mids)`` as the think-bearing
-        ladder computed them, or the closed form ``(offset, now0, lat,
-        count)`` of a pure run, materialised only at settle and only
-        if it is needed there; *writes* and *scans* are the
+        one log entry ``(ids[q0:q1], qspan, ts, writes, scans)``:
+        *ts* holds the post-think timestamp of every access, a folded
+        run's straight from its column; *writes* and *scans* are the
         span-relative ranges of the write and scan segments. No
         ``Frame`` is touched here. The entry is in the log before the
         placement notes run (a note may call back into the pool and
@@ -1404,7 +1395,6 @@ class TieredBufferPool:
         cut_list.append(q1)
         ci = 0
         ts: list[float] = []
-        ladders: list[tuple] = []
         writes: list[tuple[int, int]] = []
         scans: list[tuple[int, int]] = []
         for a, b, nbytes, write, is_scan, think_ns in segs:
@@ -1453,15 +1443,23 @@ class TieredBufferPool:
                 pool_demand += lat_i
                 accum += lat_i
                 rem = e - s - 1
-                if rem >= _LADDER_MIN and lat > 0.0:
+                if rem >= _LADDER_MIN:
+                    # One delta column, folded: now, then think and
+                    # latency interleaved (or latency alone); the
+                    # post-think values are the run's timestamps.
                     if think_ns:
-                        now, mids = chain_repeat_arr(
-                            now, (think_ns, lat), rem, 1)
-                        ladders.append((len(ts), mids))
+                        col = np.empty(2 * rem + 1)
+                        col[1::2] = think_ns
+                        col[2::2] = lat
+                        col[0] = now
+                        np.add.accumulate(col, out=col)
+                        ts.extend(col[1::2].tolist())
                     else:
-                        ladders.append((len(ts), now, lat, rem))
-                        now = repeat_add(now, lat, rem)
-                    ts.extend(repeat(0.0, rem))
+                        col = np.full(rem + 1, lat)
+                        col[0] = now
+                        np.add.accumulate(col, out=col)
+                        ts.extend(col[:-1].tolist())
+                    now = float(col[-1])
                     # The demand accumulators only ever add lat, so
                     # they fold with repeat_add whatever the clock
                     # interleaves.
@@ -1513,8 +1511,7 @@ class TieredBufferPool:
         stats.accesses += q1 - q0
         stats.demand_time_ns = pool_demand
         clock._now = now
-        self._lazy_runs.append((ids[q0:q1], qspan, ts, ladders, writes,
-                                scans))
+        self._lazy_runs.append((ids[q0:q1], qspan, ts, writes, scans))
         self._log_held += q1 - q0
         self.lane.quantum_spans += 1
         note = self._placement_note
@@ -1586,8 +1583,9 @@ class TieredBufferPool:
         window declines — a contended session, a placement policy
         without headroom, ids outside the dense table, a tracker
         without ``record_block``, a placement note that reads the scan
-        flag, or latencies the chain primitive cannot model exactly.
-        ``pool.lane`` counts those blocks and the reason.
+        flag, or a block with a negative latency, an infinite think
+        time or a byte total past 2**53 (``latency``). ``pool.lane``
+        counts those blocks and the reason.
         """
         ids_nd = block.page_id
         n = len(ids_nd)
@@ -1673,9 +1671,10 @@ class TieredBufferPool:
 
         A whole placement-headroom window of hits resolves in a
         handful of array ops — one residency gather, one latency
-        gather, and exact addition-chain cumsums
-        (:func:`~repro.sim.ladder.chain_values`) that reproduce every
-        intermediate clock/demand value bit-for-bit — plus a single
+        gather, and left folds of the clock and demand chains
+        (:func:`~repro.sim.ladder.chain_values`, one
+        ``np.add.accumulate`` each) that reproduce every intermediate
+        clock/demand value bit-for-bit — plus a single
         write per row column (count, last time, dirty) and per-tier
         replacement recency replayed in access order.  First-touch misses stay
         inside the window (:meth:`_fill_plan`) when they land in free
@@ -1684,9 +1683,10 @@ class TieredBufferPool:
         as extra delta classes of the same chains.  Other faults and
         table-less tiers resolve scalar between windows, a refused
         window head's whole stretch of them at once, and so do
-        placement triggers.  A block the chain primitive cannot model
-        exactly (negative latencies, byte counts past 2**53, an
-        infinite think time) is declined before anything is charged;
+        placement triggers.  A block with a negative latency, byte
+        counts whose total may pass 2**53 (the byte counters would
+        round) or an infinite think time is declined before anything
+        is charged;
         *think_lo* is the block's smallest think time, which the
         caller already showed to be a number >= 0.
         """

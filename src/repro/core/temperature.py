@@ -17,6 +17,7 @@ aging. Both expose the same small interface.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from itertools import repeat
 from typing import Protocol, Sequence
@@ -73,9 +74,9 @@ class ExactTracker:
     membership bitmap so the buffer pool's block lane can record whole
     windows in a few numpy ops; ids outside the dense range spill into
     a dict side table.  Every update applies the same IEEE additions in
-    the same per-page order as a :meth:`record` loop (duplicated ids go
-    through an exact repeated-addition ladder), so heats stay
-    bit-identical to the scalar history.
+    the same per-page order as a :meth:`record` loop (duplicated ids
+    take a left fold of their weight, ``repeat_add_vec``), so heats
+    stay bit-identical to the scalar history.
     """
 
     def __init__(self, decay: float = 0.5, epoch_accesses: int = 10_000,
@@ -83,8 +84,9 @@ class ExactTracker:
         if not 0.0 < decay <= 1.0:
             raise ConfigError(f"decay must be in (0,1]: {decay}")
         require_count("epoch_accesses", epoch_accesses, 1)
-        if scan_weight < 0:
-            raise ConfigError("scan_weight must be non-negative")
+        if not 0.0 <= scan_weight < math.inf:
+            raise ConfigError(
+                f"scan_weight must be finite and non-negative: {scan_weight}")
         self.decay = decay
         self.epoch_accesses = epoch_accesses
         self.scan_weight = scan_weight
@@ -138,7 +140,7 @@ class ExactTracker:
                      is_scan: bool = False) -> None:
         """Observe a run of accesses; equivalent to a :meth:`record`
         loop. ndarray runs are applied in bulk (one fancy-indexed add
-        for distinct ids, an exact ladder for duplicates); aging fires
+        for distinct ids, a row fold for duplicates); aging fires
         at exactly the same access index as in the scalar loop."""
         self._record_run(page_ids, None, start, end,
                          self.scan_weight if is_scan else 1.0)

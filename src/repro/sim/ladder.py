@@ -1,4 +1,4 @@
-"""Exact repeated-addition ladders for the vectorised buffer-pool lane.
+"""Exact addition chains for the vectorised buffer-pool lane.
 
 The simulator's scalar hot loop advances its clock and demand
 accumulators one IEEE-754 addition at a time::
@@ -6,35 +6,36 @@ accumulators one IEEE-754 addition at a time::
     for _ in range(count):
         now += delta          # think / latency / post chains
 
-The block-native lane must reproduce those floats **bit-identically**
-while touching Python once per *segment* instead of once per access.
-The trick: between binade crossings, repeated addition of a constant is
-an integer recurrence.  Write ``x = m * u`` with ``u = ulp(x)`` (a power
-of two) and ``d = (q + frac) * u``; round-to-nearest-even then advances
-``m`` by a constant integer increment (after at most one irregular
-tie-parity step), so ``n`` additions collapse to one integer
-multiply-add plus one exact ``ldexp``.  All classification happens in
-exact integer arithmetic via ``float.as_integer_ratio`` — no float
-reasoning is trusted beyond IEEE addition itself.
+The array lanes must reproduce those floats **bit-identically** while
+touching Python once per *segment* instead of once per access.  Two
+tools do it:
 
-Three entry points:
+- A *left fold*.  ``np.add.accumulate`` writes each output as the
+  previous output plus the next input, rounded once: that is the scalar
+  loop itself, run in C, whatever the operands' binades, signs, ties
+  or subnormals.  Nothing is re-associated, so there is nothing to
+  prove per case.  :func:`chain_values` folds one chain of mixed deltas
+  and keeps every intermediate; :func:`repeat_add_vec` folds many rows
+  of one repeated weight each.
+- A *closed form* for a long run of one constant.  Between binade
+  crossings, repeated addition of ``d`` is an integer recurrence: write
+  ``x = m * u`` with ``u = ulp(x)`` and round-to-nearest-even advances
+  ``m`` by a constant increment (after at most one tie-parity step), so
+  ``n`` additions collapse to one integer multiply-add and one exact
+  ``ldexp``, classified in exact integer arithmetic via
+  ``float.as_integer_ratio``.  :func:`repeat_add` is that ladder; it
+  costs O(binade crossings), where a fold costs O(n), and callers that
+  need only the final value of a long run use it.
 
-- :func:`repeat_add` — final value of ``n`` scalar additions.
-- :func:`chain_repeat` — ``n`` cycles of a small delta tuple
-  (think/latency), also materialising the per-cycle "mid" values the
-  scalar lane stores into ``Frame.last_access_ns``.
-- :func:`repeat_add_vec` — elementwise ladder over numpy arrays, used by
-  the temperature tracker for duplicated page ids.
-
-Mixed-sign operands (the sum walks toward zero) fall back to the scalar
-loop; the simulator only ever adds positive durations to non-negative
-clocks, so that path is cold by construction.
+Mixed-sign operands (the sum walks toward zero) make :func:`repeat_add`
+fall back to the scalar loop; the simulator only ever adds positive
+durations to non-negative clocks, so that path is cold by construction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -42,8 +43,7 @@ TWO53 = 1 << 53
 _TOP = TWO53 - 1          # largest integer multiple of ulp we model directly
 _SCALAR_N = 32            # below this a plain Python loop is cheaper
 
-__all__ = ["repeat_add", "chain_repeat", "chain_values",
-           "repeat_add_vec"]
+__all__ = ["repeat_add", "chain_values", "repeat_add_vec"]
 
 
 def repeat_add(x: float, d: float, n: int) -> float:
@@ -143,390 +143,51 @@ def _repeat_add_pos(x: float, d: float, n: int) -> float:
     return x
 
 
-def _chain_scalar(x: float, deltas: Sequence[float], n: int,
-                  mid_index: int, mids: List[float]) -> float:
-    for _ in range(n):
-        for j, d in enumerate(deltas):
-            if j == mid_index:
-                mids.append(x)
-            x = x + d
-        if mid_index == len(deltas):
-            mids.append(x)
-    return x
-
-
-def _cycle_profile(parity: int, specs, s: int, mid_index: int):
-    """Walk one delta cycle in integer units from a value of given parity.
-
-    Returns (total_inc, mid_offset, max_prefix_inc).  Each step's
-    increment depends only on the running parity, so the profile is
-    shared by every value congruent mod 2.
-    """
-    off = 0
-    mid_off = 0
-    hi = 0
-    for j, (ad, bd_bits) in enumerate(specs):
-        if j == mid_index:
-            mid_off = off
-        first, _steady = _classify(parity + off, ad, bd_bits, s)
-        off += first
-        if off > hi:
-            hi = off
-    if mid_index == len(specs):
-        mid_off = off
-    return off, mid_off, hi
-
-
-def chain_repeat(x: float, deltas: Sequence[float], n: int,
-                 mid_index: int) -> Tuple[float, List[float]]:
-    """Run ``n`` cycles of ``for d in deltas: x = x + d`` from ``x``.
-
-    Returns the final value and the list of per-cycle *mid* snapshots —
-    the value of ``x`` just before the ``mid_index``-th delta of each
-    cycle (``mid_index == len(deltas)`` snapshots the cycle end).  Both
-    are bit-identical to the scalar loop.  All deltas must be finite and
-    positive and ``x`` non-negative; anything else falls back to the
-    scalar loop.
-    """
-    mids: List[float] = []
-    if n <= 0:
-        return x, mids
-    deltas = tuple(deltas)
-    if (not deltas or x < 0.0 or not math.isfinite(x)
-            or any(not math.isfinite(d) or d <= 0.0 for d in deltas)):
-        return _chain_scalar(x, deltas, n, mid_index, mids), mids
-    specs = []
-    for d in deltas:
-        ad, bd = d.as_integer_ratio()
-        specs.append((ad, bd.bit_length() - 1))
-    while n:
-        if n < 8:
-            return _chain_scalar(x, deltas, n, mid_index, mids), mids
-        u = math.ulp(x)
-        s = math.frexp(u)[1] - 1
-        ax, bx = x.as_integer_ratio()
-        sx = -s - (bx.bit_length() - 1)
-        m = ax << sx if sx >= 0 else ax >> -sx
-        p = m & 1
-        c_p, mid_p, hi_p = _cycle_profile(p, specs, s, mid_index)
-        if c_p & 1 == 0:
-            # Parity-invariant: every cycle advances by the same integer.
-            if c_p == 0 and hi_p == 0:
-                mids.extend([x] * n)       # fully absorbed
-                return x, mids
-            span = max(c_p, hi_p, 1)
-            k = (_TOP - m - (hi_p if hi_p > c_p else 0)) // span
-            if k <= 0:
-                x = _chain_scalar(x, deltas, 1, mid_index, mids)
-                n -= 1
-                continue
-            if k > n:
-                k = n
-            grid = np.arange(k, dtype=np.float64)
-            mids.extend(((float(m + mid_p) + float(c_p) * grid) *
-                         math.ldexp(1.0, s)).tolist())
-            m += k * c_p
-            n -= k
-            x = math.ldexp(float(m), s)
-            continue
-        c_q, mid_q, hi_q = _cycle_profile(1 - p, specs, s, mid_index)
-        if c_q & 1 == 0:
-            # Parity flips once then settles: burn one cycle, re-enter the
-            # invariant branch next iteration.
-            x = _chain_scalar(x, deltas, 1, mid_index, mids)
-            n -= 1
-            continue
-        # Both parities advance oddly: true alternation, super-cycle of two.
-        pair = c_p + c_q
-        hi = max(hi_p, c_p + hi_q, pair)
-        k2 = (_TOP - m - hi) // max(pair, 1)
-        if k2 <= 0 or n < 2:
-            x = _chain_scalar(x, deltas, 1, mid_index, mids)
-            n -= 1
-            continue
-        if k2 > n // 2:
-            k2 = n // 2
-        grid = np.arange(k2, dtype=np.float64)
-        scale = math.ldexp(1.0, s)
-        out = np.empty(2 * k2, dtype=np.float64)
-        out[0::2] = (float(m + mid_p) + float(pair) * grid) * scale
-        out[1::2] = (float(m + c_p + mid_q) + float(pair) * grid) * scale
-        mids.extend(out.tolist())
-        m += k2 * pair
-        n -= 2 * k2
-        x = math.ldexp(float(m), s)
-    return x, mids
-
-
-def chain_repeat_arr(x: float, deltas: Sequence[float], n: int,
-                     mid_index: int) -> Tuple[float, np.ndarray]:
-    """Like :func:`chain_repeat` but returns the mids as a float64
-    ndarray, for callers (the buffer pool's vectorised session lane)
-    that scatter the per-cycle timestamps straight into pid-indexed
-    arrays instead of walking a Python list.
-
-    Mirrors :func:`chain_repeat` step for step — the ladder chunks are
-    produced as arrays internally, so collecting them avoids both the
-    ``tolist()`` inside the ladder and the list-to-array conversion a
-    caller would otherwise pay.  Bit-identical to the scalar loop (and
-    therefore to :func:`chain_repeat`) in both the final value and
-    every mid.
-    """
-    if n <= 0:
-        return x, np.empty(0, dtype=np.float64)
-    deltas = tuple(deltas)
-    if (not deltas or x < 0.0 or not math.isfinite(x)
-            or any(not math.isfinite(d) or d <= 0.0 for d in deltas)):
-        mids: List[float] = []
-        return (_chain_scalar(x, deltas, n, mid_index, mids),
-                np.asarray(mids, dtype=np.float64))
-    specs = []
-    for d in deltas:
-        ad, bd = d.as_integer_ratio()
-        specs.append((ad, bd.bit_length() - 1))
-    chunks: List[np.ndarray] = []
-    scal: List[float] = []
-
-    def flush_scal() -> None:
-        if scal:
-            chunks.append(np.asarray(scal, dtype=np.float64))
-            scal.clear()
-
-    while n:
-        if n < 8:
-            x = _chain_scalar(x, deltas, n, mid_index, scal)
-            n = 0
-            break
-        u = math.ulp(x)
-        s = math.frexp(u)[1] - 1
-        ax, bx = x.as_integer_ratio()
-        sx = -s - (bx.bit_length() - 1)
-        m = ax << sx if sx >= 0 else ax >> -sx
-        p = m & 1
-        c_p, mid_p, hi_p = _cycle_profile(p, specs, s, mid_index)
-        if c_p & 1 == 0:
-            if c_p == 0 and hi_p == 0:
-                flush_scal()
-                chunks.append(np.full(n, x, dtype=np.float64))
-                n = 0
-                break
-            span = max(c_p, hi_p, 1)
-            k = (_TOP - m - (hi_p if hi_p > c_p else 0)) // span
-            if k <= 0:
-                x = _chain_scalar(x, deltas, 1, mid_index, scal)
-                n -= 1
-                continue
-            if k > n:
-                k = n
-            grid = np.arange(k, dtype=np.float64)
-            flush_scal()
-            chunks.append(((float(m + mid_p) + float(c_p) * grid)
-                           * math.ldexp(1.0, s)))
-            m += k * c_p
-            n -= k
-            x = math.ldexp(float(m), s)
-            continue
-        c_q, mid_q, hi_q = _cycle_profile(1 - p, specs, s, mid_index)
-        if c_q & 1 == 0:
-            x = _chain_scalar(x, deltas, 1, mid_index, scal)
-            n -= 1
-            continue
-        pair = c_p + c_q
-        hi = max(hi_p, c_p + hi_q, pair)
-        k2 = (_TOP - m - hi) // max(pair, 1)
-        if k2 <= 0 or n < 2:
-            x = _chain_scalar(x, deltas, 1, mid_index, scal)
-            n -= 1
-            continue
-        if k2 > n // 2:
-            k2 = n // 2
-        grid = np.arange(k2, dtype=np.float64)
-        scale = math.ldexp(1.0, s)
-        out = np.empty(2 * k2, dtype=np.float64)
-        out[0::2] = (float(m + mid_p) + float(pair) * grid) * scale
-        out[1::2] = (float(m + c_p + mid_q) + float(pair) * grid) * scale
-        flush_scal()
-        chunks.append(out)
-        m += k2 * pair
-        n -= 2 * k2
-        x = math.ldexp(float(m), s)
-    flush_scal()
-    if not chunks:
-        return x, np.empty(0, dtype=np.float64)
-    if len(chunks) == 1:
-        return x, chunks[0]
-    return x, np.concatenate(chunks)
-
-
-TWO52 = 1 << 52
-
-
 def chain_values(x: float, vals: np.ndarray, cls: np.ndarray,
                  out: np.ndarray) -> float:
     """Every intermediate of the addition chain ``x += vals[cls[i]]``.
 
-    Writes the value *after* the i-th addition into ``out[i]`` and
-    returns the final value — all bit-identical to the scalar loop.
-    ``vals`` holds the distinct (non-negative, finite) deltas, ``cls``
-    the per-addition class index; NaN entries in ``vals`` mark unused
-    classes.
-
-    Why this vectorises: while ``x`` stays inside one binade, it is an
-    integer multiple ``M`` of a fixed ulp ``u``, and round-to-nearest
-    of ``x + d`` adds a *constant* integer increment per delta class —
-    ``floor(d/u)`` plus one when the fractional part exceeds a half —
-    so the whole stretch is one integer cumsum.  Everything else —
-    binade crossings, exact-half fractions (which round by mantissa
-    parity, a value-dependent bit), giant steps, and zero, negative,
-    NaN, or subnormal ``x`` — falls back to one plain python add for
-    that step, which is the scalar semantics by definition.  The
-    result is therefore always exact; only the stretch length varies.
+    Writes the value *after* the i-th addition into ``out[i]`` (``out``
+    has ``cls``'s length; a slice of a reused buffer will do) and
+    returns the final value, all bit-identical to the scalar loop: the
+    deltas are gathered into ``out``, ``x`` is added to the first, and
+    ``np.add.accumulate`` folds the rest in order.  ``x + d`` and
+    ``d + x`` round alike, so ``out[0]`` is the loop's first step.
+    ``vals`` holds the distinct deltas and ``cls`` the per-addition
+    class index; entries of ``vals`` no index names (NaN marks unused
+    classes) are never read.
     """
-    n = cls.shape[0]
-    ncls = vals.shape[0]
-    vlist = vals.tolist()
-    i = 0
-    while i < n:
-        scalar_step = x <= 0.0 or not math.isfinite(x)
-        if not scalar_step:
-            _, e = math.frexp(x)
-            u = math.ldexp(1.0, e - 53)
-            scalar_step = u == 0.0             # subnormal x
-        if scalar_step:
-            x = x + vlist[cls[i]]
-            out[i] = x
-            i += 1
-            continue
-        M = int(x / u)
-        inc = np.empty(ncls, dtype=np.int64)
-        for c in range(ncls):
-            d = vlist[c]
-            if d != d:
-                inc[c] = -1                    # unused (NaN) class
-                continue
-            r = d / u
-            if r >= TWO52:
-                inc[c] = -1                    # giant step: go scalar
-                continue
-            q = math.floor(r)
-            f = r - q
-            if f == 0.5:
-                inc[c] = -1                    # parity tie: go scalar
-                continue
-            inc[c] = int(q) + (1 if f > 0.5 else 0)
-        incs = inc[cls[i:]]
-        neg = incs < 0
-        if neg.any():
-            fb = int(np.argmax(neg))
-        else:
-            fb = incs.shape[0]
-        if fb:
-            # Bound the stretch so M + cumsum cannot overflow int64:
-            # each increment is < 2**52, so a long stretch (tens of
-            # thousands of steps at a small ulp) can wrap negative and
-            # corrupt the binary search below.  Shorter stretches stay
-            # exact — the loop just takes another pass.
-            mx = int(incs[:fb].max())
-            if mx > 0:
-                safe = ((1 << 62) - M) // mx
-                if safe < fb:
-                    fb = max(1, int(safe))
-        cs = M + np.cumsum(incs[:fb])
-        stop = int(np.searchsorted(cs, TWO53, side="left"))
-        if stop == 0:
-            x = x + vlist[cls[i]]
-            out[i] = x
-            i += 1
-            continue
-        seg = cs[:stop].astype(np.float64) * u
-        out[i:i + stop] = seg
-        x = float(seg[-1])
-        i += stop
-    return x
+    if not cls.shape[0]:
+        return x
+    np.take(vals, cls, out=out)
+    out[0] += x
+    np.add.accumulate(out, out=out)
+    return float(out[-1])
 
 
 def repeat_add_vec(heat: np.ndarray, weight, count: np.ndarray) -> None:
     """In place, apply ``count[i]`` sequential ``heat[i] += weight[i]`` adds.
 
-    Elementwise version of :func:`repeat_add` used by the temperature
-    tracker for duplicated page ids; bit-identical to the scalar loops.
-    ``weight`` may be a scalar or an array broadcast against ``heat``.
-    ``count`` is consumed (zeroed) in place.  Negative heats or weights
-    degrade to one hardware add per outer iteration (unused by the sim).
+    Elementwise :func:`repeat_add`, used by the temperature tracker for
+    duplicated page ids, as a row fold: rows are banded by the binary
+    exponent of their count, and each band is one grid whose column 0
+    holds the heat and whose later columns the row's weight.
+    ``np.add.accumulate`` along each row is the scalar loop, so column
+    ``count[i]`` is the loop's result; the columns past a row's own
+    count are never read.  The band bounds a grid to at most twice its
+    rows' adds.  ``weight`` may be a scalar or an array broadcast
+    against ``heat``; weights are finite and >= 0 (``ExactTracker``
+    checks its scan weight so).  ``count`` is left unchanged.
     """
     w = np.asarray(weight, dtype=np.float64)
-    if heat.shape[0] <= 8:
-        # Tiny duplicate sets: each vector iteration below costs ~25
-        # numpy calls, so scalar ladders win.  repeat_add is the exact
-        # elementwise contract, so the results are identical.
-        wl = np.broadcast_to(w, heat.shape)
-        for i in range(heat.shape[0]):
-            heat[i] = repeat_add(float(heat[i]), float(wl[i]),
-                                 int(count[i]))
-        count[:] = 0
-        return
-    top = np.int64(_TOP)
-    while True:
-        act = count > 0
-        if not act.any():
-            return
-        zero = act & (w == 0.0)
-        if zero.any():
-            heat[zero] += 0.0
-            count[zero] = 0
-            act &= ~zero
-            if not act.any():
-                continue
-        u = np.spacing(np.abs(heat))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = w / u
-        hw = act & (~np.isfinite(heat) | ~np.isfinite(w)
-                    | (heat < 0.0) | (w < 0.0) | (ratio >= float(1 << 62)))
-        if hw.any():
-            heat[hw] += np.broadcast_to(w, heat.shape)[hw] if w.ndim else w
-            count[hw] -= 1
-            act &= ~hw
-            if not act.any():
-                continue
-        with np.errstate(invalid="ignore", over="ignore"):
-            m = np.where(act, heat / u, 0.0).astype(np.int64)   # exact ints
-            qf = np.floor(ratio)
-            q = np.where(act, qf, 0.0).astype(np.int64)
-            frac = np.where(act, ratio - qf, 0.0)  # exact below the guard
-        tie = frac == 0.5
-        bump = (frac > 0.5).astype(np.int64)
-        first = q + np.where(tie, (m + q) & 1, bump)
-        steady = q + np.where(tie, q & 1, bump)
-        dead = act & (first == 0) & (steady == 0)
-        if dead.any():
-            count[dead] = 0
-            act &= ~dead
-        irr = act & (first != steady)
-        big = irr & (m + first > top)
-        if big.any():
-            heat[big] += np.broadcast_to(w, heat.shape)[big] if w.ndim else w
-            count[big] -= 1
-            act &= ~big
-            irr &= ~big
-        if irr.any():
-            m = np.where(irr, m + first, m)
-            count[irr] -= 1
-        done = act & (steady == 0)               # tie absorbed after parity fix
-        if done.any():
-            count[done] = 0
-        jump = act & (steady > 0) & (count > 0)
-        k = np.where(jump,
-                     np.minimum(count, (top - m) // np.where(steady > 0,
-                                                             steady, 1)),
-                     0)
-        k = np.maximum(k, 0)
-        stuck = jump & (k == 0)
-        m = m + k * steady
-        count -= k
-        write = irr | (k > 0)
-        if write.any():
-            vals = m.astype(np.float64) * u
-            heat[write] = vals[write]
-        if stuck.any():
-            heat[stuck] += np.broadcast_to(w, heat.shape)[stuck] if w.ndim else w
-            count[stuck] -= 1
+    band = np.frexp(count)[1]
+    for e in np.unique(band).tolist():
+        if not e:
+            continue                          # count 0: no additions
+        rows = np.flatnonzero(band == e)
+        cnt = count[rows]
+        grid = np.empty((rows.shape[0], int(cnt.max()) + 1))
+        grid[:, 0] = heat[rows]
+        grid[:, 1:] = w[rows, None] if w.ndim else w
+        np.add.accumulate(grid, axis=1, out=grid)
+        heat[rows] = grid[np.arange(rows.shape[0]), cnt]

@@ -488,7 +488,7 @@ def scalar_chain(x, vals, cls):
 
 
 class TestChainValues:
-    """The addition-chain kernel under the fast lane's float model."""
+    """The addition-chain kernel the fast lane's timestamps come from."""
 
     def test_random_chain_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -501,9 +501,9 @@ class TestChainValues:
         assert out.tolist() == want_out
 
     def test_scalar_step_fallback_from_zero(self):
-        # x == 0.0 has no binade: every step until x grows must take
-        # the scalar-fallback path, including the zero-delta class
-        # that keeps x pinned at 0.0.
+        # A chain starting at 0.0, with a zero-delta class that keeps x
+        # pinned there and a subnormal-scale delta, must still round
+        # every step as the scalar loop does.
         vals = np.array([0.0, 1e-300, 2.5])
         cls = np.array([0, 0, 1, 0, 1, 2, 0, 2, 1], dtype=np.int64)
         out = np.empty(cls.shape[0])
@@ -515,8 +515,7 @@ class TestChainValues:
     def test_exact_half_tie_rounds_by_parity(self):
         # x in [1, 2) has ulp 2^-52; a delta of exactly 1.5 ulp makes
         # every addition an exact-half tie, which IEEE resolves by
-        # mantissa parity — a value-dependent bit the vector lane must
-        # hand to the scalar step.
+        # mantissa parity, so any reassociation of the chain shows.
         tie = math.ldexp(3.0, -53)
         vals = np.array([tie, math.ldexp(1.0, -52)])
         cls = np.array([0, 1] * 200, dtype=np.int64)
@@ -528,7 +527,7 @@ class TestChainValues:
 
     def test_binade_crossing(self):
         # Deltas large enough to push x across power-of-two boundaries
-        # repeatedly; each crossing restarts the integer stretch.
+        # repeatedly, so the rounding step changes along the chain.
         vals = np.array([0.75])
         cls = np.zeros(64, dtype=np.int64)
         out = np.empty(64)

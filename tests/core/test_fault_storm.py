@@ -215,10 +215,10 @@ def test_preload_default_nbytes_matches_page_scan():
 
 
 def test_long_single_span_preload_no_overflow():
-    """Regression: one 32k-id fault span drives chain_values through
-    tens of thousands of steps at a small ulp — the int64 cumsum used
-    to wrap negative and corrupt the binade search, leaving a negative
-    clock. The bulk preload must match the scalar warm-up exactly."""
+    """Scalar-vs-bulk pool differential on one long window: a 32k-id
+    cold preload folds its clock and demand chains over tens of
+    thousands of steps at a small ulp, and must leave the pool exactly
+    as the scalar warm-up does, with a positive clock."""
     total = 32_000
     a = _cold_engine(1, total + 16, placement=StaticPolicy(lambda _p: 1),
                      fast=False)

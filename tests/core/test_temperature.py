@@ -60,6 +60,14 @@ class TestExactTracker:
         with pytest.raises(ConfigError):
             ExactTracker(scan_weight=-1.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_scan_weight_rejected(self, weight):
+        # NaN passes a plain `< 0` guard, and one scan record would
+        # then leave the page's heat at nan (inf: inf).
+        with pytest.raises(ConfigError):
+            ExactTracker(scan_weight=weight)
+        ExactTracker(scan_weight=0.0).record(1, is_scan=True)
+
 
 class TestSampledTracker:
     def test_sampling_misses_most_accesses(self):

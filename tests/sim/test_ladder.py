@@ -1,4 +1,9 @@
-"""Bit-identity fuzz for the exact repeated-addition ladders."""
+"""Bit identity of the exact addition chains against the scalar loop.
+
+``repeat_add``'s closed-form ladder is fuzzed case by case; the two
+left folds, ``chain_values`` and ``repeat_add_vec``, are properties
+against a Python fold over the same operands.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,10 @@ import random
 import struct
 
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim.ladder import chain_repeat, repeat_add, repeat_add_vec
+from repro.sim.ladder import chain_values, repeat_add, repeat_add_vec
 
 
 def bits(x: float) -> bytes:
@@ -22,16 +28,13 @@ def scalar_repeat(x: float, d: float, n: int) -> float:
     return x
 
 
-def scalar_chain(x, deltas, n, mid_index):
-    mids = []
-    for _ in range(n):
-        for j, d in enumerate(deltas):
-            if j == mid_index:
-                mids.append(x)
-            x = x + d
-        if mid_index == len(deltas):
-            mids.append(x)
-    return x, mids
+def scalar_chain(x, vals, cls):
+    """The reference semantics chain_values must reproduce exactly."""
+    out = []
+    for c in cls:
+        x = x + vals[c]
+        out.append(x)
+    return x, out
 
 
 NS = [0, 1, 2, 3, 7, 31, 32, 33, 100, 1000, 12345]
@@ -106,87 +109,96 @@ def test_repeat_add_mixed_signs():
         check(x, d, rng.randint(0, 200))
 
 
-def test_chain_repeat_matches_scalar():
-    rng = random.Random(42)
-    for _ in range(150):
-        x = rng.uniform(0, 1) * 10.0 ** rng.randint(0, 10)
-        nd = rng.randint(1, 3)
-        deltas = tuple(rng.uniform(0, 1) * 10.0 ** rng.randint(-2, 4)
-                       for _ in range(nd))
-        if any(d == 0.0 for d in deltas):
-            continue
-        n = rng.choice(NS)
-        mid = rng.randint(0, nd)
-        got_x, got_mids = chain_repeat(x, deltas, n, mid)
-        want_x, want_mids = scalar_chain(x, deltas, n, mid)
-        assert bits(got_x) == bits(want_x)
-        assert len(got_mids) == len(want_mids)
-        for a, b in zip(got_mids, want_mids):
-            assert bits(a) == bits(b), (x, deltas, n, mid)
-        assert all(isinstance(v, float) for v in got_mids)
+#: Starting values: zero, subnormal, and normal up to 1e15 ns.
+STARTS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]),
+                   st.floats(0.0, 2.0 ** -1022),
+                   st.floats(0.0, 1e15))
 
 
-def test_chain_repeat_tie_cycles():
-    x = 3.0
+@st.composite
+def chains(draw):
+    """(x, vals, cls): a start, 1-6 delta classes (0.0 and exact
+    half-ulp ties of the start among them) plus, sometimes, an unused
+    NaN class, and 1-4,096 class indices."""
+    x = draw(STARTS)
     u = math.ulp(x)
-    for deltas in [(2.5 * u, 1.0 * u), (0.5 * u,), (1.5 * u, 0.5 * u),
-                   (3.5 * u, 2.5 * u, 1.5 * u)]:
-        got_x, got_mids = chain_repeat(x, deltas, 4000, 1 % len(deltas))
-        want_x, want_mids = scalar_chain(x, deltas, 4000, 1 % len(deltas))
-        assert bits(got_x) == bits(want_x)
-        assert [bits(a) for a in got_mids] == [bits(b) for b in want_mids]
+    delta = st.one_of(st.just(0.0), st.floats(0.0, 1e4),
+                      st.integers(0, 9).map(lambda q: (q + 0.5) * u))
+    vals = draw(st.lists(delta, min_size=1, max_size=6))
+    used = len(vals)
+    if draw(st.booleans()):
+        vals.append(math.nan)
+    n = draw(st.integers(1, 4096))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    cls = np.random.default_rng(seed).integers(0, used, size=n)
+    return x, np.array(vals), cls
 
 
-def test_chain_repeat_typical_sim_deltas():
-    # think/latency shapes the block lane actually produces
-    got_x, got_mids = chain_repeat(1_000_000.0, (50.0, 1361.328125), 4096, 1)
-    want_x, want_mids = scalar_chain(1_000_000.0, (50.0, 1361.328125), 4096, 1)
-    assert bits(got_x) == bits(want_x)
-    assert [bits(a) for a in got_mids] == [bits(b) for b in want_mids]
-    got_x, got_mids = chain_repeat(7.3e9, (333.33333333333,), 4096, 0)
-    want_x, want_mids = scalar_chain(7.3e9, (333.33333333333,), 4096, 0)
-    assert bits(got_x) == bits(want_x)
-    assert [bits(a) for a in got_mids] == [bits(b) for b in want_mids]
+@settings(max_examples=150)
+@given(case=chains())
+@example(case=(100.0, np.array([0.0, 13.25, 250.0, 1e-9, math.nan]),
+               np.random.default_rng(5).integers(0, 4, size=5_000)))
+@example(case=(0.0, np.array([0.0, 1e-300, 2.5]),
+               np.array([0, 0, 1, 0, 1, 2, 0, 2, 1])))
+@example(case=(1.0, np.array([math.ldexp(3.0, -53), math.ldexp(1.0, -52)]),
+               np.array([0, 1] * 200)))
+@example(case=(1.0, np.array([0.75]), np.zeros(64, dtype=np.int64)))
+@example(case=(2.5, np.array([1.0]), np.zeros(0, dtype=np.int64)))
+def test_chain_values_is_the_scalar_fold(case):
+    """Every intermediate and the final value equal the Python loop's,
+    also when ``out`` is a slice of a buffer an earlier call filled
+    (the block window reuses one for its demand and fault chains)."""
+    x, vals, cls = case
+    vlist = vals.tolist()
+    buf = np.full(cls.shape[0], -1.0)
+    got = chain_values(x, vals, cls, buf)
+    want, want_out = scalar_chain(x, vlist, cls.tolist())
+    assert bits(got) == bits(want)
+    assert buf.tobytes() == np.array(want_out).tobytes()
+    sub = cls[::3]
+    got = chain_values(want, vals, sub, buf[:sub.shape[0]])
+    want, want_out = scalar_chain(want, vlist, sub.tolist())
+    assert bits(got) == bits(want)
+    assert buf[:sub.shape[0]].tobytes() == np.array(want_out).tobytes()
 
 
-def test_repeat_add_vec_matches_scalar():
-    rng = random.Random(2026)
-    for _ in range(40):
-        size = rng.randint(1, 64)
-        heat = np.array([rng.uniform(0, 1) * 10.0 ** rng.randint(-6, 6)
-                         for _ in range(size)])
-        counts = np.array([rng.choice([0, 1, 2, 3, 17, 400])
-                           for _ in range(size)], dtype=np.int64)
-        if rng.random() < 0.5:
-            w = rng.choice([1.0, 0.1, 0.35, 2.5])
-            want = np.array([scalar_repeat(h, w, int(c))
-                             for h, c in zip(heat, counts)])
-        else:
-            w = np.array([rng.choice([1.0, 0.1, 0.0, 3.7])
-                          for _ in range(size)])
-            want = np.array([scalar_repeat(h, wi, int(c))
-                             for h, wi, c in zip(heat, w, counts)])
-        got = heat.copy()
-        repeat_add_vec(got, w, counts.copy())
-        assert got.tobytes() == want.tobytes()
+#: Counts spanning several of repeat_add_vec's bands (0, short, long).
+COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 40),
+                   st.integers(0, 5_000))
+HEATS = st.one_of(st.just(0.0), st.floats(0.0, 2.0 ** -1022),
+                  st.floats(0.0, 1e12))
 
 
-def test_repeat_add_vec_ties_and_absorption():
-    base = np.array([3.0, 5.0, 1.0, 2.0 ** 52, 0.0, 7.0])
-    u = np.array([math.ulp(v) for v in base])
-    for mult in [0.25, 0.5, 1.5, 1000.5]:
-        w = u * mult
-        counts = np.full(base.shape, 3000, dtype=np.int64)
-        want = np.array([scalar_repeat(h, wi, 3000)
-                         for h, wi in zip(base, w)])
-        got = base.copy()
-        repeat_add_vec(got, w, counts)
-        assert got.tobytes() == want.tobytes()
-    # huge ratio guard path (w/ulp(heat) >= 2**62)
-    heat = np.array([5e-324, 0.0, 1e-300])
-    w = np.array([1.0, 2.5, 1e10])
-    counts = np.array([5, 5, 5], dtype=np.int64)
-    want = np.array([scalar_repeat(h, wi, 5) for h, wi in zip(heat, w)])
+def check_vec(heat, w, counts):
+    wl = np.broadcast_to(np.asarray(w, dtype=np.float64), heat.shape)
+    want = np.array([scalar_repeat(h, wi, c) for h, wi, c in
+                     zip(heat.tolist(), wl.tolist(), counts.tolist())])
     got = heat.copy()
-    repeat_add_vec(got, w, counts)
+    repeat_add_vec(got, w, counts.copy())
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(rows=st.lists(st.tuples(HEATS, COUNTS, st.floats(0.0, 1e3)),
+                     min_size=1, max_size=24),
+       scalar=st.one_of(st.none(), st.sampled_from([1.0, 0.1, 0.35, 0.0])))
+def test_repeat_add_vec_matches_scalar(rows, scalar):
+    """Per-row or scalar weights, along each row, equal the loop."""
+    heat = np.array([h for h, _, _ in rows])
+    counts = np.array([c for _, c, _ in rows], dtype=np.int64)
+    w = np.array([w for _, _, w in rows]) if scalar is None else scalar
+    check_vec(heat, w, counts)
+
+
+@settings(max_examples=60)
+@given(rows=st.lists(st.tuples(HEATS, COUNTS,
+                               st.sampled_from([0.25, 0.5, 0.75, 1.0,
+                                                1.5, 1000.5])),
+                     min_size=1, max_size=24))
+def test_repeat_add_vec_ties_and_absorption(rows):
+    """Weights a fixed multiple of each heat's ulp: below a half ulp
+    the adds absorb, at an odd half they tie by parity."""
+    heat = np.array([h for h, _, _ in rows])
+    counts = np.array([c for _, c, _ in rows], dtype=np.int64)
+    w = np.array([m * math.ulp(h) for h, _, m in rows])
+    check_vec(heat, w, counts)
