@@ -81,7 +81,13 @@ route-check:
 # left folds (np.add.accumulate): the binade-reasoning cycle ladder
 # (chain_repeat, chain_repeat_arr, its _cycle_profile and _chain_scalar)
 # and chain_values' TWO52 stretch bound may not come back under src/
-# either. One benchmark, too: the retired wall-clock microbenchmark
+# either. The pool has one lane: the lane switch and the frozen
+# reference access it chose (fast_lane, set_fast_lane, _access_compat),
+# the per-call *_uncached path timings, tiers without a timing table
+# (tierless, tableless, _path_timing), the escalation switch
+# (escalate=) and access_batch's per-page CPU charge (post_ns) may not
+# come back under src/; the reference lives in tests/oracle/. One
+# benchmark, too: the retired wall-clock microbenchmark
 # harness (its package and its name) may not come back under src/,
 # tests/, the Makefile or .github/ — ledger/ is the one performance
 # instrument. The line counts of the pool,
@@ -94,7 +100,9 @@ gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
                   r"|def (_arrive|_release|_admit|_drain_queue"
                   r"|_consult_scaler)\b"
                   r"|_fault_span|_FAULT_MIN|_victim_batch_generic"
-                  r"|chain_repeat|_cycle_profile|_chain_scalar|TWO52")
+                  r"|chain_repeat|_cycle_profile|_chain_scalar|TWO52"
+                  r"|fast_lane|_access_compat|_uncached|tierless"
+                  r"|tableless|_path_timing|escalate=|post_ns")
 bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):

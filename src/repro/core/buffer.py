@@ -13,23 +13,19 @@ clock using the tier's :class:`~repro.sim.interconnect.AccessPath`.
 for — while migration/maintenance costs are accounted separately in
 the stats (and also advance the clock).
 
-Execution lanes: one reference, the scalar lane, the array lane —
-they produce **bit-identical** simulated state and differ only in
-wall-clock cost.
+Execution lanes: the scalar lane and the array lane — they produce
+**bit-identical** simulated state and differ only in wall-clock cost.
+The frozen reference they are both held to (per-access spec
+arithmetic, no tables) lives beside the tests, not in the pool.
 
-* :meth:`TieredBufferPool._access_compat` — the frozen reference
-  (per-access spec arithmetic, no tables). ``set_fast_lane(False)``
-  replays every entry point through it; the equivalence suites and
-  the pinned-digest test compare the fast lane against it in-process.
 * :meth:`TieredBufferPool.access` — the scalar lane, one page at a
   time, using the precomputed per-path timing tables. The array lane
   routes the accesses it cannot prove exact (a fault it cannot
-  batch, a tier without timing tables, a placement trigger point)
-  through it, so eviction, migration and rebalance decisions always
-  see scalar-order state. :meth:`TieredBufferPool.access_batch` is
-  its list-form spelling: ``think → access → post`` per id of a
-  python sequence sharing one shape, for callers that hold no array
-  (a page-at-a-time operator, an array-lane fallback).
+  batch, a placement trigger point) through it, so eviction,
+  migration and rebalance decisions always see scalar-order state.
+  :meth:`TieredBufferPool.access_batch` is its list-form spelling:
+  ``think → access`` per id of a python sequence sharing one shape,
+  the array lane's scalar fallback.
 * :meth:`TieredBufferPool.access_run` /
   :meth:`TieredBufferPool.access_quantum` /
   :meth:`TieredBufferPool.access_block` — the array lane: id ndarrays
@@ -79,7 +75,7 @@ from ..errors import BufferPoolError, PageFaultError
 from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
-from ..sim.interconnect import AccessPath, PathTiming
+from ..sim.interconnect import AccessPath
 from ..sim.ladder import chain_values, repeat_add
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
@@ -130,6 +126,10 @@ class Tier:
 #: column dense under.
 _RES_MAX_PIDS = DENSE_KEYS
 
+#: Page ids are int64 on every column the pool keeps (the
+#: insertion-order index, trace blocks): one at or past this is refused.
+_PID_LIMIT = 1 << 63
+
 #: The residency table's columns, in :mod:`~repro.core.frame` index
 #: order: attribute, dtype and the value an absent page's row holds.
 _COLUMNS = (("_res_tier", np.int16, -1), ("_pins", np.int16, 0),
@@ -169,6 +169,17 @@ def _check_id_array(ids: np.ndarray) -> None:
         raise BufferPoolError(
             "page ids must be a 1-D integer array, got"
             f" {ids.ndim}-D {ids.dtype}")
+    if ids.dtype == np.uint64 and ids.size and int(ids.max()) >= _PID_LIMIT:
+        raise BufferPoolError(
+            f"page ids must be below 2**63, got {int(ids.max())}")
+
+
+def _check_page_id(page_id) -> None:
+    """Refuse a page id that is not an integer in ``[0, 2**63)``."""
+    if not (isinstance(page_id, (int, np.integer))
+            and 0 <= page_id < _PID_LIMIT):
+        raise BufferPoolError(
+            f"invalid page id {page_id!r}: not an integer in [0, 2**63)")
 
 
 def _check_nbytes(nbytes) -> None:
@@ -253,7 +264,7 @@ class BufferPoolStats:
 
 #: Why a block window stopped short (``LaneStats.cuts``) or was refused
 #: at its head (``LaneStats.head_cuts``).
-_CUTS = ("miss_full", "scan_flag", "tableless", "headroom", "non_lru",
+_CUTS = ("miss_full", "scan_flag", "headroom", "non_lru",
          "pinned", "session", "backing", "placement", "evicted_reref",
          "victim_bound", "cascade")
 
@@ -401,16 +412,14 @@ class TieredBufferPool:
             placement = DbCostPolicy()
         self.placement = placement
         self.placement.attach(self)
-        #: Batched fast-lane switch; see the module docstring. Off, the
-        #: pool behaves exactly like the pre-fast-lane implementation
-        #: (scalar execution, per-access arithmetic).
-        self.fast_lane = True
-        # Precomputed per-tier timing tables; None for tiers whose path
-        # has no table support (those always take the scalar path).
-        self._tier_timing: list[PathTiming | None] = [
-            self._path_timing(tier.path) for tier in self.tiers
-        ]
-        # Optional batch hooks, resolved once so the fast lane degrades
+        # One precomputed timing table per tier, from its path.
+        for tier in self.tiers:
+            if not isinstance(tier.path, AccessPath):
+                raise BufferPoolError(
+                    f"tier {tier.name}: path must be an AccessPath, not"
+                    f" {type(tier.path).__name__}")
+        self._tier_timing = [tier.path.timing() for tier in self.tiers]
+        # Optional batch hooks, resolved once so the array lane degrades
         # (to correct scalar behaviour) with custom trackers/policies.
         self._tracker_batch = getattr(self.tracker, "record_batch", None)
         headroom = getattr(placement, "fast_headroom", None)
@@ -432,12 +441,7 @@ class TieredBufferPool:
         self._span_cols: dict[int, np.ndarray] = {}
         # Per-(nbytes, write, is_scan) hit latencies for every tier at
         # once, memoized.
-        self._lat_cache: dict[tuple[int, bool, bool],
-                              list[float | None]] = {}
-        self._tierless_mask = np.array(
-            [timing is None for timing in self._tier_timing], dtype=bool
-        )
-        self._any_tierless = bool(self._tierless_mask.any())
+        self._lat_cache: dict[tuple[int, bool, bool], list[float]] = {}
         # Insertion-order residency index: `_ord_ids[:_ord_len]` holds
         # page ids in install order (the order resident_in, flush_all
         # and drop_all walk), `_ord_tier` their tiers and `_ord_valid`
@@ -475,22 +479,6 @@ class TieredBufferPool:
         self._back_rd: tuple[object, float, int] | None = None
         self._inst_wr: dict[int, float] = {}
         self._evt_rd: dict[int, float] = {}
-
-    @staticmethod
-    def _path_timing(path: AccessPath) -> PathTiming | None:
-        """The path's precomputed timing table, if it supports one."""
-        build = getattr(path, "timing", None)
-        if build is None:
-            return None
-        try:
-            return build()
-        except Exception:
-            return None
-
-    def set_fast_lane(self, enabled: bool) -> None:
-        """Toggle the batched fast lane (simulated results are
-        identical either way; only wall-clock changes)."""
-        self.fast_lane = bool(enabled)
 
     # -- the session lane -----------------------------------------------------
 
@@ -898,6 +886,7 @@ class TieredBufferPool:
         clock cursor and any arrival-order wait on the tier's shared
         resources is folded into the returned latency.
         """
+        _check_page_id(page_id)
         _check_nbytes(nbytes)
         if self._lazy_runs:
             self._drain_lazy()
@@ -957,86 +946,34 @@ class TieredBufferPool:
             if write:
                 row[DIRTY] = True
 
-    def _access_compat(self, page_id: PageId, nbytes: int = CACHE_LINE,
-                       write: bool = False, is_scan: bool = False) -> float:
-        """The frozen pre-fast-lane :meth:`access`: hit latency derived
-        from specs per call, no tables. Kept verbatim as the reference
-        the equivalence tests and the pinned digests compare the fast
-        lane against. Results are bit-identical to :meth:`access`;
-        only the wall-clock cost differs.
-        """
-        _check_nbytes(nbytes)
-        if self._lazy_runs:
-            self._drain_lazy()
-        self.stats.accesses += 1
-        self.tracker.record(page_id, is_scan=is_scan)
-        clock = self._session_clock
-        if clock is None:
-            clock = self.clock
-        tier_index = self._get(page_id, TIER)
-        if tier_index < 0:
-            latency = self._fault(page_id, is_scan=is_scan)
-            tier_index = self._get(page_id, TIER)
-            self.stats.misses += 1
-            self.stats.fault_time_ns += latency
-            if self._session_queues is not None:
-                latency = self._contend(tier_index, clock._now,
-                                        latency, self.page_size, True)
-            trace = self._trace
-            if trace.enabled:
-                now = clock.now
-                trace.emit_span("pool.fault", "pool", now, now + latency,
-                                {"page": page_id})
-        else:
-            path = self.tiers[tier_index].path
-            if write:
-                latency = (path.write_time_sequential_uncached(nbytes)
-                           if is_scan else path.write_time_uncached(nbytes))
-            else:
-                latency = (path.read_time_sequential_uncached(nbytes)
-                           if is_scan else path.read_time_uncached(nbytes))
-            if self._session_queues is not None:
-                latency = self._contend(tier_index, clock._now,
-                                        latency, nbytes, write)
-            self._register_hit(page_id, tier_index)
-        self._touch(page_id, clock.now, write)
-        clock.advance(latency)
-        self.stats.demand_time_ns += latency
-        self.placement.on_access(page_id, tier_index, is_scan=is_scan)
-        return latency
-
     def access_batch(self, page_ids: Iterable[PageId],
                      nbytes: int = CACHE_LINE, write: bool = False,
                      is_scan: bool = False, think_ns: float = 0.0,
-                     post_ns: float = 0.0, accum: float = 0.0) -> float:
+                     accum: float = 0.0) -> float:
         """The scalar loop over a python sequence of ids sharing one
-        shape — the list-form spelling of the reference, not a lane:
+        shape — the list-form spelling of :meth:`access`, not a lane:
         per id, *think_ns* of CPU on the clock (workload think time),
-        :meth:`access` (the frozen reference when the fast lane is
-        off) added to the caller's running demand accumulator *accum*,
-        then *post_ns* of CPU (operator per-page work). The array
-        lane's fallbacks and the page-at-a-time query operators use
-        it; id ndarrays belong on :meth:`access_run`.
+        then :meth:`access` added to the caller's running demand
+        accumulator *accum*. The array lane's fallbacks use it; id
+        ndarrays belong on :meth:`access_run`.
         """
         if self._lazy_runs:
             self._drain_lazy()
         # `not x >= 0` rather than `x < 0`: NaN must be refused too.
-        if not think_ns >= 0 or not post_ns >= 0:
-            raise BufferPoolError("think_ns and post_ns must be >= 0")
+        if not think_ns >= 0:
+            raise BufferPoolError("think_ns must be >= 0")
         _check_nbytes(nbytes)
         if isinstance(page_ids, np.ndarray):
             page_ids = page_ids.tolist()
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        one = self.access if self.fast_lane else self._access_compat
+        one = self.access
         advance = clock.advance
         for pid in page_ids:
             if think_ns:
                 advance(think_ns)
             accum += one(pid, nbytes, write, is_scan)
-            if post_ns:
-                advance(post_ns)
         return accum
 
     # -- the block lane -------------------------------------------------------
@@ -1059,17 +996,14 @@ class TieredBufferPool:
         self._cap = size
 
     def _shape_latencies(self, nbytes: int, write: bool,
-                         is_scan: bool) -> list[float | None]:
-        """Per-tier hit latency for one access shape, memoized; None
-        for table-less tiers (those accesses always resolve scalar)."""
+                         is_scan: bool) -> list[float]:
+        """Per-tier hit latency for one access shape, memoized."""
         key = (nbytes, write, is_scan)
         lats = self._lat_cache.get(key)
         if lats is None:
             lats = []
             for timing in self._tier_timing:
-                if timing is None:
-                    lats.append(None)
-                elif write:
+                if write:
                     lats.append(
                         (timing.seq_write_latency_ns if is_scan
                          else timing.write_latency_ns)
@@ -1089,9 +1023,9 @@ class TieredBufferPool:
                   think_ns: float, accum: float) -> float:
         """Vectorised core for one uniform-shape run of page ids.
 
-        The caller guarantees: fast lane on, a batch-capable placement
-        policy, and every id inside the (already grown) dense residency
-        table. Per headroom window the run is partitioned into hits and
+        The caller guarantees a batch-capable placement policy and
+        every id inside the (already grown) dense residency table.
+        Per headroom window the run is partitioned into hits and
         boundaries with one gather; the hit prefix is one
         :meth:`_quantum_hits` segment, so every written-back float is
         bit-identical to the scalar loop. A window that a miss heads
@@ -1109,8 +1043,6 @@ class TieredBufferPool:
             clock = self.clock
         headroom_fn = self._placement_headroom
         res = self._res_tier
-        any_tierless = self._any_tierless
-        tierless = self._tierless_mask
         # Whether a miss-headed window may go to the block window (it
         # takes an integer access size; a decline holds for the run).
         window = (isinstance(nbytes, (int, np.integer))
@@ -1133,10 +1065,6 @@ class TieredBufferPool:
             wlen = wend - i
             span = res[ids[i:wend]]
             bad = span < 0
-            if any_tierless:
-                # -1 lanes are already marked bad, so the stray
-                # tierless[-1] gather on them cannot flip anything.
-                bad |= tierless[span]
             if bad.any():
                 hits = int(bad.argmax())
                 if hits == 0 and window and self._fill_decline() is None:
@@ -1171,10 +1099,9 @@ class TieredBufferPool:
                     span[:hits], i, clock, accum, [])
                 i += hits
             if hits < wlen:
-                # The boundary access (fault or table-less tier)
-                # resolves scalar after the writeback above; the next
-                # window re-gathers, so its evictions/migrations are
-                # fully observed.
+                # The boundary access (a fault) resolves scalar after
+                # the writeback above; the next window re-gathers, so
+                # its evictions/migrations are fully observed.
                 if think_ns:
                     clock.advance(think_ns)
                 accum += self.access(int(ids[i]), nbytes=nbytes,
@@ -1251,7 +1178,7 @@ class TieredBufferPool:
         if not think_ns >= 0:
             raise BufferPoolError("think_ns must be >= 0")
         _check_nbytes(nbytes)
-        if self.fast_lane and self._placement_headroom is not None:
+        if self._placement_headroom is not None:
             # A slice of a 1-D column validates (once) through the
             # column; any other array — one over a buffer or a memory
             # map included — is checked as the run it is.
@@ -1277,11 +1204,10 @@ class TieredBufferPool:
         """Whether :meth:`access_quantum` may be used right now.
 
         The quantum lane dispatches straight to the vectorised span,
-        which needs the fast lane on and a batch-capable placement
-        policy; callers falling back use per-run :meth:`access_run` /
-        :meth:`access_batch` (bit-identical either way).
+        which needs a batch-capable placement policy; callers falling
+        back use per-run :meth:`access_run` (bit-identical either way).
         """
-        return self.fast_lane and self._placement_headroom is not None
+        return self._placement_headroom is not None
 
     def access_quantum(self, ids: np.ndarray, segs: list,
                        accum: float = 0.0
@@ -1332,10 +1258,7 @@ class TieredBufferPool:
             if q0 < q1 <= q0 + min(self._placement_headroom(),
                                    _LOG_SETTLE):
                 qspan = self._res_tier[ids[q0:q1]]
-                bad = qspan < 0
-                if self._any_tierless:
-                    bad |= self._tierless_mask[qspan]
-                if not bad.any():
+                if not (qspan < 0).any():
                     return self._quantum_hits(
                         ids, segs, qspan, q0, clock, accum,
                         seg_demands), seg_demands
@@ -1535,7 +1458,7 @@ class TieredBufferPool:
         so zero waits fold for the entire run). Returns ``None`` when
         any guarantee fails; probing mutates nothing.
         """
-        if not self.fast_lane or self._placement_headroom is None:
+        if self._placement_headroom is None:
             return None
         n = page_ids.shape[0]
         if n == 0 or self._placement_headroom() < n:
@@ -1550,10 +1473,8 @@ class TieredBufferPool:
         tier = int(res[first])
         if tier < 0:
             return None
-        if self._any_tierless and bool(self._tierless_mask[tier]):
-            return None
         lat = self._shape_latencies(nbytes, write, is_scan)[tier]
-        if lat is None or lat <= 0.0 or not math.isfinite(lat):
+        if lat <= 0.0 or not math.isfinite(lat):
             return None
         queues = self._session_queues
         if queues is not None:
@@ -1575,17 +1496,16 @@ class TieredBufferPool:
 
         Bit-identical to replaying the block's accesses through the
         scalar loop (think advance, :meth:`access`, demand into
-        *accum*), by one of three routes: that replay itself on the
-        frozen reference when the fast lane is off; the
-        :meth:`_block_exact` window, which resolves whole
-        placement-headroom windows of the block in array ops; or one
-        :meth:`access_run` per uniform-shape segment for a block the
-        window declines — a contended session, a placement policy
-        without headroom, ids outside the dense table, a tracker
-        without ``record_block``, a placement note that reads the scan
-        flag, or a block with a negative latency, an infinite think
-        time or a byte total past 2**53 (``latency``). ``pool.lane``
-        counts those blocks and the reason.
+        *accum*), by one of two routes: the :meth:`_block_exact`
+        window, which resolves whole placement-headroom windows of the
+        block in array ops; or one :meth:`access_run` per uniform-shape
+        segment for a block the window declines — a contended session,
+        a placement policy without headroom, ids outside the dense
+        table, a tracker without ``record_block``, a placement note
+        that reads the scan flag, or a block with a negative or
+        non-finite latency, an infinite think time or a byte total past
+        2**53 (``latency``). ``pool.lane`` counts those blocks and the
+        reason.
         """
         ids_nd = block.page_id
         n = len(ids_nd)
@@ -1608,21 +1528,6 @@ class TieredBufferPool:
         clock = self._session_clock
         if clock is None:
             clock = self.clock
-        if not self.fast_lane:
-            advance = clock.advance
-            compat = self._access_compat
-            ids_l = ids_nd.tolist()
-            sizes_l = sizes_nd.tolist()
-            writes_l = writes_nd.tolist()
-            scans_l = scans_nd.tolist()
-            thinks_l = thinks_nd.tolist()
-            for j in range(n):
-                t = thinks_l[j]
-                if t:
-                    advance(t)
-                accum += compat(ids_l[j], sizes_l[j], writes_l[j],
-                                scans_l[j])
-            return accum
         if self._session_queues is not None:
             decline = "session"
         elif self._placement_headroom is None:
@@ -1680,13 +1585,12 @@ class TieredBufferPool:
         inside the window (:meth:`_fill_plan`) when they land in free
         frames or behind victims that drain straight to storage: they
         install up front and their positions carry the miss latency
-        as extra delta classes of the same chains.  Other faults and
-        table-less tiers resolve scalar between windows, a refused
-        window head's whole stretch of them at once, and so do
-        placement triggers.  A block with a negative latency, byte
-        counts whose total may pass 2**53 (the byte counters would
-        round) or an infinite think time is declined before anything
-        is charged;
+        as extra delta classes of the same chains.  Other faults
+        resolve scalar between windows, a refused window head's whole
+        stretch of them at once, and so do placement triggers.  A
+        block with a negative or non-finite latency, byte counts whose
+        total may pass 2**53 (the byte counters would round) or an
+        infinite think time is declined before anything is charged;
         *think_lo* is the block's smallest think time, which the
         caller already showed to be a number >= 0.
         """
@@ -1696,8 +1600,7 @@ class TieredBufferPool:
         n = ids_nd.shape[0]
         tiers = self.tiers
         ntiers = len(tiers)
-        # Distinct access shapes and their per-tier latency rows
-        # (np.nan marks table-less tiers: those accesses go scalar).
+        # Distinct access shapes and their per-tier latency rows.
         pk = sizes_nd * 4 + writes_nd * 2 + scans_nd
         if n > 1:
             chg = np.nonzero(pk[1:] != pk[:-1])[0]
@@ -1707,17 +1610,14 @@ class TieredBufferPool:
         else:
             seg_starts = np.zeros(1, dtype=np.int64)
         upk, inv = np.unique(pk[seg_starts], return_inverse=True)
-        rows = []
-        for key in upk.tolist():
-            lats = self._shape_latencies(int(key >> 2), bool(key & 2),
-                                         bool(key & 1))
-            rows.append([np.nan if v is None else v for v in lats])
-        lat_tab = np.array(rows, dtype=np.float64)
-        finite = np.isfinite(lat_tab)
-        fin_vals = lat_tab[finite]
-        if fin_vals.shape[0] and float(fin_vals.min()) < 0.0:
+        lat_tab = np.array([
+            self._shape_latencies(int(key >> 2), bool(key & 2),
+                                  bool(key & 1))
+            for key in upk.tolist()], dtype=np.float64)
+        # (min propagates NaN, and NaN >= 0 is false.)
+        if not (float(lat_tab.min()) >= 0.0
+                and float(lat_tab.max()) < math.inf):
             return None
-        has_nan = not bool(finite.all())
         if n * float(sizes_nd.max()) >= _EXACT_LIMIT:
             return None
         seg_lens = np.diff(np.append(seg_starts, n))
@@ -1740,7 +1640,6 @@ class TieredBufferPool:
         headroom_fn = self._placement_headroom
         note = self._placement_note
         tracker_block = self.tracker.record_block
-        lat_flat = lat_tab.ravel()
         j = 0
         while j < n:
             now = clock._now
@@ -1761,20 +1660,17 @@ class TieredBufferPool:
             if wend > n:
                 wend = n
             sp = self._res_tier[ids_nd[j:wend]]
-            lat = lat_flat[rowmap[j:wend] + np.maximum(sp, 0)]
             bad = sp < 0
-            if has_nan:
-                bad |= np.isnan(lat)
             k = sp.shape[0]
             cut = "headroom"
             fill = None
             if bad.any():
                 k, cut, fill = self._fill_plan(ids_nd[j:wend],
-                                               scans_nd[j:wend], sp, lat)
+                                               scans_nd[j:wend], sp)
             if k == 0:
-                # The plan refused the window's head (a table-less
-                # tier, pins, a session clock, a full tier of an
-                # anonymous pool, a cascade, ...): the leading stretch
+                # The plan refused the window's head (pins, a session
+                # clock, a full tier of an anonymous pool, a cascade,
+                # ...): the leading stretch
                 # of such positions takes the scalar access chain, the
                 # reference, and the window is planned again after it
                 # — once per stretch, not once per miss.
@@ -1941,9 +1837,9 @@ class TieredBufferPool:
         return None
 
     def _fill_plan(self, ids_w: np.ndarray, scans_w: np.ndarray,
-                   sp: np.ndarray, lat: np.ndarray):
-        """Where a :meth:`_block_exact` window holding misses or
-        table-less hits ends, why, and which misses it folds in.
+                   sp: np.ndarray):
+        """Where a :meth:`_block_exact` window holding misses ends,
+        why, and which misses it folds in.
 
         Returns ``(k, cut, fill)``: the window covers its first *k*
         positions, *cut* names what stopped it there (a
@@ -1961,10 +1857,9 @@ class TieredBufferPool:
         victim, no move; ``choose_admit_tiers`` answers "with the
         earlier pages installed"), so the window runs on until a miss
         carries another scan flag than the misses before it (the bulk
-        call takes one) or lands on a tier without timing tables or
-        off :class:`LRUPolicy` (where insert-then-touch leaves the
-        insert's order, which keeps miss positions in the recency
-        replay). A miss into a *full* tier stays inside too when that
+        call takes one) or lands on a tier off :class:`LRUPolicy`
+        (where insert-then-touch leaves the insert's order, which keeps
+        miss positions in the recency replay). A miss into a *full* tier stays inside too when that
         tier drains straight to storage (:meth:`_victim_turns` says
         which residents leave and where the window must stop); a
         cascade through another tier is cut and left to the scalar
@@ -1977,11 +1872,7 @@ class TieredBufferPool:
         miss = sp < 0
         k = sp.shape[0]
         cut = "headroom"
-        tableless = np.isnan(lat) & ~miss
-        if tableless.any():
-            k = int(tableless.argmax())
-            cut = "tableless"
-        mpos = np.flatnonzero(miss[:k])
+        mpos = np.flatnonzero(miss)
         if not mpos.shape[0]:
             return k, cut, None
         head = int(mpos[0])
@@ -2018,9 +1909,7 @@ class TieredBufferPool:
             tier = tiers[T]
             why = None
             free = 0
-            if self._tier_timing[T] is None:
-                why = "tableless"
-            elif type(tier.policy) is not LRUPolicy:
+            if type(tier.policy) is not LRUPolicy:
                 why = "non_lru"
             else:
                 free = max(tier.capacity_pages - self._resident_counts[T],

@@ -21,9 +21,7 @@ from ..sim.memory import MemoryDevice
 from ..storage.disk import StorageDevice
 from ..storage.file import PageFile
 from ..units import PAGE_SIZE, SECOND, fmt_ns
-from ..sim.ladder import repeat_add
-from ..workloads.traces import (Access, AccessBlock, accesses_to_blocks,
-                                blocks_to_accesses)
+from ..workloads.traces import Access, AccessBlock, accesses_to_blocks
 from .buffer import Tier, TieredBufferPool
 from .placement import DbCostPolicy, PlacementPolicy
 from .temperature import ExactTracker
@@ -178,90 +176,61 @@ class ScaleUpEngine:
         :class:`Access` records, :class:`AccessBlock` chunks, or a mix
         of both — the simulated result is identical either way.
 
-        With the pool's fast lane enabled the trace is packed into
-        blocks (:func:`~repro.workloads.traces.accesses_to_blocks`;
-        blocks already in it pass through) and each is charged by
+        The trace is packed into blocks
+        (:func:`~repro.workloads.traces.accesses_to_blocks`; blocks
+        already in it pass through) and each is charged by
         :meth:`TieredBufferPool.access_block`, which threads
         ``demand_ns`` through as its accumulator and charges think
         time per access, so every float addition happens in the scalar
-        loop's order — the report is bit-identical in every lane and
-        delivery form. With the fast lane off the loop uses the
-        pool's compat access (the frozen pre-fast-lane arithmetic,
-        blocks expanded to scalar accesses), which is the reference
-        the equivalence suites and the pinned digests compare against.
+        loop's order — the report is bit-identical in every delivery
+        form.
 
         Delivery is open-loop: packing pulls a scalar generator up to
         ``BLOCK_OPS`` accesses ahead of the clock, so a trace must not
         read the pool or the clock to decide what it yields next (no
         generator in :mod:`repro.workloads` does).
         """
-        pool = self.pool
-        clock = pool.clock
-        ctx = self.ctx
-        start_ns = clock.now
-        start_accesses = pool.stats.accesses
-        start_misses = pool.stats.misses
-        start_migrations = pool.stats.migrations
+        start = self._run_start()
         demand_ns = 0.0
         think_ns = 0.0
         ops = 0
-        fast = getattr(pool, "fast_lane", False)
-        with ctx.span(f"run:{label or self.name}", cat="engine"):
-            if fast:
-                access_block = pool.access_block
-                for block in accesses_to_blocks(trace):
-                    ops += len(block)
-                    demand_ns = access_block(block, accum=demand_ns)
-                    thinks = block.think_ns
-                    if not thinks.any():
-                        continue
-                    # Replay the think accumulator's scalar addition
-                    # sequence.  Whole-nanosecond thinks on a
-                    # whole-number accumulator below 2**53 add without
-                    # rounding, so the plain sum is bit-identical;
-                    # otherwise one exact ladder per shape segment
-                    # (short segments loop; the ladder setup only pays
-                    # off beyond that).
-                    total = float(thinks.sum())
-                    if (think_ns.is_integer()
-                            and think_ns + total < 2.0 ** 53
-                            and bool((np.floor(thinks) == thinks).all())):
-                        think_ns += total
-                        continue
-                    seg_start = 0
-                    for seg_end in block.segment_bounds()[1:]:
-                        t = float(thinks[seg_start])
-                        if t:
-                            count = seg_end - seg_start
-                            if count >= 64:
-                                think_ns = repeat_add(think_ns, t, count)
-                            else:
-                                for _ in range(count):
-                                    think_ns += t
-                        seg_start = seg_end
-            else:
-                access_fn = getattr(pool, "_access_compat", pool.access)
-                for access in blocks_to_accesses(trace):
-                    if access.think_ns:
-                        clock.advance(access.think_ns)
-                        think_ns += access.think_ns
-                    demand_ns += access_fn(
-                        access.page_id,
-                        access.nbytes,
-                        access.write,
-                        access.is_scan,
-                    )
-                    ops += 1
+        access_block = self.pool.access_block
+        with self.ctx.span(f"run:{label or self.name}", cat="engine"):
+            for block in accesses_to_blocks(trace):
+                ops += len(block)
+                demand_ns = access_block(block, accum=demand_ns)
+                thinks = block.think_ns
+                if thinks.any():
+                    # The think accumulator's scalar addition chain as
+                    # one left fold; a zero think adds exactly nothing.
+                    chain = np.empty(thinks.shape[0] + 1)
+                    chain[0] = think_ns
+                    chain[1:] = thinks
+                    think_ns = float(np.add.accumulate(chain)[-1])
+        return self._run_report(start, label, ops, demand_ns, think_ns)
+
+    def _run_start(self) -> tuple[float, int, int, int]:
+        """The clock and pool counters a run's report is measured
+        from."""
+        stats = self.pool.stats
+        return (self.pool.clock.now, stats.accesses, stats.misses,
+                stats.migrations)
+
+    def _run_report(self, start: tuple[float, int, int, int],
+                    label: str | None, ops: int, demand_ns: float,
+                    think_ns: float) -> EngineReport:
+        """Settle the run's deferred bookkeeping and report it against
+        the *start* snapshot."""
+        pool = self.pool
         # The run owns its deferred bookkeeping, as a session run does.
-        settle = getattr(pool, "_drain_lazy", None)
-        if settle is not None:
-            settle()
+        pool._drain_lazy()
+        start_ns, start_accesses, start_misses, start_migrations = start
         stats = pool.stats
         window = stats.accesses - start_accesses
         report = EngineReport(
             name=label or self.name,
             ops=ops,
-            total_ns=clock.now - start_ns,
+            total_ns=pool.clock.now - start_ns,
             demand_ns=demand_ns,
             think_ns=think_ns,
             migrations=stats.migrations - start_migrations,
@@ -274,7 +243,7 @@ class ScaleUpEngine:
                 if stats.accesses else 0.0
                 for i in range(len(pool.tiers))
             ]
-        metrics = ctx.metrics
+        metrics = self.ctx.metrics
         metrics.incr("engine.runs")
         metrics.incr("engine.ops", ops)
         if report.total_ns > 0:
@@ -283,8 +252,7 @@ class ScaleUpEngine:
         return report
 
     def run_sessions(self, sessions, label: str | None = None,
-                     policy=None, morsel_ops: int | None = None,
-                     escalate: bool = True):
+                     policy=None, morsel_ops: int | None = None):
         """Execute several client sessions as genuine concurrency.
 
         Convenience front end for
@@ -293,15 +261,12 @@ class ScaleUpEngine:
         raw traces (scalar or block form). Returns a
         :class:`~repro.core.sessions.SessionRunReport`. An N=1 run is
         byte-identical to :meth:`run` on the same trace; N>1 runs are
-        deterministic and permutation-invariant. *escalate* forwards
-        the contention-aware bulk-quantum switch (byte-identical on or
-        off; off pins the exact per-quantum schedule for tests).
+        deterministic and permutation-invariant.
         """
         from .sessions import MORSEL_OPS, ConcurrentEngine
         executor = ConcurrentEngine(
             self.pool, name=self.name, policy=policy,
             morsel_ops=MORSEL_OPS if morsel_ops is None else morsel_ops,
-            escalate=escalate,
         )
         return executor.run(sessions, label=label)
 

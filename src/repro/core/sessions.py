@@ -401,7 +401,7 @@ class ConcurrentEngine:
                  policy: FairnessPolicy | None = None,
                  morsel_ops: int = MORSEL_OPS,
                  on_morsel: Callable[[str, Morsel], None] | None = None,
-                 ctx=None, escalate: bool = True) -> None:
+                 ctx=None) -> None:
         if morsel_ops <= 0:
             raise ConfigError("morsel_ops must be positive")
         if ctx is not None and ctx is not pool.ctx:
@@ -421,10 +421,6 @@ class ConcurrentEngine:
         #: shape :class:`~repro.core.morsel.RackScheduler` consumes, so
         #: session quanta can feed morsel-level schedulers directly.
         self.on_morsel = on_morsel
-        #: Contention-aware quantum escalation (see :meth:`_run_bulk`).
-        #: Byte-identical on or off — the switch exists so tests can
-        #: pin the equivalence and experiments can measure the cost.
-        self.escalate = bool(escalate)
         self._sim: Simulator | None = None
         self._quantum = None
 
@@ -473,8 +469,8 @@ class ConcurrentEngine:
             session._begin(start_ns)
         policy = self.policy
         policy.attach(order)
-        # Quantum lane: resolved once per run (the lane toggle is
-        # fixed for a run's duration). When ready, _run_quantum
+        # Quantum lane: resolved once per run (the pool's placement
+        # is fixed for a run's duration). When ready, _run_quantum
         # charges whole multi-segment spans through one pool call.
         ready = getattr(pool, "quantum_lane_ready", None)
         self._quantum = (pool.access_quantum
@@ -535,7 +531,9 @@ class ConcurrentEngine:
         """
         pool = self.pool
         policy = self.policy
-        escalate = self.escalate and self.on_morsel is None
+        # Contention-aware quantum escalation (see _run_bulk); a morsel
+        # hook observes every quantum, so it keeps the chunked path.
+        escalate = self.on_morsel is None
         begun: ClientSession | None = None
         try:
             while True:

@@ -144,10 +144,9 @@ class ColumnScan:
         # its values-per-page, so the crossing schedule is computed up
         # front instead of re-checking every column on every row. The
         # columns crossing at one row are charged back to back with no
-        # clock activity in between, which is what lets them go through
-        # one access_batch call while staying bit-identical to the
-        # old cursor-compare loop. touched_order pins one set-iteration
-        # order for the whole sweep, as repeated iteration did before.
+        # clock activity in between. touched_order pins one
+        # set-iteration order for the whole sweep, as repeated
+        # iteration did before.
         touched_order = list(touched)
         vectors = {c: table.values(c) for c in touched}
         pages = {c: table.column_pages(c) for c in touched}
@@ -157,16 +156,15 @@ class ColumnScan:
         predicate_vec = (vectors[self.predicate_column]
                          if self.predicate_column else None)
         out_vectors = [vectors[c] for c in self.columns]
-        access_batch = pool.access_batch
+        access = pool.access
         cpu = 0.0
         for row in range(table.row_count):
             if row == next_any:
-                crossing = []
                 for column in touched_order:
                     if next_cross[column] == row:
-                        crossing.append(pages[column][row // vpp[column]])
+                        access(pages[column][row // vpp[column]],
+                               PAGE_SIZE, is_scan=True)
                         next_cross[column] = row + vpp[column]
-                access_batch(crossing, nbytes=PAGE_SIZE, is_scan=True)
                 next_any = min(next_cross.values())
             if predicate_vec is not None:
                 cpu += CPU_FILTER_NS

@@ -94,15 +94,16 @@ class TableScan:
     def rows(self, engine: ScaleUpEngine) -> Iterator[tuple]:
         """Scan pages through the buffer pool, charging per-row CPU."""
         pool = engine.pool
+        clock = pool.clock
         per_row_cpu = CPU_FILTER_NS if self.predicate else CPU_EMIT_NS
-        # One call per page: rows are yielded between pages, so parent
-        # operators may charge CPU mid-stream and longer runs would
-        # reorder clock additions. access_batch is the scalar sequence
-        # (access, then the per-page CPU charge).
-        access_batch = pool.access_batch
+        # One access per page, then its rows' CPU: rows are yielded
+        # between pages, so parent operators may charge CPU mid-stream.
+        access = pool.access
         for page_id, records in self.table.pages():
-            access_batch((page_id,), nbytes=PAGE_SIZE, is_scan=True,
-                         post_ns=len(records) * per_row_cpu)
+            access(page_id, PAGE_SIZE, is_scan=True)
+            post = len(records) * per_row_cpu
+            if post:
+                clock.advance(post)
             for row in records:
                 if self.predicate is not None and not self.predicate(row):
                     continue

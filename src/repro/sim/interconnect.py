@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..config import LinkSpec
 from ..errors import ConfigError
-from ..units import CACHE_LINE, transfer_time_ns
+from ..units import CACHE_LINE
 from .bandwidth import SharedChannel, TransferTable
 from .memory import MemoryDevice
 
@@ -81,8 +81,9 @@ class PathTiming:
     constants (point/sequential x read/write), the narrowest
     bandwidths, and per-size-class transfer tables. Every value is the
     float the per-call arithmetic would have produced — same operands,
-    same operations, evaluated once instead of per access — so cached
-    and uncached timing are bit-identical by construction.
+    same operations, evaluated once instead of per access — so the
+    tables and the per-call arithmetic (the test-side reference,
+    ``tests/oracle/reference.py``) are bit-identical by construction.
     """
 
     __slots__ = (
@@ -212,44 +213,6 @@ class AccessPath:
         timing = self._timing or self.timing()
         return timing.seq_write_latency_ns + timing.write_transfer.time_ns(
             size_bytes
-        )
-
-    # -- uncached reference timing ------------------------------------------
-    #
-    # The pre-table arithmetic, re-derived from specs on every call.
-    # The pool's reference lane and the equivalence tests use these to
-    # prove the tables change wall-clock cost only, never a result.
-
-    def read_time_uncached(self, size_bytes: int = CACHE_LINE) -> float:
-        """Reference (per-call arithmetic) variant of :meth:`read_time`."""
-        self.device.stats.loads += 1
-        self.device.stats.load_bytes += size_bytes
-        return self.read_latency_ns() + transfer_time_ns(
-            size_bytes, self.read_bandwidth
-        )
-
-    def write_time_uncached(self, size_bytes: int = CACHE_LINE) -> float:
-        """Reference variant of :meth:`write_time`."""
-        self.device.stats.stores += 1
-        self.device.stats.store_bytes += size_bytes
-        return self.write_latency_ns() + transfer_time_ns(
-            size_bytes, self.write_bandwidth
-        )
-
-    def read_time_sequential_uncached(self, size_bytes: int) -> float:
-        """Reference variant of :meth:`read_time_sequential`."""
-        self.device.stats.loads += 1
-        self.device.stats.load_bytes += size_bytes
-        return self.read_latency_ns() / PREFETCH_DEPTH + transfer_time_ns(
-            size_bytes, self.read_bandwidth
-        )
-
-    def write_time_sequential_uncached(self, size_bytes: int) -> float:
-        """Reference variant of :meth:`write_time_sequential`."""
-        self.device.stats.stores += 1
-        self.device.stats.store_bytes += size_bytes
-        return self.write_latency_ns() / PREFETCH_DEPTH + transfer_time_ns(
-            size_bytes, self.write_bandwidth
         )
 
     def read_completion(self, size_bytes: int, now_ns: float) -> float:

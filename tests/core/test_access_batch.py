@@ -26,6 +26,7 @@ from repro.units import CACHE_LINE, PAGE_SIZE
 from repro.workloads.scans import mixed_htap_trace, scan_trace
 from repro.workloads.ycsb import YCSBConfig, ycsb_trace
 from tests.core.residency import frame_rows
+from tests.oracle.reference import path_time, reference
 
 
 def _build(placement=None, dram_pages=32, cxl_pages=64):
@@ -81,8 +82,7 @@ def _pool_state(pool):
 
 
 def _scalar_drive(pool, page_ids, nbytes=CACHE_LINE, write=False,
-                  is_scan=False, think_ns=0.0, post_ns=0.0,
-                  accum=0.0, clock=None):
+                  is_scan=False, think_ns=0.0, accum=0.0, clock=None):
     """The reference loop (on the pool clock, or a session *clock*)."""
     if clock is None:
         clock = pool.clock
@@ -91,8 +91,6 @@ def _scalar_drive(pool, page_ids, nbytes=CACHE_LINE, write=False,
             clock.advance(think_ns)
         accum += pool.access(pid, nbytes=nbytes, write=write,
                              is_scan=is_scan)
-        if post_ns:
-            clock.advance(post_ns)
     return accum
 
 
@@ -235,17 +233,14 @@ def test_epoch_aging_inside_window():
 
 
 def test_engine_run_coalescer_equivalence():
-    """engine.run's fast lane (scalars packed into blocks) reports
-    bit-identical numbers to the scalar compat lane on a mixed-shape
-    trace."""
+    """engine.run (scalars packed into blocks) reports bit-identical
+    numbers to the scalar reference on a mixed-shape trace."""
     trace = list(mixed_htap_trace(
         oltp_pages=60, olap_pages=120, oltp_ops=400,
         olap_repeats=2, oltp_per_olap=3, seed=5,
     ))
     fast = _build(DbCostPolicy(), dram_pages=48, cxl_pages=160)
-    slow = _build(DbCostPolicy(), dram_pages=48, cxl_pages=160)
-    fast.pool.set_fast_lane(True)
-    slow.pool.set_fast_lane(False)
+    slow = reference(_build(DbCostPolicy(), dram_pages=48, cxl_pages=160))
     fr = fast.run(trace, label="fast")
     sr = slow.run(trace, label="slow")
     assert fr.total_ns == sr.total_ns
@@ -260,8 +255,7 @@ def test_scan_trace_equivalence_through_engine():
     """Long uniform scan: one shape segment per block, still exact."""
     trace = list(scan_trace(0, 100, repeats=4))
     fast = _build(DbCostPolicy(), dram_pages=32, cxl_pages=160)
-    slow = _build(DbCostPolicy(), dram_pages=32, cxl_pages=160)
-    slow.pool.set_fast_lane(False)
+    slow = reference(_build(DbCostPolicy(), dram_pages=32, cxl_pages=160))
     fr = fast.run(trace)
     sr = slow.run(trace)
     assert fr.total_ns == sr.total_ns
@@ -270,7 +264,8 @@ def test_scan_trace_equivalence_through_engine():
 
 
 def test_timing_table_matches_uncached_arithmetic():
-    """PathTiming caches the exact floats per-call arithmetic yields."""
+    """PathTiming caches the exact floats the reference's per-call
+    arithmetic yields, device stats included."""
     pool = _build(DbCostPolicy()).pool
     for tier in pool.tiers:
         path = tier.path
@@ -279,13 +274,21 @@ def test_timing_table_matches_uncached_arithmetic():
         assert timing.write_latency_ns == path.write_latency_ns()
         assert timing.seq_read_latency_ns == \
             path.read_latency_ns() / PREFETCH_DEPTH
+        stats = path.device.stats
         for size in (1, CACHE_LINE, 1000, PAGE_SIZE, 3 * PAGE_SIZE):
-            assert path.read_time(size) == path.read_time_uncached(size)
-            assert path.write_time(size) == path.write_time_uncached(size)
-            assert path.read_time_sequential(size) == \
-                path.read_time_sequential_uncached(size)
-            assert path.write_time_sequential(size) == \
-                path.write_time_sequential_uncached(size)
+            for write, is_scan, timed in (
+                    (False, False, path.read_time),
+                    (True, False, path.write_time),
+                    (False, True, path.read_time_sequential),
+                    (True, True, path.write_time_sequential)):
+                before = stats.snapshot()
+                got = timed(size)
+                mid = stats.snapshot()
+                assert path_time(path, size, write, is_scan) == got
+                after = stats.snapshot()
+                # Both bump the same counters by the same amounts.
+                assert {k: after[k] - mid[k] for k in after} == \
+                    {k: mid[k] - before[k] for k in after}
 
 
 def test_replacement_batch_matches_scalar():
@@ -342,10 +345,10 @@ def test_pinned_pages_still_respected():
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "compat"])
 def test_access_batch_contract(fast):
     """``access_batch`` is the scalar loop spelled for a python
-    sequence: think → access → post per id against a hand-written
-    loop, on the session clock when one is open, ``_access_compat``
-    under ``fast_lane=False``, for a list, a generator or an ndarray
-    of ids (cold, evicting and hitting)."""
+    sequence: think → access per id against a hand-written loop, on
+    the session clock when one is open, the reference access on the
+    reference twin, for a list, a generator or an ndarray of ids
+    (cold, evicting and hitting)."""
     ids = [pid % 40 for pid in range(90)]
     shape = {"nbytes": PAGE_SIZE, "write": True, "is_scan": True}
     forms = (list, iter, lambda seq: np.asarray(seq, dtype=np.int64))
@@ -354,16 +357,15 @@ def test_access_batch_contract(fast):
         batch = _build(DbCostPolicy(), dram_pages=8, cxl_pages=16).pool
         cursors = [SimClock(500.0), SimClock(500.0)]
         for pool, cursor in zip((hand, batch), cursors):
-            pool.set_fast_lane(fast)
+            if not fast:
+                reference(pool)
             pool.session_begin(cursor)
-        one = hand.access if fast else hand._access_compat
         want = 7.0
         for pid in ids:
             cursors[0].advance(50.0)
-            want += one(pid, **shape)
-            cursors[0].advance(12.5)
-        got = batch.access_batch(form(ids), think_ns=50.0, post_ns=12.5,
-                                 accum=7.0, **shape)
+            want += hand.access(pid, **shape)
+        got = batch.access_batch(form(ids), think_ns=50.0, accum=7.0,
+                                 **shape)
         for pool in (hand, batch):
             pool.session_end()
         assert got == want
@@ -377,8 +379,7 @@ def test_access_batch_contract(fast):
 
 def test_access_batch_rejects_negative_cpu():
     pool = _build(DbCostPolicy()).pool
-    for cpu in ({"think_ns": -1.0}, {"post_ns": -1.0},
-                {"think_ns": float("nan")}, {"post_ns": float("nan")}):
+    for think in (-1.0, float("nan")):
         with pytest.raises(BufferPoolError):
-            pool.access_batch([1, 2, 3], **cpu)
+            pool.access_batch([1, 2, 3], think_ns=think)
     assert (pool.clock.now, pool.stats.accesses) == (0.0, 0)

@@ -5,7 +5,8 @@ columns in numpy array ops against a dense residency table. These
 tests pin the two contracts that lane must keep:
 
 * **bit-identity** — any mix of scalar ``Access`` objects and
-  ``AccessBlock`` chunks, on either lane, produces byte-identical
+  ``AccessBlock`` chunks, on the pool or its reference twin
+  (``tests.oracle.reference``), produces byte-identical
   simulated results (same ``tests.core.digests`` digest) across very short
   same-shape runs, mid-run migrations, faults raised inside blocks, and
   concurrent-session contention;
@@ -36,6 +37,7 @@ from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
 from repro.workloads.traces import Access, AccessBlock
 
 from tests.core.digests import digest_report, pool_payload
+from tests.oracle.reference import reference
 
 #: Run lengths around this are the shortest segments a block can hold:
 #: one access by hand, then a scalar mini-loop far below any ladder.
@@ -50,7 +52,8 @@ def fingerprint(trace, fast, *, dram=256, cxl=900, placement=None,
         with_storage=with_storage, name="block-lane-test",
         ctx=SimContext(),
     )
-    engine.pool.set_fast_lane(fast)
+    if not fast:
+        reference(engine)
     report = engine.run(trace)
     return digest_report(engine, report), report
 
@@ -181,8 +184,7 @@ class TestRandomizedMixedIdentity:
                 (OSPagingPolicy, None, trace, None),
                 (OSPagingPolicy, SampledTracker, trace, "tracker"),
                 (OSPagingPolicy, None, far, "id_range")):
-            ref = engine_for(policy, tracker)
-            ref.pool.set_fast_lane(False)
+            ref = reference(engine_for(policy, tracker))
             want = digest_report(ref, ref.run(accesses))
             engine = engine_for(policy, tracker)
             report = engine.run([AccessBlock.from_accesses(accesses)])
@@ -203,8 +205,7 @@ class TestSessionContention:
             placement=DbCostPolicy(), with_storage=False,
             name="contended", ctx=SimContext(),
         )
-        engine.pool.set_fast_lane(fast)
-        return engine
+        return engine if fast else reference(engine)
 
     def _digest(self, engine, report):
         stats = engine.pool.stats
@@ -346,7 +347,6 @@ class TestResidencyTableConsistency:
             dram_pages=32, cxl_pages=64, name="res-table",
             ctx=SimContext(),
         )
-        engine.pool.set_fast_lane(True)
         trace = list(mixed_htap_trace(
             oltp_pages=100, olap_pages=200, oltp_ops=800, seed=2))
         engine.run([AccessBlock.from_accesses(trace)])
@@ -362,7 +362,8 @@ def test_negative_or_nan_think_is_refused(entry, think, fast):
     # either lane. Every entry point refuses both, and the ones that
     # take a column or several segments do so before charging anything.
     pool = make_pool()
-    pool.set_fast_lane(fast)
+    if not fast:
+        reference(pool)
     ids = np.arange(10, dtype=np.int64)
     for page in ids.tolist():
         pool.access(page)
@@ -388,8 +389,7 @@ def charge_size(pool, entry, ids, size):
     """Charge the two accesses *ids*, the second of size *size*,
     through one public entry point (``access`` charges only that one)."""
     if entry == "access":
-        access = pool.access if pool.fast_lane else pool._access_compat
-        return access(int(ids[1]), nbytes=size)
+        return pool.access(int(ids[1]), nbytes=size)
     if entry == "batch":
         return pool.access_batch(ids.tolist(), nbytes=size)
     if entry == "run":
@@ -405,7 +405,8 @@ def charge_size(pool, entry, ids, size):
 def sized_pool(fast):
     pool = ScaleUpEngine.build(dram_pages=8, cxl_pages=16,
                                ctx=SimContext()).pool
-    pool.set_fast_lane(fast)
+    if not fast:
+        reference(pool)
     pool.preload(np.arange(4, dtype=np.int64))
     return pool
 
@@ -488,7 +489,7 @@ def scalar_chain(x, vals, cls):
 
 
 class TestChainValues:
-    """The addition-chain kernel the fast lane's timestamps come from."""
+    """The addition-chain kernel the array lane's timestamps come from."""
 
     def test_random_chain_bit_identical(self):
         rng = np.random.default_rng(5)

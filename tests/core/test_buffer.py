@@ -229,6 +229,19 @@ class TestConstruction:
                  path=AccessPath(device=MemoryDevice(config.local_ddr5())),
                  capacity_pages=0)
 
+    def test_path_without_timing_table_rejected(self):
+        """Every tier's hit latencies come from its path's timing
+        table, so a path that is not an AccessPath fails the build."""
+        class OpaquePath:
+            def __init__(self, inner):
+                self.device = inner.device
+
+        path = AccessPath(device=MemoryDevice(config.local_ddr5()))
+        with pytest.raises(BufferPoolError, match="AccessPath"):
+            TieredBufferPool(tiers=[Tier(name="opaque",
+                                         path=OpaquePath(path),
+                                         capacity_pages=4)])
+
     def test_tier_from_device_path(self):
         path = AccessPath(device=MemoryDevice(
             config.local_ddr5(capacity_bytes=1024 * PAGE_SIZE)))

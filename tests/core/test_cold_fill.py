@@ -4,9 +4,9 @@ to storage — instead of ending its window at every miss, for blocks
 and for the ``access_run`` / ``preload`` windows a miss heads. What it
 refuses (a cascade, pins, ...) takes the scalar chain.
 
-Held **bit-identical** to the frozen scalar reference — a twin pool
-with the fast lane off replays each block through ``_access_compat`` —
-on frame rows, the residency table and the insertion-order
+Held **bit-identical** to the frozen scalar reference — the pool's
+reference twin (``tests.oracle.reference``) replays each block access
+by access — on frame rows, the residency table and the insertion-order
 index, replacement order per tier, every pool,
 device and backing stat, the clock and the emitted trace records,
 after every block. The deterministic cases below pin which route was
@@ -36,18 +36,7 @@ from repro.storage.file import PageFile
 from repro.workloads.traces import AccessBlock
 from tests.core.residency import frame_rows, resident_ids
 from tests.core.test_access_batch import _pool_state
-
-
-class OpaquePath:
-    """An access path without a timing table (a table-less tier)."""
-
-    def __init__(self, inner: AccessPath) -> None:
-        self._inner = inner
-
-    def __getattr__(self, name):
-        if name == "timing":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
+from tests.oracle.reference import reference
 
 
 PLACEMENTS = {
@@ -61,13 +50,11 @@ PLACEMENTS = {
 
 
 def make_pool(placement="static", caps=(64, 64), backed=False,
-              policies=("lru", "lru"), traced=False, opaque=False):
+              policies=("lru", "lru"), traced=False):
     specs = (config.local_ddr5(), config.cxl_expander_ddr5())
     tiers = []
     for i, (spec, cap, policy) in enumerate(zip(specs, caps, policies)):
         path = AccessPath(device=MemoryDevice(spec))
-        if opaque and i == 1:
-            path = OpaquePath(path)
         tiers.append(Tier(name=f"t{i}", path=path, capacity_pages=cap,
                           policy=make_policy(policy)))
     ctx = SimContext(trace=MemoryTraceSink()) if traced else SimContext()
@@ -78,9 +65,7 @@ def make_pool(placement="static", caps=(64, 64), backed=False,
 
 def twin_pools(**kwargs):
     """The pool under test and its scalar reference."""
-    fast, ref = make_pool(**kwargs), make_pool(**kwargs)
-    ref.set_fast_lane(False)
-    return fast, ref
+    return make_pool(**kwargs), reference(make_pool(**kwargs))
 
 
 def block_of(rows) -> AccessBlock:
@@ -180,7 +165,6 @@ def expand(run_list):
     policies=st.sampled_from([("lru", "lru")] * 3
                              + [("lru", "clock"), ("clock", "lru")]),
     traced=st.booleans(),
-    opaque=st.sampled_from([False, False, False, False, True]),
     warm=st.lists(st.integers(0, 47), max_size=4),
     full=st.booleans(),
     pin=st.sampled_from([False, False, False, True]),
@@ -189,11 +173,10 @@ def expand(run_list):
                     min_size=1, max_size=4),
 )
 def test_fill_window_equals_scalar_reference(placement, caps, backed,
-                                             policies, traced, opaque,
-                                             warm, full, pin, session,
-                                             blocks):
+                                             policies, traced, warm, full,
+                                             pin, session, blocks):
     fast, ref = twin_pools(placement=placement, caps=caps, backed=backed,
-                           policies=policies, traced=traced, opaque=opaque)
+                           policies=policies, traced=traced)
     for pool in (fast, ref):
         # Warm pages seed the install memos (a cold pool seeds them in
         # its first window instead) and give the pin something to hold.
@@ -273,11 +256,13 @@ def test_scan_flag_of_the_misses_cuts_the_window():
     assert fast.tier_of(10) == 1 and fast.tier_of(2) == 0
 
 
+# The ids keep their positions from when a table-less tier was the
+# case at index 1 (tiers without timing tables are gone).
 @pytest.mark.parametrize("setup, reason", [
-    (dict(policies=("clock", "lru")), "non_lru"),
-    (dict(opaque=True), "tableless"),
-    (dict(), "pinned"),
-    (dict(), "session"),
+    pytest.param(dict(policies=("clock", "lru")), "non_lru",
+                 id="setup0-non_lru"),
+    pytest.param(dict(), "pinned", id="setup2-pinned"),
+    pytest.param(dict(), "session", id="setup3-session"),
 ])
 def test_declined_plans_keep_the_old_route(setup, reason):
     """Hits, then a miss the plan will not fold: the window ends at the
@@ -425,7 +410,7 @@ def test_deferred_writes_dirty_the_victims():
     fast.access_run(ids, write=True)
     assert fast._lazy_runs
     for page in ids.tolist() * 2:
-        ref._access_compat(page, write=ref.stats.accesses >= 4)
+        ref.access(page, write=ref.stats.accesses >= 4)
     drive_both(fast, ref, [point_block([8, 10, 12, 14])])
     assert fast.stats.writebacks == 4
     assert fast.lane.evict_installs == 4
@@ -589,7 +574,7 @@ def test_access_run_fills_an_anonymous_pool_in_the_window():
     want = 0.0
     for page in ids.tolist():
         ref.clock.advance(5.0)
-        want += ref._access_compat(page)
+        want += ref.access(page)
     assert repr(got) == repr(want)
     assert full_state(fast) == full_state(ref)
     assert not scalar_faults
@@ -694,7 +679,7 @@ def test_a_refused_head_is_planned_once_per_miss_stretch(entry, reason):
     if entry == "access_run":
         fast.access_run(np.array(ids, dtype=np.int64))
         for page in ids:
-            ref._access_compat(page)
+            ref.access(page)
     else:
         drive_both(fast, ref, [point_block(ids)])
     assert full_state(fast) == full_state(ref)
@@ -752,3 +737,30 @@ def test_negative_page_id_is_refused_before_any_install(ids, warm):
         pool.check_invariants()
         # Everything before the bad id was served.
         assert pool.tier_of(3) is not None or ids[0] == -1
+
+
+@pytest.mark.parametrize("backed", [False, True])
+def test_out_of_range_page_id_leaves_the_pool_unchanged(backed):
+    """A page id that is not an integer in ``[0, 2**63)`` is refused
+    before anything is counted: no access or heat for a page never
+    charged, and never a page that the tier column holds but the int64
+    insertion-order index cannot."""
+    pool = make_pool(backed=backed)
+    pool.access_block(point_block([3, 8, 3]))
+    before = full_state(pool)
+    big = np.array([2**63], dtype=np.uint64)
+    refused = {
+        "access 2**63": lambda: pool.access(2**63),
+        "access -1": lambda: pool.access(-1),
+        "access 1.5": lambda: pool.access(1.5),
+        "access_batch": lambda: pool.access_batch([2**63]),
+        "access_run": lambda: pool.access_run(big),
+        "preload": lambda: pool.preload(big),
+        "access_quantum": lambda: pool.access_quantum(
+            big, [(0, 1, 64, False, False, 0.0)]),
+    }
+    for name, call in refused.items():
+        with pytest.raises(BufferPoolError, match="page id"):
+            call()
+        assert full_state(pool) == before, name
+        assert pool.tier_of(2**63) is None, name

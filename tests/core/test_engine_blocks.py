@@ -3,8 +3,8 @@
 ``ScaleUpEngine.run`` promises that delivering a workload as
 ``AccessBlock`` chunks simulates the *identical* physics as the
 scalar ``Access`` stream — same clock, same demand latency, same
-tier statistics, down to the last float ulp — in both the batched
-fast lane and the frozen compat lane.
+tier statistics, down to the last float ulp — on the engine and on
+its frozen reference twin (``tests.oracle.reference``).
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
 
 from tests.core.digests import digest_report
 from tests.core.test_access_batch import _pool_state
+from tests.oracle.reference import reference
 
 HTAP = dict(oltp_pages=200, olap_pages=500, oltp_ops=1500,
             olap_repeats=2, oltp_per_olap=1, seed=11)
@@ -31,7 +32,8 @@ def fingerprint(trace, fast):
     """
     engine = ScaleUpEngine.build(dram_pages=256, cxl_pages=900,
                                  name="blocks-test")
-    engine.pool.set_fast_lane(fast)
+    if not fast:
+        reference(engine)
     report = engine.run(trace)
     return digest_report(engine, report)
 
@@ -91,15 +93,14 @@ def _delivered(form, scalar):
 def test_every_delivery_takes_the_one_engine_loop(form, entry):
     """Scalars, blocks or a mix (with an empty block), through
     ``engine.run`` or ``run_sessions`` at N = 1: the report, the pool
-    and the op metric equal the ``fast_lane=False`` replay's."""
+    and the op metric equal the reference twin's replay."""
     scalar = list(ycsb_trace(LONG))
     assert len(scalar) > BLOCK_OPS
 
     def build(fast):
         engine = ScaleUpEngine.build(dram_pages=64, cxl_pages=200,
                                      name="delivery-test")
-        engine.pool.set_fast_lane(fast)
-        return engine
+        return engine if fast else reference(engine)
 
     ref_engine, engine = build(False), build(True)
     ref = ref_engine.run(iter(scalar))

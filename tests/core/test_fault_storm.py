@@ -32,6 +32,7 @@ from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
 from tests.core.test_access_batch import _pool_state, _scalar_drive
 from tests.core.test_replacement import victim_batch_loop
+from tests.oracle.reference import reference
 
 
 def _cold_engine(dram_pages, cxl_pages, placement=None, fast=True):
@@ -41,8 +42,7 @@ def _cold_engine(dram_pages, cxl_pages, placement=None, fast=True):
         placement=placement,
         name="storm",
     )
-    engine.pool.set_fast_lane(fast)
-    return engine
+    return engine if fast else reference(engine)
 
 
 def _assert_counts_agree(pool):
@@ -128,7 +128,7 @@ def test_block_delivery_storm_equivalence(seed):
 
 def test_quantum_delivery_storm_equivalence():
     """access_quantum on a cold pool: the fault lane engages inside
-    quantum segments and matches the compat lane bit for bit."""
+    quantum segments and matches the reference twin bit for bit."""
     pages = 2_000
     ids = np.arange(pages, dtype=np.int64)
     segs = [

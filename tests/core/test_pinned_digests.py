@@ -3,10 +3,11 @@
 Each scenario is rebuilt at full size and run once per lane; its
 sha256 (see :mod:`tests.core.digests`) must equal a hex literal
 recorded when the fast lanes landed. Both lanes meeting one literal
-pins two things at once: the fast lane is bit-identical to the frozen
+pins two things at once: the simulator is bit-identical to the frozen
 reference, and neither has drifted by an ulp since.
 
-The lanes: ``set_fast_lane(True/False)`` for the seven engine
+The lanes (ids ``fast`` / ``compat``): the engine against its
+reference twin (``tests.oracle.reference``) for the seven engine
 scenarios; block emitters against scalar generators for ``trace-gen``;
 ``TenantTable.generate`` against ``generate_population`` →
 ``TenantTable.from_workloads`` for ``tenant-gen``.
@@ -41,6 +42,7 @@ from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
 
 from tests.core.digests import (digest_report, digest_session_report,
                                 digest_table, digest_trace)
+from tests.oracle.reference import reference
 
 PINNED = {
     "scan": "6817a13a2793bed3c9c184f85cca74461b805e84e30416cb1acc9a9c8f54621c",
@@ -201,11 +203,13 @@ def tenant_gen(fast):
 def run_digest(name, fast):
     if name in ENGINE_RUNS:
         engine, trace = ENGINE_RUNS[name]()
-        engine.pool.set_fast_lane(fast)
+        if not fast:
+            reference(engine)
         return digest_report(engine, engine.run(trace))
     if name in SESSION_RUNS:
         engine, sessions, morsel_ops = SESSION_RUNS[name]()
-        engine.pool.set_fast_lane(fast)
+        if not fast:
+            reference(engine)
         report = engine.run_sessions(sessions, morsel_ops=morsel_ops)
         return digest_session_report(engine, report)
     return {"trace-gen": trace_gen, "tenant-gen": tenant_gen}[name](fast)

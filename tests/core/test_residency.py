@@ -4,8 +4,8 @@
   beside it; a hypothesis state machine interleaves every entry point
   that writes the table — on tiny tiers, with an id the dense table
   refuses — calls it after every rule, and holds the pool to its
-  ``fast_lane=False`` twin (``full_state``: rows, index, recency,
-  heat, stats, devices, clock).
+  reference twin (``tests.oracle.reference``; ``full_state``: rows,
+  index, recency, heat, stats, devices, clock).
 * ``Frame`` is a view: reads and writes go through to the row, pins
   through the pool's count, and a view that outlives its page's
   eviction says so instead of showing the next residency.

@@ -30,6 +30,7 @@ from repro.workloads import (
     ycsb_blocks,
 )
 from tests.core.residency import frame_rows
+from tests.oracle.reference import reference
 
 
 def cxl_engine(pages=2_000, fast=True, warm=None, placement=None):
@@ -41,8 +42,7 @@ def cxl_engine(pages=2_000, fast=True, warm=None, placement=None):
     )
     for page in range(pages - 8 if warm is None else warm):
         engine.pool.access(page)
-    engine.pool.set_fast_lane(fast)
-    return engine
+    return engine if fast else reference(engine)
 
 
 def htap_engine(fast=True):
@@ -53,8 +53,7 @@ def htap_engine(fast=True):
         dram_pages=256, cxl_pages=2_000,
         placement=DbCostPolicy(), with_storage=False, ctx=ctx,
     )
-    engine.pool.set_fast_lane(fast)
-    return engine
+    return engine if fast else reference(engine)
 
 
 def point_trace(seed, ops=400, pages=1_000, think_ns=100.0):
@@ -380,8 +379,7 @@ def column_engine(columns, fast=True, traced=False):
         placement=StaticPolicy(lambda _p: 1), with_storage=False, ctx=ctx)
     for page in pages:
         engine.pool.access(page)
-    engine.pool.set_fast_lane(fast)
-    return engine
+    return engine if fast else reference(engine)
 
 
 def scan_session(name, ids):
@@ -473,11 +471,14 @@ class TestHitLog:
     @pytest.mark.parametrize("escalate", [True, False])
     def test_log_is_bounded_and_empty_on_return(self, escalate):
         """A 400 k-access run never holds more than the bound and
-        leaves nothing owed (or pinned) in the pool."""
+        leaves nothing owed (or pinned) in the pool, escalated or (with
+        a morsel hook, which keeps every quantum chunked) not."""
         ids = np.tile(np.arange(0, 1_600, dtype=np.int64), 250)
         engine = column_engine([ids])
-        engine.run_sessions([scan_session("scan", ids)], morsel_ops=64,
-                            escalate=escalate)
+        ConcurrentEngine(
+            engine.pool, morsel_ops=64,
+            on_morsel=None if escalate else lambda name, morsel: None,
+        ).run([scan_session("scan", ids)])
         pool = engine.pool
         assert not pool._lazy_runs and pool._log_held == 0
         lane = pool.lane

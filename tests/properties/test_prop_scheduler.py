@@ -2,11 +2,10 @@
 
 Four families of invariants back the bulk-quantum machinery:
 
-* lane identity — fast and compat lanes produce byte-identical
-  session reports at every morsel quantum and escalation setting,
-  under randomly generated contending session sets;
-* escalation neutrality — the contention-aware bulk-quantum switch
-  changes no final float (only quantum boundaries);
+* lane identity — the pool (quantum lane, escalated bulk quanta) and
+  its reference twin (neither) produce byte-identical session reports,
+  samples and quantum counts included, at every morsel quantum under
+  randomly generated contending session sets;
 * array reservations — ``WaitQueue.reserve_run`` replays the
   ``occupy_run`` loop bit for bit on arbitrary (including unsorted)
   arrival orders, list or ndarray form;
@@ -22,16 +21,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    ClientSession,
-    ConcurrentEngine,
-    ScaleUpEngine,
-    StaticPolicy,
-)
+from repro.core import ClientSession, ScaleUpEngine, StaticPolicy
 from repro.sim.bandwidth import WaitQueue
 from repro.sim.context import SimContext
 from repro.workloads import Access, scan_trace
 from repro.workloads.traces import ShapeSegments, accesses_to_blocks
+
+from tests.oracle.reference import reference
 
 
 def contended_engine(pages: int, fast: bool = True) -> ScaleUpEngine:
@@ -42,8 +38,7 @@ def contended_engine(pages: int, fast: bool = True) -> ScaleUpEngine:
         with_storage=False, ctx=ctx,
     )
     engine.warm_with(scan_trace(0, pages - 8, repeats=1, think_ns=0.0))
-    engine.pool.set_fast_lane(fast)
-    return engine
+    return engine if fast else reference(engine)
 
 
 def pool_digest(engine):
@@ -65,19 +60,6 @@ def full_digest(report, engine):
             name, s.ops, repr(s.demand_ns), repr(s.think_ns),
             repr(s.wait_ns), repr(s.end_ns), s.misses, s.quanta,
             tuple(s.samples),
-        ))
-    return tuple(parts) + pool_digest(engine)
-
-
-def final_digest(report, engine):
-    """Final floats only — the schedule-shape-independent subset
-    (samples and quantum counts legitimately vary with escalation)."""
-    parts = [repr(report.makespan_ns)]
-    for name in sorted(report.sessions):
-        s = report.sessions[name]
-        parts.append((
-            name, s.ops, repr(s.demand_ns), repr(s.think_ns),
-            repr(s.wait_ns), repr(s.end_ns), s.misses,
         ))
     return tuple(parts) + pool_digest(engine)
 
@@ -112,36 +94,16 @@ class TestSchedulerLaneIdentity:
     def test_lanes_identical_across_morsel_and_escalation(self, seed):
         pages = 600
 
-        def run(fast, morsel_ops, escalate):
+        def run(fast, morsel_ops):
             engine = contended_engine(pages, fast=fast)
             rng = random.Random(seed)
             report = engine.run_sessions(
-                random_sessions(rng, pages),
-                morsel_ops=morsel_ops, escalate=escalate)
+                random_sessions(rng, pages), morsel_ops=morsel_ops)
             return full_digest(report, engine)
 
         for morsel_ops in (1, 7, 32, 10**9):
-            for escalate in (False, True):
-                assert (run(True, morsel_ops, escalate)
-                        == run(False, morsel_ops, escalate)), (
-                    f"lane divergence at morsel_ops={morsel_ops},"
-                    f" escalate={escalate}")
-
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=6, deadline=None)
-    def test_escalation_changes_no_final_float(self, seed):
-        pages = 600
-
-        def run(morsel_ops, escalate):
-            engine = contended_engine(pages, fast=True)
-            rng = random.Random(seed)
-            report = engine.run_sessions(
-                random_sessions(rng, pages),
-                morsel_ops=morsel_ops, escalate=escalate)
-            return final_digest(report, engine)
-
-        for morsel_ops in (1, 7, 32, 10**9):
-            assert run(morsel_ops, True) == run(morsel_ops, False)
+            assert run(True, morsel_ops) == run(False, morsel_ops), (
+                f"lane divergence at morsel_ops={morsel_ops}")
 
 
 class TestReserveRun:
