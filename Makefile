@@ -86,7 +86,13 @@ route-check:
 # the per-call *_uncached path timings, tiers without a timing table
 # (tierless, tableless, _path_timing), the escalation switch
 # (escalate=) and access_batch's per-page CPU charge (post_ns) may not
-# come back under src/; the reference lives in tests/oracle/. One
+# come back under src/; the reference lives in tests/oracle/. The
+# session scheduler has one lane, too: every quantum is one
+# access_quantum call, so the escalation lane (run_probe,
+# quantum_lane_ready, _run_bulk, _charge_bulk, _HORIZON_SLACK,
+# _BULK_MAX_OPS), the cursor methods only it and the per-run fallback
+# read (peek_run, remaining_in_segment, next_run) and the hookless
+# pool's decline (no_headroom) may not come back under src/. One
 # benchmark, too: the retired wall-clock microbenchmark
 # harness (its package and its name) may not come back under src/,
 # tests/, the Makefile or .github/ — ledger/ is the one performance
@@ -102,7 +108,10 @@ gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
                   r"|_fault_span|_FAULT_MIN|_victim_batch_generic"
                   r"|chain_repeat|_cycle_profile|_chain_scalar|TWO52"
                   r"|fast_lane|_access_compat|_uncached|tierless"
-                  r"|tableless|_path_timing|escalate=|post_ns")
+                  r"|tableless|_path_timing|escalate=|post_ns"
+                  r"|run_probe|quantum_lane_ready|_run_bulk|_charge_bulk"
+                  r"|_HORIZON_SLACK|_BULK_MAX_OPS|peek_run"
+                  r"|remaining_in_segment|def next_run\b|no_headroom")
 bad = []
 for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):

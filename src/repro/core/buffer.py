@@ -308,8 +308,7 @@ class LaneStats:
     head_stretch_accesses: int = 0
     segment_blocks: int = 0
     declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
-        ("session", "no_headroom", "id_range", "tracker", "note",
-         "latency"), 0))
+        ("session", "id_range", "tracker", "note", "latency"), 0))
     quantum_spans: int = 0
     quantum_list_fallbacks: int = 0
     log_settles: int = 0
@@ -410,6 +409,19 @@ class TieredBufferPool:
         if placement is None:
             from .placement import DbCostPolicy
             placement = DbCostPolicy()
+        # The batch hooks the protocols declare are required: the
+        # array lanes call them unguarded.
+        for owner, role, hooks in (
+                (placement, "placement", ("fast_headroom", "note_accesses",
+                                          "choose_admit_tiers")),
+                (self.tracker, "tracker", ("record_batch",))):
+            missing = [hook for hook in hooks
+                       if not callable(getattr(owner, hook, None))]
+            if missing:
+                raise BufferPoolError(
+                    f"{role} {type(owner).__name__} lacks"
+                    f" {', '.join(missing)}; a {role} must implement"
+                    f" every hook its protocol declares")
         self.placement = placement
         self.placement.attach(self)
         # One precomputed timing table per tier, from its path.
@@ -419,13 +431,10 @@ class TieredBufferPool:
                     f"tier {tier.name}: path must be an AccessPath, not"
                     f" {type(tier.path).__name__}")
         self._tier_timing = [tier.path.timing() for tier in self.tiers]
-        # Optional batch hooks, resolved once so the array lane degrades
-        # (to correct scalar behaviour) with custom trackers/policies.
-        self._tracker_batch = getattr(self.tracker, "record_batch", None)
-        headroom = getattr(placement, "fast_headroom", None)
-        note = getattr(placement, "note_accesses", None)
-        self._placement_headroom = headroom if note is not None else None
-        self._placement_note = note if headroom is not None else None
+        # The batch hooks, bound once for the hot paths.
+        self._tracker_batch = self.tracker.record_batch
+        self._placement_headroom = placement.fast_headroom
+        self._placement_note = placement.note_accesses
         # Session lane (see module docstring): while a ConcurrentEngine
         # quantum runs, accesses are timed against that session's clock
         # cursor and contend on per-resource wait queues. Both fields
@@ -706,8 +715,8 @@ class TieredBufferPool:
         count and its ``last_ns`` the timestamp of its *last*
         occurrence, written pages turn dirty; each tier's policy takes
         its touch sequence (:meth:`_policy_touch`); the tracker one
-        ``record_block`` (``record_batch`` per scan-flag run, or
-        scalar ``record``, without it). The structures are disjoint
+        ``record_block`` (``record_batch`` per scan-flag run without
+        it). The structures are disjoint
         and every reader drains first, so settling a batch at once is
         unobservable.
         """
@@ -758,11 +767,7 @@ class TieredBufferPool:
             return
         edges = [0, *(np.flatnonzero(scans[1:] != scans[:-1]) + 1).tolist(), k]
         for s, e in zip(edges, edges[1:]):
-            if self._tracker_batch is not None:
-                self._tracker_batch(ids, s, e, bool(scans[s]))
-            else:
-                for pid in ids[s:e].tolist():
-                    self.tracker.record(pid, is_scan=bool(scans[s]))
+            self._tracker_batch(ids, s, e, bool(scans[s]))
 
     @staticmethod
     def _policy_touch(policy, seq) -> None:
@@ -1164,12 +1169,10 @@ class TieredBufferPool:
                    think_ns: float = 0.0, accum: float = 0.0) -> float:
         """Charge one uniform-shape run given as an id ndarray.
 
-        The array lane's single-shape entry point (sessions use it for
-        columnar runs, :meth:`access_block` for the segments of a
-        block off the window route); bit-identical to the scalar loop
-        (:meth:`access_batch`) on the same ids, which serves ids
-        outside the dense table and configurations without batch
-        support.
+        The array lane's single-shape entry point (:meth:`access_block`
+        uses it for the segments of a block off the window route);
+        bit-identical to the scalar loop (:meth:`access_batch`) on the
+        same ids, which serves ids outside the dense table.
         """
         _check_id_array(page_ids)
         n = page_ids.shape[0]
@@ -1178,36 +1181,26 @@ class TieredBufferPool:
         if not think_ns >= 0:
             raise BufferPoolError("think_ns must be >= 0")
         _check_nbytes(nbytes)
-        if self._placement_headroom is not None:
-            # A slice of a 1-D column validates (once) through the
-            # column; any other array — one over a buffer or a memory
-            # map included — is checked as the run it is.
-            base = page_ids.base
-            if (isinstance(base, np.ndarray) and base.ndim == 1
-                    and base.dtype == page_ids.dtype
-                    and self._span_check(base)):
-                ok = True
-            else:
-                hi = int(page_ids.max())
-                ok = hi < _RES_MAX_PIDS and int(page_ids.min()) >= 0
-                if ok and hi >= self._res_tier.shape[0]:
-                    self._res_grow(hi + 1)
-            if ok:
-                return self._run_span(page_ids, 0, n, nbytes, write,
-                                      is_scan, think_ns, accum)
-            self.lane.quantum_list_fallbacks += 1
+        # A slice of a 1-D column validates (once) through the column;
+        # any other array — one over a buffer or a memory map included
+        # — is checked as the run it is.
+        base = page_ids.base
+        if (isinstance(base, np.ndarray) and base.ndim == 1
+                and base.dtype == page_ids.dtype
+                and self._span_check(base)):
+            ok = True
+        else:
+            hi = int(page_ids.max())
+            ok = hi < _RES_MAX_PIDS and int(page_ids.min()) >= 0
+            if ok and hi >= self._res_tier.shape[0]:
+                self._res_grow(hi + 1)
+        if ok:
+            return self._run_span(page_ids, 0, n, nbytes, write,
+                                  is_scan, think_ns, accum)
+        self.lane.quantum_list_fallbacks += 1
         return self.access_batch(page_ids.tolist(), nbytes=nbytes,
                                  write=write, is_scan=is_scan,
                                  think_ns=think_ns, accum=accum)
-
-    def quantum_lane_ready(self) -> bool:
-        """Whether :meth:`access_quantum` may be used right now.
-
-        The quantum lane dispatches straight to the vectorised span,
-        which needs a batch-capable placement policy; callers falling
-        back use per-run :meth:`access_run` (bit-identical either way).
-        """
-        return self._placement_headroom is not None
 
     def access_quantum(self, ids: np.ndarray, segs: list,
                        accum: float = 0.0
@@ -1231,8 +1224,6 @@ class TieredBufferPool:
         and one :meth:`_quantum_hits` span. A column that does not
         index the dense table (ids >= 2**22) goes to the scalar loop
         segment by segment (``pool.lane.quantum_list_fallbacks``).
-
-        Callers must check :meth:`quantum_lane_ready` first.
         """
         seg_demands: list[float] = []
         for seg in segs:
@@ -1442,55 +1433,6 @@ class TieredBufferPool:
             note(ids, a, b, is_scan)
         return accum
 
-    def run_probe(self, page_ids: np.ndarray, nbytes: int,
-                  write: bool = False,
-                  is_scan: bool = False) -> float | None:
-        """Constant per-access latency of a uniform run, when provable.
-
-        The concurrent scheduler's escalation check: returns the
-        unloaded latency ``lat`` when charging *page_ids* through
-        :meth:`access_run` right now is guaranteed to advance the
-        demand accumulator by exactly ``lat`` per access — every page
-        resident in one timed tier, the whole run inside the current
-        placement headroom window (no mid-run trigger), and, in the
-        session lane, every consulted wait queue already free (a
-        session's own reservations can never outrun its own cursor,
-        so zero waits fold for the entire run). Returns ``None`` when
-        any guarantee fails; probing mutates nothing.
-        """
-        if self._placement_headroom is None:
-            return None
-        n = page_ids.shape[0]
-        if n == 0 or self._placement_headroom() < n:
-            return None
-        # Scalar pre-checks first — under contention the busy-queue
-        # rejection below fires on nearly every probe, so the O(n)
-        # residency gather only runs once those have passed.
-        res = self._res_tier
-        first = int(page_ids[0])
-        if first < 0 or first >= res.shape[0]:
-            return None
-        tier = int(res[first])
-        if tier < 0:
-            return None
-        lat = self._shape_latencies(nbytes, write, is_scan)[tier]
-        if lat <= 0.0 or not math.isfinite(lat):
-            return None
-        queues = self._session_queues
-        if queues is not None:
-            now = self._session_clock._now
-            for queue in queues[tier]:
-                if queue._free_at > now:
-                    return None
-        hi = int(page_ids.max())
-        if hi >= _RES_MAX_PIDS or hi >= res.shape[0] \
-                or int(page_ids.min()) < 0:
-            return None
-        span = res[page_ids]
-        if not bool((span == tier).all()):
-            return None
-        return lat
-
     def access_block(self, block, accum: float = 0.0) -> float:
         """Charge a whole columnar AccessBlock.
 
@@ -1500,9 +1442,9 @@ class TieredBufferPool:
         window, which resolves whole placement-headroom windows of the
         block in array ops; or one :meth:`access_run` per uniform-shape
         segment for a block the window declines — a contended session,
-        a placement policy without headroom, ids outside the dense
-        table, a tracker without ``record_block``, a placement note
-        that reads the scan flag, or a block with a negative or
+        ids outside the dense table, a tracker without
+        ``record_block``, a placement note that reads the scan flag,
+        or a block with a negative or
         non-finite latency, an infinite think time or a byte total past
         2**53 (``latency``). ``pool.lane`` counts those blocks and the
         reason.
@@ -1530,8 +1472,6 @@ class TieredBufferPool:
             clock = self.clock
         if self._session_queues is not None:
             decline = "session"
-        elif self._placement_headroom is None:
-            decline = "no_headroom"
         else:
             hi = int(ids_nd.max())
             if hi >= _RES_MAX_PIDS or int(ids_nd.min()) < 0:
@@ -1816,9 +1756,8 @@ class TieredBufferPool:
         """Why no miss can be folded into a window right now, whatever
         its admit tier (a ``cuts`` reason), or None: ``pinned``,
         ``session`` (a session clock), ``backing`` (an unhealthy
-        device), ``placement`` (no bulk admit answer), ``miss_full``
-        (an anonymous pool whose tiers are all full: every eviction is
-        the scalar path's)."""
+        device), ``miss_full`` (an anonymous pool whose tiers are all
+        full: every eviction is the scalar path's)."""
         backing = self.backing
         if self._pinned:
             return "pinned"
@@ -1826,8 +1765,6 @@ class TieredBufferPool:
             return "session"
         if backing is not None and not backing.device.healthy:
             return "backing"
-        if getattr(self.placement, "choose_admit_tiers", None) is None:
-            return "placement"
         if backing is None:
             counts = self._resident_counts
             for index, tier in enumerate(self.tiers):

@@ -18,11 +18,13 @@ Each session owns an **unbound clock cursor** (a plain
 context), so the run still has exactly one authoritative clock — the
 pool's — advanced only by the event loop and the final catch-up to
 the makespan. A session wakeup runs one **morsel quantum**: up to
-``morsel_ops`` accesses pulled from the session's trace as same-shape
-runs (:class:`~repro.workloads.traces.ShapeSegments`) and charged
-through the pool's array lane against the session cursor, with
-arrival-order waits on the tier's shared resources folded into demand
-latency. The session then re-arms a wakeup at its cursor time.
+``morsel_ops`` accesses pulled from the session's trace as spans of
+same-shape segments (:class:`~repro.workloads.traces.ShapeSegments`)
+and charged against the session cursor, one
+:meth:`~repro.core.buffer.TieredBufferPool.access_quantum` call per
+span, with arrival-order waits on the tier's shared resources folded
+into demand latency; every quantum takes this one route, hooked or
+not. The session then re-arms a wakeup at its cursor time.
 
 Determinism
 -----------
@@ -47,10 +49,11 @@ tie-break), :class:`RoundRobinPolicy` (cycle by name), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, require_count
 from ..sim.clock import SimClock
 from ..sim.events import Simulator
 from ..sim.ladder import repeat_add
@@ -66,22 +69,6 @@ from .morsel import Morsel
 #: amortise scheduling overhead. Simulated results are deterministic
 #: at any quantum, and N=1 runs are byte-identical at every quantum.
 MORSEL_OPS = 32
-
-#: Relative slack applied to the escalation horizon bound: the
-#: closed-form completion estimate ``now + (think + lat) * ops`` is
-#: inflated by this factor before being compared (strictly) against
-#: the next pending wakeup. Sequential float accumulation can trail
-#: the closed form by at most ~``2 * ops`` ulps, so with the bulk op
-#: cap below the inflation dominates any rounding drift by several
-#: orders of magnitude — an escalated quantum can never run past an
-#: instant where another session could interleave.
-_HORIZON_SLACK = 1.0 + 1e-6
-
-#: Cap on accesses charged by one escalated pool call; keeps the
-#: rounding-drift argument for :data:`_HORIZON_SLACK` airtight and
-#: bounds the latency of a single scheduling step. The next wakeup
-#: simply escalates again, so the cap does not limit throughput.
-_BULK_MAX_OPS = 1 << 24
 
 #: ``block_ops`` used when a session trace is packed for execution:
 #: effectively unbounded, so scalar traces become *one* block and
@@ -170,8 +157,10 @@ class ClientSession:
                  weight: float = 1.0) -> None:
         if not name:
             raise ConfigError("a session needs a non-empty name")
-        if weight <= 0:
-            raise ConfigError(f"session {name!r}: weight must be positive")
+        if not 0 < weight < math.inf:
+            raise ConfigError(
+                f"session {name!r}: weight must be finite and positive,"
+                f" got {weight!r}")
         self.name = name
         self.trace = trace
         self.weight = weight
@@ -186,8 +175,8 @@ class ClientSession:
 
         The trace is packed into columnar blocks on the way in
         (whole-trace ``block_ops``, so no artificial run splits): the
-        cursor then serves every same-shape run as an int64 ndarray
-        view for the pool's array lane. Lossless — the packed
+        cursor then serves each quantum as a span over a block's id
+        column for the pool's quantum lane. Lossless — the packed
         sequence is elementwise identical, and runs split only at
         shape changes and pre-existing block boundaries.
         """
@@ -402,8 +391,7 @@ class ConcurrentEngine:
                  morsel_ops: int = MORSEL_OPS,
                  on_morsel: Callable[[str, Morsel], None] | None = None,
                  ctx=None) -> None:
-        if morsel_ops <= 0:
-            raise ConfigError("morsel_ops must be positive")
+        require_count("morsel_ops", morsel_ops, 1)
         if ctx is not None and ctx is not pool.ctx:
             raise ConfigError(
                 f"concurrent engine {name!r} was given a SimContext"
@@ -422,7 +410,6 @@ class ConcurrentEngine:
         #: session quanta can feed morsel-level schedulers directly.
         self.on_morsel = on_morsel
         self._sim: Simulator | None = None
-        self._quantum = None
 
     # -- session set handling ------------------------------------------
 
@@ -469,12 +456,6 @@ class ConcurrentEngine:
             session._begin(start_ns)
         policy = self.policy
         policy.attach(order)
-        # Quantum lane: resolved once per run (the pool's placement
-        # is fixed for a run's duration). When ready, _run_quantum
-        # charges whole multi-segment spans through one pool call.
-        ready = getattr(pool, "quantum_lane_ready", None)
-        self._quantum = (pool.access_quantum
-                         if ready is not None and ready() else None)
         # Build the shared-resource queues up front so every session
         # (including the first) contends through the same objects.
         pool.wait_queues()
@@ -491,9 +472,7 @@ class ConcurrentEngine:
                 clock.advance_to(makespan)
             # The run owns its deferred bookkeeping: nothing is left
             # owed (or pinned) in the pool's hit log.
-            settle = getattr(pool, "_drain_lazy", None)
-            if settle is not None:
-                settle()
+            pool._drain_lazy()
         report = SessionRunReport(
             name=label or f"{self.name}-x{len(order)}",
             policy=policy.name,
@@ -531,9 +510,6 @@ class ConcurrentEngine:
         """
         pool = self.pool
         policy = self.policy
-        # Contention-aware quantum escalation (see _run_bulk); a morsel
-        # hook observes every quantum, so it keeps the chunked path.
-        escalate = self.on_morsel is None
         begun: ClientSession | None = None
         try:
             while True:
@@ -548,23 +524,14 @@ class ConcurrentEngine:
                             pool.session_end()
                         pool.session_begin(chosen.clock)
                         begun = chosen
-                    next_ns = None
-                    if escalate and not ready:
-                        # No events are scheduled during a quantum, so
-                        # this peek stays valid until the re-arm below.
-                        next_ns = sim.peek_time_ns()
-                        self._run_bulk(chosen, next_ns)
-                    else:
-                        ops = self._run_quantum(chosen)
-                        policy.on_ran(chosen, ops)
+                    policy.on_ran(chosen, self._run_quantum(chosen))
                     if chosen._done:
                         continue
                     # Strictly in the future: every access has positive
                     # latency, so the cursor moved past sim.now.
                     time_ns = chosen.clock._now
                     if not ready:
-                        if next_ns is None:
-                            next_ns = sim.peek_time_ns()
+                        next_ns = sim.peek_time_ns()
                         if next_ns is None or time_ns < next_ns:
                             ready.append(chosen)
                             continue
@@ -573,130 +540,16 @@ class ConcurrentEngine:
             if begun is not None:
                 pool.session_end()
 
-    def _run_bulk(self, session: ClientSession, next_ns: float | None
-                  ) -> None:
-        """Run the sole-runnable *session*'s next quantum, escalating
-        to a bulk multi-quantum charge when provably uncontended.
-
-        Escalation fires only when every condition of the chunked
-        path's behaviour is pinned analytically:
-
-        * the current same-shape segment spans at least two whole
-          quanta (``morsel_ops * 2`` accesses still block-backed);
-        * the pool's :meth:`~repro.core.buffer.TieredBufferPool.\
-run_probe` certifies the run is uniform — every page resident on one
-          tier with eviction headroom, every consulted wait queue
-          already free — so each access adds exactly the probed
-          latency to demand and ``think + lat`` to the cursor;
-        * the closed-form completion bound, inflated by
-          :data:`_HORIZON_SLACK`, lands strictly before the next
-          pending wakeup, so no other session could have interleaved
-          between the collapsed quantum boundaries.
-
-        Under those conditions a quantum boundary changes no floats —
-        the pool's additions are windowing-invariant, and the
-        per-quantum bookkeeping (samples, think ladder, policy state)
-        is reconstructed exactly in :meth:`_charge_bulk` — so charging
-        ``n`` quanta in one pool call is byte-identical to the 32-op
-        loop. Anything short of certainty falls back to the exact
-        chunked quantum.
-        """
-        m = self.morsel_ops
-        if m * 2 <= _BULK_MAX_OPS:
-            segments = session._segments
-            nq = segments.remaining_in_segment() // m
-            if nq >= 2:
-                if nq * m > _BULK_MAX_OPS:
-                    nq = _BULK_MAX_OPS // m
-                count = nq * m
-                ids, nbytes, write, is_scan, think = \
-                    segments.peek_run(count)
-                lat = self.pool.run_probe(ids, nbytes, write, is_scan)
-                if lat is not None and think >= 0.0:
-                    horizon = (session.clock._now
-                               + (think + lat) * count) * _HORIZON_SLACK
-                    if next_ns is None or horizon < next_ns:
-                        self._charge_bulk(session, nbytes, write,
-                                          is_scan, think, lat, nq)
-                        return
-        ops = self._run_quantum(session)
-        self.policy.on_ran(session, ops)
-
-    def _charge_bulk(self, session: ClientSession, nbytes: int,
-                     write: bool, is_scan: bool, think: float,
-                     lat: float, nq: int) -> None:
-        """Charge *nq* consecutive full quanta of one same-shape run
-        through a single pool call, replaying the chunked path's
-        per-quantum bookkeeping exactly.
-
-        The pool floats are byte-identical by windowing invariance;
-        the session-side reconstruction leans on the exact repeated-
-        addition ladder: ``repeat_add(x, d, a + b) ==
-        repeat_add(repeat_add(x, d, a), d, b)``, so quantum-boundary
-        demand values (for ``samples``) and the think accumulator come
-        back bit for bit. The probe's per-access-latency guarantee is
-        *verified* after the fact — a demand total that strays from
-        the closed form aborts the run loudly rather than let an
-        unsound escalation drift.
-        """
-        pool = self.pool
-        policy = self.policy
-        report = session.report
-        stats = pool.stats
-        misses_before = stats.misses
-        migrations_before = stats.migrations
-        wait_before = pool.session_wait_ns
-        m = self.morsel_ops
-        count = nq * m
-        page_ids, _, _, _, _, got = session._segments.next_run(count)
-        if got != count:
-            raise SimulationError(
-                f"bulk quantum pulled {got} ops, expected {count}")
-        demand0 = report.demand_ns
-        report.demand_ns = pool.access_run(
-            page_ids, nbytes=nbytes, write=write, is_scan=is_scan,
-            think_ns=think, accum=demand0,
-        )
-        if report.demand_ns != repeat_add(demand0, lat, count):
-            raise SimulationError(
-                "escalated quantum diverged from the probed latency;"
-                " run_probe's uniformity guarantee was violated"
-            )
-        if think:
-            # nq per-quantum ladders (m >= 64) or nq * m scalar adds
-            # (m < 64) both equal one ladder over the whole run — the
-            # composability property above.
-            report.think_ns = repeat_add(report.think_ns, think, count)
-        report.ops += count
-        samples = report.samples
-        prev = demand0
-        for quantum in range(1, nq):
-            cur = repeat_add(demand0, lat, quantum * m)
-            samples.append(((cur - prev) / m, m))
-            prev = cur
-        samples.append(((report.demand_ns - prev) / m, m))
-        report.misses += stats.misses - misses_before
-        report.migrations += stats.migrations - migrations_before
-        report.wait_ns += pool.session_wait_ns - wait_before
-        report.end_ns = session.clock._now
-        report.quanta += nq
-        # Policy replay: the drain already selected this quantum's
-        # winner once; the remaining nq - 1 selections were singleton
-        # draws, observed here so stateful policies (round-robin
-        # cursor, stride passes) evolve exactly as in chunked mode.
-        policy.on_ran(session, m)
-        if nq > 1:
-            single = [session]
-            for _ in range(nq - 1):
-                policy.select(single)
-                policy.on_ran(session, m)
-
     def _run_quantum(self, session: ClientSession) -> int:
         """Execute one morsel quantum of a session; returns ops run.
 
         The caller (:meth:`_drive`) holds the pool's session lane open
-        around consecutive quanta; this method only pulls runs and
-        charges them.
+        around consecutive quanta. Each span the cursor hands out
+        (:meth:`~repro.workloads.traces.ShapeSegments.next_span`: up
+        to the remaining budget, within one block, across shape
+        changes) is one :meth:`~repro.core.buffer.TieredBufferPool.\
+access_quantum` call; its per-segment demand boundaries rebuild the
+        think chain and the per-run samples segment by segment.
         """
         pool = self.pool
         report = session.report
@@ -706,71 +559,35 @@ run_probe` certifies the run is uniform — every page resident on one
         wait_before = pool.session_wait_ns
         start_ns = session.clock.now
         budget = self.morsel_ops
-        ops = 0
         segments = session._segments
-        run_nd = pool.access_run
-        quantum = self._quantum
+        access_quantum = pool.access_quantum
+        samples = report.samples
         while budget > 0:
-            if quantum is not None:
-                span = segments.next_span(budget)
-                if span is not None:
-                    # Quantum lane: the whole multi-segment span in
-                    # one pool call; per-segment demand boundaries
-                    # come back so the think ladder and samples are
-                    # rebuilt run by run, exactly as the per-run loop
-                    # below would.
-                    ids, segs, count = span
-                    prev = report.demand_ns
-                    report.demand_ns, seg_demands = quantum(
-                        ids, segs, prev)
-                    think_total = report.think_ns
-                    samples = report.samples
-                    for (a, b, _nb, _wr, _sc, th), demand in zip(
-                            segs, seg_demands):
-                        seg_count = b - a
-                        if th:
-                            if seg_count >= 64:
-                                think_total = repeat_add(
-                                    think_total, th, seg_count)
-                            else:
-                                for _ in range(seg_count):
-                                    think_total += th
-                        samples.append(
-                            ((demand - prev) / seg_count, seg_count))
-                        prev = demand
-                    report.think_ns = think_total
-                    report.ops += count
-                    ops += count
-                    budget -= count
-                    continue
-            run = segments.next_run(budget)
-            if run is None:
+            span = segments.next_span(budget)
+            if span is None:
                 session._done = True
                 break
-            page_ids, nbytes, write, is_scan, think, count = run
-            demand_before = report.demand_ns
-            report.demand_ns = run_nd(
-                page_ids, nbytes=nbytes, write=write,
-                is_scan=is_scan, think_ns=think,
-                accum=demand_before,
-            )
-            if think:
-                # Replay the scalar think addition chain, as in
-                # ScaleUpEngine.run: an exact ladder once the run
-                # is long enough to amortise the setup.
-                if count >= 64:
-                    report.think_ns = repeat_add(report.think_ns,
-                                                 think, count)
-                else:
-                    think_total = report.think_ns
-                    for _ in range(count):
-                        think_total += think
-                    report.think_ns = think_total
-            report.ops += count
-            ops += count
+            ids, segs, count = span
+            prev = report.demand_ns
+            report.demand_ns, seg_demands = access_quantum(ids, segs, prev)
+            think_total = report.think_ns
+            for (a, b, _nb, _wr, _sc, th), demand in zip(segs, seg_demands):
+                seg_count = b - a
+                if th:
+                    # Replay the scalar think addition chain, as in
+                    # ScaleUpEngine.run: an exact ladder once the run
+                    # is long enough to amortise the setup.
+                    if seg_count >= 64:
+                        think_total = repeat_add(think_total, th, seg_count)
+                    else:
+                        for _ in range(seg_count):
+                            think_total += th
+                samples.append(((demand - prev) / seg_count, seg_count))
+                prev = demand
+            report.think_ns = think_total
             budget -= count
-            report.samples.append(
-                ((report.demand_ns - demand_before) / count, count))
+        ops = self.morsel_ops - budget
+        report.ops += ops
         report.misses += stats.misses - misses_before
         report.migrations += stats.migrations - migrations_before
         report.wait_ns += pool.session_wait_ns - wait_before

@@ -245,22 +245,21 @@ class _BlockCursor:
 
 
 class ShapeSegments:
-    """Pull-based cursor over a trace of blocks, emitting same-shape
-    runs.
+    """Pull-based cursor over a trace of blocks, emitting spans of
+    same-shape segments.
 
     The consumption unit of a concurrent :class:`ClientSession`:
-    :meth:`next_run` returns up to *max_ops* consecutive accesses
-    sharing one shape (size, read/write, scan flag, think time) as
-    ``(page_ids, nbytes, write, is_scan, think_ns, count)`` — the
-    signature of the pool's ``access_run`` — or ``None`` once the
-    trace is exhausted. ``page_ids`` is an int64 ndarray slice of the
-    block's id column; the shape values are Python scalars.
+    :meth:`next_span` returns up to *max_ops* consecutive accesses of
+    one block, cut into segments that share one shape (size,
+    read/write, scan flag, think time) — the argument shape of the
+    pool's ``access_quantum`` — or ``None`` once the trace is
+    exhausted.
 
     One vectorised :meth:`AccessBlock.segment_bounds` scan per block,
     shape columns materialised to plain lists once, the id column
-    handed out as zero-copy views. The trace must hold
-    :class:`AccessBlock` chunks only; scalar accesses are packed with
-    :func:`accesses_to_blocks` first.
+    handed out whole. The trace must hold :class:`AccessBlock` chunks
+    only; scalar accesses are packed with :func:`accesses_to_blocks`
+    first.
     """
 
     __slots__ = ("_iterator", "_ids", "_sizes", "_writes", "_scans",
@@ -285,8 +284,8 @@ class ShapeSegments:
                     "ShapeSegments consumes AccessBlock chunks; pack"
                     " scalar accesses with accesses_to_blocks first")
             if len(block):
-                # The id column stays an ndarray: runs are served as
-                # zero-copy slices. Shape columns are indexed once per
+                # The id column stays an ndarray, handed out whole with
+                # every span. Shape columns are indexed once per
                 # segment, so plain lists are cheapest.
                 self._ids = block.page_id
                 self._sizes = block.nbytes.tolist()
@@ -299,29 +298,6 @@ class ShapeSegments:
                 return True
         return False
 
-    def remaining_in_segment(self) -> int:
-        """Ops left in the current same-shape segment; 0 once the
-        trace is exhausted. The concurrent scheduler's quantum
-        escalation uses this to size a bulk quantum without
-        disturbing the cursor.
-        """
-        if self._ids is None and not self._advance():
-            return 0
-        return self._bounds[self._seg] - self._pos
-
-    def peek_run(self, count: int):
-        """View the next *count* accesses without consuming them.
-
-        Only valid after :meth:`remaining_in_segment` returned at
-        least *count*; yields ``(page_ids, nbytes, write, is_scan,
-        think_ns)`` with ``page_ids`` a zero-copy slice — the shape
-        the pool's escalation probe consumes.
-        """
-        start = self._pos
-        return (self._ids[start:start + count], self._sizes[start],
-                self._writes[start], self._scans[start],
-                self._thinks[start])
-
     def next_span(self, max_ops: int):
         """Up to *max_ops* accesses of the current block, crossing
         shape-segment boundaries, as ``(ids, segs, count)``.
@@ -331,9 +307,9 @@ class ShapeSegments:
         list of ``(start, stop, nbytes, write, is_scan, think_ns)``
         entries in trace order, and ``count`` the ops covered. Returns
         ``None`` when the trace is exhausted; block boundaries cap the
-        span, so a caller with budget left simply calls again.
-        Consuming ``next_span`` then ``next_run`` in any interleaving
-        walks the identical access sequence.
+        span, so a caller with budget left simply calls again; the
+        spans of any budget sequence walk the trace's access sequence
+        in order.
         """
         if max_ops <= 0:
             return None
@@ -365,30 +341,6 @@ class ShapeSegments:
         self._seg = seg
         self._pos = pos
         return ids, segs, max_ops - budget
-
-    def next_run(self, max_ops: int):
-        """The next same-shape run, capped at *max_ops* accesses."""
-        if max_ops <= 0:
-            return None
-        if self._ids is None and not self._advance():
-            return None
-        bounds = self._bounds
-        seg_end = bounds[self._seg]
-        start = self._pos
-        take = seg_end - start
-        if take > max_ops:
-            take = max_ops
-        stop = start + take
-        run = (self._ids[start:stop], self._sizes[start],
-               self._writes[start], self._scans[start],
-               self._thinks[start], take)
-        if stop == seg_end:
-            self._seg += 1
-            if self._seg >= len(bounds):
-                self._ids = None
-        self._pos = stop
-        return run
-
 
 class _BlockBuilder:
     """Accumulates block views and re-emits ~``block_ops``-row blocks."""

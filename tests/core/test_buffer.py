@@ -5,14 +5,15 @@ import pytest
 from repro import config
 from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.placement import DbCostPolicy, StaticPolicy
+from repro.core.temperature import ExactTracker
 from repro.errors import BufferPoolError, PageFaultError
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
 from repro.units import PAGE_SIZE
 
 
-def make_pool(dram=4, cxl=8, backing=None, placement=None):
-    tiers = [
+def make_tiers(dram=4, cxl=8):
+    return [
         Tier(name="dram",
              path=AccessPath(device=MemoryDevice(config.local_ddr5())),
              capacity_pages=dram),
@@ -20,8 +21,11 @@ def make_pool(dram=4, cxl=8, backing=None, placement=None):
              path=AccessPath(device=MemoryDevice(config.cxl_expander_ddr5())),
              capacity_pages=cxl),
     ]
+
+
+def make_pool(dram=4, cxl=8, backing=None, placement=None):
     return TieredBufferPool(
-        tiers=tiers, backing=backing,
+        tiers=make_tiers(dram, cxl), backing=backing,
         placement=placement or DbCostPolicy(rebalance_interval=10_000),
     )
 
@@ -241,6 +245,32 @@ class TestConstruction:
             TieredBufferPool(tiers=[Tier(name="opaque",
                                          path=OpaquePath(path),
                                          capacity_pages=4)])
+
+    @pytest.mark.parametrize("hook", ["fast_headroom", "note_accesses",
+                                      "choose_admit_tiers", "record_batch"])
+    def test_protocol_hook_is_required(self, hook):
+        """The array lanes call the batch hooks that PlacementPolicy
+        and TemperatureTracker declare without a guard, so a
+        duck-typed placement or tracker lacking one fails the build
+        (it used to build and send every run down a scalar detour)."""
+        class Hookless:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                if name == hook:
+                    raise AttributeError(name)
+                return getattr(self._inner, name)
+
+        placement = StaticPolicy(lambda _p: 1)
+        tracker = ExactTracker()
+        if hook == "record_batch":
+            tracker = Hookless(tracker)
+        else:
+            placement = Hookless(placement)
+        with pytest.raises(BufferPoolError, match=hook):
+            TieredBufferPool(tiers=make_tiers(), placement=placement,
+                             tracker=tracker)
 
     def test_tier_from_device_path(self):
         path = AccessPath(device=MemoryDevice(

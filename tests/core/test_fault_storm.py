@@ -147,7 +147,6 @@ def test_quantum_delivery_storm_equivalence():
         dem_c.append(repr(acc_c))
     pool_f = _cold_engine(8, 32, placement=StaticPolicy(lambda _p: 1),
                           fast=True).pool
-    assert pool_f.quantum_lane_ready()
     acc_f, demands = pool_f.access_quantum(ids, segs, 0.0)
     dem_f = [repr(d) for d in demands]
     assert repr(acc_c) == repr(acc_f)

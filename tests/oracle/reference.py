@@ -53,8 +53,7 @@ def path_time(path: AccessPath, nbytes: int, write: bool,
 
 class ReferencePool(TieredBufferPool):
     """The pool with every entry point on the scalar reference access:
-    runs and blocks are the think → :meth:`access` loop, and sessions
-    get neither the quantum lane nor escalation."""
+    runs, quanta and blocks are the think → :meth:`access` loop."""
 
     def access(self, page_id, nbytes: int = CACHE_LINE,
                write: bool = False, is_scan: bool = False) -> float:
@@ -128,12 +127,18 @@ class ReferencePool(TieredBufferPool):
             accum += self.access(page_id, nbytes, write, is_scan)
         return accum
 
-    def quantum_lane_ready(self) -> bool:
-        return False
-
-    def run_probe(self, page_ids, nbytes: int, write: bool = False,
-                  is_scan: bool = False) -> None:
-        return None
+    def access_quantum(self, ids, segs, accum: float = 0.0):
+        _check_id_array(ids)
+        for seg in segs:
+            if not seg[5] >= 0:
+                raise BufferPoolError("think_ns must be >= 0")
+            _check_nbytes(seg[2])
+        seg_demands = []
+        for a, b, nbytes, write, is_scan, think in segs:
+            accum = self.access_run(ids[a:b], nbytes, write, is_scan,
+                                    think, accum)
+            seg_demands.append(accum)
+        return accum, seg_demands
 
 
 class ReferenceEngine(ScaleUpEngine):

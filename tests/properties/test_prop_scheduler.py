@@ -1,16 +1,16 @@
 """Property tests: the vectorised contention scheduler.
 
-Four families of invariants back the bulk-quantum machinery:
+Three families of invariants back the quantum machinery:
 
-* lane identity — the pool (quantum lane, escalated bulk quanta) and
-  its reference twin (neither) produce byte-identical session reports,
-  samples and quantum counts included, at every morsel quantum under
-  randomly generated contending session sets;
+* lane identity — the pool (quantum lane) and its reference twin (the
+  scalar access loop) produce byte-identical session reports, samples
+  and quantum counts included, at every morsel quantum under randomly
+  generated contending session sets;
 * array reservations — ``WaitQueue.reserve_run`` replays the
   ``occupy_run`` loop bit for bit on arbitrary (including unsorted)
   arrival orders, list or ndarray form;
-* quantum consumption — ``ShapeSegments.next_span`` interleaved with
-  ``next_run`` walks the identical access sequence, and
+* quantum consumption — ``ShapeSegments.next_span`` under random
+  budgets walks the trace's access sequence, and
   ``TieredBufferPool.access_quantum`` matches per-run charging float
   for float, frame for frame.
 """
@@ -159,58 +159,41 @@ def random_trace(rng: random.Random, n: int) -> list[Access]:
     ]
 
 
-def _flatten_runs(segments: ShapeSegments):
-    out = []
-    while True:
-        run = segments.next_run(10**9)
-        if run is None:
-            return out
-        ids, nbytes, write, is_scan, think_ns, _count = run
-        for pid in (ids.tolist() if isinstance(ids, np.ndarray) else ids):
-            out.append((int(pid), nbytes, bool(write), bool(is_scan),
-                        float(think_ns)))
-
-
-def _flatten_mixed(segments: ShapeSegments, rng: random.Random):
+def _flatten_spans(segments: ShapeSegments, rng: random.Random):
+    """Walk *segments* with ``next_span`` under random budgets, checking
+    each span's shape: segments tile ``[first start, last stop)`` in
+    order, each one shape, and cover exactly the reported count."""
     out = []
     while True:
         budget = rng.randint(1, 24)
-        if rng.random() < 0.5:
-            span = segments.next_span(budget)
-            if span is not None:
-                ids, segs, _count = span
-                for a, b, nbytes, write, is_scan, think_ns in segs:
-                    for pid in ids[a:b].tolist():
-                        out.append((int(pid), nbytes, bool(write),
-                                    bool(is_scan), float(think_ns)))
-                continue
-        run = segments.next_run(budget)
-        if run is None:
-            if segments.next_span(budget) is None:
-                return out
-            continue
-        ids, nbytes, write, is_scan, think_ns, _count = run
-        for pid in (ids.tolist() if isinstance(ids, np.ndarray) else ids):
-            out.append((int(pid), nbytes, bool(write), bool(is_scan),
-                        float(think_ns)))
+        span = segments.next_span(budget)
+        if span is None:
+            return out
+        ids, segs, count = span
+        assert 0 < count <= budget
+        assert sum(b - a for a, b, *_ in segs) == count
+        assert all(a < b for a, b, *_ in segs)
+        assert all(prev[1] == cur[0] for prev, cur in zip(segs, segs[1:]))
+        for a, b, nbytes, write, is_scan, think_ns in segs:
+            for pid in ids[a:b].tolist():
+                out.append(Access(page_id=int(pid), write=bool(write),
+                                  is_scan=bool(is_scan), nbytes=nbytes,
+                                  think_ns=float(think_ns)))
 
 
 class TestQuantumConsumption:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_next_span_next_run_interleave_identical(self, seed):
-        """Any interleaving of next_span and next_run walks the same
-        elementwise access sequence as next_run alone."""
+        """next_span under random budgets walks the trace's Access
+        list itself, element for element, whatever the packing."""
         rng = random.Random(seed)
         trace = random_trace(rng, rng.randint(1, 300))
         block_ops = rng.choice([8, 64, 10**9])
-        reference = _flatten_runs(
-            ShapeSegments(accesses_to_blocks(trace, block_ops=block_ops)))
-        mixed = _flatten_mixed(
+        walked = _flatten_spans(
             ShapeSegments(accesses_to_blocks(trace, block_ops=block_ops)),
             random.Random(seed + 1))
-        assert mixed == reference
-        assert len(reference) == len(trace)
+        assert walked == trace
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -235,7 +218,6 @@ class TestQuantumConsumption:
         per_run_engine = contended_engine(pages)
         pool_q = quantum_engine.pool
         pool_r = per_run_engine.pool
-        assert pool_q.quantum_lane_ready()
 
         accum_q, demands_q = pool_q.access_quantum(ids, segs, 0.0)
         accum_r = 0.0
