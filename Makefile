@@ -96,7 +96,11 @@ route-check:
 # benchmark, too: the retired wall-clock microbenchmark
 # harness (its package and its name) may not come back under src/,
 # tests/, the Makefile or .github/ — ledger/ is the one performance
-# instrument. The line counts of the pool,
+# instrument. networkx is a test-only package: the rack router is a
+# heap-based Dijkstra in sim/topology.py, so nothing under src/ may
+# import networkx and pyproject.toml's runtime dependencies may not
+# name it.
+# The line counts of the pool,
 # placement, tracker and chain files are printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
@@ -130,6 +134,16 @@ for path in sorted(paths):
     for number, line in enumerate(text.splitlines(), 1):
         if retired in line:
             bad.append("%s:%d: %s" % (path, number, line.strip()))
+test_only = re.compile(r"^\s*(from|import)\s+networkx\b"
+                       r"|import_module\(\s*[\"']networkx")
+for path in sorted(pathlib.Path("src").rglob("*.py")):
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if test_only.search(line):
+            bad.append("%s:%d: %s" % (path, number, line.strip()))
+runtime = re.search(r"^dependencies\s*=\s*\[(.*?)\]",
+                    pathlib.Path("pyproject.toml").read_text(), re.M | re.S)
+if runtime is None or "networkx" in runtime.group(1):
+    bad.append("pyproject.toml: networkx in the runtime dependencies")
 pool = pathlib.Path("src/repro/core/buffer.py").read_text()
 for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
     name = method.split("(", 1)[0]

@@ -27,8 +27,16 @@ Quickstart::
     print(report)
 """
 
-from . import config, errors, units
-from .core import ScaleUpEngine
-from .version import __version__
+from ._lazy import attach
 
-__all__ = ["ScaleUpEngine", "__version__", "config", "errors", "units"]
+#: Public name -> the submodule that defines it, imported on first use
+#: (``import repro`` alone loads none of the engine).
+_SOURCES = {
+    "ScaleUpEngine": "core",
+    "__version__": "version",
+    "config": "config",
+    "errors": "errors",
+    "units": "units",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

@@ -12,97 +12,61 @@
 * :mod:`repro.core.hetero` — composable heterogeneous racks (Sec 5).
 """
 
-from .autoscale import Autoscaler, QueryJob
-from .btree import TieredBTree
-from .failover import FailoverOrchestrator
-from .morsel import Morsel, RackScheduler
-from .timestamps import CXLSharedOracle, LocalAtomicOracle, RPCOracle
-from .wal import WriteAheadLog
-from .buffer import BufferPoolStats, Tier, TieredBufferPool
-from .elastic import ElasticCluster, StrandingModel
-from .engine import EngineReport, ScaleUpEngine
-from .frame import Frame
-from .hetero import ComposableRack, FixedServerRack, OperatorTask
-from .locks import LockMode, LockTable
-from .ndp import ActiveMemoryRegion, NDPController, NDPOperatorLibrary
-from .placement import (
-    DbCostPolicy,
-    OSPagingPolicy,
-    PlacementPolicy,
-    StaticPolicy,
-)
-from .replacement import (
-    ClockPolicy,
-    LRUKPolicy,
-    LRUPolicy,
-    TwoQPolicy,
-    make_policy,
-)
-from .scaleout import ScaleOutConfig, ScaleOutEngine
-from .sessions import (
-    ClientSession,
-    ConcurrentEngine,
-    FairnessPolicy,
-    FifoPolicy,
-    RoundRobinPolicy,
-    SessionReport,
-    SessionRunReport,
-    WeightedPolicy,
-)
-from .shared import SharedEngineConfig, SharedRackEngine
-from .temperature import ExactTracker, SampledTracker
-from .txn import OLTPReport, TwoPhaseLockingExecutor
+from .._lazy import attach
 
-__all__ = [
-    "ActiveMemoryRegion",
-    "Autoscaler",
-    "BufferPoolStats",
-    "CXLSharedOracle",
-    "ClientSession",
-    "ClockPolicy",
-    "ComposableRack",
-    "ConcurrentEngine",
-    "DbCostPolicy",
-    "ElasticCluster",
-    "EngineReport",
-    "ExactTracker",
-    "FailoverOrchestrator",
-    "FairnessPolicy",
-    "FifoPolicy",
-    "FixedServerRack",
-    "Frame",
-    "LRUKPolicy",
-    "LRUPolicy",
-    "LocalAtomicOracle",
-    "LockMode",
-    "LockTable",
-    "Morsel",
-    "NDPController",
-    "NDPOperatorLibrary",
-    "OLTPReport",
-    "OSPagingPolicy",
-    "OperatorTask",
-    "PlacementPolicy",
-    "QueryJob",
-    "RPCOracle",
-    "RackScheduler",
-    "RoundRobinPolicy",
-    "SampledTracker",
-    "ScaleOutConfig",
-    "ScaleOutEngine",
-    "ScaleUpEngine",
-    "SessionReport",
-    "SessionRunReport",
-    "SharedEngineConfig",
-    "SharedRackEngine",
-    "StaticPolicy",
-    "StrandingModel",
-    "Tier",
-    "TieredBTree",
-    "TieredBufferPool",
-    "TwoPhaseLockingExecutor",
-    "TwoQPolicy",
-    "WeightedPolicy",
-    "WriteAheadLog",
-    "make_policy",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "Autoscaler": "autoscale",
+    "QueryJob": "autoscale",
+    "TieredBTree": "btree",
+    "BufferPoolStats": "buffer",
+    "Tier": "buffer",
+    "TieredBufferPool": "buffer",
+    "ElasticCluster": "elastic",
+    "StrandingModel": "elastic",
+    "EngineReport": "engine",
+    "ScaleUpEngine": "engine",
+    "FailoverOrchestrator": "failover",
+    "Frame": "frame",
+    "ComposableRack": "hetero",
+    "FixedServerRack": "hetero",
+    "OperatorTask": "hetero",
+    "LockMode": "locks",
+    "LockTable": "locks",
+    "Morsel": "morsel",
+    "RackScheduler": "morsel",
+    "ActiveMemoryRegion": "ndp",
+    "NDPController": "ndp",
+    "NDPOperatorLibrary": "ndp",
+    "DbCostPolicy": "placement",
+    "OSPagingPolicy": "placement",
+    "PlacementPolicy": "placement",
+    "StaticPolicy": "placement",
+    "ClockPolicy": "replacement",
+    "LRUKPolicy": "replacement",
+    "LRUPolicy": "replacement",
+    "TwoQPolicy": "replacement",
+    "make_policy": "replacement",
+    "ScaleOutConfig": "scaleout",
+    "ScaleOutEngine": "scaleout",
+    "ClientSession": "sessions",
+    "ConcurrentEngine": "sessions",
+    "FairnessPolicy": "sessions",
+    "FifoPolicy": "sessions",
+    "RoundRobinPolicy": "sessions",
+    "SessionReport": "sessions",
+    "SessionRunReport": "sessions",
+    "WeightedPolicy": "sessions",
+    "SharedEngineConfig": "shared",
+    "SharedRackEngine": "shared",
+    "ExactTracker": "temperature",
+    "SampledTracker": "temperature",
+    "CXLSharedOracle": "timestamps",
+    "LocalAtomicOracle": "timestamps",
+    "RPCOracle": "timestamps",
+    "OLTPReport": "txn",
+    "TwoPhaseLockingExecutor": "txn",
+    "WriteAheadLog": "wal",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from .experiments import run_scenario
 from .scenario import Cell, Scenario, Sweep, canonical_json
 from .store import ResultStore
 
@@ -68,7 +69,6 @@ def _cell_worker(conn, parent_ends: list) -> None:
     except (EOFError, OSError):  # the sweep ended before this cell ran
         conn.close()
         return
-    from .experiments import run_scenario  # late: keeps spawn cheap
     try:
         result = run_scenario(Scenario.from_dict(scenario_dict))
         message = (STATUS_OK, result)

@@ -20,13 +20,37 @@ timeouts, determinism) and are intentionally cheap.
 from __future__ import annotations
 
 import os
+import random
 import time
 from typing import Any, Callable, Mapping
 
 from .. import config
+from ..core.autoscale import ExpanderScaler
+from ..core.buffer import Tier, TieredBufferPool
+from ..core.elastic import PagePool
+from ..core.engine import ScaleUpEngine
+from ..core.placement import OSPagingPolicy, StaticPolicy
+from ..core.scaleout import ScaleOutConfig, ScaleOutEngine
+from ..core.sessions import ClientSession
+from ..core.shared import SharedEngineConfig, SharedRackEngine
 from ..errors import ConfigError, SimulationError
+from ..serving import (
+    ChurnConfig,
+    ChurnSimulator,
+    ServingConfig,
+    TenantTable,
+    assign_churn,
+    run_serving,
+)
 from ..sim.context import SimContext
-from ..units import CACHE_LINE, MIB
+from ..sim.interconnect import AccessPath, Link
+from ..sim.memory import MemoryDevice
+from ..sim.numa import NUMASystem
+from ..sim.rdma import RDMAFabric
+from ..units import CACHE_LINE, MIB, SECOND, us
+from ..workloads.traces import Access
+from ..workloads.tpcc import TPCCLite
+from ..workloads.ycsb import YCSBConfig, ycsb_blocks
 from .scenario import Scenario, canonical_json
 
 #: Registered kernels: dotted name -> (scenario, ctx) -> result dict.
@@ -90,9 +114,6 @@ def e1_memory_path(scenario: Scenario, ctx: SimContext) -> dict:
     ``numa`` (one UPI hop), or ``cxl`` (the expander, optionally
     ``topology.through_switch``).
     """
-    from ..sim.memory import MemoryDevice
-    from ..sim.numa import NUMASystem
-
     topo, wl = scenario.topology, scenario.workload
     system = NUMASystem()
     s0 = system.add_socket(
@@ -143,9 +164,6 @@ def e2_tiering(scenario: Scenario, ctx: SimContext) -> dict:
     so cells sharing a base seed (``per_cell_seeds = false``) replay
     the identical workload and their runtimes are directly comparable.
     """
-    from ..core import OSPagingPolicy, ScaleUpEngine, StaticPolicy
-    from ..workloads import YCSBConfig, ycsb_blocks
-
     topo, wl, pol = scenario.topology, scenario.workload, scenario.policy
     pages = int(_param(wl, "num_pages", 4_000))
     dram_share = float(_param(topo, "dram_share", 0.50))
@@ -205,10 +223,6 @@ def e2_tiering(scenario: Scenario, ctx: SimContext) -> dict:
 @runner("e4.cxl_vs_rdma")
 def e4_cxl_vs_rdma(scenario: Scenario, ctx: SimContext) -> dict:
     """One transfer size over an RDMA fabric vs a switched CXL path."""
-    from ..sim.interconnect import AccessPath, Link
-    from ..sim.memory import MemoryDevice
-    from ..sim.rdma import RDMAFabric
-
     topo, wl = scenario.topology, scenario.workload
     size = int(_param(wl, "transfer_bytes", CACHE_LINE))
     fabric = RDMAFabric()
@@ -244,10 +258,6 @@ def e7_sharing_vs_scaleout(scenario: Scenario, ctx: SimContext) -> dict:
     the crossover along ``workload.remote_fraction`` is asserted by the
     gate, not computed here.
     """
-    from ..core.scaleout import ScaleOutConfig, ScaleOutEngine
-    from ..core.shared import SharedEngineConfig, SharedRackEngine
-    from ..workloads.tpcc import TPCCLite
-
     topo, wl = scenario.topology, scenario.workload
     nodes = int(_param(topo, "nodes", 4))
     txns = list(TPCCLite(
@@ -284,15 +294,6 @@ def a7_interference(scenario: Scenario, ctx: SimContext) -> dict:
     inflate the point tail on a shared expander, a second expander
     restores it — across cells.
     """
-    import random
-
-    from ..core import ScaleUpEngine, StaticPolicy
-    from ..core.buffer import Tier, TieredBufferPool
-    from ..core.sessions import ClientSession
-    from ..sim.interconnect import AccessPath, Link
-    from ..sim.memory import MemoryDevice
-    from ..workloads import Access
-
     topo, wl = scenario.topology, scenario.workload
     oltp_pages = int(_param(wl, "oltp_pages", 1_000))
     olap_pages = int(_param(wl, "olap_pages", 4_000))
@@ -384,18 +385,6 @@ def a8_pondscale(scenario: Scenario, ctx: SimContext) -> dict:
     scale-out/CXL crossover along ``remote_fraction``, and that
     ``policy.shards`` never changes a byte.
     """
-    from ..core.autoscale import ExpanderScaler
-    from ..core.elastic import PagePool
-    from ..serving import (
-        ChurnConfig,
-        ChurnSimulator,
-        ServingConfig,
-        TenantTable,
-        assign_churn,
-        run_serving,
-    )
-    from ..units import SECOND, us
-
     topo, wl, pol = scenario.topology, scenario.workload, scenario.policy
     tenants = int(_param(wl, "tenants", 10_000))
     table = TenantTable.generate(

@@ -5,29 +5,23 @@ the :class:`repro.sim.context.SimContext` instrumentation spine;
 :class:`CounterRegistry` is its legacy flat facade.
 """
 
-from .counters import CounterRegistry
-from .registry import (
-    MetricsRegistry,
-    ScopedMetrics,
-    SnapshotProvider,
-    flatten,
-    nest,
-)
-from .report import Table, fmt_ratio, latency_breakdown, metrics_table
-from .stats import Histogram, StreamingStats, percentile
+from .._lazy import attach
 
-__all__ = [
-    "CounterRegistry",
-    "Histogram",
-    "MetricsRegistry",
-    "ScopedMetrics",
-    "SnapshotProvider",
-    "StreamingStats",
-    "Table",
-    "flatten",
-    "fmt_ratio",
-    "latency_breakdown",
-    "metrics_table",
-    "nest",
-    "percentile",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "CounterRegistry": "counters",
+    "MetricsRegistry": "registry",
+    "ScopedMetrics": "registry",
+    "SnapshotProvider": "registry",
+    "flatten": "registry",
+    "nest": "registry",
+    "Table": "report",
+    "fmt_ratio": "report",
+    "latency_breakdown": "report",
+    "metrics_table": "report",
+    "Histogram": "stats",
+    "StreamingStats": "stats",
+    "percentile": "stats",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

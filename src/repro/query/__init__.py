@@ -6,30 +6,25 @@ sort / sort-merge join, a small cost-based planner (hash-vs-sort and
 NDP offload decisions), and TPC-H-shaped queries for experiment E3.
 """
 
-from .columnar import ColumnScan, ColumnTable
-from .indexjoin import IndexNestedLoopJoin
-from .operators import Filter, HashAggregate, Project, TableScan
-from .hashjoin import HashJoin
-from .planner import JoinPlanner
-from .schema import Column, Schema
-from .sort import ExternalSort, SortMergeJoin
-from .table import Table
-from .topk import TopK
+from .._lazy import attach
 
-__all__ = [
-    "Column",
-    "ColumnScan",
-    "ColumnTable",
-    "ExternalSort",
-    "Filter",
-    "HashAggregate",
-    "HashJoin",
-    "IndexNestedLoopJoin",
-    "JoinPlanner",
-    "Project",
-    "Schema",
-    "SortMergeJoin",
-    "Table",
-    "TableScan",
-    "TopK",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "ColumnScan": "columnar",
+    "ColumnTable": "columnar",
+    "HashJoin": "hashjoin",
+    "IndexNestedLoopJoin": "indexjoin",
+    "Filter": "operators",
+    "HashAggregate": "operators",
+    "Project": "operators",
+    "TableScan": "operators",
+    "JoinPlanner": "planner",
+    "Column": "schema",
+    "Schema": "schema",
+    "ExternalSort": "sort",
+    "SortMergeJoin": "sort",
+    "Table": "table",
+    "TopK": "topk",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

@@ -156,7 +156,8 @@ def measure_buckets(cfg: ServingConfig) -> list[BucketKernel]:
     """
     kernels: list[BucketKernel] = []
     for ws, theta in bucket_grid():
-        rep = _representative(ws, theta, cfg)
+        # Built once for all three lanes: engines never write to a block.
+        blocks = list(_representative(ws, theta, cfg).trace_blocks())
         pages = ws + 8
         demands = []
         for engine in (
@@ -164,7 +165,7 @@ def measure_buckets(cfg: ServingConfig) -> list[BucketKernel]:
             _cxl_engine(pages, cfg.through_switch),
             _scaleout_engine(pages, cfg.remote_fraction),
         ):
-            report = engine.run(rep.trace_blocks())
+            report = engine.run(blocks)
             demands.append(report.demand_ns / report.ops)
         kernels.append(BucketKernel(
             working_set_pages=ws, theta=theta,

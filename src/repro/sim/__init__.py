@@ -12,53 +12,37 @@ instrumentation spine (:mod:`repro.sim.context`,
 :mod:`repro.sim.trace`) that unifies timing and accounting.
 """
 
-from .address import AddressSpace, Region
-from .bandwidth import SharedChannel
-from .clock import SimClock
-from .context import SimContext, ambient_instrumentation, set_ambient
-from .events import Event, Simulator
-from .interconnect import AccessPath, Link
-from .interleave import InterleaveSet
-from .memory import MemoryDevice
-from .numa import NUMANode, NUMASystem
-from .topology import CXLSwitch, Host, MemoryPoolDevice, RackTopology
-from .trace import (
-    NULL_SINK,
-    ChromeTraceSink,
-    JsonLinesTraceSink,
-    MemoryTraceSink,
-    NullTraceSink,
-    SpanRecord,
-    TraceSink,
-    sink_for_path,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AccessPath",
-    "AddressSpace",
-    "CXLSwitch",
-    "ChromeTraceSink",
-    "Event",
-    "Host",
-    "InterleaveSet",
-    "JsonLinesTraceSink",
-    "Link",
-    "MemoryDevice",
-    "MemoryPoolDevice",
-    "MemoryTraceSink",
-    "NULL_SINK",
-    "NUMANode",
-    "NUMASystem",
-    "NullTraceSink",
-    "RackTopology",
-    "Region",
-    "SharedChannel",
-    "SimClock",
-    "SimContext",
-    "Simulator",
-    "SpanRecord",
-    "TraceSink",
-    "ambient_instrumentation",
-    "set_ambient",
-    "sink_for_path",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "AddressSpace": "address",
+    "Region": "address",
+    "SharedChannel": "bandwidth",
+    "SimClock": "clock",
+    "SimContext": "context",
+    "ambient_instrumentation": "context",
+    "set_ambient": "context",
+    "Event": "events",
+    "Simulator": "events",
+    "AccessPath": "interconnect",
+    "Link": "interconnect",
+    "InterleaveSet": "interleave",
+    "MemoryDevice": "memory",
+    "NUMANode": "numa",
+    "NUMASystem": "numa",
+    "CXLSwitch": "topology",
+    "Host": "topology",
+    "MemoryPoolDevice": "topology",
+    "RackTopology": "topology",
+    "ChromeTraceSink": "trace",
+    "JsonLinesTraceSink": "trace",
+    "MemoryTraceSink": "trace",
+    "NULL_SINK": "trace",
+    "NullTraceSink": "trace",
+    "SpanRecord": "trace",
+    "TraceSink": "trace",
+    "sink_for_path": "trace",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

@@ -10,20 +10,76 @@ This is the substrate for the three architectures of Fig 2:
   machine" (Sec 3.3).
 
 The topology is a graph whose edges carry :class:`~repro.sim.interconnect.Link`
-objects; access paths are shortest latency paths.
+objects; access paths are shortest latency paths (:func:`shortest_path`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import Callable
 
 from .. import config
 from ..errors import TopologyError
 from .interconnect import AccessPath, Link
 from .memory import MemoryDevice
+
+
+def shortest_path(adj: dict[str, dict[str, Link]], source: str, target: str,
+                  weight: Callable[[Link], float]) -> list[str]:
+    """Minimum-weight node path from ``source`` to ``target`` in ``adj``.
+
+    A port of networkx's ``bidirectional_dijkstra`` (what
+    ``shortest_path(G, s, t, weight=...)`` runs on an undirected graph)
+    that keeps its tie-breaks: one push counter shared by both fringes,
+    directions alternating forward-first, neighbours in insertion
+    order. Weights are non-negative, so its negative-weight check never
+    fires and is left out. Raises :class:`TopologyError` when either
+    end is unknown or no route joins them.
+    """
+    for node in (source, target):
+        if node not in adj:
+            raise TopologyError(f"unknown component {node!r}")
+    if source == target:
+        return [source]
+    dists: list[dict] = [{}, {}]              # settled distances
+    seen: list[dict] = [{source: 0}, {target: 0}]
+    preds: list[dict] = [{source: None}, {target: None}]
+    fringe: list[list] = [[], []]
+    push = itertools.count()
+    heappush(fringe[0], (0, next(push), source))
+    heappush(fringe[1], (0, next(push), target))
+    best, meet, direction = None, None, 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            path, node = [], meet
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        for w, link in adj[v].items():
+            length = dist + weight(link)
+            if w not in dists[direction] and (
+                    w not in seen[direction] or length < seen[direction][w]):
+                seen[direction][w] = length
+                heappush(fringe[direction], (length, next(push), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = length + seen[1 - direction][w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    raise TopologyError(f"no route from {source!r} to {target!r}")
 
 
 @dataclass
@@ -74,7 +130,9 @@ class RackTopology:
 
     def __init__(self, name: str = "rack") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        # name -> {neighbour: Link}; both dicts keep insertion order,
+        # which is the router's tie-break.
+        self._adj: dict[str, dict[str, Link]] = {}
         self._hosts: dict[str, Host] = {}
         self._switches: dict[str, CXLSwitch] = {}
         self._pools: dict[str, MemoryPoolDevice] = {}
@@ -92,7 +150,7 @@ class RackTopology:
             dram = MemoryDevice(config.local_ddr5(), name=f"{name}-dram")
         host = Host(name=name, cores=cores, dram=dram)
         self._hosts[name] = host
-        self._graph.add_node(name, kind="host")
+        self._adj[name] = {}
         return host
 
     def add_switch(self, name: str, ports: int = 32) -> CXLSwitch:
@@ -100,14 +158,14 @@ class RackTopology:
         self._check_fresh(name)
         switch = CXLSwitch(name=name, ports=ports)
         self._switches[name] = switch
-        self._graph.add_node(name, kind="switch")
+        self._adj[name] = {}
         return switch
 
     def add_expander(self, name: str, device: MemoryDevice) -> MemoryDevice:
         """Add a plain (host-attachable) memory expander."""
         self._check_fresh(name)
         self._expanders[name] = device
-        self._graph.add_node(name, kind="expander")
+        self._adj[name] = {}
         return device
 
     def add_pool(self, name: str, device: MemoryDevice,
@@ -116,7 +174,7 @@ class RackTopology:
         self._check_fresh(name)
         pool = MemoryPoolDevice(name=name, memory=device, gfam=gfam)
         self._pools[name] = pool
-        self._graph.add_node(name, kind="pool")
+        self._adj[name] = {}
         return pool
 
     def add_gim_segment(self, host_name: str, size_bytes: int,
@@ -139,7 +197,7 @@ class RackTopology:
         spec = host.dram.spec.with_capacity(size_bytes)
         segment = MemoryDevice(spec, name=seg_name)
         self._expanders[seg_name] = segment
-        self._graph.add_node(seg_name, kind="gim")
+        self._adj[seg_name] = {}
         # Zero-latency edge to the owner: it IS the owner's DRAM.
         self.connect(host_name, seg_name, Link(config.LinkSpec(
             name=f"{seg_name}-local", latency_ns=0.0,
@@ -151,17 +209,18 @@ class RackTopology:
                 link: Link | None = None) -> Link:
         """Join two components with a link (default: a CXL Gen5 port)."""
         for endpoint in (a, b):
-            if endpoint not in self._graph:
+            if endpoint not in self._adj:
                 raise TopologyError(f"unknown component {endpoint!r}")
             if endpoint in self._switches:
                 self._switches[endpoint].claim_port()
         if link is None:
             link = Link(config.cxl_port(), name=f"link-{next(self._counter)}")
-        self._graph.add_edge(a, b, link=link)
+        # A re-connect replaces the link in place, keeping its position.
+        self._adj[a][b] = self._adj[b][a] = link
         return link
 
     def _check_fresh(self, name: str) -> None:
-        if name in self._graph:
+        if name in self._adj:
             raise TopologyError(f"duplicate component name {name!r}")
 
     # -- lookup ----------------------------------------------------------------
@@ -228,34 +287,31 @@ class RackTopology:
         *switch traversal* adds its store-and-forward latency as an
         extra hop.
         """
-        if source_name not in self._graph:
+        if source_name not in self._adj:
             raise TopologyError(f"unknown component {source_name!r}")
         device = self.device_of(target_name)
         if source_name == target_name:
             return AccessPath(device=device)
-        try:
-            node_path = nx.shortest_path(
-                self._graph, source_name, target_name,
-                weight=self._edge_latency,
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise TopologyError(
-                f"no route from {source_name!r} to {target_name!r}"
-            ) from None
+        node_path = self.route(source_name, target_name)
         links: list[Link] = []
         for u, v in zip(node_path, node_path[1:]):
-            links.append(self._graph.edges[u, v]["link"])
+            links.append(self._adj[u][v])
             if v in self._switches:
                 links.append(self._switch_hop(v))
         return AccessPath(device=device, links=tuple(links))
+
+    def route(self, source_name: str, target_name: str) -> list[str]:
+        """Component names along the minimum-latency route, both ends
+        included."""
+        return shortest_path(self._adj, source_name, target_name,
+                             self._edge_latency)
 
     def hop_count(self, host_name: str, target_name: str) -> int:
         """Number of links between a host and a component."""
         return self.path(host_name, target_name).hop_count
 
     @staticmethod
-    def _edge_latency(_u: str, _v: str, data: dict) -> float:
-        link: Link = data["link"]
+    def _edge_latency(link: Link) -> float:
         return link.latency_ns + 1e-6  # tiny bias keeps hop counts minimal
 
     # -- convenience builders -----------------------------------------------------

@@ -5,8 +5,15 @@ here and the buffer pool (Sec 3.1 contrasts this path with CXL memory
 expansion).
 """
 
-from .disk import StorageDevice
-from .file import PageFile
-from .page import INVALID_PAGE_ID, Page, PageId
+from .._lazy import attach
 
-__all__ = ["INVALID_PAGE_ID", "Page", "PageFile", "PageId", "StorageDevice"]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "StorageDevice": "disk",
+    "PageFile": "file",
+    "INVALID_PAGE_ID": "page",
+    "Page": "page",
+    "PageId": "page",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

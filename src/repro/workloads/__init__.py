@@ -7,44 +7,33 @@ Zipfian OLTP key traffic (:mod:`repro.workloads.ycsb`,
 cloud workloads (:mod:`repro.workloads.cloudmix`).
 """
 
-from .cloudmix import CloudWorkload, generate_population
-from .replay import TraceProfile, load_trace, profile_trace, save_trace
-from .scans import mixed_htap_blocks, mixed_htap_trace, scan_blocks, scan_trace
-from .traces import (
-    BLOCK_OPS,
-    Access,
-    AccessBlock,
-    ShapeSegments,
-    accesses_to_blocks,
-    blocks_to_accesses,
-    instrumented,
-    interleave,
-)
-from .ycsb import YCSB_MIXES, YCSBConfig, ycsb_blocks, ycsb_trace
-from .zipf import ZipfGenerator
+from .._lazy import attach
 
-__all__ = [
-    "Access",
-    "AccessBlock",
-    "BLOCK_OPS",
-    "CloudWorkload",
-    "ShapeSegments",
-    "TraceProfile",
-    "YCSBConfig",
-    "YCSB_MIXES",
-    "ZipfGenerator",
-    "accesses_to_blocks",
-    "blocks_to_accesses",
-    "generate_population",
-    "instrumented",
-    "interleave",
-    "load_trace",
-    "mixed_htap_blocks",
-    "mixed_htap_trace",
-    "profile_trace",
-    "save_trace",
-    "scan_blocks",
-    "scan_trace",
-    "ycsb_blocks",
-    "ycsb_trace",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_SOURCES = {
+    "CloudWorkload": "cloudmix",
+    "generate_population": "cloudmix",
+    "TraceProfile": "replay",
+    "load_trace": "replay",
+    "profile_trace": "replay",
+    "save_trace": "replay",
+    "mixed_htap_blocks": "scans",
+    "mixed_htap_trace": "scans",
+    "scan_blocks": "scans",
+    "scan_trace": "scans",
+    "Access": "traces",
+    "AccessBlock": "traces",
+    "BLOCK_OPS": "traces",
+    "ShapeSegments": "traces",
+    "accesses_to_blocks": "traces",
+    "blocks_to_accesses": "traces",
+    "instrumented": "traces",
+    "interleave": "traces",
+    "YCSBConfig": "ycsb",
+    "YCSB_MIXES": "ycsb",
+    "ycsb_blocks": "ycsb",
+    "ycsb_trace": "ycsb",
+    "ZipfGenerator": "zipf",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _SOURCES)

@@ -5,7 +5,6 @@ Uses the shipped specs under specs/ (E1/E2/E4/E7) — the same files
 """
 
 import json
-from pathlib import Path
 
 import pytest
 

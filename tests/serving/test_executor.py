@@ -1,6 +1,7 @@
 """Sharded streaming executor: shard invariance, kernels, metrics."""
 
-import numpy as np
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError
@@ -12,7 +13,11 @@ from repro.serving.executor import (
     run_serving,
 )
 from repro.serving.tenants import CLASS_NAMES, TenantTable
-from repro.workloads.cloudmix import THETA_CHOICES, WORKING_SET_CHOICES
+from repro.workloads.cloudmix import (
+    THETA_CHOICES,
+    WORKING_SET_CHOICES,
+    CloudWorkload,
+)
 
 # Small representative traces: kernels are measured once per module
 # and shared across tests (they are pure functions of the config).
@@ -40,6 +45,21 @@ class TestKernels:
                 for k in kernels] == \
                [(k.d_dram_ns, k.d_cxl_ns, k.d_scaleout_ns)
                 for k in again]
+
+    def test_lanes_share_read_only_blocks(self, kernels, monkeypatch):
+        # measure_buckets hands each representative's blocks to all
+        # three lanes; with every column read-only, a lane that wrote
+        # into one would raise, and the kernels must not move.
+        trace_blocks = CloudWorkload.trace_blocks
+
+        def frozen(workload, *args, **kwargs):
+            for block in trace_blocks(workload, *args, **kwargs):
+                for column in fields(block):
+                    getattr(block, column.name).flags.writeable = False
+                yield block
+
+        monkeypatch.setattr(CloudWorkload, "trace_blocks", frozen)
+        assert measure_buckets(CFG) == kernels
 
     def test_remote_fraction_moves_scaleout_demand(self):
         near = measure_buckets(ServingConfig(rep_ops=300,

@@ -11,7 +11,6 @@ from repro.workloads.cloudmix import (
 from repro.workloads.scans import mixed_htap_trace, scan_trace
 from repro.workloads.traces import Access, interleave, take
 from repro.workloads.ycsb import (
-    YCSB_MIXES,
     YCSBConfig,
     working_set_pages,
     ycsb_trace,
