@@ -18,19 +18,19 @@ from repro.units import PAGE_SIZE
 from repro.workloads import (
     YCSBConfig,
     interleave,
-    scan_trace,
-    ycsb_trace,
+    scan_blocks,
+    ycsb_blocks,
 )
 
 OLTP_PAGES = 800
 
 
 def _htap_trace(seed=3):
-    oltp = ycsb_trace(YCSBConfig(
+    oltp = ycsb_blocks(YCSBConfig(
         mix="B", num_pages=OLTP_PAGES, num_ops=12_000,
         theta=0.99, think_ns=0, seed=seed,
     ))
-    olap = scan_trace(first_page=OLTP_PAGES, num_pages=4_000, repeats=1)
+    olap = scan_blocks(first_page=OLTP_PAGES, num_pages=4_000, repeats=1)
     return interleave(oltp, olap, weights=[3, 1])
 
 
@@ -73,7 +73,7 @@ def run_a2_replacement():
             tiers=[dram], placement=StaticPolicy(lambda _p: 0),
         )
         engine = ScaleUpEngine(pool, name=name)
-        engine.warm_with(ycsb_trace(YCSBConfig(
+        engine.warm_with(ycsb_blocks(YCSBConfig(
             mix="C", num_pages=OLTP_PAGES, num_ops=4_000,
             theta=0.99, think_ns=0, seed=8,
         )))

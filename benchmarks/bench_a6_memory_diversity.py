@@ -22,7 +22,7 @@ from repro import config
 from repro.core import ScaleUpEngine, StaticPolicy
 from repro.metrics.report import Table
 from repro.units import GIB
-from repro.workloads import YCSBConfig, scan_trace, ycsb_trace
+from repro.workloads import YCSBConfig, scan_blocks, ycsb_blocks
 
 #: Representative street prices, $/GiB.
 DOLLARS_PER_GIB = {
@@ -41,14 +41,14 @@ PAGES = 4_000
 
 
 def _point_trace(seed=3):
-    return ycsb_trace(YCSBConfig(
+    return ycsb_blocks(YCSBConfig(
         mix="B", num_pages=PAGES, num_ops=20_000, theta=0.99,
         think_ns=0, seed=seed,
     ))
 
 
 def _scan_workload():
-    return scan_trace(first_page=0, num_pages=PAGES, repeats=4,
+    return scan_blocks(first_page=0, num_pages=PAGES, repeats=4,
                       think_ns=0)
 
 

@@ -12,7 +12,7 @@ Paper values reproduced:
 from repro.core import OSPagingPolicy, ScaleUpEngine, StaticPolicy
 from repro.metrics.report import Table
 from repro.units import MIB
-from repro.workloads import YCSBConfig, ycsb_trace
+from repro.workloads import YCSBConfig, ycsb_blocks
 
 PAGES = 4_000
 DRAM_SHARE = 0.50  # Meta ran local:CXL near 1:1
@@ -30,16 +30,16 @@ def run_experiment(show=False):
 
     all_dram = ScaleUpEngine.build(dram_pages=PAGES + 8,
                                    with_storage=False)
-    all_dram.warm_with(ycsb_trace(_cfg(1)))
-    r_dram = all_dram.run(ycsb_trace(_cfg(2)))
+    all_dram.warm_with(ycsb_blocks(_cfg(1)))
+    r_dram = all_dram.run(ycsb_blocks(_cfg(2)))
 
     tpp = ScaleUpEngine.build(
         dram_pages=dram_pages, cxl_pages=PAGES + 8,
         placement=OSPagingPolicy(sample_rate=0.05, check_interval=1_000),
         with_storage=False,
     )
-    tpp.warm_with(ycsb_trace(_cfg(1)))
-    r_tpp = tpp.run(ycsb_trace(_cfg(2)))
+    tpp.warm_with(ycsb_blocks(_cfg(1)))
+    r_tpp = tpp.run(ycsb_blocks(_cfg(2)))
 
     # No tiering: first-touch placement, pages never move.
     static = ScaleUpEngine.build(
@@ -47,8 +47,8 @@ def run_experiment(show=False):
         placement=StaticPolicy(lambda p: 0 if p < dram_pages else 1),
         with_storage=False,
     )
-    static.warm_with(ycsb_trace(_cfg(1)))
-    r_static = static.run(ycsb_trace(_cfg(2)))
+    static.warm_with(ycsb_blocks(_cfg(1)))
+    r_static = static.run(ycsb_blocks(_cfg(2)))
 
     expander = tpp.pool.tiers[1].path
     stream_gbps = (64 * MIB) / expander.read_time_sequential(64 * MIB)

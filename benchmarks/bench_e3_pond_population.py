@@ -29,8 +29,8 @@ def run_population(count=158, num_ops=1_500):
     slowdowns = []
     for workload in generate_population(count=count, num_ops=num_ops):
         pages = workload.working_set_pages + 8
-        dram = _engine(pages, cxl_only=False).run(workload.trace())
-        cxl = _engine(pages, cxl_only=True).run(workload.trace())
+        dram = _engine(pages, cxl_only=False).run(workload.trace_blocks())
+        cxl = _engine(pages, cxl_only=True).run(workload.trace_blocks())
         slowdowns.append(cxl.total_ns / dram.total_ns - 1.0)
     return slowdowns
 

@@ -17,7 +17,7 @@ from repro.core import (
     StaticPolicy,
 )
 from repro.metrics.report import Table
-from repro.workloads import YCSBConfig, mixed_htap_trace, ycsb_trace
+from repro.workloads import YCSBConfig, mixed_htap_blocks, ycsb_blocks
 
 PAGES = 3_000
 
@@ -44,8 +44,8 @@ def run_dram_share_sweep():
         ):
             engine = build()
             # Steady state: warm with the measured trace itself.
-            engine.warm_with(ycsb_trace(_cfg(2)))
-            runtimes[name] = engine.run(ycsb_trace(_cfg(2))).total_ns
+            engine.warm_with(ycsb_blocks(_cfg(2)))
+            runtimes[name] = engine.run(ycsb_blocks(_cfg(2))).total_ns
         rows.append((share, runtimes))
     return rows
 
@@ -59,7 +59,7 @@ def run_htap_isolation():
             dram_pages=1_000, cxl_pages=8_000,
             placement=placement, with_storage=False,
         )
-        trace = mixed_htap_trace(
+        trace = mixed_htap_blocks(
             oltp_pages=oltp_pages, olap_pages=6_000,
             oltp_ops=15_000, olap_repeats=1, seed=9,
         )

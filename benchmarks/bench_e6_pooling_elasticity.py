@@ -15,7 +15,7 @@ import random
 from repro.core.elastic import DemandSeries, ElasticCluster, StrandingModel
 from repro.metrics.report import Table
 from repro.units import GIB, fmt_bytes, fmt_ns
-from repro.workloads import YCSBConfig, ycsb_trace
+from repro.workloads import YCSBConfig, ycsb_blocks
 
 DATASET_PAGES = 2_000
 
@@ -37,11 +37,11 @@ def run_elasticity():
                      theta=0.9, think_ns=0, seed=7)
     cold, spawn_cold = cluster.spawn_engine(
         "cold", local_pages=256, slice_pages=DATASET_PAGES + 64)
-    r_cold = cold.run(ycsb_trace(cfg))
+    r_cold = cold.run(ycsb_blocks(cfg))
     slice_ = cluster.detach_engine(cold)
     warm, spawn_warm = cluster.spawn_engine(
         "warm", local_pages=256, warm_from=slice_)
-    r_warm = warm.run(ycsb_trace(cfg))
+    r_warm = warm.run(ycsb_blocks(cfg))
     migration_pooled = cluster.migration_time_ns(8 * GIB, pooled=True)
     migration_copy = cluster.migration_time_ns(8 * GIB, pooled=False)
     return (r_cold, r_warm, spawn_cold, spawn_warm,

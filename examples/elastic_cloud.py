@@ -16,13 +16,13 @@ Run:  python examples/elastic_cloud.py
 
 from repro.core.elastic import ElasticCluster
 from repro.units import GIB, fmt_ns
-from repro.workloads import YCSBConfig, ycsb_trace
+from repro.workloads import YCSBConfig, ycsb_blocks
 
 DATASET_PAGES = 3_000
 
 
 def trace(seed=21):
-    return ycsb_trace(YCSBConfig(
+    return ycsb_blocks(YCSBConfig(
         mix="B", num_pages=DATASET_PAGES, num_ops=15_000,
         theta=0.9, think_ns=50.0, seed=seed,
     ))

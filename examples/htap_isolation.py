@@ -14,7 +14,7 @@ Run:  python examples/htap_isolation.py
 """
 
 from repro.core import OSPagingPolicy, ScaleUpEngine, StaticPolicy
-from repro.workloads import mixed_htap_trace
+from repro.workloads import mixed_htap_blocks
 
 OLTP_PAGES = 1_000
 OLAP_PAGES = 6_000
@@ -30,7 +30,7 @@ def build(placement):
 
 
 def run(name, engine):
-    trace = mixed_htap_trace(
+    trace = mixed_htap_blocks(
         oltp_pages=OLTP_PAGES, olap_pages=OLAP_PAGES,
         oltp_ops=25_000, olap_repeats=2, oltp_per_olap=4, seed=17,
     )

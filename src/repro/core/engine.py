@@ -21,7 +21,7 @@ from ..sim.memory import MemoryDevice
 from ..storage.disk import StorageDevice
 from ..storage.file import PageFile
 from ..units import PAGE_SIZE, SECOND, fmt_ns
-from ..workloads.traces import Access, AccessBlock, accesses_to_blocks
+from ..workloads.traces import AccessBlock, require_block
 from .buffer import Tier, TieredBufferPool
 from .placement import DbCostPolicy, PlacementPolicy
 from .temperature import ExactTracker
@@ -167,28 +167,24 @@ class ScaleUpEngine:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, trace: Iterable[Access] | Iterable[AccessBlock],
+    def run(self, trace: Iterable[AccessBlock],
             label: str | None = None) -> EngineReport:
-        """Execute a trace; returns the run report.
+        """Execute a trace of :class:`AccessBlock` chunks; returns the
+        run report.
 
         Each access charges its CPU think time plus the buffer pool's
-        demand latency to the engine clock. The trace may carry scalar
-        :class:`Access` records, :class:`AccessBlock` chunks, or a mix
-        of both — the simulated result is identical either way.
-
-        The trace is packed into blocks
-        (:func:`~repro.workloads.traces.accesses_to_blocks`; blocks
-        already in it pass through) and each is charged by
+        demand latency to the engine clock. Each block is charged by
         :meth:`TieredBufferPool.access_block`, which threads
         ``demand_ns`` through as its accumulator and charges think
-        time per access, so every float addition happens in the scalar
-        loop's order — the report is bit-identical in every delivery
-        form.
+        time per access, so every float addition happens in the
+        one-access-at-a-time order — the report is bit-identical
+        however the trace is chunked. Any item that is not a block is
+        refused with a :class:`~repro.errors.ConfigError`.
 
-        Delivery is open-loop: packing pulls a scalar generator up to
-        ``BLOCK_OPS`` accesses ahead of the clock, so a trace must not
-        read the pool or the clock to decide what it yields next (no
-        generator in :mod:`repro.workloads` does).
+        Delivery is open-loop: a generator is pulled a block ahead of
+        the clock, so a trace must not read the pool or the clock to
+        decide what it yields next (no generator in
+        :mod:`repro.workloads` does).
         """
         start = self._run_start()
         demand_ns = 0.0
@@ -196,7 +192,9 @@ class ScaleUpEngine:
         ops = 0
         access_block = self.pool.access_block
         with self.ctx.span(f"run:{label or self.name}", cat="engine"):
-            for block in accesses_to_blocks(trace):
+            for block in trace:
+                if not len(require_block(block)):
+                    continue
                 ops += len(block)
                 demand_ns = access_block(block, accum=demand_ns)
                 thinks = block.think_ns
@@ -258,7 +256,7 @@ class ScaleUpEngine:
         Convenience front end for
         :class:`~repro.core.sessions.ConcurrentEngine`: *sessions* may
         hold :class:`~repro.core.sessions.ClientSession` objects or
-        raw traces (scalar or block form). Returns a
+        raw block traces. Returns a
         :class:`~repro.core.sessions.SessionRunReport`. An N=1 run is
         byte-identical to :meth:`run` on the same trace; N>1 runs are
         deterministic and permutation-invariant.
@@ -270,7 +268,7 @@ class ScaleUpEngine:
         )
         return executor.run(sessions, label=label)
 
-    def warm_with(self, trace: Iterable[Access]) -> None:
+    def warm_with(self, trace: Iterable[AccessBlock]) -> None:
         """Run a trace purely to populate the pool (report discarded)."""
         self.run(trace, label=f"{self.name}-warmup")
 
@@ -282,9 +280,9 @@ class ScaleUpEngine:
         The id array routes straight into the pool's array lane —
         cold-pool faults resolve in its block window instead of one
         scalar chain per page — leaving pool state
-        byte-identical to :meth:`warm_with` on the equivalent scalar
-        trace (same ids, same shape). *nbytes* defaults to the pool's
-        cache-line access size, matching ``Access()`` defaults.
+        byte-identical to :meth:`warm_with` on the equivalent
+        one-shape trace (same ids, same shape). *nbytes* defaults to
+        the pool's cache-line access size.
         """
         kwargs = {} if nbytes is None else {"nbytes": nbytes}
         self.pool.preload(page_ids, write=write, is_scan=is_scan,

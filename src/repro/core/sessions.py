@@ -3,7 +3,7 @@
 The paper's scale-up argument (Sec 2.3–2.5, 3.2–3.3) is about *many*
 queries and tenants contending for the same CXL links and expanders.
 This module makes that contention first-class: a
-:class:`ClientSession` is one client stream — an Access/AccessBlock
+:class:`ClientSession` is one client stream — an AccessBlock
 trace with its own think-time state, clock cursor, and stats — and a
 :class:`ConcurrentEngine` interleaves N of them through the
 discrete-event :class:`~repro.sim.events.Simulator`, resolving
@@ -58,8 +58,7 @@ from ..sim.clock import SimClock
 from ..sim.events import Simulator
 from ..sim.ladder import repeat_add
 from ..units import SECOND
-from ..workloads.traces import (Access, AccessBlock, ShapeSegments,
-                                accesses_to_blocks, whole_trace_block)
+from ..workloads.traces import AccessBlock, ShapeSegments
 from .buffer import TieredBufferPool
 from .morsel import Morsel
 
@@ -69,13 +68,6 @@ from .morsel import Morsel
 #: amortise scheduling overhead. Simulated results are deterministic
 #: at any quantum, and N=1 runs are byte-identical at every quantum.
 MORSEL_OPS = 32
-
-#: ``block_ops`` used when a session trace is packed for execution:
-#: effectively unbounded, so scalar traces become *one* block and
-#: same-shape runs split only at shape changes and pre-existing block
-#: boundaries — the run-length ``samples`` stream does not depend on
-#: a packing granularity.
-_WHOLE_TRACE = 1 << 62
 
 
 def _weighted_percentile(samples: Sequence[tuple[float, int]],
@@ -153,7 +145,7 @@ class ClientSession:
     __slots__ = ("name", "trace", "weight", "index", "clock", "report",
                  "_segments", "_done")
 
-    def __init__(self, name: str, trace: Iterable[Access | AccessBlock],
+    def __init__(self, name: str, trace: Iterable[AccessBlock],
                  weight: float = 1.0) -> None:
         if not name:
             raise ConfigError("a session needs a non-empty name")
@@ -173,22 +165,15 @@ class ClientSession:
     def _begin(self, start_ns: float) -> None:
         """Arm the session for a run starting at *start_ns*.
 
-        The trace is packed into columnar blocks on the way in
-        (whole-trace ``block_ops``, so no artificial run splits): the
-        cursor then serves each quantum as a span over a block's id
-        column for the pool's quantum lane. Lossless — the packed
-        sequence is elementwise identical, and runs split only at
-        shape changes and pre-existing block boundaries.
+        The trace's blocks go straight to a :class:`ShapeSegments`
+        cursor, which serves each quantum as a span over a block's id
+        column for the pool's quantum lane; runs split at shape changes
+        and block boundaries.
         """
         self.clock = SimClock(start_ns)
         self.report = SessionReport(name=self.name, start_ns=start_ns,
                                     end_ns=start_ns)
-        packed = whole_trace_block(self.trace)
-        if packed is not None:
-            self._segments = ShapeSegments((packed,))
-        else:
-            self._segments = ShapeSegments(
-                accesses_to_blocks(self.trace, block_ops=_WHOLE_TRACE))
+        self._segments = ShapeSegments(self.trace)
         self._done = False
 
     def __repr__(self) -> str:

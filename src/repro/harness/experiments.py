@@ -24,6 +24,8 @@ import random
 import time
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from .. import config
 from ..core.autoscale import ExpanderScaler
 from ..core.buffer import Tier, TieredBufferPool
@@ -48,7 +50,7 @@ from ..sim.memory import MemoryDevice
 from ..sim.numa import NUMASystem
 from ..sim.rdma import RDMAFabric
 from ..units import CACHE_LINE, MIB, SECOND, us
-from ..workloads.traces import Access
+from ..workloads.traces import AccessBlock
 from ..workloads.tpcc import TPCCLite
 from ..workloads.ycsb import YCSBConfig, ycsb_blocks
 from .scenario import Scenario, canonical_json
@@ -333,19 +335,22 @@ def a7_interference(scenario: Scenario, ctx: SimContext) -> dict:
 
     def point_trace(seed: int):
         rng = random.Random(seed)
-        return [Access(page_id=rng.randrange(oltp_pages),
-                       think_ns=float(wl.get("think_ns", 150.0)))
-                for _ in range(int(wl.get("point_ops", 2_000)))]
+        ids = [rng.randrange(oltp_pages)
+               for _ in range(int(wl.get("point_ops", 2_000)))]
+        n = len(ids)
+        return [AccessBlock.from_columns(
+            ids, np.zeros(n, bool), np.zeros(n, bool),
+            np.full(n, CACHE_LINE),
+            np.full(n, float(wl.get("think_ns", 150.0))))]
 
     def readahead_scan():
         chunk = int(wl.get("chunk_pages", 16))
-        out = []
-        for _ in range(int(wl.get("scan_repeats", 4))):
-            for start in range(0, olap_pages, chunk):
-                out.append(Access(
-                    page_id=oltp_pages + start, is_scan=True,
-                    nbytes=chunk * 4096, think_ns=0.0))
-        return out
+        ids = np.tile(np.arange(oltp_pages, oltp_pages + olap_pages, chunk),
+                      int(wl.get("scan_repeats", 4)))
+        n = len(ids)
+        return [AccessBlock.from_columns(
+            ids, np.zeros(n, bool), np.ones(n, bool),
+            np.full(n, chunk * 4096), np.zeros(n))]
 
     point_names = [f"pt-{i}"
                    for i in range(int(_param(wl, "point_sessions", 2)))]

@@ -18,21 +18,15 @@ _SOURCES = {
     "profile_trace": "replay",
     "save_trace": "replay",
     "mixed_htap_blocks": "scans",
-    "mixed_htap_trace": "scans",
     "scan_blocks": "scans",
-    "scan_trace": "scans",
-    "Access": "traces",
     "AccessBlock": "traces",
     "BLOCK_OPS": "traces",
     "ShapeSegments": "traces",
-    "accesses_to_blocks": "traces",
-    "blocks_to_accesses": "traces",
     "instrumented": "traces",
     "interleave": "traces",
     "YCSBConfig": "ycsb",
     "YCSB_MIXES": "ycsb",
     "ycsb_blocks": "ycsb",
-    "ycsb_trace": "ycsb",
     "ZipfGenerator": "zipf",
 }
 

@@ -22,7 +22,6 @@ materialising objects at all, so a million-tenant table and the
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,7 +31,7 @@ from ..config import LOCAL_DRAM_LOAD_NS
 from ..errors import ConfigError
 from ..units import CACHE_LINE
 from .mtrand import PyRandomStream, py_random_sample
-from .traces import BLOCK_OPS, Access, AccessBlock
+from .traces import BLOCK_OPS, AccessBlock
 from .zipf import ZipfGenerator
 
 #: Memory-boundedness classes: (population share, m_low, m_high) where
@@ -63,29 +62,15 @@ class CloudWorkload:
     think_ns: float          # CPU time attributed to each access
     seed: int
 
-    def trace(self) -> Iterator[Access]:
-        """The workload's access trace."""
-        zipf = ZipfGenerator(self.working_set_pages, theta=self.theta,
-                             seed=self.seed)
-        rng = random.Random(self.seed ^ 0xC10D)
-        pages = zipf.sample(self.num_ops)
-        for i in range(self.num_ops):
-            yield Access(
-                page_id=int(pages[i]),
-                write=rng.random() >= self.read_ratio,
-                think_ns=self.think_ns,
-            )
-
     def trace_blocks(self, block_ops: int = BLOCK_OPS
                      ) -> Iterator[AccessBlock]:
-        """The :meth:`trace` sequence as structure-of-arrays blocks
-        (elementwise identical: same Zipf draws, same per-op write
-        coin flips in the same uniform-stream order)."""
+        """The workload's access trace: Zipf-drawn pages, each a write
+        with probability ``1 - read_ratio``."""
         zipf = ZipfGenerator(self.working_set_pages, theta=self.theta,
                              seed=self.seed)
         pages = zipf.sample(self.num_ops)
-        # One bulk draw of the exact random.Random(seed ^ 0xC10D)
-        # uniform stream the scalar trace() consumes per op.
+        # One bulk draw of the random.Random(seed ^ 0xC10D) uniform
+        # stream: one write coin flip per op.
         writes = (py_random_sample(self.seed ^ 0xC10D, self.num_ops)
                   >= self.read_ratio)
         for start in range(0, self.num_ops, block_ops):
@@ -179,8 +164,18 @@ def population_columns(count: int = 158, num_ops: int = 2_000,
         "read_ratio": read_ratio,
         "num_ops": np.full(count, num_ops, dtype=np.int64),
         "think_ns": think_ns,
-        "seed": seed * 1_000 + np.arange(count, dtype=np.int64),
+        "seed": _seed_base(seed, count) + np.arange(count, dtype=np.int64),
     }
+
+
+def _seed_base(seed: int, count: int) -> int:
+    """Tenant *i*'s seed is this plus *i*: ``seed * 1_000``, folded
+    into ``[0, 2**63 - count)`` when the *count* seeds from there would
+    not all fit an int64 (a 63-bit ``derive_seed`` output would not)."""
+    base = int(seed) * 1_000
+    if -2**63 <= base <= 2**63 - count:
+        return base
+    return base % (2**63 - count)
 
 
 def generate_population(count: int = 158, num_ops: int = 2_000,

@@ -1,10 +1,11 @@
 """Trace persistence and analysis.
 
 Real tiering studies run on captured traces. This module round-trips
-:class:`~repro.workloads.traces.Access` streams through a compact
-numpy container (`.npz`) and computes the summary statistics that
-decide whether tiering will work on a trace: footprint, read ratio,
-scan share, and the hot-set concentration curve.
+:class:`~repro.workloads.traces.AccessBlock` traces through a compact
+numpy container (`.npz`, one array per column) and computes the
+summary statistics that decide whether tiering will work on a trace:
+footprint, read ratio, scan share, and the hot-set concentration
+curve.
 """
 
 from __future__ import annotations
@@ -16,47 +17,39 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import ConfigError
-from .traces import Access
+from .traces import BLOCK_OPS, AccessBlock, require_block
+
+#: The container's columns, in block order, with their stored dtypes.
+_COLUMNS = (("page_id", np.int64), ("write", bool), ("is_scan", bool),
+            ("nbytes", np.int32), ("think_ns", np.float64))
 
 
-def save_trace(path: str | Path, trace: Iterable[Access]) -> int:
+def _columns(trace: Iterable[AccessBlock]) -> dict[str, np.ndarray]:
+    """A trace's five columns, concatenated across its blocks."""
+    blocks = [require_block(block) for block in trace]
+    return {name: np.concatenate([getattr(block, name) for block in blocks]
+                                 or [np.empty(0, dtype)])
+            for name, dtype in _COLUMNS}
+
+
+def save_trace(path: str | Path, trace: Iterable[AccessBlock]) -> int:
     """Serialize a trace to *path* (.npz). Returns accesses written."""
-    page_ids, writes, scans, nbytes, thinks = [], [], [], [], []
-    for access in trace:
-        page_ids.append(access.page_id)
-        writes.append(access.write)
-        scans.append(access.is_scan)
-        nbytes.append(access.nbytes)
-        thinks.append(access.think_ns)
-    if not page_ids:
+    columns = _columns(trace)
+    if not len(columns["page_id"]):
         raise ConfigError("refusing to save an empty trace")
-    np.savez_compressed(
-        Path(path),
-        page_id=np.asarray(page_ids, dtype=np.int64),
-        write=np.asarray(writes, dtype=bool),
-        is_scan=np.asarray(scans, dtype=bool),
-        nbytes=np.asarray(nbytes, dtype=np.int32),
-        think_ns=np.asarray(thinks, dtype=np.float64),
-    )
-    return len(page_ids)
+    np.savez_compressed(Path(path), **{
+        name: np.asarray(columns[name], dtype=dtype)
+        for name, dtype in _COLUMNS})
+    return len(columns["page_id"])
 
 
-def load_trace(path: str | Path) -> Iterator[Access]:
-    """Stream a trace back from *path*."""
+def load_trace(path: str | Path) -> Iterator[AccessBlock]:
+    """Stream a trace back from *path* as ``BLOCK_OPS``-row blocks."""
     with np.load(Path(path)) as data:
-        page_ids = data["page_id"]
-        writes = data["write"]
-        scans = data["is_scan"]
-        nbytes = data["nbytes"]
-        thinks = data["think_ns"]
-    for i in range(len(page_ids)):
-        yield Access(
-            page_id=int(page_ids[i]),
-            write=bool(writes[i]),
-            is_scan=bool(scans[i]),
-            nbytes=int(nbytes[i]),
-            think_ns=float(thinks[i]),
-        )
+        block = AccessBlock.from_columns(
+            *(data[name] for name, _dtype in _COLUMNS))
+    for start in range(0, len(block), BLOCK_OPS):
+        yield block.slice(start, start + BLOCK_OPS)
 
 
 @dataclass(frozen=True)
@@ -79,24 +72,17 @@ class TraceProfile:
         return self.hot_10pct_share > 0.4
 
 
-def profile_trace(trace: Iterable[Access]) -> TraceProfile:
-    """Single-pass trace profiling."""
-    counts: dict[int, int] = {}
-    accesses = 0
-    reads = 0
-    scans = 0
-    bytes_touched = 0
-    for access in trace:
-        accesses += 1
-        counts[access.page_id] = counts.get(access.page_id, 0) + 1
-        if not access.write:
-            reads += 1
-        if access.is_scan:
-            scans += 1
-        bytes_touched += access.nbytes
+def profile_trace(trace: Iterable[AccessBlock]) -> TraceProfile:
+    """Profile a trace from its concatenated columns."""
+    columns = _columns(trace)
+    accesses = len(columns["page_id"])
     if accesses == 0:
         raise ConfigError("cannot profile an empty trace")
-    by_heat = sorted(counts.values(), reverse=True)
+    _ids, counts = np.unique(columns["page_id"], return_counts=True)
+    reads = accesses - int(np.count_nonzero(columns["write"]))
+    scans = int(np.count_nonzero(columns["is_scan"]))
+    bytes_touched = int(columns["nbytes"].sum())
+    by_heat = sorted(counts.tolist(), reverse=True)
     footprint = len(by_heat)
 
     def hot_share(fraction: float) -> float:

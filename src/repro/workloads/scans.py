@@ -4,10 +4,7 @@ Sequential scans are the canonical OLAP access pattern and the
 canonical enemy of an LRU buffer pool. The HTAP mix interleaves a
 Zipfian OLTP stream with repeated table scans to reproduce the
 interference scenario Sec 3.1 argues CXL placement can eliminate.
-
-Each generator has a block-emitting twin (``scan_blocks``,
-``mixed_htap_blocks``) producing the elementwise-identical sequence
-as :class:`AccessBlock` chunks.
+Both generators emit :class:`AccessBlock` chunks.
 """
 
 from __future__ import annotations
@@ -18,32 +15,15 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..units import PAGE_SIZE
-from .traces import BLOCK_OPS, Access, AccessBlock, interleave
-from .ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
-
-
-def scan_trace(first_page: int, num_pages: int, repeats: int = 1,
-               write: bool = False, think_ns: float = 50.0
-               ) -> Iterator[Access]:
-    """Sweep ``[first_page, first_page + num_pages)`` *repeats* times,
-    touching full pages, flagged as scan accesses."""
-    if num_pages <= 0 or repeats <= 0:
-        raise ConfigError("num_pages and repeats must be positive")
-    for _round in range(repeats):
-        for offset in range(num_pages):
-            yield Access(
-                page_id=first_page + offset,
-                write=write,
-                is_scan=True,
-                nbytes=PAGE_SIZE,
-                think_ns=think_ns,
-            )
+from .traces import BLOCK_OPS, AccessBlock, interleave
+from .ycsb import YCSBConfig, ycsb_blocks
 
 
 def scan_blocks(first_page: int, num_pages: int, repeats: int = 1,
                 write: bool = False, think_ns: float = 50.0,
                 block_ops: int = BLOCK_OPS) -> Iterator[AccessBlock]:
-    """The :func:`scan_trace` sequence as structure-of-arrays blocks.
+    """Sweep ``[first_page, first_page + num_pages)`` *repeats* times,
+    touching full pages, flagged as scan accesses.
 
     One sweep's columns are built once with ``arange``/``full`` and
     re-emitted as views every round — a scan is the best case for the
@@ -64,31 +44,6 @@ def scan_blocks(first_page: int, num_pages: int, repeats: int = 1,
             yield sweep.slice(start, min(start + block_ops, num_pages))
 
 
-def mixed_htap_trace(
-    oltp_pages: int = 20_000,
-    olap_pages: int = 50_000,
-    oltp_ops: int = 50_000,
-    olap_repeats: int = 2,
-    oltp_per_olap: int = 4,
-    theta: float = 0.99,
-    seed: int = 42,
-) -> Iterator[Access]:
-    """An HTAP mix: Zipfian point traffic on pages ``[0, oltp_pages)``
-    interleaved with scans over ``[oltp_pages, oltp_pages+olap_pages)``.
-
-    ``oltp_per_olap`` controls the interleave ratio (OLTP accesses per
-    scan access), i.e. how aggressive the analytical side is.
-    """
-    oltp = ycsb_trace(YCSBConfig(
-        mix="A", num_pages=oltp_pages, num_ops=oltp_ops,
-        theta=theta, seed=seed,
-    ))
-    olap = scan_trace(
-        first_page=oltp_pages, num_pages=olap_pages, repeats=olap_repeats
-    )
-    return interleave(oltp, olap, weights=[oltp_per_olap, 1])
-
-
 def mixed_htap_blocks(
     oltp_pages: int = 20_000,
     olap_pages: int = 50_000,
@@ -99,11 +54,13 @@ def mixed_htap_blocks(
     seed: int = 42,
     block_ops: int = BLOCK_OPS,
 ) -> Iterator[AccessBlock]:
-    """The :func:`mixed_htap_trace` sequence as blocks.
+    """An HTAP mix: Zipfian point traffic on pages ``[0, oltp_pages)``
+    interleaved with scans over ``[oltp_pages, oltp_pages+olap_pages)``.
 
-    Both sides generate blocks and the block-aware
-    :func:`~repro.workloads.traces.interleave` re-chunks the mixed
-    stream, elementwise identical to the scalar interleave.
+    ``oltp_per_olap`` controls the interleave ratio (OLTP accesses per
+    scan access), i.e. how aggressive the analytical side is; the
+    :func:`~repro.workloads.traces.interleave` of the two block
+    streams re-chunks the mix.
     """
     oltp = ycsb_blocks(YCSBConfig(
         mix="A", num_pages=oltp_pages, num_ops=oltp_ops,

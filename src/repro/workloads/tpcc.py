@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..units import CACHE_LINE
-from .traces import BLOCK_OPS, Access, AccessBlock
+from .traces import BLOCK_OPS, AccessBlock
 
 #: Records per table per warehouse (item is shared across warehouses).
 TABLE_CARDINALITY = {
@@ -265,29 +265,16 @@ class TPCCLite:
 
     # -- adapters ----------------------------------------------------------------
 
-    def flat_trace(self, num_transactions: int,
-                   think_ns: float = 150.0) -> Iterator[Access]:
-        """Flatten transactions into a page access trace (for buffer
-        pool experiments that don't need locking)."""
-        for txn in self.transactions(num_transactions):
-            for op in txn.ops:
-                yield Access(
-                    page_id=self.page_of(op),
-                    write=op.write,
-                    nbytes=CACHE_LINE,
-                    think_ns=think_ns,
-                )
-
     def flat_trace_blocks(self, num_transactions: int,
                           think_ns: float = 150.0,
                           block_ops: int = BLOCK_OPS
                           ) -> Iterator[AccessBlock]:
-        """The :meth:`flat_trace` sequence as structure-of-arrays
-        blocks (elementwise identical, same RNG draws).
+        """Flatten transactions into a page access trace of blocks
+        (for buffer pool experiments that don't need locking).
 
         Transaction drawing stays sequential — it is RNG-order
-        sensitive — but page mapping and column assembly skip the
-        per-access object churn.
+        sensitive — while column assembly is one array build per
+        block.
         """
         page_of = self.page_of
         page_ids: list[int] = []

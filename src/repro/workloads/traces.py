@@ -1,48 +1,27 @@
 """Access traces: the lingua franca between workloads and engines.
 
-A trace is any iterable of :class:`Access` records *or*
-:class:`AccessBlock` chunks (the two may be mixed). Scalar generators
-yield one :class:`Access` per op; the block-emitting variants
-(``ycsb_blocks``, ``scan_blocks``, ...) yield structure-of-arrays
-chunks of ~:data:`BLOCK_OPS` accesses, which the engine consumes
-without materialising per-access Python objects. Both forms describe
-the same elementwise sequence — ``blocks_to_accesses`` /
-``accesses_to_blocks`` convert losslessly — and both stay memory-flat
-for multi-million-access experiments.
+A trace is an iterable of :class:`AccessBlock` chunks: five parallel
+numpy columns, one row per access. Every generator in
+:mod:`repro.workloads` emits ~:data:`BLOCK_OPS`-row blocks, every
+combinator here takes and yields blocks, and every consumer (the
+engine's ``run``, a session's :class:`ShapeSegments`) charges them
+without materialising a Python object per access, so multi-million
+access experiments stay memory-flat. A hand-built trace is a list of
+:meth:`AccessBlock.from_columns` blocks; anything else in a trace is
+refused by :func:`require_block`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from ..units import CACHE_LINE
+from ..errors import ConfigError, require_count
 
-#: Accesses per emitted block, and how far ``accesses_to_blocks`` (so
-#: ``ScaleUpEngine.run``) pulls a scalar generator ahead of the clock.
+#: Accesses per emitted block.
 BLOCK_OPS = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class Access:
-    """One logical page access issued by a workload.
-
-    ``think_ns`` is CPU work attributed to the access (modelling
-    compute between memory touches — what makes a workload memory- or
-    compute-bound). ``nbytes`` is how much of the page the access
-    actually touches (a point lookup touches a line; a scan touches
-    the full page). ``slots=True`` because multi-million-access traces
-    allocate one of these per op.
-    """
-
-    page_id: int
-    write: bool = False
-    is_scan: bool = False
-    nbytes: int = CACHE_LINE
-    think_ns: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,31 +47,28 @@ class AccessBlock:
     @classmethod
     def from_columns(cls, page_id, write, is_scan, nbytes,
                      think_ns) -> "AccessBlock":
-        """Build a block, normalising column dtypes."""
-        return cls(
+        """Build a block, normalising column dtypes.
+
+        Refuses (:class:`ConfigError`) columns that are not 1-D or not
+        all of one length: a consumer would otherwise broadcast a
+        short column or fail deep inside a charge.
+        """
+        block = cls(
             page_id=np.ascontiguousarray(page_id, dtype=np.int64),
             write=np.ascontiguousarray(write, dtype=np.bool_),
             is_scan=np.ascontiguousarray(is_scan, dtype=np.bool_),
             nbytes=np.ascontiguousarray(nbytes, dtype=np.int64),
             think_ns=np.ascontiguousarray(think_ns, dtype=np.float64),
         )
-
-    @classmethod
-    def from_accesses(cls, accesses: Sequence[Access]) -> "AccessBlock":
-        """Pack scalar accesses into one block (lossless)."""
-        n = len(accesses)
-        return cls(
-            page_id=np.fromiter((a.page_id for a in accesses),
-                                np.int64, count=n),
-            write=np.fromiter((a.write for a in accesses),
-                              np.bool_, count=n),
-            is_scan=np.fromiter((a.is_scan for a in accesses),
-                                np.bool_, count=n),
-            nbytes=np.fromiter((a.nbytes for a in accesses),
-                               np.int64, count=n),
-            think_ns=np.fromiter((a.think_ns for a in accesses),
-                                 np.float64, count=n),
-        )
+        shapes = [column.shape for column in (
+            block.page_id, block.write, block.is_scan, block.nbytes,
+            block.think_ns)]
+        if any(len(shape) != 1 for shape in shapes) \
+                or len(set(shapes)) != 1:
+            raise ConfigError(
+                "AccessBlock.from_columns needs five 1-D columns of one"
+                f" length, got shapes {shapes}")
+        return block
 
     def slice(self, start: int, stop: int) -> "AccessBlock":
         """A zero-copy view of rows ``[start, stop)``."""
@@ -104,27 +80,16 @@ class AccessBlock:
             think_ns=self.think_ns[start:stop],
         )
 
-    def accesses(self) -> Iterator[Access]:
-        """Unpack into scalar :class:`Access` records (lossless)."""
-        page_id = self.page_id.tolist()
-        write = self.write.tolist()
-        is_scan = self.is_scan.tolist()
-        nbytes = self.nbytes.tolist()
-        think_ns = self.think_ns.tolist()
-        for i in range(len(page_id)):
-            yield Access(page_id[i], write[i], is_scan[i], nbytes[i],
-                         think_ns[i])
-
     def segment_bounds(self) -> list[int]:
         """Boundaries of the maximal same-shape runs in this block.
 
         Returns ``[0, b1, ..., n]`` such that every half-open segment
         holds one access shape (nbytes, write, scan flag, think time)
         — the unit the engine hands to the pool's batched lane. One
-        vectorised boundary scan over a packed shape key replaces the
-        per-access Python peek loop. ``think_ns`` is compared by bit
-        pattern, which can only split runs the scalar peek would have
-        merged (``-0.0`` vs ``0.0``) — splitting is always exact.
+        vectorised boundary scan over a packed shape key. ``think_ns``
+        is compared by bit pattern, which can only split runs a float
+        comparison would have merged (``-0.0`` vs ``0.0``) — splitting
+        is always exact.
         """
         n = self.page_id.shape[0]
         if n <= 1:
@@ -137,82 +102,27 @@ class AccessBlock:
         return [0, *(cuts + 1).tolist(), n]
 
 
-# -- lossless adapters -------------------------------------------------------
-
-
-def blocks_to_accesses(trace) -> Iterator[Access]:
-    """Expand a (possibly mixed) trace into scalar accesses."""
-    for item in trace:
-        if type(item) is AccessBlock:
-            yield from item.accesses()
-        else:
-            yield item
-
-
-def accesses_to_blocks(trace, block_ops: int = BLOCK_OPS
-                       ) -> Iterator[AccessBlock]:
-    """Pack a (possibly mixed) trace into blocks of ``block_ops``.
-
-    Blocks already present in the trace pass through unchanged (no
-    re-chunking); buffered scalar accesses are flushed ahead of them
-    so elementwise order is preserved.
-    """
-    buffer: list[Access] = []
-    for item in trace:
-        if type(item) is AccessBlock:
-            if buffer:
-                yield AccessBlock.from_accesses(buffer)
-                buffer.clear()
-            if len(item):
-                yield item
-            continue
-        buffer.append(item)
-        if len(buffer) >= block_ops:
-            yield AccessBlock.from_accesses(buffer)
-            buffer.clear()
-    if buffer:
-        yield AccessBlock.from_accesses(buffer)
-
-
-def whole_trace_block(trace) -> AccessBlock | None:
-    """Pack an all-scalar list trace into one block, or ``None``.
-
-    The fast-path twin of an unchunked ``accesses_to_blocks`` for the
-    common case — a materialised list of :class:`Access` — it skips
-    the per-item buffering loop and columnarises directly. The type
-    scan (one C-level pass) keeps the semantics exact: any list that
-    mixes in blocks or duck-typed accesses returns ``None`` and the
-    caller falls back to the generic adapter, preserving per-block run
-    boundaries.
-    """
-    if (type(trace) is not list or not trace
-            or set(map(type, trace)) != {Access}):
-        return None
-    return AccessBlock.from_accesses(trace)
+def require_block(item) -> AccessBlock:
+    """*item*, if it is an :class:`AccessBlock`; the one check every
+    trace consumer and combinator makes of what it is handed."""
+    if type(item) is not AccessBlock:
+        raise ConfigError(
+            "a trace holds AccessBlock chunks only, got"
+            f" {type(item).__name__}; build one with"
+            " AccessBlock.from_columns")
+    return item
 
 
 class _BlockCursor:
-    """Pull-based cursor over one trace, normalised to block views.
-
-    Scalar :class:`Access` items are tolerated (wrapped as one-row
-    blocks) so the block-aware combinators accept mixed traces.
-    """
+    """Pull-based cursor over one trace of blocks, handing out views."""
 
     __slots__ = ("_iterator", "block", "pos", "done")
 
-    def __init__(self, trace, first=None) -> None:
+    def __init__(self, trace) -> None:
         self._iterator = iter(trace)
         self.block: AccessBlock | None = None
         self.pos = 0
         self.done = False
-        if first is not None:
-            self._install(first)
-
-    def _install(self, item) -> None:
-        if type(item) is not AccessBlock:
-            item = AccessBlock.from_accesses([item])
-        self.block = item
-        self.pos = 0
 
     def buffered(self) -> int:
         """Rows left in the current block (0 means a refill is due)."""
@@ -229,7 +139,8 @@ class _BlockCursor:
             if item is None:
                 self.done = True
                 return False
-            self._install(item)
+            self.block = require_block(item)
+            self.pos = 0
         return True
 
     def take(self, count: int) -> tuple[list[AccessBlock], int]:
@@ -257,9 +168,7 @@ class ShapeSegments:
 
     One vectorised :meth:`AccessBlock.segment_bounds` scan per block,
     shape columns materialised to plain lists once, the id column
-    handed out whole. The trace must hold :class:`AccessBlock` chunks
-    only; scalar accesses are packed with :func:`accesses_to_blocks`
-    first.
+    handed out whole.
     """
 
     __slots__ = ("_iterator", "_ids", "_sizes", "_writes", "_scans",
@@ -279,11 +188,7 @@ class ShapeSegments:
     def _advance(self) -> bool:
         """Load the next non-empty block; False once exhausted."""
         for block in self._iterator:
-            if type(block) is not AccessBlock:
-                raise TypeError(
-                    "ShapeSegments consumes AccessBlock chunks; pack"
-                    " scalar accesses with accesses_to_blocks first")
-            if len(block):
+            if len(require_block(block)):
                 # The id column stays an ndarray, handed out whole with
                 # every span. Shape columns are indexed once per
                 # segment, so plain lists are cheapest.
@@ -390,64 +295,34 @@ class _BlockBuilder:
 # -- trace combinators -------------------------------------------------------
 
 
-def interleave(*traces, weights: list[int] | None = None):
+def interleave(*traces, weights: list[int] | None = None
+               ) -> Iterator[AccessBlock]:
     """Round-robin interleave several traces until all are exhausted.
 
     With *weights*, trace *i* contributes ``weights[i]`` accesses per
-    round (a cheap way to mix OLTP and OLAP load at a chosen ratio).
-    Scalar traces yield scalar accesses; if any input carries
-    :class:`AccessBlock` chunks the result is re-emitted as blocks,
-    elementwise identical to the scalar interleave of the expanded
-    inputs.
+    round (a cheap way to mix OLTP and OLAP load at a chosen ratio); a
+    trace that comes up short is dropped after its partial round. The
+    result is re-chunked into ~``BLOCK_OPS``-row blocks.
     """
-    iterators = [iter(trace) for trace in traces]
     if weights is None:
-        weights = [1] * len(iterators)
-    if len(weights) != len(iterators):
+        weights = [1] * len(traces)
+    if len(weights) != len(traces):
         raise ValueError("one weight per trace required")
-    firsts = [next(iterator, None) for iterator in iterators]
-    if any(type(first) is AccessBlock for first in firsts):
-        return _interleave_blocks(iterators, firsts, weights)
-    return _interleave_scalar(iterators, firsts, weights)
+    for weight in weights:
+        require_count("interleave weight", weight, 1)
+    return _interleave([_BlockCursor(trace) for trace in traces],
+                       weights)
 
 
-def _interleave_scalar(iterators, firsts, weights) -> Iterator[Access]:
-    live = set(range(len(iterators)))
-    first_pending = dict(enumerate(firsts))
-    while live:
-        for index in list(live):
-            for _ in range(weights[index]):
-                first = first_pending.pop(index, None)
-                if first is not None:
-                    yield first
-                    continue
-                try:
-                    yield next(iterators[index])
-                except StopIteration:
-                    live.discard(index)
-                    break
-
-
-def _interleave_blocks(iterators, firsts, weights,
-                       block_ops: int = BLOCK_OPS
-                       ) -> Iterator[AccessBlock]:
-    cursors = [_BlockCursor(iterator, first=first)
-               for iterator, first in zip(iterators, firsts)]
-    for index, first in enumerate(firsts):
-        if first is None:
-            cursors[index].done = True
-    live = [index for index in range(len(cursors))]
-    builder = _BlockBuilder(block_ops)
+def _interleave(cursors, weights) -> Iterator[AccessBlock]:
+    live = list(range(len(cursors)))
+    builder = _BlockBuilder(BLOCK_OPS)
     while live:
         # Bulk path: every live trace has whole rounds buffered, so K
         # rounds are assembled with one fancy-indexed scatter per
         # trace instead of per-access Python stepping.
-        rounds = min(
-            (cursors[i].buffered() // weights[i]
-             for i in live if weights[i] > 0),
-            default=0,
-        )
-        if rounds >= 1 and all(weights[i] > 0 for i in live):
+        rounds = min(cursors[i].buffered() // weights[i] for i in live)
+        if rounds >= 1:
             row = np.cumsum([0] + [weights[i] for i in live])
             width = int(row[-1])
             total = rounds * width
@@ -475,9 +350,7 @@ def _interleave_blocks(iterators, firsts, weights,
             yield from builder.drain()
             continue
         # Boundary path: at least one trace is mid-refill or near
-        # exhaustion — step one round with scalar-identical semantics
-        # (a trace that comes up short is dropped after contributing
-        # its partial round, exactly like the scalar generator).
+        # exhaustion — step one round a trace at a time.
         for index in list(live):
             chunks, got = cursors[index].take(weights[index])
             for chunk in chunks:
@@ -488,32 +361,10 @@ def _interleave_blocks(iterators, firsts, weights,
     yield from builder.drain(final=True)
 
 
-def take(trace, n: int):
-    """The first *n* accesses of a trace (block-aware: block traces
-    are truncated at access granularity and stay blocks)."""
-    iterator = iter(trace)
-    first = next(iterator, None)
-    if first is None:
-        return iter(())
-    if type(first) is AccessBlock:
-        return _take_blocks(_BlockCursor(iterator, first=first), n)
-
-    def scalar() -> Iterator[Access]:
-        remaining = n
-        item = first
-        while remaining > 0:
-            yield item
-            remaining -= 1
-            if remaining == 0:
-                return
-            try:
-                item = next(iterator)
-            except StopIteration:
-                return
-    return scalar()
-
-
-def _take_blocks(cursor: _BlockCursor, n: int) -> Iterator[AccessBlock]:
+def take(trace, n: int) -> Iterator[AccessBlock]:
+    """The first *n* accesses of a trace, truncated at access
+    granularity."""
+    cursor = _BlockCursor(trace)
     remaining = n
     while remaining > 0 and cursor.refill():
         step = min(remaining, cursor.buffered())
@@ -522,49 +373,20 @@ def _take_blocks(cursor: _BlockCursor, n: int) -> Iterator[AccessBlock]:
         remaining -= step
 
 
-def merge_timed(*timed_traces: Iterable[tuple[float, Access]]
-                ) -> Iterator[tuple[float, Access]]:
-    """Merge (timestamp, access) streams by timestamp."""
-    return heapq.merge(*timed_traces, key=lambda pair: pair[0])
-
-
-def instrumented(trace, ctx, name: str = "trace", batch: int = 1024):
+def instrumented(trace, ctx, name: str = "trace"
+                 ) -> Iterator[AccessBlock]:
     """Pass a trace through while counting it into *ctx* metrics.
 
     Counters land under ``workload.<name>.*`` (accesses, writes,
-    scans, bytes). Counting is batched so instrumenting a generator
-    costs a few local increments per access — and one vectorised
-    reduction per chunk for :class:`AccessBlock` items, which pass
-    through unchanged.
+    scans, bytes): one vectorised reduction per block, and the blocks
+    pass through unchanged.
     """
     metrics = ctx.metrics.scope(f"workload.{name}")
-    accesses = writes = scans = nbytes = 0
-    for item in trace:
-        if type(item) is AccessBlock:
-            n = len(item)
-            if n:
-                metrics.incr("accesses", n)
-                metrics.incr("writes", int(np.count_nonzero(item.write)))
-                metrics.incr("scans", int(np.count_nonzero(item.is_scan)))
-                metrics.incr("bytes", int(item.nbytes.sum()))
-            yield item
-            continue
-        accesses += 1
-        nbytes += item.nbytes
-        if item.write:
-            writes += 1
-        if item.is_scan:
-            scans += 1
-        if accesses % batch == 0:
-            metrics.incr("accesses", batch)
-            metrics.incr("writes", writes)
-            metrics.incr("scans", scans)
-            metrics.incr("bytes", nbytes)
-            writes = scans = nbytes = 0
-        yield item
-    remainder = accesses % batch
-    if remainder or writes or scans or nbytes:
-        metrics.incr("accesses", remainder)
-        metrics.incr("writes", writes)
-        metrics.incr("scans", scans)
-        metrics.incr("bytes", nbytes)
+    for block in trace:
+        n = len(require_block(block))
+        if n:
+            metrics.incr("accesses", n)
+            metrics.incr("writes", int(np.count_nonzero(block.write)))
+            metrics.incr("scans", int(np.count_nonzero(block.is_scan)))
+            metrics.incr("bytes", int(block.nbytes.sum()))
+        yield block

@@ -4,10 +4,9 @@ The standard cloud-serving mixes (A-F) over a page population with
 Zipfian skew. Keys map to pages at a configurable fill factor, so the
 trace exercises a buffer pool exactly like point transactions do.
 
-Two emitters share one pre-drawn op plan: :func:`ycsb_trace` yields
-scalar :class:`Access` records, :func:`ycsb_blocks` assembles the same
-elementwise sequence as structure-of-arrays :class:`AccessBlock`
-chunks with vectorised scan expansion and insert-cursor arithmetic.
+:func:`ycsb_blocks` pre-draws the op plan and assembles the trace as
+structure-of-arrays :class:`AccessBlock` chunks with vectorised scan
+expansion and insert-cursor arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from ..errors import ConfigError, require_count
 from ..units import CACHE_LINE
 from .mtrand import py_random_sample
-from .traces import BLOCK_OPS, Access, AccessBlock
+from .traces import BLOCK_OPS, AccessBlock
 from .zipf import ZipfGenerator
 
 #: Standard mixes: (read fraction, update fraction, insert fraction,
@@ -115,55 +114,15 @@ def _op_plan(config: YCSBConfig) -> tuple[np.ndarray, np.ndarray]:
     return ops, uniform[chosen[ops == _OP_INSERT] + 1] < grow
 
 
-def ycsb_trace(config: YCSBConfig) -> Iterator[Access]:
-    """Generate the access trace for one YCSB run.
+def ycsb_blocks(config: YCSBConfig,
+                block_ops: int = BLOCK_OPS) -> Iterator[AccessBlock]:
+    """Generate the access trace for one YCSB run, as blocks.
 
     Read/update/rmw touch one cache line of one page; inserts append
     at the tail pages; scans sweep consecutive pages with full-page
-    touches flagged ``is_scan``.
-    """
-    zipf = ZipfGenerator(config.num_pages, theta=config.theta,
-                         scramble=True, seed=config.seed)
-    page_ids = zipf.sample(config.num_ops)
-    codes, advances = _op_plan(config)
-    ops = codes.tolist()
-    insert_cursor = config.num_pages
-    inserts_seen = 0
-
-    for i in range(config.num_ops):
-        op = ops[i]
-        page_id = int(page_ids[i])
-        if op == _OP_READ:
-            yield Access(page_id, think_ns=config.think_ns)
-        elif op == _OP_UPDATE:
-            yield Access(page_id, write=True, think_ns=config.think_ns)
-        elif op == _OP_RMW:
-            yield Access(page_id, think_ns=config.think_ns)
-            yield Access(page_id, write=True, think_ns=0.0)
-        elif op == _OP_INSERT:
-            yield Access(insert_cursor, write=True,
-                         think_ns=config.think_ns)
-            if advances[inserts_seen]:
-                insert_cursor += 1
-            inserts_seen += 1
-        elif op == _OP_SCAN:
-            start = page_id
-            for offset in range(config.scan_length_pages):
-                yield Access(start + offset, is_scan=True,
-                             nbytes=_SCAN_NBYTES,
-                             think_ns=config.think_ns / 4)
-        else:  # pragma: no cover - mixes are validated above
-            raise ConfigError(f"unhandled op {op}")
-
-
-def ycsb_blocks(config: YCSBConfig,
-                block_ops: int = BLOCK_OPS) -> Iterator[AccessBlock]:
-    """The :func:`ycsb_trace` sequence as structure-of-arrays blocks.
-
-    Elementwise identical to the scalar generator (same RNG draws,
-    same op plan); op expansion (rmw pairs, scan sweeps) and insert
-    cursor positions are assembled with numpy scatters instead of
-    per-access object construction.
+    touches flagged ``is_scan``. Op expansion (rmw pairs, scan sweeps)
+    and insert cursor positions are assembled with numpy scatters over
+    the pre-drawn op plan.
     """
     require_count("block_ops", block_ops, 1)
     num_ops = config.num_ops

@@ -19,6 +19,8 @@ import numpy as np
 
 from repro.workloads.traces import AccessBlock
 
+from tests.oracle.traces import from_accesses
+
 #: An AccessBlock's columns, in digest order, with their dtypes.
 _TRACE_COLUMNS = (("page_id", np.int64), ("write", np.bool_),
                   ("is_scan", np.bool_), ("nbytes", np.int64),
@@ -92,7 +94,7 @@ def digest_trace(items: list) -> str:
     ``AccessBlock`` chunks or of scalar ``Access`` records — the same
     accesses digest the same in either form."""
     if items and not isinstance(items[0], AccessBlock):
-        items = [AccessBlock.from_accesses(items)]
+        items = [from_accesses(items)]
     digest = hashlib.sha256()
     for name, dtype in _TRACE_COLUMNS:
         column = np.concatenate([getattr(block, name) for block in items])

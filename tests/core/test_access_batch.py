@@ -23,10 +23,11 @@ from repro.errors import BufferPoolError
 from repro.sim.clock import SimClock
 from repro.sim.interconnect import PREFETCH_DEPTH
 from repro.units import CACHE_LINE, PAGE_SIZE
-from repro.workloads.scans import mixed_htap_trace, scan_trace
-from repro.workloads.ycsb import YCSBConfig, ycsb_trace
+from repro.workloads.scans import mixed_htap_blocks, scan_blocks
+from repro.workloads.ycsb import YCSBConfig
 from tests.core.residency import frame_rows
 from tests.oracle.reference import path_time, reference
+from tests.oracle.traces import ycsb_trace
 
 
 def _build(placement=None, dram_pages=32, cxl_pages=64):
@@ -233,9 +234,9 @@ def test_epoch_aging_inside_window():
 
 
 def test_engine_run_coalescer_equivalence():
-    """engine.run (scalars packed into blocks) reports bit-identical
-    numbers to the scalar reference on a mixed-shape trace."""
-    trace = list(mixed_htap_trace(
+    """engine.run reports bit-identical numbers to the scalar
+    reference on a mixed-shape trace."""
+    trace = list(mixed_htap_blocks(
         oltp_pages=60, olap_pages=120, oltp_ops=400,
         olap_repeats=2, oltp_per_olap=3, seed=5,
     ))
@@ -253,7 +254,7 @@ def test_engine_run_coalescer_equivalence():
 
 def test_scan_trace_equivalence_through_engine():
     """Long uniform scan: one shape segment per block, still exact."""
-    trace = list(scan_trace(0, 100, repeats=4))
+    trace = list(scan_blocks(0, 100, repeats=4))
     fast = _build(DbCostPolicy(), dram_pages=32, cxl_pages=160)
     slow = reference(_build(DbCostPolicy(), dram_pages=32, cxl_pages=160))
     fr = fast.run(trace)

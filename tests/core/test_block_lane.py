@@ -4,9 +4,10 @@
 columns in numpy array ops against a dense residency table. These
 tests pin the two contracts that lane must keep:
 
-* **bit-identity** — any mix of scalar ``Access`` objects and
-  ``AccessBlock`` chunks, on the pool or its reference twin
-  (``tests.oracle.reference``), produces byte-identical
+* **bit-identity** — any chunking of a trace into ``AccessBlock``s,
+  on the pool or its reference twin (``tests.oracle.reference``,
+  replaying the frozen scalar records of ``tests.oracle.traces``),
+  produces byte-identical
   simulated results (same ``tests.core.digests`` digest) across very short
   same-shape runs, mid-run migrations, faults raised inside blocks, and
   concurrent-session contention;
@@ -33,11 +34,12 @@ from repro.sim.context import SimContext
 from repro.sim.interconnect import AccessPath
 from repro.sim.ladder import chain_values
 from repro.sim.memory import MemoryDevice
-from repro.workloads.scans import mixed_htap_blocks, mixed_htap_trace
-from repro.workloads.traces import Access, AccessBlock
+from repro.workloads.scans import mixed_htap_blocks
+from repro.workloads.traces import AccessBlock
 
 from tests.core.digests import digest_report, pool_payload
 from tests.oracle.reference import reference
+from tests.oracle.traces import Access, from_accesses, mixed_htap_trace
 
 #: Run lengths around this are the shortest segments a block can hold:
 #: one access by hand, then a scalar mini-loop far below any ladder.
@@ -80,8 +82,9 @@ def random_trace(seed, ops=4_000, pages=700):
 
 
 def random_mix(scalar, seed):
-    """Randomly repackage a scalar trace into interleaved scalar
-    stretches and AccessBlock chunks (lossless)."""
+    """Randomly repackage a scalar trace into AccessBlock chunks of
+    random sizes: stretches of up to 600 accesses, each one block or
+    one block per access (lossless)."""
     rng = random.Random(seed)
     mixed = []
     i = 0
@@ -89,9 +92,9 @@ def random_mix(scalar, seed):
         chunk = min(rng.randrange(1, 600), len(scalar) - i)
         part = scalar[i:i + chunk]
         if rng.random() < 0.5:
-            mixed.append(AccessBlock.from_accesses(part))
+            mixed.append(from_accesses(part))
         else:
-            mixed.extend(part)
+            mixed.extend(from_accesses([access]) for access in part)
         i += chunk
     return mixed
 
@@ -119,7 +122,7 @@ class TestRandomizedMixedIdentity:
                     Access(page_id=page, nbytes=64)
                     for _ in range(rep)
                 )
-        block = [AccessBlock.from_accesses(trace)]
+        block = [from_accesses(trace)]
         ref, _ = fingerprint(trace, False)
         for fast in (False, True):
             got, _ = fingerprint(block, fast)
@@ -144,7 +147,7 @@ class TestRandomizedMixedIdentity:
         # and evict. Identity must hold down to backing-store stats.
         trace = list(mixed_htap_trace(
             oltp_pages=150, olap_pages=400, oltp_ops=1_200, seed=13))
-        blocks = [AccessBlock.from_accesses(trace)]
+        blocks = [from_accesses(trace)]
         ref, rep = fingerprint(trace, False, dram=32, cxl=64)
         assert rep.misses > len(trace) // 4
         for fast in (False, True):
@@ -187,7 +190,7 @@ class TestRandomizedMixedIdentity:
             ref = reference(engine_for(policy, tracker))
             want = digest_report(ref, ref.run(accesses))
             engine = engine_for(policy, tracker)
-            report = engine.run([AccessBlock.from_accesses(accesses)])
+            report = engine.run([from_accesses(accesses)])
             lane = engine.pool.lane
             assert (lane.exact_windows > 0) is (decline is None)
             assert lane.segment_blocks == (decline is not None)
@@ -228,7 +231,7 @@ class TestSessionContention:
         for fast in (False, True):
             engine = self._engine(fast)
             report = engine.run_sessions([
-                list(mixed_htap_trace(**htap)),
+                [from_accesses(list(mixed_htap_trace(**htap)))],
                 list(mixed_htap_blocks(**htap)),
             ])
             digests.append(self._digest(engine, report))
@@ -349,7 +352,7 @@ class TestResidencyTableConsistency:
         )
         trace = list(mixed_htap_trace(
             oltp_pages=100, olap_pages=200, oltp_ops=800, seed=2))
-        engine.run([AccessBlock.from_accesses(trace)])
+        engine.run([from_accesses(trace)])
         assert_residency_consistent(engine.pool)
 
 

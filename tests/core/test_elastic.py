@@ -5,7 +5,7 @@ import pytest
 from repro.core.elastic import ElasticCluster, PagePool, StrandingModel
 from repro.errors import PoolingError
 from repro.units import GIB
-from repro.workloads import Access
+from tests.oracle.traces import Access, from_accesses
 
 
 class TestStrandingModel:
@@ -74,7 +74,8 @@ class TestWarmSpawn:
     def _trace(self, pages=200, ops=2_000):
         import random
         rng = random.Random(3)
-        return [Access(page_id=rng.randrange(pages)) for _ in range(ops)]
+        return [from_accesses([Access(page_id=rng.randrange(pages))
+                               for _ in range(ops)])]
 
     def test_cold_engine_faults_everything(self):
         cluster = ElasticCluster(dataset_pages=200)

@@ -1,12 +1,22 @@
 """The ScaleUpEngine facade and its reports."""
 
+import numpy as np
 import pytest
 
 from repro import config
 from repro.core.engine import EngineReport, ScaleUpEngine
 from repro.core.placement import StaticPolicy
 from repro.errors import ConfigError
-from repro.workloads import Access, YCSBConfig, ycsb_trace
+from repro.units import CACHE_LINE
+from repro.workloads import AccessBlock, YCSBConfig, ycsb_blocks
+
+
+def points(page_ids, think_ns=0.0):
+    """Cache-line reads of *page_ids*, as a one-block trace."""
+    n = len(page_ids)
+    return [AccessBlock.from_columns(
+        page_ids, np.zeros(n, bool), np.zeros(n, bool),
+        np.full(n, CACHE_LINE), np.full(n, think_ns))]
 
 
 class TestBuild:
@@ -48,7 +58,7 @@ class TestBuild:
 class TestRun:
     def test_report_counts_ops(self):
         engine = ScaleUpEngine.build(dram_pages=100, with_storage=False)
-        trace = [Access(page_id=i % 10) for i in range(100)]
+        trace = points([i % 10 for i in range(100)])
         report = engine.run(trace)
         assert report.ops == 100
         assert report.total_ns > 0
@@ -56,39 +66,39 @@ class TestRun:
 
     def test_think_time_included_in_total(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        trace = [Access(page_id=0, think_ns=1_000.0) for _ in range(10)]
+        trace = points([0] * 10, think_ns=1_000.0)
         report = engine.run(trace)
         assert report.think_ns == pytest.approx(10_000.0)
         assert report.total_ns >= report.think_ns
 
     def test_hit_rate(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        trace = [Access(page_id=0)] * 9 + [Access(page_id=1)]
+        trace = points([0] * 9 + [1])
         report = engine.run(trace)
         assert report.hit_rate == pytest.approx(0.8)
 
     def test_throughput_positive(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        report = engine.run([Access(page_id=0)] * 10)
+        report = engine.run(points([0] * 10))
         assert report.throughput_ops_per_s > 0
 
     def test_mean_latency(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        report = engine.run([Access(page_id=0)] * 10)
+        report = engine.run(points([0] * 10))
         assert report.mean_latency_ns == pytest.approx(
             report.demand_ns / 10
         )
 
     def test_sequential_runs_accumulate_independent_reports(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        r1 = engine.run([Access(page_id=0)] * 5)
-        r2 = engine.run([Access(page_id=0)] * 5)
+        r1 = engine.run(points([0] * 5))
+        r2 = engine.run(points([0] * 5))
         assert r1.ops == r2.ops == 5
         assert r2.misses == 0  # warm now
 
     def test_slowdown_vs(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False)
-        base = engine.run([Access(page_id=0)] * 10)
+        base = engine.run(points([0] * 10))
         slow = EngineReport(name="x", ops=10, total_ns=base.total_ns * 2)
         assert slow.slowdown_vs(base) == pytest.approx(2.0)
         with pytest.raises(ConfigError):
@@ -96,8 +106,8 @@ class TestRun:
 
     def test_warm_with_populates(self):
         engine = ScaleUpEngine.build(dram_pages=100, with_storage=False)
-        engine.warm_with(Access(page_id=i) for i in range(50))
-        report = engine.run([Access(page_id=i) for i in range(50)])
+        engine.warm_with(iter(points(range(50))))
+        report = engine.run(points(range(50)))
         assert report.misses == 0
 
     def test_empty_trace(self):
@@ -110,7 +120,7 @@ class TestRun:
     def test_report_str_is_informative(self):
         engine = ScaleUpEngine.build(dram_pages=10, with_storage=False,
                                      name="mine")
-        report = engine.run([Access(page_id=0)] * 3)
+        report = engine.run(points([0] * 3))
         text = str(report)
         assert "mine" in text
         assert "ops=3" in text
@@ -125,8 +135,8 @@ class TestCXLLatencySensitivity:
             dram_pages=1, cxl_pages=300,
             placement=StaticPolicy(lambda _p: 1), with_storage=False,
         )
-        r_dram = dram.run(ycsb_trace(cfg))
-        r_cxl = cxl.run(ycsb_trace(cfg))
+        r_dram = dram.run(ycsb_blocks(cfg))
+        r_cxl = cxl.run(ycsb_blocks(cfg))
         slowdown = r_cxl.slowdown_vs(r_dram)
         # Point lookups: CXL latency ratio ~2.4x.
         assert 1.5 < slowdown < 3.5
@@ -139,6 +149,6 @@ class TestCXLLatencySensitivity:
             dram_pages=1, cxl_pages=300,
             placement=StaticPolicy(lambda _p: 1), with_storage=False,
         )
-        r_dram = dram.run(ycsb_trace(cfg))
-        r_cxl = cxl.run(ycsb_trace(cfg))
+        r_dram = dram.run(ycsb_blocks(cfg))
+        r_cxl = cxl.run(ycsb_blocks(cfg))
         assert r_cxl.slowdown_vs(r_dram) < 1.05  # Pond's <5% class

@@ -26,7 +26,7 @@ from repro.core.engine import ScaleUpEngine
 from repro.core.placement import OSPagingPolicy, StaticPolicy
 from repro.core.replacement import LRUPolicy
 from repro.units import CACHE_LINE, PAGE_SIZE
-from repro.workloads.scans import scan_blocks, scan_trace
+from repro.workloads.scans import scan_blocks
 from repro.workloads.traces import AccessBlock
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
@@ -196,7 +196,7 @@ def test_preload_matches_analytic_warm_up():
     analytic = _cold_engine(32, 128, placement=OSPagingPolicy(),
                             fast=False)
     bulk = _cold_engine(32, 128, placement=OSPagingPolicy(), fast=True)
-    analytic.warm_with(scan_trace(0, pages, repeats=1, think_ns=0.0))
+    analytic.warm_with(scan_blocks(0, pages, repeats=1, think_ns=0.0))
     bulk.preload(np.arange(pages, dtype=np.int64), nbytes=PAGE_SIZE,
                  is_scan=True)
     assert _pool_state(analytic.pool) == _pool_state(bulk.pool)
@@ -223,7 +223,7 @@ def test_long_single_span_preload_no_overflow():
                      fast=False)
     b = _cold_engine(1, total + 16, placement=StaticPolicy(lambda _p: 1),
                      fast=True)
-    a.warm_with(scan_trace(0, total, repeats=1, think_ns=0.0))
+    a.warm_with(scan_blocks(0, total, repeats=1, think_ns=0.0))
     b.preload(np.arange(total, dtype=np.int64), nbytes=PAGE_SIZE,
               is_scan=True)
     assert b.pool.clock.now > 0

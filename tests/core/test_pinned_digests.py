@@ -8,7 +8,8 @@ reference, and neither has drifted by an ulp since.
 
 The lanes (ids ``fast`` / ``compat``): the engine against its
 reference twin (``tests.oracle.reference``) for the seven engine
-scenarios; block emitters against scalar generators for ``trace-gen``;
+scenarios; block emitters against the frozen scalar generators
+(``tests.oracle.traces``) for ``trace-gen``;
 ``TenantTable.generate`` against ``generate_population`` →
 ``TenantTable.from_workloads`` for ``tenant-gen``.
 
@@ -35,14 +36,15 @@ from repro.sim.interconnect import AccessPath, Link
 from repro.sim.memory import MemoryDevice
 from repro.units import PAGE_SIZE
 from repro.workloads.cloudmix import generate_population
-from repro.workloads.scans import (mixed_htap_blocks, mixed_htap_trace,
-                                   scan_blocks)
-from repro.workloads.traces import Access
-from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
+from repro.workloads.scans import mixed_htap_blocks, scan_blocks
+from repro.workloads.traces import AccessBlock
+from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
 from tests.core.digests import (digest_report, digest_session_report,
                                 digest_table, digest_trace)
 from tests.oracle.reference import reference
+from tests.oracle.traces import (accesses_to_blocks, mixed_htap_trace,
+                                 ycsb_trace)
 
 PINNED = {
     "scan": "6817a13a2793bed3c9c184f85cca74461b805e84e30416cb1acc9a9c8f54621c",
@@ -81,7 +83,7 @@ def oltp():
     """YCSB-B over a DRAM+CXL split heated by a YCSB-C warm-up, so
     cost-based placement migrates pages live during the run."""
     engine = preloaded(3000, dram_pages=600, cxl_pages=3000)
-    engine.warm_with(ycsb_trace(YCSBConfig(
+    engine.warm_with(ycsb_blocks(YCSBConfig(
         mix="C", num_pages=3000, num_ops=12_000, seed=7)))
     return engine, list(ycsb_blocks(YCSBConfig(
         mix="B", num_pages=3000, num_ops=30_000, seed=11)))
@@ -89,13 +91,15 @@ def oltp():
 
 def htap(blocks):
     """OLTP and scan traffic alternating per op: every run has length
-    one. Delivered as scalar ``Access`` records or as blocks — the
-    two deliveries share one literal."""
+    one. Delivered as the block emitter's chunks or as the frozen
+    scalar generator's accesses packed 4,096 to a block — the two
+    deliveries share one literal."""
     engine = preloaded(5500, dram_pages=1500, cxl_pages=6000)
     params = dict(oltp_pages=1500, olap_pages=4000, oltp_ops=8_000,
                   olap_repeats=2, oltp_per_olap=1, seed=23)
-    emit = mixed_htap_blocks if blocks else mixed_htap_trace
-    return engine, list(emit(**params))
+    if blocks:
+        return engine, list(mixed_htap_blocks(**params))
+    return engine, list(accesses_to_blocks(mixed_htap_trace(**params)))
 
 
 def fault_storm():
@@ -113,15 +117,15 @@ def scan_contended():
     """Eight 64 KiB readahead scan sessions on one shared expander."""
     engine = preloaded(32_000, dram_pages=1, cxl_pages=32_016,
                        placement=StaticPolicy(lambda _p: 1))
-    sessions = [
-        ClientSession(f"scan-{index}", [
-            Access(page_id=index * 4000 + start, is_scan=True,
-                   nbytes=16 * 4096, think_ns=0.0)
-            for _ in range(8)
-            for start in range(0, 4000, 16)
-        ])
-        for index in range(8)
-    ]
+    sessions = []
+    for index in range(8):
+        ids = np.tile(np.arange(index * 4000, index * 4000 + 4000, 16), 8)
+        n = len(ids)
+        sessions.append(ClientSession(f"scan-{index}", [
+            AccessBlock.from_columns(ids, np.zeros(n, bool),
+                                     np.ones(n, bool),
+                                     np.full(n, 16 * 4096), np.zeros(n))
+        ]))
     return engine, sessions, 128
 
 
@@ -149,13 +153,13 @@ def oltp_contended():
     sessions = []
     for index in range(8):
         base = index * 2000
-        trace = ycsb_trace(YCSBConfig(mix="B", num_pages=2000,
-                                      num_ops=2200, theta=0.9,
-                                      seed=900 + index))
+        # 2,200 ops of mix B: one block.
+        block, = ycsb_blocks(YCSBConfig(mix="B", num_pages=2000,
+                                        num_ops=2200, theta=0.9,
+                                        seed=900 + index))
         sessions.append(ClientSession(f"ycsb-{index}", [
-            Access(a.page_id + base, a.write, a.is_scan, a.nbytes,
-                   a.think_ns)
-            for a in trace
+            AccessBlock(block.page_id + base, block.write, block.is_scan,
+                        block.nbytes, block.think_ns)
         ]))
     return engine, sessions, 64
 
@@ -176,7 +180,7 @@ SESSION_RUNS = {
 
 def trace_gen(fast):
     """YCSB-E (inserts, scan expansion) plus a 4:1 HTAP interleave,
-    generated as blocks or as scalar accesses."""
+    generated as blocks or by the frozen scalar generators."""
     ycsb = YCSBConfig(mix="E", num_pages=20_000, num_ops=8_000, seed=17)
     htap_params = dict(oltp_pages=4_000, olap_pages=10_000,
                        oltp_ops=20_000, olap_repeats=2, oltp_per_olap=4,

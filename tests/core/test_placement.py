@@ -267,7 +267,7 @@ class TestDbCostPolicy:
 
     def test_beats_os_policy_on_skewed_reads(self):
         """The headline Sec 3.1 claim, in miniature."""
-        from repro.workloads import YCSBConfig, ycsb_trace
+        from repro.workloads import YCSBConfig, ycsb_blocks
         cfg = YCSBConfig(mix="C", num_pages=400, num_ops=6_000,
                          theta=0.99, think_ns=0)
 
@@ -275,7 +275,7 @@ class TestDbCostPolicy:
             pool = make_pool(policy, dram=40, cxl=400)
             from repro.core.engine import ScaleUpEngine
             engine = ScaleUpEngine(pool)
-            return engine.run(ycsb_trace(cfg))
+            return engine.run(ycsb_blocks(cfg))
 
         db = run(DbCostPolicy(rebalance_interval=500))
         os_ = run(OSPagingPolicy(check_interval=500))

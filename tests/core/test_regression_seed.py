@@ -10,7 +10,7 @@ from repro.core.engine import ScaleUpEngine
 from repro.core.placement import DbCostPolicy
 from repro.sim.context import SimContext
 from repro.sim.trace import MemoryTraceSink
-from repro.workloads.ycsb import YCSBConfig, ycsb_trace
+from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
 
 def _run_config_a(ctx=None):
@@ -20,8 +20,8 @@ def _run_config_a(ctx=None):
         dram_pages=600, cxl_pages=1_500, placement=DbCostPolicy(),
         name="regress", ctx=ctx,
     )
-    engine.warm_with(ycsb_trace(cfg))
-    return engine.run(ycsb_trace(cfg))
+    engine.warm_with(ycsb_blocks(cfg))
+    return engine.run(ycsb_blocks(cfg))
 
 
 class TestSeedRegressionZipfA:
@@ -57,7 +57,7 @@ class TestSeedRegressionZipfB:
         cfg = YCSBConfig(mix="B", num_pages=2_000, num_ops=10_000,
                          theta=0.9, think_ns=0.0, seed=99)
         engine = ScaleUpEngine.build(dram_pages=800, name="regress-dram")
-        report = engine.run(ycsb_trace(cfg))
+        report = engine.run(ycsb_blocks(cfg))
         assert report.ops == 10000
         assert report.total_ns == 30548489.843326334
         assert report.demand_ns == 30548489.843326334

@@ -20,17 +20,17 @@ from repro.sim.bandwidth import WaitQueue
 from repro.sim.clock import SimClock
 from repro.sim.context import SimContext
 from repro.sim.trace import MemoryTraceSink
+from repro.units import CACHE_LINE
 from repro.workloads import (
-    Access,
     AccessBlock,
     YCSBConfig,
     mixed_htap_blocks,
-    mixed_htap_trace,
-    scan_trace,
+    scan_blocks,
     ycsb_blocks,
 )
 from tests.core.residency import frame_rows
 from tests.oracle.reference import reference
+from tests.oracle.traces import accesses_to_blocks, mixed_htap_trace
 
 
 def cxl_engine(pages=2_000, fast=True, warm=None, placement=None):
@@ -58,19 +58,19 @@ def htap_engine(fast=True):
 
 def point_trace(seed, ops=400, pages=1_000, think_ns=100.0):
     rng = random.Random(seed)
-    return [Access(page_id=rng.randrange(pages), think_ns=think_ns)
-            for _ in range(ops)]
+    ids = [rng.randrange(pages) for _ in range(ops)]
+    return [AccessBlock.from_columns(
+        ids, np.zeros(ops, bool), np.zeros(ops, bool),
+        np.full(ops, CACHE_LINE), np.full(ops, think_ns))]
 
 
 def readahead_scan(first_page, num_pages, repeats=1, chunk_pages=16):
-    out = []
-    for _ in range(repeats):
-        for start in range(0, num_pages, chunk_pages):
-            out.append(Access(
-                page_id=first_page + start, is_scan=True,
-                nbytes=chunk_pages * 4096, think_ns=0.0,
-            ))
-    return out
+    ids = np.tile(np.arange(first_page, first_page + num_pages,
+                            chunk_pages), repeats)
+    n = len(ids)
+    return [AccessBlock.from_columns(
+        ids, np.zeros(n, bool), np.ones(n, bool),
+        np.full(n, chunk_pages * 4096), np.zeros(n))]
 
 
 def pool_digest(engine):
@@ -112,9 +112,10 @@ TRACES = {
     # A think time that is not a dyadic fraction: its sum depends on
     # the order of the additions, so only the scalar chain matches.
     "oltp-points": lambda: point_trace(7, ops=600, think_ns=12.7),
-    "olap-scan": lambda: scan_trace(0, 1_500, repeats=2),
-    "htap-scalar": lambda: mixed_htap_trace(
-        oltp_pages=600, olap_pages=800, oltp_ops=3_000, seed=3),
+    "olap-scan": lambda: scan_blocks(0, 1_500, repeats=2),
+    # The frozen scalar generator's accesses, 4,096 to a block.
+    "htap-scalar": lambda: accesses_to_blocks(mixed_htap_trace(
+        oltp_pages=600, olap_pages=800, oltp_ops=3_000, seed=3)),
     "htap-blocks": lambda: mixed_htap_blocks(
         oltp_pages=600, olap_pages=800, oltp_ops=3_000, seed=3),
 }

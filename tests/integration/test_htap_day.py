@@ -46,7 +46,7 @@ class TestHTAPDay:
 
         for round_number in range(3):
             # OLTP burst.
-            report = engine.run(tpcc.flat_trace(300),
+            report = engine.run(tpcc.flat_trace_blocks(300),
                                 label=f"oltp-{round_number}")
             assert report.ops > 0
             # Analytical queries return identical answers every time,

@@ -24,7 +24,7 @@ from repro.sim.interconnect import AccessPath, Link
 from repro.sim.memory import MemoryDevice
 from repro.sim.rdma import RDMAFabric
 from repro.units import GIB
-from repro.workloads import YCSBConfig, mixed_htap_trace, ycsb_trace
+from repro.workloads import YCSBConfig, mixed_htap_blocks, ycsb_blocks
 from repro.workloads.tpcc import TPCCLite
 
 
@@ -77,22 +77,22 @@ class TestSec31MemoryExpansion:
         dram_pages = 800
 
         ssd_only = ScaleUpEngine.build(dram_pages=dram_pages)
-        ssd_only.warm_with(ycsb_trace(warm))
-        r_ssd = ssd_only.run(ycsb_trace(cfg))
+        ssd_only.warm_with(ycsb_blocks(warm))
+        r_ssd = ssd_only.run(ycsb_blocks(cfg))
 
         os_tier = ScaleUpEngine.build(
             dram_pages=dram_pages, cxl_pages=4_000,
             placement=OSPagingPolicy(), with_storage=False,
         )
-        os_tier.warm_with(ycsb_trace(warm))
-        r_os = os_tier.run(ycsb_trace(cfg))
+        os_tier.warm_with(ycsb_blocks(warm))
+        r_os = os_tier.run(ycsb_blocks(cfg))
 
         db_tier = ScaleUpEngine.build(
             dram_pages=dram_pages, cxl_pages=4_000,
             placement=DbCostPolicy(), with_storage=False,
         )
-        db_tier.warm_with(ycsb_trace(warm))
-        r_db = db_tier.run(ycsb_trace(cfg))
+        db_tier.warm_with(ycsb_blocks(warm))
+        r_db = db_tier.run(ycsb_blocks(cfg))
 
         assert r_ssd.total_ns > 2 * r_os.total_ns
         # The engine-side policy keeps more of the hot set in DRAM.
@@ -109,7 +109,7 @@ class TestSec31MemoryExpansion:
                 dram_pages=1_200, cxl_pages=8_000,
                 placement=placement, with_storage=False,
             )
-            trace = mixed_htap_trace(
+            trace = mixed_htap_blocks(
                 oltp_pages=oltp_pages, olap_pages=6_000,
                 oltp_ops=20_000, olap_repeats=1, seed=5,
             )
@@ -133,11 +133,11 @@ class TestSec32PoolingElasticity:
                                        slice_pages=512)
         cfg = YCSBConfig(mix="C", num_pages=300, num_ops=3_000,
                          think_ns=0, seed=2)
-        r_cold = cold.run(ycsb_trace(cfg))
+        r_cold = cold.run(ycsb_blocks(cfg))
         slice_ = cluster.detach_engine(cold)
         warm, spawn_ns = cluster.spawn_engine("b", local_pages=64,
                                               warm_from=slice_)
-        r_warm = warm.run(ycsb_trace(cfg))
+        r_warm = warm.run(ycsb_blocks(cfg))
         assert r_cold.total_ns > 3 * r_warm.total_ns
         assert spawn_ns < 1e6  # spawn in well under a millisecond
         assert (cluster.migration_time_ns(8 * GIB, pooled=False)

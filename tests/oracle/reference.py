@@ -25,7 +25,7 @@ from repro.core.frame import TIER
 from repro.errors import BufferPoolError
 from repro.sim.interconnect import PREFETCH_DEPTH, AccessPath
 from repro.units import CACHE_LINE, transfer_time_ns
-from repro.workloads.traces import blocks_to_accesses
+from tests.oracle.traces import blocks_to_accesses
 
 
 def path_time(path: AccessPath, nbytes: int, write: bool,

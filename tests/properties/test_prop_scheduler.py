@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 from repro.core import ClientSession, ScaleUpEngine, StaticPolicy
 from repro.sim.bandwidth import WaitQueue
 from repro.sim.context import SimContext
-from repro.workloads import Access, scan_trace
-from repro.workloads.traces import ShapeSegments, accesses_to_blocks
+from repro.workloads import scan_blocks
+from repro.workloads.traces import ShapeSegments
 
 from tests.oracle.reference import reference
+from tests.oracle.traces import Access, accesses_to_blocks, from_accesses
 
 
 def contended_engine(pages: int, fast: bool = True) -> ScaleUpEngine:
@@ -37,7 +38,7 @@ def contended_engine(pages: int, fast: bool = True) -> ScaleUpEngine:
         placement=StaticPolicy(lambda _p: 1),
         with_storage=False, ctx=ctx,
     )
-    engine.warm_with(scan_trace(0, pages - 8, repeats=1, think_ns=0.0))
+    engine.warm_with(scan_blocks(0, pages - 8, repeats=1, think_ns=0.0))
     return engine if fast else reference(engine)
 
 
@@ -84,7 +85,7 @@ def random_sessions(rng: random.Random, pages: int) -> list[ClientSession]:
                        is_scan=True, nbytes=16_384)
                 for j in range(ops)
             ]
-        sessions.append(ClientSession(f"s{i}", trace))
+        sessions.append(ClientSession(f"s{i}", [from_accesses(trace)]))
     return sessions
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.harness.scenario import derive_seed
 from repro.serving.tenants import COLUMNS, TenantTable
 from repro.workloads.cloudmix import generate_population
 
@@ -22,6 +23,27 @@ class TestIdentity:
             table = TenantTable.generate(count)
             objects = generate_population(count)
             assert [w for w in table.workloads()] == objects
+
+    def test_per_cell_seeds_fold_into_int64(self):
+        # derive_seed returns up to 63 bits; seed * 1_000 + index used
+        # to overflow int64 (OverflowError), so an a8 sweep with
+        # per-cell seeds could not run. The fold is deterministic and
+        # the two generators still agree row for row.
+        seed = derive_seed(11, "a8.pondscale/x")
+        assert seed * 1_000 > 2**63
+        table = TenantTable.generate(count=10, seed=seed)
+        objects = generate_population(count=10, seed=seed)
+        assert [w for w in table.workloads()] == objects
+        assert np.array_equal(
+            table.seed, TenantTable.generate(count=10, seed=seed).seed)
+        assert table.seed.min() >= 0
+        assert np.array_equal(np.diff(table.seed), np.ones(9))
+        list(objects[0].trace_blocks(block_ops=500))
+
+    def test_seeds_that_fit_are_unchanged(self):
+        for seed in (7, 0, -5, (2**63 - 10) // 1_000):
+            assert TenantTable.generate(count=10, seed=seed).seed.tolist() \
+                == [seed * 1_000 + i for i in range(10)]
 
     def test_from_workloads_round_trip(self):
         table = TenantTable.generate(97, seed=13)

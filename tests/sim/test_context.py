@@ -131,9 +131,9 @@ class TestEngineIntegration:
         ctx = SimContext(trace=sink)
         engine = ScaleUpEngine.build(dram_pages=4, cxl_pages=16,
                                      with_storage=False, ctx=ctx)
-        from repro.workloads.ycsb import YCSBConfig, ycsb_trace
+        from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
         cfg = YCSBConfig(num_pages=30, num_ops=200, seed=7)
-        report = engine.run(ycsb_trace(cfg))
+        report = engine.run(ycsb_blocks(cfg))
         names = {span.name for span in sink.spans}
         assert any(name.startswith("run:") for name in names)
         assert any(name == "pool.fault" for name in names)

@@ -1,5 +1,5 @@
-"""Coverage for smaller surfaces: errors, trace merging, hetero
-workloads, planner edges, reports."""
+"""Coverage for smaller surfaces: errors, hetero workloads, planner
+edges, reports."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from repro.query.planner import OffloadChoice, choose_scan_site
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
 from repro import config
-from repro.workloads import Access
-from repro.workloads.traces import merge_timed
 
 
 class TestErrorHierarchy:
@@ -30,17 +28,6 @@ class TestErrorHierarchy:
     def test_catchable_as_base(self):
         with pytest.raises(errors.ReproError):
             raise errors.TopologyError("x")
-
-
-class TestMergeTimed:
-    def test_merges_by_timestamp(self):
-        a = [(1.0, Access(page_id=1)), (5.0, Access(page_id=5))]
-        b = [(2.0, Access(page_id=2)), (3.0, Access(page_id=3))]
-        merged = list(merge_timed(a, b))
-        assert [t for t, _x in merged] == [1.0, 2.0, 3.0, 5.0]
-
-    def test_empty_streams(self):
-        assert list(merge_timed([], [])) == []
 
 
 class TestHeteroWorkload:

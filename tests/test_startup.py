@@ -109,13 +109,15 @@ def test_engine_run_loads_nothing_new():
 def test_run_sessions_loads_nothing_new():
     run_snippet("""
         from repro.core import ClientSession, ScaleUpEngine
-        from repro.workloads import Access
+        import numpy as np
+        from repro.workloads import AccessBlock
         before = set(sys.modules)
         engine = ScaleUpEngine.build(dram_pages=64, cxl_pages=256)
         engine.run_sessions([
-            ClientSession(f"s{s}", [Access(page_id=(7 * i + s) % 300,
-                                           think_ns=100.0)
-                                    for i in range(400)])
+            ClientSession(f"s{s}", [AccessBlock.from_columns(
+                (7 * np.arange(400) + s) % 300, np.zeros(400, bool),
+                np.zeros(400, bool), np.full(400, 64),
+                np.full(400, 100.0))])
             for s in range(3)])
         assert not new_modules(before), new_modules(before)
     """)

@@ -1,30 +1,34 @@
-"""Trace equivalence suite: block emitters vs scalar generators.
+"""Trace equivalence suite: block emitters vs the frozen scalar
+generators.
 
 The columnar pipeline's contract is that every block-emitting
 generator produces the **elementwise-identical** access sequence to
-its scalar twin — same RNG draws, same op expansion, same values in
-every field. These tests gate that contract (and the lossless
-adapters) directly, independent of the engine.
+the historical one-record-per-access generator it replaced, frozen in
+``tests.oracle.traces`` — same RNG draws, same op expansion, same
+values in every field. These tests gate that contract (and the
+reference's lossless adapters) directly, independent of the engine.
 """
 
 import numpy as np
 import pytest
 
 from repro.workloads.cloudmix import generate_population
-from repro.workloads.scans import (
-    mixed_htap_blocks,
-    mixed_htap_trace,
-    scan_blocks,
-    scan_trace,
-)
+from repro.workloads.scans import mixed_htap_blocks, scan_blocks
 from repro.workloads.tpcc import TPCCLite
-from repro.workloads.traces import (
+from repro.workloads.traces import AccessBlock
+from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
+
+from tests.oracle.traces import (
     Access,
-    AccessBlock,
     accesses_to_blocks,
     blocks_to_accesses,
+    cloud_trace,
+    flat_trace,
+    from_accesses,
+    mixed_htap_trace,
+    scan_trace,
+    ycsb_trace,
 )
-from repro.workloads.ycsb import YCSBConfig, ycsb_blocks, ycsb_trace
 
 
 def expand(blocks):
@@ -91,7 +95,7 @@ class TestScanEquivalence:
 
 class TestTPCCEquivalence:
     def test_flat_trace_blocks_identical(self):
-        scalar = list(TPCCLite(num_warehouses=2, seed=3).flat_trace(150))
+        scalar = list(flat_trace(TPCCLite(num_warehouses=2, seed=3), 150))
         blocks = TPCCLite(num_warehouses=2, seed=3) \
             .flat_trace_blocks(150, block_ops=128)
         assert expand(blocks) == scalar
@@ -102,7 +106,7 @@ class TestCloudmixEquivalence:
         for workload in generate_population(count=8, num_ops=600,
                                             seed=7):
             assert expand(workload.trace_blocks(block_ops=77)) \
-                == list(workload.trace())
+                == list(cloud_trace(workload))
 
 
 class TestAdapters:
@@ -114,14 +118,14 @@ class TestAdapters:
         assert expand(packed) == scalar
 
     def test_accesses_to_blocks_passes_blocks_through(self):
-        block = AccessBlock.from_accesses([Access(1), Access(2)])
+        block = from_accesses([Access(1), Access(2)])
         mixed = [Access(0), block, Access(3)]
         out = list(accesses_to_blocks(mixed, block_ops=100))
         assert out[1] is block
         assert [a.page_id for a in expand(out)] == [0, 1, 2, 3]
 
     def test_from_accesses_dtypes(self):
-        block = AccessBlock.from_accesses(
+        block = from_accesses(
             [Access(7, write=True, is_scan=True, nbytes=4096,
                     think_ns=1.5)])
         assert block.page_id.dtype == np.int64
@@ -132,12 +136,12 @@ class TestAdapters:
 
 class TestSegmentBounds:
     def test_empty_and_single(self):
-        assert AccessBlock.from_accesses([]).segment_bounds() == [0]
-        assert AccessBlock.from_accesses([Access(1)]).segment_bounds() \
+        assert from_accesses([]).segment_bounds() == [0]
+        assert from_accesses([Access(1)]).segment_bounds() \
             == [0, 1]
 
     def test_shape_changes_cut_runs(self):
-        block = AccessBlock.from_accesses([
+        block = from_accesses([
             Access(0, think_ns=5.0),
             Access(1, think_ns=5.0),
             Access(2, write=True, think_ns=5.0),   # write flips

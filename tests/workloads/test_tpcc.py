@@ -98,10 +98,11 @@ class TestTransactionMix:
 
     def test_flat_trace_maps_to_pages(self):
         gen = TPCCLite(num_warehouses=2, seed=7)
-        accesses = list(gen.flat_trace(50))
-        assert accesses
-        assert all(0 <= a.page_id < gen.total_pages for a in accesses)
-        assert any(a.write for a in accesses)
+        blocks = list(gen.flat_trace_blocks(50))
+        assert blocks
+        assert all(((0 <= b.page_id) & (b.page_id < gen.total_pages)).all()
+                   for b in blocks)
+        assert any(b.write.any() for b in blocks)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

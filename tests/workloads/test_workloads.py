@@ -8,14 +8,25 @@ from repro.workloads.cloudmix import (
     class_counts,
     generate_population,
 )
-from repro.workloads.scans import mixed_htap_trace, scan_trace
-from repro.workloads.traces import Access, interleave, take
+from repro.workloads.scans import mixed_htap_blocks, scan_blocks
+from repro.workloads.traces import interleave, take
 from repro.workloads.ycsb import (
     YCSBConfig,
     working_set_pages,
-    ycsb_trace,
+    ycsb_blocks,
 )
 from repro.workloads.zipf import ZipfGenerator
+
+from tests.oracle.traces import Access, accesses_to_blocks, blocks_to_accesses
+
+
+def expand(blocks):
+    """A block trace as frozen scalar records, for reading."""
+    return list(blocks_to_accesses(blocks))
+
+
+def blocks(*page_ids):
+    return list(accesses_to_blocks(Access(page_id=i) for i in page_ids))
 
 
 class TestAccess:
@@ -34,21 +45,22 @@ class TestAccess:
 
 class TestInterleave:
     def test_round_robin(self):
-        a = [Access(page_id=i) for i in (1, 2)]
-        b = [Access(page_id=i) for i in (10, 20)]
-        merged = [x.page_id for x in interleave(a, b)]
+        a = blocks(1, 2)
+        b = blocks(10, 20)
+        merged = [x.page_id for x in expand(interleave(a, b))]
         assert merged == [1, 10, 2, 20]
 
     def test_weights(self):
-        a = [Access(page_id=i) for i in range(4)]
-        b = [Access(page_id=i + 100) for i in range(2)]
-        merged = [x.page_id for x in interleave(a, b, weights=[2, 1])]
+        a = blocks(*range(4))
+        b = blocks(100, 101)
+        merged = [x.page_id
+                  for x in expand(interleave(a, b, weights=[2, 1]))]
         assert merged[:3] == [0, 1, 100]
 
     def test_uneven_lengths_drain(self):
-        a = [Access(page_id=1)]
-        b = [Access(page_id=i + 10) for i in range(5)]
-        merged = list(interleave(a, b))
+        a = blocks(1)
+        b = blocks(*range(10, 15))
+        merged = expand(interleave(a, b))
         assert len(merged) == 6
 
     def test_weight_arity_checked(self):
@@ -56,9 +68,9 @@ class TestInterleave:
             list(interleave([], [], weights=[1]))
 
     def test_take(self):
-        trace = (Access(page_id=i) for i in range(100))
-        assert len(list(take(trace, 7))) == 7
-        assert len(list(take([Access(page_id=1)], 5))) == 1
+        trace = iter(blocks(*range(100)))
+        assert len(expand(take(trace, 7))) == 7
+        assert len(expand(take(blocks(1), 5))) == 1
 
 
 class TestZipf:
@@ -109,22 +121,22 @@ class TestZipf:
 class TestYCSB:
     def test_mix_c_is_read_only(self):
         cfg = YCSBConfig(mix="C", num_pages=100, num_ops=500)
-        assert not any(a.write for a in ycsb_trace(cfg))
+        assert not any(a.write for a in expand(ycsb_blocks(cfg)))
 
     def test_mix_a_is_half_updates(self):
         cfg = YCSBConfig(mix="A", num_pages=100, num_ops=4_000, seed=2)
-        writes = sum(1 for a in ycsb_trace(cfg) if a.write)
+        writes = sum(1 for a in expand(ycsb_blocks(cfg)) if a.write)
         assert 0.4 < writes / 4_000 < 0.6
 
     def test_mix_e_emits_scans(self):
         cfg = YCSBConfig(mix="E", num_pages=100, num_ops=200)
-        accesses = list(ycsb_trace(cfg))
+        accesses = expand(ycsb_blocks(cfg))
         assert any(a.is_scan for a in accesses)
         assert len(accesses) > 200  # scans expand into page runs
 
     def test_mix_f_rmw_pairs(self):
         cfg = YCSBConfig(mix="F", num_pages=100, num_ops=1_000, seed=3)
-        accesses = list(ycsb_trace(cfg))
+        accesses = expand(ycsb_blocks(cfg))
         reads = sum(1 for a in accesses if not a.write)
         writes = sum(1 for a in accesses if a.write)
         assert writes > 0
@@ -132,7 +144,7 @@ class TestYCSB:
 
     def test_inserts_extend_key_space(self):
         cfg = YCSBConfig(mix="D", num_pages=100, num_ops=2_000, seed=4)
-        max_page = max(a.page_id for a in ycsb_trace(cfg))
+        max_page = max(a.page_id for a in expand(ycsb_blocks(cfg)))
         assert max_page >= 100
 
     def test_unknown_mix_rejected(self):
@@ -146,14 +158,15 @@ class TestYCSB:
 
     def test_deterministic(self):
         cfg = YCSBConfig(mix="A", num_pages=50, num_ops=100, seed=9)
-        t1 = [(a.page_id, a.write) for a in ycsb_trace(cfg)]
-        t2 = [(a.page_id, a.write) for a in ycsb_trace(cfg)]
+        t1 = [(a.page_id, a.write) for a in expand(ycsb_blocks(cfg))]
+        t2 = [(a.page_id, a.write) for a in expand(ycsb_blocks(cfg))]
         assert t1 == t2
 
 
 class TestScans:
     def test_scan_covers_range(self):
-        accesses = list(scan_trace(first_page=10, num_pages=5, repeats=2))
+        accesses = expand(scan_blocks(first_page=10, num_pages=5,
+                                      repeats=2))
         assert len(accesses) == 10
         assert {a.page_id for a in accesses} == set(range(10, 15))
         assert all(a.is_scan for a in accesses)
@@ -161,10 +174,10 @@ class TestScans:
 
     def test_invalid_scan(self):
         with pytest.raises(ConfigError):
-            list(scan_trace(0, 0))
+            list(scan_blocks(0, 0))
 
     def test_htap_mixes_point_and_scan(self):
-        trace = list(mixed_htap_trace(
+        trace = expand(mixed_htap_blocks(
             oltp_pages=50, olap_pages=100, oltp_ops=200, olap_repeats=1,
         ))
         scans = [a for a in trace if a.is_scan]
@@ -196,7 +209,7 @@ class TestCloudMix:
 
     def test_traces_respect_working_set(self):
         workload = generate_population(count=5)[0]
-        pages = {a.page_id for a in workload.trace()}
+        pages = {a.page_id for a in expand(workload.trace_blocks())}
         assert max(pages) < workload.working_set_pages
 
     def test_deterministic(self):

@@ -24,9 +24,10 @@ from repro.workloads.ycsb import (
     YCSBConfig,
     _op_plan,
     ycsb_blocks,
-    ycsb_trace,
 )
 from repro.workloads.zipf import ZipfGenerator
+
+from tests.oracle.traces import ycsb_trace
 
 COLUMNS = ("page_id", "write", "is_scan", "nbytes", "think_ns")
 
