@@ -105,9 +105,12 @@ route-check:
 # the timestamp merge and the scalar/block adapters (from_accesses,
 # blocks_to_accesses, accesses_to_blocks, whole_trace_block, the
 # sessions' _WHOLE_TRACE packing) may not come back under src/; the
-# frozen scalar generators live in tests/oracle/traces.py.
-# The line counts of the pool,
-# placement, tracker and chain files are printed for the CI log.
+# frozen scalar generators live in tests/oracle/traces.py. Pages are
+# ids until someone reads one: the pool builds a Page in _anonymous
+# only, and the page file in allocate_page and _lookup only, so no
+# preload, fill or fault path builds one eagerly. The line counts of
+# the pool, placement, tracker, chain and page files are printed for
+# the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
@@ -159,6 +162,14 @@ for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
     name = method.split("(", 1)[0]
     if "Frame(" in method and name != "frame_of":
         bad.append("buffer.py: %s() constructs a Frame" % name)
+for path, builders in (("src/repro/core/buffer.py", ("_anonymous",)),
+                       ("src/repro/storage/file.py",
+                        ("allocate_page", "_lookup"))):
+    text = pathlib.Path(path).read_text()
+    for method in re.split(r"^    def ", text, flags=re.M)[1:]:
+        name = method.split("(", 1)[0]
+        if "Page(" in method and name not in builders:
+            bad.append("%s: %s() constructs a Page" % (path, name))
 placement = pathlib.Path("src/repro/core/placement.py")
 for number, line in enumerate(placement.read_text().splitlines(), 1):
     if "frame_of(" in line:
@@ -172,7 +183,7 @@ structure-check:
 	@python3 -c "$$STRUCTURE_CHECK"
 	@wc -l src/repro/core/buffer.py src/repro/core/frame.py \
 		src/repro/core/placement.py src/repro/core/temperature.py \
-		src/repro/sim/ladder.py
+		src/repro/sim/ladder.py src/repro/storage/file.py
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

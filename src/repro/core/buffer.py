@@ -396,9 +396,10 @@ class TieredBufferPool:
         # memoryview per column for the scalar paths (plain ints and
         # floats, no numpy scalar boxed per read). A resident page the
         # table refuses (id >= _RES_MAX_PIDS) keeps the same row as a
-        # list in `_far`. No Page is stored: its home is the page file
-        # (every fault materialises it there) or the anonymous set, or
-        # `_adopted` for an object adopt_resident brought from neither.
+        # list in `_far`. No Page is stored: its home, which builds it
+        # on first read, is the page file (every fault registers its id
+        # there) or the anonymous set, or `_adopted` for an object
+        # adopt_resident brought from neither.
         self._cap = 0
         self._res_grow(0)
         self._far: dict[PageId, list] = {}
@@ -615,7 +616,7 @@ class TieredBufferPool:
         """A resident page's object, read from where it lives."""
         page = self._adopted.get(page_id)
         if page is None:
-            page = (self._anonymous_pages[page_id] if self.backing is None
+            page = (self._anonymous(page_id) if self.backing is None
                     else self.backing.peek(page_id))
         return page
 
@@ -2012,23 +2013,19 @@ class TieredBufferPool:
     def _fill_install(self, ids: np.ndarray, adm, pairs) -> None:
         """The one bulk install body: make the distinct, non-resident
         *ids* of the dense table resident, in order — their rows, the
-        pages in their home, insertion-order index, resident counts
+        ids in the page file, insertion-order index, resident counts
         and peaks, replacement inserts — as that many :meth:`_install`
         calls would. *adm* is one tier index or a tier per id, *pairs*
         its ``(tier, count)`` summary; every admit tier is an
         :class:`LRUPolicy` (the window cuts at any other). The rows
         start blank and the caller adds the touches.
         """
-        ids_l = ids.tolist()
-        if self.backing is None:
-            for page_id in ids_l:
-                self._anonymous(page_id)
-        else:
-            self.backing.ensure_many(ids_l)
+        if self.backing is not None:
+            self.backing.ensure_many(ids)
         self._res_tier[ids] = adm
         self._acc[ids] = 0
         self._last_ns[ids] = 0.0
-        k = len(ids_l)
+        k = ids.shape[0]
         slot = self._ord_append(ids, adm, k)
         self._slot[ids] = np.arange(slot, slot + k)
         counts = self._resident_counts
@@ -2098,8 +2095,7 @@ class TieredBufferPool:
         dirty_ids = list(compress(victims, dirty))
         if dirty_ids:
             write_page = self.backing.write_page
-            for page in (map(self._page_of, dirty_ids) if self._adopted
-                         else self.backing.ensure_many(dirty_ids)):
+            for page in map(self._page_of, dirty_ids):
                 wb = write_page(page)
                 stats.writebacks += 1
         if self._adopted:
@@ -2135,12 +2131,12 @@ class TieredBufferPool:
         return io_time + make_room_time + install_time
 
     def _read_backing(self, page_id: PageId) -> float:
-        """Materialise a faulting page in its home; returns the
-        storage read time."""
+        """Register a faulting page in its home; returns the storage
+        read time."""
         backing = self.backing
         if backing is None:
-            # No backing: anonymous page, materialized on first touch.
-            self._anonymous(page_id)
+            if page_id < 0:  # would index the table from its end
+                raise BufferPoolError(f"invalid page id {page_id}")
             return 0.0
         # The page file is the home of the whole page-id space: every
         # fault pays a storage read, constant per (device, page size).
@@ -2158,11 +2154,7 @@ class TieredBufferPool:
         return io_time
 
     def _anonymous(self, page_id: PageId) -> Page:
-        """The anonymous (backing-less) page, created on first touch."""
-        if page_id < 0:
-            # As PageFile.ensure refuses it for a backed pool; a
-            # negative id would index the table from its end.
-            raise BufferPoolError(f"invalid page id {page_id}")
+        """The anonymous (backing-less) page, built on first read."""
         page = self._anonymous_pages.get(page_id)
         if page is None:
             page = Page(page_id=page_id, size_bytes=self.page_size)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import config
-from ..errors import PoolingError
+from ..errors import PoolingError, StorageError
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath, Link
 from ..sim.memory import MemoryDevice
@@ -326,7 +326,9 @@ class ElasticCluster:
         self.page_size = page_size
         self.storage = StorageDevice()
         self.backing = PageFile(self.storage, name="shared-tablespace")
-        self.backing.allocate_pages(dataset_pages)
+        if dataset_pages < 0:
+            raise StorageError(f"cannot allocate {dataset_pages} pages")
+        self.backing.ensure_many(range(dataset_pages))
         self._slices: dict[str, PoolSlice] = {}
         self.spawns = 0
         self.warm_spawns = 0

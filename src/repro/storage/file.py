@@ -1,12 +1,15 @@
 """Page files: the persistent home of database pages.
 
-A :class:`PageFile` owns a contiguous range of page ids on one storage
-device. It is the *backing store* a buffer pool faults pages in from
-and flushes dirty pages back to. Page payloads are kept in a dict so
-the query layer can round-trip records through "disk".
+A :class:`PageFile` owns a set of page ids on one storage device: the
+*backing store* a buffer pool faults pages in from and flushes dirty
+pages back to. A page is an id until someone reads it — ``ensure``
+registers ids, and the blank :class:`Page` is built on its first read
+— and payloads are kept so the query layer can round-trip records.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from ..errors import StorageError
 from ..units import PAGE_SIZE
@@ -24,7 +27,7 @@ class PageFile:
         self.device = device
         self.name = name
         self.page_size = page_size
-        self._pages: dict[PageId, Page] = {}
+        self._pages: dict[PageId, Page | None] = {}  # None: never read
         self._next_id: PageId = 0
 
     # -- structure ----------------------------------------------------------
@@ -52,30 +55,29 @@ class PageFile:
             raise StorageError(f"cannot allocate {count} pages")
         return [self.allocate_page() for _ in range(count)]
 
-    def ensure(self, page_id: PageId) -> Page:
-        """Materialize a page at a specific id if absent.
+    def ensure(self, page_id: PageId) -> None:
+        """Register one page id if absent (see :meth:`ensure_many`)."""
+        if type(page_id) is not int or page_id not in self._pages:
+            self.ensure_many((page_id,))
 
-        Lets a buffer pool treat the file as the home of its whole
-        page-id space without pre-allocating it densely.
-        """
-        if page_id < 0:
-            raise StorageError(f"invalid page id {page_id}")
-        page = self._pages.get(page_id)
-        if page is None:
-            page = Page(page_id=page_id, size_bytes=self.page_size)
-            self._pages[page_id] = page
-            self._next_id = max(self._next_id, page_id + 1)
-        return page
-
-    def ensure_many(self, page_ids: list[PageId]) -> list[Page]:
-        """:meth:`ensure` for a run of ids, in order — one call per
-        fault chunk instead of one per page. A run whose pages are all
-        in the file already (every re-fault) is one C-level pass; a
-        run with an absent id takes the per-page path."""
-        try:
-            return list(map(self._pages.__getitem__, page_ids))
-        except KeyError:
-            return [self.ensure(page_id) for page_id in page_ids]
+    def ensure_many(self, page_ids) -> None:
+        """Register the absent ids of *page_ids* (an iterable or an
+        integer array), building no page: the file is the home of a
+        pool's whole page-id space. Ids are integers >= 0, not bools,
+        kept as ints; nothing is registered when one is refused."""
+        ids = page_ids.tolist() if hasattr(page_ids, "tolist") \
+            else list(page_ids)
+        if not {int}.issuperset(map(type, ids)):
+            bad = [i for i in ids if type(i) is bool
+                   or not hasattr(i, "__index__")]
+            if bad:
+                raise StorageError(f"invalid page id {bad[0]!r}")
+            ids = list(map(index, ids))
+        if ids and min(ids) < 0:
+            raise StorageError(f"invalid page id {min(ids)}")
+        pages = self._pages
+        pages.update(dict.fromkeys(set(ids).difference(pages)))
+        self._next_id = max(self._next_id, max(ids, default=-1) + 1)
 
     def contains(self, page_id: PageId) -> bool:
         """Whether the page id exists in this file."""
@@ -88,9 +90,14 @@ class PageFile:
     # -- I/O ---------------------------------------------------------------
 
     def _lookup(self, page_id: PageId) -> Page:
-        page = self._pages.get(page_id)
+        """The page at *page_id*, built blank on its first read."""
+        pages = self._pages
+        page = pages.get(page_id)
         if page is None:
-            raise StorageError(f"{self.name}: no page {page_id}")
+            if page_id not in pages:
+                raise StorageError(f"{self.name}: no page {page_id}")
+            page = pages[page_id] = Page(page_id=page_id,
+                                         size_bytes=self.page_size)
         return page
 
     def install(self, page: Page) -> Page:
@@ -118,9 +125,11 @@ class PageFile:
 
     def write_page(self, page: Page) -> float:
         """Write a page back; returns the I/O time in ns."""
-        self._lookup(page.page_id)
+        if page.page_id not in self._pages:
+            raise StorageError(f"{self.name}: no page {page.page_id}")
         self._pages[page.page_id] = page
         return self.device.write_time(self.page_size)
 
     def __repr__(self) -> str:
         return f"PageFile({self.name!r}, pages={self.page_count})"
+

@@ -167,20 +167,16 @@ class ShapeSegments:
     exhausted.
 
     One vectorised :meth:`AccessBlock.segment_bounds` scan per block,
-    shape columns materialised to plain lists once, the id column
-    handed out whole.
+    one shape tuple per segment built once, the id column handed out
+    whole.
     """
 
-    __slots__ = ("_iterator", "_ids", "_sizes", "_writes", "_scans",
-                 "_thinks", "_bounds", "_seg", "_pos")
+    __slots__ = ("_iterator", "_ids", "_shapes", "_bounds", "_seg", "_pos")
 
     def __init__(self, trace) -> None:
         self._iterator = iter(trace)
         self._ids: np.ndarray | None = None
-        self._sizes: list[int] | None = None
-        self._writes: list[bool] | None = None
-        self._scans: list[bool] | None = None
-        self._thinks: list[float] | None = None
+        self._shapes: list[tuple] | None = None
         self._bounds: list[int] | None = None
         self._seg = 0
         self._pos = 0
@@ -190,14 +186,16 @@ class ShapeSegments:
         for block in self._iterator:
             if len(require_block(block)):
                 # The id column stays an ndarray, handed out whole with
-                # every span. Shape columns are indexed once per
-                # segment, so plain lists are cheapest.
+                # every span; each segment's one shape is read at its
+                # start, as an (nbytes, write, is_scan, think_ns) tuple.
                 self._ids = block.page_id
-                self._sizes = block.nbytes.tolist()
-                self._writes = block.write.tolist()
-                self._scans = block.is_scan.tolist()
-                self._thinks = block.think_ns.tolist()
                 self._bounds = block.segment_bounds()
+                starts = self._bounds[:-1]
+                self._shapes = list(zip(
+                    block.nbytes[starts].tolist(),
+                    block.write[starts].tolist(),
+                    block.is_scan[starts].tolist(),
+                    block.think_ns[starts].tolist()))
                 self._seg = 1
                 self._pos = 0
                 return True
@@ -222,6 +220,7 @@ class ShapeSegments:
             return None
         ids = self._ids
         bounds = self._bounds
+        shapes = self._shapes
         nseg = len(bounds)
         seg = self._seg
         pos = self._pos
@@ -233,9 +232,7 @@ class ShapeSegments:
             if take > budget:
                 take = budget
             stop = pos + take
-            segs.append((pos, stop, self._sizes[pos],
-                         self._writes[pos], self._scans[pos],
-                         self._thinks[pos]))
+            segs.append((pos, stop, *shapes[seg - 1]))
             budget -= take
             pos = stop
             if stop == seg_end:

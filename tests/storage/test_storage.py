@@ -1,5 +1,6 @@
 """Pages, block devices, and page files."""
 
+import numpy as np
 import pytest
 
 from repro import config
@@ -121,13 +122,82 @@ class TestPageFile:
     def test_ensure_many_is_an_ensure_loop(self):
         one, many = PageFile(StorageDevice()), PageFile(StorageDevice())
         for ids in ([5, 2, 9], [2, 9], [9, 11, 0], []):
-            pages = many.ensure_many(ids)
-            assert pages == [one.ensure(pid) for pid in ids]
-            assert all(page is many.peek(pid)
-                       for pid, page in zip(ids, pages))
+            assert many.ensure_many(ids) is None
+            for pid in ids:
+                assert one.ensure(pid) is None
+            assert many._pages == one._pages
         assert many.page_ids() == one.page_ids() == [0, 2, 5, 9, 11]
+        assert many.page_count == one.page_count == 5
         assert many.allocate_page().page_id == \
             one.allocate_page().page_id == 12
         with pytest.raises(StorageError, match="invalid page id -1"):
             many.ensure_many([3, -1])
+        assert not many.contains(3)
         assert many.device.stats.reads == 0
+
+    @pytest.mark.parametrize("bad", [2.5, True, False, -2, "3", None])
+    def test_ensure_refuses_a_bad_id_and_registers_nothing(self, bad):
+        pf = PageFile(StorageDevice())
+        pf.ensure(4)
+        for call in (lambda: pf.ensure(bad),
+                     lambda: pf.ensure_many([1, bad, 6])):
+            with pytest.raises(StorageError, match="invalid page id"):
+                call()
+            assert pf.page_ids() == [4]
+            assert pf.page_count == 1
+        assert pf.allocate_page().page_id == 5
+
+    def test_ensure_many_refuses_a_float_or_bool_array(self):
+        pf = PageFile(StorageDevice())
+        for bad in (np.array([1.0, 2.0]), np.array([True, False])):
+            with pytest.raises(StorageError, match="invalid page id"):
+                pf.ensure_many(bad)
+        assert pf.page_count == 0
+
+    def test_ensure_stores_python_int_keys(self):
+        pf = PageFile(StorageDevice())
+        pf.ensure_many(np.array([5, 6]))
+        pf.ensure_many([np.int32(7), np.uint64(8)])
+        pf.ensure(np.int64(9))
+        assert pf.page_ids() == [5, 6, 7, 8, 9]
+        assert {type(pid) for pid in pf.page_ids()} == {int}
+        assert pf.allocate_page().page_id == 10
+
+    def test_registered_pages_are_built_on_first_read(self):
+        pf = PageFile(StorageDevice())
+        pf.ensure_many(range(1000))
+        assert set(pf._pages.values()) == {None}
+        page = pf.peek(17)
+        assert page == Page(page_id=17)
+        assert page is pf.peek(17) is pf.read_page(17)[0]
+        read, _t = pf.read_page(18)
+        assert read == Page(page_id=18) and read is pf.peek(18)
+        assert sum(p is not None for p in pf._pages.values()) == 2
+        pf.ensure_many([17, 18])
+        assert pf.peek(17) is page
+
+    def test_write_page_of_a_registered_page_builds_no_blank(self):
+        pf = PageFile(StorageDevice())
+        pf.ensure(3)
+        page = Page(page_id=3)
+        page.add_record(("x",))
+        pf.write_page(page)
+        assert pf.peek(3) is page
+        with pytest.raises(StorageError, match="no page 4"):
+            pf.write_page(Page(page_id=4))
+
+    def test_sparse_registration_keeps_the_file_shape(self):
+        lazy, eager = PageFile(StorageDevice()), PageFile(StorageDevice())
+        ids = [40, 3, 17, 3]
+        lazy.ensure_many(ids)
+        for pid in ids:
+            if not eager.contains(pid):
+                eager.install(Page(page_id=pid))
+        for pid in range(45):
+            assert lazy.contains(pid) == eager.contains(pid)
+        assert lazy.page_count == eager.page_count == 3
+        assert lazy.size_bytes == eager.size_bytes
+        assert lazy.page_ids() == eager.page_ids() == [3, 17, 40]
+        assert [lazy.peek(p) for p in ids] == [eager.peek(p) for p in ids]
+        assert lazy.allocate_page().page_id == \
+            eager.allocate_page().page_id == 41
