@@ -108,9 +108,11 @@ route-check:
 # frozen scalar generators live in tests/oracle/traces.py. Pages are
 # ids until someone reads one: the pool builds a Page in _anonymous
 # only, and the page file in allocate_page and _lookup only, so no
-# preload, fill or fault path builds one eagerly. The line counts of
-# the pool, placement, tracker, chain and page files are printed for
-# the CI log.
+# preload, fill or fault path builds one eagerly. A run is a one-shape
+# block: the block window has one entry (only access_block calls
+# _block_exact), only preload calls access_run, and _run_span builds no
+# broadcast columns. The line counts of the pool, placement, tracker,
+# chain and page files are printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
@@ -170,6 +172,14 @@ for path, builders in (("src/repro/core/buffer.py", ("_anonymous",)),
         name = method.split("(", 1)[0]
         if "Page(" in method and name not in builders:
             bad.append("%s: %s() constructs a Page" % (path, name))
+for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
+    name, body = method.split("(", 1)[0], method.split("\n", 1)[1]
+    for call, callers in (("_block_exact(", ("access_block",)),
+                          ("access_run(", ("preload",))):
+        if call in body and name not in callers:
+            bad.append("buffer.py: %s() calls %s)" % (name, call))
+    if name == "_run_span" and "broadcast_to" in body:
+        bad.append("buffer.py: _run_span() builds broadcast columns")
 placement = pathlib.Path("src/repro/core/placement.py")
 for number, line in enumerate(placement.read_text().splitlines(), 1):
     if "frame_of(" in line:

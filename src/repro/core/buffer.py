@@ -26,22 +26,23 @@ arithmetic, no tables) lives beside the tests, not in the pool.
   :meth:`TieredBufferPool.access_batch` is its list-form spelling:
   ``think → access`` per id of a python sequence sharing one shape,
   the array lane's scalar fallback.
-* :meth:`TieredBufferPool.access_run` /
-  :meth:`TieredBufferPool.access_quantum` /
-  :meth:`TieredBufferPool.access_block` — the array lane: id ndarrays
-  resolved against a dense numpy residency table (``page_id →
+* :meth:`TieredBufferPool.access_block` /
+  :meth:`TieredBufferPool.access_quantum` — the array lane: id
+  ndarrays resolved against a dense numpy residency table (``page_id →
   tier_index``) kept in sync by install/evict/migrate/drop/resize.
   Hits are partitioned from faults with one gather, per-(tier, shape)
   latencies come from the precomputed tables, and the clock/demand
   accumulators advance through left folds of their deltas and
   closed-form constant runs (:mod:`repro.sim.ladder`), bit for bit the
-  scalar loop's floats. ``access_run`` charges one uniform-shape
-  run and ``access_quantum`` a scheduler quantum of several; both end
-  in one hit-run body (:meth:`TieredBufferPool._quantum_hits`).
-  ``access_block`` charges a whole columnar
-  :class:`~repro.workloads.traces.AccessBlock`: through the
-  :meth:`TieredBufferPool._block_exact` window when it can, otherwise
-  as one ``access_run`` per uniform-shape segment.
+  scalar loop's floats. ``access_block`` charges a whole columnar
+  :class:`~repro.workloads.traces.AccessBlock` through the
+  :meth:`TieredBufferPool._block_exact` window when it can; a block
+  the window declines is one ``access_quantum`` call over its
+  uniform-shape segments, the route a scheduler quantum takes too,
+  which ends in one hit-run body
+  (:meth:`TieredBufferPool._quantum_hits`). ``access_run`` (and
+  ``preload`` behind it) is the one-shape block: the run's shape as
+  constant columns, through ``access_block``.
 
 Session lane: between :meth:`TieredBufferPool.session_begin` and
 :meth:`TieredBufferPool.session_end` every lane times accesses
@@ -80,6 +81,7 @@ from ..sim.ladder import chain_values, repeat_add
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
+from ..workloads.traces import BLOCK_OPS, AccessBlock
 from .frame import ACC, DIRTY, LAST_NS, PINS, SLOT, TIER, Frame
 from .replacement import (
     DENSE_KEYS,
@@ -281,13 +283,14 @@ class LaneStats:
     ``head_cuts`` why a window was refused at its head instead, and
     ``head_stretch_accesses`` the accesses of the leading stretches
     that then took the scalar chain, one stretch per refusal.
-    ``segment_blocks`` counts the blocks :meth:`access_block` charged
-    segment by segment instead, ``declines`` what kept each off the
-    window route. ``quantum_spans`` counts the all-hit spans the hit
-    kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
+    ``segment_blocks`` counts the blocks :meth:`access_block` handed
+    to one ``access_quantum`` call over their segments instead,
+    ``declines`` what kept each off the window route (``nbytes``: a
+    float size column). ``quantum_spans`` counts the all-hit spans the
+    hit kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
     deferred-log entry each — and ``quantum_list_fallbacks`` the
-    ``access_quantum``/``access_run`` calls whose ids do not index the
-    dense table and went to the scalar loop; ``log_settles`` /
+    ``access_quantum`` calls whose ids do not index the dense table
+    and went to the scalar loop; ``log_settles`` /
     ``log_settled_accesses`` count the log's columnar settle passes
     and the accesses they carried, ``log_high_water`` the most it ever
     held. ``column_migrations`` / ``step_migrations`` count the pages
@@ -308,7 +311,7 @@ class LaneStats:
     head_stretch_accesses: int = 0
     segment_blocks: int = 0
     declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
-        ("session", "id_range", "tracker", "note", "latency"), 0))
+        ("session", "nbytes", "id_range", "tracker", "note", "latency"), 0))
     quantum_spans: int = 0
     quantum_list_fallbacks: int = 0
     log_settles: int = 0
@@ -1027,32 +1030,26 @@ class TieredBufferPool:
     def _run_span(self, ids: np.ndarray, start: int, stop: int,
                   nbytes: int, write: bool, is_scan: bool,
                   think_ns: float, accum: float) -> float:
-        """Vectorised core for one uniform-shape run of page ids.
+        """Vectorised core for one uniform-shape segment of page ids.
 
-        The caller guarantees a batch-capable placement policy and
-        every id inside the (already grown) dense residency table.
-        Per headroom window the run is partitioned into hits and
-        boundaries with one gather; the hit prefix is one
-        :meth:`_quantum_hits` segment, so every written-back float is
-        bit-identical to the scalar loop. A window that a miss heads
-        goes to the block window — the same :meth:`_block_exact` body
-        over the window's positions, the run's shape as constant
-        columns — unless nothing could fold a miss there
-        (:meth:`_fill_decline`: a session clock, pins, ...). Other
-        boundaries route through scalar :meth:`access` (the whole
-        window when most of it is misses); the residency table is
-        re-gathered afterwards, so their side effects (evictions,
-        migrations, rebalances) are observed precisely.
+        The caller (:meth:`access_quantum`) guarantees a batch-capable
+        placement policy and every id inside the (already grown) dense
+        residency table; its segments come from a block the window
+        declined or from a session quantum, so no miss here folds into
+        the block window. Per headroom window the run is partitioned
+        into hits and boundaries with one gather; the hit prefix is
+        one :meth:`_quantum_hits` segment, so every written-back float
+        is bit-identical to the scalar loop. Boundaries route through
+        scalar :meth:`access` (the whole window when most of it is
+        misses); the residency table is re-gathered afterwards, so
+        their side effects (evictions, migrations, rebalances) are
+        observed precisely.
         """
         clock = self._session_clock
         if clock is None:
             clock = self.clock
         headroom_fn = self._placement_headroom
         res = self._res_tier
-        # Whether a miss-headed window may go to the block window (it
-        # takes an integer access size; a decline holds for the run).
-        window = (isinstance(nbytes, (int, np.integer))
-                  and self._window_decline() is None)
         i = start
         n = stop
         while i < n:
@@ -1073,19 +1070,6 @@ class TieredBufferPool:
             bad = span < 0
             if bad.any():
                 hits = int(bad.argmax())
-                if hits == 0 and window and self._fill_decline() is None:
-                    const = np.broadcast_to
-                    done = self._block_exact(
-                        float(think_ns), ids[i:wend],
-                        const(nbytes, (wlen,)), const(write, (wlen,)),
-                        const(is_scan, (wlen,)),
-                        const(float(think_ns), (wlen,)), clock, accum)
-                    if done is not None:
-                        accum = done
-                        i = wend
-                        res = self._res_tier
-                        continue
-                    window = False
                 if 2 * int(bad.sum()) > wlen:
                     # Boundary-dense window (cold pool, thrash): the
                     # per-window gather cannot win (one re-gather
@@ -1121,13 +1105,14 @@ class TieredBufferPool:
                 think_ns: float = 0.0) -> float:
         """Array-native warm-up: charge one uniform run of *page_ids*.
 
-        Exactly :meth:`access_run` on the columnarised ids — cold-pool
-        faults resolve in the block window (:meth:`_block_exact`)
-        instead of the per-page scalar chain — provided for benchmark
-        builders, churn drivers, and :meth:`ScaleUpEngine.warm_with`
-        callers holding plain python id lists. Pool state afterwards
-        (residency, stats, device counters, clock, recency order) is
-        byte-identical to the scalar access loop over the same ids.
+        :meth:`access_run` on the columnarised ids — one one-shape
+        block through :meth:`access_block`, so cold-pool faults resolve
+        in the block window (:meth:`_block_exact`) instead of the
+        per-page scalar chain — provided for benchmark builders, churn
+        drivers, and :meth:`ScaleUpEngine.warm_with` callers holding
+        plain python id lists. Pool state afterwards (residency, stats,
+        device counters, clock, recency order) is byte-identical to
+        the scalar access loop over the same ids.
         """
         ids = np.asarray(page_ids)
         if ids.dtype.kind in "iu" or not ids.size:
@@ -1141,13 +1126,14 @@ class TieredBufferPool:
         residency table, grown here to cover it (``BufferPoolError``
         for a column that is not a 1-D integer array).
 
-        Runs arrive as consecutive slices (or segment bounds) of one
-        block's id column, so a column that passes is memoised in
-        ``_span_cols`` — one entry per live column, sessions alternate
-        — and its later runs skip this check. Blocks are immutable by
-        engine contract, so the validated range cannot go stale, and
-        the residency table only ever grows (``drop_all`` refills in
-        place), so the grown size cannot shrink out from under it.
+        :meth:`access_quantum` hands in one block's whole id column per
+        quantum (a session's, or a block the window declined), so a
+        column that passes is memoised in ``_span_cols`` — one entry
+        per live column, sessions alternate — and its later quanta
+        skip this check. Blocks are immutable by engine contract, so
+        the validated range cannot go stale, and the residency table
+        only ever grows (``drop_all`` refills in place), so the grown
+        size cannot shrink out from under it.
         """
         cols = self._span_cols
         if cols.get(id(col)) is col:
@@ -1168,40 +1154,14 @@ class TieredBufferPool:
     def access_run(self, page_ids: np.ndarray, nbytes: int = CACHE_LINE,
                    write: bool = False, is_scan: bool = False,
                    think_ns: float = 0.0, accum: float = 0.0) -> float:
-        """Charge one uniform-shape run given as an id ndarray.
-
-        The array lane's single-shape entry point (:meth:`access_block`
-        uses it for the segments of a block off the window route);
-        bit-identical to the scalar loop (:meth:`access_batch`) on the
-        same ids, which serves ids outside the dense table.
+        """Charge one uniform-shape run given as an id ndarray: the
+        one-shape block of *page_ids*, its shape as constant columns,
+        through :meth:`access_block` (which validates it).
         """
-        _check_id_array(page_ids)
-        n = page_ids.shape[0]
-        if n == 0:
-            return accum
-        if not think_ns >= 0:
-            raise BufferPoolError("think_ns must be >= 0")
-        _check_nbytes(nbytes)
-        # A slice of a 1-D column validates (once) through the column;
-        # any other array — one over a buffer or a memory map included
-        # — is checked as the run it is.
-        base = page_ids.base
-        if (isinstance(base, np.ndarray) and base.ndim == 1
-                and base.dtype == page_ids.dtype
-                and self._span_check(base)):
-            ok = True
-        else:
-            hi = int(page_ids.max())
-            ok = hi < _RES_MAX_PIDS and int(page_ids.min()) >= 0
-            if ok and hi >= self._res_tier.shape[0]:
-                self._res_grow(hi + 1)
-        if ok:
-            return self._run_span(page_ids, 0, n, nbytes, write,
-                                  is_scan, think_ns, accum)
-        self.lane.quantum_list_fallbacks += 1
-        return self.access_batch(page_ids.tolist(), nbytes=nbytes,
-                                 write=write, is_scan=is_scan,
-                                 think_ns=think_ns, accum=accum)
+        shape, const = page_ids.shape[:1], np.broadcast_to
+        return self.access_block(AccessBlock(
+            page_ids, const(bool(write), shape), const(bool(is_scan), shape),
+            const(nbytes, shape), const(float(think_ns), shape)), accum)
 
     def access_quantum(self, ids: np.ndarray, segs: list,
                        accum: float = 0.0
@@ -1217,8 +1177,10 @@ class TieredBufferPool:
         order, as produced by ``ShapeSegments.next_span``. Returns
         ``(accum, seg_demands)`` where ``seg_demands[i]`` is the
         accumulator after segment ``i`` — the boundaries the session
-        scheduler's per-run samples are built from. Bit-identical to
-        calling :meth:`access_run` on each segment's slice in order;
+        scheduler's per-run samples are built from. Segments that do
+        not tile a stretch of the column (``0 <= start <= stop <=
+        len(ids)``, each starting where the last stopped) are refused
+        before anything is charged. Bit-identical to the scalar loop;
         the amortisation is the point: the column's id range is
         validated once for all its quanta, and an all-hit quantum
         inside one placement headroom window is one residency gather
@@ -1227,11 +1189,19 @@ class TieredBufferPool:
         segment by segment (``pool.lane.quantum_list_fallbacks``).
         """
         seg_demands: list[float] = []
+        dense = self._span_check(ids)
+        n = ids.shape[0]
+        prev = segs[0][0] if segs else 0
         for seg in segs:
+            if not (seg[0] == prev and 0 <= seg[0] <= seg[1] <= n):
+                raise BufferPoolError(
+                    f"segment {seg[:2]} does not continue at {prev}"
+                    f" inside a {n}-id column")
+            prev = seg[1]
             if not seg[5] >= 0:
                 raise BufferPoolError("think_ns must be >= 0")
             _check_nbytes(seg[2])
-        if not self._span_check(ids):
+        if not dense:
             self.lane.quantum_list_fallbacks += 1
             for a, b, nb, wr, sc, th in segs:
                 accum = self.access_batch(
@@ -1441,23 +1411,27 @@ class TieredBufferPool:
         scalar loop (think advance, :meth:`access`, demand into
         *accum*), by one of two routes: the :meth:`_block_exact`
         window, which resolves whole placement-headroom windows of the
-        block in array ops; or one :meth:`access_run` per uniform-shape
-        segment for a block the window declines — a contended session,
-        ids outside the dense table, a tracker without
-        ``record_block``, a placement note that reads the scan flag,
-        or a block with a negative or
-        non-finite latency, an infinite think time or a byte total past
-        2**53 (``latency``). ``pool.lane`` counts those blocks and the
-        reason.
+        block in array ops; or, for a block the window declines, one
+        :meth:`access_quantum` call over its uniform-shape segments —
+        a contended session, a float size column (``nbytes``), ids
+        outside the dense table, a tracker without ``record_block``, a
+        placement note that reads the scan flag, or a block with a
+        negative or non-finite latency, an infinite think time or a
+        byte total past 2**53 (``latency``). ``pool.lane`` counts
+        those blocks and the reason. A block whose ids are not a 1-D
+        integer column, or whose columns differ in length, is refused.
         """
         ids_nd = block.page_id
-        n = len(ids_nd)
-        if n == 0:
-            return accum
         sizes_nd = block.nbytes
         writes_nd = block.write
         scans_nd = block.is_scan
         thinks_nd = block.think_ns
+        _check_id_array(ids_nd)
+        if {writes_nd.shape, scans_nd.shape, sizes_nd.shape,
+                thinks_nd.shape} != {ids_nd.shape}:
+            raise BufferPoolError("a block's columns differ in length")
+        if ids_nd.shape[0] == 0:
+            return accum
         # A negative think would run the clock backwards and NaN
         # poisons it (min propagates NaN, and NaN >= 0 is false):
         # refuse the block before anything is charged.
@@ -1473,6 +1447,9 @@ class TieredBufferPool:
             clock = self.clock
         if self._session_queues is not None:
             decline = "session"
+        elif sizes_nd.dtype.kind == "f":
+            # The window keys access shapes on integer sizes.
+            decline = "nbytes"
         else:
             hi = int(ids_nd.max())
             if hi >= _RES_MAX_PIDS or int(ids_nd.min()) < 0:
@@ -1490,15 +1467,13 @@ class TieredBufferPool:
                 decline = "latency"
         self.lane.segment_blocks += 1
         self.lane.declines[decline] += 1
-        a = 0
-        for b in block.segment_bounds()[1:]:
-            accum = self.access_run(
-                ids_nd[a:b], nbytes=int(sizes_nd[a]),
-                write=bool(writes_nd[a]), is_scan=bool(scans_nd[a]),
-                think_ns=float(thinks_nd[a]), accum=accum,
-            )
-            a = b
-        return accum
+        bounds = block.segment_bounds()
+        starts = bounds[:-1]
+        segs = list(zip(starts, bounds[1:], sizes_nd[starts].tolist(),
+                        writes_nd[starts].tolist(),
+                        scans_nd[starts].tolist(),
+                        thinks_nd[starts].tolist()))
+        return self.access_quantum(ids_nd, segs, accum)[0]
 
     def _window_decline(self) -> str | None:
         """What in the pool's tracker or placement rules out the
@@ -1581,6 +1556,9 @@ class TieredBufferPool:
         headroom_fn = self._placement_headroom
         note = self._placement_note
         tracker_block = self.tracker.record_block
+        # A window gathers and plans its whole span, so it spans at
+        # most twice what the last one carried (a block's rows at first).
+        wmax = BLOCK_OPS
         j = 0
         while j < n:
             now = clock._now
@@ -1597,9 +1575,7 @@ class TieredBufferPool:
                                      is_scan=bool(scans_nd[j]))
                 j += 1
                 continue
-            wend = j + room
-            if wend > n:
-                wend = n
+            wend = min(j + room, j + wmax, n)
             sp = self._res_tier[ids_nd[j:wend]]
             bad = sp < 0
             k = sp.shape[0]
@@ -1630,6 +1606,7 @@ class TieredBufferPool:
                     accum += self.access(pid, nb, wr, sc)
                 j = stop
                 continue
+            wmax = max(2 * k, BLOCK_OPS)
             # The hit prefix [j, j+k): replay the clock's and the two
             # demand accumulators' addition chains exactly.  The clock
             # chain interleaves think and latency adds; its even

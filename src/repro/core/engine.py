@@ -277,9 +277,9 @@ class ScaleUpEngine:
                 think_ns: float = 0.0) -> None:
         """Array-native warm-up: charge one uniform run of page ids.
 
-        The id array routes straight into the pool's array lane —
-        cold-pool faults resolve in its block window instead of one
-        scalar chain per page — leaving pool state
+        The ids are one one-shape block to the pool's
+        ``access_block`` — cold-pool faults resolve in its block
+        window instead of one scalar chain per page — so pool state is
         byte-identical to :meth:`warm_with` on the equivalent
         one-shape trace (same ids, same shape). *nbytes* defaults to
         the pool's cache-line access size.

@@ -158,8 +158,8 @@ class TestRandomizedMixedIdentity:
         # A placement note that may read the scan flag (no
         # ``scan_blind`` mark — here an override of OSPagingPolicy's,
         # which carries one) keeps the block off the integer-exact
-        # _block_exact window: it is charged one access_run per
-        # uniform-shape segment — and still matches the scalar replay
+        # _block_exact window: it is charged as one access_quantum
+        # call over its uniform-shape segments — and still matches the scalar replay
         # bit for bit, as the marked policy on the exact lane does. So
         # do a pool tracker without ``record_block`` and page ids past
         # the dense residency table, the other ways off the window.

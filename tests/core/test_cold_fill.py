@@ -1,8 +1,9 @@
 """Misses in one window: ``_block_exact`` folds first-touch misses into
 free frames — and, on a full pool, behind victims that drain straight
 to storage — instead of ending its window at every miss, for blocks
-and for the ``access_run`` / ``preload`` windows a miss heads. What it
-refuses (a cascade, pins, ...) takes the scalar chain.
+and for ``access_run`` / ``preload``, which charge the one-shape block
+of their ids. What it refuses (a cascade, pins, ...) takes the scalar
+chain.
 
 Held **bit-identical** to the frozen scalar reference — the pool's
 reference twin (``tests.oracle.reference``) replays each block access
@@ -407,7 +408,7 @@ def test_deferred_writes_dirty_the_victims():
     fast, ref = twin_pools(placement="static", caps=(4, 4), backed=True)
     ids = np.arange(0, 8, 2, dtype=np.int64)
     fast.access_run(ids)
-    fast.access_run(ids, write=True)
+    fast.access_quantum(ids, [(0, 4, 64, True, False, 0.0)])
     assert fast._lazy_runs
     for page in ids.tolist() * 2:
         ref.access(page, write=ref.stats.accesses >= 4)
@@ -424,11 +425,12 @@ def test_window_route_settles_the_hit_log_first():
     fast, ref = twin_pools(placement="static")
     for pool in (fast, ref):
         pool.access_run(np.arange(16, dtype=np.int64))
-        pool.access_run(np.array([6, 2, 4, 10, 8], dtype=np.int64))
+        pool.access_quantum(np.array([6, 2, 4, 10, 8], dtype=np.int64),
+                            [(0, 5, 64, False, False, 0.0)])
     assert fast._lazy_runs
     drive_both(fast, ref, [point_block([2, 0])])
-    # The cold run's window (access_run hands a miss-headed window to
-    # the block window) and the block's.
+    # The cold run's window (access_run is a one-shape block) and the
+    # block's.
     assert fast.lane.exact_windows == 2
 
 

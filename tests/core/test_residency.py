@@ -177,7 +177,7 @@ def test_view_reads_settle_the_hit_log():
     ids = np.arange(4, dtype=np.int64)
     pool.access_run(ids)
     frame = pool.frame_of(2)
-    pool.access_run(ids, write=True)
+    pool.access_quantum(ids, [(0, 4, 64, True, False, 0.0)])
     assert pool._lazy_runs
     assert (frame.accesses, frame.dirty) == (2, True)
     assert not pool._lazy_runs

@@ -464,7 +464,8 @@ class TestHitLog:
             warm = pool.clock.now
             for cursor in (SimClock(warm + 5_000.0), SimClock(10.0)):
                 pool.session_begin(cursor, contended=False)
-                pool.access_run(ids, write=cursor.now < warm)
+                pool.access_quantum(
+                    ids, [(0, 8, 64, cursor.now < warm, False, 0.0)])
                 pool.session_end()
             return pool, warm
 
