@@ -13,6 +13,11 @@ scenarios; block emitters against the frozen scalar generators
 ``TenantTable.generate`` against ``generate_population`` →
 ``TenantTable.from_workloads`` for ``tenant-gen``.
 
+Three OLTP pins have one lane each (``test_oltp_digest_is_pinned``):
+the six ``e7`` sweep cells' results, one TPC-C-lite stream record by
+record with its flattened page trace, and the RDMA counters a sharded
+2PC run leaves on its fabric.
+
 A scenario's parameters are part of its literal: change one and the
 literal is stale. Speed is not measured here — ``ledger/`` is the
 repository's performance instrument.
@@ -21,6 +26,7 @@ repository's performance instrument.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +34,11 @@ import pytest
 from repro import config
 from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.engine import ScaleUpEngine
+from repro.core.scaleout import ScaleOutConfig, ScaleOutEngine
 from repro.core.placement import OSPagingPolicy, StaticPolicy
 from repro.core.sessions import ClientSession
+from repro.harness import load_sweep
+from repro.harness.experiments import run_scenario
 from repro.serving.tenants import TenantTable
 from repro.sim.context import SimContext
 from repro.sim.interconnect import AccessPath, Link
@@ -37,6 +46,7 @@ from repro.sim.memory import MemoryDevice
 from repro.units import PAGE_SIZE
 from repro.workloads.cloudmix import generate_population
 from repro.workloads.scans import mixed_htap_blocks, scan_blocks
+from repro.workloads.tpcc import TPCCLite
 from repro.workloads.traces import AccessBlock
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
@@ -223,3 +233,72 @@ def run_digest(name, fast):
 @pytest.mark.parametrize("name", list(PINNED))
 def test_digest_is_pinned(name, fast):
     assert run_digest(name, fast) == PINNED[name]
+
+
+SPECS = Path(__file__).resolve().parents[2] / "specs"
+
+PINNED_OLTP = {
+    "e7-cells":
+        "d198202c9c1bd24b3fcbb455d66cb0403782b30d720962acc0a61e82891ec430",
+    "tpcc-stream":
+        "29e97a15bff8585fe652c9700b4f3587b1172c5e3391ec2d56c681e72cc60442",
+    "scaleout-fabric":
+        "2868e59de1d457c19b86ba223a07024fa16cbc0e38e5fe11057602d633a07aa3",
+}
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def e7_cells():
+    """The six shipped ``e7_distribution`` cells through
+    ``run_scenario``: both engines' throughput and their ratio."""
+    lines = []
+    for cell in load_sweep(SPECS / "e7_distribution.json").cells():
+        result = run_scenario(cell.scenario)
+        lines.append(" ".join(repr(result[key]) for key in
+                              ("scale_up_tps", "scale_out_tps", "ratio")))
+    return _sha256_lines(lines)
+
+
+def tpcc_stream():
+    """1,500 transactions record by record, then the same stream
+    flattened into page-id and write columns."""
+    params = dict(num_warehouses=4, remote_probability=0.1, seed=5)
+    lines = []
+    for txn in TPCCLite(**params).transactions(1_500):
+        lines.append(f"{txn.txn_id} {txn.profile} {txn.home_warehouse}"
+                     f" {txn.remote}")
+        lines += [f" {op.table} {op.warehouse} {op.key} {op.write}"
+                  for op in txn.ops]
+    for block in TPCCLite(**params).flat_trace_blocks(1_500):
+        lines.append(block.page_id.tobytes().hex())
+        lines.append(block.write.tobytes().hex())
+    return _sha256_lines(lines)
+
+
+def scaleout_fabric():
+    """A sharded 2PC run's RDMA counters and report."""
+    txns = list(TPCCLite(num_warehouses=16, remote_probability=0.2,
+                         seed=9).transactions(1_500))
+    engine = ScaleOutEngine(ScaleOutConfig(num_nodes=4))
+    report = engine.run(txns)
+    stats = engine.fabric.stats
+    return _sha256_lines([
+        f"{stats.reads} {stats.writes} {stats.sends} {stats.bytes}",
+        f"{report.remote_ops} {report.distributed_txns}"
+        f" {report.makespan_ns!r} {report.busy_ns!r}",
+    ])
+
+
+OLTP_RUNS = {
+    "e7-cells": e7_cells,
+    "tpcc-stream": tpcc_stream,
+    "scaleout-fabric": scaleout_fabric,
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OLTP))
+def test_oltp_digest_is_pinned(name):
+    assert OLTP_RUNS[name]() == PINNED_OLTP[name]
