@@ -111,8 +111,12 @@ route-check:
 # preload, fill or fault path builds one eagerly. A run is a one-shape
 # block: the block window has one entry (only access_block calls
 # _block_exact), only preload calls access_run, and _run_span builds no
-# broadcast columns. The line counts of the pool, placement, tracker,
-# chain and page files are printed for the CI log.
+# broadcast columns. TPC-C transactions are columns: tpcc.py builds a
+# RecordOp only in the ops view, the 2PL executor and both OLTP engines
+# (txn.py, scaleout.py, shared.py) never read .ops, and the executor's
+# per-record lock-key function (lock_key) may not come back to txn.py.
+# The line counts of the pool, placement, tracker, chain and page files,
+# and of the four TPC-C files, are printed for the CI log.
 define STRUCTURE_CHECK
 import pathlib, re, sys
 gone = re.compile(r"_frames\b|_pend_acc|_pend_ts|_dirty_mirror"
@@ -184,6 +188,17 @@ placement = pathlib.Path("src/repro/core/placement.py")
 for number, line in enumerate(placement.read_text().splitlines(), 1):
     if "frame_of(" in line:
         bad.append("%s:%d: %s" % (placement, number, line.strip()))
+tpcc = pathlib.Path("src/repro/workloads/tpcc.py").read_text()
+for chunk in re.split(r"^(?:class |def |    def )", tpcc, flags=re.M):
+    name = re.match(r"\w*", chunk).group() or "the module head"
+    if "RecordOp(" in chunk and name != "ops":
+        bad.append("tpcc.py: %s builds a RecordOp" % name)
+for name in ("txn", "scaleout", "shared"):
+    path = pathlib.Path("src/repro/core/%s.py" % name)
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if re.search(r"\.ops\b", line) or \
+                (name == "txn" and "lock_key" in line):
+            bad.append("%s:%d: %s" % (path, number, line.strip()))
 print("structure-check:", "\n  ".join(bad) if bad else "ok")
 sys.exit(1 if bad else 0)
 endef
@@ -194,6 +209,8 @@ structure-check:
 	@wc -l src/repro/core/buffer.py src/repro/core/frame.py \
 		src/repro/core/placement.py src/repro/core/temperature.py \
 		src/repro/sim/ladder.py src/repro/storage/file.py
+	@wc -l src/repro/workloads/tpcc.py src/repro/core/txn.py \
+		src/repro/core/scaleout.py src/repro/core/shared.py
 
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count, require_nonnegative
 from ..sim.topology import RackTopology
 from ..workloads.tpcc import Transaction
 from .txn import OLTPReport, TwoPhaseLockingExecutor
@@ -40,12 +40,12 @@ class SharedEngineConfig:
     log_batch: int = 8                # group commit factor on the GFAM log
 
     def __post_init__(self) -> None:
-        if self.num_hosts <= 0 or self.threads_per_host <= 0:
-            raise ConfigError("hosts and threads must be positive")
-        if not 0.0 <= self.cache_hit_rate <= 1.0:
-            raise ConfigError("cache_hit_rate must be in [0,1]")
-        if not 0.0 <= self.invalidation_rate <= 1.0:
-            raise ConfigError("invalidation_rate must be in [0,1]")
+        for name in ("num_hosts", "threads_per_host", "log_batch"):
+            require_count(name, getattr(self, name), 1)
+        require_nonnegative("llc_hit_ns", self.llc_hit_ns)
+        for name in ("cache_hit_rate", "invalidation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0,1]")
 
 
 class SharedRackEngine:
@@ -99,29 +99,22 @@ class SharedRackEngine:
     def commit_ns(self, txn: Transaction) -> float:
         """Group-committed log append plus lock releases."""
         log = self.fabric_write_ns / self.cfg.log_batch
-        releases = len(txn.ops) * self.lock_release_ns()
+        releases = len(txn.writes) * self.lock_release_ns()
         return log + releases
 
     def _txn_cost(self, txn: Transaction) -> tuple[float, int]:
-        # The per-op costs are constants of the configuration; compute
-        # them once per transaction instead of once per op. The cost
-        # accumulator still sees one addition per term in the original
-        # order, so reported times are unchanged to the last bit.
+        # Per-record costs are configuration constants; one pass over
+        # the write column keeps the additions' order to the last bit.
         acquire = self.lock_acquire_ns()
         write_cost = self.data_write_ns()
         read_cost = self.data_read_ns()
-        read_bytes = int(64 * (1.0 - self.cfg.cache_hit_rate))
         cost = 0.0
-        fabric_bytes = 0
-        for op in txn.ops:
+        for write in txn.writes:
             cost += acquire
-            if op.write:
-                cost += write_cost
-                fabric_bytes += 64
-            else:
-                cost += read_cost
-                fabric_bytes += read_bytes
-        self.fabric_bytes += fabric_bytes
+            cost += write_cost if write else read_cost
+        writes = txn.writes.count(True)
+        self.fabric_bytes += 64 * writes + int(
+            64 * (1.0 - self.cfg.cache_hit_rate)) * (len(txn.writes) - writes)
         cost += self.commit_ns(txn)
         # Every host reaches all data coherently: nothing is remote.
         return cost, 0
@@ -162,10 +155,10 @@ class SharedRackEngine:
             else:
                 host = index % self.cfg.num_hosts
             agent = agents[host]
-            for op in txn.ops:
+            for record in zip(txn.tables, txn.warehouses, txn.keys):
                 # crc32, not hash(): str hashing is salted per
                 # process and would make runs irreproducible.
-                key = f"{op.table}:{op.warehouse}:{op.key}"
+                key = "%s:%s:%s" % record
                 line = zlib.crc32(key.encode()) % table_lines
                 directory.write(agent, line)  # the CAS
         directory.check_invariants()

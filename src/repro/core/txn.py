@@ -7,6 +7,12 @@ commit) from the engine's cost model, and a *timed* lock table makes
 conflicting transactions wait for the holder's completion, exactly the
 serialization 2PL would impose. Throughput falls out of the makespan.
 
+Locks are record-granular. A transaction's lock set is derived from its
+record columns once (:attr:`~repro.workloads.tpcc.Transaction.lock_set`),
+so engines replaying one stream share it, and no record object is
+built on the way. A cost must be finite and >= 0: anything else is
+refused before the transaction's holds are registered.
+
 This turns the paper's Sec 3.3 comparison — shared-memory locking at
 CXL latency vs distributed locking and 2PC at RDMA latency — into a
 direct, measurable contest.
@@ -17,12 +23,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
-from ..errors import ConfigError, TransactionError
+from ..errors import TransactionError, require_count
 from ..sim.context import SimContext
 from ..units import SECOND
-from ..workloads.tpcc import RecordOp, Transaction
+from ..workloads.tpcc import Transaction
 
 
 #: Expiry of a key nobody has held: earlier than any start.
@@ -53,17 +60,11 @@ class TimedLockTable:
         """Earliest instant >= *not_before_ns* at which every lock is
         available: an *exclusive* key waits on every hold, a *shared*
         key on exclusive holds only."""
-        start = not_before_ns
-        amax = self.amax.get
-        for key in exclusive:
-            expiry = amax(key, _NEVER)
-            if expiry > start:
-                start = expiry
-        xmax = self.xmax.get
-        for key in shared:
-            expiry = xmax(key, _NEVER)
-            if expiry > start:
-                start = expiry
+        start = max(
+            not_before_ns,
+            max(map(self.amax.get, exclusive, repeat(_NEVER)),
+                default=_NEVER),
+            max(map(self.xmax.get, shared, repeat(_NEVER)), default=_NEVER))
         if start > not_before_ns:
             self.waits += 1
             self.wait_time_ns += start - not_before_ns
@@ -71,12 +72,16 @@ class TimedLockTable:
 
     def register(self, exclusive: list[object],
                  shared: list[object], expiry_ns: float) -> None:
-        """Record the holds of a transaction that finishes at *expiry_ns*."""
+        """Record the holds of a transaction that finishes at *expiry_ns*.
+        A key's ``amax`` is never below its ``xmax``, so an exclusive
+        hold that raises ``amax`` raises ``xmax`` too."""
         xmax, amax = self.xmax, self.amax
         for key in exclusive:
-            if xmax.get(key, _NEVER) < expiry_ns:
+            if amax.get(key, _NEVER) < expiry_ns:
+                amax[key] = xmax[key] = expiry_ns
+            elif xmax.get(key, _NEVER) < expiry_ns:
                 xmax[key] = expiry_ns
-        for key in exclusive + shared:
+        for key in shared:
             if amax.get(key, _NEVER) < expiry_ns:
                 amax[key] = expiry_ns
 
@@ -121,13 +126,6 @@ class OLTPReport:
 #: Computes the pure execution cost (ns) of one transaction,
 #: excluding lock waits. Returns (cost_ns, remote_ops).
 CostModel = Callable[[Transaction], tuple[float, int]]
-#: Maps a record op to its lock key.
-LockKeyFn = Callable[[RecordOp], object]
-
-
-def default_lock_key(op: RecordOp) -> object:
-    """Record-granularity lock key."""
-    return (op.table, op.warehouse, op.key)
 
 
 class TwoPhaseLockingExecutor:
@@ -140,14 +138,11 @@ class TwoPhaseLockingExecutor:
     """
 
     def __init__(self, cost_model: CostModel, threads: int = 8,
-                 lock_key: LockKeyFn = default_lock_key,
                  name: str = "2pl",
                  ctx: SimContext | None = None) -> None:
-        if threads <= 0:
-            raise ConfigError("need at least one thread")
+        require_count("threads", threads, 1)
         self.cost_model = cost_model
         self.threads = threads
-        self.lock_key = lock_key
         self.name = name
         self.lock_table = TimedLockTable()
         self.ctx = ctx
@@ -165,9 +160,12 @@ class TwoPhaseLockingExecutor:
         table = self.lock_table
         for txn in transactions:
             ready, thread = clocks[0]
-            exclusive, shared = self._lock_set(txn)
+            exclusive, shared = txn.lock_set
             start = table.earliest_start(exclusive, shared, ready)
             cost, remote_ops = self.cost_model(txn)
+            if not 0.0 <= cost < math.inf:
+                raise TransactionError(f"transaction {txn.txn_id}: cost"
+                                       f" {cost!r} is not finite and >= 0")
             finish = start + cost
             table.register(exclusive, shared, finish)
             heapq.heapreplace(clocks, (finish, thread))
@@ -206,14 +204,3 @@ class TwoPhaseLockingExecutor:
             snap["remote_ops"] = report.remote_ops
             snap["distributed_txns"] = report.distributed_txns
         return snap
-
-    def _lock_set(self, txn: Transaction
-                  ) -> tuple[list[object], list[object]]:
-        """(exclusive, shared) lock keys; a key also written may sit in
-        both, its shared entry then changes no wait and no hold."""
-        lock_key = self.lock_key
-        exclusive: list[object] = []
-        shared: list[object] = []
-        for op in txn.ops:
-            (exclusive if op.write else shared).append(lock_key(op))
-        return exclusive, shared

@@ -7,6 +7,8 @@ swallowing programming errors such as ``TypeError``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -74,3 +76,10 @@ def require_count(name: str, value: object, least: int) -> None:
             or value < least:
         raise ConfigError(
             f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Refuse a latency or size that is negative, infinite or NaN as a
+    :class:`ConfigError` at construction, before it can reach a cost."""
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")

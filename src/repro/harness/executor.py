@@ -17,7 +17,10 @@ Workers are forked together, up to ``_FORK_BATCH`` at a time, and each
 waits for its scenario until a slot frees. A fork makes the parent's
 pages copy-on-write, so the parent's next touch of them faults; forked
 one cell at a time, every cell cost the parent such a burst, spread over
-the sweep. Forked together, the burst comes once per batch.
+the sweep. Forked together, the burst comes once per batch. Each batch
+is forked under ``gc.freeze()`` (Python's fork recipe), so a worker's
+collector never walks, and never dirties, the heap it inherited; the
+parent unfreezes right after.
 
 Determinism: cell seeds are derived before scheduling
 (:func:`~repro.harness.scenario.derive_seed`), workers share no state,
@@ -32,6 +35,7 @@ back for the next run.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -235,19 +239,26 @@ def run_sweep(
     try:
         while pending or forked or running:
             if pending and not forked and len(running) < jobs:
-                for _ in range(min(len(pending), max(jobs, _FORK_BATCH))):
-                    cell = pending.popleft()
-                    parent_conn, child_conn = ctx.Pipe()
-                    ends = [run.conn for run in running.values()]
-                    ends += [conn for _cell, _process, conn in forked]
-                    process = ctx.Process(
-                        target=_cell_worker,
-                        args=(child_conn, ends + [parent_conn]),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    forked.append((cell, process, parent_conn))
+                # Frozen, the parent's heap is left out of the workers'
+                # collections (and their copy-on-write faults).
+                gc.freeze()
+                try:
+                    for _ in range(min(len(pending),
+                                       max(jobs, _FORK_BATCH))):
+                        cell = pending.popleft()
+                        parent_conn, child_conn = ctx.Pipe()
+                        ends = [run.conn for run in running.values()]
+                        ends += [conn for _cell, _process, conn in forked]
+                        process = ctx.Process(
+                            target=_cell_worker,
+                            args=(child_conn, ends + [parent_conn]),
+                            daemon=True,
+                        )
+                        process.start()
+                        child_conn.close()
+                        forked.append((cell, process, parent_conn))
+                finally:
+                    gc.unfreeze()
             while forked and len(running) < jobs:
                 cell, process, parent_conn = forked.popleft()
                 try:

@@ -5,17 +5,23 @@ standard per-warehouse cardinalities, emitting record-level operations
 that engines map onto pages and locks. Not an audited TPC-C — the
 point is to reproduce its *access skew and read/write mix*, which is
 what the memory-architecture experiments are sensitive to.
+
+A transaction holds its records as columns (table, warehouse, key,
+write), drawn on one pinned ``random.Random`` stream; no per-record
+object is built unless someone reads :attr:`Transaction.ops`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from itertools import compress
+from operator import not_
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_count
 from ..units import CACHE_LINE
 from .traces import BLOCK_OPS, AccessBlock
 
@@ -67,20 +73,54 @@ class RecordOp:
     write: bool = False
 
 
-@dataclass
 class Transaction:
-    """One TPC-C transaction: a profile plus its record operations."""
+    """One TPC-C transaction: a profile plus its records, held as four
+    parallel columns. ``ops`` is a view: reading it builds the
+    :class:`RecordOp` tuple, assigning it replaces the columns. Columns
+    are replaced whole, never edited in place, so the lock set is
+    derived once and every engine reads the same one."""
 
-    txn_id: int
-    profile: str
-    home_warehouse: int
-    ops: list[RecordOp] = field(default_factory=list)
-    remote: bool = False  # touches a warehouse other than home
+    __slots__ = ("txn_id", "profile", "home_warehouse", "remote",
+                 "tables", "warehouses", "keys", "writes", "_locks")
+
+    def __init__(self, txn_id: int, profile: str, home_warehouse: int,
+                 ops: Iterable[RecordOp] = (), remote: bool = False) -> None:
+        self.txn_id, self.profile = txn_id, profile
+        self.home_warehouse = home_warehouse
+        self.remote = remote  # touches a warehouse other than home
+        self._set_columns([], [], [], [])
+        if ops:
+            self.ops = ops
 
     @property
-    def writes(self) -> int:
-        """Number of write operations."""
-        return sum(1 for op in self.ops if op.write)
+    def ops(self) -> tuple[RecordOp, ...]:
+        """The records, built on each read."""
+        return tuple(map(RecordOp, self.tables, self.warehouses,
+                         self.keys, self.writes))
+
+    @ops.setter
+    def ops(self, ops: Iterable[RecordOp]) -> None:
+        ops = list(ops)
+        self._set_columns([op.table for op in ops],
+                          [op.warehouse for op in ops],
+                          [op.key for op in ops],
+                          [bool(op.write) for op in ops])
+
+    def _set_columns(self, tables: list[str], warehouses: list[int],
+                     keys: list[int], writes: list[bool]) -> None:
+        self.tables, self.warehouses = tables, warehouses
+        self.keys, self.writes, self._locks = keys, writes, None
+
+    @property
+    def lock_set(self) -> tuple[list[tuple], list[tuple]]:
+        """(exclusive, shared) record lock keys ``(table, warehouse,
+        key)`` in record order. A key also written may sit in both; its
+        shared entry then changes no wait and no hold."""
+        if self._locks is None:
+            records = list(zip(self.tables, self.warehouses, self.keys))
+            self._locks = (list(compress(records, self.writes)),
+                           list(compress(records, map(not_, self.writes))))
+        return self._locks
 
 
 class TPCCLite:
@@ -89,8 +129,7 @@ class TPCCLite:
     def __init__(self, num_warehouses: int = 4,
                  remote_probability: float = 0.01,
                  seed: int = 42) -> None:
-        if num_warehouses <= 0:
-            raise ConfigError("need at least one warehouse")
+        require_count("num_warehouses", num_warehouses, 1)
         if not 0.0 <= remote_probability <= 1.0:
             raise ConfigError("remote_probability must be in [0,1]")
         self.num_warehouses = num_warehouses
@@ -122,12 +161,13 @@ class TPCCLite:
 
     def page_of(self, op: RecordOp) -> int:
         """Global page id holding a record."""
-        base = self._page_base.get((op.table, op.warehouse))
+        return self._page(op.table, op.warehouse, op.key)
+
+    def _page(self, table: str, warehouse: int, key: int) -> int:
+        base = self._page_base.get((table, warehouse))
         if base is None:
-            raise ConfigError(
-                f"no table {op.table!r} for warehouse {op.warehouse}"
-            )
-        return base + op.key // RECORDS_PER_PAGE[op.table]
+            raise ConfigError(f"no table {table!r} for warehouse {warehouse}")
+        return base + key // RECORDS_PER_PAGE[table]
 
     # -- transaction profiles ----------------------------------------------------
 
@@ -165,102 +205,81 @@ class TPCCLite:
 
     def transactions(self, count: int) -> Iterator[Transaction]:
         """A stream of *count* transactions."""
-        for _ in range(count):
-            yield self.next_transaction()
+        require_count("count", count, 0)
+        return (self.next_transaction() for _ in range(count))
+
+    # Each builder draws its records' keys in record order (the draws
+    # are the pinned stream) and assigns the transaction's columns.
 
     def _build_new_order(self, txn_id: int) -> Transaction:
         home = self._warehouse()
         txn = Transaction(txn_id, "new_order", home)
-        ops = txn.ops
-        district = self._rng.randrange(TABLE_CARDINALITY["district"])
-        ops.append(RecordOp("warehouse", home, 0))
-        ops.append(RecordOp("district", home, district, write=True))
-        ops.append(RecordOp("customer", home, self._customer_key()))
-        num_items = self._rng.randint(5, 15)
-        for _ in range(num_items):
+        warehouses = [home, home, home]
+        keys = [0, self._rng.randrange(TABLE_CARDINALITY["district"]),
+                self._customer_key()]
+        items = self._rng.randint(5, 15)
+        for _ in range(items):
             item = self._rng.randrange(SHARED_TABLES["item"])
             supply, remote = self._supply_warehouse(home)
             txn.remote = txn.remote or remote
-            ops.append(RecordOp("item", -1, item))
-            ops.append(RecordOp(
-                "stock", supply,
-                item % TABLE_CARDINALITY["stock"], write=True,
-            ))
-            ops.append(RecordOp(
-                "order_line", home,
-                self._rng.randrange(TABLE_CARDINALITY["order_line"]),
-                write=True,
-            ))
-        ops.append(RecordOp(
-            "orders", home,
-            self._rng.randrange(TABLE_CARDINALITY["orders"]), write=True,
-        ))
-        ops.append(RecordOp(
-            "new_order", home,
-            self._rng.randrange(TABLE_CARDINALITY["new_order"]), write=True,
-        ))
+            warehouses += (-1, supply, home)
+            keys += (item, item % TABLE_CARDINALITY["stock"],
+                     self._rng.randrange(TABLE_CARDINALITY["order_line"]))
+        warehouses += (home, home)
+        keys += (self._rng.randrange(TABLE_CARDINALITY["orders"]),
+                 self._rng.randrange(TABLE_CARDINALITY["new_order"]))
+        txn._set_columns(["warehouse", "district", "customer"]
+                         + ["item", "stock", "order_line"] * items
+                         + ["orders", "new_order"], warehouses, keys,
+                         [False, True, False] + [False, True, True] * items
+                         + [True, True])
         return txn
 
     def _build_payment(self, txn_id: int) -> Transaction:
         home = self._warehouse()
         txn = Transaction(txn_id, "payment", home)
         district = self._rng.randrange(TABLE_CARDINALITY["district"])
-        customer_warehouse, remote = self._supply_warehouse(home)
-        txn.remote = remote
-        txn.ops.extend([
-            RecordOp("warehouse", home, 0, write=True),
-            RecordOp("district", home, district, write=True),
-            RecordOp("customer", customer_warehouse,
-                     self._customer_key(), write=True),
-            RecordOp("history", home,
-                     self._rng.randrange(TABLE_CARDINALITY["history"]),
-                     write=True),
-        ])
+        customer_home, txn.remote = self._supply_warehouse(home)
+        keys = [0, district, self._customer_key(),
+                self._rng.randrange(TABLE_CARDINALITY["history"])]
+        txn._set_columns(["warehouse", "district", "customer", "history"],
+                         [home, home, customer_home, home], keys, [True] * 4)
         return txn
 
     def _build_order_status(self, txn_id: int) -> Transaction:
         home = self._warehouse()
         txn = Transaction(txn_id, "order_status", home)
         order = self._rng.randrange(TABLE_CARDINALITY["orders"])
-        txn.ops.append(RecordOp("customer", home, self._customer_key()))
-        txn.ops.append(RecordOp("orders", home, order))
-        for line in range(self._rng.randint(5, 15)):
-            txn.ops.append(RecordOp(
-                "order_line", home,
-                (order * 10 + line) % TABLE_CARDINALITY["order_line"],
-            ))
+        keys = [self._customer_key(), order]
+        lines = self._rng.randint(5, 15)
+        keys += [(order * 10 + line) % TABLE_CARDINALITY["order_line"]
+                 for line in range(lines)]
+        txn._set_columns(["customer", "orders"] + ["order_line"] * lines,
+                         [home] * (2 + lines), keys, [False] * (2 + lines))
         return txn
 
     def _build_delivery(self, txn_id: int) -> Transaction:
         home = self._warehouse()
         txn = Transaction(txn_id, "delivery", home)
+        keys: list[int] = []
         for district in range(TABLE_CARDINALITY["district"]):
             order = self._rng.randrange(TABLE_CARDINALITY["orders"])
-            txn.ops.append(RecordOp(
-                "new_order", home,
-                order % TABLE_CARDINALITY["new_order"], write=True,
-            ))
-            txn.ops.append(RecordOp("orders", home, order, write=True))
-            txn.ops.append(RecordOp(
-                "customer", home,
-                (order * 7 + district) % TABLE_CARDINALITY["customer"],
-                write=True,
-            ))
+            keys += (order % TABLE_CARDINALITY["new_order"], order,
+                     (order * 7 + district) % TABLE_CARDINALITY["customer"])
+        txn._set_columns(["new_order", "orders", "customer"] * 10,
+                         [home] * 30, keys, [True] * 30)
         return txn
 
     def _build_stock_level(self, txn_id: int) -> Transaction:
         home = self._warehouse()
         txn = Transaction(txn_id, "stock_level", home)
-        district = self._rng.randrange(TABLE_CARDINALITY["district"])
-        txn.ops.append(RecordOp("district", home, district))
+        keys = [self._rng.randrange(TABLE_CARDINALITY["district"])]
         base = self._rng.randrange(TABLE_CARDINALITY["order_line"] - 200)
-        for offset in range(200):
-            txn.ops.append(RecordOp("order_line", home, base + offset))
-        for _ in range(20):
-            txn.ops.append(RecordOp(
-                "stock", home,
-                self._rng.randrange(TABLE_CARDINALITY["stock"]),
-            ))
+        keys += range(base, base + 200)
+        keys += [self._rng.randrange(TABLE_CARDINALITY["stock"])
+                 for _ in range(20)]
+        txn._set_columns(["district"] + ["order_line"] * 200 + ["stock"] * 20,
+                         [home] * 221, keys, [False] * 221)
         return txn
 
     # -- adapters ----------------------------------------------------------------
@@ -270,13 +289,9 @@ class TPCCLite:
                           block_ops: int = BLOCK_OPS
                           ) -> Iterator[AccessBlock]:
         """Flatten transactions into a page access trace of blocks
-        (for buffer pool experiments that don't need locking).
-
-        Transaction drawing stays sequential — it is RNG-order
-        sensitive — while column assembly is one array build per
-        block.
-        """
-        page_of = self.page_of
+        (for buffer pool experiments that don't need locking): drawing
+        is sequential, column assembly one array build per block."""
+        page = self._page
         page_ids: list[int] = []
         writes: list[bool] = []
 
@@ -292,9 +307,8 @@ class TPCCLite:
             return block
 
         for txn in self.transactions(num_transactions):
-            for op in txn.ops:
-                page_ids.append(page_of(op))
-                writes.append(op.write)
+            page_ids += map(page, txn.tables, txn.warehouses, txn.keys)
+            writes += txn.writes
             while len(page_ids) >= block_ops:
                 yield emit(block_ops)
         if page_ids:

@@ -11,7 +11,6 @@ from repro.core.txn import (
     OLTPReport,
     TimedLockTable,
     TwoPhaseLockingExecutor,
-    default_lock_key,
 )
 from repro.errors import ConfigError, TransactionError
 from repro.workloads.tpcc import RecordOp, TPCCLite, Transaction
@@ -183,7 +182,7 @@ def reference_execute(cost_model, threads, transactions):
         ready = clock[thread]
         modes = {}
         for op in txn.ops:
-            key = default_lock_key(op)
+            key = (op.table, op.warehouse, op.key)
             mode = LockMode.EXCLUSIVE if op.write else LockMode.SHARED
             if key not in modes or mode is LockMode.EXCLUSIVE:
                 modes[key] = mode
@@ -333,6 +332,24 @@ class TestTwoPhaseLockingExecutor:
     def test_zero_threads_rejected(self):
         with pytest.raises(ConfigError):
             TwoPhaseLockingExecutor(_flat_cost, threads=0)
+
+    @pytest.mark.parametrize("threads", [2.5, True, 4.0])
+    def test_non_integer_threads_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            TwoPhaseLockingExecutor(_flat_cost, threads=threads)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_bad_cost_refused_before_its_holds(self, bad):
+        def cost(txn):
+            return (bad if txn.txn_id == 1 else 1_000.0), 0
+
+        executor = TwoPhaseLockingExecutor(cost, threads=2)
+        with pytest.raises(TransactionError, match="transaction 1"):
+            executor.execute([_txn(0, [5]), _txn(1, [6, 7], write=False)])
+        table = executor.lock_table
+        assert table.amax == {key: 1_000.0
+                              for key in _txn(0, [5]).lock_set[0]}
 
     def test_remote_txns_counted(self):
         def cost(txn):

@@ -54,6 +54,16 @@ class TestSharedRackEngine:
         with pytest.raises(ConfigError):
             SharedEngineConfig(cache_hit_rate=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("log_batch", 0), ("log_batch", -2), ("log_batch", 2.0),
+        ("num_hosts", 2.5), ("threads_per_host", True),
+        ("llc_hit_ns", -1.0), ("llc_hit_ns", float("nan")),
+        ("llc_hit_ns", float("inf")), ("cache_hit_rate", float("nan")),
+    ])
+    def test_bad_field_refused_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SharedEngineConfig(**{field: value})
+
 
 class TestLockTableCoherence:
     """Sec 3.3: measured coherency traffic of the shared lock table."""
@@ -89,11 +99,38 @@ class TestLockTableCoherence:
 
 
 class TestScaleOutEngine:
+    @pytest.mark.parametrize("field, value", [
+        ("log_batch", 0), ("log_batch", -2), ("log_batch", 8.0),
+        ("num_nodes", 0), ("num_nodes", 2.5), ("threads_per_node", True),
+        ("local_read_ns", -5.0), ("local_write_ns", float("nan")),
+        ("local_lock_ns", float("inf")), ("log_force_ns", -1e-9),
+        ("rpc_payload_bytes", -128),
+    ])
+    def test_bad_field_refused_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScaleOutConfig(**{field: value})
+
+    def test_rpc_memo_replays_fabric_counters(self):
+        # One RPC per remote record plus one per remote participant
+        # (the 2PC round trip), each counted on the fabric as one write
+        # out and one read back, memoised or not.
+        engine = ScaleOutEngine(ScaleOutConfig(num_nodes=4))
+        txns = txn_batch(0.3)
+        report = engine.run(txns)
+        remote_nodes = sum(len(engine.participants(t)) - 1 for t in txns)
+        calls = report.remote_ops - remote_nodes
+        stats = engine.fabric.stats
+        assert calls > 0
+        assert (stats.reads, stats.writes, stats.bytes) == (
+            calls, calls, calls * 2 * 128)
+
     def test_partitioning_by_warehouse(self):
         engine = ScaleOutEngine(ScaleOutConfig(num_nodes=4))
-        from repro.workloads.tpcc import RecordOp
-        assert engine.node_of(RecordOp("stock", 5, 0)) == 1
-        assert engine.node_of(RecordOp("item", -1, 0)) == -1  # replicated
+        from repro.workloads.tpcc import RecordOp, Transaction
+        txn = Transaction(1, "new_order", 2, ops=[
+            RecordOp("stock", 5, 0), RecordOp("item", -1, 0)])
+        # stock of warehouse 5 lives on node 1; item is replicated.
+        assert engine.participants(txn) == {2, 1}
 
     def test_single_home_txn_one_participant(self):
         engine = ScaleOutEngine(ScaleOutConfig(num_nodes=4))

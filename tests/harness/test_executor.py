@@ -1,5 +1,6 @@
 """Parallel sweep execution: determinism, isolation, caching."""
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -108,6 +109,48 @@ class TestRunSweep:
         report = run_sweep(sweep, jobs=1, timeout_s=0.3)
         assert report.cells[0].status == "timeout"
         assert "wall-time" in report.cells[0].error
+
+    def test_fork_batches_freeze_and_unfreeze(self, monkeypatch):
+        calls = []
+        real = {name: getattr(gc, name) for name in ("freeze", "unfreeze")}
+
+        def recorder(name):
+            def call():
+                calls.append((name, len(multiprocessing.active_children())))
+                real[name]()
+            return call
+
+        for name in real:
+            monkeypatch.setattr(gc, name, recorder(name))
+        values = tuple(range(_FORK_BATCH + 3))
+        report = run_sweep(echo_sweep(values), jobs=2, timeout_s=60)
+        assert report.counts == {"ok": len(values)}
+        # Two batches, each forked between a freeze and an unfreeze.
+        assert [name for name, _ in calls] == ["freeze", "unfreeze"] * 2
+        assert calls[1][1] >= calls[0][1] + _FORK_BATCH
+        assert gc.get_freeze_count() == 0
+
+    def test_heap_unfrozen_after_failed_and_timed_out_cells(self):
+        sweep = Sweep(
+            name="bad",
+            base=Scenario(experiment="debug.sleep",
+                          workload={"seconds": 30.0}),
+            axes={"experiment": ("debug.fail", "debug.crash",
+                                 "debug.sleep")},
+        )
+        report = run_sweep(sweep, jobs=3, timeout_s=1.0)
+        assert sorted(report.counts.items()) == [("failed", 2),
+                                                 ("timeout", 1)]
+        assert gc.get_freeze_count() == 0
+
+    def test_frozen_fanout_matches_serial_on_e7(self):
+        from repro.harness import load_sweep
+        sweep = load_sweep(SRC.parent / "specs" / "e7_distribution.json")
+        serial = run_sweep(sweep, jobs=1, timeout_s=120)
+        parallel = run_sweep(sweep, jobs=2, timeout_s=120)
+        assert serial.ok and parallel.ok
+        assert serial.results_canonical() == parallel.results_canonical()
+        assert gc.get_freeze_count() == 0
 
     def test_unknown_experiment_fails_cell(self):
         sweep = Sweep(

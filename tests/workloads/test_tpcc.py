@@ -8,6 +8,7 @@ from repro.workloads.tpcc import (
     TABLE_CARDINALITY,
     TPCCLite,
     RecordOp,
+    Transaction,
 )
 
 
@@ -67,7 +68,7 @@ class TestTransactionMix:
         assert "district" in tables
         assert tables.count("item") == tables.count("stock")
         assert 5 <= tables.count("item") <= 15
-        assert txn.writes > 0
+        assert any(txn.writes)
 
     def test_payment_writes_warehouse(self):
         gen = TPCCLite(num_warehouses=2, seed=3)
@@ -109,6 +110,48 @@ class TestTransactionMix:
             TPCCLite(num_warehouses=0)
         with pytest.raises(ConfigError):
             TPCCLite(num_warehouses=1, remote_probability=1.5)
+
+    @pytest.mark.parametrize("warehouses", [2.5, True, 4.0])
+    def test_non_integer_warehouses_refused(self, warehouses):
+        with pytest.raises(ConfigError, match="num_warehouses"):
+            TPCCLite(num_warehouses=warehouses)
+
+    @pytest.mark.parametrize("count", [2.5, -1, True])
+    def test_bad_count_refused_before_drawing(self, count):
+        gen = TPCCLite(num_warehouses=2, seed=8)
+        with pytest.raises(ConfigError, match="count"):
+            gen.transactions(count)
+        assert gen._txn_counter == 0
+
+    def test_zero_transactions(self):
+        assert list(TPCCLite(num_warehouses=2).transactions(0)) == []
+
+    def test_ops_view_round_trips_the_columns(self):
+        gen = TPCCLite(num_warehouses=4, remote_probability=0.5, seed=9)
+        for txn in gen.transactions(200):
+            ops = txn.ops
+            assert [op.table for op in ops] == txn.tables
+            assert [op.warehouse for op in ops] == txn.warehouses
+            assert [op.key for op in ops] == txn.keys
+            assert [op.write for op in ops] == txn.writes
+            copy = Transaction(txn.txn_id, txn.profile, txn.home_warehouse,
+                               ops=ops, remote=txn.remote)
+            assert copy.ops == ops
+            assert copy.lock_set == txn.lock_set
+
+    def test_lock_set_splits_records_by_write(self):
+        txn = Transaction(1, "payment", 0, ops=[
+            RecordOp("stock", 0, 7, write=True), RecordOp("stock", 1, 7),
+            RecordOp("item", -1, 7), RecordOp("stock", 0, 7)])
+        assert txn.lock_set == (
+            [("stock", 0, 7)],
+            [("stock", 1, 7), ("item", -1, 7), ("stock", 0, 7)])
+
+    def test_assigning_ops_resets_the_lock_set(self):
+        txn = Transaction(1, "payment", 0, ops=[RecordOp("t", 0, 1)])
+        assert txn.lock_set[1]
+        txn.ops = [RecordOp("t", 0, 1, write=True)]
+        assert not txn.lock_set[1] and txn.lock_set[0]
 
     def test_txn_ids_unique_and_increasing(self):
         gen = TPCCLite(num_warehouses=2, seed=8)
