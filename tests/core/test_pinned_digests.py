@@ -18,6 +18,13 @@ the six ``e7`` sweep cells' results, one TPC-C-lite stream record by
 record with its flattened page trace, and the RDMA counters a sharded
 2PC run leaves on its fabric.
 
+Two OS-paging storms have one lane each (``test_os_paging_is_pinned``):
+a cold ``OSPagingPolicy`` pool scanned three times past its capacity,
+then a YCSB-A tail, so demote passes land in a full CXL tier that
+writes dirty victims back. Their literals cover the pool and per-tier
+stats, every device's counters, the clock, and the sampler's heat
+items in insertion order (``hottest`` breaks ties by that order).
+
 A scenario's parameters are part of its literal: change one and the
 literal is stale. Speed is not measured here — ``ledger/`` is the
 repository's performance instrument.
@@ -25,6 +32,7 @@ repository's performance instrument.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -302,3 +310,42 @@ OLTP_RUNS = {
 @pytest.mark.parametrize("name", list(PINNED_OLTP))
 def test_oltp_digest_is_pinned(name):
     assert OLTP_RUNS[name]() == PINNED_OLTP[name]
+
+
+PINNED_OS_PAGING = {
+    "dram32-cxl256":
+        "13da63f92bbbd62600af75935f374d2435cbcbecf1f7d50c28fdb3a695600ea3",
+    "dram512-cxl1024":
+        "31ac0b28290c9c57814971f8b9425e80be9286e5674dfd703c3f0244798c0ce9",
+}
+
+
+def os_paging_storm(dram_pages, cxl_pages):
+    """A cold OS-paged pool: three scans over four times its capacity,
+    then a YCSB-A tail over the same pages. Digests what the run left
+    in the pool, on the devices, on the clock and in the sampler."""
+    pages = 4 * (dram_pages + cxl_pages)
+    engine = ScaleUpEngine.build(dram_pages=dram_pages, cxl_pages=cxl_pages,
+                                 placement=OSPagingPolicy())
+    trace = list(scan_blocks(0, pages, repeats=3))
+    trace += list(ycsb_blocks(YCSBConfig(
+        mix="A", num_pages=pages, num_ops=6 * pages, seed=41)))
+    report = engine.run(trace)
+    pool = engine.pool
+    devices = [tier.path.device.stats.snapshot() for tier in pool.tiers]
+    devices.append(dataclasses.asdict(pool.backing.device.stats))
+    heat = pool.placement.tracker._heat
+    return _sha256_lines([
+        digest_report(engine, report),
+        repr(devices),
+        repr(pool.clock),
+        repr(pool.clock.now),
+        repr(list(heat.items())),
+    ])
+
+
+@pytest.mark.parametrize("name", list(PINNED_OS_PAGING))
+def test_os_paging_is_pinned(name):
+    dram, cxl = (int(part[len(prefix):]) for part, prefix in
+                 zip(name.split("-"), ("dram", "cxl")))
+    assert os_paging_storm(dram, cxl) == PINNED_OS_PAGING[name]
