@@ -115,6 +115,10 @@ route-check:
 # RecordOp only in the ops view, the 2PL executor and both OLTP engines
 # (txn.py, scaleout.py, shared.py) never read .ops, and the executor's
 # per-record lock-key function (lock_key) may not come back to txn.py.
+# OS paging at column speed: the sampler draws its stream in bulk, so
+# temperature.py makes no scalar .random() draw, and the pool has one
+# bulk eviction body: only the block window (_block_exact) and the
+# column migration commit (_migrate_columns) call _evict_apply.
 # The line counts of the pool, placement, tracker, chain and page files,
 # and of the four TPC-C files, are printed for the CI log.
 define STRUCTURE_CHECK
@@ -179,11 +183,17 @@ for path, builders in (("src/repro/core/buffer.py", ("_anonymous",)),
 for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
     name, body = method.split("(", 1)[0], method.split("\n", 1)[1]
     for call, callers in (("_block_exact(", ("access_block",)),
-                          ("access_run(", ("preload",))):
+                          ("access_run(", ("preload",)),
+                          ("_evict_apply(", ("_block_exact",
+                                             "_migrate_columns"))):
         if call in body and name not in callers:
             bad.append("buffer.py: %s() calls %s)" % (name, call))
     if name == "_run_span" and "broadcast_to" in body:
         bad.append("buffer.py: _run_span() builds broadcast columns")
+temperature = pathlib.Path("src/repro/core/temperature.py")
+for number, line in enumerate(temperature.read_text().splitlines(), 1):
+    if ".random()" in line:
+        bad.append("%s:%d: %s" % (temperature, number, line.strip()))
 placement = pathlib.Path("src/repro/core/placement.py")
 for number, line in enumerate(placement.read_text().splitlines(), 1):
     if "frame_of(" in line:

@@ -270,6 +270,11 @@ _CUTS = ("miss_full", "scan_flag", "headroom", "non_lru",
          "pinned", "session", "backing", "placement", "evicted_reref",
          "victim_bound", "cascade")
 
+#: Why :meth:`TieredBufferPool._migrate_columns` left a run to the
+#: per-page step (``LaneStats.migrate_declines``).
+_MIGRATE_DECLINES = ("far", "invalid", "pinned", "non_lru", "cascade",
+                     "victims")
+
 
 @dataclass(slots=True)
 class LaneStats:
@@ -295,7 +300,8 @@ class LaneStats:
     and the accesses they carried, ``log_high_water`` the most it ever
     held. ``column_migrations`` / ``step_migrations`` count the pages
     :meth:`TieredBufferPool._migrate_pages` moved by one column commit
-    per run and by its per-page step. Bumped once per window, block,
+    per run and by its per-page step, ``migrate_declines`` why each
+    run it offered the commit went to the step instead. Bumped once per window, block,
     span, settle or migration run; not part of
     :class:`BufferPoolStats`, whose snapshot is simulated state."""
 
@@ -319,6 +325,8 @@ class LaneStats:
     log_high_water: int = 0
     column_migrations: int = 0
     step_migrations: int = 0
+    migrate_declines: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_MIGRATE_DECLINES, 0))
 
     def snapshot(self) -> dict:
         """Counters as a dict (metrics snapshot protocol). Spelled
@@ -342,6 +350,7 @@ class LaneStats:
             "log_high_water": self.log_high_water,
             "column_migrations": self.column_migrations,
             "step_migrations": self.step_migrations,
+            "migrate_declines": dict(self.migrate_declines),
         }
 
 
@@ -1640,8 +1649,9 @@ class TieredBufferPool:
                 for T, dirty, over, rescued in evict:
                     if rescued:
                         self._policy_touch(tiers[T].policy, rescued)
-                    miss_lat[ntiers + T], miss_lat[2 * ntiers + T] = \
-                        self._evict_apply(T, dirty, io, inst[T])
+                    clean, soiled = self._evict_apply(T, dirty)
+                    miss_lat[ntiers + T] = (io + clean) + inst[T]
+                    miss_lat[2 * ntiers + T] = (io + soiled) + inst[T]
                     mcls[over] += ntiers * (1 + np.asarray(dirty))
                     lane.fill_installs -= len(dirty)
                     lane.evict_installs += len(dirty)
@@ -2016,36 +2026,36 @@ class TieredBufferPool:
 
     def _evict_charge(self, victims: list) -> list | None:
         """The dirty flags of *victims* — the storage victims a window
-        chose in a full, LRU tier that drains straight to a backing
-        file — or ``None`` when the bulk body cannot drop them: a
-        resident page outside the dense table (the body writes columns
-        only) or a dirty victim missing from the file (the
+        or a column migration chose in an LRU tier that drains straight
+        to a backing file — or ``None`` when the bulk body cannot drop
+        them: a resident page outside the dense table (the body writes
+        columns only) or a dirty victim missing from the file (the
         anonymous-writeback path). Changes nothing."""
         if self._far:
             return None
-        dirty = self._dirty[victims].tolist()
-        if any(dirty):
-            contains = self.backing.contains
-            if any(df and not contains(v) for v, df in zip(victims, dirty)):
-                return None
+        # fromiter: half what indexing by a list costs to convert it.
+        dirty = self._dirty[np.fromiter(victims, np.int64,
+                                        len(victims))].tolist()
+        if not all(map(self.backing.contains, compress(victims, dirty))):
+            return None
         return dirty
 
-    def _evict_apply(self, T: int, dirty: list, io: float,
-                     inst: float) -> tuple[float, float]:
+    def _evict_apply(self, T: int, dirty: list) -> tuple[float, float]:
         """Drop the ``len(dirty)`` victims :meth:`_evict_charge`
         validated out of tier *T* into storage — the bulk eviction
-        body: ``victim_batch`` pops them (LRU: the front of the order),
-        their rows go absent as array writes (tombstone, tier, dirty
-        flag), each dirty one takes a real ``write_page``, and the
-        eviction reads are replayed under the memo protocol (one real
+        body of the block window and of :meth:`_migrate_columns`:
+        ``victim_batch`` pops them (LRU: the front of the order), their
+        rows go absent as array writes (tombstone, tier, dirty flag),
+        each dirty one takes a real ``write_page``, and the eviction
+        reads are replayed under the memo protocol (one real
         stat-bumping call seeds the constant, as the scalar path's
         first eviction does). *T* ends that many residents short; the
-        caller's install refills it.
+        caller's install or move refills it.
 
-        Returns the fault latency behind a clean and behind a dirty
-        victim, composed as the scalar recursion associates:
-        ``(io + (0.0 + E)) + inst`` with ``E`` the eviction read, plus
-        the write-back behind a dirty victim.
+        Returns what :meth:`_make_room` returns behind a clean and
+        behind a dirty victim: ``0.0 + E``, with ``E`` the eviction
+        read, plus the write-back behind a dirty victim. The caller
+        composes it into its own latency as the scalar path does.
         """
         m = len(dirty)
         tier = self.tiers[T]
@@ -2063,7 +2073,7 @@ class TieredBufferPool:
             device_stats = tier.path.device.stats
             device_stats.loads += rep
             device_stats.load_bytes += rep * page_size
-        cols = np.asarray(victims, dtype=np.int64)
+        cols = np.fromiter(victims, np.int64, m)
         stats.per_tier[T].evictions += m
         self._ord_valid[self._slot[cols]] = False
         self._res_tier[cols] = -1
@@ -2078,10 +2088,8 @@ class TieredBufferPool:
         if self._adopted:
             for v in victims:
                 self._adopted.pop(v, None)
-        l_clean = (io + (0.0 + evt)) + inst
-        if wb is None:
-            return l_clean, l_clean
-        return l_clean, (io + (0.0 + (evt + wb))) + inst
+        room = 0.0 + evt
+        return room, room if wb is None else 0.0 + (evt + wb)
 
     def _fault(self, page_id: PageId, is_scan: bool = False) -> float:
         """Bring a page in from backing storage; returns elapsed ns."""
@@ -2279,8 +2287,9 @@ class TieredBufferPool:
 
         A run of at least ``_COLUMN_MOVES`` pages is offered to
         :meth:`_migrate_columns` first; a shorter run, or one it
-        declines (a move that needs room made, an error to raise
-        mid-run), takes the per-page step below."""
+        declines (room made other than by evicting a tier's oldest
+        residents to storage, an error to raise mid-run), takes the
+        per-page step below."""
         if len(page_ids) >= _COLUMN_MOVES:
             total = self._migrate_columns(page_ids, to_tiers, demotion)
             if total is not None:
@@ -2379,39 +2388,57 @@ class TieredBufferPool:
     def _migrate_columns(self, page_ids, to_tiers,
                          demotion: bool) -> float | None:
         """Commit a run of moves as column writes — or ``None``, leaving
-        it to the per-page step.
+        it to the per-page step and counting why in
+        ``lane.migrate_declines``.
 
         Taken when every page is a distinct, unpinned resident of the
-        dense table bound for a valid tier, every tier the run touches
-        keeps LRU order, each (from, to) edge's device times are
-        memoised, and — counting the run in order — no move finds its
-        destination full. The per-page step's effects are then
-        order-free: the tier and index-tier columns, each tier's
-        ``remove_batch`` / ``record_insert_batch`` (an LRU's stamps are
-        per policy, so a batch per tier stamps as the interleaved calls
-        do), the integer device and tier counters, and each tier's peak
-        read off its running count. What is ordered is replayed in page
-        order: the three float chains (return total, migration time,
-        clock) one add per page, and the trace spans."""
+        dense table bound for a valid tier and every tier the run
+        touches keeps LRU order. A destination the run fills past its
+        capacity (an OS-paging demote pass into a full CXL tier) is
+        taken too when the per-page step would only evict its oldest
+        residents to storage: it drains to storage, nothing leaves it,
+        nothing in the pool is pinned, no row is outside the dense
+        table, and it holds the ``need`` residents its overflow evicts,
+        none of them in the run. Arrivals land at the MRU end, so the
+        victims are its LRU prefix, one each at the last ``need``
+        arrivals; they go through :meth:`_evict_charge` /
+        :meth:`_evict_apply`, the block window's bulk eviction body.
+
+        The per-page step's effects are then order-free: the tier and
+        index-tier columns, each tier's ``remove_batch`` /
+        ``record_insert_batch`` (an LRU's stamps are per policy, so a
+        batch per tier stamps as the interleaved calls do), the integer
+        device and tier counters, and each tier's peak read off its
+        running count (an overflowed tier peaks at its capacity). What
+        is ordered is replayed in page order: each move's float as the
+        step composes it, ``((0.0 + E) + read) + write`` with ``E`` the
+        eviction before it (``0.0 + E`` is ``0.0`` without one), the
+        three float chains (return total, migration time, clock) one
+        add per page, and the trace spans."""
+        declines = self.lane.migrate_declines
         ids = np.asarray(page_ids)
         tos = np.asarray(to_tiers)
         tiers = self.tiers
         T = len(tiers)
         counts = self._resident_counts
-        if (ids.dtype.kind not in "iu" or tos.dtype.kind not in "iu"
-                or int(tos.min()) < 0 or int(tos.max()) >= T
-                # The one test a full destination fails at once (an
-                # OS-paging demote pass into a full CXL tier).
-                or counts[tos[0]] >= tiers[tos[0]].capacity_pages
-                or int(ids.min()) < 0 or int(ids.max()) >= self._cap):
+        if (ids.dtype.kind not in "iu" or int(ids.min()) < 0
+                or int(ids.max()) >= self._cap):
+            declines["far"] += 1
             return None
         frm = self._res_tier[ids]
         srt = np.sort(ids)
-        if (int(frm.min()) < 0 or (srt[1:] == srt[:-1]).any()
-                or (self._pinned and self._pins[ids].any())):
+        if (tos.dtype.kind not in "iu" or int(tos.min()) < 0
+                or int(tos.max()) >= T or int(frm.min()) < 0
+                or (srt[1:] == srt[:-1]).any()):
+            declines["invalid"] += 1
+            return None
+        if self._pinned and self._pins[ids].any():
+            declines["pinned"] += 1
             return None
         moving = frm != tos
+        staying = None
         if not moving.all():
+            staying = ids[~moving]
             ids, frm, tos = ids[moving], frm[moving], tos[moving]
         n = ids.shape[0]
         # Each tier's resident count after every move: where it peaks,
@@ -2424,32 +2451,73 @@ class TieredBufferPool:
         peaks = np.where(step > 0, run, -1).max(axis=1, initial=-1).tolist()
         edge = frm * T + tos
         per_edge = np.bincount(edge, minlength=T * T).tolist()
-        elapsed = [0.0] * (T * T)
-        for e in [e for e, moved in enumerate(per_edge) if moved]:
-            rw = self._mig_rw.get(divmod(e, T))
-            if rw is None:
-                return None
-            elapsed[e] = (0.0 + rw[0]) + rw[1]
         arrived = [sum(per_edge[t::T]) for t in range(T)]
         departed = [sum(per_edge[t * T:(t + 1) * T]) for t in range(T)]
         touched = [t for t in range(T) if arrived[t] or departed[t]]
-        if any(type(tiers[t].policy) is not LRUPolicy
-               or peaks[t] > tiers[t].capacity_pages for t in touched):
+        if any(type(tiers[t].policy) is not LRUPolicy for t in touched):
+            declines["non_lru"] += 1
             return None
-        # Committed from here on: nothing below can refuse.
-        self._res_tier[ids] = tos
-        self._ord_tier[self._slot[ids]] = tos
+        evictions = []
+        for t in touched:
+            capacity = tiers[t].capacity_pages
+            if peaks[t] <= capacity:
+                continue
+            why = self._overflow_decline(t, capacity, departed[t])
+            if why is not None:
+                declines[why] += 1
+                return None
+            need = counts[t] + arrived[t] - capacity
+            victims = tiers[t].policy.peek_batch(need)
+            dirty = None
+            # Only a page the run leaves in place can be one (nothing
+            # leaves t): its turn would find it evicted.
+            if len(victims) == need and (staying is None or not np.isin(
+                    victims, staying).any()):
+                dirty = self._evict_charge(victims)
+            if dirty is None or (any(dirty)
+                                 and not self.backing.device.healthy):
+                declines["victims"] += 1
+                return None
+            evictions.append((t, dirty))
+            peaks[t] = capacity
+        # Committed from here on: nothing below can refuse. An edge's
+        # first move seeds its memo with the real stat-bumping calls,
+        # as the per-page step's does; the rest replay the bumps.
         stats = self.stats
         page_size = self.page_size
+        reads = np.zeros(T * T)
+        writes = np.zeros(T * T)
+        seeded_out = [0] * T
+        seeded_in = [0] * T
+        for e in [e for e, moved in enumerate(per_edge) if moved]:
+            f, t = divmod(e, T)
+            rw = self._mig_rw.get((f, t))
+            if rw is None:
+                rw = self._mig_rw[(f, t)] = (
+                    tiers[f].path.read_time(page_size),
+                    tiers[t].path.write_time(page_size))
+                seeded_out[f] += 1
+                seeded_in[t] += 1
+            reads[e], writes[e] = rw
+        es = ((0.0 + reads) + writes)[edge]
+        for t, dirty in evictions:
+            clean, soiled = self._evict_apply(t, dirty)
+            late = np.flatnonzero(tos == t)[-len(dirty):]
+            room = np.where(dirty, soiled, clean)
+            es[late] = (room + reads[edge[late]]) + writes[edge[late]]
+        self._res_tier[ids] = tos
+        self._ord_tier[self._slot[ids]] = tos
         for t in touched:
             tiers[t].policy.remove_batch(ids[frm == t])
             tiers[t].policy.record_insert_batch(ids[tos == t])
             counts[t] += arrived[t] - departed[t]
             device_stats = tiers[t].path.device.stats
-            device_stats.loads += departed[t]
-            device_stats.load_bytes += departed[t] * page_size
-            device_stats.stores += arrived[t]
-            device_stats.store_bytes += arrived[t] * page_size
+            loads = departed[t] - seeded_out[t]
+            stores = arrived[t] - seeded_in[t]
+            device_stats.loads += loads
+            device_stats.load_bytes += loads * page_size
+            device_stats.stores += stores
+            device_stats.store_bytes += stores * page_size
             tier_stats = stats.per_tier[t]
             if demotion:
                 tier_stats.demotions_in += arrived[t]
@@ -2458,7 +2526,7 @@ class TieredBufferPool:
             tier_stats.resident_peak = max(tier_stats.resident_peak, peaks[t])
         stats.migrations += n
         self.lane.column_migrations += n
-        es = np.array(elapsed)[edge].tolist()
+        es = es.tolist()
         clock = self._session_clock or self.clock
         if demotion:
             starts = [clock._now] * n
@@ -2475,6 +2543,27 @@ class TieredBufferPool:
                 trace.emit_span(kind, "pool", t0, t0 + e, {
                     "page": page_id, "from": names[f], "to": names[t]})
         return reduce(add, es, 0.0)
+
+    def _overflow_decline(self, t: int, capacity: int,
+                          departed: int) -> str | None:
+        """Why a run that overflows tier *t* cannot evict in bulk ahead
+        of its moves (a ``migrate_declines`` reason), or None: *t*
+        demotes into another tier (``cascade``), a pin could redirect
+        the victim choice (``pinned``), a row lives outside the dense
+        table (``far``), or the victims are not *t*'s oldest residents
+        dropped to a healthy page file (``victims``: an anonymous
+        pool, a move out of *t* or *t* already over its capacity)."""
+        target = self.placement.demote_target(t)
+        if target is not None and target != t:
+            return "cascade"
+        if self._pinned:
+            return "pinned"
+        if self._far:
+            return "far"
+        if (self.backing is None or departed
+                or self._resident_counts[t] > capacity):
+            return "victims"
+        return None
 
     # -- flushing -------------------------------------------------------------------
 

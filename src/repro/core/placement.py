@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import BufferPoolError, require_count
+from ..errors import BufferPoolError, require_count, require_nonnegative
 from .temperature import ExactTracker, SampledTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -228,6 +228,8 @@ class OSPagingPolicy(_BasePolicy):
             raise BufferPoolError("invalid watermarks")
         require_count("check_interval", check_interval, 1)
         require_count("max_moves_per_check", max_moves_per_check, 0)
+        # A NaN or infinite threshold would silently never promote.
+        require_nonnegative("promote_min_heat", promote_min_heat)
         self.tracker = SampledTracker(sample_rate=sample_rate)
         self.check_interval = check_interval
         self.promote_min_heat = promote_min_heat

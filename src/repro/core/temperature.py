@@ -32,6 +32,8 @@ from ..sim.ladder import repeat_add_vec
 _MAX_DENSE_PIDS = 1 << 22
 #: Below this run length the scalar loop beats the numpy setup cost.
 _VEC_MIN = 64
+#: The fewest doubles the OS-side sampler draws ahead at once.
+_DRAW_AHEAD = 1024
 
 
 class TemperatureTracker(Protocol):
@@ -348,6 +350,15 @@ class SampledTracker:
     fraction ``sample_rate`` of accesses is observed, scans look
     exactly like random accesses (the OS cannot tell), and heat is a
     coarse counter aged periodically.
+
+    The sampler draws from one numpy ``RandomState`` started from the
+    MT19937 state ``random.Random(seed)`` starts from (so ``seed=None``
+    seeds from the OS, and an int seed gives the stream the scalar
+    ``random.Random`` loop drew). The two share the 53-bit double
+    recipe (see :mod:`repro.workloads.mtrand`), so doubles drawn in
+    bulk are bit-identical to scalar draws. They are drawn ahead into
+    a buffer of at least ``_DRAW_AHEAD`` and consumed in order, one per
+    access: :meth:`record` takes the next one, a batch its next ``n``.
     """
 
     def __init__(self, sample_rate: float = 0.01, decay: float = 0.5,
@@ -361,9 +372,25 @@ class SampledTracker:
         self.sample_rate = sample_rate
         self.decay = decay
         self.epoch_accesses = epoch_accesses
-        self._rng = random.Random(seed)
+        _, words, _ = random.Random(seed).getstate()
+        self._rng = np.random.RandomState()
+        self._rng.set_state(("MT19937", np.array(words[:-1], dtype=np.uint32),
+                             words[-1], 0, 0.0))
+        self._ahead = np.zeros(0)           # drawn, not yet consumed
+        self._pos = 0
         self._heat: dict[int, float] = {}
         self._since_epoch = 0
+
+    def _draws(self, n: int) -> np.ndarray:
+        """The stream's next *n* doubles."""
+        pos = self._pos
+        ahead = self._ahead
+        if pos + n > ahead.shape[0]:
+            ahead = self._ahead = np.concatenate((
+                ahead[pos:], self._rng.random_sample(max(n, _DRAW_AHEAD))))
+            pos = 0
+        self._pos = pos + n
+        return ahead[pos:pos + n]
 
     def record(self, page_id: int, is_scan: bool = False) -> None:
         """Observe one access; most are missed by sampling, and
@@ -372,43 +399,68 @@ class SampledTracker:
         self._since_epoch += 1
         if self._since_epoch >= self.epoch_accesses:
             self._age()
-        if self._rng.random() >= self.sample_rate:
+        if self._draws(1)[0] >= self.sample_rate:
             return
         self._heat[page_id] = self._heat.get(page_id, 0.0) + 1.0
 
     def record_batch(self, page_ids: Sequence[int], start: int, end: int,
                      is_scan: bool = False) -> None:
         """Observe a run of accesses; equivalent to a :meth:`record`
-        loop. One RNG draw per access in the same order, so sampled
-        histories stay identical between scalar and batched paths."""
+        loop. The run takes its ``n`` draws at once and only the
+        sampled accesses (a draw below ``sample_rate``) touch the heat
+        dict, in access order and as the ids they are in *page_ids*;
+        an epoch boundary inside the run ages the heats between the
+        samples before it and the one at it, as the loop does. A run
+        shorter than ``_VEC_MIN`` is that loop over its draws."""
         del is_scan
-        rng_random = self._rng.random
+        n = end - start
+        if n <= 0:
+            return
         rate = self.sample_rate
+        epoch = self.epoch_accesses
+        since = self._since_epoch
+        if n < _VEC_MIN:
+            heat = self._heat
+            for i, draw in enumerate(self._draws(n).tolist(), start):
+                since += 1
+                if since >= epoch:
+                    self._age()
+                    since = 0
+                    heat = self._heat
+                if draw < rate:
+                    pid = page_ids[i]
+                    heat[pid] = heat.get(pid, 0.0) + 1.0
+            self._since_epoch = since
+            return
+        sampled = np.flatnonzero(self._draws(n) < rate)
+        if type(page_ids) is np.ndarray:
+            pids = list(page_ids[start:end][sampled])
+        else:
+            pids = [page_ids[start + k] for k in sampled.tolist()]
+        # The accesses that age the heats, before their own sample.
+        ages = np.arange(epoch - since - 1, n, epoch)
+        lo = 0
+        for cut in np.searchsorted(sampled, ages).tolist():
+            self._count(pids[lo:cut])
+            self._age()
+            lo = cut
+        self._count(pids[lo:])
+        self._since_epoch = (since + n) % epoch
+
+    def _count(self, pids: list) -> None:
+        """One sampled observation per id, in order."""
         heat = self._heat
         heat_get = heat.get
-        since = self._since_epoch
-        epoch = self.epoch_accesses
-        for i in range(start, end):
-            since += 1
-            if since >= epoch:
-                self._age()
-                since = 0
-                heat = self._heat
-                heat_get = heat.get
-            if rng_random() >= rate:
-                continue
-            pid = page_ids[i]
+        for pid in pids:
             heat[pid] = heat_get(pid, 0.0) + 1.0
-        self._since_epoch = since
 
     def _age(self) -> None:
         self._since_epoch = 0
         if self.decay >= 1.0:
             return
-        self._heat = {
-            pid: h * self.decay for pid, h in self._heat.items()
-            if h * self.decay > 1e-6
-        }
+        decay = self.decay
+        self._heat = {pid: aged for pid, h in self._heat.items()
+                      if (aged := h * decay) > 1e-6}
 
     def heat(self, page_id: int) -> float:
         """Sampled hotness estimate."""
@@ -427,8 +479,12 @@ class SampledTracker:
         them (the same list the full ranking cut at the first colder
         page gives: ties keep observation order either way)."""
         heat = self._heat
-        pages = heat if min_heat <= 0.0 else [
-            page_id for page_id, h in heat.items() if h >= min_heat]
+        if min_heat <= 0.0:
+            pages = heat
+        elif max(heat.values(), default=0.0) < min_heat:
+            return []
+        else:
+            pages = [page_id for page_id, h in heat.items() if h >= min_heat]
         return heapq.nlargest(n, pages, key=heat.__getitem__)
 
     def coldest(self, n: int) -> list[int]:

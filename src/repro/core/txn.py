@@ -157,7 +157,9 @@ class TwoPhaseLockingExecutor:
         # (clock, index): the least-loaded thread, first index on ties.
         clocks = [(0.0, thread) for thread in range(self.threads)]
         report = OLTPReport(name=self.name, threads=self.threads)
-        table = self.lock_table
+        # Each run schedules against its own holds only; the table
+        # stays behind for snapshot(), as the report does.
+        table = self.lock_table = TimedLockTable()
         for txn in transactions:
             ready, thread = clocks[0]
             exclusive, shared = txn.lock_set

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from operator import index
 
+import numpy as np
+
 from ..errors import StorageError
 from ..units import PAGE_SIZE
 from .disk import StorageDevice
@@ -18,7 +20,13 @@ from .page import Page, PageId
 
 
 class PageFile:
-    """A growable array of pages on a storage device."""
+    """A growable array of pages on a storage device.
+
+    Ids are registered and never removed, so the file keeps a
+    watermark below which every id is registered: a pool's re-faults
+    register nothing new, and :meth:`ensure_many` answers them from
+    the column's ``min`` and ``max`` alone.
+    """
 
     def __init__(self, device: StorageDevice, name: str = "tablespace",
                  page_size: int = PAGE_SIZE) -> None:
@@ -29,6 +37,9 @@ class PageFile:
         self.page_size = page_size
         self._pages: dict[PageId, Page | None] = {}  # None: never read
         self._next_id: PageId = 0
+        # Every id below it is registered; ids are never removed, so
+        # it only climbs, one step per id registered behind it.
+        self._dense: PageId = 0
 
     # -- structure ----------------------------------------------------------
 
@@ -64,7 +75,16 @@ class PageFile:
         """Register the absent ids of *page_ids* (an iterable or an
         integer array), building no page: the file is the home of a
         pool's whole page-id space. Ids are integers >= 0, not bools,
-        kept as ints; nothing is registered when one is refused."""
+        kept as ints; nothing is registered when one is refused.
+
+        A re-fault registers nothing new: an integer column that lies
+        wholly below the watermark (every id under it is registered)
+        returns after its ``min`` and ``max``, without a set
+        difference."""
+        if (type(page_ids) is np.ndarray and page_ids.ndim == 1
+                and page_ids.dtype.kind in "iu" and page_ids.shape[0]
+                and page_ids.min() >= 0 and page_ids.max() < self._dense):
+            return
         ids = page_ids.tolist() if hasattr(page_ids, "tolist") \
             else list(page_ids)
         if not {int}.issuperset(map(type, ids)):
@@ -78,6 +98,10 @@ class PageFile:
         pages = self._pages
         pages.update(dict.fromkeys(set(ids).difference(pages)))
         self._next_id = max(self._next_id, max(ids, default=-1) + 1)
+        dense = self._dense
+        while dense in pages:
+            dense += 1
+        self._dense = dense
 
     def contains(self, page_id: PageId) -> bool:
         """Whether the page id exists in this file."""

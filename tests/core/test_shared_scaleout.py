@@ -203,3 +203,20 @@ class TestTheCrossover:
         r_hi = up2.run(txn_batch(0.3))
         ratio = r_lo.throughput_tps / r_hi.throughput_tps
         assert 0.8 < ratio < 1.25
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SharedRackEngine(SharedEngineConfig(num_hosts=4)),
+    lambda: ScaleOutEngine(ScaleOutConfig(num_nodes=4)),
+], ids=["shared", "scaleout"])
+def test_a_second_run_schedules_against_its_own_holds(build):
+    """Each run starts from an empty lock table: a repeat of the same
+    stream on one engine reports what the first run did, and the
+    executor's snapshot describes the last run."""
+    engine = build()
+    txns = txn_batch(0.1, count=1_500)
+    first = engine.run(txns)
+    waits = engine.executor.snapshot()["lock_waits"]
+    second = engine.run(txns)
+    assert second == first
+    assert engine.executor.snapshot()["lock_waits"] == waits

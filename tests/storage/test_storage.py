@@ -163,6 +163,55 @@ class TestPageFile:
         assert {type(pid) for pid in pf.page_ids()} == {int}
         assert pf.allocate_page().page_id == 10
 
+    def test_watermark_climbs_over_registered_ids_only(self):
+        pf = PageFile(StorageDevice())
+        pf.ensure_many(np.arange(100))
+        assert pf._dense == 100
+        pf.ensure_many(np.array([98, 150, 7]))      # past it, with a gap
+        assert pf._dense == 100 and pf.contains(150)
+        assert not pf.contains(120)
+        pf.allocate_pages(3)                        # 151, 152, 153
+        pf.install(Page(page_id=100))
+        pf.ensure_many(np.arange(101, 150))
+        assert pf._dense == 154
+        assert pf.page_ids() == list(range(154))
+        assert pf.allocate_page().page_id == 154
+
+    def test_refault_below_the_watermark_registers_nothing(self):
+        pf = PageFile(StorageDevice())
+        pf.ensure_many(np.arange(64))
+        pf.peek(5)
+        before = dict(pf._pages)
+        for ids in (np.arange(64)[::-1], np.array([0]),
+                    np.array([63, 2], dtype=np.uint16)):
+            pf.ensure_many(ids)
+        assert pf._pages == before and pf.peek(5) is before[5]
+        assert pf._next_id == 64
+
+    @pytest.mark.parametrize("bad", [
+        np.array([-1, 3]), np.array([True, False]), np.array([1.0, 2.0]),
+        np.array([[1, 2]]), np.array([3, -5], dtype=np.int8)])
+    def test_watermark_keeps_every_refusal(self, bad):
+        pf = PageFile(StorageDevice())
+        pf.ensure_many(np.arange(10))
+        with pytest.raises(StorageError, match="invalid page id"):
+            pf.ensure_many(bad)
+        assert pf.page_ids() == list(range(10)) and pf._dense == 10
+
+    def test_ensure_many_past_the_watermark_is_an_ensure_loop(self):
+        rng = np.random.default_rng(4)
+        one, many = PageFile(StorageDevice()), PageFile(StorageDevice())
+        for _ in range(40):
+            ids = rng.integers(0, rng.choice([30, 300]), size=rng.integers(
+                0, 50))
+            many.ensure_many(ids)
+            for pid in ids.tolist():
+                one.ensure(pid)
+            assert many._pages == one._pages
+            assert many._next_id == one._next_id
+            assert all(many.contains(p) for p in range(many._dense))
+        assert many.page_ids() == one.page_ids()
+
     def test_registered_pages_are_built_on_first_read(self):
         pf = PageFile(StorageDevice())
         pf.ensure_many(range(1000))
