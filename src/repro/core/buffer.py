@@ -301,8 +301,8 @@ class LaneStats:
     held. ``column_migrations`` / ``step_migrations`` count the pages
     :meth:`TieredBufferPool._migrate_pages` moved by one column commit
     per run and by its per-page step, ``migrate_declines`` why each
-    run it offered the commit went to the step instead. Bumped once per window, block,
-    span, settle or migration run; not part of
+    run it offered the commit went to the step instead. Bumped once
+    per window, block, span, settle or migration run; not part of
     :class:`BufferPoolStats`, whose snapshot is simulated state."""
 
     exact_windows: int = 0

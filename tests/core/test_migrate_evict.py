@@ -33,7 +33,6 @@ from repro.storage.disk import StorageDevice
 from repro.storage.file import PageFile
 from repro.workloads import scan_blocks
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
-from tests.core.rebalance_oracle import migrate_loop
 from tests.core.test_rebalance import full_state, run_both
 
 FAR = _RES_MAX_PIDS + 5
