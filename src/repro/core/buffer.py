@@ -1870,7 +1870,7 @@ class TieredBufferPool:
             ne = int(np.searchsorted(turns, k))
             if ne:
                 over = np.searchsorted(fpos, turns[:ne])
-                rescued = [cand[t] for t in resc if ft[t] < k]
+                rescued = cand[[t for t in resc if ft[t] < k]].tolist()
                 evict.append((T, dirty[:ne], over, rescued))
         pairs = [(T, count) for T, count
                  in enumerate(np.bincount(adm).tolist()) if count]
@@ -1899,7 +1899,7 @@ class TieredBufferPool:
         (``miss_full``).
         """
         hits = int(np.count_nonzero(sp[:k] == T))
-        cand = self.tiers[T].policy.peek_batch(turns.shape[0] + hits)
+        cand = self.tiers[T].policy.front_column(turns.shape[0] + hits)
         ne = turns.shape[0]
         resc: list[int] = []
         stop, why = k, None
@@ -1911,10 +1911,9 @@ class TieredBufferPool:
             # np.put keeps the last write per index: reversed, the
             # first position each page is touched at (k: nowhere).
             np.put(first, seen[::-1] - lo, np.arange(k - 1, -1, -1))
-            ca = np.asarray(cand, dtype=np.int64)
-            inside = (ca >= lo) & (ca < lo + first.shape[0])
-            ft = np.full(ca.shape[0], k)
-            ft[inside] = first[ca[inside] - lo]
+            inside = (cand >= lo) & (cand < lo + first.shape[0])
+            ft = np.full(cand.shape[0], k)
+            ft[inside] = first[cand[inside] - lo]
             tl = turns.tolist()
             touched = np.flatnonzero(ft < k)
             for t, f in zip(touched.tolist(), ft[touched].tolist()):
@@ -1934,7 +1933,7 @@ class TieredBufferPool:
         if resc:
             keep = np.ones(len(cand), dtype=bool)
             keep[resc] = False
-            victims = ca[keep][:ne].tolist()
+            victims = cand[keep][:ne]
         else:
             victims = cand[:ne]
         dirty = self._evict_charge(victims)
@@ -2024,21 +2023,20 @@ class TieredBufferPool:
             if counts[T] > tier_stats.resident_peak:
                 tier_stats.resident_peak = counts[T]
 
-    def _evict_charge(self, victims: list) -> list | None:
-        """The dirty flags of *victims* — the storage victims a window
-        or a column migration chose in an LRU tier that drains straight
-        to a backing file — or ``None`` when the bulk body cannot drop
-        them: a resident page outside the dense table (the body writes
-        columns only) or a dirty victim missing from the file (the
-        anonymous-writeback path). Changes nothing."""
+    def _evict_charge(self, victims: np.ndarray) -> list | None:
+        """The dirty flags of *victims* (an id column) — the storage
+        victims a window or a column migration chose in an LRU tier
+        that drains straight to a backing file — or ``None`` when the
+        bulk body cannot drop them: a resident page outside the dense
+        table (the body writes columns only) or a dirty victim missing
+        from the file (the anonymous-writeback path). Changes
+        nothing."""
         if self._far:
             return None
-        # fromiter: half what indexing by a list costs to convert it.
-        dirty = self._dirty[np.fromiter(victims, np.int64,
-                                        len(victims))].tolist()
-        if not all(map(self.backing.contains, compress(victims, dirty))):
+        dirty = self._dirty[victims]
+        if not all(map(self.backing.contains, victims[dirty].tolist())):
             return None
-        return dirty
+        return dirty.tolist()
 
     def _evict_apply(self, T: int, dirty: list) -> tuple[float, float]:
         """Drop the ``len(dirty)`` victims :meth:`_evict_charge`
@@ -2400,8 +2398,8 @@ class TieredBufferPool:
         nothing in the pool is pinned, no row is outside the dense
         table, and it holds the ``need`` residents its overflow evicts,
         none of them in the run. Arrivals land at the MRU end, so the
-        victims are its LRU prefix, one each at the last ``need``
-        arrivals; they go through :meth:`_evict_charge` /
+        victims are its LRU prefix (``front_column(need)``), one each
+        at the last ``need`` arrivals; they go through :meth:`_evict_charge` /
         :meth:`_evict_apply`, the block window's bulk eviction body.
 
         The per-page step's effects are then order-free: the tier and
@@ -2467,7 +2465,7 @@ class TieredBufferPool:
                 declines[why] += 1
                 return None
             need = counts[t] + arrived[t] - capacity
-            victims = tiers[t].policy.peek_batch(need)
+            victims = tiers[t].policy.front_column(need)
             dirty = None
             # Only a page the run leaves in place can be one (nothing
             # leaves t): its turn would find it evicted.

@@ -40,6 +40,11 @@ def _never_pinned(_key: int) -> bool:
     return False
 
 
+def _listed(keys) -> list[int]:
+    """A scan's keys as a list of ints."""
+    return keys.tolist() if type(keys) is np.ndarray else keys
+
+
 class ReplacementPolicy(Protocol):
     """Interface every eviction policy implements."""
 
@@ -297,9 +302,10 @@ class LRUPolicy:
         keys = self._sorted()[0]
         return keys.tolist() if type(keys) is np.ndarray else keys
 
-    def _scan(self, need: int, pinned: Pinned, pop: bool) -> list[int]:
+    def _scan(self, need: int, pinned: Pinned, pop: bool):
         """The first *need* (or all) live unpinned snapshot entries
-        from the cursor on, removed from the policy if *pop*."""
+        from the cursor on, removed from the policy if *pop*: an int64
+        column off a dense snapshot, else a list."""
         i = start = self._cursor
         if pinned is _never_pinned and self._snap_keys is not None:
             keys, stamps = self._snap_keys, self._snap_stamps
@@ -319,14 +325,14 @@ class LRUPolicy:
                 i = j
                 width *= 2
             if not parts:
-                return []
+                return keys[:0]
             taken = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if pop:
                 stamp[taken] = -1
                 self._len -= taken.shape[0]
                 self.stale_skipped += i - start - taken.shape[0]
                 self._cursor = i
-            return taken.tolist()
+            return taken
         skeys, sstamps = self._skeys, self._sstamps
         end = len(skeys)
         found: list[int] = []
@@ -349,8 +355,9 @@ class LRUPolicy:
                 self.remove(key)
         return found
 
-    def _front(self, k: int, pinned: Pinned, pop: bool) -> list[int]:
-        """The first *k* unpinned pages of the recency order."""
+    def _front(self, k: int, pinned: Pinned, pop: bool):
+        """The first *k* unpinned pages of the recency order, as
+        :meth:`_scan` gives them."""
         _check_batch(k)
         found = self._scan(k, pinned, pop)
         if len(found) < k and self._snap_at != self._seq:
@@ -361,7 +368,10 @@ class LRUPolicy:
             self._snap_at = self._seq
             self.rebuilds += 1
             if pop:
-                found += self._scan(k - len(found), pinned, True)
+                more = self._scan(k - len(found), pinned, True)
+                found = (np.concatenate((found, more))
+                         if type(found) is type(more) is np.ndarray
+                         else _listed(found) + _listed(more))
             else:
                 found = self._scan(k, pinned, False)
         return found
@@ -389,7 +399,7 @@ class LRUPolicy:
                 self.stale_skipped += i - start
             if i < end:
                 return key
-        found = self._front(1, pinned, False)
+        found = _listed(self._front(1, pinned, False))
         return found[0] if found else None
 
     def victim_batch(self, k: int,
@@ -403,7 +413,7 @@ class LRUPolicy:
         unpinned keys of the initial order, front to back. Only the
         LRU policy has it: the pool's bulk eviction body
         (``TieredBufferPool._evict_apply``) drains LRU tiers only."""
-        return self._front(k, pinned, True)
+        return _listed(self._front(k, pinned, True))
 
     def peek_batch(self, k: int) -> list[int]:
         """The first *k* keys of the recency order — exactly what
@@ -411,7 +421,17 @@ class LRUPolicy:
         removing them. Lets the pool's block window plan its victims
         (rescues, dirty flags, backing containment) before committing
         any state change."""
-        return self._front(k, _never_pinned, False)
+        return _listed(self._front(k, _never_pinned, False))
+
+    def front_column(self, k: int, pop: bool = False) -> np.ndarray:
+        """:meth:`peek_batch` — or, with *pop*, :meth:`victim_batch`
+        with no pins — as an int64 column, which the pool indexes its
+        own columns with: off a dense snapshot no list is built (the
+        keys must fit int64, as a pool's page ids do)."""
+        found = self._front(k, _never_pinned, pop)
+        if type(found) is np.ndarray:
+            return found
+        return np.array(found, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._len
