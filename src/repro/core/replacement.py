@@ -423,12 +423,11 @@ class LRUPolicy:
         any state change."""
         return _listed(self._front(k, _never_pinned, False))
 
-    def front_column(self, k: int, pop: bool = False) -> np.ndarray:
-        """:meth:`peek_batch` — or, with *pop*, :meth:`victim_batch`
-        with no pins — as an int64 column, which the pool indexes its
-        own columns with: off a dense snapshot no list is built (the
-        keys must fit int64, as a pool's page ids do)."""
-        found = self._front(k, _never_pinned, pop)
+    def front_column(self, k: int) -> np.ndarray:
+        """:meth:`peek_batch` as an int64 column, which the pool
+        indexes its own columns with: off a dense snapshot no list is
+        built (the keys must fit int64, as a pool's page ids do)."""
+        found = self._front(k, _never_pinned, False)
         if type(found) is np.ndarray:
             return found
         return np.array(found, dtype=np.int64)

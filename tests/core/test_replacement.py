@@ -397,6 +397,17 @@ class LRUMachine(RuleBasedStateMachine):
     def peek_batch(self, k):
         self.both(lambda p: p.peek_batch(k))
 
+    @rule(k=st.integers(0, 40))
+    def front_column(self, k):
+        if not all(-2**63 <= key < 2**63 for key in self.model.order()):
+            return       # a column holds int64 keys, as a pool's are
+
+        def column(policy):
+            keys = policy.front_column(k)
+            assert keys.dtype == np.int64
+            return keys.tolist()
+        self.both(column, lambda m: m.peek_batch(k))
+
     @invariant()
     def same_order(self):
         assert self.policy.order() == self.model.order()
