@@ -328,7 +328,9 @@ class OSPagingPolicy(_BasePolicy):
             if tier_index is None or tier_index == 0 or (
                     pool.pinned_pages and pool.is_pinned(page_id)):
                 continue
-            pool.migrate(page_id, 0)
+            # The sampler keys heats by the ids it was fed, numpy
+            # scalars off a block's column; spans and traces want ints.
+            pool.migrate(int(page_id), 0)
             budget -= 1
             if budget == 0 or pool.tier_residents(0) >= limit:
                 break

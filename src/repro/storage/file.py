@@ -38,7 +38,8 @@ class PageFile:
         self._pages: dict[PageId, Page | None] = {}  # None: never read
         self._next_id: PageId = 0
         # Every id below it is registered; ids are never removed, so
-        # it only climbs, one step per id registered behind it.
+        # it only climbs, one step per id registered behind it (or at
+        # once: with no gap, every id below _next_id is registered).
         self._dense: PageId = 0
 
     # -- structure ----------------------------------------------------------
@@ -98,9 +99,11 @@ class PageFile:
         pages = self._pages
         pages.update(dict.fromkeys(set(ids).difference(pages)))
         self._next_id = max(self._next_id, max(ids, default=-1) + 1)
-        dense = self._dense
-        while dense in pages:
-            dense += 1
+        dense = self._next_id
+        if len(pages) != dense:          # a gap: climb to it
+            dense = self._dense
+            while dense in pages:
+                dense += 1
         self._dense = dense
 
     def contains(self, page_id: PageId) -> bool:

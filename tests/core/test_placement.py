@@ -312,3 +312,31 @@ def test_numpy_integer_counts_are_counts():
     for page in range(40):
         pool.access(page % 20)
     assert policy.rebalances == 40 // 16
+
+
+def test_os_paging_promotions_trace_as_int_page_ids():
+    """The sampler keys heats by the ids a block's column fed it (numpy
+    scalars); a promotion hands the pool an int, so its span's page
+    is an int and a Chrome trace of the run serializes."""
+    import io
+    import json
+
+    from repro.core.engine import ScaleUpEngine
+    from repro.sim.context import SimContext
+    from repro.sim.trace import ChromeTraceSink
+    from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
+
+    out = io.StringIO()
+    ctx = SimContext(trace=ChromeTraceSink(out))
+    engine = ScaleUpEngine.build(
+        dram_pages=16, cxl_pages=64, ctx=ctx,
+        placement=OSPagingPolicy(sample_rate=1.0, check_interval=50,
+                                 promote_min_heat=1.0))
+    engine.run(list(ycsb_blocks(YCSBConfig(mix="A", num_pages=200,
+                                           num_ops=3_000, seed=3))))
+    ctx.trace.close()
+    pages = [event["args"]["page"]
+             for event in json.loads(out.getvalue())["traceEvents"]
+             if event["name"] == "pool.promotion"
+             and event["args"]["to"] == "dram"]
+    assert pages and all(type(page) is int for page in pages)
