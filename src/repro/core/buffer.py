@@ -30,19 +30,21 @@ arithmetic, no tables) lives beside the tests, not in the pool.
   :meth:`TieredBufferPool.access_quantum` — the array lane: id
   ndarrays resolved against a dense numpy residency table (``page_id →
   tier_index``) kept in sync by install/evict/migrate/drop/resize.
-  Hits are partitioned from faults with one gather, per-(tier, shape)
-  latencies come from the precomputed tables, and the clock/demand
-  accumulators advance through left folds of their deltas and
-  closed-form constant runs (:mod:`repro.sim.ladder`), bit for bit the
-  scalar loop's floats. ``access_block`` charges a whole columnar
+  Hits are partitioned from faults with one gather and per-(tier,
+  shape) latencies come from the precomputed tables.
+  ``access_block`` charges a whole columnar
   :class:`~repro.workloads.traces.AccessBlock` through the
-  :meth:`TieredBufferPool._block_exact` window when it can; a block
-  the window declines is one ``access_quantum`` call over its
-  uniform-shape segments, the route a scheduler quantum takes too,
-  which ends in one hit-run body
-  (:meth:`TieredBufferPool._quantum_hits`). ``access_run`` (and
-  ``preload`` behind it) is the one-shape block: the run's shape as
-  constant columns, through ``access_block``.
+  :meth:`TieredBufferPool._block_exact` window when it can, its clock
+  and demand accumulators advancing through left folds of their deltas
+  (:mod:`repro.sim.ladder`), bit for bit the scalar loop's floats; a
+  block the window declines is one ``access_quantum`` call over its
+  uniform-shape segments, the route a scheduler quantum takes too. A
+  quantum that is all hits inside one placement headroom window is
+  one hit-run body (:meth:`TieredBufferPool._quantum_hits`, a
+  per-access loop sized to the quanta sessions hand it); any other
+  goes through ``access_batch``. ``access_run`` (and ``preload``
+  behind it) is the one-shape block: the run's shape as constant
+  columns, through ``access_block``.
 
 Session lane: between :meth:`TieredBufferPool.session_begin` and
 :meth:`TieredBufferPool.session_end` every lane times accesses
@@ -77,7 +79,7 @@ from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath
-from ..sim.ladder import chain_values, repeat_add
+from ..sim.ladder import chain_values
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
@@ -137,11 +139,6 @@ _PID_LIMIT = 1 << 63
 _COLUMNS = (("_res_tier", np.int16, -1), ("_pins", np.int16, 0),
             ("_dirty", np.bool_, False), ("_last_ns", np.float64, 0.0),
             ("_acc", np.int64, 0), ("_slot", np.int32, 0))
-
-#: Minimum remaining subsegment length folded as one delta column;
-#: shorter ones take a plain scalar mini-loop, which is cheaper than
-#: the column setup there (the two cross near 100 accesses).
-_LADDER_MIN = 32
 
 #: 2**53 — every integer below this is exactly representable in a
 #: float64, so addition chains of whole-nanosecond quantities that stay
@@ -270,6 +267,10 @@ _CUTS = ("miss_full", "scan_flag", "headroom", "non_lru",
          "pinned", "session", "backing", "placement", "evicted_reref",
          "victim_bound", "cascade")
 
+#: Why :meth:`TieredBufferPool.access_quantum` sent a quantum to the
+#: scalar loop instead of the hit kernel (``LaneStats.quantum_scalar``).
+_QUANTUM_SCALAR = ("id_range", "headroom", "miss")
+
 #: Why :meth:`TieredBufferPool._migrate_columns` left a run to the
 #: per-page step (``LaneStats.migrate_declines``).
 _MIGRATE_DECLINES = ("far", "invalid", "pinned", "non_lru", "cascade",
@@ -293,9 +294,11 @@ class LaneStats:
     ``declines`` what kept each off the window route (``nbytes``: a
     float size column). ``quantum_spans`` counts the all-hit spans the
     hit kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
-    deferred-log entry each — and ``quantum_list_fallbacks`` the
-    ``access_quantum`` calls whose ids do not index the dense table
-    and went to the scalar loop; ``log_settles`` /
+    deferred-log entry each — and ``quantum_scalar`` why each other
+    ``access_quantum`` call went to the scalar loop instead
+    (``id_range``: ids that do not index the dense table; ``headroom``:
+    longer than the placement headroom or the log's settle bound;
+    ``miss``: an access that does not hit); ``log_settles`` /
     ``log_settled_accesses`` count the log's columnar settle passes
     and the accesses they carried, ``log_high_water`` the most it ever
     held. ``column_migrations`` / ``step_migrations`` count the pages
@@ -319,7 +322,8 @@ class LaneStats:
     declines: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
         ("session", "nbytes", "id_range", "tracker", "note", "latency"), 0))
     quantum_spans: int = 0
-    quantum_list_fallbacks: int = 0
+    quantum_scalar: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_QUANTUM_SCALAR, 0))
     log_settles: int = 0
     log_settled_accesses: int = 0
     log_high_water: int = 0
@@ -344,7 +348,7 @@ class LaneStats:
             "segment_blocks": self.segment_blocks,
             "declines": dict(self.declines),
             "quantum_spans": self.quantum_spans,
-            "quantum_list_fallbacks": self.quantum_list_fallbacks,
+            "quantum_scalar": dict(self.quantum_scalar),
             "log_settles": self.log_settles,
             "log_settled_accesses": self.log_settled_accesses,
             "log_high_water": self.log_high_water,
@@ -1036,79 +1040,6 @@ class TieredBufferPool:
             self._lat_cache[key] = lats
         return lats
 
-    def _run_span(self, ids: np.ndarray, start: int, stop: int,
-                  nbytes: int, write: bool, is_scan: bool,
-                  think_ns: float, accum: float) -> float:
-        """Vectorised core for one uniform-shape segment of page ids.
-
-        The caller (:meth:`access_quantum`) guarantees a batch-capable
-        placement policy and every id inside the (already grown) dense
-        residency table; its segments come from a block the window
-        declined or from a session quantum, so no miss here folds into
-        the block window. Per headroom window the run is partitioned
-        into hits and boundaries with one gather; the hit prefix is
-        one :meth:`_quantum_hits` segment, so every written-back float
-        is bit-identical to the scalar loop. Boundaries route through
-        scalar :meth:`access` (the whole window when most of it is
-        misses); the residency table is re-gathered afterwards, so
-        their side effects (evictions, migrations, rebalances) are
-        observed precisely.
-        """
-        clock = self._session_clock
-        if clock is None:
-            clock = self.clock
-        headroom_fn = self._placement_headroom
-        res = self._res_tier
-        i = start
-        n = stop
-        while i < n:
-            headroom = headroom_fn()
-            if headroom <= 0:
-                # A placement trigger: one access through the scalar
-                # path, so it sees fully up-to-date state.
-                if think_ns:
-                    clock.advance(think_ns)
-                accum += self.access(int(ids[i]), nbytes=nbytes,
-                                     write=write, is_scan=is_scan)
-                i += 1
-                continue
-            # A window is one log entry: cap it at what the log holds.
-            wend = min(i + headroom, i + _LOG_SETTLE, n)
-            wlen = wend - i
-            span = res[ids[i:wend]]
-            bad = span < 0
-            if bad.any():
-                hits = int(bad.argmax())
-                if 2 * int(bad.sum()) > wlen:
-                    # Boundary-dense window (cold pool, thrash): the
-                    # per-window gather cannot win (one re-gather
-                    # per boundary), so the whole window takes the
-                    # scalar loop.
-                    accum = self.access_batch(
-                        ids[i:wend].tolist(), nbytes=nbytes, write=write,
-                        is_scan=is_scan, think_ns=think_ns, accum=accum,
-                    )
-                    i = wend
-                    continue
-            else:
-                hits = wlen
-            if hits:
-                accum = self._quantum_hits(
-                    ids, ((i, i + hits, nbytes, write, is_scan, think_ns),),
-                    span[:hits], i, clock, accum, [])
-                i += hits
-            if hits < wlen:
-                # The boundary access (a fault) resolves scalar after
-                # the writeback above; the next window re-gathers, so
-                # its evictions/migrations are fully observed.
-                if think_ns:
-                    clock.advance(think_ns)
-                accum += self.access(int(ids[i]), nbytes=nbytes,
-                                     write=write, is_scan=is_scan)
-                i += 1
-                res = self._res_tier
-        return accum
-
     def preload(self, page_ids, nbytes: int = CACHE_LINE,
                 write: bool = False, is_scan: bool = False,
                 think_ns: float = 0.0) -> float:
@@ -1189,18 +1120,20 @@ class TieredBufferPool:
         scheduler's per-run samples are built from. Segments that do
         not tile a stretch of the column (``0 <= start <= stop <=
         len(ids)``, each starting where the last stopped) are refused
-        before anything is charged. Bit-identical to the scalar loop;
-        the amortisation is the point: the column's id range is
-        validated once for all its quanta, and an all-hit quantum
-        inside one placement headroom window is one residency gather
-        and one :meth:`_quantum_hits` span. A column that does not
-        index the dense table (ids >= 2**22) goes to the scalar loop
-        segment by segment (``pool.lane.quantum_list_fallbacks``).
+        before anything is charged. Bit-identical to the scalar loop.
+
+        One fast check: a quantum whose column indexes the dense table
+        (validated once for all its quanta), that fits inside the
+        placement headroom and the hit log's settle bound, and that is
+        all hits by one residency gather is one :meth:`_quantum_hits`
+        span. Every other quantum goes through :meth:`access_batch`
+        segment by segment, counted by reason in
+        ``pool.lane.quantum_scalar``.
         """
         seg_demands: list[float] = []
         dense = self._span_check(ids)
         n = ids.shape[0]
-        prev = segs[0][0] if segs else 0
+        q0 = prev = segs[0][0] if segs else 0
         for seg in segs:
             if not (seg[0] == prev and 0 <= seg[0] <= seg[1] <= n):
                 raise BufferPoolError(
@@ -1210,75 +1143,69 @@ class TieredBufferPool:
             if not seg[5] >= 0:
                 raise BufferPoolError("think_ns must be >= 0")
             _check_nbytes(seg[2])
+        q1 = prev
         if not dense:
-            self.lane.quantum_list_fallbacks += 1
-            for a, b, nb, wr, sc, th in segs:
-                accum = self.access_batch(
-                    ids[a:b].tolist(), nbytes=nb, write=wr,
-                    is_scan=sc, think_ns=th, accum=accum)
-                seg_demands.append(accum)
-            return accum, seg_demands
-        if segs:
-            clock = self._session_clock
-            if clock is None:
-                clock = self.clock
-            q0 = segs[0][0]
-            q1 = segs[-1][1]
-            # (An all-empty quantum charges and logs nothing: the loop
-            # below hands back its seg_demands.)
-            if q0 < q1 <= q0 + min(self._placement_headroom(),
-                                   _LOG_SETTLE):
-                qspan = self._res_tier[ids[q0:q1]]
-                if not (qspan < 0).any():
-                    return self._quantum_hits(
-                        ids, segs, qspan, q0, clock, accum,
-                        seg_demands), seg_demands
-        run_span = self._run_span
+            reason = "id_range"
+        elif q0 == q1:
+            # An all-empty quantum charges and logs nothing.
+            return accum, [accum] * len(segs)
+        elif q1 - q0 > min(self._placement_headroom(), _LOG_SETTLE):
+            reason = "headroom"
+        else:
+            qspan = self._res_tier[ids[q0:q1]]
+            if not (qspan < 0).any():
+                return self._quantum_hits(
+                    ids, segs, qspan, accum, seg_demands), seg_demands
+            reason = "miss"
+        self.lane.quantum_scalar[reason] += 1
         for a, b, nb, wr, sc, th in segs:
-            accum = run_span(ids, a, b, nb, wr, sc, th, accum)
+            accum = self.access_batch(
+                ids[a:b], nbytes=nb, write=wr, is_scan=sc, think_ns=th,
+                accum=accum)
             seg_demands.append(accum)
         return accum, seg_demands
 
     def _quantum_hits(self, ids: np.ndarray, segs, qspan: np.ndarray,
-                      q0: int, clock, accum: float,
-                      seg_demands: list[float]) -> float:
+                      accum: float, seg_demands: list[float]) -> float:
         """The hit-run body: charge consecutive uniform-shape segments
         that the caller proved all-hit, and log their bookkeeping.
 
         The caller showed, with one residency gather *qspan* (tiers of
-        ``ids[q0:segs[-1][1]]``, at most ``_LOG_SETTLE`` accesses) and
-        one headroom probe, that every access hits a timed tier and
-        that no placement trigger can fire before the last one
-        (all-hit processing never evicts, so the gathered tiers cannot
-        go stale). Tier-change cuts are located once across the span;
-        the first access of each uniform (shape x tier) subsegment
-        runs by hand — it is the only one that can fold a contention
-        wait — and the rest advance the clock and
-        demand accumulators through the identical float sequence the
-        scalar loop produces: that loop itself below ``_LADDER_MIN``,
-        from there on one delta column (the clock, then think and
-        latency interleaved, or latency alone) folded by
-        ``np.add.accumulate``, which is the loop's left fold, and
-        :func:`~repro.sim.ladder.repeat_add` for the demand
-        accumulators, which add one constant.
+        ``ids[segs[0][0]:segs[-1][1]]``, at most ``_LOG_SETTLE``
+        accesses) and one headroom probe, that every access hits a
+        timed tier and that no placement trigger can fire before the
+        last one (all-hit processing never evicts, so the gathered
+        tiers cannot go stale). Tier-change cuts are located once
+        across the span; the first access of each uniform (shape x
+        tier) subsegment runs by hand — it is the only one that can
+        fold a contention wait — and the rest advance the clock and
+        demand accumulators one addition at a time, the scalar loop's
+        own float sequence. Sessions hand this body quanta of at most
+        ``morsel_ops`` accesses (64 or fewer in every shipped
+        workload), below the ~100 accesses where a folded delta column
+        would start to beat the loop.
 
         Those floats, the hit and device counters and the queue
-        reservations are all the span itself observes. What the scalar
-        loop also did per access — row stats, dirty flags, recency
-        touches, the tracker feed — is left to :meth:`_drain_lazy` as
-        one log entry ``(ids[q0:q1], qspan, ts, writes, scans)``:
-        *ts* holds the post-think timestamp of every access, a folded
-        run's straight from its column; *writes* and *scans* are the
-        span-relative ranges of the write and scan segments. No
-        ``Frame`` is touched here. The entry is in the log before the
-        placement notes run (a note may call back into the pool and
-        drain).
+        reservations (one ``occupy_run`` per queue per subsegment) are
+        all the span itself observes. What the
+        scalar loop also did per access — row stats, dirty flags,
+        recency touches, the tracker feed — is left to
+        :meth:`_drain_lazy` as one log entry ``(ids[q0:q1], qspan, ts,
+        writes, scans)``: *ts* holds the post-think timestamp of every
+        access; *writes* and *scans* are the span-relative ranges of
+        the write and scan segments. No ``Frame`` is touched here. The
+        entry is in the log before the placement notes run (a note may
+        call back into the pool and drain).
         """
         stats = self.stats
         queues = self._session_queues
         lat_cache = self._lat_cache
         per_tier = stats.per_tier
         tiers = self.tiers
+        clock = self._session_clock
+        if clock is None:
+            clock = self.clock
+        q0 = segs[0][0]
         q1 = segs[-1][1]
         if self._log_held + (q1 - q0) > _LOG_SETTLE:
             self._drain_lazy()
@@ -1299,15 +1226,6 @@ class TieredBufferPool:
                 writes.append((a - q0, b - q0))
             if is_scan:
                 scans.append((a - q0, b - q0))
-            # Queue occupancy is deferred to one reservation per queue
-            # at the segment boundary: a session's own reservations
-            # can never push free_at past its own cursor (analytic
-            # latency covers the service time), so later subsegment
-            # heads fold exactly the same wait whether earlier ones
-            # occupied eagerly or not.
-            seg_tiers: list[int] = []
-            seg_lasts: list[float] = []
-            seg_counts: list[int] = []
             s = a
             while s < b:
                 while cut_list[ci] <= s:
@@ -1336,37 +1254,13 @@ class TieredBufferPool:
                 now += lat_i
                 pool_demand += lat_i
                 accum += lat_i
-                rem = e - s - 1
-                if rem >= _LADDER_MIN:
-                    # One delta column, folded: now, then think and
-                    # latency interleaved (or latency alone); the
-                    # post-think values are the run's timestamps.
+                for _ in range(e - s - 1):
                     if think_ns:
-                        col = np.empty(2 * rem + 1)
-                        col[1::2] = think_ns
-                        col[2::2] = lat
-                        col[0] = now
-                        np.add.accumulate(col, out=col)
-                        ts.extend(col[1::2].tolist())
-                    else:
-                        col = np.full(rem + 1, lat)
-                        col[0] = now
-                        np.add.accumulate(col, out=col)
-                        ts.extend(col[:-1].tolist())
-                    now = float(col[-1])
-                    # The demand accumulators only ever add lat, so
-                    # they fold with repeat_add whatever the clock
-                    # interleaves.
-                    pool_demand = repeat_add(pool_demand, lat, rem)
-                    accum = repeat_add(accum, lat, rem)
-                else:
-                    for _ in range(rem):
-                        if think_ns:
-                            now += think_ns
-                        ts.append(now)
-                        now += lat
-                        pool_demand += lat
-                        accum += lat
+                        now += think_ns
+                    ts.append(now)
+                    now += lat
+                    pool_demand += lat
+                    accum += lat
                 per_tier[tier_index].hits += e - s
                 dstats = tiers[tier_index].path.device.stats
                 if write:
@@ -1376,31 +1270,13 @@ class TieredBufferPool:
                     dstats.loads += e - s
                     dstats.load_bytes += (e - s) * nbytes
                 if queues is not None:
-                    seg_tiers.append(tier_index)
-                    seg_lasts.append(now - lat)
-                    seg_counts.append(e - s)
+                    # One reservation per queue covers the subsegment:
+                    # a session's own reservations never push free_at
+                    # past its own cursor (analytic latency covers the
+                    # service time), so only a head can fold a wait.
+                    for queue in queues[tier_index]:
+                        queue.occupy_run(now - lat, nbytes, e - s, write)
                 s = e
-            if seg_tiers:
-                # Consecutive same-tier subsegments reserve in one
-                # call; tier changes cut the batch so queues shared
-                # across tiers see the exact per-subsegment accounting
-                # order (busy time is a float chain).
-                nsg = len(seg_tiers)
-                x = 0
-                while x < nsg:
-                    y = x + 1
-                    T = seg_tiers[x]
-                    while y < nsg and seg_tiers[y] == T:
-                        y += 1
-                    if y - x == 1:
-                        for queue in queues[T]:
-                            queue.occupy_run(seg_lasts[x], nbytes,
-                                             seg_counts[x], write)
-                    else:
-                        for queue in queues[T]:
-                            queue.reserve_run(seg_lasts[x:y], nbytes,
-                                              seg_counts[x:y], write)
-                    x = y
             seg_demands.append(accum)
         stats.accesses += q1 - q0
         stats.demand_time_ns = pool_demand

@@ -56,7 +56,6 @@ from typing import Callable, Iterable, Sequence
 from ..errors import ConfigError, require_count
 from ..sim.clock import SimClock
 from ..sim.events import Simulator
-from ..sim.ladder import repeat_add
 from ..units import SECOND
 from ..workloads.traces import AccessBlock, ShapeSegments
 from .buffer import TieredBufferPool
@@ -560,13 +559,9 @@ access_quantum` call; its per-segment demand boundaries rebuild the
                 seg_count = b - a
                 if th:
                     # Replay the scalar think addition chain, as in
-                    # ScaleUpEngine.run: an exact ladder once the run
-                    # is long enough to amortise the setup.
-                    if seg_count >= 64:
-                        think_total = repeat_add(think_total, th, seg_count)
-                    else:
-                        for _ in range(seg_count):
-                            think_total += th
+                    # ScaleUpEngine.run.
+                    for _ in range(seg_count):
+                        think_total += th
                 samples.append(((demand - prev) / seg_count, seg_count))
                 prev = demand
             report.think_ns = think_total

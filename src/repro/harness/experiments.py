@@ -46,6 +46,7 @@ from ..serving import (
 )
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath, Link
+from ..sim.ladder import repeat_add
 from ..sim.memory import MemoryDevice
 from ..sim.numa import NUMASystem
 from ..sim.rdma import RDMAFabric
@@ -141,9 +142,9 @@ def e1_memory_path(scenario: Scenario, ctx: SimContext) -> dict:
     path = paths[target]
 
     accesses = int(_param(wl, "accesses", 10_000))
-    total = 0.0
-    for _ in range(accesses):
-        total += path.read_time(CACHE_LINE)
+    # The unloaded read time is one constant, so the per-access sum is
+    # its left fold, not ``accesses * x``.
+    total = repeat_add(0.0, path.read_time(CACHE_LINE), accesses)
     stream_bytes = int(_param(wl, "stream_bytes", 64 * MIB))
     return {
         "load_ns": total / accesses,

@@ -157,6 +157,30 @@ class TestSingleSessionIdentity:
             assert sessions_digest(engine, rep) == ref_digest
 
 
+def tiered_engine(fast=True):
+    """DRAM pages 0-127 and CXL pages 128-1,999, all warm."""
+    engine = ScaleUpEngine.build(
+        dram_pages=128, cxl_pages=2_000,
+        placement=StaticPolicy(lambda p: 0 if p < 128 else 1),
+        with_storage=False, ctx=SimContext(),
+    )
+    for page in range(2_000):
+        engine.pool.access(page)
+    return engine if fast else reference(engine)
+
+
+def tier_change_session(index, run, think_ns):
+    """Readahead hits alternating *run* DRAM pages with *run* CXL
+    pages, so a ``2 * run`` quantum is two *run*-access subsegments
+    across a tier change."""
+    ids = np.tile(np.concatenate((
+        np.arange(run), np.arange(run) + 200 + index * run)), 8)
+    n = len(ids)
+    return ClientSession(f"tiers-{index}", [AccessBlock(
+        ids, np.zeros(n, bool), np.ones(n, bool),
+        np.full(n, 16 * 4096), np.full(n, think_ns))])
+
+
 def mixed_session_set():
     return [
         ClientSession("point-a", point_trace(1, ops=300)),
@@ -191,13 +215,29 @@ class TestDeterminism:
         assert run([2, 3, 1, 0]) == first
 
     def test_lanes_equivalent_under_contention(self):
-        def run(fast):
-            engine = cxl_engine(pages=4_000, fast=fast)
-            report = engine.run_sessions(mixed_session_set())
+        """The hit kernel equals the scalar reference under live waits:
+        the mixed set, then three sessions whose hit runs of exactly
+        31, 32, 33, 63 or 64 accesses change tier mid-quantum, with
+        think time and without."""
+        def lane(fast, run=None, think=0.0):
+            if run is None:
+                engine = cxl_engine(pages=4_000, fast=fast)
+                report = engine.run_sessions(mixed_session_set())
+            else:
+                engine = tiered_engine(fast)
+                report = engine.run_sessions(
+                    [tier_change_session(i, run, think) for i in range(3)],
+                    morsel_ops=2 * run)
             assert report.wait_ns > 0  # contention must be live
-            return report_digest(report) + pool_digest(engine)
+            return engine.pool, (report_digest(report), pool_digest(engine),
+                                 settled_state(engine.pool))
 
-        assert run(True) == run(False)
+        assert lane(True)[1] == lane(False)[1]
+        for run in (31, 32, 33, 63, 64):
+            for think in (0.0, 12.7):
+                fast, fast_out = lane(True, run, think)
+                assert fast_out == lane(False, run, think)[1], (run, think)
+                assert fast.lane.quantum_spans == 24
 
     def test_repeat_runs_identical(self):
         def run():
@@ -377,14 +417,17 @@ class TestSessionApi:
 
 # -- the deferred hit log --------------------------------------------------
 
-def column_engine(columns, fast=True, traced=False):
-    """One expander holding every page of *columns*, warmed scalar."""
+def column_engine(columns, fast=True, traced=False, placement=None,
+                  cold=False):
+    """One expander holding every page of *columns*, warmed scalar
+    (every other page left cold with *cold*)."""
     pages = sorted({int(p) for col in columns for p in np.unique(col)})
     ctx = SimContext(trace=MemoryTraceSink()) if traced else SimContext()
     engine = ScaleUpEngine.build(
         dram_pages=1, cxl_pages=len(pages) + 16,
-        placement=StaticPolicy(lambda _p: 1), with_storage=False, ctx=ctx)
-    for page in pages:
+        placement=placement or StaticPolicy(lambda _p: 1),
+        with_storage=False, ctx=ctx)
+    for page in pages[::2] if cold else pages:
         engine.pool.access(page)
     return engine if fast else reference(engine)
 
@@ -447,7 +490,8 @@ class TestHitLog:
         assert settled_state(traced) == state
         lane = fast.lane.snapshot()
         assert lane == traced.lane.snapshot()
-        assert lane["quantum_list_fallbacks"] == 0
+        assert lane["quantum_scalar"] == {"id_range": 0, "headroom": 0,
+                                          "miss": 0}
         assert lane["log_settled_accesses"] == 2 * 40 * 25 + 2 * 3_000
         assert ref.lane.quantum_spans == ref.lane.log_settles == 0
 
@@ -521,15 +565,17 @@ class TestHitLog:
         assert settled_state(quantum) == settled_state(runs)
 
     @pytest.mark.parametrize("kind", ["tile", "repeat-reshape", "strided",
-                                      "int32", "beyond-table"])
+                                      "int32", "beyond-table", "miss",
+                                      "rebalance"])
     def test_any_id_column_is_charged_exactly(self, kind):
         """However a session's id column was built, the run equals the
         scalar lane's; views of a 2-D owner and strided views take the
         hit kernel, ids outside the dense table the scalar loop —
-        counted."""
+        counted. So do quanta that miss (every other page cold) and
+        quanta that straddle a cost-policy rebalance trigger."""
         def column(first):
             a = np.arange(first, first + 800, 16, dtype=np.int64)
-            if kind == "tile":
+            if kind in ("tile", "miss", "rebalance"):
                 return np.tile(a, 6)
             if kind == "repeat-reshape":
                 return np.repeat(a[None, :], 6, 0).reshape(-1)
@@ -541,7 +587,10 @@ class TestHitLog:
 
         def run(fast):
             columns = [column(0), column(800)]
-            engine = column_engine(columns, fast=fast)
+            engine = column_engine(
+                columns, fast=fast, cold=kind == "miss",
+                placement=DbCostPolicy(rebalance_interval=100)
+                if kind == "rebalance" else None)
             report = engine.run_sessions(
                 [scan_session(f"s{i}", col)
                  for i, col in enumerate(columns)], morsel_ops=64)
@@ -553,9 +602,10 @@ class TestHitLog:
         _, ref_out = run(False)
         assert fast_out == ref_out
         lane = fast.lane
-        if kind == "beyond-table":
-            assert lane.quantum_list_fallbacks == 10 and \
-                lane.quantum_spans == 0
-        elif kind != "int32":
-            assert lane.quantum_list_fallbacks == 0 and \
-                lane.quantum_spans == 10
+        reason = {"beyond-table": "id_range", "miss": "miss",
+                  "rebalance": "headroom"}.get(kind)
+        if kind != "int32":
+            scalar = {r: n for r, n in lane.quantum_scalar.items() if n}
+            assert list(scalar) == ([reason] if reason else [])
+            assert sum(scalar.values()) + lane.quantum_spans == 10
+            assert kind != "beyond-table" or lane.quantum_spans == 0

@@ -1,8 +1,9 @@
 """Bit identity of the exact addition chains against the scalar loop.
 
-``repeat_add``'s closed-form ladder is fuzzed case by case; the two
-left folds, ``chain_values`` and ``repeat_add_vec``, are properties
-against a Python fold over the same operands.
+``repeat_add``, the left fold of one constant, is fuzzed case by case
+(binade crossings, exact ties, absorption, special values); the other
+two left folds, ``chain_values`` and ``repeat_add_vec``, are
+properties against a Python fold over the same operands.
 """
 
 from __future__ import annotations
