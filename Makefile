@@ -117,6 +117,10 @@ route-check:
 # threshold (_LADDER_MIN) and the closed-form repeat_add ladder
 # (_repeat_add_pos, _repeat_add_mixed, _classify, _SCALAR_N, TWO53)
 # may not come back under src/, and buffer.py calls no reserve_run(.
+# A quantum pays per segment: buffer.py defines one hit kernel
+# (_quantum_hits is its only def _quantum_), reserves the wait queues
+# inline there (occupy_run( only in _contend, the scalar lane's), and
+# its settle reads the timestamp column without np.fromiter.
 # TPC-C transactions are columns: tpcc.py builds a
 # RecordOp only in the ops view, the 2PL executor and both OLTP engines
 # (txn.py, scaleout.py, shared.py) never read .ops, and the executor's
@@ -199,6 +203,16 @@ for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
 for number, line in enumerate(pool.splitlines(), 1):
     if "reserve_run(" in line:
         bad.append("src/repro/core/buffer.py:%d: %s" % (number, line.strip()))
+kernels = re.findall(r"def (_quantum_\w*)", pool)
+if kernels != ["_quantum_hits"]:
+    bad.append("buffer.py: hit kernels %s, want _quantum_hits only"
+               % kernels)
+for method in re.split(r"^    def ", pool, flags=re.M)[1:]:
+    name = method.split("(", 1)[0]
+    if "occupy_run(" in method and name != "_contend":
+        bad.append("buffer.py: %s() calls occupy_run(" % name)
+    if name == "_drain_lazy" and "np.fromiter" in method:
+        bad.append("buffer.py: _drain_lazy() calls np.fromiter")
 temperature = pathlib.Path("src/repro/core/temperature.py")
 for number, line in enumerate(temperature.read_text().splitlines(), 1):
     if ".random()" in line:

@@ -37,8 +37,9 @@ arithmetic, no tables) lives beside the tests, not in the pool.
   :meth:`TieredBufferPool._block_exact` window when it can, its clock
   and demand accumulators advancing through left folds of their deltas
   (:mod:`repro.sim.ladder`), bit for bit the scalar loop's floats; a
-  block the window declines is one ``access_quantum`` call over its
-  uniform-shape segments, the route a scheduler quantum takes too. A
+  block the window declines is ``access_quantum`` calls over its
+  uniform-shape segments (``BLOCK_OPS`` at most each), the route a
+  scheduler quantum takes too. A
   quantum that is all hits inside one placement headroom window is
   one hit-run body (:meth:`TieredBufferPool._quantum_hits`, a
   per-access loop sized to the quanta sessions hand it); any other
@@ -61,10 +62,11 @@ byte-identical to the single-stream lanes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -83,7 +85,7 @@ from ..sim.ladder import chain_values
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
-from ..workloads.traces import BLOCK_OPS, AccessBlock
+from ..workloads.traces import BLOCK_OPS, AccessBlock, ShapeSegments
 from .frame import ACC, DIRTY, LAST_NS, PINS, SLOT, TIER, Frame
 from .replacement import (
     DENSE_KEYS,
@@ -290,7 +292,7 @@ class LaneStats:
     ``head_stretch_accesses`` the accesses of the leading stretches
     that then took the scalar chain, one stretch per refusal.
     ``segment_blocks`` counts the blocks :meth:`access_block` handed
-    to one ``access_quantum`` call over their segments instead,
+    to ``access_quantum`` calls over their segments instead,
     ``declines`` what kept each off the window route (``nbytes``: a
     float size column). ``quantum_spans`` counts the all-hit spans the
     hit kernel (:meth:`TieredBufferPool._quantum_hits`) charged — one
@@ -452,6 +454,7 @@ class TieredBufferPool:
         self._tracker_batch = self.tracker.record_batch
         self._placement_headroom = placement.fast_headroom
         self._placement_note = placement.note_accesses
+        self._note_blind = getattr(placement.note_accesses, "scan_blind", False)
         # Session lane (see module docstring): while a ConcurrentEngine
         # quantum runs, accesses are timed against that session's clock
         # cursor and contend on per-resource wait queues. Both fields
@@ -461,6 +464,8 @@ class TieredBufferPool:
         self._session_queues: list[tuple[WaitQueue, ...]] | None = None
         self._wait_queues: list[tuple[WaitQueue, ...]] | None = None
         self._session_wait_ns = 0.0
+        # The hit kernel's (queue, service time) pairs per (tier, nbytes, write).
+        self._svc_cache: dict[tuple, tuple] = {}
         # Id columns whose whole range already passed the run guard
         # (see _span_check), keyed by id() and holding the array so the
         # key cannot be recycled — their slices skip min/max/grow.
@@ -483,8 +488,9 @@ class TieredBufferPool:
         self._ord_len = 0
         self._installs = 0
         # The deferred hit log: one entry per all-hit span the hit
-        # kernel charged — its id slice, tiers, post-think timestamps,
-        # write and scan ranges (see _quantum_hits). The span itself only
+        # kernel charged — its id slice, tiers and segments — and one
+        # column of the post-think timestamps of every access it holds
+        # (see _quantum_hits). The span itself only
         # needs the clock and demand floats; the rows' counts, times
         # and dirty flags, recency touches and the tracker feed are
         # settled from the log by _drain_lazy(), which runs before
@@ -494,6 +500,7 @@ class TieredBufferPool:
         # reader can observe the deferral and the log's memory is
         # bounded.
         self._lazy_runs: list[tuple] = []
+        self._log_ts = array("d")
         self._log_held = 0
         # Per-tier page-sized device read/write times for migrations
         # (static per path; the stats bumps are replayed inline).
@@ -725,9 +732,12 @@ class TieredBufferPool:
         """Settle the deferred hit log in one columnar pass.
 
         Every entry is one all-hit span as :meth:`_quantum_hits` left
-        it, so the batch is five columns over its accesses in charge
-        order: ids, tiers, post-think timestamps, write and scan
-        flags. The pass does what the scalar loop did access by
+        it — its id slice, tiers and segments — and ``_log_ts`` holds
+        the post-think timestamp of every logged access, so the batch
+        is five columns over its accesses in charge order: ids, tiers
+        and timestamps (one ``np.frombuffer``), write and scan flags
+        (one ``np.repeat`` each of the segments' flags over their
+        lengths). The pass does what the scalar loop did access by
         access, once per page or tier: each page's ``acc`` takes its
         count and its ``last_ns`` the timestamp of its *last*
         occurrence, written pages turn dirty; each tier's policy takes
@@ -742,6 +752,8 @@ class TieredBufferPool:
             return
         entries = log[:]
         log.clear()
+        ts = np.frombuffer(self._log_ts, dtype=np.float64)
+        self._log_ts = array("d")
         k = self._log_held
         self._log_held = 0
         lane = self.lane
@@ -761,16 +773,12 @@ class TieredBufferPool:
         order = np.arange(k, dtype=np.float64)
         np.put(self._last_ns, ids, order)
         last = self._last_ns[ids] == order
-        ts = np.fromiter(chain.from_iterable([entry[2] for entry in entries]),
-                         np.float64, k)
-        scans = np.zeros(k, dtype=bool)
-        off = 0
-        for span_ids, _, _, wr_ranges, scan_ranges in entries:
-            for a, b in wr_ranges:
-                self._dirty[span_ids[a:b]] = True
-            for a, b in scan_ranges:
-                scans[off + a:off + b] = True
-            off += span_ids.shape[0]
+        segs = list(chain.from_iterable([entry[2] for entry in entries]))
+        lens = [seg[1] - seg[0] for seg in segs]
+        writes = np.repeat(np.array([seg[3] for seg in segs], dtype=bool), lens)
+        scans = np.repeat(np.array([seg[4] for seg in segs], dtype=bool), lens)
+        if writes.any():
+            self._dirty[ids[writes]] = True
         np.add.at(self._acc, ids, 1)
         self._last_ns[ids[last]] = ts[last]
         per_tier = np.bincount(tier_col)
@@ -1125,8 +1133,10 @@ class TieredBufferPool:
         One fast check: a quantum whose column indexes the dense table
         (validated once for all its quanta), that fits inside the
         placement headroom and the hit log's settle bound, and that is
-        all hits by one residency gather is one :meth:`_quantum_hits`
-        span. Every other quantum goes through :meth:`access_batch`
+        all hits by one residency gather (its minimum is a tier; a
+        maximum equal to it says the quantum has no tier cut) is one
+        :meth:`_quantum_hits` span. Every other quantum goes through
+        :meth:`access_batch`
         segment by segment, counted by reason in
         ``pool.lane.quantum_scalar``.
         """
@@ -1140,9 +1150,10 @@ class TieredBufferPool:
                     f"segment {seg[:2]} does not continue at {prev}"
                     f" inside a {n}-id column")
             prev = seg[1]
-            if not seg[5] >= 0:
-                raise BufferPoolError("think_ns must be >= 0")
-            _check_nbytes(seg[2])
+            if not (seg[5] >= 0 and 0 <= seg[2] < math.inf):
+                if not seg[5] >= 0:
+                    raise BufferPoolError("think_ns must be >= 0")
+                _check_nbytes(seg[2])
         q1 = prev
         if not dense:
             reason = "id_range"
@@ -1153,9 +1164,11 @@ class TieredBufferPool:
             reason = "headroom"
         else:
             qspan = self._res_tier[ids[q0:q1]]
-            if not (qspan < 0).any():
+            lo = int(qspan.min())
+            if lo >= 0:
                 return self._quantum_hits(
-                    ids, segs, qspan, accum, seg_demands), seg_demands
+                    ids, segs, qspan, lo if lo == qspan.max() else -1,
+                    accum, seg_demands), seg_demands
             reason = "miss"
         self.lane.quantum_scalar[reason] += 1
         for a, b, nb, wr, sc, th in segs:
@@ -1166,41 +1179,47 @@ class TieredBufferPool:
         return accum, seg_demands
 
     def _quantum_hits(self, ids: np.ndarray, segs, qspan: np.ndarray,
-                      accum: float, seg_demands: list[float]) -> float:
-        """The hit-run body: charge consecutive uniform-shape segments
+                      tier: int, accum: float,
+                      seg_demands: list[float]) -> float:
+        """The hit kernel: charge consecutive uniform-shape segments
         that the caller proved all-hit, and log their bookkeeping.
 
         The caller showed, with one residency gather *qspan* (tiers of
         ``ids[segs[0][0]:segs[-1][1]]``, at most ``_LOG_SETTLE``
-        accesses) and one headroom probe, that every access hits a
-        timed tier and that no placement trigger can fire before the
-        last one (all-hit processing never evicts, so the gathered
-        tiers cannot go stale). Tier-change cuts are located once
-        across the span; the first access of each uniform (shape x
-        tier) subsegment runs by hand — it is the only one that can
-        fold a contention wait — and the rest advance the clock and
-        demand accumulators one addition at a time, the scalar loop's
-        own float sequence. Sessions hand this body quanta of at most
-        ``morsel_ops`` accesses (64 or fewer in every shipped
-        workload), below the ~100 accesses where a folded delta column
-        would start to beat the loop.
+        accesses), its min/max pair and one headroom probe, that every
+        access hits a timed tier and that no placement trigger can fire
+        before the last one (all-hit processing never evicts, so the
+        gathered tiers cannot go stale). *tier* is the quantum's one
+        tier when its min equals its max — each segment is then one
+        subsegment, no cut is looked for — and -1 otherwise, when the
+        tier-change cuts are located once across the span. The first
+        access of each uniform (shape x tier) subsegment runs by hand
+        — it is the only one that can fold a contention wait — and the
+        rest advance the clock and demand accumulators one addition at
+        a time, the scalar loop's own float sequence (in a loop without
+        the think addition when the segment has none). Sessions hand
+        this body quanta of at most ``morsel_ops`` accesses.
 
         Those floats, the hit and device counters and the queue
-        reservations (one ``occupy_run`` per queue per subsegment) are
-        all the span itself observes. What the
-        scalar loop also did per access — row stats, dirty flags,
-        recency touches, the tracker feed — is left to
-        :meth:`_drain_lazy` as one log entry ``(ids[q0:q1], qspan, ts,
-        writes, scans)``: *ts* holds the post-think timestamp of every
-        access; *writes* and *scans* are the span-relative ranges of
-        the write and scan segments. No ``Frame`` is touched here. The
-        entry is in the log before the placement notes run (a note may
-        call back into the pool and drain).
+        reservations are all the span itself observes. Hit and device
+        load/store counts are summed per tier and written once per
+        quantum, byte counts once per subsegment. Each queue is
+        reserved inline once per subsegment with the operations of
+        ``WaitQueue.occupy_run`` (``free_at`` takes the max,
+        ``busy_ns`` adds ``count * service``), the service time
+        memoised per ``(tier, nbytes, write)``. What the scalar loop
+        also did per access — row stats, dirty flags, recency touches,
+        the tracker feed — is left to :meth:`_drain_lazy`: one log
+        entry ``(ids[q0:q1], qspan, segs)`` and every access's
+        post-think timestamp on the ``_log_ts`` column. The entry is in
+        the log before the placement notes run (a note may call back
+        into the pool and drain); a scan-blind note takes the quantum
+        in one call.
         """
         stats = self.stats
         queues = self._session_queues
         lat_cache = self._lat_cache
-        per_tier = stats.per_tier
+        svc_cache = self._svc_cache
         tiers = self.tiers
         clock = self._session_clock
         if clock is None:
@@ -1209,39 +1228,41 @@ class TieredBufferPool:
         q1 = segs[-1][1]
         if self._log_held + (q1 - q0) > _LOG_SETTLE:
             self._drain_lazy()
+        ts_append = self._log_ts.append
         now = clock._now
         pool_demand = stats.demand_time_ns
-        rel_cuts = np.nonzero(qspan[1:] != qspan[:-1])[0]
-        cut_list = (rel_cuts + (q0 + 1)).tolist()
-        cut_list.append(q1)
-        ci = 0
-        ts: list[float] = []
-        writes: list[tuple[int, int]] = []
-        scans: list[tuple[int, int]] = []
+        if tier < 0:
+            cut_list = (np.nonzero(qspan[1:] != qspan[:-1])[0] + (q0 + 1)).tolist()
+            cut_list.append(q1)
+            ci = 0
+        hit_n, store_n = [0] * len(tiers), [0] * len(tiers)
+        T = tier
         for a, b, nbytes, write, is_scan, think_ns in segs:
             lats = lat_cache.get((nbytes, write, is_scan))
             if lats is None:
                 lats = self._shape_latencies(nbytes, write, is_scan)
-            if write:
-                writes.append((a - q0, b - q0))
-            if is_scan:
-                scans.append((a - q0, b - q0))
             s = a
             while s < b:
-                while cut_list[ci] <= s:
-                    ci += 1
-                e = cut_list[ci]
-                if e > b:
-                    e = b
-                tier_index = int(qspan[s - q0])
-                lat = lats[tier_index]
+                e = b
+                if tier < 0:
+                    while cut_list[ci] <= s:
+                        ci += 1
+                    if cut_list[ci] < b:
+                        e = cut_list[ci]
+                    T = int(qspan[s - q0])
+                lat = lats[T]
                 if think_ns:
                     now += think_ns
                 lat_i = lat
                 if queues is not None:
+                    reserve = svc_cache.get((T, nbytes, write))
+                    if reserve is None:
+                        reserve = svc_cache[(T, nbytes, write)] = tuple(
+                            (q, (q.write_table if write else q.read_table).time_ns(nbytes))
+                            for q in queues[T])
                     wait = 0.0
                     bottleneck = None
-                    for queue in queues[tier_index]:
+                    for queue, _ in reserve:
                         delay = queue._free_at - now
                         if delay > wait:
                             wait = delay
@@ -1250,43 +1271,63 @@ class TieredBufferPool:
                         self._session_wait_ns += wait
                         bottleneck.note_wait(wait)
                         lat_i = wait + lat
-                ts.append(now)
+                ts_append(now)
                 now += lat_i
                 pool_demand += lat_i
                 accum += lat_i
-                for _ in range(e - s - 1):
-                    if think_ns:
+                if think_ns:
+                    for _ in repeat(None, e - s - 1):
                         now += think_ns
-                    ts.append(now)
-                    now += lat
-                    pool_demand += lat
-                    accum += lat
-                per_tier[tier_index].hits += e - s
-                dstats = tiers[tier_index].path.device.stats
-                if write:
-                    dstats.stores += e - s
-                    dstats.store_bytes += (e - s) * nbytes
+                        ts_append(now)
+                        now += lat
+                        pool_demand += lat
+                        accum += lat
                 else:
-                    dstats.loads += e - s
-                    dstats.load_bytes += (e - s) * nbytes
+                    for _ in repeat(None, e - s - 1):
+                        ts_append(now)
+                        now += lat
+                        pool_demand += lat
+                        accum += lat
+                count = e - s
+                hit_n[T] += count
+                dstats = tiers[T].path.device.stats
+                if write:
+                    store_n[T] += count
+                    dstats.store_bytes += count * nbytes
+                else:
+                    dstats.load_bytes += count * nbytes
                 if queues is not None:
-                    # One reservation per queue covers the subsegment:
-                    # a session's own reservations never push free_at
+                    # A session's own reservations never push free_at
                     # past its own cursor (analytic latency covers the
                     # service time), so only a head can fold a wait.
-                    for queue in queues[tier_index]:
-                        queue.occupy_run(now - lat, nbytes, e - s, write)
+                    start = now - lat
+                    for queue, service in reserve:
+                        end = start + service
+                        if end > queue._free_at:
+                            queue._free_at = end
+                        queue._bytes += count * nbytes
+                        queue._busy_ns += count * service
+                        queue._grants += count
                 s = e
             seg_demands.append(accum)
+        for T, hits in enumerate(hit_n):
+            if hits:
+                stats.per_tier[T].hits += hits
+                dstats = tiers[T].path.device.stats
+                dstats.stores += store_n[T]
+                dstats.loads += hits - store_n[T]
         stats.accesses += q1 - q0
         stats.demand_time_ns = pool_demand
         clock._now = now
-        self._lazy_runs.append((ids[q0:q1], qspan, ts, writes, scans))
+        self._lazy_runs.append((ids[q0:q1], qspan, segs))
         self._log_held += q1 - q0
         self.lane.quantum_spans += 1
         note = self._placement_note
-        for a, b, _, _, is_scan, _ in segs:
-            note(ids, a, b, is_scan)
+        if self._note_blind:
+            note(ids, q0, q1, False)
+        else:
+            for a, b, _, _, is_scan, _ in segs:
+                note(ids, a, b, is_scan)
         return accum
 
     def access_block(self, block, accum: float = 0.0) -> float:
@@ -1296,15 +1337,17 @@ class TieredBufferPool:
         scalar loop (think advance, :meth:`access`, demand into
         *accum*), by one of two routes: the :meth:`_block_exact`
         window, which resolves whole placement-headroom windows of the
-        block in array ops; or, for a block the window declines, one
-        :meth:`access_quantum` call over its uniform-shape segments —
-        a contended session, a float size column (``nbytes``), ids
+        block in array ops; or, for a block the window declines — a
+        contended session, a float size column (``nbytes``), ids
         outside the dense table, a tracker without ``record_block``, a
         placement note that reads the scan flag, or a block with a
         negative or non-finite latency, an infinite think time or a
-        byte total past 2**53 (``latency``). ``pool.lane`` counts
-        those blocks and the reason. A block whose ids are not a 1-D
-        integer column, or whose columns differ in length, is refused.
+        byte total past 2**53 (``latency``) — :meth:`access_quantum`
+        calls over quanta of at most ``BLOCK_OPS`` accesses (a
+        ``ShapeSegments`` cursor), each all-hit one a hit-kernel span.
+        ``pool.lane`` counts those blocks and the reason. A block whose
+        ids are not a 1-D integer column, or whose columns differ in
+        length, is refused.
         """
         ids_nd = block.page_id
         sizes_nd = block.nbytes
@@ -1352,13 +1395,10 @@ class TieredBufferPool:
                 decline = "latency"
         self.lane.segment_blocks += 1
         self.lane.declines[decline] += 1
-        bounds = block.segment_bounds()
-        starts = bounds[:-1]
-        segs = list(zip(starts, bounds[1:], sizes_nd[starts].tolist(),
-                        writes_nd[starts].tolist(),
-                        scans_nd[starts].tolist(),
-                        thinks_nd[starts].tolist()))
-        return self.access_quantum(ids_nd, segs, accum)[0]
+        cursor = ShapeSegments((block,))
+        while (span := cursor.next_span(BLOCK_OPS)) is not None:
+            accum = self.access_quantum(span[0], span[1], accum)[0]
+        return accum
 
     def _window_decline(self) -> str | None:
         """What in the pool's tracker or placement rules out the
@@ -1367,7 +1407,7 @@ class TieredBufferPool:
         one scan-blind note per window."""
         if getattr(self.tracker, "record_block", None) is None:
             return "tracker"
-        if not getattr(self._placement_note, "scan_blind", False):
+        if not self._note_blind:
             return "note"
         return None
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from ..errors import ConfigError, require_count
@@ -560,7 +561,7 @@ access_quantum` call; its per-segment demand boundaries rebuild the
                 if th:
                     # Replay the scalar think addition chain, as in
                     # ScaleUpEngine.run.
-                    for _ in range(seg_count):
+                    for _ in repeat(None, seg_count):
                         think_total += th
                 samples.append(((demand - prev) / seg_count, seg_count))
                 prev = demand

@@ -289,11 +289,13 @@ class ExactTracker:
         self._since_epoch = 0
         if self.decay >= 1.0:
             return
+        # An absent row already holds 0.0 (aging and forget zero it),
+        # so presence after aging is the threshold alone, and the
+        # rows that fall below it are zeroed by one multiply.
         harr = self._harr
         np.multiply(harr, self.decay, out=harr)
-        keep = harr > 1e-6
-        np.logical_and(self._present, keep, out=self._present)
-        harr[~self._present] = 0.0
+        np.greater(harr, 1e-6, out=self._present)
+        np.multiply(harr, self._present, out=harr)
         if self._over:
             self._over = {
                 pid: h * self.decay for pid, h in self._over.items()
@@ -401,6 +403,7 @@ class SampledTracker:
             self._age()
         if self._draws(1)[0] >= self.sample_rate:
             return
+        page_id = int(page_id)
         self._heat[page_id] = self._heat.get(page_id, 0.0) + 1.0
 
     def record_batch(self, page_ids: Sequence[int], start: int, end: int,
@@ -408,7 +411,7 @@ class SampledTracker:
         """Observe a run of accesses; equivalent to a :meth:`record`
         loop. The run takes its ``n`` draws at once and only the
         sampled accesses (a draw below ``sample_rate``) touch the heat
-        dict, in access order and as the ids they are in *page_ids*;
+        dict, in access order and keyed by python ``int``;
         an epoch boundary inside the run ages the heats between the
         samples before it and the one at it, as the loop does. A run
         shorter than ``_VEC_MIN`` is that loop over its draws."""
@@ -428,15 +431,15 @@ class SampledTracker:
                     since = 0
                     heat = self._heat
                 if draw < rate:
-                    pid = page_ids[i]
+                    pid = int(page_ids[i])
                     heat[pid] = heat.get(pid, 0.0) + 1.0
             self._since_epoch = since
             return
         sampled = np.flatnonzero(self._draws(n) < rate)
         if type(page_ids) is np.ndarray:
-            pids = list(page_ids[start:end][sampled])
+            pids = page_ids[start:end][sampled].tolist()
         else:
-            pids = [page_ids[start + k] for k in sampled.tolist()]
+            pids = [int(page_ids[start + k]) for k in sampled.tolist()]
         # The accesses that age the heats, before their own sample.
         ages = np.arange(epoch - since - 1, n, epoch)
         lo = 0

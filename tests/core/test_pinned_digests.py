@@ -335,12 +335,16 @@ def os_paging_storm(dram_pages, cxl_pages):
     devices = [tier.path.device.stats.snapshot() for tier in pool.tiers]
     devices.append(dataclasses.asdict(pool.backing.device.stats))
     heat = pool.placement.tracker._heat
+    assert all(type(pid) is int for pid in heat)
     return _sha256_lines([
         digest_report(engine, report),
         repr(devices),
         repr(pool.clock),
         repr(pool.clock.now),
-        repr(list(heat.items())),
+        # The pins were taken while the sampler kept numpy keys; the
+        # keys are spelled that way here, so a pin covers the ids, their
+        # order and their heats, and the line above their python type.
+        repr([(np.int64(pid), h) for pid, h in heat.items()]),
     ])
 
 

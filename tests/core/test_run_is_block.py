@@ -1,12 +1,13 @@
-"""A run is a one-shape block, and a declined block is one quantum.
+"""A run is a one-shape block, and a declined block is quanta.
 
 ``access_run`` (and ``preload`` behind it) hands the pool the block of
 its ids with the run's shape as constant columns, so the three entry
 points leave one state and one set of route counters. A block the
 window declines — ids past the dense table, a tracker without
-``record_block``, a float size column — is one ``access_quantum`` call
-over its uniform-shape segments. Both routes check what they are given
-(a block's columns, a quantum's segments) before anything is charged.
+``record_block``, a float size column — is ``access_quantum`` calls
+over its uniform-shape segments, ``BLOCK_OPS`` accesses at most each.
+Both routes check what they are given (a block's columns, a quantum's
+segments) before anything is charged.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.buffer import TieredBufferPool
 from repro.core.temperature import SampledTracker
 from repro.errors import BufferPoolError
 from repro.sim.context import SimContext
-from repro.workloads.traces import AccessBlock
+from repro.workloads.traces import BLOCK_OPS, AccessBlock
 from tests.core.test_cold_fill import (
     PLACEMENTS,
     full_state,
@@ -199,3 +200,30 @@ def test_quantum_segments_must_tile_the_column(bounds, warm):
     pool.access_quantum(ids, [(1, 1, 64, False, False, 0.0),
                               (1, 4, 64, True, False, 0.0)])
     assert pool.stats.accesses == accesses + 3
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["all-hit", "one-miss"])
+def test_a_declined_block_is_cut_into_quanta(miss):
+    """A declined block is cut into quanta of at most ``BLOCK_OPS``
+    accesses, so 100 k hits with a float size column take the hit
+    kernel quantum by quantum (they took the scalar loop whole, as one
+    quantum past the settle bound) and one miss sends its own quantum
+    to the scalar loop, once; both equal the scalar reference."""
+    fast, ref = twin_pools(placement="static", caps=(128, 128))
+    n = 100_000
+    ids = np.random.default_rng(5).integers(0, 128, n)
+    if miss:
+        ids[70_000] = 200
+    block = AccessBlock(page_id=ids, write=ids % 7 == 0,
+                        is_scan=np.zeros(n, bool),
+                        nbytes=np.full(n, 64.0), think_ns=np.full(n, 1.5))
+    for pool in (fast, ref):
+        pool.access_block(point_block(np.arange(128)))
+    got = fast.access_block(block, accum=0.5)
+    assert repr(got) == repr(ref.access_block(block, accum=0.5))
+    assert full_state(fast) == full_state(ref)
+    lane = fast.lane
+    assert lane.declines["nbytes"] == lane.segment_blocks == 1
+    assert lane.quantum_scalar == {"id_range": 0, "headroom": 0,
+                                   "miss": int(miss)}
+    assert lane.quantum_spans == -(-n // BLOCK_OPS) - int(miss)

@@ -27,8 +27,14 @@ def stream_at(tracker, count=5):
     return twin._draws(count).tolist()
 
 
+def heat_items(tracker):
+    """Heats in insertion order, the ids as ints (the frozen sampler
+    keys by the ids as given) and the heats bit for bit."""
+    return [(int(pid), repr(h)) for pid, h in tracker._heat.items()]
+
+
 def same(new, old):
-    assert repr(list(new._heat.items())) == repr(list(old._heat.items()))
+    assert heat_items(new) == heat_items(old)
     assert new._since_epoch == old._since_epoch
     assert stream_at(new) == stream_at(old)
 
@@ -64,13 +70,16 @@ def test_mixed_calls_equal_the_scalar_sampler(epoch, rate, seed):
     assert new.coldest(5) == old.coldest(5)
 
 
-def test_batch_keys_are_the_ids_as_given():
-    """A column's ids key the heats as its elements, as the loop's
-    ``page_ids[i]`` did; a list's as its ints."""
+def test_batch_keys_are_python_ints():
+    """Every route keys the heats by python ``int``, whatever the ids
+    were given as: a column (long or short run), a list, one record."""
     tracker = SampledTracker(sample_rate=1.0)
     tracker.record_batch(np.array([3, 4], dtype=np.int32), 0, 2)
-    tracker.record_batch([5], 0, 1)
-    assert [type(key) for key in tracker._heat] == [np.int32, np.int32, int]
+    tracker.record_batch(np.arange(100, 200, dtype=np.uint32), 0, 100)
+    tracker.record_batch([np.int64(5)], 0, 1)
+    tracker.record(np.int16(6))
+    assert list(tracker._heat)[:3] == [3, 4, 100]
+    assert {type(key) for key in tracker._heat} == {int}
 
 
 def test_unseeded_sampler_draws_a_valid_stream():
@@ -86,3 +95,20 @@ def test_hottest_with_no_page_at_the_floor_is_empty():
     assert tracker.hottest(4, 2.0) == []
     tracker.record(7)
     assert tracker.hottest(4, 2.0) == [7]
+
+
+def test_hottest_and_coldest_are_ints_after_a_block_window():
+    """An OS-paged pool feeds its sampler a block's id column through
+    the block window; the pages the sampler ranks are python ints."""
+    from repro.core import OSPagingPolicy, ScaleUpEngine
+    from repro.workloads import YCSBConfig, ycsb_blocks
+
+    engine = ScaleUpEngine.build(dram_pages=64, cxl_pages=512,
+                                 placement=OSPagingPolicy(sample_rate=0.2))
+    engine.run(ycsb_blocks(YCSBConfig(mix="A", num_pages=600,
+                                      num_ops=20_000, seed=3)))
+    assert engine.pool.lane.exact_windows > 0
+    tracker = engine.pool.placement.tracker
+    hottest, coldest = tracker.hottest(50), tracker.coldest(50)
+    assert hottest and coldest
+    assert {type(pid) for pid in hottest + coldest} == {int}

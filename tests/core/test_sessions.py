@@ -14,7 +14,8 @@ from repro.core import (
     StaticPolicy,
     WeightedPolicy,
 )
-from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS
+from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS, TieredBufferPool
+from repro.core.temperature import SampledTracker
 from repro.errors import ConfigError
 from repro.sim.bandwidth import WaitQueue
 from repro.sim.clock import SimClock
@@ -29,6 +30,7 @@ from repro.workloads import (
     ycsb_blocks,
 )
 from tests.core.residency import frame_rows
+from tests.oracle.parent_kernel import parent_kernel
 from tests.oracle.reference import reference
 from tests.oracle.traces import accesses_to_blocks, mixed_htap_trace
 
@@ -609,3 +611,136 @@ class TestHitLog:
             assert list(scalar) == ([reason] if reason else [])
             assert sum(scalar.values()) + lane.quantum_spans == 10
             assert kind != "beyond-table" or lane.quantum_spans == 0
+
+
+# -- the hit kernel against the kernel it replaced ------------------------
+
+class NotingPolicy(StaticPolicy):
+    """Static placement whose batch note reads the scan flag (it is not
+    ``scan_blind``), so it is owed one call per segment: it logs them."""
+
+    def __init__(self, classifier):
+        super().__init__(classifier)
+        self.notes = []
+
+    def note_accesses(self, page_ids, start, end, is_scan=False):
+        self.notes.append((start, end, is_scan))
+
+
+def kernel_pool(lane, tracker, note="blind"):
+    """DRAM pages 0-63 and CXL pages 64-299, all warm, as the *lane*
+    twin: the kernel, the parent kernel or the scalar reference."""
+    def placement():
+        return (StaticPolicy if note == "blind" else NotingPolicy)(
+            lambda p: 0 if p < 64 else 1)
+
+    pool = ScaleUpEngine.build(
+        dram_pages=64, cxl_pages=300, placement=placement(),
+        with_storage=False, ctx=SimContext()).pool
+    if tracker == "sampled":
+        # No record_block: the settle feeds record_batch per scan run.
+        pool = TieredBufferPool(
+            tiers=pool.tiers, placement=placement(),
+            tracker=SampledTracker(sample_rate=0.5), ctx=SimContext())
+    for page in range(300):
+        pool.access(page)
+    if lane == "parent":
+        parent_kernel(pool)
+    elif lane == "reference":
+        reference(pool)
+    return pool
+
+
+def kernel_quanta(seed, n=3_000):
+    """Quanta over one id column that crosses the DRAM/CXL boundary
+    inside segments: 1-6 segments each, lengths from 0 (an empty
+    segment, also between non-empty ones) to 40, every mix of write,
+    scan, think time and size."""
+    rng = random.Random(seed)
+    runs = []
+    while sum(map(len, runs)) < n:
+        first = rng.choice([0, 40, 60, 64, 100, 250])
+        runs.append(range(first, min(300, first + rng.randrange(1, 30))))
+    ids = np.array([p for run in runs for p in run][:n], dtype=np.int64)
+    quanta, pos = [], 0
+    while pos < n:
+        segs = []
+        for _ in range(rng.randint(1, 6)):
+            stop = min(n, pos + rng.choice([0, 0, 1, 2, 5, 17, 40]))
+            segs.append((pos, stop, rng.choice([64, 4096, 65536]),
+                         rng.random() < 0.3, rng.random() < 0.3,
+                         rng.choice([0.0, 0.0, 12.7, 200.0])))
+            pos = stop
+        quanta.append(segs)
+    return ids, quanta
+
+
+def drive_kernel(lane, tracker, seed, note="blind"):
+    """Run the quanta on three cursors that start together (the one
+    furthest behind goes next), so the queues fold live waits; returns
+    the pool and what the run left: every quantum's accumulators, the
+    pool's floats and counters, device counters and settled state."""
+    pool = kernel_pool(lane, tracker, note)
+    ids, quanta = kernel_quanta(seed)
+    cursors = [SimClock(pool.clock.now) for _ in range(3)]
+    accums = [0.0, 0.0, 0.0]
+    out = []
+    for segs in quanta:
+        which = min(range(3), key=lambda i: (cursors[i].now, i))
+        pool.session_begin(cursors[which])
+        accums[which], bounds = pool.access_quantum(ids, segs,
+                                                    accums[which])
+        pool.session_end()
+        out.append((repr(accums[which]), list(map(repr, bounds))))
+    rows = frame_rows(pool)  # settles the log first
+    heat = (pool.tracker._harr.tolist() if tracker == "exact"
+            else list(pool.tracker._heat.items()))
+    return pool, (out, repr(pool.session_wait_ns),
+                  [repr(c.now) for c in cursors],
+                  repr(pool.stats.demand_time_ns), pool.stats.accesses,
+                  [t.hits for t in pool.stats.per_tier],
+                  [tier.path.device.stats.snapshot() for tier in pool.tiers],
+                  rows, [tier.policy.order() for tier in pool.tiers], heat)
+
+
+def queue_state(pool):
+    return [(q.name, repr(q.free_at_ns), q.snapshot())
+            for tier_queues in pool.wait_queues() for q in tier_queues]
+
+
+class TestHitKernel:
+    @pytest.mark.parametrize("tracker", ["exact", "sampled"])
+    @pytest.mark.parametrize("note", ["blind", "per-segment"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_kernel_equals_the_parent_kernel_and_the_reference(
+            self, seed, note, tracker):
+        """Every float and counter of a contended run of mixed quanta —
+        tier changes inside segments, empty segments, write, scan and
+        think mixes — equals the parent kernel's, wait queues included
+        (``free_at`` and every snapshot field, bit for bit), and the
+        scalar reference's; the many-entry log settles to the
+        reference's rows, dirty flags, recency and tracker heats. A
+        note that reads the scan flag still gets one call per segment,
+        in order."""
+        fast, fast_out = drive_kernel("fast", tracker, seed, note)
+        parent, parent_out = drive_kernel("parent", tracker, seed, note)
+        ref, ref_out = drive_kernel("reference", tracker, seed, note)
+        assert fast_out == parent_out == ref_out
+        assert queue_state(fast) == queue_state(parent)
+        if note == "per-segment":
+            assert fast.placement.notes == parent.placement.notes
+        assert float(fast_out[1]) > 0  # contention must be live
+        assert fast.lane.quantum_spans == parent.lane.quantum_spans > 0
+        assert sum(fast.lane.quantum_scalar.values()) == 0
+        assert fast.lane.log_settles == 1
+        assert any(row[3] for row in fast_out[7].values())
+        ids, quanta = kernel_quanta(seed)
+
+        def tiers(a, b):
+            return len(set((ids[a:b] < 64).tolist()))
+
+        assert any(tiers(a, b) == 2 for segs in quanta for a, b, *_ in segs)
+        assert any(tiers(segs[0][0], segs[-1][1]) == 1 for segs in quanta)
+        sizes = [[b - a for a, b, *_ in segs] for segs in quanta]
+        assert any(n[i - 1] and not n[i] and n[i + 1]  # empty between
+                   for n in sizes for i in range(1, len(n) - 1))

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.temperature import ExactTracker, SampledTracker
 from repro.errors import ConfigError
@@ -130,3 +133,48 @@ class TestSampledTracker:
             want = [p for p in full if tracker.heat(p) >= floor]
             assert tracker.hottest(50, floor) == want
             assert tracker.hottest(5, floor) == want[:5]
+
+
+def three_step_age(tracker):
+    """The aging the tracker used to do: decay, a threshold mask, the
+    mask folded into membership, a masked store of 0.0."""
+    harr = tracker._harr
+    np.multiply(harr, tracker.decay, out=harr)
+    keep = harr > 1e-6
+    np.logical_and(tracker._present, keep, out=tracker._present)
+    harr[~tracker._present] = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_weight=st.sampled_from([0.0, 0.1, 1.0]),
+       decay=st.sampled_from([0.5, 0.25, 0.9]),
+       steps=st.lists(st.tuples(
+           st.sampled_from(["run", "scan", "forget", "age"]),
+           st.lists(st.integers(0, 40), min_size=1, max_size=80)),
+           min_size=1, max_size=40))
+def test_age_is_the_three_step_aging(scan_weight, decay, steps):
+    """Aging as two in-place ufuncs is bit-identical to the three-step
+    aging, on rows a scan weight of 0.0 made present at heat 0.0, on
+    forgotten rows, and on heats decayed through the 1e-6 floor (an
+    ``age`` step runs up to 40 epochs back to back)."""
+    new = ExactTracker(decay=decay, scan_weight=scan_weight,
+                       epoch_accesses=10**9)
+    old = ExactTracker(decay=decay, scan_weight=scan_weight,
+                       epoch_accesses=10**9)
+    for kind, pids in steps:
+        for tracker in (new, old):
+            if kind == "forget":
+                for pid in pids:
+                    tracker.forget(pid)
+            elif kind == "age":
+                for _ in range(len(pids) // 2):
+                    if tracker is new:
+                        tracker._age()
+                    else:
+                        three_step_age(tracker)
+            else:
+                tracker.record_batch(np.array(pids, dtype=np.int64), 0,
+                                     len(pids), is_scan=kind == "scan")
+        assert new._harr.tobytes() == old._harr.tobytes()
+        assert np.array_equal(new._present, old._present)
+        assert new._heat == old._heat
