@@ -129,6 +129,9 @@ route-check:
 # temperature.py makes no scalar .random() draw, and the pool has one
 # bulk eviction body: only the block window (_block_exact) and the
 # column migration commit (_migrate_columns) call _evict_apply.
+# A pool keeps the heat its placement reads: DbCostPolicy.attach
+# installs its tracker as the pool's, so neither the engine (engine.py)
+# nor the pool (buffer.py) constructs a tracker.
 # The line counts of the pool, placement, tracker, chain and page files,
 # and of the four TPC-C files, are printed for the CI log.
 define STRUCTURE_CHECK
@@ -217,6 +220,11 @@ temperature = pathlib.Path("src/repro/core/temperature.py")
 for number, line in enumerate(temperature.read_text().splitlines(), 1):
     if ".random()" in line:
         bad.append("%s:%d: %s" % (temperature, number, line.strip()))
+for name in ("engine", "buffer"):
+    path = pathlib.Path("src/repro/core/%s.py" % name)
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if re.search(r"Tracker\(", line):
+            bad.append("%s:%d: %s" % (path, number, line.strip()))
 placement = pathlib.Path("src/repro/core/placement.py")
 for number, line in enumerate(placement.read_text().splitlines(), 1):
     if "frame_of(" in line:

@@ -37,20 +37,14 @@ def _htap_trace(seed=3):
 def run_a1_scan_resistance():
     """Scan-aware vs scan-blind engine placement."""
     results = {}
-    for name, policy, tracker in (
-        ("scan-aware", DbCostPolicy(rebalance_interval=2_000,
-                                    scan_admit_slow=True),
-         ExactTracker(scan_weight=0.1)),
-        ("scan-blind", DbCostPolicy(rebalance_interval=2_000,
-                                    scan_admit_slow=False),
-         ExactTracker(scan_weight=1.0)),
-    ):
+    for name, scan_aware in (("scan-aware", True), ("scan-blind", False)):
+        policy = DbCostPolicy(
+            rebalance_interval=2_000, scan_admit_slow=scan_aware,
+            tracker=ExactTracker(scan_weight=0.1 if scan_aware else 1.0))
         engine = ScaleUpEngine.build(
             dram_pages=1_000, cxl_pages=8_000, placement=policy,
             with_storage=False,
         )
-        engine.pool.tracker = tracker
-        policy._tracker = tracker
         engine.run(_htap_trace())
         results[name] = sum(
             1 for p in engine.pool.resident_in(0) if p < OLTP_PAGES

@@ -93,7 +93,7 @@ from .replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from .temperature import ExactTracker, TemperatureTracker
+from .temperature import TemperatureTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .placement import PlacementPolicy
@@ -401,7 +401,9 @@ class TieredBufferPool:
                 f"{lane_ns}.{name}", lambda attr=attr: sum(
                     getattr(tier.policy, attr, 0) for tier in self.tiers))
         self.page_size = page_size
-        self.tracker: TemperatureTracker = tracker or ExactTracker()
+        # The heat the placement ranks by: None keeps none, and
+        # DbCostPolicy.attach installs its exact tracker here.
+        self.tracker: TemperatureTracker | None = tracker
         self.stats = BufferPoolStats(
             per_tier=[TierStats() for _ in self.tiers]
         )
@@ -433,10 +435,10 @@ class TieredBufferPool:
         for owner, role, hooks in (
                 (placement, "placement", ("fast_headroom", "note_accesses",
                                           "choose_admit_tiers")),
-                (self.tracker, "tracker", ("record_batch",))):
+                (tracker, "tracker", ("record_batch",))):
             missing = [hook for hook in hooks
                        if not callable(getattr(owner, hook, None))]
-            if missing:
+            if owner is not None and missing:
                 raise BufferPoolError(
                     f"{role} {type(owner).__name__} lacks"
                     f" {', '.join(missing)}; a {role} must implement"
@@ -451,7 +453,7 @@ class TieredBufferPool:
                     f" {type(tier.path).__name__}")
         self._tier_timing = [tier.path.timing() for tier in self.tiers]
         # The batch hooks, bound once for the hot paths.
-        self._tracker_batch = self.tracker.record_batch
+        self._tracker_batch = getattr(self.tracker, "record_batch", None)
         self._placement_headroom = placement.fast_headroom
         self._placement_note = placement.note_accesses
         self._note_blind = getattr(placement.note_accesses, "scan_blind", False)
@@ -737,13 +739,14 @@ class TieredBufferPool:
         is five columns over its accesses in charge order: ids, tiers
         and timestamps (one ``np.frombuffer``), write and scan flags
         (one ``np.repeat`` each of the segments' flags over their
-        lengths). The pass does what the scalar loop did access by
-        access, once per page or tier: each page's ``acc`` takes its
+        lengths; the scan flags only for a tracker, their one reader).
+        The pass does what the scalar loop did access by access, once
+        per page or tier: each page's ``acc`` takes its
         count and its ``last_ns`` the timestamp of its *last*
         occurrence, written pages turn dirty; each tier's policy takes
-        its touch sequence (:meth:`_policy_touch`); the tracker one
-        ``record_block`` (``record_batch`` per scan-flag run without
-        it). The structures are disjoint
+        its touch sequence (:meth:`_policy_touch`); the pool's tracker,
+        if it keeps one, one ``record_block`` (``record_batch`` per
+        scan-flag run without it). The structures are disjoint
         and every reader drains first, so settling a batch at once is
         unobservable.
         """
@@ -776,7 +779,6 @@ class TieredBufferPool:
         segs = list(chain.from_iterable([entry[2] for entry in entries]))
         lens = [seg[1] - seg[0] for seg in segs]
         writes = np.repeat(np.array([seg[3] for seg in segs], dtype=bool), lens)
-        scans = np.repeat(np.array([seg[4] for seg in segs], dtype=bool), lens)
         if writes.any():
             self._dirty[ids[writes]] = True
         np.add.at(self._acc, ids, 1)
@@ -786,6 +788,9 @@ class TieredBufferPool:
             self._policy_touch(
                 self.tiers[T].policy,
                 ids if per_tier[T] == k else ids[tier_col == T])
+        if self.tracker is None:
+            return
+        scans = np.repeat(np.array([seg[4] for seg in segs], dtype=bool), lens)
         tracker_block = getattr(self.tracker, "record_block", None)
         if tracker_block is not None:
             tracker_block(ids, scans, 0, k)
@@ -921,7 +926,8 @@ class TieredBufferPool:
         if self._lazy_runs:
             self._drain_lazy()
         self.stats.accesses += 1
-        self.tracker.record(page_id, is_scan=is_scan)
+        if self.tracker is not None:
+            self.tracker.record(page_id, is_scan=is_scan)
         clock = self._session_clock
         if clock is None:
             clock = self.clock
@@ -1403,9 +1409,10 @@ class TieredBufferPool:
     def _window_decline(self) -> str | None:
         """What in the pool's tracker or placement rules out the
         :meth:`_block_exact` window (a ``declines`` reason), or None:
-        it feeds the tracker one ``record_block`` and the placement
-        one scan-blind note per window."""
-        if getattr(self.tracker, "record_block", None) is None:
+        it feeds the tracker, if any, one ``record_block`` and the
+        placement one scan-blind note per window."""
+        if self.tracker is not None and getattr(
+                self.tracker, "record_block", None) is None:
             return "tracker"
         if not self._note_blind:
             return "note"
@@ -1480,7 +1487,7 @@ class TieredBufferPool:
         lane = self.lane
         headroom_fn = self._placement_headroom
         note = self._placement_note
-        tracker_block = self.tracker.record_block
+        tracker_block = getattr(self.tracker, "record_block", None)
         # A window gathers and plans its whole span, so it spans at
         # most twice what the last one carried (a block's rows at first).
         wmax = BLOCK_OPS
@@ -1610,7 +1617,8 @@ class TieredBufferPool:
             lane.exact_window_accesses += k
             if jk < n:
                 lane.cuts[cut] += 1
-            tracker_block(ids_nd, scans_nd, j, jk)
+            if tracker_block is not None:
+                tracker_block(ids_nd, scans_nd, j, jk)
             note(ids_nd, j, jk, False)
             has_w = bool(wr_k.any())
             # Recency lists span every position of a tier (an LRU

@@ -24,7 +24,6 @@ from ..units import PAGE_SIZE, SECOND, fmt_ns
 from ..workloads.traces import AccessBlock, require_block
 from .buffer import Tier, TieredBufferPool
 from .placement import DbCostPolicy, PlacementPolicy
-from .temperature import ExactTracker
 
 @dataclass
 class EngineReport:
@@ -159,7 +158,6 @@ class ScaleUpEngine:
             tiers=tiers,
             backing=backing,
             placement=placement or DbCostPolicy(),
-            tracker=ExactTracker(),
             page_size=page_size,
             ctx=ctx,
         )

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import BufferPoolError, require_count, require_nonnegative
+from ..errors import (BufferPoolError, ConfigError, require_count,
+                      require_nonnegative)
 from .temperature import ExactTracker, SampledTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -364,15 +365,23 @@ class DbCostPolicy(_BasePolicy):
         self.pinned_skips = 0
 
     def attach(self, pool: "TieredBufferPool") -> None:
-        """Bind, share the pool's exact tracker, and register the
-        rebalance counters as the ``placement`` metrics namespace."""
+        """Bind, install the tracker this policy ranks by as the pool's
+        (the one it was given, else the pool's, else a fresh
+        :class:`ExactTracker`), and register the rebalance counters as
+        the ``placement`` metrics namespace. A pool tracker the policy
+        would not read — not exact, or not the policy's own — is
+        refused: the pool would feed it while the policy ranks on
+        heat nothing feeds."""
+        tracker = self._tracker or pool.tracker or ExactTracker()
+        if not isinstance(tracker, ExactTracker) or (
+                pool.tracker is not None and pool.tracker is not tracker):
+            raise ConfigError(
+                f"DbCostPolicy ranks by one ExactTracker that the pool"
+                f" feeds; got {type(tracker).__name__} and a pool"
+                f" {type(pool.tracker).__name__}")
         super().attach(pool)
         pool.ctx.register("placement", self)
-        if self._tracker is None:
-            tracker = pool.tracker
-            if not isinstance(tracker, ExactTracker):
-                tracker = ExactTracker()
-            self._tracker = tracker
+        self._tracker = pool.tracker = tracker
 
     @property
     def tracker(self) -> ExactTracker:

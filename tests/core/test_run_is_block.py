@@ -88,13 +88,16 @@ def mixed_block(far: bool, float_sizes: bool) -> AccessBlock:
 
 
 def pool_for(reason):
-    pool = make_pool(placement="dbcost37", caps=(6, 10), backed=True)
-    if reason == "tracker":
-        pool = TieredBufferPool(
-            tiers=pool.tiers, backing=pool.backing,
-            placement=PLACEMENTS["dbcost37"](),
-            tracker=SampledTracker(sample_rate=0.5), ctx=SimContext())
-    return warmed(pool)
+    if reason != "tracker":
+        return warmed(make_pool(placement="dbcost37", caps=(6, 10),
+                                backed=True))
+    # A tracker without record_block: DbCostPolicy ranks by an
+    # ExactTracker only, so the case is a StaticPolicy pool's.
+    pool = make_pool(caps=(6, 10), backed=True)
+    return warmed(TieredBufferPool(
+        tiers=pool.tiers, backing=pool.backing,
+        placement=PLACEMENTS["static"](),
+        tracker=SampledTracker(sample_rate=0.5), ctx=SimContext()))
 
 
 @pytest.mark.parametrize("reason", ["id_range", "tracker", "nbytes"])

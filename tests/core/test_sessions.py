@@ -15,7 +15,7 @@ from repro.core import (
     WeightedPolicy,
 )
 from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS, TieredBufferPool
-from repro.core.temperature import SampledTracker
+from repro.core.temperature import ExactTracker, SampledTracker
 from repro.errors import ConfigError
 from repro.sim.bandwidth import WaitQueue
 from repro.sim.clock import SimClock
@@ -35,13 +35,25 @@ from tests.oracle.reference import reference
 from tests.oracle.traces import accesses_to_blocks, mixed_htap_trace
 
 
+def keep_heat(engine):
+    """*engine* on a pool of the same tiers and placement that keeps
+    an explicit :class:`ExactTracker` (the pool's own, if it keeps
+    one). A StaticPolicy pool keeps no heat; the helpers that compare
+    tracker state give theirs this one, so the tests still check that
+    the hit log's settle feeds a tracker as the scalar lane does."""
+    pool = engine.pool
+    return ScaleUpEngine(TieredBufferPool(
+        tiers=pool.tiers, backing=pool.backing, placement=pool.placement,
+        tracker=pool.tracker or ExactTracker(),
+        ctx=SimContext(trace=pool.ctx.trace)), name=engine.name)
+
+
 def cxl_engine(pages=2_000, fast=True, warm=None, placement=None):
-    ctx = SimContext()
-    engine = ScaleUpEngine.build(
+    engine = keep_heat(ScaleUpEngine.build(
         dram_pages=1, cxl_pages=pages,
         placement=placement or StaticPolicy(lambda _p: 1),
-        with_storage=False, ctx=ctx,
-    )
+        with_storage=False,
+    ))
     for page in range(pages - 8 if warm is None else warm):
         engine.pool.access(page)
     return engine if fast else reference(engine)
@@ -161,11 +173,11 @@ class TestSingleSessionIdentity:
 
 def tiered_engine(fast=True):
     """DRAM pages 0-127 and CXL pages 128-1,999, all warm."""
-    engine = ScaleUpEngine.build(
+    engine = keep_heat(ScaleUpEngine.build(
         dram_pages=128, cxl_pages=2_000,
         placement=StaticPolicy(lambda p: 0 if p < 128 else 1),
-        with_storage=False, ctx=SimContext(),
-    )
+        with_storage=False,
+    ))
     for page in range(2_000):
         engine.pool.access(page)
     return engine if fast else reference(engine)
@@ -425,10 +437,10 @@ def column_engine(columns, fast=True, traced=False, placement=None,
     (every other page left cold with *cold*)."""
     pages = sorted({int(p) for col in columns for p in np.unique(col)})
     ctx = SimContext(trace=MemoryTraceSink()) if traced else SimContext()
-    engine = ScaleUpEngine.build(
+    engine = keep_heat(ScaleUpEngine.build(
         dram_pages=1, cxl_pages=len(pages) + 16,
         placement=placement or StaticPolicy(lambda _p: 1),
-        with_storage=False, ctx=ctx)
+        with_storage=False, ctx=ctx))
     for page in pages[::2] if cold else pages:
         engine.pool.access(page)
     return engine if fast else reference(engine)
@@ -634,14 +646,15 @@ def kernel_pool(lane, tracker, note="blind"):
         return (StaticPolicy if note == "blind" else NotingPolicy)(
             lambda p: 0 if p < 64 else 1)
 
-    pool = ScaleUpEngine.build(
-        dram_pages=64, cxl_pages=300, placement=placement(),
-        with_storage=False, ctx=SimContext()).pool
-    if tracker == "sampled":
-        # No record_block: the settle feeds record_batch per scan run.
-        pool = TieredBufferPool(
-            tiers=pool.tiers, placement=placement(),
-            tracker=SampledTracker(sample_rate=0.5), ctx=SimContext())
+    pool = TieredBufferPool(
+        tiers=ScaleUpEngine.build(dram_pages=64, cxl_pages=300,
+                                  with_storage=False).pool.tiers,
+        placement=placement(),
+        # SampledTracker has no record_block: the settle feeds
+        # record_batch per scan run.
+        tracker=(ExactTracker() if tracker == "exact"
+                 else SampledTracker(sample_rate=0.5)),
+        ctx=SimContext())
     for page in range(300):
         pool.access(page)
     if lane == "parent":

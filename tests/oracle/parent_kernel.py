@@ -72,6 +72,8 @@ class ParentKernelPool(TieredBufferPool):
             self._policy_touch(
                 self.tiers[T].policy,
                 ids if per_tier[T] == k else ids[tier_col == T])
+        if self.tracker is None:
+            return
         tracker_block = getattr(self.tracker, "record_block", None)
         if tracker_block is not None:
             tracker_block(ids, scans, 0, k)

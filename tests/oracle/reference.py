@@ -62,7 +62,8 @@ class ReferencePool(TieredBufferPool):
         if self._lazy_runs:
             self._drain_lazy()
         self.stats.accesses += 1
-        self.tracker.record(page_id, is_scan=is_scan)
+        if self.tracker is not None:
+            self.tracker.record(page_id, is_scan=is_scan)
         clock = self._session_clock
         if clock is None:
             clock = self.clock
