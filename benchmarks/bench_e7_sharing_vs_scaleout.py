@@ -17,10 +17,9 @@ from repro import config
 from repro.core.scaleout import ScaleOutConfig, ScaleOutEngine
 from repro.core.shared import SharedEngineConfig, SharedRackEngine
 from repro.metrics.report import Table
-from repro.query.hashjoin import HashJoin
 from repro.query.operators import TableScan
+from repro.query.planner import JoinPlanner
 from repro.query.schema import Column, Schema
-from repro.query.sort import SortMergeJoin
 from repro.query.table import Table as RelTable
 from repro.sim.coherence import CoherenceDirectory
 from repro.sim.interconnect import AccessPath, Link
@@ -88,16 +87,10 @@ def run_hash_vs_sort():
     for size in (4_000, 100_000, 1_000_000, 10_000_000):
         choices = {}
         for name, path in (("dram", dram), ("gfam", gfam)):
-            hash_cost = HashJoin(
-                TableScan(table), TableScan(table), "k", "k",
-                work_path=path, work_mem_rows=50_000_000,
-            ).estimated_cost_ns(size, size)
-            sort_cost = SortMergeJoin(
-                TableScan(table), TableScan(table), "k", "k",
-                work_path=path, work_mem_rows=50_000_000,
-            ).estimated_cost_ns(size, size)
-            choices[name] = "hash" if hash_cost <= sort_cost \
-                else "sort-merge"
+            planner = JoinPlanner(work_path=path, work_mem_rows=50_000_000)
+            _op, choice = planner.choose_join(
+                TableScan(table), TableScan(table), "k", "k", size, size)
+            choices[name] = choice.algorithm
         rows.append((size, choices["dram"], choices["gfam"]))
     return rows
 

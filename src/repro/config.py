@@ -20,7 +20,7 @@ Units follow :mod:`repro.units`: ns, bytes, bytes/ns (== GB/s).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .units import GBPS, GIB, us
@@ -40,7 +40,6 @@ class StorageKind(enum.Enum):
     """Block storage classes used as the bottom of the hierarchy."""
 
     NVME_SSD = "nvme_ssd"
-    SATA_SSD = "sata_ssd"
     HDD = "hdd"
 
 
@@ -318,19 +317,6 @@ def nvme_ssd(capacity_bytes: int = 2048 * GIB) -> StorageSpec:
     )
 
 
-def sata_ssd(capacity_bytes: int = 2048 * GIB) -> StorageSpec:
-    """SATA SSD: ~80 us access, ~0.5 GB/s."""
-    return StorageSpec(
-        name="sata-ssd",
-        kind=StorageKind.SATA_SSD,
-        capacity_bytes=capacity_bytes,
-        read_latency_ns=us(80.0),
-        write_latency_ns=us(90.0),
-        read_bandwidth=0.55 * GBPS,
-        write_bandwidth=0.50 * GBPS,
-    )
-
-
 def hdd(capacity_bytes: int = 8192 * GIB) -> StorageSpec:
     """Nearline HDD: ~4 ms seek+rotate, ~0.25 GB/s sequential."""
     return StorageSpec(
@@ -402,31 +388,3 @@ def cxl_switch_hop() -> LinkSpec:
         raw_bandwidth=pcie_bandwidth(PCIeGeneration.GEN5, 16),
         protocol_efficiency=1.0,
     )
-
-
-def ethernet_tcp_25g() -> LinkSpec:
-    """Conventional kernel-TCP 25 GbE path, the software baseline for
-    the RAS experiment (E10)."""
-    return LinkSpec(
-        name="tcp-25g",
-        latency_ns=us(15.0),
-        raw_bandwidth=3.125 * GBPS,
-        protocol_efficiency=0.9,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bundled scenario configuration.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HostSpec:
-    """A compute host: cores plus its locally attached memory."""
-
-    name: str
-    cores: int = 32
-    dram: MemorySpec = field(default_factory=local_ddr5)
-
-    def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ConfigError(f"{self.name}: cores must be positive")

@@ -31,8 +31,6 @@ _SOURCES = {
     "ComposableRack": "hetero",
     "FixedServerRack": "hetero",
     "OperatorTask": "hetero",
-    "LockMode": "locks",
-    "LockTable": "locks",
     "Morsel": "morsel",
     "RackScheduler": "morsel",
     "ActiveMemoryRegion": "ndp",

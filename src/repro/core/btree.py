@@ -8,9 +8,9 @@ DRAM and the large leaf level in CXL memory: lookups then pay DRAM
 latency for every hop but the last, while capacity scales with the
 expander.
 
-The tree is bulk-loaded (bottom-up build), supports point lookups and
-range scans, and charges every node touch to the engine's buffer pool
-so placement policy effects are measured, not asserted.
+The tree is bulk-loaded (bottom-up build), supports point lookups, and
+charges every node touch to the engine's buffer pool so placement
+policy effects are measured, not asserted.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ class _Node:
     """One B+tree node, stored in a page payload."""
 
     keys: list
-    # Inner: child page ids (len(keys)+1). Leaf: values + next pointer.
+    # Inner: child page ids (len(keys)+1). Leaf: values.
     children: list | None = None
     values: list | None = None
-    next_leaf: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -91,8 +90,6 @@ class TieredBTree:
             )
             leaves.append(node)
             leaf_ids.append(tree._new_page(node))
-        for node, next_id in zip(leaves, leaf_ids[1:]):
-            node.next_leaf = next_id
         tree._levels = [leaf_ids]
 
         # Inner levels. Separators are the subtree minima of the
@@ -187,29 +184,3 @@ class TieredBTree:
         self.lookup(key)
         return self.pool.clock.now - start
 
-    def range_scan(self, low, high) -> list[tuple]:
-        """All (key, value) with low <= key <= high; charges full-page
-        scan accesses along the leaf chain."""
-        if low > high:
-            return []
-        # Descend to the first candidate leaf.
-        page_id = self.root_page_id
-        node = self._node(page_id)
-        while not node.is_leaf:
-            self.pool.access(page_id, nbytes=CACHE_LINE)
-            index = bisect.bisect_right(node.keys, low)
-            page_id = node.children[index]
-            node = self._node(page_id)
-        out: list[tuple] = []
-        while True:
-            self.pool.access(page_id, nbytes=PAGE_SIZE, is_scan=True)
-            node = self._node(page_id)
-            start = bisect.bisect_left(node.keys, low)
-            for key, value in zip(node.keys[start:],
-                                  node.values[start:]):
-                if key > high:
-                    return out
-                out.append((key, value))
-            if node.next_leaf is None:
-                return out
-            page_id = node.next_leaf

@@ -32,8 +32,6 @@ class RecordKind(enum.Enum):
 
     UPDATE = "update"
     COMMIT = "commit"
-    ABORT = "abort"
-    CHECKPOINT = "checkpoint"
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,6 @@ class LogRecord:
     key: object = None
     before: object = None
     after: object = None
-    # Checkpoint payload: durable page LSNs at checkpoint time.
-    page_lsns: dict | None = None
 
 
 @dataclass
@@ -63,23 +59,19 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """A minimal ARIES: WAL + volatile/durable page images.
+    """A minimal ARIES: WAL + volatile page images.
 
-    Pages are dictionaries (key -> value). ``volatile`` is the buffer
-    pool's view; ``durable`` is what storage holds. ``flush_page``
-    moves an image to durable (honoring WAL: the log always covers
-    what the durable image contains).
+    Pages are dictionaries (key -> value) held in ``volatile``, the
+    buffer pool's view. No page is written back before a crash, so the
+    log is the only durable state and recovery rebuilds every page
+    from it.
     """
 
     def __init__(self, wal: WriteAheadLog) -> None:
         self.wal = wal
         self.volatile: dict[int, dict] = {}
-        self.durable: dict[int, dict] = {}
-        self.volatile_page_lsn: dict[int, int] = {}
-        self.durable_page_lsn: dict[int, int] = {}
         self.log: list[LogRecord] = []
         self.committed: set[int] = set()
-        self.aborted: set[int] = set()
         self.active: set[int] = set()
         # Strict 2PL on writes: ARIES undo is only correct if no
         # transaction overwrites another's uncommitted data.
@@ -115,9 +107,7 @@ class RecoveryManager:
                 f" by txn {holder}"
             )
         self._write_locks[(page_id, key)] = txn_id
-        page = self.volatile.setdefault(
-            page_id, dict(self.durable.get(page_id, {}))
-        )
+        page = self.volatile.setdefault(page_id, {})
         lsn = self._next_lsn
         self._next_lsn += 1
         self._append(LogRecord(
@@ -126,7 +116,6 @@ class RecoveryManager:
             before=page.get(key), after=value,
         ))
         page[key] = value
-        self.volatile_page_lsn[page_id] = lsn
 
     def commit(self, txn_id: int) -> float:
         """Commit: log the record and force the WAL. Returns the
@@ -146,63 +135,17 @@ class RecoveryManager:
         self._release_locks(txn_id)
         return self.now_ns
 
-    def abort(self, txn_id: int) -> None:
-        """Abort: roll back the transaction's updates (logged)."""
-        if txn_id not in self.active:
-            raise TransactionError(f"txn {txn_id} not active")
-        for record in reversed(self.log):
-            if record.kind is RecordKind.UPDATE and \
-                    record.txn_id == txn_id:
-                page = self.volatile.setdefault(
-                    record.page_id,
-                    dict(self.durable.get(record.page_id, {})),
-                )
-                if record.before is None:
-                    page.pop(record.key, None)
-                else:
-                    page[record.key] = record.before
-        lsn = self._next_lsn
-        self._next_lsn += 1
-        self._append(LogRecord(lsn=lsn, kind=RecordKind.ABORT,
-                               txn_id=txn_id))
-        self.active.discard(txn_id)
-        self.aborted.add(txn_id)
-        self._release_locks(txn_id)
-
     def _release_locks(self, txn_id: int) -> None:
         self._write_locks = {
             key: holder for key, holder in self._write_locks.items()
             if holder != txn_id
         }
 
-    # -- storage interaction ----------------------------------------------------
-
-    def flush_page(self, page_id: int) -> None:
-        """Write a volatile page image to durable storage (WAL rule:
-        its covering log records were appended before this point)."""
-        if page_id in self.volatile:
-            self.durable[page_id] = dict(self.volatile[page_id])
-            self.durable_page_lsn[page_id] = \
-                self.volatile_page_lsn.get(page_id, 0)
-
-    def checkpoint(self) -> None:
-        """Flush everything and log a checkpoint."""
-        for page_id in list(self.volatile):
-            self.flush_page(page_id)
-        lsn = self._next_lsn
-        self._next_lsn += 1
-        self._append(LogRecord(
-            lsn=lsn, kind=RecordKind.CHECKPOINT,
-            page_lsns=dict(self.durable_page_lsn),
-        ))
-        self.wal.flush(self.now_ns)
-
     # -- crash and recovery --------------------------------------------------------
 
     def crash(self) -> None:
-        """Lose all volatile state (the log and durable pages survive)."""
+        """Lose all volatile state (the log survives)."""
         self.volatile.clear()
-        self.volatile_page_lsn.clear()
         self._write_locks.clear()
 
     def recover(self, backend: LogBackend | None = None
@@ -215,37 +158,27 @@ class RecoveryManager:
         report = RecoveryReport()
         backend = backend or self.wal.backend
 
-        # Analysis: find losers (txns with no commit/abort record).
+        # Analysis: find losers (txns with no commit record).
         seen: set[int] = set()
         finished: set[int] = set()
-        start_lsn = 0
         for record in self.log:
             report.analysis_records += 1
-            if record.kind is RecordKind.CHECKPOINT:
-                start_lsn = record.lsn
             if record.txn_id >= 0:
                 seen.add(record.txn_id)
-                if record.kind in (RecordKind.COMMIT, RecordKind.ABORT):
+                if record.kind is RecordKind.COMMIT:
                     finished.add(record.txn_id)
         report.losers = seen - finished
 
-        # Redo: repeat history for records newer than the durable page.
-        self.volatile = {
-            page_id: dict(image)
-            for page_id, image in self.durable.items()
-        }
-        self.volatile_page_lsn = dict(self.durable_page_lsn)
+        # Redo: repeat the whole history onto empty pages.
+        self.volatile = {}
         for record in self.log:
             if record.kind is not RecordKind.UPDATE:
-                continue
-            if record.lsn <= self.volatile_page_lsn.get(record.page_id, 0):
                 continue
             page = self.volatile.setdefault(record.page_id, {})
             if record.after is None:
                 page.pop(record.key, None)
             else:
                 page[record.key] = record.after
-            self.volatile_page_lsn[record.page_id] = record.lsn
             report.redo_applied += 1
 
         # Undo the losers, newest first.
@@ -259,11 +192,9 @@ class RecoveryManager:
                     page[record.key] = record.before
                 report.undo_applied += 1
         self.active -= report.losers
-        self.aborted |= report.losers
 
-        # Timing: read the log tail from its backend, apply records.
-        replayed = [r for r in self.log if r.lsn > start_lsn]
-        log_bytes = max(1, len(replayed)) * RECORD_BYTES
+        # Timing: read the log from its backend, apply records.
+        log_bytes = max(1, len(self.log)) * RECORD_BYTES
         report.time_ns = (
             backend.force_time_ns(log_bytes)  # read ~= write envelope
             + transfer_time_ns(
@@ -277,7 +208,4 @@ class RecoveryManager:
 
     def read(self, page_id: int, key: object) -> object | None:
         """Current (volatile) value of a key."""
-        page = self.volatile.get(page_id)
-        if page is None:
-            page = self.durable.get(page_id, {})
-        return page.get(key)
+        return self.volatile.get(page_id, {}).get(key)

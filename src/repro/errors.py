@@ -68,13 +68,15 @@ class DeviceFailure(ReproError):
     """An injected hardware failure surfaced to the caller."""
 
 
-def require_count(name: str, value: object, least: int) -> None:
+def require_count(name: str, value: object, least: int,
+                  error: type[ReproError] = ConfigError) -> None:
     """Refuse a count that is not an integer >= *least* — a bool, a
-    float (even a whole one) or NaN included — as a :class:`ConfigError`
-    at construction, before it can reach a slice or a partition."""
+    float (even a whole one) or NaN included — as *error* (a
+    :class:`ConfigError` at construction, unless the caller names
+    another), before it can reach a slice, a partition or a cost."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < least:
-        raise ConfigError(
+        raise error(
             f"{name} must be an integer >= {least}, got {value!r}")
 
 

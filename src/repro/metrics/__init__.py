@@ -1,15 +1,13 @@
 """Measurement utilities: streaming statistics, histograms, reports.
 
 The hierarchical :class:`MetricsRegistry` is the accounting half of
-the :class:`repro.sim.context.SimContext` instrumentation spine;
-:class:`CounterRegistry` is its legacy flat facade.
+the :class:`repro.sim.context.SimContext` instrumentation spine.
 """
 
 from .._lazy import attach
 
 #: Public name -> the submodule that defines it, imported on first use.
 _SOURCES = {
-    "CounterRegistry": "counters",
     "MetricsRegistry": "registry",
     "ScopedMetrics": "registry",
     "SnapshotProvider": "registry",

@@ -2,8 +2,8 @@
 
 Enough machinery to reproduce the paper's analytical claims: scans,
 filters, projections, aggregation, partitioned hash join, external
-sort / sort-merge join, a small cost-based planner (hash-vs-sort and
-NDP offload decisions), and TPC-H-shaped queries for experiment E3.
+sort / sort-merge join, a small cost-based planner (the hash-vs-sort
+choice), and TPC-H-shaped queries for experiment E3.
 """
 
 from .._lazy import attach
@@ -13,7 +13,6 @@ _SOURCES = {
     "ColumnScan": "columnar",
     "ColumnTable": "columnar",
     "HashJoin": "hashjoin",
-    "IndexNestedLoopJoin": "indexjoin",
     "Filter": "operators",
     "HashAggregate": "operators",
     "Project": "operators",

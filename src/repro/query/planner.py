@@ -1,20 +1,16 @@
-"""A small cost-based planner for the decisions the paper raises.
+"""A small cost-based planner for the join choice the paper raises.
 
-Two choices are modelled:
-
-* **hash vs sort** for a join given input cardinalities and the
-  location of work memory (Sec 3.3: "accepted wisdom regarding when
-  to use each one may change" at rack scale);
-* **NDP offload** for a selective scan (Sec 4: which portions of
-  query processing should run near the data).
+**Hash vs sort** for a join, given input cardinalities and the
+location of work memory (Sec 3.3: "accepted wisdom regarding when to
+use each one may change" at rack scale). E7's crossover table is this
+planner's choice at each size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.ndp import NDPController
-from ..errors import QueryError
+from ..errors import QueryError, require_count
 from ..sim.interconnect import AccessPath
 from .hashjoin import HashJoin
 from .operators import Operator
@@ -51,9 +47,10 @@ class JoinPlanner:
                     left_key: str, right_key: str,
                     left_rows: int, right_rows: int
                     ) -> tuple[Operator, JoinChoice]:
-        """Return (operator, decision) for the cheaper join algorithm."""
-        if left_rows < 0 or right_rows < 0:
-            raise QueryError("cardinalities must be non-negative")
+        """Return (operator, decision) for the cheaper join algorithm.
+        A cardinality that is not an integer >= 0 is a QueryError."""
+        require_count("left_rows", left_rows, 0, QueryError)
+        require_count("right_rows", right_rows, 0, QueryError)
         hash_join = HashJoin(left, right, left_key, right_key,
                              work_path=self.work_path,
                              work_mem_rows=self.work_mem_rows)
@@ -70,31 +67,3 @@ class JoinPlanner:
         op = hash_join if choice.algorithm == "hash" else sort_join
         return op, choice
 
-
-@dataclass(frozen=True)
-class OffloadChoice:
-    """NDP offload decision for a selective scan."""
-
-    offload: bool
-    host_cost_ns: float
-    ndp_cost_ns: float
-
-    @property
-    def speedup(self) -> float:
-        """Host cost over the chosen plan's cost."""
-        chosen = self.ndp_cost_ns if self.offload else self.host_cost_ns
-        if chosen <= 0:
-            return 1.0
-        return self.host_cost_ns / chosen
-
-
-def choose_scan_site(controller: NDPController, num_pages: int,
-                     selectivity: float) -> OffloadChoice:
-    """Should a selective scan run on the host or on the controller?"""
-    host = controller.host_filter_time(num_pages, selectivity)
-    ndp = controller.offload_filter_time(num_pages, selectivity)
-    return OffloadChoice(
-        offload=ndp.time_ns < host.time_ns,
-        host_cost_ns=host.time_ns,
-        ndp_cost_ns=ndp.time_ns,
-    )

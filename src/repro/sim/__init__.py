@@ -16,8 +16,6 @@ from .._lazy import attach
 
 #: Public name -> the submodule that defines it, imported on first use.
 _SOURCES = {
-    "AddressSpace": "address",
-    "Region": "address",
     "SharedChannel": "bandwidth",
     "SimClock": "clock",
     "SimContext": "context",
@@ -27,7 +25,6 @@ _SOURCES = {
     "Simulator": "events",
     "AccessPath": "interconnect",
     "Link": "interconnect",
-    "InterleaveSet": "interleave",
     "MemoryDevice": "memory",
     "NUMANode": "numa",
     "NUMASystem": "numa",

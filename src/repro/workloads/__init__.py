@@ -13,10 +13,6 @@ from .._lazy import attach
 _SOURCES = {
     "CloudWorkload": "cloudmix",
     "generate_population": "cloudmix",
-    "TraceProfile": "replay",
-    "load_trace": "replay",
-    "profile_trace": "replay",
-    "save_trace": "replay",
     "mixed_htap_blocks": "scans",
     "scan_blocks": "scans",
     "AccessBlock": "traces",

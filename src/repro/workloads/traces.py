@@ -358,18 +358,6 @@ def _interleave(cursors, weights) -> Iterator[AccessBlock]:
     yield from builder.drain(final=True)
 
 
-def take(trace, n: int) -> Iterator[AccessBlock]:
-    """The first *n* accesses of a trace, truncated at access
-    granularity."""
-    cursor = _BlockCursor(trace)
-    remaining = n
-    while remaining > 0 and cursor.refill():
-        step = min(remaining, cursor.buffered())
-        yield cursor.block.slice(cursor.pos, cursor.pos + step)
-        cursor.pos += step
-        remaining -= step
-
-
 def instrumented(trace, ctx, name: str = "trace"
                  ) -> Iterator[AccessBlock]:
     """Pass a trace through while counting it into *ctx* metrics.

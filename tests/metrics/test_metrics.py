@@ -1,10 +1,9 @@
-"""Streaming stats, histograms, counters, report tables."""
+"""Streaming stats, histograms, report tables."""
 
 import math
 
 import pytest
 
-from repro.metrics.counters import CounterRegistry
 from repro.metrics.report import Table, fmt_ratio
 from repro.metrics.stats import Histogram, StreamingStats, percentile
 
@@ -130,41 +129,6 @@ class TestHistogram:
         hist.add(4_000_000.0)  # disk fault
         assert hist.quantile(1.0) >= 4_000_000.0 * 0.8
         assert not math.isinf(hist.stats.mean)
-
-
-class TestCounterRegistry:
-    def test_incr_and_get(self):
-        counters = CounterRegistry()
-        assert counters.incr("x") == 1
-        assert counters.incr("x", by=4) == 5
-        assert counters.get("x") == 5
-        assert counters["x"] == 5
-
-    def test_missing_is_zero(self):
-        assert CounterRegistry().get("nope") == 0
-
-    def test_contains(self):
-        counters = CounterRegistry()
-        counters.incr("a")
-        assert "a" in counters
-        assert "b" not in counters
-
-    def test_reset_one_and_all(self):
-        counters = CounterRegistry()
-        counters.incr("a")
-        counters.incr("b")
-        counters.reset("a")
-        assert counters.get("a") == 0
-        assert counters.get("b") == 1
-        counters.reset()
-        assert counters.snapshot() == {}
-
-    def test_snapshot_is_copy(self):
-        counters = CounterRegistry()
-        counters.incr("a")
-        snap = counters.snapshot()
-        snap["a"] = 99
-        assert counters.get("a") == 1
 
 
 class TestReportTable:

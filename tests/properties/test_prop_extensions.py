@@ -1,53 +1,15 @@
-"""Property tests for the extension modules: interleaving, WAL,
-autoscaling, morsel scheduling, and the 2PL executor."""
+"""Property tests for the extension modules: WAL, autoscaling,
+morsel scheduling, and the 2PL executor."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config
 from repro.core.autoscale import Autoscaler, QueryJob
 from repro.core.morsel import Morsel, RackScheduler
 from repro.core.txn import TwoPhaseLockingExecutor
 from repro.core.wal import BatteryDRAMLogBackend, WriteAheadLog
-from repro.sim.interconnect import AccessPath, Link
-from repro.sim.interleave import InterleaveSet
-from repro.sim.memory import MemoryDevice
 from repro.workloads.tpcc import RecordOp, Transaction
-
-
-def _paths(n):
-    return [
-        AccessPath(device=MemoryDevice(config.cxl_expander_ddr5(),
-                                       name=f"m{i}"),
-                   links=(Link(config.cxl_port()),))
-        for i in range(n)
-    ]
-
-
-@given(members=st.integers(min_value=1, max_value=6),
-       weights=st.lists(st.integers(min_value=1, max_value=5),
-                        min_size=1, max_size=6),
-       addrs=st.lists(st.integers(min_value=0, max_value=1 << 30),
-                      min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_interleave_stripe_partitions_addresses(members, weights, addrs):
-    """Every address maps to exactly one member, deterministically,
-    and the weighted stripe honors the weights over a full cycle."""
-    weights = (weights * members)[:members]
-    paths = _paths(members)
-    iset = InterleaveSet(paths=paths, granularity_bytes=256,
-                         weights=weights)
-    for addr in addrs:
-        first = iset.path_for(addr)
-        second = iset.path_for(addr)
-        assert first is second
-        assert first in paths
-    # One full weighted cycle hits each member exactly weight times.
-    total = sum(weights)
-    cycle = [iset.path_for(i * 256) for i in range(total)]
-    for path, weight in zip(paths, weights):
-        assert cycle.count(path) == weight
 
 
 @given(arrivals=st.lists(st.floats(min_value=0, max_value=1e6,

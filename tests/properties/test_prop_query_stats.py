@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import ScaleUpEngine
-from repro.core.locks import LockMode, LockTable
 from repro.metrics.stats import StreamingStats, percentile
 from repro.query.hashjoin import HashJoin
 from repro.query.operators import HashAggregate, TableScan, collect
@@ -89,28 +88,6 @@ def test_aggregate_matches_python_groupby(rows):
     for k, n, s in out:
         assert expected[k][0] == n
         assert expected[k][1] == pytest.approx(s)
-
-
-lock_ops = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),      # txn
-              st.integers(min_value=0, max_value=5),      # key
-              st.booleans(),                               # exclusive
-              st.booleans()),                              # release after
-    max_size=200,
-)
-
-
-@given(ops=lock_ops)
-@settings(max_examples=60, deadline=None)
-def test_lock_table_never_grants_conflicting_locks(ops):
-    table = LockTable()
-    for txn, key, exclusive, release in ops:
-        mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
-        table.try_acquire(txn, key, mode)
-        table.check_consistency()
-        if release:
-            table.release_all(txn)
-            table.check_consistency()
 
 
 @given(data=st.lists(st.floats(min_value=-1e6, max_value=1e6,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro import config
 from repro.errors import AddressError
-from repro.sim.address import AddressSpace
 from repro.sim.bandwidth import SharedChannel
 from repro.sim.coherence import CoherenceDirectory, LineState
 from repro.sim.events import Simulator
@@ -82,21 +81,6 @@ def test_allocator_never_loses_bytes(sizes):
     assert device.free_bytes == device.capacity_bytes
     # After freeing everything the device must coalesce to one hole.
     device.allocate(device.capacity_bytes)
-
-
-@given(sizes=st.lists(st.integers(min_value=1, max_value=1 << 16),
-                      min_size=1, max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_address_space_resolution_is_partition(sizes):
-    """Every mapped byte resolves to exactly the region covering it."""
-    space = AddressSpace()
-    for size in sizes:
-        space.map_device(
-            MemoryDevice(config.local_ddr5(capacity_bytes=size))
-        )
-    for region in space.regions():
-        assert space.resolve(region.base) is region
-        assert space.resolve(region.end - 1) is region
 
 
 @given(requests=st.lists(

@@ -4,9 +4,10 @@ import pytest
 
 from repro import config
 from repro.core.engine import ScaleUpEngine
+from repro.errors import QueryError
 from repro.query.hashjoin import HashJoin
 from repro.query.operators import TableScan, collect
-from repro.query.planner import JoinPlanner, choose_scan_site
+from repro.query.planner import JoinPlanner
 from repro.query.schema import Column, ColumnType, Schema
 from repro.query.sort import ExternalSort, SortMergeJoin
 from repro.query.table import Table
@@ -174,14 +175,15 @@ class TestJoinPlanner:
         rows, _ = collect(op, engine)
         assert len(rows) == 400
 
-
-class TestScanSiteChoice:
-    def test_selective_scan_offloaded(self):
-        from repro.core.ndp import NDPController
-        path = AccessPath(device=MemoryDevice(config.cxl_expander_ddr5()),
-                          links=(Link(config.cxl_port()),))
-        controller = NDPController(path)
-        choice = choose_scan_site(controller, num_pages=100_000,
-                                  selectivity=0.01)
-        assert choice.offload
-        assert choice.speedup > 1.0
+    @pytest.mark.parametrize("rows", [
+        -1, float("nan"), float("inf"), 10.5, 4.0, True, "10", None])
+    def test_bad_cardinality_is_a_query_error(self, setup, rows):
+        """The planner prices only an integer count of rows >= 0: NaN
+        and infinity used to escape as bare ValueError/OverflowError,
+        and 10.5 or True were priced as if they were counts."""
+        _engine, left, right = setup
+        planner = JoinPlanner(work_mem_rows=50_000_000)
+        for left_rows, right_rows in ((rows, 10), (10, rows)):
+            with pytest.raises(QueryError):
+                planner.choose_join(TableScan(left), TableScan(right),
+                                    "id", "id", left_rows, right_rows)

@@ -1,12 +1,9 @@
-"""Shared channels and address spaces."""
+"""Shared channels."""
 
 import pytest
 
-from repro import config
-from repro.errors import AddressError, ConfigError
-from repro.sim.address import AddressSpace, Region
+from repro.errors import ConfigError
 from repro.sim.bandwidth import SharedChannel
-from repro.sim.memory import MemoryDevice
 
 
 class TestSharedChannel:
@@ -63,79 +60,3 @@ class TestSharedChannel:
         with pytest.raises(ConfigError):
             SharedChannel("bad", 0.0)
 
-
-def _device(capacity=1024 * 1024) -> MemoryDevice:
-    return MemoryDevice(config.local_ddr5(capacity_bytes=capacity))
-
-
-class TestRegion:
-    def test_contains_and_offset(self):
-        region = Region(base=0x1000, size=0x1000, device=_device())
-        assert region.contains(0x1000)
-        assert region.contains(0x1FFF)
-        assert not region.contains(0x2000)
-        assert region.offset_of(0x1800) == 0x800
-
-    def test_offset_outside_raises(self):
-        region = Region(base=0, size=16, device=_device())
-        with pytest.raises(AddressError):
-            region.offset_of(16)
-
-    def test_invalid_geometry(self):
-        with pytest.raises(AddressError):
-            Region(base=-1, size=10, device=_device())
-        with pytest.raises(AddressError):
-            Region(base=0, size=0, device=_device())
-
-
-class TestAddressSpace:
-    def test_map_device_appends(self):
-        space = AddressSpace()
-        d1, d2 = _device(4096), _device(8192)
-        r1 = space.map_device(d1)
-        r2 = space.map_device(d2)
-        assert r1.base == 0
-        assert r2.base == 4096
-        assert space.top == 4096 + 8192
-
-    def test_resolve(self):
-        space = AddressSpace()
-        d1, d2 = _device(4096), _device(8192)
-        space.map_device(d1)
-        space.map_device(d2)
-        assert space.resolve(100).device is d1
-        assert space.resolve(5000).device is d2
-
-    def test_resolve_unmapped(self):
-        space = AddressSpace()
-        space.map_device(_device(4096))
-        with pytest.raises(AddressError):
-            space.resolve(4096)
-        with pytest.raises(AddressError):
-            AddressSpace().resolve(0)
-
-    def test_overlap_rejected(self):
-        space = AddressSpace()
-        space.map_region(Region(base=0, size=100, device=_device()))
-        with pytest.raises(AddressError):
-            space.map_region(Region(base=50, size=100, device=_device()))
-
-    def test_gap_then_resolve(self):
-        space = AddressSpace()
-        space.map_region(Region(base=1000, size=100, device=_device()))
-        with pytest.raises(AddressError):
-            space.resolve(500)
-        assert space.resolve(1050).base == 1000
-
-    def test_shared_flag_for_gfam(self):
-        space = AddressSpace()
-        region = space.map_device(_device(4096), label="gfam", shared=True)
-        assert region.shared
-        assert space.resolve(0).shared
-
-    def test_mapped_bytes(self):
-        space = AddressSpace()
-        space.map_device(_device(4096))
-        space.map_device(_device(8192))
-        assert space.mapped_bytes == 12288
-        assert len(space) == 2

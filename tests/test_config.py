@@ -98,10 +98,6 @@ class TestSpecValidation:
         assert bigger.capacity_bytes == 2 * spec.capacity_bytes
         assert bigger.load_latency_ns == spec.load_latency_ns
 
-    def test_host_spec_rejects_zero_cores(self):
-        with pytest.raises(ConfigError):
-            config.HostSpec(name="h", cores=0)
-
 
 class TestPresetShapes:
     def test_hbm_expander_has_more_bandwidth_than_ddr(self):
@@ -120,9 +116,6 @@ class TestPresetShapes:
         assert nvm.store_latency_ns > nvm.load_latency_ns
 
     def test_storage_hierarchy_ordering(self):
-        nvme, sata, hdd = (config.nvme_ssd(), config.sata_ssd(),
-                           config.hdd())
-        assert (nvme.read_latency_ns < sata.read_latency_ns
-                < hdd.read_latency_ns)
-        assert (nvme.read_bandwidth > sata.read_bandwidth
-                > hdd.read_bandwidth)
+        nvme, hdd = config.nvme_ssd(), config.hdd()
+        assert nvme.read_latency_ns < hdd.read_latency_ns
+        assert nvme.read_bandwidth > hdd.read_bandwidth

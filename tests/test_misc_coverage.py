@@ -1,16 +1,10 @@
-"""Coverage for smaller surfaces: errors, hetero workloads, planner
-edges, reports."""
+"""Coverage for smaller surfaces: errors, hetero workloads, reports."""
 
 import pytest
 
 from repro import errors
 from repro.core.engine import ScaleUpEngine
 from repro.core.hetero import DEVICE_RATES, DeviceClass, mixed_workload
-from repro.core.ndp import NDPController
-from repro.query.planner import OffloadChoice, choose_scan_site
-from repro.sim.interconnect import AccessPath
-from repro.sim.memory import MemoryDevice
-from repro import config
 
 
 class TestErrorHierarchy:
@@ -52,24 +46,6 @@ class TestHeteroWorkload:
         for klass in DeviceClass:
             assert klass in DEVICE_RATES
             assert all(rate > 0 for rate in DEVICE_RATES[klass].values())
-
-
-class TestPlannerEdges:
-    def test_host_preferred_when_cheaper(self):
-        controller = NDPController(
-            AccessPath(device=MemoryDevice(config.cxl_expander_ddr5())),
-            scan_rate=1.0,        # a uselessly slow controller
-            host_scan_rate=80.0,
-        )
-        choice = choose_scan_site(controller, num_pages=1_000,
-                                  selectivity=0.5)
-        assert not choice.offload
-        assert choice.speedup == 1.0  # chosen plan IS the host plan
-
-    def test_offload_choice_speedup_math(self):
-        choice = OffloadChoice(offload=True, host_cost_ns=100.0,
-                               ndp_cost_ns=25.0)
-        assert choice.speedup == pytest.approx(4.0)
 
 
 class TestEngineGetPage:

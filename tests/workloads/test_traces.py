@@ -1,9 +1,9 @@
 """Coverage for the trace combinators in ``workloads.traces``.
 
-Interleave weights, uneven exhaustion, truncation and metrics
-counting over block traces, held elementwise to the frozen scalar
-interleave (``tests.oracle.traces``); and the one check every
-combinator makes: a trace holds ``AccessBlock`` chunks only.
+Interleave weights, uneven exhaustion and metrics counting over block
+traces, held elementwise to the frozen scalar interleave
+(``tests.oracle.traces``); and the one check every combinator makes: a
+trace holds ``AccessBlock`` chunks only.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.workloads.traces import (
     AccessBlock,
     instrumented,
     interleave,
-    take,
 )
 
 from tests.oracle.traces import (
@@ -88,36 +87,6 @@ class TestInterleave:
         with pytest.raises(ConfigError, match="interleave weight"):
             interleave(scan_blocks(0, 10), scan_blocks(100, 10),
                        weights=weights)
-
-
-class TestTake:
-    def test_take_past_end_of_trace(self):
-        trace = blockify(ids(0, 1, 2, 3))
-        assert pages(take(trace, 10)) == [0, 1, 2, 3]
-        assert pages(take(iter([]), 5)) == []
-
-    def test_take_exact_and_zero(self):
-        trace = blockify(ids(0, 1, 2, 3))
-        assert pages(take(trace, 4)) == [0, 1, 2, 3]
-        assert pages(take(trace, 0)) == []
-
-    def test_take_stops_pulling_after_n(self):
-        pulled = []
-
-        def generator():
-            for i in range(100):
-                pulled.append(i)
-                yield from blockify(ids(i), block_ops=1)
-
-        assert pages(take(generator(), 3)) == [0, 1, 2]
-        assert len(pulled) <= 4
-
-    def test_take_blocks_truncates_at_access_granularity(self):
-        trace = ids(*range(10))
-        out = list(take(blockify(trace, 4), 6))
-        assert all(type(b) is AccessBlock for b in out)
-        assert pages(out) == [0, 1, 2, 3, 4, 5]
-        assert pages(take(blockify(trace, 4), 25)) == list(range(10))
 
 
 class TestInstrumented:

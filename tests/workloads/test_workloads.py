@@ -9,7 +9,7 @@ from repro.workloads.cloudmix import (
     generate_population,
 )
 from repro.workloads.scans import mixed_htap_blocks, scan_blocks
-from repro.workloads.traces import interleave, take
+from repro.workloads.traces import interleave
 from repro.workloads.ycsb import (
     YCSBConfig,
     working_set_pages,
@@ -66,11 +66,6 @@ class TestInterleave:
     def test_weight_arity_checked(self):
         with pytest.raises(ValueError):
             list(interleave([], [], weights=[1]))
-
-    def test_take(self):
-        trace = iter(blocks(*range(100)))
-        assert len(expand(take(trace, 7))) == 7
-        assert len(expand(take(blocks(1), 5))) == 1
 
 
 class TestZipf:
