@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint bench sweep ledger-smoke route-check structure-check census trace-demo clean
+.PHONY: verify test lint sweep ledger-smoke route-check structure-check census trace-demo clean
 
 # The tier-1 gate: what CI runs and what every change must keep green.
 verify: test lint structure-check
@@ -16,18 +16,12 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-# The gated scenario sweeps (mirrors the CI sweep job): E1/E2/E4/E7
-# plus the A7 interference grid and the A8 Pond-at-scale serving grid
-# fan out across workers, results land in results/sweeps/, and each
-# sweep's baseline shape invariants must hold.
+# Every experiment (mirrors the CI sweep job): each spec under specs/
+# fans its cells out across workers, serves unchanged cells from the
+# committed results/store/, writes results/sweeps/<spec>.json, and must
+# hold its baseline's shape invariants.
 sweep:
-	$(PYTHON) -m repro sweep specs/e1_paths.json specs/e2_tiering.json \
-		specs/e4_transfer_ladder.json specs/e7_distribution.json \
-		specs/a7_interference.json specs/a8_pondscale.json \
-		--jobs 4 --gate
+	$(PYTHON) -m repro sweep specs/*.json --jobs 4 --gate
 
 # The benchmark (ledger/) at 1/20 size — one traced rep per workload,
 # every digest and validity check — plus the ledger's own tests. The
@@ -136,6 +130,10 @@ route-check:
 # six deleted module files may not come back under src/, nor may their
 # names, the NDP offload chooser, the B+tree range scan, the unused
 # presets or HostSpec appear in any src/ line.
+# One way to run an experiment: a spec under specs/ through `repro
+# sweep`. The retired script directory, its pytest file pattern in
+# pyproject.toml and the runner that loaded it (its finder, loader,
+# environment variable and flag) may not come back.
 # The line counts of the pool, placement, tracker, chain and page files,
 # and of the four TPC-C files, are printed for the CI log.
 define STRUCTURE_CHECK
@@ -258,6 +256,20 @@ for path in sorted(pathlib.Path("src").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
         if unreached.search(line):
             bad.append("%s:%d: %s" % (path, number, line.strip()))
+# (Spelled in pieces so the Makefile does not match itself.)
+scripts = "bench" "marks"
+if pathlib.Path(scripts).exists():
+    bad.append(scripts + "/ exists")
+if re.search("bench" r"_\*\.py", pathlib.Path("pyproject.toml").read_text()):
+    bad.append("pyproject.toml: the retired script pattern is a test file"
+               " pattern")
+runner = re.compile("find_" "benchmarks_dir|load_" "experiment"
+                    "|REPRO_" "BENCH_DIR|bench" "-dir")
+for root in ("src", "tools"):
+    for path in sorted(pathlib.Path(root).rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if runner.search(line):
+                bad.append("%s:%d: %s" % (path, number, line.strip()))
 print("structure-check:", "\n  ".join(bad) if bad else "ok")
 sys.exit(1 if bad else 0)
 endef
@@ -271,9 +283,9 @@ structure-check:
 	@wc -l src/repro/workloads/tpcc.py src/repro/core/txn.py \
 		src/repro/core/scaleout.py src/repro/core/shared.py
 
-# The reach census: every cell of the six specs, the five pool ledger
-# workloads at 1/20 size, the examples and the benchmarks run in one
-# process under one profile hook. It fails when a src/repro/ module
+# The reach census: every cell of every spec under specs/, the five pool
+# ledger workloads at 1/20 size and the examples run in one process
+# under one profile hook. It fails when a src/repro/ module
 # outside its exemptions has no function that ran, and lists every
 # function that never ran (~40 s).
 census:

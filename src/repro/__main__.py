@@ -1,4 +1,4 @@
-"""``python -m repro`` — run the paper experiments."""
+"""``python -m repro sweep`` — run the gated experiment specs."""
 
 import sys
 

@@ -1,13 +1,7 @@
-"""Command-line experiment runner and sweep harness.
+"""Command line: ``repro sweep`` runs the gated experiment specs.
 
-``python -m repro`` (or the installed ``repro`` script) runs paper
-experiments and prints the paper-vs-measured tables::
-
-    repro                 # run everything
-    repro e3 e7           # run selected experiments
-    repro --list          # one line per experiment, with descriptions
-
-Declarative sweeps (the ``repro.harness`` subsystem)::
+Every experiment is a declarative spec under ``specs/`` run through
+the ``repro.harness`` subsystem::
 
     repro sweep specs/e7_distribution.json --jobs 4 --gate
     repro sweep specs/*.json --out-dir results/sweeps
@@ -17,234 +11,23 @@ across worker processes (each cell in its own SimContext), serves
 unchanged cells from the content-addressed result store, and — with
 ``--gate`` — asserts the baseline's shape invariants, exiting nonzero
 on regression. See ``docs/harness.md``.
-
-Observability (the SimContext spine)::
-
-    repro e1 --trace-out run.trace.json   # chrome://tracing
-    repro e1 --trace-out run.jsonl        # JSON lines
-    repro e1 --metrics-out metrics.json   # metrics snapshot
-
-Benchmark discovery: experiment implementations live in
-``benchmarks/`` next to this repository's ``src/``. For installed
-packages (no repository layout around the module) point the CLI at a
-checkout's benchmarks with ``--bench-dir`` or ``REPRO_BENCH_DIR``.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
-import importlib.util
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from .errors import ConfigError
-from .metrics.registry import MetricsRegistry
-from .metrics.report import latency_breakdown
-from .sim.context import set_ambient
-from .sim.trace import sink_for_path
 
-#: Environment variable naming the benchmarks directory explicitly.
-BENCH_DIR_ENV = "REPRO_BENCH_DIR"
+#: What a command other than ``sweep`` is told.
+USAGE = ("usage: repro sweep specs/<file>.json [--jobs N] [--gate]\n"
+         "every experiment is a spec under specs/; `repro sweep --help`"
+         " lists the options")
 
-#: Experiment id -> benchmark module filename.
-EXPERIMENTS: dict[str, str] = {
-    "e1": "bench_e1_latency_bandwidth.py",
-    "e2": "bench_e2_tpp_tiering.py",
-    "e3": "bench_e3_pond_population.py",
-    "e4": "bench_e4_cxl_vs_rdma.py",
-    "e5": "bench_e5_memory_expansion.py",
-    "e6": "bench_e6_pooling_elasticity.py",
-    "e7": "bench_e7_sharing_vs_scaleout.py",
-    "e8": "bench_e8_ndp_offload.py",
-    "e9": "bench_e9_heterogeneous.py",
-    "e10": "bench_e10_ras_failures.py",
-    "f1": "bench_f1_coherency_domain.py",
-    "a1": "bench_a1_ablations.py",
-    "a5": "bench_a2_index_placement.py",
-    "a6": "bench_a3_autoscale.py",
-    "a7": "bench_a4_oltp_mechanisms.py",
-    "a8": "bench_a5_morsel_scheduling.py",
-    "a9": "bench_a6_memory_diversity.py",
-    "a11": "bench_a8_columnar_cxl.py",
-}
-
-
-def find_benchmarks_dir(start: Path | None = None,
-                        explicit: str | Path | None = None) -> Path | None:
-    """Locate the repository's benchmarks/ directory.
-
-    Resolution order: *explicit* (the ``--bench-dir`` flag), the
-    ``REPRO_BENCH_DIR`` environment variable, then upward searches
-    from this file (source checkouts) and from the current working
-    directory. Explicit locations that don't contain the benchmarks
-    return None rather than silently falling through — the caller
-    reports what was wrong.
-    """
-    if explicit is None:
-        explicit = os.environ.get(BENCH_DIR_ENV) or None
-    if explicit is not None:
-        candidate = Path(explicit).expanduser().resolve()
-        return candidate if _is_bench_dir(candidate) else None
-    candidates = []
-    here = Path(__file__).resolve()
-    candidates.extend(parent / "benchmarks" for parent in here.parents)
-    cwd = (start or Path.cwd()).resolve()
-    candidates.append(cwd / "benchmarks")
-    candidates.extend(parent / "benchmarks" for parent in cwd.parents)
-    for candidate in candidates:
-        if _is_bench_dir(candidate):
-            return candidate
-    return None
-
-
-def _is_bench_dir(path: Path) -> bool:
-    return (path / EXPERIMENTS["e1"]).is_file()
-
-
-def _bench_dir_error(explicit: str | None) -> str:
-    """A clear, actionable discovery failure message."""
-    if explicit is not None:
-        return (
-            f"error: --bench-dir {explicit!r} does not contain the"
-            f" benchmark modules (expected {EXPERIMENTS['e1']} inside"
-            " it)"
-        )
-    env = os.environ.get(BENCH_DIR_ENV)
-    if env:
-        return (
-            f"error: {BENCH_DIR_ENV}={env!r} does not contain the"
-            f" benchmark modules (expected {EXPERIMENTS['e1']} inside"
-            " it)"
-        )
-    return (
-        "error: could not locate the benchmarks/ directory by searching"
-        f" upward from {Path(__file__).resolve().parent} and"
-        f" {Path.cwd()}; run from a repository checkout, or point the"
-        f" CLI at one with --bench-dir PATH or {BENCH_DIR_ENV}=PATH"
-    )
-
-
-def experiment_description(bench_dir: Path, exp_id: str) -> str:
-    """First docstring line of a benchmark module (without importing it)."""
-    path = bench_dir / EXPERIMENTS[exp_id]
-    try:
-        tree = ast.parse(path.read_text())
-    except (OSError, SyntaxError):
-        return ""
-    doc = ast.get_docstring(tree) or ""
-    return doc.splitlines()[0].strip() if doc else ""
-
-
-def load_experiment(bench_dir: Path, exp_id: str):
-    """Import a benchmark module and return its run_experiment."""
-    filename = EXPERIMENTS[exp_id]
-    path = bench_dir / filename
-    spec = importlib.util.spec_from_file_location(
-        f"repro_bench_{exp_id}", path
-    )
-    if spec is None or spec.loader is None:
-        raise ImportError(f"cannot load {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.run_experiment
-
-
-# ---------------------------------------------------------------------------
-# repro [ids...] — the classic experiment runner.
-# ---------------------------------------------------------------------------
-
-def run_main(argv: list[str]) -> int:
-    """The experiment-runner command; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run the paper-reproduction experiments"
-                    " (use 'repro sweep' for declarative sweeps).",
-    )
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (default: all)")
-    parser.add_argument("--list", action="store_true",
-                        help="list available experiments and exit")
-    parser.add_argument("--bench-dir", metavar="PATH",
-                        help="directory containing the bench_*.py"
-                             f" modules (default: autodetect;"
-                             f" env {BENCH_DIR_ENV})")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="record a virtual-time trace of the run"
-                             " (.jsonl = JSON lines, else Chrome"
-                             " trace-event JSON for chrome://tracing)")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write the hierarchical metrics snapshot"
-                             " as JSON and print a latency breakdown")
-    args = parser.parse_args(argv)
-
-    bench_dir = find_benchmarks_dir(explicit=args.bench_dir)
-
-    if args.list:
-        for exp_id, filename in EXPERIMENTS.items():
-            description = (
-                experiment_description(bench_dir, exp_id)
-                if bench_dir else filename
-            )
-            print(f"  {exp_id:<4} {description or filename}")
-        return 0
-
-    if bench_dir is None:
-        print(_bench_dir_error(args.bench_dir), file=sys.stderr)
-        return 2
-
-    selected = args.experiments or list(EXPERIMENTS)
-    unknown = [e for e in selected if e not in EXPERIMENTS]
-    if unknown:
-        print(f"error: unknown experiments {unknown};"
-              f" choose from {list(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-
-    # Fail on unwritable output paths now, not after the experiments
-    # have run (the Chrome sink only opens its file on close).
-    for out in (args.trace_out, args.metrics_out):
-        if out is None:
-            continue
-        parent = Path(out).resolve().parent
-        if not parent.is_dir():
-            print(f"error: cannot write {out}:"
-                  f" no such directory {parent}", file=sys.stderr)
-            return 2
-
-    # Install the ambient instrumentation spine for the run: every
-    # SimContext created without an explicit trace/metrics (i.e. every
-    # engine the experiments build) picks these up.
-    sink = sink_for_path(args.trace_out) if args.trace_out else None
-    metrics = MetricsRegistry() if args.metrics_out else None
-    previous = set_ambient(trace=sink, metrics=metrics)
-    try:
-        for exp_id in selected:
-            run = load_experiment(bench_dir, exp_id)
-            started = time.time()
-            run(show=True)
-            print(f"[{exp_id} done in {time.time() - started:.1f}s]")
-    finally:
-        set_ambient(*previous)
-        if sink is not None:
-            sink.close()
-            print(f"[trace written to {args.trace_out}]")
-        if metrics is not None:
-            snapshot = metrics.snapshot()
-            Path(args.metrics_out).write_text(
-                json.dumps(snapshot, indent=2, sort_keys=True,
-                           default=str) + "\n"
-            )
-            latency_breakdown(snapshot).show()
-            print(f"[metrics written to {args.metrics_out}]")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# repro sweep <spec>... — the declarative harness.
-# ---------------------------------------------------------------------------
 
 def sweep_main(argv: list[str]) -> int:
     """The sweep command; returns a process exit code.
@@ -389,12 +172,17 @@ def _resolve_baseline(override: str | None, sweep, spec_path: Path):
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if not argv or argv[0] != "sweep":
+        command = f"unknown command {argv[0]!r}" if argv else "no command"
+        print(f"error: {command}\n{USAGE}", file=sys.stderr)
+        return 2
     try:
-        if argv and argv[0] == "sweep":
-            return sweep_main(argv[1:])
-        return run_main(argv)
+        return sweep_main(argv[1:])
     except BrokenPipeError:
-        # stdout went away (e.g. `repro --list | head`); exit quietly
+        # stdout went away (e.g. `repro sweep ... | head`); exit quietly
         # without a traceback, reopening stdout so the interpreter's
         # shutdown flush cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)

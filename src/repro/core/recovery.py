@@ -73,6 +73,10 @@ class RecoveryManager:
         self.log: list[LogRecord] = []
         self.committed: set[int] = set()
         self.active: set[int] = set()
+        # Every txn id with a record in the log. Recovery judges a txn
+        # by its records, so an id reused after a crash would inherit
+        # (and could commit) a rolled-back loser's updates.
+        self._logged: set[int] = set()
         # Strict 2PL on writes: ARIES undo is only correct if no
         # transaction overwrites another's uncommitted data.
         self._write_locks: dict[tuple[int, object], int] = {}
@@ -90,8 +94,8 @@ class RecoveryManager:
     # -- transaction API -----------------------------------------------------
 
     def begin(self, txn_id: int) -> None:
-        """Start a transaction."""
-        if txn_id in self.active or txn_id in self.committed:
+        """Start a transaction; an id already in the log is refused."""
+        if txn_id in self.active or txn_id in self._logged:
             raise TransactionError(f"txn {txn_id} already used")
         self.active.add(txn_id)
 
@@ -107,6 +111,7 @@ class RecoveryManager:
                 f" by txn {holder}"
             )
         self._write_locks[(page_id, key)] = txn_id
+        self._logged.add(txn_id)
         page = self.volatile.setdefault(page_id, {})
         lsn = self._next_lsn
         self._next_lsn += 1
@@ -126,6 +131,7 @@ class RecoveryManager:
         self._next_lsn += 1
         self.log.append(LogRecord(lsn=lsn, kind=RecordKind.COMMIT,
                                   txn_id=txn_id))
+        self._logged.add(txn_id)
         self.wal.append(RECORD_BYTES, self.now_ns)
         done = self.wal.flush(self.now_ns)
         if done is not None:

@@ -1,7 +1,8 @@
 """repro.harness — declarative scenarios, parallel sweeps, gating.
 
-The harness turns the hand-rolled config grids of ``benchmarks/`` into
-data: a :class:`~repro.harness.scenario.Scenario` names a registered
+The harness is the one way to run an experiment. It turns a
+configuration grid into data: a
+:class:`~repro.harness.scenario.Scenario` names a registered
 experiment kernel plus its topology / workload / policy parameters and
 a seed; a :class:`~repro.harness.scenario.Sweep` expands parameter
 axes into a grid of scenario cells with deterministic per-cell seeds.

@@ -1,4 +1,4 @@
-"""Measurement utilities: streaming statistics, histograms, reports.
+"""Measurement utilities: streaming statistics and histograms.
 
 The hierarchical :class:`MetricsRegistry` is the accounting half of
 the :class:`repro.sim.context.SimContext` instrumentation spine.
@@ -13,10 +13,6 @@ _SOURCES = {
     "SnapshotProvider": "registry",
     "flatten": "registry",
     "nest": "registry",
-    "Table": "report",
-    "fmt_ratio": "report",
-    "latency_breakdown": "report",
-    "metrics_table": "report",
     "Histogram": "stats",
     "StreamingStats": "stats",
     "percentile": "stats",

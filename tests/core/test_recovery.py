@@ -36,6 +36,27 @@ class TestTransactions:
         with pytest.raises(TransactionError):
             rm.begin(1)
 
+    def test_rolled_back_txn_id_is_refused(self):
+        """A loser's id stays used after recovery: reusing it would let
+        its rolled-back update ride in on the new commit record."""
+        rm = manager()
+        rm.begin(1)
+        rm.update(1, 0, "a", 10)
+        rm.commit(1)
+        rm.begin(2)
+        rm.update(2, 0, "a", 99)
+        rm.crash()
+        rm.recover()
+        assert rm.read(0, "a") == 10
+        with pytest.raises(TransactionError, match="already used"):
+            rm.begin(2)
+        rm.begin(3)
+        rm.update(3, 0, "b", 1)
+        rm.commit(3)
+        rm.crash()
+        rm.recover()
+        assert (rm.read(0, "a"), rm.read(0, "b")) == (10, 1)
+
     def test_update_without_begin_rejected(self):
         with pytest.raises(TransactionError):
             manager().update(1, 0, "a", 1)

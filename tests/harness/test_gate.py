@@ -1,6 +1,7 @@
 """Baseline shape gating."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,8 +206,7 @@ class TestGatePlumbing:
             load_baseline(bad)
 
     def test_shipped_baselines_parse(self):
-        from repro.cli import find_benchmarks_dir
-        root = find_benchmarks_dir().parent
+        root = Path(__file__).resolve().parents[2]
         baselines = sorted((root / "results" / "baselines").glob("*.json"))
         assert len(baselines) >= 4
         for path in baselines:

@@ -1,6 +1,7 @@
 """Scenario/Sweep specs: serialization, expansion, seeds, hashing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -162,20 +163,46 @@ class TestSpecFiles:
             load_sweep(path)
 
     def test_repo_specs_load(self):
-        # The shipped specs stay parseable and expandable.
-        from repro.cli import find_benchmarks_dir
-        bench_dir = find_benchmarks_dir()
-        assert bench_dir is not None
-        specs_dir = bench_dir.parent / "specs"
-        names = {
+        # Every shipped spec stays parseable and expandable, with a gate.
+        specs_dir = Path(__file__).resolve().parents[2] / "specs"
+        cells = {
+            "a11_columnar.json": 6,
+            "a1_scan_resistance.json": 2,
+            "a2_replacement.json": 4,
+            "a3_prefetch.json": 1,
+            "a4_switch_depth.json": 3,
+            "a5_index_placement.json": 1,
+            "a6_autoscale.json": 3,
+            "a7_interference.json": 4,
+            "a7_oltp_mechanisms.json": 1,
+            "a8_morsel_scheduling.json": 3,
+            "a8_pondscale.json": 8,
+            "a9_memory_diversity.json": 3,
+            "e10_ras.json": 1,
             "e1_paths.json": 3,
             "e2_tiering.json": 3,
+            "e3_pond_population.json": 1,
+            "e3_tpch.json": 1,
             "e4_transfer_ladder.json": 4,
+            "e5_expansion.json": 12,
+            "e5_htap_isolation.json": 2,
+            "e6_pooling.json": 1,
+            "e6_savings_curve.json": 6,
+            "e7_coherency.json": 2,
             "e7_distribution.json": 6,
+            "e7_hash_vs_sort.json": 8,
+            "e7_host_scaling.json": 4,
+            "e8_active_region.json": 2,
+            "e8_ndp_filter.json": 5,
+            "e8_ndp_operators.json": 7,
+            "e9_heterogeneous.json": 2,
+            "f1_coherency_domain.json": 3,
         }
-        for filename, cells in names.items():
+        assert sorted(p.name for p in specs_dir.glob("*.json")) == \
+            sorted(cells)
+        for filename, count in cells.items():
             sweep = load_sweep(specs_dir / filename)
-            assert len(sweep.cells()) == cells, filename
+            assert len(sweep.cells()) == count, filename
             assert sweep.gate, filename
 
 

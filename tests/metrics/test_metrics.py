@@ -1,10 +1,9 @@
-"""Streaming stats, histograms, report tables."""
+"""Streaming stats and histograms."""
 
 import math
 
 import pytest
 
-from repro.metrics.report import Table, fmt_ratio
 from repro.metrics.stats import Histogram, StreamingStats, percentile
 
 
@@ -130,38 +129,3 @@ class TestHistogram:
         assert hist.quantile(1.0) >= 4_000_000.0 * 0.8
         assert not math.isinf(hist.stats.mean)
 
-
-class TestReportTable:
-    def test_render_contains_everything(self):
-        table = Table("demo", ["name", "value"])
-        table.add_row("alpha", 1.5)
-        table.add_row("beta", 20_000)
-        text = table.render()
-        assert "demo" in text
-        assert "alpha" in text
-        assert "20,000" in text
-
-    def test_row_arity_checked(self):
-        table = Table("demo", ["a", "b"])
-        with pytest.raises(ValueError):
-            table.add_row(1)
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(ValueError):
-            Table("demo", [])
-
-    def test_rows_accessor_copies(self):
-        table = Table("demo", ["a"])
-        table.add_row(1)
-        rows = table.rows
-        rows[0][0] = "mutated"
-        assert table.rows[0][0] == "1"
-
-    def test_fmt_ratio(self):
-        assert fmt_ratio(1.351) == "1.35x"
-
-    def test_alignment(self):
-        table = Table("demo", ["col"])
-        table.add_row("a-very-long-cell-value")
-        lines = table.render().splitlines()
-        assert len(lines[1]) >= len("a-very-long-cell-value")

@@ -1,110 +1,24 @@
-"""The `python -m repro` experiment runner and its discovery logic."""
+"""The `repro` command line: `sweep` is its only command."""
 
 import pytest
 
-from repro.cli import (
-    BENCH_DIR_ENV,
-    EXPERIMENTS,
-    experiment_description,
-    find_benchmarks_dir,
-    load_experiment,
-    main,
-)
-
-
-class TestDiscovery:
-    def test_benchmarks_dir_found(self):
-        bench_dir = find_benchmarks_dir()
-        assert bench_dir is not None
-        assert (bench_dir / "bench_e1_latency_bandwidth.py").is_file()
-
-    def test_every_experiment_file_exists(self):
-        bench_dir = find_benchmarks_dir()
-        for filename in EXPERIMENTS.values():
-            assert (bench_dir / filename).is_file(), filename
-
-    def test_every_experiment_loads(self):
-        bench_dir = find_benchmarks_dir()
-        for exp_id in EXPERIMENTS:
-            run = load_experiment(bench_dir, exp_id)
-            assert callable(run)
-
-    def test_explicit_dir_wins(self):
-        bench_dir = find_benchmarks_dir()
-        assert find_benchmarks_dir(explicit=bench_dir) == bench_dir
-
-    def test_explicit_dir_must_contain_benchmarks(self, tmp_path):
-        assert find_benchmarks_dir(explicit=tmp_path) is None
-
-    def test_env_var_fallback(self, monkeypatch):
-        bench_dir = find_benchmarks_dir()
-        monkeypatch.setenv(BENCH_DIR_ENV, str(bench_dir))
-        assert find_benchmarks_dir() == bench_dir
-
-    def test_env_var_bad_dir_does_not_fall_through(self, monkeypatch,
-                                                   tmp_path):
-        # An explicit-but-wrong location is an error the user should
-        # see, not something to silently paper over.
-        monkeypatch.setenv(BENCH_DIR_ENV, str(tmp_path))
-        assert find_benchmarks_dir() is None
-
-    def test_every_experiment_has_a_description(self):
-        bench_dir = find_benchmarks_dir()
-        for exp_id in EXPERIMENTS:
-            description = experiment_description(bench_dir, exp_id)
-            assert description, exp_id
-            assert "\n" not in description
+from repro.cli import main
 
 
 class TestMain:
-    def test_list(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "e1" in out
-        assert "f1" in out
+    @pytest.mark.parametrize("argv", [[], ["e5"], ["--list"]])
+    def test_anything_but_sweep_names_the_sweep_command(self, argv, capsys):
+        assert main(argv) == 2
+        assert "repro sweep specs/<file>.json" in capsys.readouterr().err
 
-    def test_list_shows_descriptions(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "CXL vs NUMA latency and bandwidth" in out
-        assert "CXL fabric vs RDMA networking" in out
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage_and_exits_zero(self, flag, capsys):
+        assert main([flag]) == 0
+        assert "repro sweep specs/<file>.json" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
         assert main(["e99"]) == 2
         assert "unknown" in capsys.readouterr().err
-
-    def test_bad_bench_dir_is_usage_error(self, tmp_path, capsys):
-        assert main(["e1", "--bench-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "--bench-dir" in err
-        assert "bench_e1_latency_bandwidth.py" in err
-
-    def test_bad_env_bench_dir_names_the_variable(self, monkeypatch,
-                                                  tmp_path, capsys):
-        monkeypatch.setenv(BENCH_DIR_ENV, str(tmp_path))
-        assert main(["e1"]) == 2
-        assert BENCH_DIR_ENV in capsys.readouterr().err
-
-    def test_explicit_bench_dir_runs(self, capsys):
-        bench_dir = find_benchmarks_dir()
-        assert main(["e1", "--bench-dir", str(bench_dir)]) == 0
-        assert "E1: CXL vs NUMA" in capsys.readouterr().out
-
-    def test_run_one(self, capsys):
-        assert main(["e1"]) == 0
-        out = capsys.readouterr().out
-        assert "E1: CXL vs NUMA" in out
-        assert "1.34x" in out
-
-    @pytest.mark.parametrize("exp_id", ["e4", "f1"])
-    def test_run_fast_experiments(self, exp_id, capsys):
-        assert main([exp_id]) == 0
-        assert "done in" in capsys.readouterr().out
-
-    def test_bad_trace_out_dir_is_usage_error(self, tmp_path, capsys):
-        missing = tmp_path / "no" / "such" / "dir" / "t.json"
-        assert main(["e1", "--trace-out", str(missing)]) == 2
-        assert "cannot write" in capsys.readouterr().err
 
     def test_sweep_dispatch(self, capsys):
         # `repro sweep` routes to the harness parser, whose usage

@@ -144,8 +144,47 @@ def test_serving_with_churn_loads_nothing_new():
     """)
 
 
+#: The repro modules ``import repro.harness`` loads: the six kernels the
+#: shipped sweeps began with import what they run eagerly, and every
+#: kernel ported from a standalone script since imports its own modules
+#: in its body, so this set does not grow with them.
+HARNESS_MODULES = [
+    "repro", "repro._lazy", "repro.config", "repro.errors", "repro.units",
+    "repro.core", "repro.core.autoscale", "repro.core.buffer",
+    "repro.core.elastic", "repro.core.engine", "repro.core.frame",
+    "repro.core.morsel", "repro.core.placement", "repro.core.replacement",
+    "repro.core.scaleout", "repro.core.sessions", "repro.core.shared",
+    "repro.core.temperature", "repro.core.txn",
+    "repro.harness", "repro.harness.executor", "repro.harness.experiments",
+    "repro.harness.gate", "repro.harness.scenario", "repro.harness.store",
+    "repro.metrics", "repro.metrics.registry", "repro.metrics.stats",
+    "repro.serving", "repro.serving.churn", "repro.serving.executor",
+    "repro.serving.histogram", "repro.serving.tenants",
+    "repro.sim", "repro.sim.bandwidth", "repro.sim.clock",
+    "repro.sim.context", "repro.sim.events", "repro.sim.interconnect",
+    "repro.sim.ladder", "repro.sim.memory", "repro.sim.numa",
+    "repro.sim.rdma", "repro.sim.topology", "repro.sim.trace",
+    "repro.storage", "repro.storage.disk", "repro.storage.file",
+    "repro.storage.page",
+    "repro.workloads", "repro.workloads.cloudmix", "repro.workloads.mtrand",
+    "repro.workloads.tpcc", "repro.workloads.traces",
+    "repro.workloads.ycsb", "repro.workloads.zipf",
+]
+
+
+def test_import_harness_loads_the_pinned_modules():
+    out = run_snippet("""
+        before = set(sys.modules)
+        import repro.harness
+        print(" ".join(new_modules(before)))
+    """)
+    assert out.split() == sorted(HARNESS_MODULES)
+
+
 def test_sweep_cells_load_nothing_new():
-    # The sweep parent holds every kernel module before its first fork.
+    # The sweep parent holds every module the six cells below use before
+    # its first fork. (The kernels ported from standalone scripts import
+    # theirs on first use, inside their cell, and are not run here.)
     # Each kernel is wrapped to report what its forked cell imported
     # beyond the parent's modules at fork time.
     out = run_snippet("""

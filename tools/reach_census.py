@@ -1,13 +1,12 @@
 """Reachability census: which code under ``src/repro/`` the experiments run.
 
 One ``sys.setprofile`` hook, installed before the first ``repro``
-import, records every Python function call while four entry points run
+import, records every Python function call while three entry points run
 in this process:
 
-* every cell of the six gated specs, through ``run_scenario``;
+* every cell of every spec under ``specs/``, through ``run_scenario``;
 * the five pool ledger workloads at 1/20 size, seed 11;
-* the eight ``examples/`` scripts, with a bare ``argv``;
-* the 18 benchmarks' ``run_experiment``, through ``cli.load_experiment``.
+* the eight ``examples/`` scripts, with a bare ``argv``.
 
 A module counts as reached when any of its functions ran; a module that
 defines no function counts as reached when it was imported. The
@@ -34,8 +33,6 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 
-SPECS = ("e1_paths", "e2_tiering", "e4_transfer_ladder",
-         "e7_distribution", "a7_interference", "a8_pondscale")
 POOL_WORKLOADS = ("scan_warm", "oltp_point", "fault_storm",
                   "sessions_mixed", "serving_pond")
 LEDGER_SEED = 11
@@ -48,7 +45,7 @@ EXEMPT = {
     "version.py": "the package version string behind repro.__version__",
     "cli.py": "the command line; `make sweep` reaches it in forked children",
     "harness/": "sweep fan-out, store and gates run in forked children",
-    "sim/trace.py": "the trace sinks behind --trace-out",
+    "sim/trace.py": "the trace sinks behind quickstart's --trace-out",
     "core/frame.py": "the frame_of view the tests and the oracle read",
 }
 
@@ -85,7 +82,7 @@ def _exemption(module: str) -> str | None:
 
 @contextlib.contextmanager
 def _quiet():
-    """Swallow what the examples and benchmarks print."""
+    """Swallow what the examples print."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         yield
@@ -96,8 +93,8 @@ def _run_specs() -> int:
     from repro.harness.scenario import load_sweep
 
     cells = 0
-    for spec in SPECS:
-        for cell in load_sweep(REPO / "specs" / f"{spec}.json").cells():
+    for spec in sorted((REPO / "specs").glob("*.json")):
+        for cell in load_sweep(spec).cells():
             run_scenario(cell.scenario)
             cells += 1
     return cells
@@ -127,15 +124,6 @@ def _run_examples() -> int:
     return len(scripts)
 
 
-def _run_benchmarks() -> int:
-    from repro.cli import EXPERIMENTS, load_experiment
-
-    bench_dir = REPO / "benchmarks"
-    for exp_id in EXPERIMENTS:
-        load_experiment(bench_dir, exp_id)()
-    return len(EXPERIMENTS)
-
-
 def census() -> tuple[dict[str, list[CodeType]], dict[str, list[CodeType]],
                       list[str]]:
     """Run every entry point under the hook.
@@ -156,8 +144,7 @@ def census() -> tuple[dict[str, list[CodeType]], dict[str, list[CodeType]],
     try:
         for label, entry in (("spec cells", _run_specs),
                              ("ledger workloads", _run_ledger),
-                             ("examples", _run_examples),
-                             ("benchmarks", _run_benchmarks)):
+                             ("examples", _run_examples)):
             start = time.perf_counter()
             with _quiet():
                 count = entry()
