@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test lint sweep ledger-smoke route-check structure-check census trace-demo clean
+.PHONY: verify test lint sweep ledger-smoke route-check structure-check census pairs trace-demo clean
 
 # The tier-1 gate: what CI runs and what every change must keep green.
 verify: test lint structure-check
@@ -291,9 +291,17 @@ structure-check:
 census:
 	$(PYTHON) tools/reach_census.py
 
+# Is this checkout faster than its parent? PAIRS alternating full-ledger
+# runs in PARENT (a second checkout) and here, summarised per workload
+# and metric: medians, quartiles, delta, wins and compare.py's verdict.
+PAIRS ?= 10
+pairs:
+	python3 tools/pairs.py $(PARENT) . $(PAIRS)
+
 trace-demo:
 	$(PYTHON) examples/quickstart.py --trace-out quickstart.trace.json
 
 clean:
-	rm -rf .pytest_cache .ruff_cache quickstart.trace.json ledger-smoke.json
+	rm -rf .pytest_cache .ruff_cache quickstart.trace.json ledger-smoke.json \
+		ledger-pairs
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

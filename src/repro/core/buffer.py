@@ -65,9 +65,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from functools import reduce
-from itertools import accumulate, chain, compress, repeat
-from operator import add
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -81,7 +79,7 @@ from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath
-from ..sim.ladder import chain_values
+from ..sim.ladder import chain_values, left_fold
 from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
@@ -189,6 +187,37 @@ def _check_nbytes(nbytes) -> None:
         raise BufferPoolError(f"nbytes must be finite and >= 0: {nbytes!r}")
 
 
+def _run_peak(count: int, into: np.ndarray, out: np.ndarray) -> int:
+    """A tier's highest resident count after a run's arrivals (*into*
+    marks them, *out* its departures), from *count*; 0 when none."""
+    running = np.cumsum(into.view(np.int8) - out.view(np.int8),
+                        dtype=np.int64)
+    return count + int(running[into].max(initial=-count))
+
+
+def check_block(block) -> float | None:
+    """Refuse a block :meth:`TieredBufferPool.access_block` cannot
+    charge: ids not a 1-D integer column, columns of unequal length, a
+    negative or NaN think time (``min`` propagates NaN), a negative,
+    NaN or infinite size. Else its smallest think, None if empty."""
+    ids = block.page_id
+    sizes = block.nbytes
+    _check_id_array(ids)
+    if {block.write.shape, block.is_scan.shape, sizes.shape,
+            block.think_ns.shape} != {ids.shape}:
+        raise BufferPoolError("a block's columns differ in length")
+    if ids.shape[0] == 0:
+        return None
+    think_lo = float(block.think_ns.min())
+    if not think_lo >= 0:
+        raise BufferPoolError("think_ns must be >= 0")
+    # Only a float size column can hold +inf.
+    _check_nbytes(sizes.min().item())
+    if sizes.dtype.kind == "f":
+        _check_nbytes(sizes.max().item())
+    return think_lo
+
+
 @dataclass(slots=True)
 class TierStats:
     """Per-tier accounting (slotted: bumped on every hit)."""
@@ -234,12 +263,6 @@ class BufferPoolStats:
         if self.accesses == 0:
             return 0.0
         return self.hits / self.accesses
-
-    def tier_hit_rate(self, tier_index: int) -> float:
-        """Fraction of all accesses served by one tier."""
-        if self.accesses == 0:
-            return 0.0
-        return self.per_tier[tier_index].hits / self.accesses
 
     def snapshot(self) -> dict:
         """Pool-wide counters as a dict (metrics snapshot protocol).
@@ -392,6 +415,8 @@ class TieredBufferPool:
         self._trace = ctx.trace
         ctx.register("pool", self)
         self.lane = LaneStats()
+        # The block window's span bound (:meth:`_block_exact`).
+        self._window_span = BLOCK_OPS
         lane_ns = ctx.register("pool.lane", self.lane)
         # The tiers' lazily rebuilt recency order is a routing decision
         # too; the policies own the counts, the namespace reports them.
@@ -802,21 +827,12 @@ class TieredBufferPool:
     @staticmethod
     def _policy_touch(policy, seq) -> None:
         """Touch the pages of *seq* (an id column or a list), in
-        order, on a replacement policy. :class:`LRUPolicy` takes the
+        order, on a replacement policy: :class:`LRUPolicy` takes the
         column as it is — its touch is one array write; any other
-        policy gets a list of ints (batch API when available, scalar
-        loop otherwise)."""
-        if type(policy) is LRUPolicy:
-            policy.record_access_batch(seq, 0, len(seq))
-            return
-        if type(seq) is not list:
+        policy gets a list of ints."""
+        if type(policy) is not LRUPolicy and type(seq) is not list:
             seq = seq.tolist()
-        batch = getattr(policy, "record_access_batch", None)
-        if batch is not None:
-            batch(seq, 0, len(seq))
-        else:
-            for pid in seq:
-                policy.record_access(pid)
+        policy.record_access_batch(seq, 0, len(seq))
 
     def _ord_compact(self, extra: int) -> None:
         """Squeeze the tombstones out of the insertion-order index and
@@ -1351,34 +1367,15 @@ class TieredBufferPool:
         byte total past 2**53 (``latency``) — :meth:`access_quantum`
         calls over quanta of at most ``BLOCK_OPS`` accesses (a
         ``ShapeSegments`` cursor), each all-hit one a hit-kernel span.
-        ``pool.lane`` counts those blocks and the reason. A block whose
-        ids are not a 1-D integer column, or whose columns differ in
-        length, is refused.
+        ``pool.lane`` counts those blocks and the reason. A block
+        :func:`check_block` refuses raises before anything is charged.
         """
+        think_lo = check_block(block)
+        if think_lo is None:
+            return accum
         ids_nd = block.page_id
         sizes_nd = block.nbytes
-        writes_nd = block.write
-        scans_nd = block.is_scan
-        thinks_nd = block.think_ns
-        _check_id_array(ids_nd)
-        if {writes_nd.shape, scans_nd.shape, sizes_nd.shape,
-                thinks_nd.shape} != {ids_nd.shape}:
-            raise BufferPoolError("a block's columns differ in length")
-        if ids_nd.shape[0] == 0:
-            return accum
-        # A negative think would run the clock backwards and NaN
-        # poisons it (min propagates NaN, and NaN >= 0 is false):
-        # refuse the block before anything is charged.
-        think_lo = float(thinks_nd.min())
-        if not think_lo >= 0:
-            raise BufferPoolError("think_ns must be >= 0")
-        # Sizes likewise; only a float column can hold +inf.
-        _check_nbytes(sizes_nd.min().item())
-        if sizes_nd.dtype.kind == "f":
-            _check_nbytes(sizes_nd.max().item())
-        clock = self._session_clock
-        if clock is None:
-            clock = self.clock
+        clock = self._session_clock or self.clock
         if self._session_queues is not None:
             decline = "session"
         elif sizes_nd.dtype.kind == "f":
@@ -1393,9 +1390,7 @@ class TieredBufferPool:
             if decline is None:
                 if hi >= self._res_tier.shape[0]:
                     self._res_grow(hi + 1)
-                result = self._block_exact(think_lo, ids_nd, sizes_nd,
-                                           writes_nd, scans_nd, thinks_nd,
-                                           clock, accum)
+                result = self._block_exact(think_lo, block, clock, accum)
                 if result is not None:
                     return result
                 decline = "latency"
@@ -1418,45 +1413,39 @@ class TieredBufferPool:
             return "note"
         return None
 
-    def _block_exact(self, think_lo: float, ids_nd, sizes_nd, writes_nd,
-                     scans_nd, thinks_nd, clock, accum):
+    def _block_exact(self, think_lo: float, block, clock, accum):
         """Array-resolved block lane; returns None when ineligible.
 
-        A whole placement-headroom window of hits resolves in a
-        handful of array ops — one residency gather, one latency
-        gather, and left folds of the clock and demand chains
-        (:func:`~repro.sim.ladder.chain_values`, one
-        ``np.add.accumulate`` each) that reproduce every intermediate
-        clock/demand value bit-for-bit — plus a single
-        write per row column (count, last time, dirty) and per-tier
-        replacement recency replayed in access order.  First-touch misses stay
-        inside the window (:meth:`_fill_plan`) when they land in free
-        frames or behind victims that drain straight to storage: they
-        install up front and their positions carry the miss latency
-        as extra delta classes of the same chains.  Other faults
-        resolve scalar between windows, a refused window head's whole
-        stretch of them at once, and so do placement triggers.  A
-        block with a negative or non-finite latency, byte counts whose
-        total may pass 2**53 (the byte counters would round) or an
-        infinite think time is declined before anything is charged;
-        *think_lo* is the block's smallest think time, which the
-        caller already showed to be a number >= 0.
+        A whole placement-headroom window of hits resolves in a handful
+        of array ops — one residency gather, one latency gather, and
+        left folds of the clock and demand chains
+        (:func:`~repro.sim.ladder.chain_values`) that reproduce every
+        intermediate value bit-for-bit — plus a single write per row
+        column (count, last time, dirty) and per-tier recency replayed
+        in access order.  First-touch misses stay inside the window
+        (:meth:`_fill_plan`) when they land in free frames or behind
+        victims that drain straight to storage: they install up front
+        and their positions carry the miss latency as extra delta
+        classes of the same chains.  Other faults resolve scalar
+        between windows, a refused window head's whole stretch of them
+        at once, and so do placement triggers.  A block with a negative
+        or non-finite latency, byte counts whose total may pass 2**53
+        or an infinite think time is declined before anything is
+        charged; *think_lo* is its smallest think time, a number >= 0.
         """
         if self._lazy_runs:
             # The window touches recency and the tracker itself.
             self._drain_lazy()
+        ids_nd, writes_nd, scans_nd, sizes_nd, thinks_nd = (
+            block.page_id, block.write, block.is_scan, block.nbytes,
+            block.think_ns)
         n = ids_nd.shape[0]
         tiers = self.tiers
         ntiers = len(tiers)
         # Distinct access shapes and their per-tier latency rows.
         pk = sizes_nd * 4 + writes_nd * 2 + scans_nd
-        if n > 1:
-            chg = np.nonzero(pk[1:] != pk[:-1])[0]
-            seg_starts = np.empty(chg.shape[0] + 1, dtype=np.int64)
-            seg_starts[0] = 0
-            seg_starts[1:] = chg + 1
-        else:
-            seg_starts = np.zeros(1, dtype=np.int64)
+        seg_starts = np.flatnonzero(np.concatenate(([True],
+                                                    pk[1:] != pk[:-1])))
         upk, inv = np.unique(pk[seg_starts], return_inverse=True)
         lat_tab = np.array([
             self._shape_latencies(int(key >> 2), bool(key & 2),
@@ -1468,19 +1457,22 @@ class TieredBufferPool:
             return None
         if n * float(sizes_nd.max()) >= _EXACT_LIMIT:
             return None
-        seg_lens = np.diff(np.append(seg_starts, n))
-        rowmap = np.repeat(inv.astype(np.int64), seg_lens) * ntiers
-        # Delta classes for the addition chains: think values first,
-        # then the flattened (shape, tier) latency table.
         think_hi = float(thinks_nd.max())
         if think_hi == math.inf:
             return None
+        # Delta classes for the addition chains: think values first,
+        # then the flattened (shape, tier) latency table. Each row's
+        # think class and first latency class; one value is a stride-0
+        # view, not a column.
         if think_hi == think_lo:
             tvals = np.array([float(thinks_nd[0])])
-            tinv = np.zeros(n, dtype=np.int64)
+            tinv = np.broadcast_to(0, (n,))
         else:
             tvals, tinv = np.unique(thinks_nd, return_inverse=True)
         nt_t = tvals.shape[0]
+        rows = nt_t + inv.astype(np.int64) * ntiers
+        rowmap = np.broadcast_to(rows, (n,)) if rows.shape[0] == 1 else \
+            np.repeat(rows, np.diff(np.append(seg_starts, n)))
         vcls = np.concatenate((tvals, lat_tab.ravel()))
 
         stats = self.stats
@@ -1488,9 +1480,12 @@ class TieredBufferPool:
         headroom_fn = self._placement_headroom
         note = self._placement_note
         tracker_block = getattr(self.tracker, "record_block", None)
-        # A window gathers and plans its whole span, so it spans at
-        # most twice what the last one carried (a block's rows at first).
-        wmax = BLOCK_OPS
+        # A window gathers and plans its whole span, so after a fill
+        # plan cut one short it spans at most twice what that one
+        # carried (a block's rows at first). A window that resolved its
+        # span keeps the bound, however short a trigger or the block's
+        # end cut it, and so does the next block.
+        wmax = self._window_span
         j = 0
         while j < n:
             now = clock._now
@@ -1538,7 +1533,7 @@ class TieredBufferPool:
                     accum += self.access(pid, nb, wr, sc)
                 j = stop
                 continue
-            wmax = max(2 * k, BLOCK_OPS)
+            wmax = max(2 * k, BLOCK_OPS if k < wend - j else wmax)
             # The hit prefix [j, j+k): replay the clock's and the two
             # demand accumulators' addition chains exactly.  The clock
             # chain interleaves think and latency adds; its even
@@ -1549,7 +1544,7 @@ class TieredBufferPool:
             nb_k = sizes_nd[j:jk]
             if fill is None:
                 sp_k = sp[:k]
-                lat_cls = nt_t + rowmap[j:jk] + sp_k
+                lat_cls = rowmap[j:jk] + sp_k
                 vals = vcls
                 # Every position is a hit.
                 sp_h, wr_h, nb_h = sp_k, wr_k, nb_k
@@ -1581,7 +1576,7 @@ class TieredBufferPool:
                     lane.victim_rescues += len(rescued)
                 self._fill_install(fids, adm, pairs)
                 sp_k = self._res_tier[ids_k]
-                lat_cls = nt_t + rowmap[j:jk] + sp_k
+                lat_cls = rowmap[j:jk] + sp_k
                 lat_cls[fpos] = vcls.shape[0] + mcls
                 vals = np.concatenate((vcls, miss_lat))
                 hit = np.ones(k, dtype=bool)
@@ -1662,6 +1657,7 @@ class TieredBufferPool:
             if has_w:
                 self._dirty[ids_k[wr_k]] = True
             j = jk
+        self._window_span = wmax
         return accum
 
     def _fill_decline(self) -> str | None:
@@ -2327,16 +2323,18 @@ class TieredBufferPool:
         :meth:`_evict_apply`, the block window's bulk eviction body.
 
         The per-page step's effects are then order-free: the tier and
-        index-tier columns, each tier's ``remove_batch`` /
-        ``record_insert_batch`` (an LRU's stamps are per policy, so a
-        batch per tier stamps as the interleaved calls do), the integer
-        device and tier counters, and each tier's peak read off its
-        running count (an overflowed tier peaks at its capacity). What
-        is ordered is replayed in page order: each move's float as the
-        step composes it, ``((0.0 + E) + read) + write`` with ``E`` the
-        eviction before it (``0.0 + E`` is ``0.0`` without one), the
-        three float chains (return total, migration time, clock) one
-        add per page, and the trace spans."""
+        index-tier columns, one ``move_batch`` per tier (an LRU's
+        stamps are per policy, so its arrivals stamped in page order
+        land as the interleaved calls leave them), the integer device
+        and tier counters, and each tier's peak — read off its running
+        count (:func:`_run_peak`) only when ``count + arrivals`` could
+        pass its capacity or its ``resident_peak``; an overflowed tier
+        peaks at its capacity. What is ordered is replayed in page
+        order: each move's float as the step composes it, ``((0.0 + E)
+        + read) + write`` with ``E`` the eviction before it (``0.0 +
+        E`` is ``0.0`` without one), the three float chains (return
+        total, migration time, clock) as left folds, and the trace
+        spans."""
         declines = self.lane.migrate_declines
         ids = np.asarray(page_ids)
         tos = np.asarray(to_tiers)
@@ -2344,7 +2342,7 @@ class TieredBufferPool:
         T = len(tiers)
         counts = self._resident_counts
         if (ids.dtype.kind not in "iu" or int(ids.min()) < 0
-                or int(ids.max()) >= self._cap):
+                or (hi := int(ids.max())) >= self._cap):
             declines["far"] += 1
             return None
         frm = self._res_tier[ids]
@@ -2363,14 +2361,8 @@ class TieredBufferPool:
             staying = ids[~moving]
             ids, frm, tos = ids[moving], frm[moving], tos[moving]
         n = ids.shape[0]
-        # Each tier's resident count after every move: where it peaks,
-        # and whether some move would find its destination full.
-        step = np.zeros((T, n), dtype=np.int64)
-        at = np.arange(n)
-        step[tos, at] = 1
-        step[frm, at] = -1
-        run = step.cumsum(axis=1) + np.array(counts)[:, None]
-        peaks = np.where(step > 0, run, -1).max(axis=1, initial=-1).tolist()
+        if not n:
+            return 0.0
         edge = frm * T + tos
         per_edge = np.bincount(edge, minlength=T * T).tolist()
         arrived = [sum(per_edge[t::T]) for t in range(T)]
@@ -2379,9 +2371,18 @@ class TieredBufferPool:
         if any(type(tiers[t].policy) is not LRUPolicy for t in touched):
             declines["non_lru"] += 1
             return None
+        stats = self.stats
+        # A tier's highest resident count over the run, read off its
+        # running count only when the run could overflow the tier or
+        # raise its peak; otherwise its peak stands (0 changes none).
+        peaks = [0] * T
         evictions = []
         for t in touched:
             capacity = tiers[t].capacity_pages
+            top = counts[t] + arrived[t]
+            if top <= capacity and top <= stats.per_tier[t].resident_peak:
+                continue
+            peaks[t] = _run_peak(counts[t], tos == t, frm == t)
             if peaks[t] <= capacity:
                 continue
             why = self._overflow_decline(t, capacity, departed[t])
@@ -2405,7 +2406,6 @@ class TieredBufferPool:
         # Committed from here on: nothing below can refuse. An edge's
         # first move seeds its memo with the real stat-bumping calls,
         # as the per-page step's does; the rest replay the bumps.
-        stats = self.stats
         page_size = self.page_size
         reads = np.zeros(T * T)
         writes = np.zeros(T * T)
@@ -2430,8 +2430,7 @@ class TieredBufferPool:
         self._res_tier[ids] = tos
         self._ord_tier[self._slot[ids]] = tos
         for t in touched:
-            tiers[t].policy.remove_batch(ids[frm == t])
-            tiers[t].policy.record_insert_batch(ids[tos == t])
+            tiers[t].policy.move_batch(ids[frm == t], ids[tos == t], hi)
             counts[t] += arrived[t] - departed[t]
             device_stats = tiers[t].path.device.stats
             loads = departed[t] - seeded_out[t]
@@ -2448,23 +2447,23 @@ class TieredBufferPool:
             tier_stats.resident_peak = max(tier_stats.resident_peak, peaks[t])
         stats.migrations += n
         self.lane.column_migrations += n
-        es = es.tolist()
         clock = self._session_clock or self.clock
-        if demotion:
-            starts = [clock._now] * n
-        else:
-            starts = list(accumulate(es, initial=clock._now))
-            clock._now = starts.pop()
-            stats.migration_time_ns = reduce(add, es, stats.migration_time_ns)
+        start = clock._now
+        if not demotion:
+            ends = left_fold(start, es)
+            clock._now = float(ends[-1])
+            stats.migration_time_ns = float(
+                left_fold(stats.migration_time_ns, es)[-1])
         trace = self._trace
         if trace.enabled:
+            starts = [start] * n if demotion else [start, *ends[:-1].tolist()]
             names = [tier.name for tier in tiers]
             kind = "pool.demotion" if demotion else "pool.promotion"
             for page_id, f, t, t0, e in zip(ids.tolist(), frm.tolist(),
-                                            tos.tolist(), starts, es):
+                                            tos.tolist(), starts, es.tolist()):
                 trace.emit_span(kind, "pool", t0, t0 + e, {
                     "page": page_id, "from": names[f], "to": names[t]})
-        return reduce(add, es, 0.0)
+        return float(left_fold(0.0, es)[-1])
 
     def _overflow_decline(self, t: int, capacity: int,
                           departed: int) -> str | None:

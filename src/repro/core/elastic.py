@@ -162,12 +162,6 @@ class DemandSeries:
         ratio = self.peak_of_sum / self.sum_of_peaks
         return pool_fraction * (1.0 - ratio)
 
-    def savings_curve(self, fractions: list[float] | None = None
-                      ) -> list[tuple[float, float]]:
-        """(pool fraction, DRAM savings) points — the Pond curve."""
-        fractions = fractions or [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
-        return [(f, self.savings_at(f)) for f in fractions]
-
     @classmethod
     def diurnal(cls, servers: int = 16, steps: int = 96,
                 base_bytes: int = 16 * 1024 ** 3,

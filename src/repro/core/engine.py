@@ -9,21 +9,61 @@ examples and experiments construct first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .. import config
 from ..errors import ConfigError
 from ..sim.context import SimContext
 from ..sim.interconnect import AccessPath, Link
+from ..sim.ladder import left_fold
 from ..sim.memory import MemoryDevice
 from ..storage.disk import StorageDevice
 from ..storage.file import PageFile
 from ..units import PAGE_SIZE, SECOND, fmt_ns
-from ..workloads.traces import AccessBlock, require_block
-from .buffer import Tier, TieredBufferPool
+from ..workloads.traces import BLOCK_OPS, AccessBlock, require_block
+from .buffer import Tier, TieredBufferPool, check_block
 from .placement import DbCostPolicy, PlacementPolicy
+
+#: The most rows :meth:`ScaleUpEngine.run` joins consecutive blocks
+#: into before charging them as one: a placement epoch then costs the
+#: pool one window rather than one per generator block, while the
+#: joined columns and the window's per-run arrays stay ~1 MB.
+RUN_OPS = 8 * BLOCK_OPS
+
+
+def _runs(trace: Iterable[AccessBlock]) -> Iterator[AccessBlock]:
+    """*trace*'s blocks joined into runs: consecutive non-empty blocks
+    of the same column dtypes, at most :data:`RUN_OPS` rows unless one
+    block alone is longer (a block is never split). Each block is
+    checked as it arrives (:func:`require_block`, :func:`check_block`);
+    whatever a refused block or the trace itself raises propagates
+    after the run before it is yielded, so it finds every earlier
+    access charged."""
+    run: list[AccessBlock] = []
+    rows = 0
+    kind = None
+    try:
+        for block in trace:
+            n = len(require_block(block))
+            if not n:
+                continue
+            check_block(block)
+            dtypes = (block.page_id.dtype, block.write.dtype,
+                      block.is_scan.dtype, block.nbytes.dtype,
+                      block.think_ns.dtype)
+            if run and (dtypes != kind or rows + n > RUN_OPS):
+                yield AccessBlock.concat(run)
+                run, rows = [], 0
+            run.append(block)
+            rows += n
+            kind = dtypes
+    except Exception:
+        if run:
+            yield AccessBlock.concat(run)
+        raise
+    if run:
+        yield AccessBlock.concat(run)
+
 
 @dataclass
 class EngineReport:
@@ -171,17 +211,21 @@ class ScaleUpEngine:
         run report.
 
         Each access charges its CPU think time plus the buffer pool's
-        demand latency to the engine clock. Each block is charged by
+        demand latency to the engine clock. Consecutive blocks of the
+        same column dtypes are joined into runs of up to
+        :data:`RUN_OPS` rows, and each run is charged by
         :meth:`TieredBufferPool.access_block`, which threads
         ``demand_ns`` through as its accumulator and charges think
         time per access, so every float addition happens in the
         one-access-at-a-time order — the report is bit-identical
         however the trace is chunked. Any item that is not a block is
-        refused with a :class:`~repro.errors.ConfigError`.
+        refused with a :class:`~repro.errors.ConfigError`, and a block
+        :func:`~repro.core.buffer.check_block` refuses raises its
+        error; either raises with every earlier block charged.
 
-        Delivery is open-loop: a generator is pulled a block ahead of
-        the clock, so a trace must not read the pool or the clock to
-        decide what it yields next (no generator in
+        Delivery is open-loop: a generator is pulled up to one run
+        ahead of the clock, so a trace must not read the pool or the
+        clock to decide what it yields next (no generator in
         :mod:`repro.workloads` does).
         """
         start = self._run_start()
@@ -190,19 +234,16 @@ class ScaleUpEngine:
         ops = 0
         access_block = self.pool.access_block
         with self.ctx.span(f"run:{label or self.name}", cat="engine"):
-            for block in trace:
-                if not len(require_block(block)):
-                    continue
+            for block in _runs(trace):
                 ops += len(block)
                 demand_ns = access_block(block, accum=demand_ns)
-                thinks = block.think_ns
-                if thinks.any():
-                    # The think accumulator's scalar addition chain as
-                    # one left fold; a zero think adds exactly nothing.
-                    chain = np.empty(thinks.shape[0] + 1)
-                    chain[0] = think_ns
-                    chain[1:] = thinks
-                    think_ns = float(np.add.accumulate(chain)[-1])
+                if block.think_ns.any():
+                    # The think accumulator's scalar addition chain; a
+                    # zero think adds exactly nothing.
+                    think_ns = float(left_fold(think_ns,
+                                               block.think_ns)[-1])
+                # Free the run before the next one is joined.
+                del block
         return self._run_report(start, label, ops, demand_ns, think_ns)
 
     def _run_start(self) -> tuple[float, int, int, int]:

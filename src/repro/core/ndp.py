@@ -303,11 +303,6 @@ class NDPOperatorLibrary:
             ndp_fabric_bytes=int(input_bytes * spec.output_ratio),
         )
 
-    def placement_table(self, input_bytes: int) -> list[OpPlacement]:
-        """Placement decision for every operator in the library."""
-        return [self.place(op, input_bytes)
-                for op in sorted(self.operators)]
-
 
 class ActiveMemoryRegion:
     """A computed address range: reads trigger a streaming computation.

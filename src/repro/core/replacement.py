@@ -264,25 +264,25 @@ class LRUPolicy:
         elif self._far.pop(key, None) is not None:
             self._len -= 1
 
-    def remove_batch(self, keys: Sequence[int]) -> None:
-        """Stop tracking a run of pages — a :meth:`remove` loop
-        (untracked keys and repeats are ignored)."""
-        if not len(keys):
-            return
-        col = self._column(keys)
-        if col is None:
-            for key in keys.tolist() if type(keys) is np.ndarray else keys:
-                self.remove(key)
-            return
+    def move_batch(self, leaving: np.ndarray, arriving: np.ndarray,
+                   hi: int) -> None:
+        """A :meth:`remove` loop over *leaving* then a
+        :meth:`record_insert_batch` of *arriving*, as one stamp write
+        each and without their checks: the caller vouches that both
+        are int arrays of distinct keys below *hi* + 1 <=
+        ``DENSE_KEYS``, every leaving key tracked and no arriving one
+        (a pool committing page moves between tiers)."""
         stamp = self._stamp
-        tracked = col[stamp[col] >= 0]
-        # Each tracked key counted once, without a sort: a put keeps
-        # the last write to a repeated index, so exactly one of its
-        # entries reads its own marker back.
-        marks = np.arange(-2, -2 - tracked.shape[0], -1)
-        stamp[tracked] = marks
-        self._len -= int(np.count_nonzero(stamp[tracked] == marks))
-        stamp[tracked] = -1
+        stamp[leaving] = -1
+        n = arriving.shape[0]
+        if n:
+            if hi >= self._cap:
+                self._reach(hi)
+                stamp = self._stamp
+            seq = self._seq
+            stamp[arriving] = np.arange(seq, seq + n)
+            self._seq = seq + n
+        self._len += n - leaving.shape[0]
 
     def _sorted(self):
         """Every tracked key with its stamp, ascending stamp."""

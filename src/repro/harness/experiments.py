@@ -881,7 +881,10 @@ def e10_ras(scenario: Scenario, ctx: SimContext) -> dict:
 def f1_coherency_domain(scenario: Scenario, ctx: SimContext) -> dict:
     """A device reading lines the host keeps writing, at
     ``workload.host_write_prob``: through a PCIe DMA snapshot
-    (Fig 1a) and as a coherent CXL cache (Fig 1b)."""
+    (Fig 1a) and as a coherent CXL cache (Fig 1b). Each line keeps a
+    version the host's stores bump and the version the device's copy
+    was filled at; a device load the directory serves without a fetch
+    from a copy older than the host's reads stale data."""
     from ..sim.cache import AgentCache
     from ..sim.coherence import CoherenceDirectory, NonCoherentCopy
     from ..units import KIB
@@ -906,14 +909,25 @@ def f1_coherency_domain(scenario: Scenario, ctx: SimContext) -> dict:
     directory = CoherenceDirectory()
     host = AgentCache(directory, capacity_bytes=64 * KIB)
     device = AgentCache(directory, capacity_bytes=64 * KIB)
+    written = [0] * lines
+    filled = [-1] * lines
+    loads = stale = 0
     for _ in range(ops):
-        address = rng.randrange(lines) * 64
+        line = rng.randrange(lines)
         if rng.random() < write_prob:
-            host.store(address)
+            host.store(line * 64)
+            written[line] += 1
         else:
-            device.load(address)
+            fetches = directory.stats.read_misses
+            device.load(line * 64)
+            loads += 1
+            if directory.stats.read_misses != fetches:
+                filled[line] = written[line]
+            elif filled[line] < written[line]:
+                stale += 1
     return {
         "pcie_stale_share": copy.stale_reads / reads if reads else 0.0,
+        "cxl_stale_share": stale / loads if loads else 0.0,
         "cxl_invalidations_per_op": directory.stats.invalidations_sent / ops,
     }
 

@@ -13,7 +13,8 @@ as the previous output plus the next input, rounded once: that is the
 scalar loop itself, run in C, whatever the operands' binades, signs,
 ties or subnormals.  Nothing is re-associated, so there is nothing to
 prove per case.  :func:`chain_values` folds one chain of mixed deltas
-and keeps every intermediate; :func:`repeat_add` folds one constant
+and keeps every intermediate, :func:`left_fold` one chain of given
+deltas; :func:`repeat_add` folds one constant
 and keeps the last; :func:`repeat_add_vec` folds many rows of one
 repeated weight each.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repeat_add", "chain_values", "repeat_add_vec"]
+__all__ = ["repeat_add", "left_fold", "chain_values", "repeat_add_vec"]
 
 
 def repeat_add(x: float, d: float, n: int) -> float:
@@ -36,6 +37,14 @@ def repeat_add(x: float, d: float, n: int) -> float:
     col = np.full(n + 1, d)
     col[0] = x
     return float(np.add.accumulate(col, out=col)[-1])
+
+
+def left_fold(x: float, deltas: np.ndarray) -> np.ndarray:
+    """Every intermediate of the addition chain ``x += deltas[i]``
+    (non-empty *deltas*), as a new array; the last is the result."""
+    out = deltas.astype(np.float64)
+    out[0] += x
+    return np.add.accumulate(out, out=out)
 
 
 def chain_values(x: float, vals: np.ndarray, cls: np.ndarray,

@@ -83,16 +83,6 @@ def transfer_time_ns(size_bytes: int, bandwidth_bytes_per_ns: float) -> float:
     return size_bytes / bandwidth_bytes_per_ns
 
 
-def fmt_bytes(size_bytes: float) -> str:
-    """Human-readable size, e.g. ``fmt_bytes(3 * GIB) == '3.0 GiB'``."""
-    value = float(size_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
 def fmt_ns(t_ns: float) -> str:
     """Human-readable duration, e.g. ``fmt_ns(2500) == '2.50 us'``."""
     if t_ns < US:

@@ -70,6 +70,20 @@ class AccessBlock:
                 f" length, got shapes {shapes}")
         return block
 
+    @classmethod
+    def concat(cls, blocks: "list[AccessBlock]") -> "AccessBlock":
+        """*blocks* as one block, rows in order (the one block itself,
+        uncopied, when there is one)."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(
+            page_id=np.concatenate([b.page_id for b in blocks]),
+            write=np.concatenate([b.write for b in blocks]),
+            is_scan=np.concatenate([b.is_scan for b in blocks]),
+            nbytes=np.concatenate([b.nbytes for b in blocks]),
+            think_ns=np.concatenate([b.think_ns for b in blocks]),
+        )
+
     def slice(self, start: int, stop: int) -> "AccessBlock":
         """A zero-copy view of rows ``[start, stop)``."""
         return AccessBlock(
@@ -262,23 +276,11 @@ class _BlockBuilder:
     def full(self) -> bool:
         return self._count >= self._block_ops
 
-    def _concatenated(self) -> AccessBlock:
-        chunks = self._chunks
-        if len(chunks) == 1:
-            return chunks[0]
-        return AccessBlock(
-            page_id=np.concatenate([c.page_id for c in chunks]),
-            write=np.concatenate([c.write for c in chunks]),
-            is_scan=np.concatenate([c.is_scan for c in chunks]),
-            nbytes=np.concatenate([c.nbytes for c in chunks]),
-            think_ns=np.concatenate([c.think_ns for c in chunks]),
-        )
-
     def drain(self, final: bool = False) -> Iterator[AccessBlock]:
         """Emit full blocks (and the remainder too when *final*)."""
         if self._count == 0 or (not final and not self.full()):
             return
-        block = self._concatenated()
+        block = AccessBlock.concat(self._chunks)
         total = len(block)
         emit_to = total if final else (total // self._block_ops
                                        ) * self._block_ops

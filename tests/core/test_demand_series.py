@@ -56,8 +56,8 @@ class TestPeaks:
 class TestPondShape:
     def test_curve_monotone(self):
         d = DemandSeries.diurnal()
-        curve = d.savings_curve()
-        savings = [s for _f, s in curve]
+        savings = [d.savings_at(f)
+                   for f in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)]
         assert savings == sorted(savings)
         assert savings[0] == 0.0
 

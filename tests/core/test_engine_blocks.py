@@ -9,12 +9,14 @@ emitters simulate what the frozen scalar generators
 (``tests.oracle.traces``) describe. Anything but a block is refused.
 """
 
+import numpy as np
 import pytest
 
-from repro.core.engine import ScaleUpEngine
-from repro.errors import ConfigError
-from repro.workloads.scans import mixed_htap_blocks
-from repro.workloads.traces import BLOCK_OPS, AccessBlock
+from repro.core.engine import RUN_OPS, ScaleUpEngine
+from repro.errors import BufferPoolError, ConfigError
+from repro.workloads.scans import mixed_htap_blocks, scan_blocks
+from repro.workloads.traces import (BLOCK_OPS, AccessBlock, interleave,
+                                    require_block)
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 
 from tests.core.digests import digest_report
@@ -158,3 +160,123 @@ def test_refused_items_charge_nothing(item, entry):
         else:
             engine.run_sessions([trace()])
     assert _pool_state(engine.pool) == before
+
+
+# -- runs of blocks -------------------------------------------------------------
+
+def _whole():
+    """~44 k accesses as one block: YCSB-A point traffic (12.7 ns think)
+    beside scans (50 ns), so a run holds two think values, several
+    shapes, writes, misses and rebalances."""
+    ycsb = ycsb_blocks(YCSBConfig(mix="A", num_pages=900, num_ops=33_000,
+                                  seed=12, think_ns=12.7))
+    scans = scan_blocks(900, 1_100, repeats=10)
+    return AccessBlock.concat(list(interleave(ycsb, scans, weights=[3, 1])))
+
+
+def _cut(whole, rows):
+    n = len(whole)
+    return [whole.slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+def _engine():
+    return ScaleUpEngine.build(dram_pages=256, cxl_pages=900,
+                               name="runs-test")
+
+
+def _spied(engine):
+    """*engine* with its pool's ``access_block`` recording each call's
+    block."""
+    calls = []
+    charge = engine.pool.access_block
+
+    def spy(block, accum=0.0):
+        calls.append(block)
+        return charge(block, accum)
+
+    engine.pool.access_block = spy
+    return calls
+
+
+def _per_block(blocks):
+    """The pool after a per-block ``access_block`` loop, the delivery
+    runs replace; and the error the loop stopped on, if any."""
+    engine = _engine()
+    for block in blocks:
+        try:
+            engine.pool.access_block(require_block(block))
+        except (BufferPoolError, ConfigError) as exc:
+            return engine.pool, f"{type(exc).__name__}: {exc}"
+    return engine.pool, None
+
+
+def test_runs_are_invisible():
+    """Cut into 1-, 7-, 4,095-, 4,096- or 40,000-row blocks, the trace
+    charges byte-identically — report and pool — and each run the pool
+    is handed joins whole blocks up to ``RUN_OPS`` rows; a longer
+    block goes alone, unsplit."""
+    whole = _whole()
+    assert len(whole) > 40_000
+    digests, states = set(), []
+    for rows in (1, 7, 4_095, 4_096, 40_000):
+        engine = _engine()
+        calls = _spied(engine)
+        report = engine.run(_cut(whole, rows))
+        digests.add(digest_report(engine, report))
+        states.append(_pool_state(engine.pool))
+        per_run = rows if rows > RUN_OPS else RUN_OPS // rows * rows
+        assert [len(b) for b in calls[:-1]] == [per_run] * (len(calls) - 1)
+        assert sum(len(b) for b in calls) == len(whole) == report.ops
+    assert len(digests) == 1
+    pool, error = _per_block(_cut(whole, BLOCK_OPS))
+    assert error is None and report.misses > 0 and report.migrations > 0
+    assert all(state == _pool_state(pool) for state in states)
+
+
+def _bad_item(kind, block):
+    """A block (or a non-block) ``engine.run`` must refuse."""
+    if kind == "not-a-block":
+        return (1, 2, 3)
+    think = block.think_ns.copy()
+    think[3] = -1.0 if kind == "negative-think" else float("nan")
+    if kind == "ragged":
+        return AccessBlock(block.page_id, block.write[:-1], block.is_scan,
+                           block.nbytes, block.think_ns)
+    return AccessBlock(block.page_id, block.write, block.is_scan,
+                       block.nbytes, think)
+
+
+@pytest.mark.parametrize("kind", ["negative-think", "nan-think", "ragged",
+                                  "not-a-block"])
+def test_a_refused_block_raises_with_every_earlier_block_charged(kind):
+    """A refused item mid-trace raises what the per-block loop raises,
+    and the pool equals that loop's stopped there: the run before it
+    was charged first."""
+    blocks = _cut(_whole().slice(0, 12_000), 1_000)
+    trace = [*blocks[:7], _bad_item(kind, blocks[7]), *blocks[7:]]
+    engine = _engine()
+    with pytest.raises((BufferPoolError, ConfigError)) as caught:
+        engine.run(trace)
+    pool, error = _per_block(trace)
+    assert f"{caught.type.__name__}: {caught.value}" == error
+    assert _pool_state(engine.pool) == _pool_state(pool)
+    assert engine.pool.stats.accesses == 7_000
+
+
+def test_a_float_size_block_is_not_joined():
+    """Blocks join only with blocks of the same column dtypes: a float
+    ``nbytes`` block between int ones is charged alone (the window
+    declines it) and the charge is unchanged."""
+    blocks = _cut(_whole().slice(0, 9_000), 3_000)
+    middle = blocks[1]
+    blocks[1] = AccessBlock(middle.page_id, middle.write, middle.is_scan,
+                            middle.nbytes.astype(np.float64),
+                            middle.think_ns)
+    engine = _engine()
+    calls = _spied(engine)
+    engine.run(blocks)
+    assert [(len(b), b.nbytes.dtype.kind) for b in calls] \
+        == [(3_000, "i"), (3_000, "f"), (3_000, "i")]
+    assert engine.pool.lane.declines["nbytes"] == 1
+    pool, _ = _per_block(blocks)
+    assert _pool_state(engine.pool) == _pool_state(pool)

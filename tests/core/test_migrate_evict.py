@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro import config
 from repro.core import buffer
 from repro.core.buffer import _RES_MAX_PIDS, Tier, TieredBufferPool
-from repro.core.engine import ScaleUpEngine
-from repro.core.placement import OSPagingPolicy
+from repro.core.engine import RUN_OPS, ScaleUpEngine
+from repro.core.placement import DbCostPolicy, OSPagingPolicy
 from repro.errors import ConfigError
 from repro.sim.clock import SimClock
 from repro.sim.context import SimContext
@@ -31,6 +31,7 @@ from repro.sim.memory import MemoryDevice
 from repro.sim.trace import MemoryTraceSink
 from repro.storage.disk import StorageDevice
 from repro.storage.file import PageFile
+from repro.units import PAGE_SIZE
 from repro.workloads import scan_blocks
 from repro.workloads.ycsb import YCSBConfig, ycsb_blocks
 from tests.core.test_rebalance import full_state, run_both
@@ -228,6 +229,107 @@ class TestDeclines:
             pool.access(FAR)
         compare(batched, looped, *demote_pass(batched, 64))
         self.declined(batched, "far")
+
+
+def peak_reads(monkeypatch):
+    """Record the starting count of every running peak the commit
+    reads (``_run_peak``); the tiers it skips take the shortcut."""
+    starts = []
+    read = buffer._run_peak
+
+    def spy(count, into, out):
+        starts.append(count)
+        return read(count, into, out)
+
+    monkeypatch.setattr(buffer, "_run_peak", spy)
+    return starts
+
+
+class TestLeanCommit:
+    """The commit reads a tier's running peak only when the run could
+    overflow the tier or raise its ``resident_peak``; each LRU tier
+    takes one stamp write per direction. Both held to the loop's peaks
+    and recency order (``state``)."""
+
+    @pytest.mark.parametrize("cxl_at_peak", [False, True])
+    def test_swap_at_a_full_fast_tier(self, monkeypatch, cxl_at_peak):
+        """A rebalance swap with DRAM full. Filled from CXL, DRAM's
+        running count is the only one read: CXL sits 64 below the peak
+        its preload left, and that peak stands. Filled by point
+        faults, CXL sits at its peak, so the swap's first demotion
+        raises it, and CXL's running count is read too."""
+        pools = []
+        for _ in range(2):
+            engine = ScaleUpEngine.build(
+                dram_pages=64, cxl_pages=400,
+                placement=DbCostPolicy(rebalance_interval=10**9))
+            engine.preload(np.arange(300), nbytes=PAGE_SIZE, is_scan=True)
+            if cxl_at_peak:
+                engine.preload(np.arange(300, 364), nbytes=PAGE_SIZE)
+            else:
+                engine.pool.migrate_batch(np.arange(64), np.zeros(64, int))
+            pools.append(engine.pool)
+        batched, looped = pools
+        cxl = 300 if cxl_at_peak else 236
+        assert [batched.tier_residents(t) for t in (0, 1)] == [64, cxl]
+        assert batched.stats.per_tier[1].resident_peak == 300
+        swaps = np.empty(128, dtype=np.int64)
+        swaps[0::2] = sorted(batched.resident_in(0))
+        swaps[1::2] = np.arange(100, 164)
+        starts = peak_reads(monkeypatch)
+        compare(batched, looped, swaps, 1 - np.arange(128) % 2)
+        assert starts == ([64, 300] if cxl_at_peak else [64])
+        assert batched.stats.per_tier[1].resident_peak == \
+            (301 if cxl_at_peak else 300)
+        assert [batched.tier_residents(t) for t in (0, 1)] == [64, cxl]
+        assert batched.tiers[0].policy.order()[-64:] == \
+            list(range(100, 164))
+
+    def test_three_tier_overflow_reads_the_overflowing_tier(self,
+                                                            monkeypatch):
+        """Departures only (tier 0) and arrivals into room under the
+        peak (tier 1) take the shortcut; the tier the run overfills
+        reads its running count and evicts."""
+        batched, looped = twins((70, 40, 60), 190)
+        for pool in (batched, looped):
+            for page in sorted(pool.resident_in(1))[:8]:
+                pool.migrate(page, 2)
+        ids, _ = demote_pass(batched, 64)
+        tos = np.where(np.arange(64) % 16 == 0, 1, 2)
+        starts = peak_reads(monkeypatch)
+        compare(batched, looped, ids, tos)
+        assert starts == [60]
+        assert batched.stats.per_tier[2].evictions > 0
+
+
+def test_an_epoch_is_one_window():
+    """An all-hit scan on a DbCostPolicy pool (a rebalance every 5,000
+    accesses) through ``engine.run`` takes at most one window per
+    epoch plus one per run, since neither a trigger nor a block's end
+    shrinks the window's span. Charging it block by block, the way
+    ``run`` did before it joined blocks, takes more, for the same
+    pool."""
+    pages = 3_000
+    trace = list(scan_blocks(0, pages, repeats=40))
+
+    def warm():
+        engine = ScaleUpEngine.build(dram_pages=pages // 6,
+                                     cxl_pages=pages * 3 // 2)
+        engine.preload(np.arange(pages), nbytes=PAGE_SIZE, is_scan=True)
+        return engine, engine.pool.lane.exact_windows
+
+    engine, before = warm()
+    report = engine.run(trace)
+    windows = engine.pool.lane.exact_windows - before
+    epochs = report.ops // engine.pool.placement.rebalance_interval
+    runs = -(-report.ops // (RUN_OPS // pages * pages))
+    assert report.misses == 0 and epochs == 24 and runs == 4
+    assert windows <= epochs + runs
+    blockwise, before = warm()
+    for block in trace:
+        blockwise.pool.access_block(block)
+    assert blockwise.pool.lane.exact_windows - before > windows
+    assert full_state(blockwise.pool) == full_state(engine.pool)
 
 
 @settings(max_examples=120, deadline=None)

@@ -270,9 +270,11 @@ class ReferenceLRU:
     def remove(self, key):
         self._order.pop(key, None)
 
-    def remove_batch(self, keys):
-        for key in keys:
+    def move_batch(self, leaving, arriving, hi):
+        for key in leaving:
             self.remove(key)
+        for key in arriving:
+            self.record_insert(key)
 
     def victim(self, pinned=_never_pinned):
         return next((key for key in self._order if not pinned(key)), None)
@@ -380,10 +382,21 @@ class LRUMachine(RuleBasedStateMachine):
     def remove(self, key):
         self.both(lambda p: p.remove(key))
 
-    @rule(keys=RUNS, form=FORMS)
-    def remove_batch(self, keys, form):
-        self.both(lambda p: p.remove_batch(as_column(keys, form)),
-                  lambda m: m.remove_batch(keys))
+    @rule(picks=st.lists(st.integers(0, 40), max_size=6, unique=True),
+          fresh=st.lists(DENSE, max_size=8, unique=True))
+    def move_batch(self, picks, fresh):
+        """Tracked dense keys leave and untracked ones arrive, as a
+        pool's move commit hands them over."""
+        tracked = [key for key in self.model.order()
+                   if 0 <= key < DENSE_KEYS]
+        leaving = sorted({tracked[i % len(tracked)] for i in picks}
+                         if tracked else ())
+        arriving = [key for key in fresh if key not in self.model._order]
+        hi = max(leaving + arriving, default=0)
+        self.both(lambda p: p.move_batch(np.array(leaving, dtype=np.int64),
+                                         np.array(arriving, dtype=np.int64),
+                                         hi),
+                  lambda m: m.move_batch(leaving, arriving, hi))
 
     @rule(pins=PINS)
     def victim(self, pins):

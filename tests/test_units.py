@@ -65,12 +65,6 @@ class TestBandwidthConvention:
 
 
 class TestFormatting:
-    def test_fmt_bytes_bytes(self):
-        assert units.fmt_bytes(17) == "17 B"
-
-    def test_fmt_bytes_gib(self):
-        assert units.fmt_bytes(3 * units.GIB) == "3.0 GiB"
-
     def test_fmt_ns_ns(self):
         assert units.fmt_ns(85.0) == "85 ns"
 
