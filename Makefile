@@ -65,11 +65,11 @@ route-check:
 # Frame-object layer and its reconciliation may not come back anywhere
 # under src/, and the pool builds a Frame view in frame_of() only. The
 # rebalance reads one residency snapshot: the per-tier re-gathers it
-# replaced may not come back, and placement.py reads pins off the pins
-# column, never through a frame view. Churn is one merge loop and the
-# timed lock table two per-key expiry columns: the churn event
-# callbacks, the hold records and the prune pass may not come back
-# either. The pool has one bulk miss body, the block window: the
+# replaced may not come back, and placement.py reads residency through
+# tier_of and the snapshot, never through a frame view. Churn is one
+# merge loop and the timed lock table two per-key expiry columns:
+# the churn event callbacks, the hold records and the prune pass may
+# not come back either. The pool has one bulk miss body, the block window: the
 # deleted miss-run lane, its run-length floor and the generic victim
 # batch it needed may not come back under src/. Addition chains are
 # left folds (np.add.accumulate): the binade-reasoning cycle ladder
@@ -134,6 +134,11 @@ route-check:
 # sweep`. The retired script directory, its pytest file pattern in
 # pyproject.toml and the runner that loaded it (its finder, loader,
 # environment variable and flag) may not come back.
+# No experiment pins a page or picks a session fairness policy, and a
+# spec is a JSON file: the pin API (pin_counts, pinned_pages, is_pinned
+# and the replacement policies' _never_pinned predicate), the fairness
+# policies and their morsel hook, the TOML spec reader and writer and
+# Tier.from_device_path may not come back under src/.
 # The line counts of the pool, placement, tracker, chain and page files,
 # and of the four TPC-C files, are printed for the CI log.
 define STRUCTURE_CHECK
@@ -263,6 +268,13 @@ if pathlib.Path(scripts).exists():
 if re.search("bench" r"_\*\.py", pathlib.Path("pyproject.toml").read_text()):
     bad.append("pyproject.toml: the retired script pattern is a test file"
                " pattern")
+pinless = re.compile(r"\b(pin_counts|pinned_pages|is_pinned|_never_pinned"
+                     r"|FairnessPolicy|RoundRobinPolicy|WeightedPolicy"
+                     r"|on_morsel|loads_toml|dumps_toml|from_device_path)\b")
+for path in sorted(pathlib.Path("src").rglob("*.py")):
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if pinless.search(line):
+            bad.append("%s:%d: %s" % (path, number, line.strip()))
 runner = re.compile("find_" "benchmarks_dir|load_" "experiment"
                     "|REPRO_" "BENCH_DIR|bench" "-dir")
 for root in ("src", "tools"):

@@ -47,7 +47,7 @@ def sweep_main(argv: list[str]) -> int:
                     " them against baseline shape invariants.",
     )
     parser.add_argument("specs", nargs="+", metavar="SPEC",
-                        help="sweep spec file(s), .json or .toml")
+                        help="sweep spec file(s), JSON")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: cpu count)")
     parser.add_argument("--timeout", type=float, default=600.0,

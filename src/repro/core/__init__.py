@@ -49,12 +49,8 @@ _SOURCES = {
     "ScaleOutEngine": "scaleout",
     "ClientSession": "sessions",
     "ConcurrentEngine": "sessions",
-    "FairnessPolicy": "sessions",
-    "FifoPolicy": "sessions",
-    "RoundRobinPolicy": "sessions",
     "SessionReport": "sessions",
     "SessionRunReport": "sessions",
-    "WeightedPolicy": "sessions",
     "SharedEngineConfig": "shared",
     "SharedRackEngine": "shared",
     "ExactTracker": "temperature",

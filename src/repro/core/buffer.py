@@ -74,7 +74,7 @@ import numpy as np
 # first measured _latch_dirty call (it showed up in bench profiles).
 import numpy.ma  # noqa: F401
 
-from ..errors import BufferPoolError, PageFaultError
+from ..errors import BufferPoolError
 from ..sim.bandwidth import WaitQueue
 from ..sim.clock import SimClock
 from ..sim.context import SimContext
@@ -84,7 +84,7 @@ from ..storage.file import PageFile
 from ..storage.page import Page, PageId
 from ..units import CACHE_LINE
 from ..workloads.traces import BLOCK_OPS, AccessBlock, ShapeSegments
-from .frame import ACC, DIRTY, LAST_NS, PINS, SLOT, TIER, Frame
+from .frame import ACC, DIRTY, LAST_NS, SLOT, TIER, Frame
 from .replacement import (
     DENSE_KEYS,
     LRUPolicy,
@@ -112,17 +112,6 @@ class Tier:
                 f"tier {self.name}: capacity must be positive"
             )
 
-    @classmethod
-    def from_device_path(cls, name: str, path: AccessPath,
-                         page_size: int, policy_name: str = "lru",
-                         capacity_pages: int | None = None) -> "Tier":
-        """Build a tier sized to (a fraction of) its device capacity."""
-        capacity = capacity_pages
-        if capacity is None:
-            capacity = path.device.capacity_bytes // page_size
-        return cls(name=name, path=path, capacity_pages=capacity,
-                   policy=make_policy(policy_name))
-
 
 #: Dense residency-table ceiling. Page ids at or above this keep their
 #: row in the pool's side dict and always resolve through the scalar
@@ -136,9 +125,9 @@ _PID_LIMIT = 1 << 63
 
 #: The residency table's columns, in :mod:`~repro.core.frame` index
 #: order: attribute, dtype and the value an absent page's row holds.
-_COLUMNS = (("_res_tier", np.int16, -1), ("_pins", np.int16, 0),
-            ("_dirty", np.bool_, False), ("_last_ns", np.float64, 0.0),
-            ("_acc", np.int64, 0), ("_slot", np.int32, 0))
+_COLUMNS = (("_res_tier", np.int16, -1), ("_dirty", np.bool_, False),
+            ("_last_ns", np.float64, 0.0), ("_acc", np.int64, 0),
+            ("_slot", np.int32, 0))
 
 #: 2**53 — every integer below this is exactly representable in a
 #: float64, so addition chains of whole-nanosecond quantities that stay
@@ -289,7 +278,7 @@ class BufferPoolStats:
 #: Why a block window stopped short (``LaneStats.cuts``) or was refused
 #: at its head (``LaneStats.head_cuts``).
 _CUTS = ("miss_full", "scan_flag", "headroom", "non_lru",
-         "pinned", "session", "backing", "placement", "evicted_reref",
+         "session", "backing", "placement", "evicted_reref",
          "victim_bound", "cascade")
 
 #: Why :meth:`TieredBufferPool.access_quantum` sent a quantum to the
@@ -298,8 +287,7 @@ _QUANTUM_SCALAR = ("id_range", "headroom", "miss")
 
 #: Why :meth:`TieredBufferPool._migrate_columns` left a run to the
 #: per-page step (``LaneStats.migrate_declines``).
-_MIGRATE_DECLINES = ("far", "invalid", "pinned", "non_lru", "cascade",
-                     "victims")
+_MIGRATE_DECLINES = ("far", "invalid", "non_lru", "cascade", "victims")
 
 
 @dataclass(slots=True)
@@ -434,7 +422,7 @@ class TieredBufferPool:
         )
         # The residency table, the one record of which page sits where:
         # dense per-page-id columns (_COLUMNS) grown on demand — tier
-        # (-1 = absent), pin count, dirty flag, last-access time,
+        # (-1 = absent), dirty flag, last-access time,
         # access count, and the page's slot in the insertion-order
         # index below. An absent row holds (-1, 0, False) there and
         # anything in the rest, which install overwrites. `_mv` is a
@@ -451,7 +439,6 @@ class TieredBufferPool:
         self._adopted: dict[PageId, Page] = {}
         self._anonymous_pages: dict[PageId, Page] = {}
         self._resident_counts = [0] * len(self.tiers)
-        self._pinned = 0
         if placement is None:
             from .placement import DbCostPolicy
             placement = DbCostPolicy()
@@ -638,11 +625,6 @@ class TieredBufferPool:
         """Number of pages currently held in any tier."""
         return sum(self._resident_counts)
 
-    @property
-    def pinned_pages(self) -> int:
-        """Number of resident pages holding at least one pin."""
-        return self._pinned
-
     def tier_residents(self, tier_index: int) -> int:
         """Number of pages resident in one tier."""
         return self._resident_counts[tier_index]
@@ -705,25 +687,13 @@ class TieredBufferPool:
         ids.flags.writeable = tiers.flags.writeable = False
         return ids, tiers
 
-    def pin_counts(self, page_ids: np.ndarray) -> np.ndarray:
-        """Pin counts of an id column, read off the pins column (an
-        absent page holds none)."""
-        ids = np.asarray(page_ids, dtype=np.int64)
-        if not self._pinned:
-            return np.zeros(ids.shape[0], dtype=self._pins.dtype)
-        if not ids.shape[0] or (0 <= ids.min() and ids.max() < self._cap):
-            return self._pins[ids]
-        return np.array([self._get(pid, PINS) for pid in ids.tolist()],
-                        dtype=self._pins.dtype)
-
     def check_invariants(self) -> None:
         """Raise :class:`BufferPoolError` unless the residency table
         agrees with everything kept beside it: the insertion-order
         index (one valid entry per resident page, the row's slot
         pointing at it, the same tier), each tier policy's membership,
-        the resident and pinned counts, pins and dirty flags on
-        resident rows only, and side rows only for ids the dense
-        table refuses."""
+        the resident counts, dirty flags on resident rows only, and
+        side rows only for ids the dense table refuses."""
         def require(ok: bool, what: str) -> None:
             if not ok:
                 raise BufferPoolError(f"residency invariant broken: {what}")
@@ -749,11 +719,7 @@ class TieredBufferPool:
                     and all(pid in tier.policy for pid in members),
                     f"tier {tier.name}: replacement policy membership")
         absent = self._res_tier < 0
-        require(not (self._pins[absent].any() or self._dirty[absent].any()),
-                "a pin or a dirty flag on an absent row")
-        require(self._pinned == int(np.count_nonzero(self._pins[dense]))
-                + sum(1 for row in self._far.values() if row[PINS]),
-                "pinned-page count")
+        require(not self._dirty[absent].any(), "a dirty flag on an absent row")
 
     def _drain_lazy(self) -> None:
         """Settle the deferred hit log in one columnar pass.
@@ -896,30 +862,6 @@ class TieredBufferPool:
             tier_snap["capacity_pages"] = tier.capacity_pages
             snap[f"tier.{tier.name}"] = tier_snap
         return snap
-
-    # -- pinning --------------------------------------------------------------
-
-    def pin(self, page_id: PageId) -> None:
-        """Pin a resident page (prevents eviction and migration). The
-        pool counts pinned pages so victim selection can skip the
-        pinned predicate entirely in the no-pins common case."""
-        if self._get(page_id, TIER) < 0:
-            raise BufferPoolError(f"cannot pin non-resident page {page_id}")
-        pins = self._get(page_id, PINS)
-        if not pins:
-            self._pinned += 1
-        self._set(page_id, PINS, pins + 1)
-
-    def unpin(self, page_id: PageId) -> None:
-        """Release one pin of a resident page."""
-        if self._get(page_id, TIER) < 0:
-            raise BufferPoolError(f"cannot unpin non-resident page {page_id}")
-        pins = self._get(page_id, PINS)
-        if pins <= 0:
-            raise BufferPoolError(f"unpin of unpinned frame for page {page_id}")
-        self._set(page_id, PINS, pins - 1)
-        if pins == 1:
-            self._pinned -= 1
 
     # -- the access fast path ---------------------------------------------------
 
@@ -1512,12 +1454,11 @@ class TieredBufferPool:
                 k, cut, fill = self._fill_plan(ids_nd[j:wend],
                                                scans_nd[j:wend], sp)
             if k == 0:
-                # The plan refused the window's head (pins, a session
-                # clock, a full tier of an anonymous pool, a cascade,
-                # ...): the leading stretch
-                # of such positions takes the scalar access chain, the
-                # reference, and the window is planned again after it
-                # — once per stretch, not once per miss.
+                # The plan refused the window's head (a session clock,
+                # a full tier of an anonymous pool, a cascade, ...):
+                # the leading stretch of such positions takes the scalar
+                # access chain, the reference, and the window is planned
+                # again after it — once per stretch, not once per miss.
                 stop = j + (bad.shape[0] if bad.all()
                             else int(bad.argmin()))
                 lane.head_cuts[cut] += 1
@@ -1662,13 +1603,11 @@ class TieredBufferPool:
 
     def _fill_decline(self) -> str | None:
         """Why no miss can be folded into a window right now, whatever
-        its admit tier (a ``cuts`` reason), or None: ``pinned``,
-        ``session`` (a session clock), ``backing`` (an unhealthy
-        device), ``miss_full`` (an anonymous pool whose tiers are all
-        full: every eviction is the scalar path's)."""
+        its admit tier (a ``cuts`` reason), or None: ``session`` (a
+        session clock), ``backing`` (an unhealthy device), ``miss_full``
+        (an anonymous pool whose tiers are all full: every eviction is
+        the scalar path's)."""
         backing = self.backing
-        if self._pinned:
-            return "pinned"
         if self._session_clock is not None:
             return "session"
         if backing is not None and not backing.device.healthy:
@@ -2077,7 +2016,7 @@ class TieredBufferPool:
             mv[LAST_NS][page_id] = 0.0
             mv[ACC][page_id] = 0
         else:
-            self._far[page_id] = [tier_index, 0, False, 0.0, 0, 0]
+            self._far[page_id] = [tier_index, False, 0.0, 0, 0]
         self._set(page_id, SLOT, self._ord_append(page_id, tier_index, 1))
         self._resident_counts[tier_index] += 1
         self.tiers[tier_index].policy.record_insert(page_id)
@@ -2109,18 +2048,7 @@ class TieredBufferPool:
 
     def _evict_one(self, tier_index: int) -> float:
         """Evict or demote one page out of a tier; returns elapsed ns."""
-        tier = self.tiers[tier_index]
-        # Only pay for the pinned predicate when something is actually
-        # pinned; with the default predicate LRU victim selection is
-        # O(1) instead of a scan through the recency order.
-        if self._pinned:
-            victim_id = tier.policy.victim(self.is_pinned)
-        else:
-            victim_id = tier.policy.victim()
-        if victim_id is None:
-            raise PageFaultError(
-                f"tier {tier.name}: all frames pinned, cannot evict"
-            )
+        victim_id = self.tiers[tier_index].policy.victim()
         target = self.placement.demote_target(tier_index)
         if target is not None and target != tier_index:
             # Demotion time is part of the fault being served: it is
@@ -2139,7 +2067,7 @@ class TieredBufferPool:
             mv[TIER][page_id] = -1
             mv[DIRTY][page_id] = False
         else:
-            tier_index, _, dirty, _, _, slot = self._far.pop(page_id)
+            tier_index, dirty, _, _, slot = self._far.pop(page_id)
         self._ord_valid[slot] = False
         page = self._page_of(page_id) if dirty else None
         if self._adopted:
@@ -2165,10 +2093,6 @@ class TieredBufferPool:
                 self._anonymous_pages[page_id] = page
         return elapsed
 
-    def is_pinned(self, page_id: PageId) -> bool:
-        """Whether a page holds a pin (an absent page holds none)."""
-        return self._get(page_id, PINS) > 0
-
     # -- migration ---------------------------------------------------------------
 
     def migrate(self, page_id: PageId, to_tier: int) -> float:
@@ -2188,8 +2112,8 @@ class TieredBufferPool:
 
         Equivalent to calling :meth:`migrate` once per page — the same
         device traffic, migration time, clock advances and trace spans
-        in the same order, and on a pinned / non-resident page or an
-        invalid tier the same error with every earlier page moved.
+        in the same order, and on a non-resident page or an invalid
+        tier the same error with every earlier page moved.
         """
         if len(page_ids) != len(to_tiers):
             raise BufferPoolError("migrate_batch needs one tier per page")
@@ -2226,22 +2150,18 @@ class TieredBufferPool:
         # regrown (nor the index compacted) under these.
         cap = self._cap
         far_get = self._far.get
-        tier_mv, pins_mv, slot_mv = (self._mv[col]
-                                     for col in (TIER, PINS, SLOT))
+        tier_mv, slot_mv = self._mv[TIER], self._mv[SLOT]
         ord_tier = self._ord_tier
         total = 0.0
         for page_id, to_tier in zip(page_ids, to_tiers):
             row = None
             if 0 <= page_id < cap:
                 from_tier = tier_mv[page_id]
-                pins = pins_mv[page_id]
             else:
                 row = far_get(page_id)
-                from_tier, pins = (-1, 0) if row is None else row[:2]
+                from_tier = -1 if row is None else row[TIER]
             if from_tier < 0:
                 raise BufferPoolError(f"cannot migrate non-resident {page_id}")
-            if pins:
-                raise BufferPoolError(f"cannot migrate pinned page {page_id}")
             if not 0 <= to_tier < len(tiers):
                 raise BufferPoolError(f"invalid tier {to_tier}")
             if from_tier == to_tier:
@@ -2309,15 +2229,14 @@ class TieredBufferPool:
         it to the per-page step and counting why in
         ``lane.migrate_declines``.
 
-        Taken when every page is a distinct, unpinned resident of the
-        dense table bound for a valid tier and every tier the run
-        touches keeps LRU order. A destination the run fills past its
-        capacity (an OS-paging demote pass into a full CXL tier) is
-        taken too when the per-page step would only evict its oldest
-        residents to storage: it drains to storage, nothing leaves it,
-        nothing in the pool is pinned, no row is outside the dense
-        table, and it holds the ``need`` residents its overflow evicts,
-        none of them in the run. Arrivals land at the MRU end, so the
+        Taken when every page is a distinct resident of the dense table
+        bound for a valid tier and every tier the run touches keeps LRU
+        order. A destination the run fills past its capacity (an
+        OS-paging demote pass into a full CXL tier) is taken too when
+        the per-page step would only evict its oldest residents to
+        storage: it drains to storage, nothing leaves it, no row is
+        outside the dense table, and it holds the ``need`` residents
+        its overflow evicts, none of them in the run. Arrivals land at the MRU end, so the
         victims are its LRU prefix (``front_column(need)``), one each
         at the last ``need`` arrivals; they go through :meth:`_evict_charge` /
         :meth:`_evict_apply`, the block window's bulk eviction body.
@@ -2351,9 +2270,6 @@ class TieredBufferPool:
                 or int(tos.max()) >= T or int(frm.min()) < 0
                 or (srt[1:] == srt[:-1]).any()):
             declines["invalid"] += 1
-            return None
-        if self._pinned and self._pins[ids].any():
-            declines["pinned"] += 1
             return None
         moving = frm != tos
         staying = None
@@ -2469,16 +2385,14 @@ class TieredBufferPool:
                           departed: int) -> str | None:
         """Why a run that overflows tier *t* cannot evict in bulk ahead
         of its moves (a ``migrate_declines`` reason), or None: *t*
-        demotes into another tier (``cascade``), a pin could redirect
-        the victim choice (``pinned``), a row lives outside the dense
-        table (``far``), or the victims are not *t*'s oldest residents
-        dropped to a healthy page file (``victims``: an anonymous
-        pool, a move out of *t* or *t* already over its capacity)."""
+        demotes into another tier (``cascade``), a row lives outside
+        the dense table (``far``), or the victims are not *t*'s oldest
+        residents dropped to a healthy page file (``victims``: an
+        anonymous pool, a move out of *t* or *t* already over its
+        capacity)."""
         target = self.placement.demote_target(t)
         if target is not None and target != t:
             return "cascade"
-        if self._pinned:
-            return "pinned"
         if self._far:
             return "far"
         if (self.backing is None or departed
@@ -2579,14 +2493,12 @@ class TieredBufferPool:
         for page_id, tier_index in zip(ids.tolist(), tiers.tolist()):
             self.tiers[tier_index].policy.remove(page_id)
         self._res_tier.fill(-1)
-        self._pins.fill(0)
         self._dirty.fill(False)
         self._far.clear()
         self._adopted.clear()
         self._ord_valid[:self._ord_len] = False
         self._ord_len = 0
         self._resident_counts = [0] * len(self.tiers)
-        self._pinned = 0
 
     def __repr__(self) -> str:
         tiers = ", ".join(

@@ -20,7 +20,8 @@ from ..sim.memory import MemoryDevice
 from ..storage.disk import StorageDevice
 from ..storage.file import PageFile
 from ..units import PAGE_SIZE, SECOND, fmt_ns
-from ..workloads.traces import BLOCK_OPS, AccessBlock, require_block
+from ..workloads.traces import (BLOCK_OPS, AccessBlock, require_block,
+                               require_trace)
 from .buffer import Tier, TieredBufferPool, check_block
 from .placement import DbCostPolicy, PlacementPolicy
 
@@ -43,7 +44,7 @@ def _runs(trace: Iterable[AccessBlock]) -> Iterator[AccessBlock]:
     rows = 0
     kind = None
     try:
-        for block in trace:
+        for block in require_trace(trace):
             n = len(require_block(block))
             if not n:
                 continue
@@ -289,7 +290,7 @@ class ScaleUpEngine:
         return report
 
     def run_sessions(self, sessions, label: str | None = None,
-                     policy=None, morsel_ops: int | None = None):
+                     morsel_ops: int | None = None):
         """Execute several client sessions as genuine concurrency.
 
         Convenience front end for
@@ -302,7 +303,7 @@ class ScaleUpEngine:
         """
         from .sessions import MORSEL_OPS, ConcurrentEngine
         executor = ConcurrentEngine(
-            self.pool, name=self.name, policy=policy,
+            self.pool, name=self.name,
             morsel_ops=MORSEL_OPS if morsel_ops is None else morsel_ops,
         )
         return executor.run(sessions, label=label)

@@ -11,7 +11,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .buffer import TieredBufferPool
 
 #: Columns of the pool's residency table, in side-row order.
-TIER, PINS, DIRTY, LAST_NS, ACC, SLOT = range(6)
+TIER, DIRTY, LAST_NS, ACC, SLOT = range(5)
 
 
 def _field(col: int, doc: str) -> property:
@@ -58,7 +58,6 @@ class Frame:
         return self._row()._page_of(self.page_id)
 
     tier_index = _field(TIER, "Index of the tier holding the page.")
-    pin_count = _field(PINS, "Outstanding pins.")
     last_access_ns = _field(LAST_NS, "Clock value at the latest access.")
     accesses = _field(ACC, "Accesses since the page became resident.")
     dirty = _field(DIRTY, "Whether eviction must write the page back.")
@@ -67,19 +66,6 @@ class Frame:
     def dirty(self, value: bool) -> None:
         self._row()._set(self.page_id, DIRTY, bool(value))
 
-    @property
-    def pinned(self) -> bool:
-        """Whether the frame is currently pinned."""
-        return self.pin_count > 0
-
-    def pin(self) -> None:
-        """Pin the frame (prevents eviction and migration)."""
-        self._row().pin(self.page_id)
-
-    def unpin(self) -> None:
-        """Release one pin."""
-        self._row().unpin(self.page_id)
-
     def __repr__(self) -> str:
-        flags = f"{'D' if self.dirty else '-'}{'P' if self.pinned else '-'}"
+        flags = "D" if self.dirty else "-"
         return f"Frame(page={self.page_id}, tier={self.tier_index}, {flags})"

@@ -289,10 +289,9 @@ class OSPagingPolicy(_BasePolicy):
         demoting the coldest (least-sampled) pages to the next tier.
 
         Each move takes the fast tier down by exactly one page, so the
-        moves are the first ``min(budget, residents - low)`` unpinned
-        pages of the heat order (ties in residency order): a prefix
-        that much longer than the pins is all that is ever read, and
-        it goes to the pool as one batch."""
+        moves are the first ``min(budget, residents - low)`` pages of
+        the heat order (ties in residency order): that prefix is all
+        that is ever read, and it goes to the pool as one batch."""
         pool = self.pool
         if len(pool.tiers) < 2:
             return
@@ -308,8 +307,7 @@ class OSPagingPolicy(_BasePolicy):
         ids, tiers = pool.resident_order()
         ids = ids[tiers == 0]
         coldest, _ = heat_order_prefix(ids, self.tracker.heat_array(ids),
-                                       moves + pool.pinned_pages)
-        coldest = coldest[pool.pin_counts(coldest) == 0][:moves]
+                                       moves)
         pool.migrate_batch(coldest, np.ones_like(coldest))
 
     def _promote_pass(self) -> None:
@@ -326,8 +324,7 @@ class OSPagingPolicy(_BasePolicy):
         for page_id in self.tracker.hottest(4 * budget,
                                             self.promote_min_heat):
             tier_index = pool.tier_of(page_id)
-            if tier_index is None or tier_index == 0 or (
-                    pool.pinned_pages and pool.is_pinned(page_id)):
+            if tier_index is None or tier_index == 0:
                 continue
             pool.migrate(page_id, 0)
             budget -= 1
@@ -358,11 +355,11 @@ class DbCostPolicy(_BasePolicy):
         self._tracker = tracker
         self._accesses = 0
         #: Rebalance counters, reported by :meth:`snapshot`; a skip is a
-        #: candidate passed over as pinned (or evicted mid-solve).
+        #: swap partner evicted mid-solve.
         self.rebalances = 0
         self.moves = 0
         self.pairs_cut_unprofitable = 0
-        self.pinned_skips = 0
+        self.evicted_skips = 0
 
     def attach(self, pool: "TieredBufferPool") -> None:
         """Bind, install the tracker this policy ranks by as the pool's
@@ -458,35 +455,23 @@ class DbCostPolicy(_BasePolicy):
         ids, tiers = pool.resident_order()
         heats = self.tracker.heat_array(ids)
         fast, slow = range(1), range(1, len(pool.tiers))
-        # A candidate is passed over only when it is pinned, or in the
-        # swap phase evicted by the one make-room described there, so
-        # a prefix this much longer than the budget holds every move
-        # the full order would make.
-        spare = pool.pinned_pages + 1
         moves = 0
         headroom = pool.tiers[0].capacity_pages - pool.tier_residents(0)
         if headroom > 0:
             # Fill unused fast capacity with the hottest slow pages.
-            hot, _ = _snapshot_prefix(
-                heats, tiers, slow, min(headroom, max_moves + spare),
-                reverse=True)
-            fill = []
-            for page_id, pins in zip(ids[hot].tolist(),
-                                     pool.pin_counts(ids[hot]).tolist()):
-                if len(fill) == max_moves:
-                    break
-                if pins:
-                    self.pinned_skips += 1
-                else:
-                    fill.append(page_id)
-            if fill:
-                pool.migrate_batch(np.array(fill), np.zeros(len(fill), int))
-                moves = len(fill)
+            hot, _ = _snapshot_prefix(heats, tiers, slow,
+                                      min(headroom, max_moves), reverse=True)
+            if hot.shape[0]:
+                pool.migrate_batch(ids[hot], np.zeros(hot.shape[0], int))
+                moves = hot.shape[0]
                 tiers = pool.resident_order()[1]
         # Swap: hottest slow page vs coldest fast page.
         budget = (max_moves - moves) // 2
         if budget > 0:
-            depth = budget + spare
+            # A candidate is passed over only when the one make-room
+            # described below evicts it, so a prefix one longer than
+            # the budget holds every swap the full order would make.
+            depth = budget + 1
             hot, hs = _snapshot_prefix(heats, tiers, slow, depth,
                                        reverse=True)
             cold, hf = _snapshot_prefix(heats, tiers, fast, depth)
@@ -499,7 +484,6 @@ class DbCostPolicy(_BasePolicy):
                 self.pairs_cut_unprofitable += pairs - cut
                 pairs = cut
             hot_slow, cold_fast = ids[hot[:pairs]], ids[cold[:pairs]]
-            pinned = pool.pin_counts(hot_slow) | pool.pin_counts(cold_fast)
             # With every slow tier full, the first demotion cascades
             # to an eviction — perhaps of a later pair's slow page. A
             # swap leaves the slow tiers one page short of full from
@@ -508,12 +492,12 @@ class DbCostPolicy(_BasePolicy):
                          for i in range(1, len(pool.tiers)))
             evicted = False
             swaps: list[int] = []
-            for fast_pid, slow_pid, pins in zip(
-                    cold_fast.tolist(), hot_slow.tolist(), pinned.tolist()):
+            for fast_pid, slow_pid in zip(cold_fast.tolist(),
+                                          hot_slow.tolist()):
                 if budget == 0:
                     break
-                if pins or (evicted and pool.tier_of(slow_pid) is None):
-                    self.pinned_skips += 1
+                if evicted and pool.tier_of(slow_pid) is None:
+                    self.evicted_skips += 1
                     continue
                 budget -= 1
                 if evicts:
@@ -526,7 +510,7 @@ class DbCostPolicy(_BasePolicy):
                     moves += 1
                     evicted = True
                     if pool.tier_of(slow_pid) is None:
-                        self.pinned_skips += 1
+                        self.evicted_skips += 1
                     else:
                         pool.migrate(slow_pid, 0)
                         moves += 1
@@ -548,7 +532,7 @@ class DbCostPolicy(_BasePolicy):
             "rebalances": self.rebalances,
             "moves": self.moves,
             "pairs_cut_unprofitable": self.pairs_cut_unprofitable,
-            "pinned_skips": self.pinned_skips,
+            "evicted_skips": self.evicted_skips,
         }
 
 

@@ -2,8 +2,7 @@
 
 Classic database eviction policies, each implementing
 :class:`ReplacementPolicy`. They operate on opaque integer keys (page
-ids within one tier) and must tolerate a *pinned* predicate: pinned
-pages cannot be chosen as victims.
+ids within one tier); every tracked key may be chosen as a victim.
 
 The paper (Sec 3.1) argues a database engine "can better calculate the
 utility of keeping a page in a given memory tier than the OS" [11];
@@ -20,8 +19,6 @@ import numpy as np
 
 from ..errors import BufferPoolError
 
-Pinned = Callable[[int], bool]
-
 #: Keys in ``[0, DENSE_KEYS)`` index dense per-key columns — the stamp
 #: column of :class:`LRUPolicy` here, the pool's residency table in
 #: :mod:`repro.core.buffer`. Keys outside it stay valid and take the
@@ -34,10 +31,6 @@ DENSE_KEYS = 1 << 22
 _min = np.minimum.reduce
 _max = np.maximum.reduce
 _all = np.logical_and.reduce
-
-
-def _never_pinned(_key: int) -> bool:
-    return False
 
 
 def _listed(keys) -> list[int]:
@@ -66,8 +59,8 @@ class ReplacementPolicy(Protocol):
     def remove(self, key: int) -> None:
         """A page left the tier (evicted or migrated)."""
 
-    def victim(self, pinned: Pinned = _never_pinned) -> int | None:
-        """Choose an evictable page, or None if all are pinned."""
+    def victim(self) -> int | None:
+        """Choose the page to evict, or None if none is tracked."""
 
     def __len__(self) -> int:
         """Number of tracked pages."""
@@ -302,12 +295,12 @@ class LRUPolicy:
         keys = self._sorted()[0]
         return keys.tolist() if type(keys) is np.ndarray else keys
 
-    def _scan(self, need: int, pinned: Pinned, pop: bool):
-        """The first *need* (or all) live unpinned snapshot entries
-        from the cursor on, removed from the policy if *pop*: an int64
-        column off a dense snapshot, else a list."""
+    def _scan(self, need: int, pop: bool):
+        """The first *need* (or all) live snapshot entries from the
+        cursor on, removed from the policy if *pop*: an int64 column
+        off a dense snapshot, else a list."""
         i = start = self._cursor
-        if pinned is _never_pinned and self._snap_keys is not None:
+        if self._snap_keys is not None:
             keys, stamps = self._snap_keys, self._snap_stamps
             stamp = self._stamp
             end = keys.shape[0]
@@ -342,8 +335,6 @@ class LRUPolicy:
             if self._stamp_of(key) != sstamps[i]:
                 if dead:
                     self.stale_skipped += 1
-            elif pinned(key):
-                dead = False
             else:
                 found.append(key)
                 dead = dead and pop
@@ -355,11 +346,11 @@ class LRUPolicy:
                 self.remove(key)
         return found
 
-    def _front(self, k: int, pinned: Pinned, pop: bool):
-        """The first *k* unpinned pages of the recency order, as
-        :meth:`_scan` gives them."""
+    def _front(self, k: int, pop: bool):
+        """The first *k* pages of the recency order, as :meth:`_scan`
+        gives them."""
         _check_batch(k)
-        found = self._scan(k, pinned, pop)
+        found = self._scan(k, pop)
         if len(found) < k and self._snap_at != self._seq:
             # The snapshot ran out with keys stamped behind it: sort
             # them in. A peek starts over, since what it found is
@@ -368,66 +359,59 @@ class LRUPolicy:
             self._snap_at = self._seq
             self.rebuilds += 1
             if pop:
-                more = self._scan(k - len(found), pinned, True)
+                more = self._scan(k - len(found), True)
                 found = (np.concatenate((found, more))
                          if type(found) is type(more) is np.ndarray
                          else _listed(found) + _listed(more))
             else:
-                found = self._scan(k, pinned, False)
+                found = self._scan(k, False)
         return found
 
-    def victim(self, pinned: Pinned = _never_pinned) -> int | None:
-        """The least-recently-used unpinned page.
-
-        With no pinned pages (the common case, signalled by the
-        default predicate) this is a cursor step over the snapshot in
-        plain python — no numpy call per victim.
-        """
-        if pinned is _never_pinned:
-            skeys, sstamps = self._skeys, self._sstamps
-            view, cap, far = self._view, self._cap, self._far
-            i = start = self._cursor
-            end = len(skeys)
-            while i < end:
-                key = skeys[i]
-                if (view[key] if 0 <= key < cap
-                        else far.get(key, -1)) == sstamps[i]:
-                    break
-                i += 1
-            if i > start:
-                self._cursor = i
-                self.stale_skipped += i - start
-            if i < end:
-                return key
-        found = _listed(self._front(1, pinned, False))
+    def victim(self) -> int | None:
+        """The least-recently-used page: a cursor step over the
+        snapshot in plain python — no numpy call per victim."""
+        skeys, sstamps = self._skeys, self._sstamps
+        view, cap, far = self._view, self._cap, self._far
+        i = start = self._cursor
+        end = len(skeys)
+        while i < end:
+            key = skeys[i]
+            if (view[key] if 0 <= key < cap
+                    else far.get(key, -1)) == sstamps[i]:
+                break
+            i += 1
+        if i > start:
+            self._cursor = i
+            self.stale_skipped += i - start
+        if i < end:
+            return key
+        found = _listed(self._front(1, False))
         return found[0] if found else None
 
-    def victim_batch(self, k: int,
-                     pinned: Pinned = _never_pinned) -> list[int]:
-        """Pop the k least-recently-used unpinned pages in one sweep.
+    def victim_batch(self, k: int) -> list[int]:
+        """Pop the k least-recently-used pages in one sweep.
 
         Order-equivalence to k repeated ``victim()`` + ``remove()``
-        rounds: each round takes the first unpinned key of the order,
-        and removing it leaves the relative order of every other key
+        rounds: each round takes the first key of the order, and
+        removing it leaves the relative order of every other key
         unchanged — so the k-round sequence is exactly the first k
-        unpinned keys of the initial order, front to back. Only the
-        LRU policy has it: the pool's bulk eviction body
+        keys of the initial order, front to back. Only the LRU policy
+        has it: the pool's bulk eviction body
         (``TieredBufferPool._evict_apply``) drains LRU tiers only."""
-        return _listed(self._front(k, pinned, True))
+        return _listed(self._front(k, True))
 
     def peek_batch(self, k: int) -> list[int]:
         """The first *k* keys of the recency order — exactly what
-        :meth:`victim_batch` with no pins would pop — *without*
-        removing them. Lets the pool's block window plan its victims
-        (rescues, dirty flags, backing containment) before committing
-        any state change."""
-        return _listed(self._front(k, _never_pinned, False))
+        :meth:`victim_batch` would pop — *without* removing them. Lets
+        the pool's block window plan its victims (rescues, dirty flags,
+        backing containment) before committing any state change."""
+        return _listed(self._front(k, False))
 
     def front_column(self, k: int) -> np.ndarray:
         """:meth:`peek_batch` as an int64 column, which the pool
         indexes its own columns with: off a dense snapshot no list is
         built (the keys must fit int64, as a pool's page ids do)."""
-        found = self._front(k, _never_pinned, False)
+        found = self._front(k, False)
         if type(found) is np.ndarray:
             return found
         return np.array(found, dtype=np.int64)
@@ -471,32 +455,19 @@ class ClockPolicy:
         """Stop tracking a page."""
         self._ref.pop(key, None)
 
-    def victim(self, pinned: Pinned = _never_pinned) -> int | None:
-        """Sweep: clear reference bits until an unreferenced,
-        unpinned page is found (at most two passes).
-
-        The sweep itself is inherent to CLOCK, but with the default
-        (no pins) predicate the per-candidate pinned call is skipped,
-        keeping the hand movement amortized O(1) per eviction.
-        """
-        if not self._ref:
+    def victim(self) -> int | None:
+        """Sweep: clear reference bits until an unreferenced page is
+        found — at most one turn of the hand, which clears every bit
+        it passes (amortized O(1) per eviction)."""
+        ref = self._ref
+        if not ref:
             return None
-        check_pins = pinned is not _never_pinned
-        for _sweep in range(2 * len(self._ref)):
-            key, referenced = next(iter(self._ref.items()))
-            self._ref.move_to_end(key)
-            if check_pins and pinned(key):
-                continue
-            if referenced:
-                self._ref[key] = False
-            else:
+        while True:
+            key, referenced = next(iter(ref.items()))
+            ref.move_to_end(key)
+            if not referenced:
                 return key
-        # All unpinned pages were referenced twice in a row: fall back
-        # to the current hand position.
-        for key in self._ref:
-            if not pinned(key):
-                return key
-        return None
+            ref[key] = False
 
     def __len__(self) -> int:
         return len(self._ref)
@@ -550,7 +521,7 @@ class TwoQPolicy:
         self._a1in.pop(key, None)
         self._am.pop(key, None)
 
-    def victim(self, pinned: Pinned = _never_pinned) -> int | None:
+    def victim(self) -> int | None:
         """Prefer evicting from probation when it is over its share."""
         total = len(self)
         a1_target = max(1, int(total * self.probation_fraction))
@@ -560,9 +531,8 @@ class TwoQPolicy:
             else (self._am, self._a1in)
         )
         for queue in queues:
-            for key in queue:
-                if not pinned(key):
-                    return key
+            if queue:
+                return next(iter(queue))
         return None
 
     def __len__(self) -> int:
@@ -612,13 +582,11 @@ class LRUKPolicy:
         """Stop tracking a page."""
         self._history.pop(key, None)
 
-    def victim(self, pinned: Pinned = _never_pinned) -> int | None:
+    def victim(self) -> int | None:
         """The page whose K-th most recent reference is oldest."""
         best_key: int | None = None
         best_rank: tuple[int, int] | None = None
         for key, history in self._history.items():
-            if pinned(key):
-                continue
             if len(history) < self.k:
                 rank = (0, history[0])       # < K references: evict first
             else:

@@ -38,29 +38,30 @@ Two guarantees, both pinned by tests:
   untouched, and the array lane's additions are windowing-invariant.
 * **N>1 permutation invariance** — wakeups sharing an instant are
   collected into a ready set (``Simulator.peek_time_ns``) and drained
-  in fairness-policy order with session *names* as the tie-breaker;
-  per-session state is keyed and reported by name. The report is
-  therefore a function of the session *set*, not the list order.
+  in session-*name* order; per-session state is keyed and reported by
+  name. The report is therefore a function of the session *set*, not
+  the list order.
 
-Fairness is pluggable: :class:`FifoPolicy` (arrival order, name
-tie-break), :class:`RoundRobinPolicy` (cycle by name), and
-:class:`WeightedPolicy` (stride scheduling over session weights).
+That is the scheduler's one rule: the ready set only ever holds
+sessions that woke at the same instant, so arrival order (FIFO) comes
+down to the name order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from ..errors import ConfigError, require_count
 from ..sim.clock import SimClock
 from ..sim.events import Simulator
 from ..units import SECOND
-from ..workloads.traces import AccessBlock, ShapeSegments
+from ..workloads.traces import AccessBlock, ShapeSegments, require_trace
 from .buffer import TieredBufferPool
-from .morsel import Morsel
+
+_by_name = attrgetter("name")
 
 #: Default scheduling quantum: accesses one session executes per
 #: wakeup before control returns to the event loop. Smaller quanta
@@ -136,27 +137,20 @@ class ClientSession:
     """One client stream: a trace plus think-time state, a clock
     cursor, and per-session stats.
 
-    *name* is the session's identity everywhere — scheduling
-    tie-breaks, report keys, policy state — so reports are invariant
-    under session-list permutation. *weight* only matters under
-    :class:`WeightedPolicy`.
+    *name* is the session's identity everywhere — the scheduling
+    order, report keys — so reports are invariant under session-list
+    permutation.
     """
 
-    __slots__ = ("name", "trace", "weight", "index", "clock", "report",
-                 "_segments", "_done")
+    __slots__ = ("name", "trace", "clock", "report", "_segments",
+                 "_done")
 
-    def __init__(self, name: str, trace: Iterable[AccessBlock],
-                 weight: float = 1.0) -> None:
-        if not name:
-            raise ConfigError("a session needs a non-empty name")
-        if not 0 < weight < math.inf:
+    def __init__(self, name: str, trace: Iterable[AccessBlock]) -> None:
+        if not isinstance(name, str) or not name:
             raise ConfigError(
-                f"session {name!r}: weight must be finite and positive,"
-                f" got {weight!r}")
+                f"a session needs a non-empty str name, got {name!r}")
         self.name = name
-        self.trace = trace
-        self.weight = weight
-        self.index = 0
+        self.trace = require_trace(trace)
         self.clock: SimClock | None = None
         self.report: SessionReport | None = None
         self._segments: ShapeSegments | None = None
@@ -177,109 +171,7 @@ class ClientSession:
         self._done = False
 
     def __repr__(self) -> str:
-        return f"ClientSession({self.name!r}, weight={self.weight:g})"
-
-
-# -- fairness policies -------------------------------------------------------
-
-
-class FairnessPolicy:
-    """Orders the ready set at each scheduling instant.
-
-    A policy must be a deterministic function of session *names*,
-    weights, and its own scheduling history — never of session list
-    order or object identity — which is what keeps N>1 reports
-    permutation-invariant.
-    """
-
-    name = "fifo"
-
-    def attach(self, sessions: Sequence[ClientSession]) -> None:
-        """Called once per run with the name-sorted session list."""
-
-    def select(self, ready: Sequence[ClientSession]) -> ClientSession:
-        """Pick the next session to run from a non-empty ready set."""
-        raise NotImplementedError
-
-    def on_ran(self, session: ClientSession, ops: int) -> None:
-        """Observe that *session* just executed *ops* accesses."""
-
-
-class FifoPolicy(FairnessPolicy):
-    """Arrival order; simultaneous arrivals resolve by session name.
-
-    The ready set only ever holds sessions that woke at the same
-    instant (earlier wakeups were drained in an earlier event), so
-    arrival-order FIFO reduces to the deterministic name tie-break.
-    """
-
-    name = "fifo"
-
-    def select(self, ready: Sequence[ClientSession]) -> ClientSession:
-        best = ready[0]
-        for session in ready:
-            if session.name < best.name:
-                best = session
-        return best
-
-
-class RoundRobinPolicy(FairnessPolicy):
-    """Cycle through sessions by name: after session X runs, the
-    smallest-named ready session above X goes first (wrapping)."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._last: str | None = None
-
-    def attach(self, sessions: Sequence[ClientSession]) -> None:
-        self._last = None
-
-    def select(self, ready: Sequence[ClientSession]) -> ClientSession:
-        last = self._last
-        best = None
-        if last is not None:
-            for session in ready:
-                if session.name > last and \
-                        (best is None or session.name < best.name):
-                    best = session
-        if best is None:
-            for session in ready:
-                if best is None or session.name < best.name:
-                    best = session
-        return best
-
-    def on_ran(self, session: ClientSession, ops: int) -> None:
-        self._last = session.name
-
-
-class WeightedPolicy(FairnessPolicy):
-    """Stride scheduling: each session's pass value advances by
-    ``ops / weight`` as it runs; the lowest pass (ties by name) runs
-    next, so long-run service is proportional to weight."""
-
-    name = "weighted"
-
-    def __init__(self) -> None:
-        self._pass: dict[str, float] = {}
-
-    def attach(self, sessions: Sequence[ClientSession]) -> None:
-        self._pass = {session.name: 0.0 for session in sessions}
-
-    def select(self, ready: Sequence[ClientSession]) -> ClientSession:
-        passes = self._pass
-        best = ready[0]
-        best_key = (passes.get(best.name, 0.0), best.name)
-        for session in ready[1:]:
-            key = (passes.get(session.name, 0.0), session.name)
-            if key < best_key:
-                best = session
-                best_key = key
-        return best
-
-    def on_ran(self, session: ClientSession, ops: int) -> None:
-        self._pass[session.name] = \
-            self._pass.get(session.name, 0.0) + ops / session.weight
+        return f"ClientSession({self.name!r})"
 
 
 # -- the concurrent run report ----------------------------------------------
@@ -287,7 +179,8 @@ class WeightedPolicy(FairnessPolicy):
 
 @dataclass
 class SessionRunReport:
-    """Outcome of a concurrent multi-session run."""
+    """Outcome of a concurrent multi-session run. *policy* names the
+    scheduling rule, arrival order by session name: always ``"fifo"``."""
 
     name: str
     policy: str = "fifo"
@@ -372,10 +265,7 @@ class ConcurrentEngine:
     """
 
     def __init__(self, pool: TieredBufferPool, name: str = "sessions",
-                 policy: FairnessPolicy | None = None,
-                 morsel_ops: int = MORSEL_OPS,
-                 on_morsel: Callable[[str, Morsel], None] | None = None,
-                 ctx=None) -> None:
+                 morsel_ops: int = MORSEL_OPS, ctx=None) -> None:
         require_count("morsel_ops", morsel_ops, 1)
         if ctx is not None and ctx is not pool.ctx:
             raise ConfigError(
@@ -385,15 +275,9 @@ class ConcurrentEngine:
             )
         self.pool = pool
         self.name = name
-        self.policy = policy if policy is not None else FifoPolicy()
         self.morsel_ops = int(morsel_ops)
         self.ctx = pool.ctx
         self.ctx.bind_clock(pool.clock, owner=f"sessions:{name}")
-        #: Morsel hook: called after every executed quantum with
-        #: ``(session_name, Morsel(query_id, service_ns))`` — the same
-        #: shape :class:`~repro.core.morsel.RackScheduler` consumes, so
-        #: session quanta can feed morsel-level schedulers directly.
-        self.on_morsel = on_morsel
         self._sim: Simulator | None = None
 
     # -- session set handling ------------------------------------------
@@ -436,11 +320,8 @@ class ConcurrentEngine:
         start_ns = clock.now
         sim = Simulator(ctx=ctx)
         self._sim = sim
-        for rank, session in enumerate(order):
-            session.index = rank
+        for session in order:
             session._begin(start_ns)
-        policy = self.policy
-        policy.attach(order)
         # Build the shared-resource queues up front so every session
         # (including the first) contends through the same objects.
         pool.wait_queues()
@@ -456,11 +337,10 @@ class ConcurrentEngine:
             if clock.now < makespan:
                 clock.advance_to(makespan)
             # The run owns its deferred bookkeeping: nothing is left
-            # owed (or pinned) in the pool's hit log.
+            # owed in the pool's hit log.
             pool._drain_lazy()
         report = SessionRunReport(
             name=label or f"{self.name}-x{len(order)}",
-            policy=policy.name,
             makespan_ns=makespan - start_ns,
             sessions={session.name: session.report
                       for session in order},
@@ -475,13 +355,12 @@ class ConcurrentEngine:
 
     def _drive(self, sim: Simulator) -> None:
         """The scheduling loop: pop each instant's wakeup batch and
-        drain it in fairness-policy order (delta cycle).
+        drain it in session-name order (delta cycle).
 
         :meth:`Simulator.pop_due` returns *every* wakeup sharing the
         earliest pending instant as one batch, so equal-timestamp
-        ordering is a policy decision with a name tie-break instead of
-        a heap-insertion artifact — the permutation-invariance
-        guarantee. Two scheduling shortcuts ride on top, both float-
+        ordering is the name order instead of a heap-insertion
+        artifact — the permutation-invariance guarantee. Two scheduling shortcuts ride on top, both float-
         identical to the naive loop:
 
         * **sole-runnable fast path** — when the session just run is
@@ -494,22 +373,22 @@ class ConcurrentEngine:
           only swaps cursor attributes, so the floats cannot differ).
         """
         pool = self.pool
-        policy = self.policy
         begun: ClientSession | None = None
         try:
             while True:
                 ready = sim.pop_due()
                 if not ready:
                     break
+                # Last name first, so pop() takes them in name order.
+                ready.sort(key=_by_name, reverse=True)
                 while ready:
-                    chosen = policy.select(ready)
-                    ready.remove(chosen)
+                    chosen = ready.pop()
                     if begun is not chosen:
                         if begun is not None:
                             pool.session_end()
                         pool.session_begin(chosen.clock)
                         begun = chosen
-                    policy.on_ran(chosen, self._run_quantum(chosen))
+                    self._run_quantum(chosen)
                     if chosen._done:
                         continue
                     # Strictly in the future: every access has positive
@@ -525,8 +404,8 @@ class ConcurrentEngine:
             if begun is not None:
                 pool.session_end()
 
-    def _run_quantum(self, session: ClientSession) -> int:
-        """Execute one morsel quantum of a session; returns ops run.
+    def _run_quantum(self, session: ClientSession) -> None:
+        """Execute one morsel quantum of a session.
 
         The caller (:meth:`_drive`) holds the pool's session lane open
         around consecutive quanta. Each span the cursor hands out
@@ -542,7 +421,6 @@ access_quantum` call; its per-segment demand boundaries rebuild the
         misses_before = stats.misses
         migrations_before = stats.migrations
         wait_before = pool.session_wait_ns
-        start_ns = session.clock.now
         budget = self.morsel_ops
         segments = session._segments
         access_quantum = pool.access_quantum
@@ -575,16 +453,7 @@ access_quantum` call; its per-segment demand boundaries rebuild the
         report.end_ns = session.clock.now
         if ops:
             report.quanta += 1
-            if self.on_morsel is not None:
-                self.on_morsel(session.name, Morsel(
-                    query_id=session.index,
-                    service_ns=session.clock.now - start_ns,
-                ))
-        return ops
 
     def __repr__(self) -> str:
-        return (
-            f"ConcurrentEngine({self.name!r},"
-            f" policy={self.policy.name},"
-            f" morsel_ops={self.morsel_ops})"
-        )
+        return (f"ConcurrentEngine({self.name!r},"
+                f" morsel_ops={self.morsel_ops})")

@@ -37,11 +37,7 @@ class AddressError(ReproError):
 
 
 class BufferPoolError(ReproError):
-    """Buffer-manager misuse (unpin of unpinned frame, pool exhaustion...)."""
-
-
-class PageFaultError(BufferPoolError):
-    """A page could not be brought into the pool."""
+    """Buffer-manager misuse (a non-resident migration, pool exhaustion...)."""
 
 
 class StorageError(ReproError):

@@ -3,7 +3,7 @@
 A :class:`Scenario` is the unit of simulation the harness schedules: a
 registered experiment kernel (``experiment``), three parameter groups
 (``topology``, ``workload``, ``policy``) and a ``seed``. It is plain
-data — serializable to/from JSON and TOML — so the full configuration
+data — serializable to/from JSON — so the full configuration
 grid of an experiment lives in a spec file, not in benchmark code.
 
 A :class:`Sweep` is a base scenario plus named *axes*: dotted parameter
@@ -13,7 +13,7 @@ takes the cartesian product of the axes, in spec order, yielding one
 derived from the base seed and the cell's identity
 (:func:`derive_seed`), so results are reproducible regardless of how
 many worker processes execute the grid — unless the sweep sets
-``per_cell_seeds = false``, in which case every cell shares the base
+``"per_cell_seeds": false``, in which case every cell shares the base
 seed (required when cells are *compared* against each other and must
 therefore replay the identical workload, e.g. the E2 policy sweep).
 """
@@ -105,13 +105,6 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         return cls.from_dict(json.loads(text))
-
-    def to_toml(self) -> str:
-        return dumps_toml(self.to_dict())
-
-    @classmethod
-    def from_toml(cls, text: str) -> "Scenario":
-        return cls.from_dict(loads_toml(text))
 
     # -- identity ----------------------------------------------------------
 
@@ -274,94 +267,20 @@ def cell_id_for(assignments: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Spec files: JSON natively, TOML via stdlib tomllib (3.11+) for reading
-# and a minimal emitter for writing.
+# Spec files: JSON only.
 # ---------------------------------------------------------------------------
 
 def load_sweep(path: str | Path) -> Sweep:
-    """Load a sweep spec from a ``.json`` or ``.toml`` file."""
+    """Load a sweep spec from a JSON file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read sweep spec {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        data = loads_toml(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"sweep spec {path} is not valid JSON: {exc}"
-            ) from exc
-    return Sweep.from_dict(data)
-
-
-def save_sweep(sweep: Sweep, path: str | Path) -> Path:
-    """Write a sweep spec as JSON (``.json``) or TOML (``.toml``)."""
-    path = Path(path)
-    if path.suffix == ".toml":
-        text = dumps_toml(sweep.to_dict())
-    else:
-        text = json.dumps(sweep.to_dict(), indent=2, sort_keys=True) + "\n"
-    path.write_text(text)
-    return path
-
-
-def loads_toml(text: str) -> dict:
-    """Parse TOML via stdlib :mod:`tomllib` (Python 3.11+)."""
     try:
-        import tomllib
-    except ImportError as exc:  # pragma: no cover - py3.10 path
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigError(
-            "TOML specs need Python 3.11+ (stdlib tomllib);"
-            " use the JSON form of the spec on this interpreter"
-        ) from exc
-    return tomllib.loads(text)
-
-
-def dumps_toml(data: Mapping[str, Any], _prefix: str = "") -> str:
-    """Emit the subset of TOML our specs use (scalars, lists, tables).
-
-    Table keys containing dots (sweep axes) are quoted, so round-trips
-    through :func:`loads_toml` preserve dotted axis names.
-    """
-    scalars: list[str] = []
-    tables: list[str] = []
-    for key, value in data.items():
-        if isinstance(value, Mapping):
-            name = f"{_prefix}{_toml_key(key)}"
-            body = dumps_toml(value, _prefix=f"{name}.")
-            header = f"[{name}]\n" if _needs_header(value) else ""
-            tables.append(header + body)
-        else:
-            scalars.append(f"{_toml_key(key)} = {_toml_value(value)}\n")
-    return "".join(scalars) + "".join(tables)
-
-
-def _needs_header(table: Mapping[str, Any]) -> bool:
-    # An all-tables table needs no header of its own; an empty or
-    # scalar-bearing one does, so it exists in the parsed output.
-    return not table or any(
-        not isinstance(v, Mapping) for v in table.values()
-    )
-
-
-def _toml_key(key: str) -> str:
-    if key.replace("-", "").replace("_", "").isalnum() and "." not in key:
-        return key
-    return json.dumps(key)
-
-
-def _toml_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and value != value:
-            raise ConfigError("NaN is not representable in a spec")
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
-    raise ConfigError(f"cannot express {type(value).__name__} in TOML")
+            f"sweep spec {path} is not valid JSON (specs are JSON"
+            f" only): {exc}") from exc
+    return Sweep.from_dict(data)

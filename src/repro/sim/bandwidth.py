@@ -138,8 +138,8 @@ class WaitQueue:
 
     Requests are served strictly in arrival order. The concurrent
     session scheduler delivers arrivals in a deterministic order
-    (simultaneous wakeups are collected and ordered by the fairness
-    policy, with session *names* as the tie-breaker), so
+    (simultaneous wakeups are collected and ordered by session
+    *name*), so
     equal-timestamp FIFO here is exact and independent of session
     list order — the property the permutation-invariance tests pin.
 

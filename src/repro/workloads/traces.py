@@ -127,6 +127,16 @@ def require_block(item) -> AccessBlock:
     return item
 
 
+def require_trace(trace):
+    """*trace*, unless it is a bare :class:`AccessBlock` — a trace is
+    an iterable of blocks, so one block must come wrapped in a list."""
+    if type(trace) is AccessBlock:
+        raise ConfigError(
+            "a trace is an iterable of AccessBlocks, got a bare"
+            " AccessBlock; wrap it in a list: [block]")
+    return trace
+
+
 class _BlockCursor:
     """Pull-based cursor over one trace of blocks, handing out views."""
 

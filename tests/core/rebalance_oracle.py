@@ -27,8 +27,6 @@ def reference_migrate(pool, page_id, to_tier: int) -> float:
     frame = pool.frame_of(page_id)
     if frame is None:
         raise BufferPoolError(f"cannot migrate non-resident {page_id}")
-    if frame.pinned:
-        raise BufferPoolError(f"cannot migrate pinned page {page_id}")
     if not 0 <= to_tier < len(pool.tiers):
         raise BufferPoolError(f"invalid tier {to_tier}")
     from_tier = frame.tier_index
@@ -125,10 +123,6 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
         chunks = [ids[tiers == i] for i in tier_range]
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
-    def movable(page_id) -> bool:
-        frame = pool.frame_of(page_id)
-        return frame is not None and not frame.pin_count
-
     slow_tiers = range(1, len(pool.tiers))
     fast_residents = residents(range(1))
     slow_residents = residents(slow_tiers)
@@ -140,9 +134,8 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
         for page_id in candidates:
             if moves >= policy.max_moves_per_rebalance:
                 return moves
-            if movable(page_id):
-                reference_migrate(pool, page_id, 0)
-                moves += 1
+            reference_migrate(pool, page_id, 0)
+            moves += 1
         fast_residents = residents(range(1))
         slow_residents = residents(slow_tiers)
     hot_slow, hs = sorted_with_heat(tracker, slow_residents, reverse=True)
@@ -160,7 +153,7 @@ def reference_rebalance(policy: DbCostPolicy) -> int:
         if (hs is None or hf is None) and \
                 tracker.heat(slow_pid) <= tracker.heat(fast_pid) + 1e-9:
             break
-        if not (movable(slow_pid) and movable(fast_pid)):
+        if pool.frame_of(slow_pid) is None:
             continue
         reference_migrate(pool, fast_pid, 1)
         # The one departure from the shipped code, fixed here and in

@@ -14,7 +14,7 @@ def resident_ids(pool) -> list[int]:
 
 
 def frame_rows(pool) -> dict[int, tuple]:
-    """``(tier, accesses, last_access_ns, dirty, pins)`` per resident
+    """``(tier, accesses, last_access_ns, dirty)`` per resident
     page. Read through frame views, which settle the pool's deferred
     hit log first — recency order and tracker heat read after this are
     settled too."""
@@ -22,5 +22,5 @@ def frame_rows(pool) -> dict[int, tuple]:
     for pid in resident_ids(pool):
         frame = pool.frame_of(pid)
         rows[pid] = (frame.tier_index, frame.accesses,
-                     frame.last_access_ns, frame.dirty, frame.pin_count)
+                     frame.last_access_ns, frame.dirty)
     return rows

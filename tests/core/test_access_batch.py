@@ -314,33 +314,12 @@ def test_replacement_batch_matches_scalar():
 
 
 def test_lru_victim_fast_path_matches_scan():
-    """The O(1) no-pins victim equals the predicate-scan victim."""
+    """The O(1) cursor-step victim equals the snapshot scan's head."""
     policy = LRUPolicy()
     for key in range(8):
         policy.record_insert(key)
     policy.record_access(0)
-    assert policy.victim() == policy.victim(lambda _k: False) == 1
-
-
-def test_pinned_pages_still_respected():
-    """Pinning forces the predicate path and survives array runs."""
-    pool = _build(DbCostPolicy(), dram_pages=4, cxl_pages=4).pool
-    for pid in range(4):
-        pool.access(pid)
-    # Pin at most two tier-0 residents so evictions still have victims.
-    resident = [pid for pid in range(4) if pool.tier_of(pid) == 0][:2]
-    for pid in resident:
-        pool.pin(pid)
-    assert pool.pinned_pages == len(resident)
-    pool.access_run(np.arange(4, 10))
-    for pid in resident:
-        assert pool.frame_of(pid) is not None
-        assert pool.tier_of(pid) == 0
-        pool.unpin(pid)
-    assert pool.pinned_pages == 0
-    pool.drop_all()
-    assert pool.resident_pages == 0
-    assert pool.pinned_pages == 0
+    assert policy.victim() == policy.peek_batch(1)[0] == 1
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "compat"])

@@ -6,7 +6,7 @@ from repro import config
 from repro.core.buffer import Tier, TieredBufferPool
 from repro.core.placement import DbCostPolicy, StaticPolicy
 from repro.core.temperature import ExactTracker
-from repro.errors import BufferPoolError, PageFaultError
+from repro.errors import BufferPoolError
 from repro.sim.interconnect import AccessPath
 from repro.sim.memory import MemoryDevice
 from repro.units import PAGE_SIZE
@@ -104,43 +104,6 @@ class TestTiming:
         t_random = pool.access(1, nbytes=PAGE_SIZE)
         t_scan = pool.access(2, nbytes=PAGE_SIZE, is_scan=True)
         assert t_scan < t_random
-
-
-class TestPinning:
-    def test_pinned_pages_never_evicted(self):
-        pool = make_pool(dram=2, cxl=2,
-                         placement=StaticPolicy(lambda _p: 0))
-        pool.access(1)
-        pool.pin(1)
-        for page in range(2, 10):
-            pool.access(page)
-        assert pool.tier_of(1) == 0
-        pool.unpin(1)
-
-    def test_all_pinned_raises(self):
-        pool = make_pool(dram=1, cxl=1,
-                         placement=StaticPolicy(lambda _p: 0))
-        pool.access(1)
-        pool.pin(1)
-        with pytest.raises(PageFaultError):
-            pool.access(2)
-
-    def test_unpin_unpinned_raises(self):
-        pool = make_pool()
-        pool.access(1)
-        with pytest.raises(BufferPoolError):
-            pool.unpin(1)
-
-    def test_pin_nonresident_raises(self):
-        with pytest.raises(BufferPoolError):
-            make_pool().pin(1)
-
-    def test_migrate_pinned_raises(self):
-        pool = make_pool()
-        pool.access(1)
-        pool.pin(1)
-        with pytest.raises(BufferPoolError):
-            pool.migrate(1, 1)
 
 
 class TestMigration:
@@ -271,12 +234,6 @@ class TestConstruction:
         with pytest.raises(BufferPoolError, match=hook):
             TieredBufferPool(tiers=make_tiers(), placement=placement,
                              tracker=tracker)
-
-    def test_tier_from_device_path(self):
-        path = AccessPath(device=MemoryDevice(
-            config.local_ddr5(capacity_bytes=1024 * PAGE_SIZE)))
-        tier = Tier.from_device_path("t", path, page_size=PAGE_SIZE)
-        assert tier.capacity_pages == 1024
 
     def test_drop_all(self):
         pool = make_pool()

@@ -2,8 +2,8 @@
 free frames — and, on a full pool, behind victims that drain straight
 to storage — instead of ending its window at every miss, for blocks
 and for ``access_run`` / ``preload``, which charge the one-shape block
-of their ids. What it refuses (a cascade, pins, ...) takes the scalar
-chain.
+of their ids. What it refuses (a cascade, a session clock, ...) takes
+the scalar chain.
 
 Held **bit-identical** to the frozen scalar reference — the pool's
 reference twin (``tests.oracle.reference``) replays each block access
@@ -168,23 +168,20 @@ def expand(run_list):
     traced=st.booleans(),
     warm=st.lists(st.integers(0, 47), max_size=4),
     full=st.booleans(),
-    pin=st.sampled_from([False, False, False, True]),
     session=st.sampled_from([False, False, False, True]),
     blocks=st.lists(st.lists(runs, min_size=1, max_size=12),
                     min_size=1, max_size=4),
 )
 def test_fill_window_equals_scalar_reference(placement, caps, backed,
                                              policies, traced, warm, full,
-                                             pin, session, blocks):
+                                             session, blocks):
     fast, ref = twin_pools(placement=placement, caps=caps, backed=backed,
                            policies=policies, traced=traced)
     for pool in (fast, ref):
         # Warm pages seed the install memos (a cold pool seeds them in
-        # its first window instead) and give the pin something to hold.
+        # its first window instead).
         for page in warm:
             pool.access(page)
-        if pin and warm and pool.frame_of(warm[0]):
-            pool.pin(warm[0])
     blocks = [block_of(expand(b)) for b in blocks]
     if full:
         # Every frame taken, a third of them dirty, before the first
@@ -262,7 +259,6 @@ def test_scan_flag_of_the_misses_cuts_the_window():
 @pytest.mark.parametrize("setup, reason", [
     pytest.param(dict(policies=("clock", "lru")), "non_lru",
                  id="setup0-non_lru"),
-    pytest.param(dict(), "pinned", id="setup2-pinned"),
     pytest.param(dict(), "session", id="setup3-session"),
 ])
 def test_declined_plans_keep_the_old_route(setup, reason):
@@ -272,15 +268,13 @@ def test_declined_plans_keep_the_old_route(setup, reason):
     for pool in (fast, ref):
         for page in (0, 1, 2, 3):
             pool.access(page)
-        if reason == "pinned":
-            pool.pin(0)
     clocks = (session_cursors(fast, ref) if reason == "session"
               else (None, None))
     installs_before = fast.lane.fill_installs
     drive_both(fast, ref, [point_block([0, 2, 1, 3, 21, 20, 1, 23, 22])],
                clocks)
     assert fast.lane.cuts[reason] >= 1
-    if reason in ("pinned", "session"):
+    if reason == "session":
         assert fast.lane.fill_installs == installs_before
 
 
@@ -467,19 +461,14 @@ def test_anonymous_full_pool_leaves_eviction_to_the_scalar_path():
     assert sorted(fast._anonymous_pages) == sorted(ref._anonymous_pages)
 
 
-@pytest.mark.parametrize("reason", ["pinned", "backing"])
-def test_full_pool_plans_decline_on_pins_and_a_failed_device(reason):
+def test_full_pool_plans_decline_on_a_failed_device():
     fast, ref = full_static()
     for pool in (fast, ref):
-        if reason == "pinned":
-            pool.pin(0)
+        pool.backing.device.fail()
+        with pytest.raises(DeviceFailure):
             pool.access_block(point_block([2, 6, 8]))
-        else:
-            pool.backing.device.fail()
-            with pytest.raises(DeviceFailure):
-                pool.access_block(point_block([2, 6, 8]))
     assert full_state(fast) == full_state(ref)
-    assert fast.lane.cuts[reason] == 1
+    assert fast.lane.cuts["backing"] == 1
     assert fast.lane.evict_installs == 0
 
 
@@ -556,7 +545,7 @@ def test_rebalance_skips_a_promotion_whose_page_was_evicted():
     rng = random.Random(0)
     for _ in range(300):
         pool.access(rng.randrange(48))
-    assert pool.placement.pinned_skips >= 1
+    assert pool.placement.evicted_skips >= 1
     pool.check_invariants()
     assert pool.resident_pages <= 8
 
@@ -605,17 +594,15 @@ run_shapes = st.tuples(
     full=st.booleans(),
     warm=st.lists(st.tuples(st.integers(0, 47), st.booleans()),
                   max_size=8),
-    pin=st.sampled_from([False, False, True]),
     session=st.sampled_from([False, False, False, True]),
     run_list=st.lists(run_shapes, min_size=1, max_size=5),
 )
 def test_miss_runs_equal_scalar_reference(placement, caps, backed, traced,
-                                          full, warm, pin, session,
-                                          run_list):
+                                          full, warm, session, run_list):
     """``access_run`` / ``preload`` miss runs against the frozen
     reference: anonymous and backed pools, free and full tiers (static
     placement drains to storage, DbCost and OS paging cascade), dirty
-    victims, pins, an uncontended session clock, repeated ids, with and
+    victims, an uncontended session clock, repeated ids, with and
     without a trace sink."""
     fast, ref = twin_pools(placement=placement, caps=caps, backed=backed,
                            traced=traced)
@@ -625,8 +612,6 @@ def test_miss_runs_equal_scalar_reference(placement, caps, backed, traced,
     for pool in (fast, ref):
         for page, write in warm:
             pool.access(page, write=write)
-        if pin and warm:
-            pool.pin(warm[-1][0])
     clocks = session_cursors(fast, ref) if session else (None, None)
     accum = [0.0, 0.0]
     for first, length, stride, write, scan, nbytes, think, pre in run_list:
@@ -652,14 +637,14 @@ def test_miss_runs_equal_scalar_reference(placement, caps, backed, traced,
     assert ref.lane.exact_windows == 0
 
 
-@pytest.mark.parametrize("entry, reason", [("access_block", "pinned"),
+@pytest.mark.parametrize("entry, reason", [("access_block", "session"),
                                            ("access_run", "cascade")])
 def test_a_refused_head_is_planned_once_per_miss_stretch(entry, reason):
-    """Every window a miss heads is refused (pins; a full tier that
-    demotes into another). The stretch of misses at the head resolves
-    through the scalar chain and the window is planned again after it
-    — not once per miss, which costs a plan per fault."""
-    if reason == "pinned":
+    """Every window a miss heads is refused (a session clock; a full
+    tier that demotes into another). The stretch of misses at the head
+    resolves through the scalar chain and the window is planned again
+    after it — not once per miss, which costs a plan per fault."""
+    if reason == "session":
         fast, ref = twin_pools(placement="static")
         hot, warm = 0, [0]
     else:
@@ -669,8 +654,6 @@ def test_a_refused_head_is_planned_once_per_miss_stretch(entry, reason):
     for pool in (fast, ref):
         for page in warm:
             pool.access(page)
-        if reason == "pinned":
-            pool.pin(hot)
     plans = []
     original = fast._fill_plan
     fast._fill_plan = lambda *a: (plans.append(int(a[2][0]) < 0),
@@ -683,7 +666,8 @@ def test_a_refused_head_is_planned_once_per_miss_stretch(entry, reason):
         for page in ids:
             ref.access(page)
     else:
-        drive_both(fast, ref, [point_block(ids)])
+        clocks = session_cursors(fast, ref)
+        drive_both(fast, ref, [point_block(ids)], clocks)
     assert full_state(fast) == full_state(ref)
     # One plan per refused head, one per hit run the refusal then cuts.
     assert plans == [True, False, True, False, True]

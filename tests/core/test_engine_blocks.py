@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import RUN_OPS, ScaleUpEngine
+from repro.core.sessions import ClientSession
 from repro.errors import BufferPoolError, ConfigError
 from repro.workloads.scans import mixed_htap_blocks, scan_blocks
 from repro.workloads.traces import (BLOCK_OPS, AccessBlock, interleave,
@@ -159,6 +160,23 @@ def test_refused_items_charge_nothing(item, entry):
             engine.run(trace())
         else:
             engine.run_sessions([trace()])
+    assert _pool_state(engine.pool) == before
+
+
+@pytest.mark.parametrize("entry", ["run", "sessions"])
+def test_a_bare_block_is_refused_naming_the_list(entry):
+    """A trace is an iterable of blocks: one block, unwrapped, used to
+    fail with a bare ``'AccessBlock' object is not iterable``."""
+    engine = ScaleUpEngine.build(dram_pages=8, cxl_pages=32,
+                                 name="refusal-test")
+    block = next(iter(ycsb_blocks(YCSBConfig(mix="A", num_pages=40,
+                                             num_ops=200, seed=3))))
+    before = _pool_state(engine.pool)
+    with pytest.raises(ConfigError, match=r"wrap it in a list: \[block\]"):
+        if entry == "run":
+            engine.run(block)
+        else:
+            engine.run_sessions([ClientSession("a", block)])
     assert _pool_state(engine.pool) == before
 
 

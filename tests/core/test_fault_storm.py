@@ -158,9 +158,9 @@ def test_quantum_delivery_storm_equivalence():
 @pytest.mark.parametrize("policy_cls", [LRUPolicy])
 @pytest.mark.parametrize("seed", list(range(8)))
 def test_victim_batch_order_property(policy_cls, seed):
-    """victim_batch(k, pinned) == k repeated victim(pinned)+remove()
-    for random insert/touch histories and random pin sets (only LRU
-    has a batch: the pool's bulk eviction drains LRU tiers only)."""
+    """victim_batch(k) == k repeated victim()+remove() for random
+    insert/touch histories (only LRU has a batch: the pool's bulk
+    eviction drains LRU tiers only)."""
     rng = random.Random(seed)
     keys = list(range(rng.randint(5, 60)))
     a, b = policy_cls(), policy_cls()
@@ -171,12 +171,8 @@ def test_victim_batch_order_property(policy_cls, seed):
         key = rng.choice(keys)
         a.record_access(key)
         b.record_access(key)
-    pin_set = {k for k in keys if rng.random() < 0.3}
-    pinned = pin_set.__contains__
     k = rng.randint(0, len(keys) + 2)
-    batch = a.victim_batch(k, pinned)
-    assert batch == victim_batch_loop(b, k, pinned)
-    assert not (set(batch) & pin_set)
+    assert a.victim_batch(k) == victim_batch_loop(b, k)
 
 
 def test_lru_peek_batch_is_nondestructive():

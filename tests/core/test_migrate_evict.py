@@ -169,13 +169,6 @@ class TestDeclines:
         assert sum(snapshot.values()) == 1
         assert batched.lane.column_migrations == 0
 
-    def test_pin_anywhere_in_the_pool(self):
-        batched, looped = twins((80, 100), 240)
-        for pool in (batched, looped):
-            pool.pin(int(sorted(pool.resident_in(1))[0]))
-        compare(batched, looped, *demote_pass(batched, 64))
-        self.declined(batched, "pinned")
-
     def test_cascade_tier(self):
         """Tier 0 demotes into tier 1: overfilling it moves victims."""
         batched, looped = twins((80, 100), 240)
@@ -337,8 +330,8 @@ def test_an_epoch_is_one_window():
 def test_any_overfilling_run_equals_the_loop(seed):
     """Two- and three-tier pools, backed or not, clean and dirty
     victims, traced or not, a session clock or the pool's, demote-pass
-    runs with a mixed destination, a pin, a departure, a far row or a
-    stayer mixed in: the batch equals the loop on everything."""
+    runs with a mixed destination, a departure, a far row or a stayer
+    mixed in: the batch equals the loop on everything."""
     rng = random.Random(seed)
     capacities = rng.choice([(80, 100), (70, 30, 90), (66, 70)])
     pages = sum(capacities) + rng.choice([-20, 0, 40])
@@ -350,11 +343,9 @@ def test_any_overfilling_run_equals_the_loop(seed):
     tos[:] = last
     if last == 2 and rng.random() < 0.5:
         tos[rng.sample(range(len(ids)), 5)] = 1
-    twist = rng.choice(["none"] * 6 + ["pin", "leave", "far", "stay"])
-    for pool in (batched, looped):
-        if twist == "pin":
-            pool.pin(int(sorted(pool.resident_in(last))[3]))
-        elif twist == "far":
+    twist = rng.choice(["none"] * 6 + ["leave", "far", "stay"])
+    if twist == "far":
+        for pool in (batched, looped):
             pool.access(FAR)
     if twist == "leave":
         ids = np.append(ids, max(batched.resident_in(last)))

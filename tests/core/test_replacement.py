@@ -29,7 +29,6 @@ from repro.core.replacement import (
     LRUPolicy,
     TwoQPolicy,
     _check_batch,
-    _never_pinned,
     make_policy,
 )
 from repro.errors import BufferPoolError
@@ -38,15 +37,15 @@ from tests.core.test_cold_fill import make_pool, point_block
 ALL_POLICIES = sorted(POLICIES)
 
 
-def victim_batch_loop(policy, k, pinned=_never_pinned):
-    """The reference ``victim_batch``: *k* rounds of ``victim(pinned)``
-    then ``remove``, stopping once every page left is pinned.
+def victim_batch_loop(policy, k):
+    """The reference ``victim_batch``: *k* rounds of ``victim()`` then
+    ``remove``, stopping once no page is left.
     ``LRUPolicy.victim_batch`` must return exactly this sequence; the
     other policies have no batch (the pool drains LRU tiers only)."""
     _check_batch(k)
     victims = []
     for _ in range(k):
-        key = policy.victim(pinned)
+        key = policy.victim()
         if key is None:
             break
         policy.remove(key)
@@ -85,19 +84,6 @@ class TestCommonBehaviour:
     def test_access_to_untracked_rejected(self, name):
         with pytest.raises(BufferPoolError):
             make_policy(name).record_access(42)
-
-    def test_pinned_pages_skipped(self, name):
-        policy = make_policy(name)
-        for key in (1, 2, 3):
-            policy.record_insert(key)
-        victim = policy.victim(pinned=lambda k: k != 3)
-        assert victim == 3
-
-    def test_all_pinned_returns_none(self, name):
-        policy = make_policy(name)
-        policy.record_insert(1)
-        policy.record_insert(2)
-        assert policy.victim(pinned=lambda _k: True) is None
 
     def test_len_tracks_population(self, name):
         policy = make_policy(name)
@@ -276,12 +262,11 @@ class ReferenceLRU:
         for key in arriving:
             self.record_insert(key)
 
-    def victim(self, pinned=_never_pinned):
-        return next((key for key in self._order if not pinned(key)), None)
+    def victim(self):
+        return next(iter(self._order), None)
 
-    def victim_batch(self, k, pinned=_never_pinned):
-        victims = list(islice(
-            (key for key in self._order if not pinned(key)), k))
+    def victim_batch(self, k):
+        victims = list(islice(self._order, k))
         for key in victims:
             del self._order[key]
         return victims
@@ -310,7 +295,6 @@ DENSE = st.one_of(st.integers(0, 24), st.sampled_from([1023, 1024, 5000]))
 #: Batches with repeats; mostly dense, so the array path is what runs.
 RUNS = st.one_of(st.lists(DENSE, max_size=12), st.lists(KEYS, max_size=12))
 FORMS = st.sampled_from(["list", "int64", "int32", "strided"])
-PINS = st.one_of(st.none(), st.frozensets(KEYS, max_size=8))
 
 
 def as_column(keys, form):
@@ -323,10 +307,6 @@ def as_column(keys, form):
         wide[::2] = keys
         return wide[::2]
     return np.array(keys, dtype=form)
-
-
-def pin_predicate(pins):
-    return _never_pinned if pins is None else pins.__contains__
 
 
 class LRUMachine(RuleBasedStateMachine):
@@ -398,13 +378,13 @@ class LRUMachine(RuleBasedStateMachine):
                                          hi),
                   lambda m: m.move_batch(leaving, arriving, hi))
 
-    @rule(pins=PINS)
-    def victim(self, pins):
-        self.both(lambda p: p.victim(pin_predicate(pins)))
+    @rule()
+    def victim(self):
+        self.both(lambda p: p.victim())
 
-    @rule(k=st.integers(0, 12), pins=PINS)
-    def victim_batch(self, k, pins):
-        self.both(lambda p: p.victim_batch(k, pin_predicate(pins)))
+    @rule(k=st.integers(0, 12))
+    def victim_batch(self, k):
+        self.both(lambda p: p.victim_batch(k))
 
     @rule(k=st.integers(0, 40))
     def peek_batch(self, k):
@@ -485,15 +465,6 @@ class TestLRUColumn:
             target.record_access_batch(run, 0, 2)
         assert policy.victim_batch(3) == model.victim_batch(3) == \
             [3, DENSE_KEYS - 1, DENSE_KEYS]
-
-    def test_all_pinned_terminates(self):
-        policy, model = twins(list(range(5)) + [DENSE_KEYS + 1])
-        for target in (policy, model):
-            assert target.victim(lambda _key: True) is None
-            assert target.victim_batch(3, lambda _key: True) == []
-            target.record_access(0)
-            assert target.victim(lambda _key: True) is None
-        assert policy.order() == model.order()
 
     @pytest.mark.parametrize("form", ["list", "int64", "int32", "strided"])
     def test_untracked_key_mid_batch_leaves_the_scalar_loops_state(

@@ -6,9 +6,9 @@
   refuses — calls it after every rule, and holds the pool to its
   reference twin (``tests.oracle.reference``; ``full_state``: rows,
   index, recency, heat, stats, devices, clock).
-* ``Frame`` is a view: reads and writes go through to the row, pins
-  through the pool's count, and a view that outlives its page's
-  eviction says so instead of showing the next residency.
+* ``Frame`` is a view: reads and writes go through to the row, and a
+  view that outlives its page's eviction says so instead of showing
+  the next residency.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core import ScaleUpEngine
 from repro.core.buffer import _RES_MAX_PIDS
-from repro.core.replacement import make_policy
 from repro.core.temperature import _MAX_DENSE_PIDS, ExactTracker, SampledTracker
 from repro.errors import BufferPoolError, ReproError
 from repro.storage.page import Page
@@ -102,10 +100,6 @@ class ResidencyMachine(RuleBasedStateMachine):
             self.both(lambda pool: pool.migrate_batch(
                 [pid for pid, _ in moves], [tier for _, tier in moves]))
 
-    @rule(page=page_ids | st.just(FAR), pin=st.booleans())
-    def pin_or_unpin(self, page, pin):
-        self.both(lambda pool: pool.pin(page) if pin else pool.unpin(page))
-
     @rule(tier=st.integers(0, 1), capacity=st.integers(1, 6))
     def resize_tier(self, tier, capacity):
         self.both(lambda pool: pool.resize_tier(tier, capacity))
@@ -137,8 +131,7 @@ def test_residency_machine():
     (lambda pool: pool._resident_counts.__setitem__(0, 2), "resident count"),
     (lambda pool: pool.tiers[0].policy.remove(0), "policy membership"),
     (lambda pool: pool._dirty.__setitem__(9, True), "absent row"),
-    (lambda pool: pool._pins.__setitem__(0, 1), "pinned-page count"),
-    (lambda pool: pool._far.__setitem__(7, [0, 0, False, 0.0, 0, 0]),
+    (lambda pool: pool._far.__setitem__(7, [0, False, 0.0, 0, 0]),
      "name different pages"),
 ])
 def test_check_invariants_names_the_break(damage, what):
@@ -165,11 +158,11 @@ def test_frame_is_a_view_of_the_row():
         # Through to the row, both ways: a view taken earlier sees a
         # later access, and the pool sees a write through the view.
         pool.access(page, write=True)
-        assert (frame.accesses, frame.dirty, frame.pinned) == (2, True, False)
+        assert (frame.accesses, frame.dirty) == (2, True)
         assert frame.last_access_ns == pool.frame_of(page).last_access_ns
         frame.dirty = False
         assert not pool.frame_of(page).dirty
-        assert repr(frame) == f"Frame(page={page}, tier={frame.tier_index}, --)"
+        assert repr(frame) == f"Frame(page={page}, tier={frame.tier_index}, -)"
 
 
 def test_view_reads_settle_the_hit_log():
@@ -189,15 +182,15 @@ def test_stale_view_raises_instead_of_showing_the_next_residency():
     frame = pool.frame_of(0)
     pool.access(2)                           # evicts 0 from tier 0
     assert pool.frame_of(0) is None
-    for read in ("tier_index", "accesses", "dirty", "pin_count", "page"):
+    for read in ("tier_index", "accesses", "dirty", "page"):
         with pytest.raises(BufferPoolError, match="stale frame: page 0"):
             getattr(frame, read)
     pool.access(0)                           # a new residency of page 0
     with pytest.raises(BufferPoolError, match="stale frame"):
         frame.accesses
     with pytest.raises(BufferPoolError, match="stale frame"):
-        frame.pin()
-    assert pool.frame_of(0).accesses == 1 and pool.pinned_pages == 0
+        frame.dirty = True
+    assert pool.frame_of(0).accesses == 1
 
 
 def test_dirty_through_the_view_is_written_back():
@@ -208,38 +201,6 @@ def test_dirty_through_the_view_is_written_back():
     pool.access(2)                           # evicts 0
     assert pool.stats.writebacks == 1
     assert pool.backing.device.stats.writes == writes + 1
-
-
-# -- pins through the view are the pool's pins ---------------------------------
-
-@pytest.mark.parametrize("policy", ["lru", "clock"])
-@pytest.mark.parametrize("spelling", ["pool", "frame"])
-def test_pin_through_either_spelling_is_counted(policy, spelling):
-    """``frame.pin()`` used to bump the frame's count behind the pool's
-    back: victim selection skipped the pin predicate and the fourth
-    fault died with ``cannot migrate pinned page 1``."""
-    pool = ScaleUpEngine.build(dram_pages=2, cxl_pages=2).pool
-    for tier in pool.tiers:
-        tier.policy = make_policy(policy)
-    pool.access(1)
-    if spelling == "pool":
-        pool.pin(1)
-    else:
-        pool.frame_of(1).pin()
-    assert pool.pinned_pages == 1
-    for page in (2, 3, 4, 5):
-        pool.access(page)
-    assert pool.tier_of(1) == 0 and pool.frame_of(1).pin_count == 1
-    pool.check_invariants()
-    if spelling == "pool":
-        pool.unpin(1)
-    else:
-        pool.frame_of(1).unpin()
-    assert pool.pinned_pages == 0
-    for unpin in (lambda: pool.unpin(1), pool.frame_of(1).unpin):
-        with pytest.raises(BufferPoolError, match="unpin of unpinned"):
-            unpin()
-        assert pool.pinned_pages == 0 and pool.frame_of(1).pin_count == 0
 
 
 def test_migration_that_evicts_its_own_page_is_refused():
@@ -323,8 +284,8 @@ def test_exact_heat_array_is_heat(decay, ops, probes):
 
 
 def test_rebalance_builds_no_view_without_pins():
-    """The placement paths check residency by ``tier_of`` and read pins
-    off the pins column: no frame view is built, pinned page or not."""
+    """The placement paths check residency by ``tier_of`` and read the
+    residency snapshot: no frame view is built."""
     pool = make_pool(placement="dbcost37", caps=(4, 8), backed=True)
     built = []
     original = pool.frame_of
@@ -338,7 +299,6 @@ def test_rebalance_builds_no_view_without_pins():
         pool.access(page)
     heat_the_slow_tier()
     assert pool.placement.moves > 0 and not built
-    pinned = pool.resident_in(0)[0]
-    pool.pin(pinned)
+    moves = pool.placement.moves
     heat_the_slow_tier()
-    assert not built and pool.tier_of(pinned) == 0
+    assert pool.placement.moves > moves and not built

@@ -1,4 +1,4 @@
-"""Concurrent session scheduler: determinism, fairness, contention."""
+"""Concurrent session scheduler: determinism, name order, contention."""
 
 import random
 
@@ -9,10 +9,8 @@ from repro.core import (
     ClientSession,
     ConcurrentEngine,
     DbCostPolicy,
-    RoundRobinPolicy,
     ScaleUpEngine,
     StaticPolicy,
-    WeightedPolicy,
 )
 from repro.core.buffer import _LOG_SETTLE, _RES_MAX_PIDS, TieredBufferPool
 from repro.core.temperature import ExactTracker, SampledTracker
@@ -326,44 +324,6 @@ class TestContention:
         assert report.throughput_ops_per_s > 0
 
 
-class TestFairnessPolicies:
-    def test_round_robin_deterministic(self):
-        def run():
-            engine = cxl_engine(pages=4_000)
-            return report_digest(engine.run_sessions(
-                mixed_session_set(), policy=RoundRobinPolicy()))
-
-        first = run()
-        assert first == run()
-        assert first[1] == "round_robin"
-
-    def test_weighted_share_follows_weight(self):
-        """Under stride scheduling a weight-4 session finishes the
-        same work sooner than its weight-1 twin."""
-        engine = cxl_engine(pages=4_000)
-        trace = lambda: readahead_scan(0, 1_500, repeats=4)
-        report = engine.run_sessions(
-            [ClientSession("heavy", trace(), weight=4.0),
-             ClientSession("light", trace(), weight=1.0)],
-            policy=WeightedPolicy(), morsel_ops=8)
-        heavy = report.session("heavy")
-        light = report.session("light")
-        assert heavy.ops == light.ops
-        assert heavy.end_ns < light.end_ns
-
-    def test_weighted_permutation_invariant(self):
-        def run(flip):
-            engine = cxl_engine(pages=4_000)
-            pair = [ClientSession("a", point_trace(1), weight=3.0),
-                    ClientSession("b", point_trace(2), weight=1.0)]
-            if flip:
-                pair.reverse()
-            return report_digest(engine.run_sessions(
-                pair, policy=WeightedPolicy()))
-
-        assert run(False) == run(True)
-
-
 class TestSessionApi:
     def test_raw_traces_get_positional_names(self):
         engine = cxl_engine()
@@ -389,10 +349,6 @@ class TestSessionApi:
     def test_bad_session_params_rejected(self):
         with pytest.raises(ConfigError):
             ClientSession("", point_trace(0, ops=10))
-        # A NaN weight turned WeightedPolicy's pass values NaN.
-        for weight in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                ClientSession("s", point_trace(0, ops=10), weight=weight)
         # morsel_ops is a count: 0.5 used to truncate to a zero budget.
         engine = cxl_engine()
         for morsel_ops in (0, 0.5, float("nan"), True, -1):
@@ -410,16 +366,14 @@ class TestSessionApi:
         with pytest.raises(ConfigError):
             report.session("nope")
 
-    def test_morsel_hook_fires_per_quantum(self):
-        calls = []
+    def test_non_str_session_name_rejected(self):
+        """Name order is the scheduling order: an int name used to
+        die in the name sort with a bare ``TypeError``."""
         engine = cxl_engine()
-        executor = ConcurrentEngine(
-            engine.pool, morsel_ops=16,
-            on_morsel=lambda name, morsel: calls.append((name, morsel)))
-        report = executor.run([ClientSession("q", point_trace(0, ops=64))])
-        assert len(calls) == report.session("q").quanta
-        assert all(name == "q" for name, _ in calls)
-        assert all(m.service_ns > 0 for _, m in calls)
+        for name in (5, b"a", None):
+            with pytest.raises(ConfigError, match="str name"):
+                engine.run_sessions([ClientSession(name, point_trace(0)),
+                                     ClientSession("b", point_trace(1))])
 
     def test_session_run_metrics_emitted(self):
         engine = cxl_engine()
@@ -446,12 +400,12 @@ def column_engine(columns, fast=True, traced=False, placement=None,
     return engine if fast else reference(engine)
 
 
-def scan_session(name, ids):
+def scan_session(name, ids, write=False):
     """A readahead scan over the id column *ids*, used as it is (no
     ``from_columns``: that would normalise the column under test)."""
     n = len(ids)
     return ClientSession(name, [AccessBlock(
-        ids, np.zeros(n, bool), np.ones(n, bool),
+        ids, np.full(n, write), np.ones(n, bool),
         np.full(n, 16 * 4096), np.zeros(n))])
 
 
@@ -532,19 +486,16 @@ class TestHitLog:
         rows = frame_rows(ref)
         assert frame_rows(fast) == rows
         assert all(10.0 <= last < warm and dirty
-                   for _, _, last, dirty, _ in rows.values())
+                   for _, _, last, dirty in rows.values())
 
-    @pytest.mark.parametrize("hook", [True, False])
-    def test_log_is_bounded_and_empty_on_return(self, hook):
-        """A 400 k-access run never holds more than the bound and
-        leaves nothing owed (or pinned) in the pool, with a morsel
-        hook or without one (the route is the same)."""
+    @pytest.mark.parametrize("write", [True, False])
+    def test_log_is_bounded_and_empty_on_return(self, write):
+        """A 400 k-access run, of reads or of writes, never holds more
+        than the bound and leaves nothing owed in the pool."""
         ids = np.tile(np.arange(0, 1_600, dtype=np.int64), 250)
         engine = column_engine([ids])
-        ConcurrentEngine(
-            engine.pool, morsel_ops=64,
-            on_morsel=(lambda name, morsel: None) if hook else None,
-        ).run([scan_session("scan", ids)])
+        ConcurrentEngine(engine.pool, morsel_ops=64).run(
+            [scan_session("scan", ids, write=write)])
         pool = engine.pool
         assert not pool._lazy_runs and pool._log_held == 0
         lane = pool.lane

@@ -11,10 +11,7 @@ from repro.harness.scenario import (
     Sweep,
     cell_id_for,
     derive_seed,
-    dumps_toml,
     load_sweep,
-    loads_toml,
-    save_sweep,
 )
 
 
@@ -34,11 +31,6 @@ class TestScenario:
     def test_json_round_trip(self):
         s = scenario()
         assert Scenario.from_json(s.to_json()) == s
-
-    def test_toml_round_trip(self):
-        pytest.importorskip("tomllib")
-        s = scenario()
-        assert Scenario.from_toml(s.to_toml()) == s
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown scenario keys"):
@@ -134,17 +126,17 @@ class TestSpecFiles:
     def test_json_save_load(self, tmp_path):
         sweep = Sweep(name="s", base=scenario(),
                       axes={"workload.theta": (0.5,)}, gate="b.json")
-        path = save_sweep(sweep, tmp_path / "s.json")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(sweep.to_dict()))
         loaded = load_sweep(path)
         assert loaded.to_dict() == sweep.to_dict()
         assert loaded.gate == "b.json"
 
-    def test_toml_save_load(self, tmp_path):
-        pytest.importorskip("tomllib")
-        sweep = Sweep(name="s", base=scenario(),
-                      axes={"workload.theta": (0.5, 0.99)})
-        path = save_sweep(sweep, tmp_path / "s.toml")
-        assert load_sweep(path).to_dict() == sweep.to_dict()
+    def test_toml_spec_is_refused_naming_json(self, tmp_path):
+        path = tmp_path / "s.toml"
+        path.write_text('name = "s"\n[base]\nexperiment = "debug.echo"\n')
+        with pytest.raises(ConfigError, match="JSON"):
+            load_sweep(path)
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -204,19 +196,3 @@ class TestSpecFiles:
             sweep = load_sweep(specs_dir / filename)
             assert len(sweep.cells()) == count, filename
             assert sweep.gate, filename
-
-
-class TestToml:
-    def test_dotted_keys_quoted(self):
-        pytest.importorskip("tomllib")
-        text = dumps_toml({"axes": {"workload.theta": [0.5]}})
-        assert loads_toml(text) == {"axes": {"workload.theta": [0.5]}}
-
-    def test_scalars_and_lists(self):
-        pytest.importorskip("tomllib")
-        data = {"a": True, "b": 1, "c": 0.5, "d": "x", "e": [1, 2]}
-        assert loads_toml(dumps_toml(data)) == data
-
-    def test_unrepresentable_rejected(self):
-        with pytest.raises(ConfigError):
-            dumps_toml({"a": object()})

@@ -120,6 +120,13 @@ class TestSweepCommand:
         assert code == 2
         assert "cannot read sweep spec" in capsys.readouterr().err
 
+    def test_toml_spec_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "x.toml"
+        spec.write_text('name = "x"\n[base]\nexperiment = "debug.echo"\n')
+        code = main(sweep_args(spec, tmp_path))
+        assert code == 2
+        assert "JSON" in capsys.readouterr().err
+
     def test_gate_without_baseline_is_usage_error(self, tmp_path,
                                                   capsys):
         spec = tmp_path / "nogate.json"

@@ -51,24 +51,6 @@ def test_policy_state_machine_invariants(policy_name, ops):
     assert len(policy) == len(reference)
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
-@given(
-    pinned=st.sets(st.integers(min_value=0, max_value=9), max_size=10),
-    population=st.sets(st.integers(min_value=0, max_value=9), min_size=1),
-)
-@settings(max_examples=40, deadline=None)
-def test_victim_never_pinned(policy_name, pinned, population):
-    policy = make_policy(policy_name)
-    for key in sorted(population):
-        policy.record_insert(key)
-    victim = policy.victim(pinned=lambda k: k in pinned)
-    unpinned = population - pinned
-    if unpinned:
-        assert victim in unpinned
-    else:
-        assert victim is None
-
-
 def _make_pool(placement, dram, cxl):
     tiers = [
         Tier(name="dram",

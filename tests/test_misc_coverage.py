@@ -17,7 +17,6 @@ class TestErrorHierarchy:
 
     def test_specific_parents(self):
         assert issubclass(errors.DeadlockError, errors.TransactionError)
-        assert issubclass(errors.PageFaultError, errors.BufferPoolError)
 
     def test_catchable_as_base(self):
         with pytest.raises(errors.ReproError):

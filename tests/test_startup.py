@@ -152,7 +152,7 @@ HARNESS_MODULES = [
     "repro", "repro._lazy", "repro.config", "repro.errors", "repro.units",
     "repro.core", "repro.core.autoscale", "repro.core.buffer",
     "repro.core.elastic", "repro.core.engine", "repro.core.frame",
-    "repro.core.morsel", "repro.core.placement", "repro.core.replacement",
+    "repro.core.placement", "repro.core.replacement",
     "repro.core.scaleout", "repro.core.sessions", "repro.core.shared",
     "repro.core.temperature", "repro.core.txn",
     "repro.harness", "repro.harness.executor", "repro.harness.experiments",
